@@ -10,8 +10,8 @@ from .exprlang import Expr, ExprError, diff, evaluate, free_vars, parse, subst, 
 from .numdiff import (ChangeMap, ChartError, change_catalog, identity_change,
                       jacobian_blocks, random_change, spatial_names,
                       temporal_names)
-from .geometry import (GeometryError, Metric, christoffel, energy_density,
-                       metric_from_name, pullback_metric)
+from .geometry import (GeometryError, Metric, energy_density, metric_from_name,
+                       pullback_metric)
 from .jetspace import (JetPoint, frame_size, jet_pullback, natural_coframe_change,
                        natural_frame_change, random_jet, transform_jet,
                        vert_index)
@@ -50,7 +50,7 @@ __all__ = [
     "change_catalog", "jacobian_blocks", "temporal_names", "spatial_names",
     # metrics
     "Metric", "GeometryError", "metric_from_name", "pullback_metric",
-    "christoffel", "energy_density",
+    "energy_density",
     # jet space
     "JetPoint", "transform_jet", "natural_frame_change", "natural_coframe_change",
     "jet_pullback", "random_jet", "frame_size", "vert_index",

@@ -19,6 +19,10 @@ errors (division by zero, log of a nonpositive value, sqrt of a negative
 value, 0 raised to a negative power).  Differentiation and substitution are
 symbolic and apply only conservative simplifications (constant folding,
 0*e -> 0, 1*e -> e, e+0 -> e and the like), so results stay exact.
+
+`compile_table` turns a table of expressions into one straight-line function
+with shared subexpressions and the same guards; the tree interpreter
+(``Expr.eval``) is its reference.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -36,10 +40,12 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "parse", "to_str", "evaluate", "diff", "subst", "free_vars",
     "num", "var", "neg", "add", "sub", "mul", "div", "pow_", "call",
-    "FUNCTIONS",
+    "FUNCTIONS", "compile_table",
 ]
 
 MAX_EXPONENT = 1000
+_DIV0 = "domain error: division by zero"
+_NEG_POW0 = "domain error: 0 raised to a negative power"
 
 
 class ExprError(ValueError):
@@ -56,6 +62,8 @@ def _any(mask) -> bool:
 
 class Expr:
     """Base class for expression nodes.  Nodes are immutable and comparable."""
+
+    __slots__ = ()
 
     def eval(self, env: Mapping[str, Value]) -> Value:
         raise NotImplementedError
@@ -79,7 +87,7 @@ class Expr:
         return self._fmt()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num(Expr):
     value: float
 
@@ -101,7 +109,7 @@ class Num(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
 
@@ -133,7 +141,7 @@ def _child(e: Expr, min_level: int) -> str:
     return "(" + s + ")" if level < min_level else s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg(Expr):
     a: Expr
     _LEVEL = 3
@@ -154,7 +162,7 @@ class Neg(Expr):
         return "-" + _child(self.a, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add(Expr):
     a: Expr
     b: Expr
@@ -177,7 +185,7 @@ class Add(Expr):
         return _child(self.a, 1) + " + " + _child(self.b, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub(Expr):
     a: Expr
     b: Expr
@@ -200,7 +208,7 @@ class Sub(Expr):
         return _child(self.a, 1) + " - " + _child(self.b, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul(Expr):
     a: Expr
     b: Expr
@@ -223,7 +231,7 @@ class Mul(Expr):
         return _child(self.a, 2) + "*" + _child(self.b, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Div(Expr):
     a: Expr
     b: Expr
@@ -232,7 +240,7 @@ class Div(Expr):
     def eval(self, env):
         den = self.b.eval(env)
         if _any(den == 0):
-            raise ExprError("domain error: division by zero")
+            raise ExprError(_DIV0)
         return self.a.eval(env) / den
 
     def diff(self, name):
@@ -251,7 +259,7 @@ class Div(Expr):
         return _child(self.a, 2) + "/" + _child(self.b, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -260,7 +268,7 @@ class Pow(Expr):
     def eval(self, env):
         b = self.base.eval(env)
         if self.exponent < 0 and _any(b == 0):
-            raise ExprError("domain error: 0 raised to a negative power")
+            raise ExprError(_NEG_POW0)
         if isinstance(b, np.ndarray):
             return np.power(b, self.exponent)
         return b ** self.exponent
@@ -326,7 +334,7 @@ def _fn_derivative(name: str, u: Expr) -> Expr:
     raise ExprError(f"unknown function '{name}'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(Expr):
     fn: str
     arg: Expr
@@ -616,6 +624,119 @@ def free_vars(e: Expr) -> set[str]:
     acc: set[str] = set()
     e._collect_vars(acc)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# compiled tables: one straight-line function per table of expressions
+
+
+def _on_values(scalar_fn: Callable, array_fn: Callable) -> Callable[[Value], Value]:
+    def apply(x):
+        return array_fn(x) if isinstance(x, np.ndarray) else scalar_fn(x)
+
+    return apply
+
+
+def _power(b: Value, k: int) -> Value:
+    return np.power(b, k) if isinstance(b, np.ndarray) else b ** k
+
+
+# names the generated functions use, besides `check`
+_TABLE_NAMESPACE: dict[str, object] = {
+    "ExprError": ExprError, "_any": _any, "_power": _power,
+    **{f"_f_{fn}": _on_values(scalar_fn, array_fn)
+       for fn, (scalar_fn, array_fn, _) in FUNCTIONS.items()},
+    **{f"_g_{fn}": domain for fn, (_, _, domain) in FUNCTIONS.items() if domain is not None},
+}
+_BINARY = {Add: "+", Sub: "-", Mul: "*"}
+
+
+def _literal(v: float) -> str:
+    text = repr(v) if math.isfinite(v) else f"float({repr(v)!r})"
+    return f"({text})" if text.startswith("-") else text
+
+
+def compile_table(exprs: Sequence[Expr], names: Sequence[str],
+                  check: Callable[[Value], None] | None = None) -> Callable[..., tuple]:
+    """Compile a table of expressions into one straight-line Python function.
+
+    The function takes one value per name, in order, and returns a tuple
+    with one value per expression.  The values may be floats or equally
+    shaped numpy arrays; each node computes exactly what ``Expr.eval``
+    computes.  Structurally equal subtrees are interned (one pass over the
+    trees, memoised by ``id``) and get one assignment.  Every domain guard of
+    the interpreter is kept, in the interpreter's order, so a table raises
+    the ExprError that evaluating its entries one by one would raise first.
+
+    ``check``, if given, is called with the first entry's value before any
+    other entry is computed; it may raise to stop the evaluation.
+    """
+    args = {name: f"a{k}" for k, name in enumerate(names)}
+    ns = dict(_TABLE_NAMESPACE, check=check)
+    lines: list[str] = []
+    by_id: dict[int, str] = {}      # id(node) -> operand text
+    by_key: dict[tuple, str] = {}   # structure -> operand text
+    guarded: set[tuple[str, str]] = set()
+
+    def guard(key: tuple[str, str], line: str) -> None:
+        # a repeat of a passed guard on the same operand cannot fail
+        if key not in guarded:
+            guarded.add(key)
+            lines.append(line)
+
+    def intern(key: tuple, code: str) -> str:
+        if key not in by_key:
+            by_key[key] = f"v{len(by_key)}"
+            lines.append(f"{by_key[key]} = {code}")
+        return by_key[key]
+
+    def emit(e: Expr) -> str:
+        got = by_id.get(id(e))
+        if got is not None:
+            return got
+        if isinstance(e, Num):
+            got = _literal(e.value)
+        elif isinstance(e, Var):
+            if e.name not in args:
+                raise ExprError(f"unbound variable '{e.name}'")
+            got = args[e.name]
+        elif isinstance(e, Neg):
+            a = emit(e.a)
+            got = intern(("-", a), f"-{a}")
+        elif type(e) in _BINARY:
+            op = _BINARY[type(e)]
+            a = emit(e.a)
+            b = emit(e.b)
+            got = intern((op, a, b), f"{a} {op} {b}")
+        elif isinstance(e, Div):
+            b = emit(e.b)                   # the interpreter checks the denominator first
+            guard(("/", b), f"if _any({b} == 0): raise ExprError({_DIV0!r})")
+            a = emit(e.a)
+            got = intern(("/", a, b), f"{a} / {b}")
+        elif isinstance(e, Pow):
+            b = emit(e.base)
+            if e.exponent < 0:
+                guard(("^", b), f"if _any({b} == 0): raise ExprError({_NEG_POW0!r})")
+            got = intern(("^", b, e.exponent), f"_power({b}, {e.exponent})")
+        elif isinstance(e, Call):
+            x = emit(e.arg)
+            if FUNCTIONS[e.fn][2] is not None:
+                guard((e.fn, x), f"_g_{e.fn}({x})")
+            got = intern((e.fn, x), f"_f_{e.fn}({x})")
+        else:
+            raise ExprError(f"cannot compile node {type(e).__name__}")
+        by_id[id(e)] = got
+        return got
+
+    outs = []
+    for k, e in enumerate(exprs):
+        outs.append(emit(e))
+        if k == 0 and check is not None:
+            lines.append(f"check({outs[0]})")
+    lines.append(f"return ({''.join(o + ', ' for o in outs)})")
+    src = f"def table({', '.join(args.values())}):\n" + "".join(f"    {x}\n" for x in lines)
+    exec(compile(src, "<compiled table>", "exec"), ns)
+    return ns["table"]
 
 
 def parse_all(texts: Iterable[str]) -> list[Expr]:

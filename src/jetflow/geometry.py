@@ -9,19 +9,19 @@ covers the standard test metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .exprlang import (
-    Expr, add, diff, div, free_vars, mul, neg, num, parse, sub, subst, var,
+    Expr, Num, add, compile_table, diff, div, free_vars, mul, neg, num, parse, sub, subst,
+    var,
 )
 from .numdiff import ChangeMap, jet_name, spatial_names, temporal_names
 
 __all__ = [
-    "GeometryError", "Metric", "ChristoffelField", "christoffel",
+    "GeometryError", "Metric",
     "metric_from_name", "pullback_metric", "energy_density",
 ]
 
@@ -41,18 +41,15 @@ def _as_points(points: np.ndarray, dim: int) -> np.ndarray:
     return pts
 
 
-def _broadcast(value, count: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(count, float(arr))
-    return arr
-
-
 class Metric:
     """Symmetric nondegenerate metric with symbolic components.
 
     kind is "temporal" (components over t1..tp) or "spatial" (over x1..xn).
     box optionally bounds the chart domain where nondegeneracy is certified.
+
+    Numeric values come from three compiled tables (`compile_table`), each
+    built on first use: g; det g with g^-1; det g with the Christoffel
+    symbols.  Pointwise evaluation is the one-point batch, run on floats.
     """
 
     def __init__(self, name: str, kind: str, components: Sequence[Sequence[Expr]],
@@ -64,6 +61,7 @@ class Metric:
         self.components = [list(row) for row in components]
         self.dim = len(self.components)
         self.box = None if box is None else [tuple(b) for b in box]
+        self._kernels: dict[str, Callable[..., tuple]] = {}
         allowed = set(self.variables)
         for row in self.components:
             if len(row) != self.dim:
@@ -87,98 +85,112 @@ class Metric:
         return [[[diff(self.components[a][b], c) for b in range(self.dim)]
                  for a in range(self.dim)] for c in names]
 
-    def components_at(self, point: np.ndarray) -> np.ndarray:
-        env = dict(zip(self.variables, np.asarray(point, float)))
-        g = np.array([[e.eval(env) for e in row] for row in self.components], dtype=float)
-        return g
+    @cached_property
+    def _det_inverse(self) -> tuple[Expr, list[list[Expr]]]:
+        """(det g, g^-1) by the adjugate formula.  Determinants expand along
+        their first row; each minor is built once and shared."""
+        g, d = self.components, self.dim
+        minors: dict[tuple[tuple[int, ...], tuple[int, ...]], Expr] = {}
 
-    def components_batch(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points, self.dim)
-        env = {v: pts[:, k] for k, v in enumerate(self.variables)}
-        count = pts.shape[0]
-        rows = [[_broadcast(e.eval(env), count) for e in row] for row in self.components]
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+        def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> Expr:
+            if not rows:
+                return num(1.0)
+            if (rows, cols) not in minors:
+                acc: Expr = num(0.0)
+                for j, c in enumerate(cols):
+                    term = mul(g[rows[0]][c], minor(rows[1:], cols[:j] + cols[j + 1:]))
+                    acc = add(acc, term) if j % 2 == 0 else sub(acc, term)
+                minors[rows, cols] = acc
+            return minors[rows, cols]
 
-    def inverse_at(self, point: np.ndarray) -> np.ndarray:
-        g = self.components_at(point)
-        if abs(np.linalg.det(g)) < DET_TOL:
-            raise GeometryError(f"metric '{self.name}' is degenerate at {np.asarray(point)}")
-        return np.linalg.inv(g)
+        def without(k: int) -> tuple[int, ...]:
+            return tuple(i for i in range(d) if i != k)
 
-    def inverse_batch(self, points: np.ndarray) -> np.ndarray:
-        g = self.components_batch(points)
-        det = np.linalg.det(g)
-        if np.any(np.abs(det) < DET_TOL):
-            raise GeometryError(f"metric '{self.name}' is degenerate on the point set")
-        return np.linalg.inv(g)
+        def entry(i: int, j: int) -> Expr:
+            cof = minor(without(j), without(i))
+            if isinstance(cof, Num) and cof.value == 0:
+                return num(0.0)
+            return div(cof if (i + j) % 2 == 0 else neg(cof), det)
+
+        det = minor(tuple(range(d)), tuple(range(d)))
+        return det, [[entry(i, j) for j in range(d)] for i in range(d)]
 
     def inverse_components(self) -> list[list[Expr]]:
-        """Symbolic inverse matrix (dim <= 3) via the adjugate formula."""
-        g = self.components
+        """Symbolic inverse matrix via the adjugate formula."""
+        return [list(row) for row in self._det_inverse[1]]
+
+    def _check_det(self, det) -> None:
+        small = abs(det) < DET_TOL
+        if small.any() if isinstance(small, np.ndarray) else small:
+            raise GeometryError(f"metric '{self.name}' is degenerate: |det g| < {DET_TOL}")
+
+    def _exprs(self, table: str) -> list[Expr]:
+        """Entries of a table, row-major: "g" is g; "inverse" is det g then
+        g^-1; "christoffel" is det g then Gamma^a_bc."""
+        if table == "g":
+            return [e for row in self.components for e in row]
+        det, inv = self._det_inverse
+        if table == "inverse":
+            return [det] + [e for row in inv for e in row]
+        # Gamma^a_bc = (1/2) g^{ae} (d_b g_ec + d_c g_be - d_e g_bc)
+        dg, d = self._dg, self.dim
+        gamma = []
+        for a in range(d):
+            for b in range(d):
+                for c in range(d):
+                    acc: Expr = num(0.0)
+                    for e in range(d):
+                        lowered = sub(add(dg[b][e][c], dg[c][b][e]), dg[e][b][c])
+                        acc = add(acc, mul(inv[a][e], lowered))
+                    gamma.append(mul(num(0.5), acc))
+        return [det] + gamma
+
+    def _kernel(self, table: str) -> Callable[..., tuple]:
+        """The compiled table, built on first use; tables led by det g stop
+        with GeometryError where the metric is degenerate."""
+        kernel = self._kernels.get(table)
+        if kernel is None:
+            check = None if table == "g" else self._check_det
+            kernel = compile_table(self._exprs(table), self.variables, check=check)
+            self._kernels[table] = kernel
+        return kernel
+
+    def _tabulate(self, table: str, points: np.ndarray) -> np.ndarray:
+        """(q, k) values of a k-entry table at q points; one point runs on floats."""
+        pts = _as_points(points, self.dim)
+        kernel = self._kernel(table)
+        if len(pts) == 1:
+            return np.array([kernel(*pts[0].tolist())], dtype=float)
+        values = kernel(*pts.T)
+        out = np.empty((len(pts), len(values)))
+        for k, v in enumerate(values):
+            out[:, k] = v
+        return out
+
+    def components_at(self, point: np.ndarray) -> np.ndarray:
+        return self.components_batch(np.asarray(point, float)[None, :])[0]
+
+    def components_batch(self, points: np.ndarray) -> np.ndarray:
         d = self.dim
-        if d == 1:
-            return [[div(num(1.0), g[0][0])]]
-        if d == 2:
-            det = sub(mul(g[0][0], g[1][1]), mul(g[0][1], g[1][0]))
-            return [[div(g[1][1], det), div(neg(g[0][1]), det)],
-                    [div(neg(g[1][0]), det), div(g[0][0], det)]]
-        if d == 3:
-            def minor(r, c):
-                rows = [i for i in range(3) if i != r]
-                cols = [j for j in range(3) if j != c]
-                return sub(mul(g[rows[0]][cols[0]], g[rows[1]][cols[1]]),
-                           mul(g[rows[0]][cols[1]], g[rows[1]][cols[0]]))
-            det: Expr = num(0.0)
-            for j in range(3):
-                term = mul(g[0][j], minor(0, j))
-                det = add(det, term) if j % 2 == 0 else sub(det, term)
-            out = [[None] * 3 for _ in range(3)]
-            for i in range(3):
-                for j in range(3):
-                    cof = minor(j, i)
-                    out[i][j] = div(cof, det) if (i + j) % 2 == 0 else div(neg(cof), det)
-            return out
-        raise GeometryError("symbolic metric inverse implemented for dim <= 3")
+        return self._tabulate("g", points).reshape(-1, d, d)
+
+    def inverse_at(self, point: np.ndarray) -> np.ndarray:
+        return self.inverse_batch(np.asarray(point, float)[None, :])[0]
+
+    def inverse_batch(self, points: np.ndarray) -> np.ndarray:
+        d = self.dim
+        return self._tabulate("inverse", points)[:, 1:].reshape(-1, d, d)
 
     def christoffel_at(self, point: np.ndarray) -> np.ndarray:
         """Levi-Civita coefficients G[a, b, c] = Gamma^a_bc at a point."""
         return self.christoffel_batch(np.asarray(point, float)[None, :])[0]
 
     def christoffel_batch(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points, self.dim)
-        count, d = pts.shape
-        env = {v: pts[:, k] for k, v in enumerate(self.variables)}
-        dg = np.empty((count, d, d, d))
-        for c in range(d):
-            for a in range(d):
-                for b in range(d):
-                    dg[:, c, a, b] = _broadcast(self._dg[c][a][b].eval(env), count)
-        ginv = self.inverse_batch(pts)
-        # Gamma^a_bc = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc)
-        d_b_g_dc = dg.transpose(0, 2, 1, 3)   # [q, d, b, c] = dg[q, b, d, c]
-        d_c_g_bd = dg.transpose(0, 3, 2, 1)   # [q, d, b, c] = dg[q, c, b, d]
-        lowered = d_b_g_dc + d_c_g_bd - dg
-        return 0.5 * np.einsum("qad,qdbc->qabc", ginv, lowered)
+        d = self.dim
+        return self._tabulate("christoffel", points)[:, 1:].reshape(-1, d, d, d)
 
     def __repr__(self):
         return f"Metric({self.name!r}, kind={self.kind!r}, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class ChristoffelField:
-    """Christoffel symbols of a metric as an evaluable field."""
-
-    metric: Metric
-
-    def at(self, point: np.ndarray) -> np.ndarray:
-        return self.metric.christoffel_at(point)
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
-        return self.metric.christoffel_batch(points)
-
-
-def christoffel(metric: Metric, point: np.ndarray) -> np.ndarray:
-    return metric.christoffel_at(point)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,18 @@ def test_verify_output_file(tmp_path):
     assert on_disk == run_cli("verify", path).stdout
 
 
+def test_verify_four_temporal_dimensions(tmp_path):
+    # the lagrangian-metric candidate inverts the 4 x 4 temporal metric
+    payload = {"seed": 7, "dimensions": {"p": 4, "n": 1},
+               "metrics": {"temporal": "euclidean:4", "spatial": "euclidean:1"},
+               "changes": {"kinds": ["affine", "shear", "mixed"], "count": 1},
+               "jets": {"count": 2},
+               "verify": {"suites": ["dtensors"]}}
+    r = run_cli("verify", write_scenario(tmp_path, payload))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["all_pass"] is True
+
+
 def test_scenario_schema_error_exits_two(tmp_path):
     payload = {"dimensions": {"p": 2, "n": 2},
                "metrics": {"temporal": "euclidean:2"}}

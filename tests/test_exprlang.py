@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from jetflow.exprlang import (Call, Expr, ExprError, Mul, Num, Pow, Var, add,
-                              call, diff, div, evaluate, free_vars, mul, neg,
-                              num, parse, pow_, subst, to_str, var)
+                              call, compile_table, diff, div, evaluate, free_vars,
+                              mul, neg, num, parse, pow_, subst, to_str, var)
 
 
 # ---------------------------------------------------------------------------
@@ -83,17 +83,36 @@ def test_parse_errors(text, fragment):
     assert isinstance(err.value.offset, int)
 
 
-@pytest.mark.parametrize("text,env", [
+DOMAIN_ERRORS = [
     ("1/0", {}),
     ("log(0)", {}),
     ("log(-1)", {}),
     ("sqrt(-4)", {}),
     ("0^-1", {}),
     ("1/x", {"x": 0.0}),
-])
+    ("x^-2", {"x": 0.0}),
+    ("log(x) + sqrt(x)", {"x": -1.0}),
+    ("sqrt(x)/(x - x)", {"x": -1.0}),      # the denominator is checked first
+]
+
+
+@pytest.mark.parametrize("text,env", DOMAIN_ERRORS)
 def test_domain_errors(text, env):
     with pytest.raises(ExprError):
         evaluate(parse(text), env)
+
+
+@pytest.mark.parametrize("arrays", [False, True])
+@pytest.mark.parametrize("text,env", DOMAIN_ERRORS)
+def test_compiled_table_raises_the_interpreters_domain_error(text, env, arrays):
+    if arrays:
+        env = {k: np.array([1.0, v, 2.0]) for k, v in env.items()}
+    with pytest.raises(ExprError) as want:
+        evaluate(parse(text), env)
+    table = compile_table([parse("x + 1"), parse(text)], sorted(env) or ["x"])
+    with pytest.raises(ExprError) as got:
+        table(*[env[k] for k in sorted(env)] or [1.0])
+    assert str(got.value) == str(want.value)
 
 
 def test_unbound_variable():
@@ -113,6 +132,51 @@ def test_array_evaluation_matches_scalar():
     singles = np.array([evaluate(e, {"x": float(a), "y": float(b)})
                         for a, b in zip(xs, ys)])
     assert np.allclose(batch, singles, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# compiled tables against the tree interpreter
+
+
+def test_compiled_table_equals_interpreter_on_floats_and_arrays():
+    rng = np.random.default_rng(303)
+    exprs = [_random_expr(rng, 4) for _ in range(40)]
+    exprs += [diff(e, "x") for e in exprs[:10]] + [num(-0.0), var("y")]
+    table = compile_table(exprs, ["x", "y"])
+    xs, ys = rng.uniform(0.5, 1.5, 6), rng.uniform(0.5, 1.5, 6)
+    for x0, y0 in zip(xs.tolist(), ys.tolist()):
+        want = [evaluate(e, {"x": x0, "y": y0}) for e in exprs]
+        got = table(x0, y0)
+        assert all(isinstance(v, float) for v in got)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-13
+    want = [evaluate(e, {"x": xs, "y": ys}) for e in exprs]
+    for g, w in zip(table(xs, ys), want):
+        assert np.max(np.abs(np.broadcast_to(g, xs.shape) - w)) <= 1e-13
+
+
+def test_compiled_table_shares_equal_subtrees():
+    # three trees built separately; the distinct nodes are sin(x), the
+    # product and the sum, so the function has one local per distinct node
+    exprs = [parse("sin(x)*sin(x) + sin(x)"), parse("sin(x)*sin(x)"), parse("sin(x)")]
+    table = compile_table(exprs, ["x"])
+    assert table.__code__.co_nlocals == 1 + 3
+    assert table(0.5) == tuple(evaluate(e, {"x": 0.5}) for e in exprs)
+
+
+def test_compiled_table_check_runs_before_other_entries():
+    def check(value):
+        if value == 0:
+            raise RuntimeError("first entry is zero")
+
+    table = compile_table([parse("x"), parse("1/x")], ["x"], check=check)
+    assert table(2.0) == (2.0, 0.5)
+    with pytest.raises(RuntimeError):
+        table(0.0)
+
+
+def test_compiled_table_rejects_unbound_variable():
+    with pytest.raises(ExprError):
+        compile_table([parse("x + y")], ["x"])
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from jetflow import geometry
 from jetflow import numdiff as nd
-from jetflow.exprlang import num, parse
+from jetflow.exprlang import compile_table, num, parse
 from jetflow.geometry import (
     GeometryError,
     Metric,
@@ -130,10 +131,107 @@ def test_symbolic_inverse_dim3():
 
 def test_degenerate_metric_raises():
     g = Metric("deg", "spatial", [[parse("x1"), num(0.0)], [num(0.0), parse("1")]])
-    with pytest.raises(GeometryError):
-        g.inverse_at(np.array([0.0, 1.0]))
-    with pytest.raises(GeometryError):
-        g.inverse_batch(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for x1 in (0.0, 1e-14):
+        for method in (g.inverse_at, g.christoffel_at):
+            with pytest.raises(GeometryError):
+                method(np.array([x1, 1.0]))
+        for method in (g.inverse_batch, g.christoffel_batch):
+            with pytest.raises(GeometryError):
+                method(np.array([[1.0, 1.0], [x1, 1.0]]))
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("kind", ["diagonal", "shear", "mixed"])
+def test_symbolic_inverse_beyond_dim3(d, kind):
+    rng = np.random.default_rng(10 + d)
+    if kind == "diagonal":
+        g = Metric("diag", "spatial", [[parse(f"2 + sin(x{a + 1})") if a == b else num(0.0)
+                                        for b in range(d)] for a in range(d)])
+    else:
+        g = pullback_metric(metric_from_name(f"euclidean:{d}"), nd.random_change(rng, 1, d, kind))
+    inv = compile_table([e for row in g.inverse_components() for e in row], g.variables)
+    for _ in range(3):
+        pt = rng.uniform(-1.0, 1.0, d)
+        want = np.linalg.inv(g.components_at(pt))
+        assert np.max(np.abs(np.reshape(inv(*pt.tolist()), (d, d)) - want)) < 1e-12
+        assert np.max(np.abs(g.inverse_at(pt) - want)) < 1e-12
+
+
+# --- compiled tables against the tree interpreter -------------------------------
+
+CATALOG = [("euclidean:1", "spatial"), ("euclidean:2", "temporal"), ("euclidean:3", "spatial"),
+           ("sphere:2", "spatial"), ("hyperbolic:2", "spatial"), ("exp1d", "temporal"),
+           ("conformal2d:0.3*t1 - 0.2*t2 + 0.1*t1*t2", "temporal")]
+
+
+def _metric_and_points(name, kind, change_kind, rng):
+    """A catalog metric, or its pullback through a random change, and five
+    points of its chart inside the catalog box."""
+    g = metric_from_name(name, kind)
+    pts = np.array([[rng.uniform(lo + 0.1, hi - 0.1) for lo, hi in g.box] for _ in range(5)])
+    if change_kind is None:
+        return g, pts
+    p, n = (g.dim, 1) if kind == "temporal" else (1, g.dim)
+    c = nd.random_change(rng, p, n, change_kind)
+    if kind == "temporal":
+        pts = np.array([c.forward(t, np.zeros(1))[0] for t in pts])
+    else:
+        pts = np.array([c.forward(np.zeros(1), x)[1] for x in pts])
+    return pullback_metric(g, c), pts
+
+
+@pytest.mark.parametrize("change_kind", [None, "affine", "shear", "mixed"])
+@pytest.mark.parametrize("name,kind", CATALOG)
+def test_compiled_tables_match_interpreter(name, kind, change_kind):
+    rng = np.random.default_rng(sum(map(ord, name + kind + str(change_kind))))
+    g, pts = _metric_and_points(name, kind, change_kind, rng)
+    for table in ("g", "inverse", "christoffel"):
+        exprs = g._exprs(table)
+        want = np.array([[e.eval(dict(zip(g.variables, pt))) for e in exprs] for pt in pts])
+        floats = np.array([g._kernel(table)(*pt.tolist()) for pt in pts])
+        columns = g._tabulate(table, pts)
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.max(np.abs(floats - want) / scale) <= 1e-13, table
+        assert np.max(np.abs(columns - want) / scale) <= 1e-13, table
+
+
+@pytest.mark.parametrize("change_kind", [None, "mixed"])
+@pytest.mark.parametrize("name,kind", CATALOG)
+def test_christoffel_matches_numeric_formula(name, kind, change_kind):
+    # Gamma from interpreted first derivatives and a numeric inverse
+    rng = np.random.default_rng(sum(map(ord, name + kind)))
+    g, pts = _metric_and_points(name, kind, change_kind, rng)
+    for pt in pts:
+        env = dict(zip(g.variables, pt))
+        dg = np.array([[[e.eval(env) for e in row] for row in plane] for plane in g._dg])
+        ginv = np.linalg.inv(g.components_at(pt))
+        lowered = dg.transpose(1, 0, 2) + dg.transpose(2, 1, 0) - dg
+        want = 0.5 * np.einsum("ad,dbc->abc", ginv, lowered)
+        assert np.max(np.abs(g.christoffel_at(pt) - want)) < 1e-12
+        assert np.max(np.abs(g.inverse_at(pt) - ginv)) < 1e-12
+
+
+def test_each_table_is_compiled_once(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return compile_table(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "compile_table", counting)
+    g = metric_from_name("sphere:2")
+    pts = np.array([[1.0, 0.2], [1.2, -0.3]])
+    for _ in range(3):
+        g.christoffel_at(pts[0])
+        g.christoffel_batch(pts)
+    assert len(built) == 1
+    for _ in range(3):
+        g.inverse_at(pts[0])
+        g.inverse_batch(pts)
+        g.components_at(pts[0])
+        g.components_batch(pts)
+    assert len(built) == 3
+    assert len(metric_from_name("sphere:2")._kernels) == 0
 
 
 # --- pullback ------------------------------------------------------------------
