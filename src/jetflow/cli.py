@@ -8,8 +8,10 @@
 Reports are JSON with sorted keys and no timestamps, so a fixed scenario
 and seed produce byte-identical output.  The JETFLOW_SEED environment
 variable overrides the scenario seed.  Exit status: 0 when every check
-passes (or the solver converges), 1 on check failure or non-convergence,
-2 on scenario or usage errors.
+passes (or the solver converges), 1 on check failure, non-convergence or a
+numerical failure, 2 on scenario or usage errors.  A numerical failure (a
+degenerate metric or chart, a domain error while evaluating) writes the
+report {"command", "status": "error", "error"} in place of the usual one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .maps import SmoothMap, solve_affine_ode, solve_harmonic_grid
+from .exprlang import ExprError
+from .geometry import GeometryError
+from .maps import MapError, SmoothMap, solve_affine_ode, solve_harmonic_grid
+from .numdiff import ChartError
 from .scenario import Scenario, ScenarioError, load_scenario
 from .sprays import canonical_pair
 from .verify import run_suite, run_verify
@@ -95,7 +100,10 @@ def _cmd_harmonic(sc: Scenario, args) -> int:
         raise ScenarioError("harmonic grid relaxation needs a scenario with p=2")
     if len(section["boundary"]) != sc.n:
         raise ScenarioError(f"boundary needs n={sc.n} component expressions")
-    boundary = SmoothMap(2, section["boundary"], name="boundary")
+    try:
+        boundary = SmoothMap(2, section["boundary"], name="boundary")
+    except ValueError as exc:
+        raise ScenarioError(f"scenario error at '/harmonic/boundary': {exc}") from exc
     pair = canonical_pair(sc.temporal_metric, sc.spatial_metric)
     sol = solve_harmonic_grid(
         pair, sc.temporal_metric, boundary,
@@ -168,18 +176,29 @@ _COMMANDS = {
 }
 
 
+_NUMERICAL_ERRORS = (GeometryError, ExprError, ChartError, MapError)
+
+
+def _is_numerical(exc: ValueError) -> bool:
+    """A failure of the computation rather than of the scenario; an
+    ExprError with an offset is a parse error in scenario text."""
+    if isinstance(exc, ExprError) and exc.offset is not None:
+        return False
+    return isinstance(exc, _NUMERICAL_ERRORS)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         sc = load_scenario(args.scenario)
         return _COMMANDS[args.command](sc, args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if not _is_numerical(exc):
+            return 2
+        _emit({"command": args.command, "status": "error", "error": str(exc)}, args.output)
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .exprlang import Expr, diff
 from .geometry import Metric, pullback_metric
-from .numdiff import ChangeMap, jacobian_blocks, jet_name
+from .numdiff import ChangeMap, jacobian_blocks, jet_names
 from .jetspace import JetPoint, jet_env, jet_pullback, transform_jet
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "transform_components", "is_dtensor",
     "liouville_c", "liouville_c_field", "liouville_l", "liouville_l_field",
     "normalization_j", "normalization_j_field",
-    "lagrangian_metric", "lagrangian_metric_field",
+    "lagrangian_metric_field",
 ]
 
 # slot kind codes
@@ -228,24 +228,17 @@ def normalization_j_field(h: Metric, n: int) -> DTensorField:
 
 
 def _hessian_exprs(L: Expr, p: int, n: int) -> list[list[Expr]]:
-    names = [jet_name(i + 1, a + 1) for i in range(n) for a in range(p)]
+    names = jet_names(n, p)
     first = [diff(L, v) for v in names]
     return [[diff(fi, vj) for vj in names] for fi in first]
 
 
-def lagrangian_metric(L: Expr, p: int, n: int, u: JetPoint) -> np.ndarray:
-    """Vertical metric G_{(i)(j)}^{(a)(b)} = (1/2) d^2 L / dx^i_a dx^j_b."""
-    d2 = _hessian_exprs(L, p, n)
-    env = jet_env(u)
-    size = n * p
-    out = np.empty((size, size))
-    for r in range(size):
-        for c in range(size):
-            out[r, c] = d2[r][c].eval(env)
-    return 0.5 * out
-
-
 def lagrangian_metric_field(L: Expr, p: int, n: int, name: str = "lagrangian-metric") -> DTensorField:
+    """Vertical metric G_{(i)(j)}^{(a)(b)} = (1/2) d^2 L / dx^i_a dx^j_b.
+
+    The Hessian is built once per chart by the memoised `diff` and walked as
+    trees: each pulled-back table is evaluated at only a few jets, too few to
+    pay back a compiled kernel."""
     d2 = _hessian_exprs(L, p, n)
     size = n * p
 

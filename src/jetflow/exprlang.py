@@ -18,7 +18,8 @@ Evaluation accepts float or numpy-array bindings and is exact about domain
 errors (division by zero, log of a nonpositive value, sqrt of a negative
 value, 0 raised to a negative power).  Differentiation and substitution are
 symbolic and apply only conservative simplifications (constant folding,
-0*e -> 0, 1*e -> e, e+0 -> e and the like), so results stay exact.
+0*e -> 0, 1*e -> e, e+0 -> e and the like), so results stay exact; each
+visits a distinct node object once, so shared subtrees stay shared.
 
 `compile_table` turns a table of expressions into one straight-line function
 with shared subexpressions and the same guards; the tree interpreter
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -69,9 +70,36 @@ class Expr:
         raise NotImplementedError
 
     def diff(self, name: str) -> "Expr":
-        raise NotImplementedError
+        """Partial derivative; each distinct node object is differentiated
+        once, so shared subtrees give shared results."""
+        memo: dict[int, Expr] = {}
+
+        def d(e: Expr) -> Expr:
+            got = memo.get(id(e))
+            if got is None:
+                got = memo[id(e)] = e._diff(name, d)
+            return got
+
+        return d(self)
 
     def subst(self, mapping: Mapping[str, "Expr"]) -> "Expr":
+        """Substitution; each distinct node object is rebuilt once, so shared
+        subtrees stay shared."""
+        memo: dict[int, Expr] = {}
+
+        def s(e: Expr) -> Expr:
+            got = memo.get(id(e))
+            if got is None:
+                got = memo[id(e)] = e._subst(mapping, s)
+            return got
+
+        return s(self)
+
+    # one step of diff / subst; `d` and `s` map a child to its result
+    def _diff(self, name: str, d: Callable[["Expr"], "Expr"]) -> "Expr":
+        raise NotImplementedError
+
+    def _subst(self, mapping: Mapping[str, "Expr"], s: Callable[["Expr"], "Expr"]) -> "Expr":
         raise NotImplementedError
 
     def _collect_vars(self, acc: set[str]) -> None:
@@ -94,10 +122,10 @@ class Num(Expr):
     def eval(self, env):
         return self.value
 
-    def diff(self, name):
+    def _diff(self, name, d):
         return Num(0.0)
 
-    def subst(self, mapping):
+    def _subst(self, mapping, s):
         return self
 
     def _collect_vars(self, acc):
@@ -119,10 +147,10 @@ class Var(Expr):
         except KeyError:
             raise ExprError(f"unbound variable '{self.name}'") from None
 
-    def diff(self, name):
+    def _diff(self, name, d):
         return Num(1.0 if self.name == name else 0.0)
 
-    def subst(self, mapping):
+    def _subst(self, mapping, s):
         return mapping.get(self.name, self)
 
     def _collect_vars(self, acc):
@@ -149,11 +177,11 @@ class Neg(Expr):
     def eval(self, env):
         return -self.a.eval(env)
 
-    def diff(self, name):
-        return neg(self.a.diff(name))
+    def _diff(self, name, d):
+        return neg(d(self.a))
 
-    def subst(self, mapping):
-        return neg(self.a.subst(mapping))
+    def _subst(self, mapping, s):
+        return neg(s(self.a))
 
     def _collect_vars(self, acc):
         self.a._collect_vars(acc)
@@ -171,11 +199,11 @@ class Add(Expr):
     def eval(self, env):
         return self.a.eval(env) + self.b.eval(env)
 
-    def diff(self, name):
-        return add(self.a.diff(name), self.b.diff(name))
+    def _diff(self, name, d):
+        return add(d(self.a), d(self.b))
 
-    def subst(self, mapping):
-        return add(self.a.subst(mapping), self.b.subst(mapping))
+    def _subst(self, mapping, s):
+        return add(s(self.a), s(self.b))
 
     def _collect_vars(self, acc):
         self.a._collect_vars(acc)
@@ -194,11 +222,11 @@ class Sub(Expr):
     def eval(self, env):
         return self.a.eval(env) - self.b.eval(env)
 
-    def diff(self, name):
-        return sub(self.a.diff(name), self.b.diff(name))
+    def _diff(self, name, d):
+        return sub(d(self.a), d(self.b))
 
-    def subst(self, mapping):
-        return sub(self.a.subst(mapping), self.b.subst(mapping))
+    def _subst(self, mapping, s):
+        return sub(s(self.a), s(self.b))
 
     def _collect_vars(self, acc):
         self.a._collect_vars(acc)
@@ -217,11 +245,11 @@ class Mul(Expr):
     def eval(self, env):
         return self.a.eval(env) * self.b.eval(env)
 
-    def diff(self, name):
-        return add(mul(self.a.diff(name), self.b), mul(self.a, self.b.diff(name)))
+    def _diff(self, name, d):
+        return add(mul(d(self.a), self.b), mul(self.a, d(self.b)))
 
-    def subst(self, mapping):
-        return mul(self.a.subst(mapping), self.b.subst(mapping))
+    def _subst(self, mapping, s):
+        return mul(s(self.a), s(self.b))
 
     def _collect_vars(self, acc):
         self.a._collect_vars(acc)
@@ -243,13 +271,13 @@ class Div(Expr):
             raise ExprError(_DIV0)
         return self.a.eval(env) / den
 
-    def diff(self, name):
+    def _diff(self, name, d):
         # (a/b)' = a'/b - a*b'/b^2
-        da, db = self.a.diff(name), self.b.diff(name)
+        da, db = d(self.a), d(self.b)
         return sub(div(da, self.b), div(mul(self.a, db), pow_(self.b, 2)))
 
-    def subst(self, mapping):
-        return div(self.a.subst(mapping), self.b.subst(mapping))
+    def _subst(self, mapping, s):
+        return div(s(self.a), s(self.b))
 
     def _collect_vars(self, acc):
         self.a._collect_vars(acc)
@@ -273,14 +301,14 @@ class Pow(Expr):
             return np.power(b, self.exponent)
         return b ** self.exponent
 
-    def diff(self, name):
+    def _diff(self, name, d):
         k = self.exponent
         if k == 0:
             return Num(0.0)
-        return mul(mul(Num(float(k)), pow_(self.base, k - 1)), self.base.diff(name))
+        return mul(mul(Num(float(k)), pow_(self.base, k - 1)), d(self.base))
 
-    def subst(self, mapping):
-        return pow_(self.base.subst(mapping), self.exponent)
+    def _subst(self, mapping, s):
+        return pow_(s(self.base), self.exponent)
 
     def _collect_vars(self, acc):
         self.base._collect_vars(acc)
@@ -348,11 +376,11 @@ class Call(Expr):
             return array_fn(x)
         return scalar_fn(x)
 
-    def diff(self, name):
-        return mul(_fn_derivative(self.fn, self.arg), self.arg.diff(name))
+    def _diff(self, name, d):
+        return mul(_fn_derivative(self.fn, self.arg), d(self.arg))
 
-    def subst(self, mapping):
-        return call(self.fn, self.arg.subst(mapping))
+    def _subst(self, mapping, s):
+        return call(self.fn, s(self.arg))
 
     def _collect_vars(self, acc):
         self.arg._collect_vars(acc)
@@ -737,7 +765,3 @@ def compile_table(exprs: Sequence[Expr], names: Sequence[str],
     src = f"def table({', '.join(args.values())}):\n" + "".join(f"    {x}\n" for x in lines)
     exec(compile(src, "<compiled table>", "exec"), ns)
     return ns["table"]
-
-
-def parse_all(texts: Iterable[str]) -> list[Expr]:
-    return [parse(t) for t in texts]

@@ -22,7 +22,7 @@ from .exprlang import (
 )
 
 __all__ = [
-    "EPS", "fd_partial", "fd_second", "fd_jacobian",
+    "EPS", "fd_partial", "fd_jacobian",
     "ChartError", "ChangeMap", "JacobianBlocks", "jacobian_blocks",
     "temporal_names", "spatial_names", "jet_name", "jet_names",
     "identity_change", "affine_change", "random_affine_change",
@@ -66,27 +66,6 @@ def fd_partial(f: Callable[[np.ndarray], float], point: np.ndarray, i: int) -> f
     ep[i] += h
     em[i] -= h
     return (f(ep) - f(em)) / (2.0 * h)
-
-
-def fd_second(f: Callable[[np.ndarray], float], point: np.ndarray, i: int, j: int) -> float:
-    """Central-difference second partial with steps scaled by eps^(1/4)."""
-    point = np.asarray(point, dtype=float)
-    hi = EPS ** 0.25 * max(1.0, abs(point[i]))
-    if i == j:
-        ep = point.copy()
-        em = point.copy()
-        ep[i] += hi
-        em[i] -= hi
-        return (f(ep) - 2.0 * f(point) + f(em)) / (hi * hi)
-    hj = EPS ** 0.25 * max(1.0, abs(point[j]))
-    out = 0.0
-    for si in (1.0, -1.0):
-        for sj in (1.0, -1.0):
-            q = point.copy()
-            q[i] += si * hi
-            q[j] += sj * hj
-            out += si * sj * f(q)
-    return out / (4.0 * hi * hj)
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray) -> np.ndarray:
@@ -232,15 +211,6 @@ class ChangeMap:
         inv_x = [subst(e, dict(zip(xnames, other.inverse_x))) for e in self.inverse_x]
         return ChangeMap(f"{other.name}.{self.name}", fwd_t, fwd_x, inv_t, inv_x,
                          box_t=self.box_t, box_x=self.box_x)
-
-    def contains(self, t: np.ndarray, x: np.ndarray) -> bool:
-        if self.box_t is not None:
-            if any(not (lo <= v <= hi) for v, (lo, hi) in zip(t, self.box_t)):
-                return False
-        if self.box_x is not None:
-            if any(not (lo <= v <= hi) for v, (lo, hi) in zip(x, self.box_x)):
-                return False
-        return True
 
     def roundtrip_error(self, t: np.ndarray, x: np.ndarray) -> float:
         tt, xx = self.forward(t, x)

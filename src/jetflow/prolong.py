@@ -17,14 +17,15 @@ connection, and the vertical gap between prolongation and horizontal lift
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import Expr, add, diff, evaluate, free_vars, mul, num, parse, subst
+from .exprlang import Expr, add, compile_table, diff, free_vars, mul, num, parse, subst
 from .dtensor import DTensorField, IndexSignature
 from .connection import NonlinearConnection
-from .numdiff import ChangeMap, jet_name, spatial_names, temporal_names
+from .numdiff import ChangeMap, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, frame_size, jet_env
 
 __all__ = [
@@ -40,9 +41,36 @@ class ProlongError(ValueError):
     pass
 
 
+def _partials(exprs: Sequence[Expr], args: Sequence[str],
+              wrt: Sequence[str]) -> Callable[..., list[tuple]]:
+    """Compiled first partials of each expression in each name of `wrt`:
+    a function of the values of `args` that returns one tuple of floats
+    per expression."""
+    kernel = compile_table([diff(e, w) for e in exprs for w in wrt], args)
+    m = len(wrt)
+
+    def at(*values: float) -> list[tuple]:
+        out = kernel(*values)
+        return [out[k:k + m] for k in range(0, len(out), m)]
+
+    return at
+
+
+def _total_derivatives(rows: Sequence[tuple], u: JetPoint) -> np.ndarray:
+    """D_a f = @f/@t^a + x^j_a @f/@x^j for each row of partials
+    (@f/@t^1..@f/@t^p, @f/@x^1..@f/@x^n); shape (rows, p)."""
+    p = u.p
+    return np.array([np.array(row[:p]) + u.v.T @ np.array(row[p:]) for row in rows])
+
+
 class BaseVectorField:
     """Vector field on the product manifold: p temporal and n spatial
-    component expressions, each in the variables t1..tp, x1..xn."""
+    component expressions, each in the variables t1..tp, x1..xn.
+
+    Numeric values come from two compiled tables (`compile_table`), each
+    built on first use: the p + n components, and their first partials.
+    Both run on Python floats, so they agree bit for bit with `Expr.eval`.
+    """
 
     def __init__(self, p: int, n: int, temporal: Sequence[Expr | str],
                  spatial: Sequence[Expr | str], name: str = "vector-field"):
@@ -58,27 +86,33 @@ class BaseVectorField:
             if bad:
                 raise ProlongError(f"component references foreign variables {sorted(bad)}")
 
-    def _env(self, t: np.ndarray, x: np.ndarray) -> dict:
-        env = {name: float(t[a]) for a, name in enumerate(temporal_names(self.p))}
-        env.update({name: float(x[i]) for i, name in enumerate(spatial_names(self.n))})
-        return env
+    @property
+    def variables(self) -> list[str]:
+        return temporal_names(self.p) + spatial_names(self.n)
+
+    @cached_property
+    def _values(self) -> Callable[..., tuple]:
+        """The p + n components as a function of t1..tp, x1..xn."""
+        return compile_table(self.temporal + self.spatial, self.variables)
+
+    @cached_property
+    def _gradients(self) -> Callable[..., list[tuple]]:
+        """Per component, its partials in t1..tp, x1..xn."""
+        names = self.variables
+        return _partials(self.temporal + self.spatial, names, names)
 
     def __call__(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        env = self._env(np.asarray(t, float), np.asarray(x, float))
-        return (np.array([evaluate(e, env) for e in self.temporal]),
-                np.array([evaluate(e, env) for e in self.spatial]))
+        out = self._values(*np.asarray(t, float).tolist(), *np.asarray(x, float).tolist())
+        return np.array(out[:self.p]), np.array(out[self.p:])
 
 
 def total_derivative(f: Expr | str, u: JetPoint) -> np.ndarray:
     """D_a f = @f/@t^a + x^j_a @f/@x^j for f a function of (t, x), as a (p,)
     array at the jet point u."""
     e = parse(f) if isinstance(f, str) else f
-    p, n = u.p, u.n
-    env = {name: float(u.t[a]) for a, name in enumerate(temporal_names(p))}
-    env.update({name: float(u.x[i]) for i, name in enumerate(spatial_names(n))})
-    dt = np.array([evaluate(diff(e, name), env) for name in temporal_names(p)])
-    dx = np.array([evaluate(diff(e, name), env) for name in spatial_names(n)])
-    return dt + u.v.T @ dx
+    names = temporal_names(u.p) + spatial_names(u.n)
+    rows = _partials([e], names, names)(*u.t.tolist(), *u.x.tolist())
+    return _total_derivatives(rows, u)[0]
 
 
 @dataclass(frozen=True)
@@ -113,8 +147,9 @@ def olver_prolong(X: BaseVectorField) -> JetVectorField:
         return X(u.t, u.x)[1]
 
     def vertical(u: JetPoint) -> np.ndarray:
-        Dt = np.array([total_derivative(e, u) for e in X.temporal])   # (p, p) [b, a]
-        Dx = np.array([total_derivative(e, u) for e in X.spatial])    # (n, p) [i, a]
+        rows = X._gradients(*u.t.tolist(), *u.x.tolist())
+        Dt = _total_derivatives(rows[:p], u)    # (p, p) [b, a]
+        Dx = _total_derivatives(rows[p:], u)    # (n, p) [i, a]
         return Dx - u.v @ Dt
 
     return JetVectorField(p, n, temporal, spatial, vertical, name=f"pr1[{X.name}]")
@@ -150,22 +185,20 @@ def pushforward(X: BaseVectorField, change: ChangeMap) -> BaseVectorField:
 
 def flow_point(X: BaseVectorField, t: np.ndarray, x: np.ndarray,
                eps: float, substeps: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 integration of the flow of X from (t, x) for parameter eps."""
-    y = np.concatenate([np.asarray(t, float), np.asarray(x, float)])
-    p = X.p
+    """RK4 integration of the flow of X from (t, x) for parameter eps, on
+    Python floats through the compiled components."""
+    rhs = X._values
+    y = np.asarray(t, float).tolist() + np.asarray(x, float).tolist()
     ds = eps / substeps
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        vt, vx = X(y[:p], y[p:])
-        return np.concatenate([vt, vx])
-
+    half, sixth = 0.5 * ds, ds / 6.0
     for _ in range(substeps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * ds * k1)
-        k3 = rhs(y + 0.5 * ds * k2)
-        k4 = rhs(y + ds * k3)
-        y = y + ds / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y[:p], y[p:]
+        k1 = rhs(*y)
+        k2 = rhs(*[a + half * k for a, k in zip(y, k1)])
+        k3 = rhs(*[a + half * k for a, k in zip(y, k2)])
+        k4 = rhs(*[a + ds * k for a, k in zip(y, k3)])
+        y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return np.array(y[:X.p]), np.array(y[X.p:])
 
 
 def flow_transport(X: BaseVectorField, u: JetPoint, eps: float,
@@ -262,28 +295,27 @@ def vertical_gap_field(X: BaseVectorField, conn: NonlinearConnection) -> DTensor
 # adapted derivatives of jet-space functions
 
 
+def _jet_partials(f: Expr | str, base: Sequence[str],
+                  u: JetPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Partials of a jet-space function at u: in the base names, as a vector,
+    and in the jet coordinates, as an (n, p) matrix."""
+    e = parse(f) if isinstance(f, str) else f
+    env = jet_env(u)
+    (row,) = _partials([e], list(env), list(base) + jet_names(u.n, u.p))(*env.values())
+    k = len(base)
+    return np.array(row[:k]), np.array(row[k:]).reshape(u.n, u.p)
+
+
 def adapted_t_derivative(f: Expr | str, conn: NonlinearConnection,
                          u: JetPoint) -> np.ndarray:
     """(d/dt^a) f = @f/@t^a - M^{(j)}_{(b)a} @f/@x^j_b for f a function of
     the jet coordinates, as a (p,) array."""
-    e = parse(f) if isinstance(f, str) else f
-    env = jet_env(u)
-    p, n = conn.p, conn.n
-    M = conn.temporal(u)
-    dt = np.array([evaluate(diff(e, name), env) for name in temporal_names(p)])
-    dv = np.array([[evaluate(diff(e, jet_name(j + 1, b + 1)), env)
-                    for b in range(p)] for j in range(n)])
-    return dt - np.einsum("jba,jb->a", M, dv)
+    dt, dv = _jet_partials(f, temporal_names(conn.p), u)
+    return dt - np.einsum("jba,jb->a", conn.temporal(u), dv)
 
 
 def adapted_x_derivative(f: Expr | str, conn: NonlinearConnection,
                          u: JetPoint) -> np.ndarray:
     """(d/dx^i) f = @f/@x^i - N^{(j)}_{(b)i} @f/@x^j_b, as an (n,) array."""
-    e = parse(f) if isinstance(f, str) else f
-    env = jet_env(u)
-    p, n = conn.p, conn.n
-    N = conn.spatial(u)
-    dx = np.array([evaluate(diff(e, name), env) for name in spatial_names(n)])
-    dv = np.array([[evaluate(diff(e, jet_name(j + 1, b + 1)), env)
-                    for b in range(p)] for j in range(n)])
-    return dx - np.einsum("jbi,jb->i", N, dv)
+    dx, dv = _jet_partials(f, spatial_names(conn.n), u)
+    return dx - np.einsum("jbi,jb->i", conn.spatial(u), dv)

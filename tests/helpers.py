@@ -53,3 +53,70 @@ def fd_spray_gradient(s, u, eps: float = 1e-6) -> np.ndarray:
             minus = s.coefficients(JetPoint(u.t, u.x, vm))
             out[:, :, :, k, g] = (plus - minus) / (2 * eps)
     return out
+
+
+# --- reference symbolic rules: plain recursion, no memo ----------------------
+
+
+def naive_diff(e, name: str):
+    """Partial derivative by the textbook recursion, re-differentiating every
+    occurrence of a shared subtree; the reference for the memoised `diff`."""
+    from jetflow import exprlang as ex
+
+    d = lambda c: naive_diff(c, name)
+    if isinstance(e, ex.Num):
+        return ex.Num(0.0)
+    if isinstance(e, ex.Var):
+        return ex.Num(1.0 if e.name == name else 0.0)
+    if isinstance(e, ex.Neg):
+        return ex.neg(d(e.a))
+    if isinstance(e, ex.Add):
+        return ex.add(d(e.a), d(e.b))
+    if isinstance(e, ex.Sub):
+        return ex.sub(d(e.a), d(e.b))
+    if isinstance(e, ex.Mul):
+        return ex.add(ex.mul(d(e.a), e.b), ex.mul(e.a, d(e.b)))
+    if isinstance(e, ex.Div):
+        return ex.sub(ex.div(d(e.a), e.b), ex.div(ex.mul(e.a, d(e.b)), ex.pow_(e.b, 2)))
+    if isinstance(e, ex.Pow):
+        k = e.exponent
+        if k == 0:
+            return ex.Num(0.0)
+        return ex.mul(ex.mul(ex.Num(float(k)), ex.pow_(e.base, k - 1)), d(e.base))
+    if isinstance(e, ex.Call):
+        return ex.mul(ex._fn_derivative(e.fn, e.arg), d(e.arg))
+    raise TypeError(type(e).__name__)
+
+
+def naive_subst(e, mapping):
+    """Substitution by plain recursion; the reference for the memoised `subst`."""
+    from jetflow import exprlang as ex
+
+    s = lambda c: naive_subst(c, mapping)
+    if isinstance(e, ex.Num):
+        return e
+    if isinstance(e, ex.Var):
+        return mapping.get(e.name, e)
+    if isinstance(e, ex.Neg):
+        return ex.neg(s(e.a))
+    if isinstance(e, ex.Pow):
+        return ex.pow_(s(e.base), e.exponent)
+    if isinstance(e, ex.Call):
+        return ex.call(e.fn, s(e.arg))
+    ctor = {ex.Add: ex.add, ex.Sub: ex.sub, ex.Mul: ex.mul, ex.Div: ex.div}[type(e)]
+    return ctor(s(e.a), s(e.b))
+
+
+def distinct_nodes(e) -> int:
+    """Number of distinct node objects reachable from e."""
+    from jetflow import exprlang as ex
+
+    seen, todo = set(), [e]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        todo.extend(getattr(node, f) for f in ("a", "b", "base", "arg")
+                    if isinstance(getattr(node, f, None), ex.Expr))
+    return len(seen)

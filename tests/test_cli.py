@@ -220,6 +220,64 @@ def test_missing_section_exits_two(tmp_path):
     assert r.returncode == 2 and "no 'geodesic' section" in r.stderr
 
 
+HARMONIC_SPHERE = {
+    "dimensions": {"p": 2, "n": 2},
+    "metrics": {"temporal": "euclidean:2", "spatial": "sphere:2"},
+    "harmonic": {"boundary": ["1.2+0.2*t1", "0.5*t2"], "grid": 9},
+}
+
+
+def test_numerical_failure_exits_one_with_error_report(tmp_path):
+    # the zero initial guess sits on the sphere chart's pole, where det g = 0
+    path = write_scenario(tmp_path, HARMONIC_SPHERE)
+    r = run_cli("harmonic", path)
+    assert r.returncode == 1, r.stderr
+    report = json.loads(r.stdout)
+    assert set(report) == {"command", "status", "error"}
+    assert report["command"] == "harmonic" and report["status"] == "error"
+    assert "metric 'sphere:2' is degenerate" in report["error"]
+    assert "degenerate" in r.stderr
+    out = tmp_path / "report.json"
+    r = run_cli("harmonic", path, "--output", str(out))
+    assert r.returncode == 1 and r.stdout == ""
+    assert json.loads(out.read_text()) == report
+
+
+def test_domain_error_during_a_solve_exits_one(tmp_path):
+    # the zero initial guess puts x2 = 0 into the hyperbolic metric's 1/x2^2
+    payload = json.loads(json.dumps(HARMONIC_SPHERE))
+    payload["metrics"]["spatial"] = "hyperbolic:2"
+    payload["harmonic"]["boundary"] = ["0.3*t1", "1+0.1*t2"]
+    r = run_cli("harmonic", write_scenario(tmp_path, payload))
+    assert r.returncode == 1, r.stderr
+    assert json.loads(r.stdout) == {"command": "harmonic", "status": "error",
+                                    "error": "domain error: division by zero"}
+
+
+@pytest.mark.parametrize("boundary,fragment", [
+    ("1.2+*t1", "expected operand at offset 4"),
+    ("1.2+0.2*x1", "foreign variables ['x1']"),
+])
+def test_bad_boundary_expression_exits_two(tmp_path, boundary, fragment):
+    payload = json.loads(json.dumps(HARMONIC_SPHERE))
+    payload["harmonic"]["boundary"][0] = boundary
+    r = run_cli("harmonic", write_scenario(tmp_path, payload))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert fragment in r.stderr
+
+
+def test_bad_prolong_field_expression_exits_two(tmp_path):
+    payload = {"dimensions": {"p": 1, "n": 1},
+               "metrics": {"temporal": "exp1d", "spatial": "euclidean:1"},
+               "jets": {"count": 2},
+               "prolong": {"fields": [{"name": "bad", "temporal": ["t1^"],
+                                       "spatial": ["x1"]}]}}
+    r = run_cli("prolong", write_scenario(tmp_path, payload))
+    assert r.returncode == 2
+    assert r.stdout == "" and "at offset" in r.stderr
+
+
 def test_console_script_version():
     exe = shutil.which("jetflow")
     if exe is None:

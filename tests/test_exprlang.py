@@ -8,6 +8,12 @@ import pytest
 from jetflow.exprlang import (Call, Expr, ExprError, Mul, Num, Pow, Var, add,
                               call, compile_table, diff, div, evaluate, free_vars,
                               mul, neg, num, parse, pow_, subst, to_str, var)
+from jetflow import numdiff as nd
+from jetflow.dtensor import _hessian_exprs
+from jetflow.geometry import energy_density, metric_from_name, pullback_metric
+from jetflow.jetspace import jet_pullback
+
+from helpers import distinct_nodes, naive_diff, naive_subst, standard_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +284,78 @@ def test_diff_of_power_and_call():
 def test_free_vars():
     assert free_vars(parse("sin(x1)*t2 + 4")) == {"x1", "t2"}
     assert free_vars(num(3.0)) == set()
+
+
+# ---------------------------------------------------------------------------
+# memoised diff / subst against the plain recursion
+
+
+METRICS = [("euclidean:2", "temporal"), ("sphere:2", "spatial"), ("hyperbolic:2", "spatial"),
+           ("exp1d", "temporal"), ("conformal2d:0.3*t1 - 0.2*t2 + 0.1*t1*t2", "temporal")]
+
+
+@pytest.mark.parametrize("change_kind", ["affine", "shear", "mixed", "monotone"])
+@pytest.mark.parametrize("name,kind", METRICS)
+def test_memoised_diff_and_subst_equal_reference_on_catalogs(name, kind, change_kind):
+    rng = np.random.default_rng(sum(map(ord, name + kind + change_kind)))
+    g = metric_from_name(name, kind)
+    p, n = (g.dim, 1) if kind == "temporal" else (1, g.dim)
+    c = nd.random_change(rng, p, n, change_kind)
+    other = nd.random_change(rng, p, n, "shear")
+    names = nd.temporal_names(p) + nd.spatial_names(n)
+    # chart tables: first and second partials, and composition by subst
+    for e in c.forward_t + c.forward_x + c.inverse_t + c.inverse_x:
+        for v in names:
+            first = diff(e, v)
+            assert first == naive_diff(e, v)
+            for w in names:
+                assert diff(first, w) == naive_diff(first, w)
+    back = dict(zip(nd.temporal_names(p), other.forward_t))
+    back.update(zip(nd.spatial_names(n), other.forward_x))
+    for e in c.forward_t + c.forward_x:
+        assert subst(e, back) == naive_subst(e, back)
+    # metric tables: pullback by subst, then derivatives of the result
+    pulled = pullback_metric(g, c)
+    inv = dict(zip(g.variables, c.inverse_t if kind == "temporal" else c.inverse_x))
+    for row_g, row_p in zip(g.components, pulled.components):
+        for comp, pulled_comp in zip(row_g, row_p):
+            assert subst(comp, inv) == naive_subst(comp, inv)
+            for v in pulled.variables:
+                assert diff(pulled_comp, v) == naive_diff(pulled_comp, v)
+
+
+def test_memoised_hessian_equals_reference_on_pulled_back_lagrangian():
+    rng = np.random.default_rng(303)
+    h, phi = standard_metrics(2, 2)
+    L = energy_density(h, phi)
+    for c in nd.change_catalog(rng, 2, 2, ["affine", "mixed"], 1):
+        Lc = jet_pullback(L, c, 2, 2)
+        names = nd.jet_names(2, 2)
+        want = [[naive_diff(naive_diff(Lc, v), w) for w in names] for v in names]
+        assert _hessian_exprs(Lc, 2, 2) == want
+
+
+def test_memoised_diff_equals_reference_on_random_trees():
+    rng = np.random.default_rng(404)
+    for _ in range(100):
+        e = _random_expr(rng, 4)
+        shared = mul(e, add(e, var("y")))       # a DAG: e occurs twice
+        for v in ("x", "y"):
+            assert diff(shared, v) == naive_diff(shared, v)
+        m = {"x": add(var("y"), num(1.0)), "y": call("sin", var("x"))}
+        assert subst(shared, m) == naive_subst(shared, m)
+
+
+def test_diff_and_subst_keep_shared_subtrees_shared():
+    s = call("sin", mul(num(2.0), var("x")))
+    e = mul(s, add(s, var("y")))
+    d = diff(e, "x")                 # ds*(s + y) + s*ds, one ds object
+    assert d.a.a is d.b.b
+    out = subst(add(s, s), {"x": var("t")})
+    assert out.a is out.b
+    # a chain with 2^60 root-to-leaf paths stays linear in size
+    chain = var("x")
+    for _ in range(60):
+        chain = mul(chain, add(chain, num(1.0)))
+    assert distinct_nodes(diff(chain, "x")) < 10 * 60
+    assert distinct_nodes(subst(chain, {"x": var("y")})) < 3 * 60 + 3

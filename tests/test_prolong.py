@@ -6,6 +6,7 @@ import pytest
 from jetflow import numdiff as nd
 from jetflow.connection import canonical_connection
 from jetflow.dtensor import is_dtensor
+from jetflow.exprlang import ExprError, diff, parse
 from jetflow.jetspace import (JetPoint, jet_env, natural_frame_change,
                               random_jet, transform_jet)
 from jetflow.prolong import (
@@ -13,6 +14,7 @@ from jetflow.prolong import (
     ProlongError,
     adapted_t_derivative,
     adapted_x_derivative,
+    flow_point,
     flow_transport,
     horizontal_lift,
     olver_prolong,
@@ -21,6 +23,7 @@ from jetflow.prolong import (
     total_derivative,
     vertical_gap_field,
 )
+from jetflow.verify import default_prolong_fields
 
 from helpers import catalog, jets_in, standard_metrics
 
@@ -122,6 +125,101 @@ def test_flow_transport_matches_jet_lift_of_flowed_graph():
     assert np.max(np.abs(w.t - q.t)) < 1e-3
     assert np.max(np.abs(w.x - q.x)) < 1e-3
     assert np.max(np.abs(w.v - q.v)) < 1e-3
+
+
+# --- compiled fields against the tree interpreter --------------------------------
+
+
+def _interpreted(X, t, x):
+    """The field's components by Expr.eval."""
+    env = dict(zip(nd.temporal_names(X.p) + nd.spatial_names(X.n),
+                   [float(v) for v in [*t, *x]]))
+    return (np.array([e.eval(env) for e in X.temporal]),
+            np.array([e.eval(env) for e in X.spatial]))
+
+
+def _interpreted_flow(X, t, x, eps, substeps=16):
+    """RK4 on numpy arrays over Expr.eval, in the operation order of flow_point."""
+    y = np.concatenate([np.asarray(t, float), np.asarray(x, float)])
+    p = X.p
+    ds = eps / substeps
+
+    def rhs(y):
+        return np.concatenate(_interpreted(X, y[:p], y[p:]))
+
+    for _ in range(substeps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * ds * k1)
+        k3 = rhs(y + 0.5 * ds * k2)
+        k4 = rhs(y + ds * k3)
+        y = y + ds / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y[:p], y[p:]
+
+
+ORACLE_FIELDS = default_prolong_fields(2, 2) + [
+    BaseVectorField(2, 2, ["exp(0.3*x1) - 1", "log(2 + t1^2)"],
+                    ["sqrt(1 + x2^2)*t2", "0.2*exp(t1)*x1/(2 + sin(x2))"],
+                    name="exp-log-sqrt"),
+]
+
+
+@pytest.mark.parametrize("X", ORACLE_FIELDS, ids=lambda X: X.name)
+def test_compiled_field_and_flow_match_interpreter_bit_for_bit(X):
+    rng = np.random.default_rng(sum(map(ord, X.name)))
+    for u in jets_in(rng, 2, 2, count=4):
+        for got, want in zip(X(u.t, u.x), _interpreted(X, u.t, u.x)):
+            assert np.array_equal(got, want)
+        for eps in (0.02, -0.01):
+            got = flow_point(X, u.t, u.x, eps)
+            want = _interpreted_flow(X, u.t, u.x, eps)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("comp,x1", [("log(x1)", -1.0), ("sqrt(x1)", -0.5),
+                                     ("1/(x1 - 0.5)", 0.5), ("x1^-2", 0.0)])
+def test_compiled_field_raises_the_interpreters_domain_error(comp, x1):
+    X = BaseVectorField(1, 1, ["t1"], [comp])
+    with pytest.raises(ExprError) as want:
+        parse(comp).eval({"t1": 0.0, "x1": x1})
+    with pytest.raises(ExprError) as got:
+        X(np.array([0.0]), np.array([x1]))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ExprError) as flowed:
+        flow_point(X, np.array([0.0]), np.array([x1]), 0.01)
+    assert str(flowed.value) == str(want.value)
+
+
+def test_partials_match_interpreted_derivatives_bit_for_bit():
+    rng = np.random.default_rng(100)
+    h, phi = standard_metrics(2, 2)
+    conn = canonical_connection(h, phi)
+    f = "sin(x1)*t2 + exp(0.5*x2)*x1_2 - x2_1^2*t1"
+    e = parse(f)
+    tn, xn = nd.temporal_names(2), nd.spatial_names(2)
+    vn = nd.jet_names(2, 2)
+    for u in jets_in(rng, 2, 2, h=h, phi=phi, count=3):
+        env = jet_env(u)
+        d = {v: diff(e, v).eval(env) for v in tn + xn + vn}
+        dt = np.array([d[v] for v in tn])
+        dx = np.array([d[v] for v in xn])
+        dv = np.array([[d[v] for v in vn[j * 2:(j + 1) * 2]] for j in range(2)])
+        assert np.array_equal(adapted_t_derivative(f, conn, u),
+                              dt - np.einsum("jba,jb->a", conn.temporal(u), dv))
+        assert np.array_equal(adapted_x_derivative(f, conn, u),
+                              dx - np.einsum("jbi,jb->i", conn.spatial(u), dv))
+        g = "sin(x1)*t2 + x2^2*t1"
+        base = {v: diff(parse(g), v).eval(env) for v in tn + xn}
+        want = np.array([base[v] for v in tn]) + u.v.T @ np.array([base[v] for v in xn])
+        assert np.array_equal(total_derivative(g, u), want)
+
+
+@pytest.mark.parametrize("X", ORACLE_FIELDS, ids=lambda X: X.name)
+def test_olver_prolong_matches_total_derivative(X):
+    pr = olver_prolong(X)
+    for u in jets_in(np.random.default_rng(101), 2, 2, count=4):
+        Dt = np.array([total_derivative(e, u) for e in X.temporal])
+        Dx = np.array([total_derivative(e, u) for e in X.spatial])
+        assert np.max(np.abs(pr.vertical(u) - (Dx - u.v @ Dt))) <= 1e-15
 
 
 # --- equivariance ---------------------------------------------------------------------
