@@ -10,8 +10,9 @@ and seed produce byte-identical output.  The JETFLOW_SEED environment
 variable overrides the scenario seed.  Exit status: 0 when every check
 passes (or the solver converges), 1 on check failure, non-convergence or a
 numerical failure, 2 on scenario or usage errors.  A numerical failure (a
-degenerate metric or chart, a domain error while evaluating) writes the
-report {"command", "status": "error", "error"} in place of the usual one.
+degenerate metric or chart, a domain error or a floating-point overflow while
+evaluating) writes the report {"command", "status": "error", "error"} in
+place of the usual one.
 """
 
 from __future__ import annotations
@@ -176,10 +177,10 @@ _COMMANDS = {
 }
 
 
-_NUMERICAL_ERRORS = (GeometryError, ExprError, ChartError, MapError)
+_NUMERICAL_ERRORS = (GeometryError, ExprError, ChartError, MapError, OverflowError)
 
 
-def _is_numerical(exc: ValueError) -> bool:
+def _is_numerical(exc: Exception) -> bool:
     """A failure of the computation rather than of the scenario; an
     ExprError with an offset is a parse error in scenario text."""
     if isinstance(exc, ExprError) and exc.offset is not None:
@@ -193,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sc = load_scenario(args.scenario)
         return _COMMANDS[args.command](sc, args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if not _is_numerical(exc):
             return 2

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import Expr, diff
+from .exprlang import Expr, diff, evaluate_table
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jacobian_blocks, jet_names
 from .jetspace import JetPoint, jet_env, jet_pullback, transform_jet
@@ -236,19 +236,15 @@ def _hessian_exprs(L: Expr, p: int, n: int) -> list[list[Expr]]:
 def lagrangian_metric_field(L: Expr, p: int, n: int, name: str = "lagrangian-metric") -> DTensorField:
     """Vertical metric G_{(i)(j)}^{(a)(b)} = (1/2) d^2 L / dx^i_a dx^j_b.
 
-    The Hessian is built once per chart by the memoised `diff` and walked as
-    trees: each pulled-back table is evaluated at only a few jets, too few to
-    pay back a compiled kernel."""
-    d2 = _hessian_exprs(L, p, n)
+    The Hessian is built once per chart by the memoised `diff` and evaluated
+    as a DAG (`evaluate_table`), each shared subtree once per jet: each
+    pulled-back table is evaluated at only a few jets, too few to pay back a
+    compiled kernel."""
+    d2 = [e for row in _hessian_exprs(L, p, n) for e in row]
     size = n * p
 
     def comps(u: JetPoint) -> np.ndarray:
-        env = jet_env(u)
-        out = np.empty((size, size))
-        for r in range(size):
-            for c in range(size):
-                out[r, c] = d2[r][c].eval(env)
-        return 0.5 * out
+        return 0.5 * np.array(evaluate_table(d2, jet_env(u)), dtype=float).reshape(size, size)
 
     return DTensorField(
         name, IndexSignature.parse("L(i,a);L(j,b)"), p, n, comps,

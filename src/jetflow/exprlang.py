@@ -21,9 +21,10 @@ symbolic and apply only conservative simplifications (constant folding,
 0*e -> 0, 1*e -> e, e+0 -> e and the like), so results stay exact; each
 visits a distinct node object once, so shared subtrees stay shared.
 
-`compile_table` turns a table of expressions into one straight-line function
-with shared subexpressions and the same guards; the tree interpreter
-(``Expr.eval``) is its reference.
+`evaluate_table` evaluates a table of expressions with each distinct node
+object evaluated once, and `compile_table` turns a table into one
+straight-line function with shared subexpressions and the same guards; the
+tree interpreter (``Expr.eval``) is the reference for both.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ Value = Union[float, np.ndarray]
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
-    "ExprError", "parse", "to_str", "evaluate", "diff", "subst", "free_vars",
+    "ExprError", "parse", "to_str", "evaluate", "evaluate_table", "diff", "subst", "free_vars",
     "num", "var", "neg", "add", "sub", "mul", "div", "pow_", "call",
     "FUNCTIONS", "compile_table",
 ]
@@ -61,12 +62,46 @@ def _any(mask) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
+# evaluation steps shared by `eval`, `_eval` and the compiled tables
+
+def _lookup(env: Mapping[str, Value], name: str) -> Value:
+    try:
+        return env[name]
+    except KeyError:
+        raise ExprError(f"unbound variable '{name}'") from None
+
+
+def _nonzero(den: Value) -> Value:
+    if _any(den == 0):
+        raise ExprError(_DIV0)
+    return den
+
+
+def _power(b: Value, k: int) -> Value:
+    return np.power(b, k) if isinstance(b, np.ndarray) else b ** k
+
+
+def _checked_power(b: Value, k: int) -> Value:
+    if k < 0 and _any(b == 0):
+        raise ExprError(_NEG_POW0)
+    return _power(b, k)
+
+
+def _apply(fn: str, x: Value) -> Value:
+    scalar_fn, array_fn, guard = FUNCTIONS[fn]
+    if guard is not None:
+        guard(x)
+    return array_fn(x) if isinstance(x, np.ndarray) else scalar_fn(x)
+
+
 class Expr:
     """Base class for expression nodes.  Nodes are immutable and comparable."""
 
     __slots__ = ()
 
     def eval(self, env: Mapping[str, Value]) -> Value:
+        """Tree-walking interpreter: every occurrence of a shared subtree is
+        evaluated again.  `evaluate_table` evaluates each node object once."""
         raise NotImplementedError
 
     def diff(self, name: str) -> "Expr":
@@ -95,7 +130,12 @@ class Expr:
 
         return s(self)
 
-    # one step of diff / subst; `d` and `s` map a child to its result
+    # one step of eval / diff / subst; `ev`, `d` and `s` map a child to its
+    # result.  A node's `eval` and `_eval` apply the same operation (and the
+    # same guard helper) to its children's values.
+    def _eval(self, env: Mapping[str, Value], ev: Callable[["Expr"], Value]) -> Value:
+        raise NotImplementedError
+
     def _diff(self, name: str, d: Callable[["Expr"], "Expr"]) -> "Expr":
         raise NotImplementedError
 
@@ -122,6 +162,9 @@ class Num(Expr):
     def eval(self, env):
         return self.value
 
+    def _eval(self, env, ev):
+        return self.value
+
     def _diff(self, name, d):
         return Num(0.0)
 
@@ -142,10 +185,10 @@ class Var(Expr):
     name: str
 
     def eval(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise ExprError(f"unbound variable '{self.name}'") from None
+        return _lookup(env, self.name)
+
+    def _eval(self, env, ev):
+        return _lookup(env, self.name)
 
     def _diff(self, name, d):
         return Num(1.0 if self.name == name else 0.0)
@@ -177,6 +220,9 @@ class Neg(Expr):
     def eval(self, env):
         return -self.a.eval(env)
 
+    def _eval(self, env, ev):
+        return -ev(self.a)
+
     def _diff(self, name, d):
         return neg(d(self.a))
 
@@ -198,6 +244,9 @@ class Add(Expr):
 
     def eval(self, env):
         return self.a.eval(env) + self.b.eval(env)
+
+    def _eval(self, env, ev):
+        return ev(self.a) + ev(self.b)
 
     def _diff(self, name, d):
         return add(d(self.a), d(self.b))
@@ -222,6 +271,9 @@ class Sub(Expr):
     def eval(self, env):
         return self.a.eval(env) - self.b.eval(env)
 
+    def _eval(self, env, ev):
+        return ev(self.a) - ev(self.b)
+
     def _diff(self, name, d):
         return sub(d(self.a), d(self.b))
 
@@ -245,6 +297,9 @@ class Mul(Expr):
     def eval(self, env):
         return self.a.eval(env) * self.b.eval(env)
 
+    def _eval(self, env, ev):
+        return ev(self.a) * ev(self.b)
+
     def _diff(self, name, d):
         return add(mul(d(self.a), self.b), mul(self.a, d(self.b)))
 
@@ -266,10 +321,12 @@ class Div(Expr):
     _LEVEL = 2
 
     def eval(self, env):
-        den = self.b.eval(env)
-        if _any(den == 0):
-            raise ExprError(_DIV0)
+        den = _nonzero(self.b.eval(env))        # the denominator first
         return self.a.eval(env) / den
+
+    def _eval(self, env, ev):
+        den = _nonzero(ev(self.b))
+        return ev(self.a) / den
 
     def _diff(self, name, d):
         # (a/b)' = a'/b - a*b'/b^2
@@ -294,12 +351,10 @@ class Pow(Expr):
     _LEVEL = 4
 
     def eval(self, env):
-        b = self.base.eval(env)
-        if self.exponent < 0 and _any(b == 0):
-            raise ExprError(_NEG_POW0)
-        if isinstance(b, np.ndarray):
-            return np.power(b, self.exponent)
-        return b ** self.exponent
+        return _checked_power(self.base.eval(env), self.exponent)
+
+    def _eval(self, env, ev):
+        return _checked_power(ev(self.base), self.exponent)
 
     def _diff(self, name, d):
         k = self.exponent
@@ -368,13 +423,10 @@ class Call(Expr):
     arg: Expr
 
     def eval(self, env):
-        x = self.arg.eval(env)
-        scalar_fn, array_fn, guard = FUNCTIONS[self.fn]
-        if guard is not None:
-            guard(x)
-        if isinstance(x, np.ndarray):
-            return array_fn(x)
-        return scalar_fn(x)
+        return _apply(self.fn, self.arg.eval(env))
+
+    def _eval(self, env, ev):
+        return _apply(self.fn, ev(self.arg))
 
     def _diff(self, name, d):
         return mul(_fn_derivative(self.fn, self.arg), d(self.arg))
@@ -638,6 +690,24 @@ def evaluate(e: Expr, env: Mapping[str, Value]) -> Value:
     return e.eval(env)
 
 
+def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value]) -> list[Value]:
+    """Values of a table of expressions, evaluating each distinct node object
+    once across the whole table (a DAG walk).  The values, and the first
+    ExprError raised, are those of evaluating the entries one by one with
+    `Expr.eval`: nodes are visited in the interpreter's order, and a node
+    is skipped only when it has already been evaluated without error."""
+    memo: dict[int, Value] = {}
+
+    def ev(e: Expr) -> Value:
+        key = id(e)
+        if key in memo:
+            return memo[key]
+        value = memo[key] = e._eval(env, ev)
+        return value
+
+    return [ev(e) for e in exprs]
+
+
 def diff(e: Expr, name: str) -> Expr:
     """Exact symbolic partial derivative with conservative simplification."""
     return e.diff(name)
@@ -663,10 +733,6 @@ def _on_values(scalar_fn: Callable, array_fn: Callable) -> Callable[[Value], Val
         return array_fn(x) if isinstance(x, np.ndarray) else scalar_fn(x)
 
     return apply
-
-
-def _power(b: Value, k: int) -> Value:
-    return np.power(b, k) if isinstance(b, np.ndarray) else b ** k
 
 
 # names the generated functions use, besides `check`

@@ -50,6 +50,9 @@ class Metric:
     Numeric values come from three compiled tables (`compile_table`), each
     built on first use: g; det g with g^-1; det g with the Christoffel
     symbols.  Pointwise evaluation is the one-point batch, run on floats.
+    The symbolic Christoffel symbols are cached, and `checked_table` lets
+    other tables built from them (the canonical sprays) keep the same
+    degeneracy check.
     """
 
     def __init__(self, name: str, kind: str, components: Sequence[Sequence[Expr]],
@@ -115,6 +118,23 @@ class Metric:
         det = minor(tuple(range(d)), tuple(range(d)))
         return det, [[entry(i, j) for j in range(d)] for i in range(d)]
 
+    @cached_property
+    def christoffel_exprs(self) -> list[list[list[Expr]]]:
+        """Symbolic Christoffel symbols G[a][b][c] = Gamma^a_bc, built once and
+        shared by the metric's own table and the canonical sprays' tables:
+        Gamma^a_bc = (1/2) g^{ae} (d_b g_ec + d_c g_be - d_e g_bc)."""
+        dg, d = self._dg, self.dim
+        inv = self._det_inverse[1]
+
+        def entry(a: int, b: int, c: int) -> Expr:
+            acc: Expr = num(0.0)
+            for e in range(d):
+                lowered = sub(add(dg[b][e][c], dg[c][b][e]), dg[e][b][c])
+                acc = add(acc, mul(inv[a][e], lowered))
+            return mul(num(0.5), acc)
+
+        return [[[entry(a, b, c) for c in range(d)] for b in range(d)] for a in range(d)]
+
     def inverse_components(self) -> list[list[Expr]]:
         """Symbolic inverse matrix via the adjugate formula."""
         return [list(row) for row in self._det_inverse[1]]
@@ -124,6 +144,12 @@ class Metric:
         if small.any() if isinstance(small, np.ndarray) else small:
             raise GeometryError(f"metric '{self.name}' is degenerate: |det g| < {DET_TOL}")
 
+    def checked_table(self, exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., tuple]:
+        """`compile_table` of det g followed by `exprs`, over `names`: the
+        kernel stops with GeometryError where the metric is degenerate,
+        before any entry divides by det g."""
+        return compile_table([self._det_inverse[0], *exprs], names, check=self._check_det)
+
     def _exprs(self, table: str) -> list[Expr]:
         """Entries of a table, row-major: "g" is g; "inverse" is det g then
         g^-1; "christoffel" is det g then Gamma^a_bc."""
@@ -132,18 +158,7 @@ class Metric:
         det, inv = self._det_inverse
         if table == "inverse":
             return [det] + [e for row in inv for e in row]
-        # Gamma^a_bc = (1/2) g^{ae} (d_b g_ec + d_c g_be - d_e g_bc)
-        dg, d = self._dg, self.dim
-        gamma = []
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    acc: Expr = num(0.0)
-                    for e in range(d):
-                        lowered = sub(add(dg[b][e][c], dg[c][b][e]), dg[e][b][c])
-                        acc = add(acc, mul(inv[a][e], lowered))
-                    gamma.append(mul(num(0.5), acc))
-        return [det] + gamma
+        return [det] + [e for plane in self.christoffel_exprs for row in plane for e in row]
 
     def _kernel(self, table: str) -> Callable[..., tuple]:
         """The compiled table, built on first use; tables led by det g stop

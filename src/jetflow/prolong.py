@@ -85,6 +85,7 @@ class BaseVectorField:
             bad = free_vars(e) - allowed
             if bad:
                 raise ProlongError(f"component references foreign variables {sorted(bad)}")
+        self._pushed: dict[ChangeMap, BaseVectorField] = {}   # see pushforward
 
     @property
     def variables(self) -> list[str]:
@@ -158,9 +159,12 @@ def olver_prolong(X: BaseVectorField) -> JetVectorField:
 def pushforward(X: BaseVectorField, change: ChangeMap) -> BaseVectorField:
     """The same field written in the target chart:
     X~^m = (dt~^m/dt^b) X^b and X~^k = (dx~^k/dx^i) X^i, composed with the
-    inverse chart map (all symbolic)."""
+    inverse chart map (all symbolic).  Built once per (field, change): every
+    caller shares the pushed field and its compiled tables."""
     if (X.p, X.n) != (change.p, change.n):
         raise ProlongError("field and chart change live on different manifolds")
+    if change in X._pushed:
+        return X._pushed[change]
     back = dict(zip(temporal_names(X.p), change.inverse_t))
     back.update(zip(spatial_names(X.n), change.inverse_x))
 
@@ -173,10 +177,11 @@ def pushforward(X: BaseVectorField, change: ChangeMap) -> BaseVectorField:
             out.append(subst(acc, back))
         return out
 
-    return BaseVectorField(X.p, X.n,
-                           push(change._dft, X.temporal),
-                           push(change._dfx, X.spatial),
-                           name=f"{X.name}@{change.name}")
+    pushed = X._pushed[change] = BaseVectorField(X.p, X.n,
+                                                 push(change._dft, X.temporal),
+                                                 push(change._dfx, X.spatial),
+                                                 name=f"{X.name}@{change.name}")
+    return pushed
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,25 @@ metric Christoffel symbols:
 
 The difference of two sprays of the same kind is a d-tensor; a spray is
 canonical part plus d-tensor remainder.
+
+A canonical spray is one compiled table over the jet variables (built from
+the metric's symbolic Christoffel symbols on first use); its pointwise and
+batched coefficients run the same table, and constant folding makes the
+spray of a flat metric a table of zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dtensor import DTensorField, IndexSignature, Verdict
+from .exprlang import Expr, add, diff, mul, num, var
 from .geometry import Metric, pullback_metric
-from .numdiff import ChangeMap
+from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, mixed_jet_derivatives, transform_jet
 
 __all__ = [
@@ -101,26 +108,77 @@ class SprayPair:
 # canonical sprays
 
 
+class _SprayTables:
+    """The compiled tables of a canonical spray, each built on first use:
+    its coefficients arr[j, b, a] (row-major) and their jet gradient
+    d arr[j, b, a] / d x^k_g.  Both run over the jet variables t1..tp,
+    x1..xn, x1_1..xn_p and lead with det g, so a degenerate metric stops
+    them with GeometryError.  Points run on Python floats, batches on numpy
+    columns."""
+
+    def __init__(self, metric: Metric, p: int, n: int,
+                 entries: Callable[[], list[Expr]]):
+        self.metric, self.p, self.n = metric, p, n
+        self._build_entries = entries
+        self.names = temporal_names(p) + spatial_names(n) + jet_names(n, p)
+
+    @cached_property
+    def _entries(self) -> list[Expr]:
+        return self._build_entries()
+
+    @cached_property
+    def _coefficients(self) -> Callable[..., tuple]:
+        return self.metric.checked_table(self._entries, self.names)
+
+    @cached_property
+    def _gradient(self) -> Callable[..., tuple]:
+        jets = jet_names(self.n, self.p)
+        return self.metric.checked_table([diff(e, v) for e in self._entries for v in jets],
+                                         self.names)
+
+    @staticmethod
+    def _floats(u: JetPoint) -> list[float]:
+        return u.t.tolist() + u.x.tolist() + u.v.ravel().tolist()
+
+    def coefficients(self, u: JetPoint) -> np.ndarray:
+        values = self._coefficients(*self._floats(u))
+        return np.array(values[1:]).reshape(self.n, self.p, self.p)
+
+    def jet_gradient(self, u: JetPoint) -> np.ndarray:
+        n, p = self.n, self.p
+        values = self._gradient(*self._floats(u))
+        return np.array(values[1:]).reshape(n, p, p, n, p)
+
+    def coefficients_batch(self, T: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        q = len(T)
+        values = self._coefficients(*np.asarray(T, float).T, *np.asarray(X, float).T,
+                                    *np.asarray(V, float).reshape(q, self.n * self.p).T)
+        out = np.empty((q, len(values) - 1))
+        for k, v in enumerate(values[1:]):
+            out[:, k] = v                       # a constant entry broadcasts
+        return out.reshape(q, self.n, self.p, self.p)
+
+
+def _total(terms) -> Expr:
+    return reduce(add, terms, num(0.0))
+
+
 def canonical_temporal(h: Metric, n: int) -> TemporalSpray:
     if h.kind != "temporal":
         raise SprayError("canonical temporal spray needs a temporal metric")
     p = h.dim
 
-    def coeff(u: JetPoint) -> np.ndarray:
-        gamma = h.christoffel_at(u.t)            # [g, a, b]
-        return -0.5 * np.einsum("gab,jg->jba", gamma, u.v)
+    def entries() -> list[Expr]:
+        # H^{(j)}_{(b)a} = -(1/2) Gamma^g_ab x^j_g
+        gamma = h.christoffel_exprs
+        return [mul(num(-0.5), _total(mul(gamma[g][a][b], var(jet_name(j + 1, g + 1)))
+                                      for g in range(p)))
+                for j in range(n) for b in range(p) for a in range(p)]
 
-    def grad(u: JetPoint) -> np.ndarray:
-        gamma = h.christoffel_at(u.t)
-        return -0.5 * np.einsum("gab,jk->jbakg", gamma, np.eye(n))
-
-    def batch(T: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        gamma = h.christoffel_batch(T)
-        return -0.5 * np.einsum("qgab,qjg->qjba", gamma, V)
-
-    return TemporalSpray(p, n, coeff, jet_gradient=grad,
+    tables = _SprayTables(h, p, n, entries)
+    return TemporalSpray(p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
                          rebuild=lambda c: canonical_temporal(pullback_metric(h, c), n),
-                         coefficients_batch=batch,
+                         coefficients_batch=tables.coefficients_batch,
                          name=f"canonical-temporal[{h.name}]")
 
 
@@ -129,24 +187,18 @@ def canonical_spatial(phi: Metric, p: int) -> SpatialSpray:
         raise SprayError("canonical spatial spray needs a spatial metric")
     n = phi.dim
 
-    def coeff(u: JetPoint) -> np.ndarray:
-        gamma = phi.christoffel_at(u.x)          # [j, k, l]
-        return 0.5 * np.einsum("jkl,ka,lb->jba", gamma, u.v, u.v)
+    def entries() -> list[Expr]:
+        # G^{(j)}_{(b)a} = (1/2) gamma^j_kl x^k_a x^l_b
+        gamma = phi.christoffel_exprs
+        return [mul(num(0.5), _total(mul(mul(gamma[j][k][l], var(jet_name(k + 1, a + 1))),
+                                         var(jet_name(l + 1, b + 1)))
+                                     for k in range(n) for l in range(n)))
+                for j in range(n) for b in range(p) for a in range(p)]
 
-    def grad(u: JetPoint) -> np.ndarray:
-        gamma = phi.christoffel_at(u.x)
-        eye_p = np.eye(p)
-        t1 = np.einsum("jml,lb,ga->jbamg", gamma, u.v, eye_p)
-        t2 = np.einsum("jkm,ka,gb->jbamg", gamma, u.v, eye_p)
-        return 0.5 * (t1 + t2)
-
-    def batch(T: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        gamma = phi.christoffel_batch(X)
-        return 0.5 * np.einsum("qjkl,qka,qlb->qjba", gamma, V, V)
-
-    return SpatialSpray(p, n, coeff, jet_gradient=grad,
+    tables = _SprayTables(phi, p, n, entries)
+    return SpatialSpray(p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
                         rebuild=lambda c: canonical_spatial(pullback_metric(phi, c), p),
-                        coefficients_batch=batch,
+                        coefficients_batch=tables.coefficients_batch,
                         name=f"canonical-spatial[{phi.name}]")
 
 

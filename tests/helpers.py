@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from jetflow import numdiff as nd
-from jetflow.geometry import metric_from_name
+from jetflow.geometry import metric_from_name, pullback_metric
 from jetflow.jetspace import random_jet
 
 TOL_LAW = 1e-8          # transformation-law agreement
@@ -39,6 +39,24 @@ def standard_metrics(p: int = 2, n: int = 2):
     else:
         phi = metric_from_name(f"euclidean:{n}")
     return h, phi
+
+
+def metric_and_points(name: str, kind: str, change_kind: str | None,
+                      rng: np.random.Generator, count: int = 5):
+    """A catalog metric, or its pullback through a random change, and `count`
+    points of its chart inside the catalog box."""
+    g = metric_from_name(name, kind)
+    pts = np.array([[rng.uniform(lo + 0.1, hi - 0.1) for lo, hi in g.box]
+                    for _ in range(count)])
+    if change_kind is None:
+        return g, pts
+    p, n = (g.dim, 1) if kind == "temporal" else (1, g.dim)
+    c = nd.random_change(rng, p, n, change_kind)
+    if kind == "temporal":
+        pts = np.array([c.forward(t, np.zeros(1))[0] for t in pts])
+    else:
+        pts = np.array([c.forward(np.zeros(1), x)[1] for x in pts])
+    return pullback_metric(g, c), pts
 
 
 def fd_spray_gradient(s, u, eps: float = 1e-6) -> np.ndarray:

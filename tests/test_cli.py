@@ -254,6 +254,18 @@ def test_domain_error_during_a_solve_exits_one(tmp_path):
                                     "error": "domain error: division by zero"}
 
 
+def test_overflow_during_a_solve_exits_one(tmp_path):
+    # the geodesic runs off to large x1, where exp(2*x1^2) overflows a float
+    payload = {"dimensions": {"p": 1, "n": 2},
+               "metrics": {"temporal": "euclidean:1", "spatial": "conformal2d:x1^2"},
+               "geodesic": {"x0": [1, 0], "v0": [3, 0.5], "t_span": [0, 20], "steps": 40}}
+    r = run_cli("geodesic", write_scenario(tmp_path, payload))
+    assert r.returncode == 1, r.stderr
+    assert json.loads(r.stdout) == {"command": "geodesic", "status": "error",
+                                    "error": "math range error"}
+    assert "Traceback" not in r.stderr and "error: math range error" in r.stderr
+
+
 @pytest.mark.parametrize("boundary,fragment", [
     ("1.2+*t1", "expected operand at offset 4"),
     ("1.2+0.2*x1", "foreign variables ['x1']"),

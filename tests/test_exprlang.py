@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from jetflow.exprlang import (Call, Expr, ExprError, Mul, Num, Pow, Var, add,
-                              call, compile_table, diff, div, evaluate, free_vars,
-                              mul, neg, num, parse, pow_, subst, to_str, var)
+                              call, compile_table, diff, div, evaluate, evaluate_table,
+                              free_vars, mul, neg, num, parse, pow_, subst, to_str, var)
 from jetflow import numdiff as nd
 from jetflow.dtensor import _hessian_exprs
 from jetflow.geometry import energy_density, metric_from_name, pullback_metric
-from jetflow.jetspace import jet_pullback
+from jetflow.jetspace import jet_env, jet_pullback, random_jet
 
 from helpers import distinct_nodes, naive_diff, naive_subst, standard_metrics
 
@@ -119,6 +119,35 @@ def test_compiled_table_raises_the_interpreters_domain_error(text, env, arrays):
     with pytest.raises(ExprError) as got:
         table(*[env[k] for k in sorted(env)] or [1.0])
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("arrays", [False, True])
+@pytest.mark.parametrize("text,env", DOMAIN_ERRORS)
+def test_evaluate_table_raises_the_interpreters_first_error(text, env, arrays):
+    if arrays:
+        env = {k: np.array([1.0, v, 2.0]) for k, v in env.items()}
+    bad = parse(text)
+    children = [getattr(bad, f) for f in ("a", "b", "base", "arg") if hasattr(bad, f)]
+    env = env or {"x": 1.0}
+    # later entries share the failing one's subtrees; then earlier ones do
+    for exprs in ([parse("x + 1"), bad, mul(bad, bad), parse("log(-1)")], [*children, bad]):
+        with pytest.raises(ExprError) as want:
+            for e in exprs:
+                e.eval(env)
+        with pytest.raises(ExprError) as got:
+            evaluate_table(exprs, env)
+        assert str(got.value) == str(want.value)
+
+
+def test_evaluate_table_first_error_follows_entry_order():
+    env = {"x": -1.0}
+    exprs = [parse("x^2"), parse("sqrt(x)"), parse("log(x)"), parse("1/(x + 1)")]
+    with pytest.raises(ExprError, match="sqrt"):
+        evaluate_table(exprs, env)
+    with pytest.raises(ExprError, match="log"):
+        evaluate_table(exprs[2:] + exprs[:2], env)
+    with pytest.raises(ExprError, match="unbound variable 'y'"):
+        evaluate_table([parse("x"), parse("x + y")], env)
 
 
 def test_unbound_variable():
@@ -344,6 +373,38 @@ def test_memoised_diff_equals_reference_on_random_trees():
             assert diff(shared, v) == naive_diff(shared, v)
         m = {"x": add(var("y"), num(1.0)), "y": call("sin", var("x"))}
         assert subst(shared, m) == naive_subst(shared, m)
+
+
+def test_evaluate_table_is_bit_equal_to_the_interpreter():
+    rng = np.random.default_rng(505)
+    exprs = [_random_expr(rng, 4) for _ in range(30)]
+    exprs += [mul(e, add(e, var("y"))) for e in exprs[:10]]      # shared subtrees
+    exprs += [diff(e, "x") for e in exprs[:10]] + [num(-0.0), var("y")]
+    xs, ys = rng.uniform(0.5, 1.5, 5), rng.uniform(0.5, 1.5, 5)
+    for env in [{"x": a, "y": b} for a, b in zip(xs.tolist(), ys.tolist())] + [{"x": xs, "y": ys}]:
+        got = evaluate_table(exprs, env)
+        for g, e in zip(got, exprs):
+            w = e.eval(env)
+            assert type(g) is type(w) and np.array_equal(g, w)
+
+
+def test_evaluate_table_on_pulled_back_lagrangian_hessian():
+    rng = np.random.default_rng(606)
+    h, phi = standard_metrics(2, 2)
+    L = energy_density(h, phi)
+    for c in nd.change_catalog(rng, 2, 2, ["shear", "mixed"], 1):
+        table = [e for row in _hessian_exprs(jet_pullback(L, c, 2, 2), 2, 2) for e in row]
+        for _ in range(2):
+            env = jet_env(random_jet(rng, 2, 2, box_t=h.box, box_x=phi.box))
+            assert evaluate_table(table, env) == [e.eval(env) for e in table]
+
+
+def test_evaluate_table_visits_each_node_once():
+    # a chain with 2^60 root-to-leaf paths: the tree walk would never finish
+    chain = var("x")
+    for _ in range(60):
+        chain = mul(chain, add(chain, num(1e-300)))
+    assert evaluate_table([chain, add(chain, num(1.0))], {"x": 0.5}) == [0.0, 1.0]
 
 
 def test_diff_and_subst_keep_shared_subtrees_shared():

@@ -14,6 +14,8 @@ from jetflow.geometry import (
     pullback_metric,
 )
 
+from helpers import metric_and_points
+
 
 # --- frozen Christoffel values (hand-derived from the closed-form metrics) ---
 
@@ -164,27 +166,11 @@ CATALOG = [("euclidean:1", "spatial"), ("euclidean:2", "temporal"), ("euclidean:
            ("conformal2d:0.3*t1 - 0.2*t2 + 0.1*t1*t2", "temporal")]
 
 
-def _metric_and_points(name, kind, change_kind, rng):
-    """A catalog metric, or its pullback through a random change, and five
-    points of its chart inside the catalog box."""
-    g = metric_from_name(name, kind)
-    pts = np.array([[rng.uniform(lo + 0.1, hi - 0.1) for lo, hi in g.box] for _ in range(5)])
-    if change_kind is None:
-        return g, pts
-    p, n = (g.dim, 1) if kind == "temporal" else (1, g.dim)
-    c = nd.random_change(rng, p, n, change_kind)
-    if kind == "temporal":
-        pts = np.array([c.forward(t, np.zeros(1))[0] for t in pts])
-    else:
-        pts = np.array([c.forward(np.zeros(1), x)[1] for x in pts])
-    return pullback_metric(g, c), pts
-
-
 @pytest.mark.parametrize("change_kind", [None, "affine", "shear", "mixed"])
 @pytest.mark.parametrize("name,kind", CATALOG)
 def test_compiled_tables_match_interpreter(name, kind, change_kind):
     rng = np.random.default_rng(sum(map(ord, name + kind + str(change_kind))))
-    g, pts = _metric_and_points(name, kind, change_kind, rng)
+    g, pts = metric_and_points(name, kind, change_kind, rng)
     for table in ("g", "inverse", "christoffel"):
         exprs = g._exprs(table)
         want = np.array([[e.eval(dict(zip(g.variables, pt))) for e in exprs] for pt in pts])
@@ -200,7 +186,7 @@ def test_compiled_tables_match_interpreter(name, kind, change_kind):
 def test_christoffel_matches_numeric_formula(name, kind, change_kind):
     # Gamma from interpreted first derivatives and a numeric inverse
     rng = np.random.default_rng(sum(map(ord, name + kind)))
-    g, pts = _metric_and_points(name, kind, change_kind, rng)
+    g, pts = metric_and_points(name, kind, change_kind, rng)
     for pt in pts:
         env = dict(zip(g.variables, pt))
         dg = np.array([[[e.eval(env) for e in row] for row in plane] for plane in g._dg])

@@ -253,6 +253,14 @@ def test_pushforward_round_trip():
     assert np.max(np.abs(Xx - Bx)) < 1e-10
 
 
+def test_pushforward_is_built_once_per_change():
+    rng = np.random.default_rng(96)
+    X = BaseVectorField(1, 2, ["0.5"], ["x2", "sin(x1)"])
+    c, d = nd.random_change(rng, 1, 2, "mixed"), nd.random_change(rng, 1, 2, "mixed")
+    assert pushforward(X, c) is pushforward(X, c)
+    assert pushforward(X, d) is not pushforward(X, c)
+
+
 def test_pushforward_dimension_check():
     X = BaseVectorField(1, 2, ["1"], ["0", "0"])
     with pytest.raises(ProlongError):

@@ -1,10 +1,14 @@
 """Sprays: canonical coefficients, transformation laws, traces, decompositions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from jetflow import geometry
 from jetflow.dtensor import is_dtensor
-from jetflow.geometry import metric_from_name
+from jetflow.exprlang import Num, compile_table, num, parse
+from jetflow.geometry import GeometryError, Metric, metric_from_name
 from jetflow.jetspace import JetPoint, random_jet, transform_jet
 from jetflow.sprays import (
     SprayError,
@@ -27,7 +31,7 @@ from jetflow.sprays import (
     zero_temporal,
 )
 
-from helpers import catalog, fd_spray_gradient, jets_in, standard_metrics
+from helpers import catalog, fd_spray_gradient, jets_in, metric_and_points, standard_metrics
 
 
 # --- frozen coefficient values ---------------------------------------------------
@@ -249,3 +253,139 @@ def test_difference_requires_matching_jet_space():
     h, phi = standard_metrics(2, 2)
     with pytest.raises(SprayError, match="different jet spaces"):
         spray_difference_field(canonical_temporal(h, 2), canonical_temporal(h, 3))
+
+
+# --- compiled spray tables against the Christoffel x einsum formula --------------
+
+
+def reference_coefficients(kind, metric, T, X, V):
+    """Spray coefficients (q, n, p, p) from the metric's Christoffel symbols,
+    contracted by einsum: the formula the compiled tables replace."""
+    if kind == "temporal":
+        gamma = metric.christoffel_batch(T)                   # [q, g, a, b]
+        return -0.5 * np.einsum("qgab,qjg->qjba", gamma, V)
+    gamma = metric.christoffel_batch(X)                       # [q, j, k, l]
+    return 0.5 * np.einsum("qjkl,qka,qlb->qjba", gamma, V, V)
+
+
+def reference_gradient(kind, metric, u):
+    """d arr[j, b, a] / d x^k_g from the Christoffel symbols, (n, p, p, n, p)."""
+    if kind == "temporal":
+        gamma = metric.christoffel_at(u.t)
+        return -0.5 * np.einsum("gab,jk->jbakg", gamma, np.eye(u.n))
+    gamma = metric.christoffel_at(u.x)
+    eye_p = np.eye(u.p)
+    return 0.5 * (np.einsum("jml,lb,ga->jbamg", gamma, u.v, eye_p)
+                  + np.einsum("jkm,ka,gb->jbamg", gamma, u.v, eye_p))
+
+
+SPRAY_CATALOG = [("euclidean:2", "temporal"), ("exp1d", "temporal"),
+                 ("conformal2d:0.3*t1 - 0.2*t2 + 0.1*t1*t2", "temporal"),
+                 ("euclidean:3", "spatial"), ("sphere:2", "spatial"),
+                 ("hyperbolic:2", "spatial"), ("conformal2d:0.2*x1 - 0.1*x1*x2", "spatial")]
+
+
+def _spray_and_jets(name, kind, change_kind, rng, count=5):
+    """The canonical spray of a catalog metric (or of its pullback) with the
+    other factor of dimension 2, and `count` jets over chart points."""
+    g, pts = metric_and_points(name, kind, change_kind, rng, count)
+    if kind == "temporal":
+        p, n = g.dim, 2
+        T, X = pts, rng.uniform(-1.0, 1.0, (count, n))
+        spray = canonical_temporal(g, n)
+    else:
+        p, n = 2, g.dim
+        T, X = rng.uniform(-1.0, 1.0, (count, p)), pts
+        spray = canonical_spatial(g, p)
+    V = rng.normal(0.0, 1.5, (count, n, p))
+    return g, spray, T, X, V
+
+
+@pytest.mark.parametrize("change_kind", [None, "affine", "shear", "mixed"])
+@pytest.mark.parametrize("name,kind", SPRAY_CATALOG)
+def test_compiled_sprays_match_christoffel_formula(name, kind, change_kind):
+    rng = np.random.default_rng(sum(map(ord, name + kind + str(change_kind))))
+    g, s, T, X, V = _spray_and_jets(name, kind, change_kind, rng)
+    want = reference_coefficients(kind, g, T, X, V)
+    scale = np.maximum(1.0, np.abs(want))
+    columns = s.coefficients_batch(T, X, V)
+    assert columns.shape == want.shape
+    assert s.coefficients_batch(T[:0], X[:0], V[:0]).shape == (0,) + want.shape[1:]
+    assert np.max(np.abs(columns - want) / scale) <= 1e-13
+    for k in range(len(T)):
+        u = JetPoint(T[k], X[k], V[k])
+        floats = s.coefficients(u)
+        assert np.max(np.abs(floats - want[k]) / scale[k]) <= 1e-13
+        # one formula: batch row k is the pointwise value at row k
+        assert np.max(np.abs(columns[k] - floats) / scale[k]) <= 1e-14
+        grad = reference_gradient(kind, g, u)
+        assert np.max(np.abs(s.jet_gradient(u) - grad) / np.maximum(1.0, np.abs(grad))) <= 1e-13
+
+
+def test_flat_sprays_fold_to_constant_zero(monkeypatch):
+    tables = []
+
+    def recording(exprs, names, check=None):
+        tables.append(exprs)
+        return compile_table(exprs, names, check=check)
+
+    monkeypatch.setattr(geometry, "compile_table", recording)
+    flat_t = canonical_temporal(metric_from_name("euclidean:2", "temporal"), 3)
+    flat_s = canonical_spatial(metric_from_name("euclidean:3"), 2)
+    T, X, V = np.zeros((4, 2)), np.ones((4, 3)), np.ones((4, 3, 2))
+    assert np.array_equal(flat_t.coefficients_batch(T, X, V), np.zeros((4, 3, 2, 2)))
+    assert np.array_equal(flat_s.coefficients_batch(T, X, V), np.zeros((4, 3, 2, 2)))
+    assert len(tables) == 2
+    for exprs in tables:
+        assert exprs[0] == num(1.0)                          # det g
+        assert all(e == Num(0.0) for e in exprs[1:])
+
+
+def test_degenerate_metric_raises_from_both_spray_paths():
+    # det g = x1 (or t1): exactly zero, then below the tolerance
+    for kind, make in (("spatial", lambda g: canonical_spatial(g, 2)),
+                       ("temporal", lambda g: canonical_temporal(g, 2))):
+        v = "x1" if kind == "spatial" else "t1"
+        g = Metric("deg", kind, [[parse(v), num(0.0)], [num(0.0), parse("1")]])
+        s = make(g)
+        for bad in (0.0, 1e-14):
+            pt = np.array([bad, 1.0])
+            other = np.array([0.5, 0.5])
+            t, x = (other, pt) if kind == "spatial" else (pt, other)
+            with pytest.raises(GeometryError, match="degenerate"):
+                s.coefficients(JetPoint(t, x, np.ones((2, 2))))
+            with pytest.raises(GeometryError, match="degenerate"):
+                s.jet_gradient(JetPoint(t, x, np.ones((2, 2))))
+            T = np.stack([other, t])
+            X = np.stack([other + 1.0, x])
+            with pytest.raises(GeometryError, match="degenerate"):
+                s.coefficients_batch(T, X, np.ones((2, 2, 2)))
+
+
+def test_each_spray_compiles_its_table_once(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return compile_table(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "compile_table", counting)
+    rng = np.random.default_rng(48)
+    h, phi = standard_metrics(2, 2)
+    jets = jets_in(rng, 2, 2, h=h, phi=phi, count=3)
+    T, X, V = (np.stack([getattr(u, f) for u in jets]) for f in "txv")
+    for s in (canonical_temporal(h, 2), canonical_spatial(phi, 2)):
+        before = len(built)
+        # a copy made by dataclasses.replace shares the compiled tables
+        copy = replace(s, name="copy")
+        for _ in range(3):
+            for u in jets:
+                s.coefficients(u)
+                copy.coefficients(u)
+            s.coefficients_batch(T, X, V)
+            copy.coefficients_batch(T, X, V)
+        assert len(built) == before + 1
+        for _ in range(2):
+            s.jet_gradient(jets[0])
+        assert len(built) == before + 2
+    assert not h._kernels and not phi._kernels         # no Christoffel tabulation

@@ -107,6 +107,24 @@ def test_prolong_suite_passes():
     assert "prolongation-chart-equivariance" in names
 
 
+def test_prolong_suite_pushes_each_field_once_per_change(monkeypatch):
+    from jetflow import prolong
+    built = []
+
+    class Counting(prolong.BaseVectorField):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.name)
+
+    # pushforward builds its result through the module-level name
+    monkeypatch.setattr(prolong, "BaseVectorField", Counting)
+    suite = run_suite("prolong", _scenario(jets=2))
+    assert suite["pass"]
+    # the vertical-gap law and the equivariance check share fields[0]'s pushes
+    assert len(built) == 4 and len(set(built)) == 4
+    assert all(name.startswith("flow-a@") for name in built)
+
+
 def test_prolong_suite_honors_custom_fields():
     raw = {"prolong": {"fields": [
         {"name": "steady", "temporal": ["0.2"], "spatial": ["0.4", "-0.1"]}],
