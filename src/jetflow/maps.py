@@ -20,6 +20,7 @@ p = 2 harmonic equation on a rectangular grid with Dirichlet boundary data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -154,40 +155,79 @@ class OdeSolution:
     vs: np.ndarray       # (steps + 1, n)
 
 
+def _jet_kernel(spray, n: int) -> Callable[..., Sequence[float]]:
+    """The spray's coefficients as a function of the flat p = 1 jet
+    arguments (t, x1..xn, x1_1..xn_1), entry 1 + j holding S^{(j)}_{(1)1}:
+    a canonical spray's compiled kernel (entry 0 is its det g check), or
+    `coefficients` on a JetPoint for any other spray."""
+    if spray.tables is not None:
+        return spray.tables.kernel
+
+    def kernel(*args: float) -> list[float]:
+        u = JetPoint(np.array(args[:1]), np.array(args[1:1 + n]),
+                     np.array(args[1 + n:]).reshape(n, 1))
+        return [0.0] + spray.coefficients(u)[:, 0, 0].tolist()
+
+    return kernel
+
+
 def solve_affine_ode(pair: SprayPair, x0: np.ndarray, v0: np.ndarray,
                      t_span: tuple[float, float], steps: int) -> OdeSolution:
     """Classic RK4 for the p = 1 affine equation
-    x'' = -2 (G + H)^{(i)}_{(1)1}."""
+    x'' = -2 (G + H)^{(i)}_{(1)1}, on Python floats: each stage calls the
+    two sprays' jet kernels on [t, *x, *v].  A non-finite stage input
+    stops the solve with MapError before the kernels see it, and so does a
+    non-finite final state."""
     if pair.temporal.p != 1:
         raise MapError("the ODE solver handles one temporal dimension")
     n = pair.temporal.n
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+    x = np.asarray(x0, dtype=float).tolist()
+    v = np.asarray(v0, dtype=float).tolist()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if steps < 1:
         raise MapError("steps must be positive")
+    if len(x) != n or len(v) != n:
+        raise MapError(f"x0 and v0 need n = {n} entries")
     dt = (t1 - t0) / steps
+    half, sixth = 0.5 * dt, dt / 6.0
+    G = _jet_kernel(pair.spatial, n)
+    H = _jet_kernel(pair.temporal, n)
+    entries = range(1, n + 1)
 
-    def acc(t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = JetPoint(np.array([t]), x, v.reshape(n, 1))
-        total = pair.spatial.coefficients(u) + pair.temporal.coefficients(u)
-        return -2.0 * total[:, 0, 0]
+    def check_finite(step: int, args: list[float]) -> None:
+        if not all(map(isfinite, args)):
+            raise MapError(f"non-finite geodesic state in RK4 step {step} of "
+                           f"{steps}, at t = {args[0]!r}")
 
-    ts = np.empty(steps + 1)
-    xs = np.empty((steps + 1, n))
-    vs = np.empty((steps + 1, n))
-    t, x, v = t0, x0.copy(), v0.copy()
-    ts[0], xs[0], vs[0] = t, x, v
+    def acc(step: int, args: list[float]) -> list[float]:
+        check_finite(step, args)
+        g, h = G(*args), H(*args)
+        return [-2.0 * (g[j] + h[j]) for j in entries]
+
+    # each stage and update keeps the operation order of the vector form
+    # x + (dt/6)(k1 + 2 k2 + 2 k3 + k4), so the trajectory is bit for bit
+    # that of the same RK4 on numpy arrays
+    rows = np.empty((steps + 1, 1 + 2 * n))     # t, x, v per step
+    t, state = t0, [t0, *x, *v]
     for k in range(steps):
-        k1x, k1v = v, acc(t, x, v)
-        k2x, k2v = v + 0.5 * dt * k1v, acc(t + 0.5 * dt, x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-        k3x, k3v = v + 0.5 * dt * k2v, acc(t + 0.5 * dt, x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-        k4x, k4v = v + dt * k3v, acc(t + dt, x + dt * k3x, v + dt * k3v)
-        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        t = t0 + (k + 1) * dt
-        ts[k + 1], xs[k + 1], vs[k + 1] = t, x, v
-    return OdeSolution(ts, xs, vs)
+        rows[k] = state
+        step = k + 1
+        k1v = acc(step, state)
+        k2x = [a + half * b for a, b in zip(v, k1v)]
+        k2v = acc(step, [t + half, *[a + half * b for a, b in zip(x, v)], *k2x])
+        k3x = [a + half * b for a, b in zip(v, k2v)]
+        k3v = acc(step, [t + half, *[a + half * b for a, b in zip(x, k2x)], *k3x])
+        k4x = [a + dt * b for a, b in zip(v, k3v)]
+        k4v = acc(step, [t + dt, *[a + dt * b for a, b in zip(x, k3x)], *k4x])
+        x = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, v, k2x, k3x, k4x)]
+        v = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(v, k1v, k2v, k3v, k4v)]
+        t = t0 + step * dt
+        state = [t, *x, *v]
+    check_finite(steps, state)
+    rows[steps] = state
+    return OdeSolution(rows[:, 0].copy(), rows[:, 1:1 + n].copy(), rows[:, 1 + n:].copy())
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,7 @@ class TemporalSpray:
     # (T, X, V) arrays of shape (q,p), (q,n), (q,n,p) -> (q,n,p,p)
     coefficients_batch: Callable[..., np.ndarray] | None = None
     name: str = "temporal-spray"
+    tables: _SprayTables | None = None    # a canonical spray's compiled tables
 
     def in_chart(self, change: ChangeMap) -> "TemporalSpray":
         if self.rebuild is None:
@@ -80,6 +81,7 @@ class SpatialSpray:
     rebuild: Callable[[ChangeMap], "SpatialSpray"] | None = None
     coefficients_batch: Callable[..., np.ndarray] | None = None
     name: str = "spatial-spray"
+    tables: _SprayTables | None = None
 
     def in_chart(self, change: ChangeMap) -> "SpatialSpray":
         if self.rebuild is None:
@@ -114,7 +116,8 @@ class _SprayTables:
     d arr[j, b, a] / d x^k_g.  Both run over the jet variables t1..tp,
     x1..xn, x1_1..xn_p and lead with det g, so a degenerate metric stops
     them with GeometryError.  Points run on Python floats, batches on numpy
-    columns."""
+    columns; `kernel` is the coefficient table itself, a function of the
+    flat jet arguments returning (det g, *arr.ravel())."""
 
     def __init__(self, metric: Metric, p: int, n: int,
                  entries: Callable[[], list[Expr]]):
@@ -127,7 +130,7 @@ class _SprayTables:
         return self._build_entries()
 
     @cached_property
-    def _coefficients(self) -> Callable[..., tuple]:
+    def kernel(self) -> Callable[..., tuple]:
         return self.metric.checked_table(self._entries, self.names)
 
     @cached_property
@@ -141,7 +144,7 @@ class _SprayTables:
         return u.t.tolist() + u.x.tolist() + u.v.ravel().tolist()
 
     def coefficients(self, u: JetPoint) -> np.ndarray:
-        values = self._coefficients(*self._floats(u))
+        values = self.kernel(*self._floats(u))
         return np.array(values[1:]).reshape(self.n, self.p, self.p)
 
     def jet_gradient(self, u: JetPoint) -> np.ndarray:
@@ -151,8 +154,8 @@ class _SprayTables:
 
     def coefficients_batch(self, T: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         q = len(T)
-        values = self._coefficients(*np.asarray(T, float).T, *np.asarray(X, float).T,
-                                    *np.asarray(V, float).reshape(q, self.n * self.p).T)
+        values = self.kernel(*np.asarray(T, float).T, *np.asarray(X, float).T,
+                             *np.asarray(V, float).reshape(q, self.n * self.p).T)
         out = np.empty((q, len(values) - 1))
         for k, v in enumerate(values[1:]):
             out[:, k] = v                       # a constant entry broadcasts
@@ -179,7 +182,7 @@ def canonical_temporal(h: Metric, n: int) -> TemporalSpray:
     return TemporalSpray(p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
                          rebuild=lambda c: canonical_temporal(pullback_metric(h, c), n),
                          coefficients_batch=tables.coefficients_batch,
-                         name=f"canonical-temporal[{h.name}]")
+                         name=f"canonical-temporal[{h.name}]", tables=tables)
 
 
 def canonical_spatial(phi: Metric, p: int) -> SpatialSpray:
@@ -199,7 +202,7 @@ def canonical_spatial(phi: Metric, p: int) -> SpatialSpray:
     return SpatialSpray(p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
                         rebuild=lambda c: canonical_spatial(pullback_metric(phi, c), p),
                         coefficients_batch=tables.coefficients_batch,
-                        name=f"canonical-spatial[{phi.name}]")
+                        name=f"canonical-spatial[{phi.name}]", tables=tables)
 
 
 def canonical_pair(h: Metric, phi: Metric) -> SprayPair:

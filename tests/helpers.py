@@ -73,6 +73,37 @@ def fd_spray_gradient(s, u, eps: float = 1e-6) -> np.ndarray:
     return out
 
 
+def reference_affine_ode(pair, x0, v0, t_span, steps):
+    """(ts, xs, vs) of classic RK4 for x'' = -2 (G + H)^{(i)}_{(1)1} on numpy
+    vectors, each right-hand side a JetPoint through the sprays'
+    `coefficients`; the reference for the float loop of `solve_affine_ode`."""
+    from jetflow.jetspace import JetPoint
+    n = pair.temporal.n
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    dt = (t1 - t0) / steps
+
+    def acc(t, x, v):
+        u = JetPoint(np.array([t]), x, v.reshape(n, 1))
+        total = pair.spatial.coefficients(u) + pair.temporal.coefficients(u)
+        return -2.0 * total[:, 0, 0]
+
+    ts = np.empty(steps + 1)
+    xs = np.empty((steps + 1, n))
+    vs = np.empty((steps + 1, n))
+    t, x, v = t0, np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
+    ts[0], xs[0], vs[0] = t, x, v
+    for k in range(steps):
+        k1x, k1v = v, acc(t, x, v)
+        k2x, k2v = v + 0.5 * dt * k1v, acc(t + 0.5 * dt, x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
+        k3x, k3v = v + 0.5 * dt * k2v, acc(t + 0.5 * dt, x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
+        k4x, k4v = v + dt * k3v, acc(t + dt, x + dt * k3x, v + dt * k3v)
+        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        t = t0 + (k + 1) * dt
+        ts[k + 1], xs[k + 1], vs[k + 1] = t, x, v
+    return ts, xs, vs
+
+
 # --- reference symbolic rules: plain recursion, no memo ----------------------
 
 

@@ -266,6 +266,30 @@ def test_overflow_during_a_solve_exits_one(tmp_path):
     assert "Traceback" not in r.stderr and "error: math range error" in r.stderr
 
 
+def test_non_finite_geodesic_state_exits_one(tmp_path):
+    # x overflows to inf in the first step; the second step's stage input
+    # is non-finite, a numerical failure rather than a bad scenario
+    payload = {"dimensions": {"p": 1, "n": 2},
+               "metrics": {"temporal": "euclidean:1", "spatial": "euclidean:2"},
+               "geodesic": {"x0": [0, 0], "v0": [1e308, 0], "t_span": [0, 20], "steps": 40}}
+    r = run_cli("geodesic", write_scenario(tmp_path, payload))
+    assert r.returncode == 1, r.stderr
+    error = "non-finite geodesic state in RK4 step 2 of 40, at t = 0.5"
+    assert json.loads(r.stdout) == {"command": "geodesic", "status": "error", "error": error}
+    assert r.stderr == f"error: {error}\n"
+
+
+def test_degenerate_metric_during_a_geodesic_exits_one(tmp_path):
+    payload = {"dimensions": {"p": 1, "n": 2},
+               "metrics": {"temporal": "euclidean:1", "spatial": "hyperbolic:2"},
+               "geodesic": {"x0": [0.3, 1], "v0": [0, 40], "t_span": [0, 20], "steps": 40}}
+    r = run_cli("geodesic", write_scenario(tmp_path, payload))
+    assert r.returncode == 1, r.stderr
+    report = json.loads(r.stdout)
+    assert report["status"] == "error"
+    assert "metric 'hyperbolic:2' is degenerate" in report["error"]
+
+
 @pytest.mark.parametrize("boundary,fragment", [
     ("1.2+*t1", "expected operand at offset 4"),
     ("1.2+0.2*x1", "foreign variables ['x1']"),

@@ -1,9 +1,12 @@
 """Maps, PDE residuals, and the two solvers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from jetflow.geometry import metric_from_name
+from jetflow.geometry import GeometryError, metric_from_name
+from jetflow.jetspace import JetPoint
 from jetflow.maps import (
     MapError,
     SmoothMap,
@@ -15,9 +18,16 @@ from jetflow.maps import (
     solve_harmonic_grid,
     spray_source,
 )
-from jetflow.sprays import canonical_pair
+from jetflow.sprays import (
+    SprayPair,
+    canonical_pair,
+    canonical_spatial,
+    combine_spatial,
+    h_trace,
+    spray_from_hspray,
+)
 
-from helpers import standard_metrics
+from helpers import reference_affine_ode, standard_metrics
 
 
 def _flat_pair(p, n):
@@ -163,6 +173,90 @@ def test_ode_solver_validates_inputs():
     pair1, _, _ = _flat_pair(1, 2)
     with pytest.raises(MapError, match="steps"):
         solve_affine_ode(pair1, [0.0, 0.0], [1.0, 0.0], (0.0, 1.0), 0)
+    with pytest.raises(MapError, match="n = 2 entries"):
+        solve_affine_ode(pair1, [0.0, 0.0, 0.0], [1.0, 0.0], (0.0, 1.0), 10)
+
+
+def _assert_matches_reference(pair, x0, v0, t_span, steps):
+    sol = solve_affine_ode(pair, x0, v0, t_span, steps)
+    ts, xs, vs = reference_affine_ode(pair, x0, v0, t_span, steps)
+    assert np.array_equal(sol.ts, ts)
+    assert np.array_equal(sol.xs, xs)
+    assert np.array_equal(sol.vs, vs)
+
+
+@pytest.mark.parametrize("spatial,x0,v0", [
+    ("sphere:2", [np.pi / 2, 0.0], [0.6, 1.0]),
+    ("hyperbolic:2", [0.3, 1.0], [0.5, 0.4]),
+    ("euclidean:2", [1.0, -2.0], [0.5, 0.25]),
+])
+def test_float_rk4_matches_numpy_reference_bit_for_bit(spatial, x0, v0):
+    h = metric_from_name("euclidean:1", kind="temporal")
+    _assert_matches_reference(canonical_pair(h, metric_from_name(spatial)),
+                              x0, v0, (0.0, 3.0), 300)
+
+
+def test_float_rk4_matches_reference_with_curved_time():
+    h = metric_from_name("exp1d")
+    pair = canonical_pair(h, metric_from_name("sphere:2"))
+    u = JetPoint([0.2], [1.2, 0.3], [[0.6], [1.0]])
+    assert np.max(np.abs(pair.temporal.coefficients(u))) > 0.1      # H != 0
+    _assert_matches_reference(pair, [1.2, 0.3], [0.6, 1.0], (-0.5, 1.0), 200)
+
+
+def test_float_rk4_matches_reference_for_sprays_without_tables():
+    h = metric_from_name("exp1d")
+    sphere, hyper = (canonical_spatial(metric_from_name(name), 1)
+                     for name in ("sphere:2", "hyperbolic:2"))
+    mixed = combine_spatial([sphere, hyper], [0.3, 0.7])
+    traced = spray_from_hspray(h_trace(sphere, h), h)
+    temporal = canonical_pair(h, metric_from_name("sphere:2")).temporal
+    for spatial in (mixed, traced):
+        assert spatial.tables is None
+        _assert_matches_reference(SprayPair(temporal, spatial),
+                                  [1.2, 0.5], [0.4, 0.8], (0.0, 1.0), 80)
+
+
+def test_ode_runs_the_tables_when_coefficients_are_replaced():
+    """A `dataclasses.replace` copy with a wrapped `coefficients` keeps its
+    tables, and the solver calls the compiled kernel, not the wrapper."""
+    h = metric_from_name("euclidean:1", kind="temporal")
+    pair = canonical_pair(h, metric_from_name("sphere:2"))
+    calls = []
+
+    def wrapped(spray):
+        def coefficients(u):
+            calls.append(u)
+            return spray.coefficients(u)
+        return replace(spray, coefficients=coefficients)
+
+    copy = SprayPair(wrapped(pair.temporal), wrapped(pair.spatial))
+    args = ([np.pi / 2, 0.0], [0.6, 1.0], (0.0, 1.0), 50)
+    a, b = solve_affine_ode(pair, *args), solve_affine_ode(copy, *args)
+    assert np.array_equal(a.xs, b.xs) and np.array_equal(a.vs, b.vs)
+    assert calls == []
+
+
+def test_ode_degenerate_metric_raises_geometry_error():
+    # the hyperbolic geodesic climbs to large x2, where det g = x2^-4 < 1e-12
+    h = metric_from_name("euclidean:1", kind="temporal")
+    pair = canonical_pair(h, metric_from_name("hyperbolic:2"))
+    with pytest.raises(GeometryError, match="metric 'hyperbolic:2' is degenerate"):
+        solve_affine_ode(pair, [0.3, 1.0], [0.0, 40.0], (0.0, 20.0), 40)
+
+
+def test_ode_non_finite_stage_input_raises_map_error():
+    pair, _, _ = _flat_pair(1, 2)
+    with pytest.raises(MapError, match=r"non-finite geodesic state in RK4 step 2 "
+                                       r"of 40, at t = 0\.5$"):
+        solve_affine_ode(pair, [0.0, 0.0], [1e308, 0.0], (0.0, 20.0), 40)
+
+
+def test_ode_non_finite_final_state_raises_map_error():
+    # every stage input is finite; only the last update overflows
+    pair, _, _ = _flat_pair(1, 2)
+    with pytest.raises(MapError, match=r"RK4 step 1 of 1, at t = 1\.0$"):
+        solve_affine_ode(pair, [0.0, 0.0], [1e308, 0.0], (0.0, 1.0), 1)
 
 
 # --- grid solver -----------------------------------------------------------------------
