@@ -209,9 +209,9 @@ def test_float_rk4_matches_reference_for_sprays_without_tables():
     sphere, hyper = (canonical_spatial(metric_from_name(name), 1)
                      for name in ("sphere:2", "hyperbolic:2"))
     mixed = combine_spatial([sphere, hyper], [0.3, 0.7])
-    traced = spray_from_hspray(h_trace(sphere, h), h)
+    from_trace = spray_from_hspray(h_trace(sphere, h), h)
     temporal = canonical_pair(h, metric_from_name("sphere:2")).temporal
-    for spatial in (mixed, traced):
+    for spatial in (mixed, from_trace):
         assert spatial.tables is None
         _assert_matches_reference(SprayPair(temporal, spatial),
                                   [1.2, 0.5], [0.4, 0.8], (0.0, 1.0), 80)
