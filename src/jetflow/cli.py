@@ -66,6 +66,9 @@ def _cmd_geodesic(sc: Scenario, args) -> int:
     v0 = np.asarray(section["v0"], dtype=float)
     if len(x0) != n or len(v0) != n:
         raise ScenarioError(f"x0 and v0 must have length n={n}")
+    t0, t1 = (float(t) for t in section["t_span"])
+    if not np.all(np.isfinite([*x0, *v0, t0, t1, t1 - t0])):
+        raise ScenarioError("x0, v0, t_span and the span's length must be finite")
     if sc.p != 1:
         raise ScenarioError("geodesic integration needs a scenario with p=1")
     pair = canonical_pair(sc.temporal_metric, sc.spatial_metric)

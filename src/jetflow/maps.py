@@ -155,20 +155,22 @@ class OdeSolution:
     vs: np.ndarray       # (steps + 1, n)
 
 
-def _jet_kernel(spray, n: int) -> Callable[..., Sequence[float]]:
-    """The spray's coefficients as a function of the flat p = 1 jet
-    arguments (t, x1..xn, x1_1..xn_1), entry 1 + j holding S^{(j)}_{(1)1}:
-    a canonical spray's compiled kernel (entry 0 is its det g check), or
-    `coefficients` on a JetPoint for any other spray."""
-    if spray.tables is not None:
-        return spray.tables.kernel
+def _jet_kernel(spray, n: int) -> tuple[Callable[..., Sequence[float]], slice]:
+    """The spray's `coefficients` as a function of the flat p = 1 jet
+    arguments (t, x1..xn, x1_1..xn_1), with the slice of its result that
+    holds S^{(1)}_{(1)1}..S^{(n)}_{(1)1}.  While `coefficients` is still the
+    canonical spray's own, that is its compiled kernel (entry 0 is the
+    det g check); any other `coefficients` runs on a JetPoint."""
+    tables = spray.tables
+    if tables is not None and spray.coefficients == tables.coefficients:
+        return tables.kernel, slice(1, n + 1)
 
     def kernel(*args: float) -> list[float]:
         u = JetPoint(np.array(args[:1]), np.array(args[1:1 + n]),
                      np.array(args[1 + n:]).reshape(n, 1))
-        return [0.0] + spray.coefficients(u)[:, 0, 0].tolist()
+        return spray.coefficients(u)[:, 0, 0].tolist()
 
-    return kernel
+    return kernel, slice(0, n)
 
 
 def solve_affine_ode(pair: SprayPair, x0: np.ndarray, v0: np.ndarray,
@@ -190,9 +192,8 @@ def solve_affine_ode(pair: SprayPair, x0: np.ndarray, v0: np.ndarray,
         raise MapError(f"x0 and v0 need n = {n} entries")
     dt = (t1 - t0) / steps
     half, sixth = 0.5 * dt, dt / 6.0
-    G = _jet_kernel(pair.spatial, n)
-    H = _jet_kernel(pair.temporal, n)
-    entries = range(1, n + 1)
+    G, gs = _jet_kernel(pair.spatial, n)
+    H, hs = _jet_kernel(pair.temporal, n)
 
     def check_finite(step: int, args: list[float]) -> None:
         if not all(map(isfinite, args)):
@@ -201,8 +202,7 @@ def solve_affine_ode(pair: SprayPair, x0: np.ndarray, v0: np.ndarray,
 
     def acc(step: int, args: list[float]) -> list[float]:
         check_finite(step, args)
-        g, h = G(*args), H(*args)
-        return [-2.0 * (g[j] + h[j]) for j in entries]
+        return [-2.0 * (g + h) for g, h in zip(G(*args)[gs], H(*args)[hs])]
 
     # each stage and update keeps the operation order of the vector form
     # x + (dt/6)(k1 + 2 k2 + 2 k3 + k4), so the trajectory is bit for bit
@@ -227,7 +227,7 @@ def solve_affine_ode(pair: SprayPair, x0: np.ndarray, v0: np.ndarray,
         state = [t, *x, *v]
     check_finite(steps, state)
     rows[steps] = state
-    return OdeSolution(rows[:, 0].copy(), rows[:, 1:1 + n].copy(), rows[:, 1 + n:].copy())
+    return OdeSolution(rows[:, 0], rows[:, 1:1 + n], rows[:, 1 + n:])
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,9 @@ class TemporalSpray:
     # (T, X, V) arrays of shape (q,p), (q,n), (q,n,p) -> (q,n,p,p)
     coefficients_batch: Callable[..., np.ndarray] | None = None
     name: str = "temporal-spray"
-    tables: _SprayTables | None = None    # a canonical spray's compiled tables
+    # a canonical spray's compiled tables; the geodesic RK4 runs their
+    # kernel while `coefficients` is still `tables.coefficients`
+    tables: _SprayTables | None = None
 
     def in_chart(self, change: ChangeMap) -> "TemporalSpray":
         if self.rebuild is None:

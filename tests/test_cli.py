@@ -151,6 +151,27 @@ def test_geodesic_requires_matching_lengths(tmp_path):
     assert r.returncode == 2 and "length n=2" in r.stderr
 
 
+@pytest.mark.parametrize("field,text", [
+    ("x0", "[Infinity, 0]"),
+    ("v0", "[0, NaN]"),
+    ("t_span", "[0, 1e999]"),
+    ("t_span", "[-1e308, 1e308]"),             # the span's length overflows
+])
+def test_geodesic_non_finite_input_exits_two(tmp_path, field, text):
+    # JSON readers take Infinity, NaN and 1e999 as numbers; a bad input is a
+    # scenario error, not a numerical failure of the solver
+    geodesic = {"x0": "[0.5, 0]", "v0": "[0, 1]", "t_span": "[0, 1]", field: text}
+    path = tmp_path / "scenario.json"
+    path.write_text('{"dimensions": {"p": 1, "n": 2}, "metrics": '
+                    '{"temporal": "euclidean:1", "spatial": "sphere:2"}, '
+                    '"geodesic": {"x0": %(x0)s, "v0": %(v0)s, "t_span": %(t_span)s, '
+                    '"steps": 10}}' % geodesic)
+    r = run_cli("geodesic", str(path))
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr == "error: x0, v0, t_span and the span's length must be finite\n"
+
+
 def test_harmonic_converges_and_writes_csv(tmp_path):
     payload = {
         "dimensions": {"p": 2, "n": 1},
