@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import Expr, diff, evaluate_table
+from .exprlang import Expr, compile_table, diff
 from .geometry import Metric, pullback_metric
-from .numdiff import ChangeMap, jacobian_blocks, jet_names
+from .numdiff import ChangeMap, jacobian_blocks, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, jet_env, jet_pullback, transform_jet
 
 __all__ = [
@@ -236,15 +236,14 @@ def _hessian_exprs(L: Expr, p: int, n: int) -> list[list[Expr]]:
 def lagrangian_metric_field(L: Expr, p: int, n: int, name: str = "lagrangian-metric") -> DTensorField:
     """Vertical metric G_{(i)(j)}^{(a)(b)} = (1/2) d^2 L / dx^i_a dx^j_b.
 
-    The Hessian is built once per chart by the memoised `diff` and evaluated
-    as a DAG (`evaluate_table`), each shared subtree once per jet: each
-    pulled-back table is evaluated at only a few jets, too few to pay back a
-    compiled kernel."""
-    d2 = [e for row in _hessian_exprs(L, p, n) for e in row]
+    The Hessian is built once per chart by the memoised `diff` and
+    evaluated as one `compile_table` table over the jet variables."""
+    names = temporal_names(p) + spatial_names(n) + jet_names(n, p)
+    table = compile_table([e for row in _hessian_exprs(L, p, n) for e in row], names)
     size = n * p
 
     def comps(u: JetPoint) -> np.ndarray:
-        return 0.5 * np.array(evaluate_table(d2, jet_env(u)), dtype=float).reshape(size, size)
+        return 0.5 * np.array(table(*jet_env(u).values()), dtype=float).reshape(size, size)
 
     return DTensorField(
         name, IndexSignature.parse("L(i,a);L(j,b)"), p, n, comps,

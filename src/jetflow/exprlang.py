@@ -22,7 +22,8 @@ symbolic and apply only conservative simplifications (constant folding,
 visits a distinct node object once, so shared subtrees stay shared.
 
 `evaluate_table` evaluates a table of expressions with each distinct node
-object evaluated once, and `compile_table` turns a table into one
+object evaluated once, and `compile_table` turns a table into a function
+that runs that walk on its first few calls and then one compiled
 straight-line function with shared subexpressions and the same guards; the
 tree interpreter (``Expr.eval``) is the reference for both.
 """
@@ -42,7 +43,7 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "parse", "to_str", "evaluate", "evaluate_table", "diff", "subst", "free_vars",
     "num", "var", "neg", "add", "sub", "mul", "div", "pow_", "call",
-    "FUNCTIONS", "compile_table",
+    "FUNCTIONS", "compile_table", "Table", "WALK_CALLS",
 ]
 
 MAX_EXPONENT = 1000
@@ -95,9 +96,10 @@ def _apply(fn: str, x: Value) -> Value:
 
 
 class Expr:
-    """Base class for expression nodes.  Nodes are immutable and comparable."""
+    """Base class for expression nodes.  Nodes are immutable and comparable;
+    `_dmemo` (not a field) holds the derivatives `diff` has built."""
 
-    __slots__ = ()
+    __slots__ = ("_dmemo",)
 
     def eval(self, env: Mapping[str, Value]) -> Value:
         """Tree-walking interpreter: every occurrence of a shared subtree is
@@ -105,14 +107,21 @@ class Expr:
         raise NotImplementedError
 
     def diff(self, name: str) -> "Expr":
-        """Partial derivative; each distinct node object is differentiated
-        once, so shared subtrees give shared results."""
-        memo: dict[int, Expr] = {}
+        """Partial derivative.  Each non-leaf node keeps its derivatives, by
+        variable name, for as long as it lives: a node object is
+        differentiated once per variable, so shared subtrees give shared
+        results, across calls too."""
 
         def d(e: Expr) -> Expr:
-            got = memo.get(id(e))
+            if isinstance(e, (Num, Var)):
+                return e._diff(name, d)
+            memo = getattr(e, "_dmemo", None)
+            if memo is None:
+                memo = {}
+                object.__setattr__(e, "_dmemo", memo)
+            got = memo.get(name)
             if got is None:
-                got = memo[id(e)] = e._diff(name, d)
+                got = memo[name] = e._diff(name, d)
             return got
 
         return d(self)
@@ -142,8 +151,8 @@ class Expr:
     def _subst(self, mapping: Mapping[str, "Expr"], s: Callable[["Expr"], "Expr"]) -> "Expr":
         raise NotImplementedError
 
-    def _collect_vars(self, acc: set[str]) -> None:
-        raise NotImplementedError
+    def _children(self) -> tuple["Expr", ...]:
+        return ()
 
     def _fmt(self) -> str:
         raise NotImplementedError
@@ -171,9 +180,6 @@ class Num(Expr):
     def _subst(self, mapping, s):
         return self
 
-    def _collect_vars(self, acc):
-        pass
-
     def _fmt(self):
         if self.value < 0:
             return "-" + repr(-self.value)
@@ -195,9 +201,6 @@ class Var(Expr):
 
     def _subst(self, mapping, s):
         return mapping.get(self.name, self)
-
-    def _collect_vars(self, acc):
-        acc.add(self.name)
 
     def _fmt(self):
         return self.name
@@ -229,8 +232,8 @@ class Neg(Expr):
     def _subst(self, mapping, s):
         return neg(s(self.a))
 
-    def _collect_vars(self, acc):
-        self.a._collect_vars(acc)
+    def _children(self):
+        return (self.a,)
 
     def _fmt(self):
         return "-" + _child(self.a, 3)
@@ -254,9 +257,8 @@ class Add(Expr):
     def _subst(self, mapping, s):
         return add(s(self.a), s(self.b))
 
-    def _collect_vars(self, acc):
-        self.a._collect_vars(acc)
-        self.b._collect_vars(acc)
+    def _children(self):
+        return (self.a, self.b)
 
     def _fmt(self):
         return _child(self.a, 1) + " + " + _child(self.b, 2)
@@ -280,9 +282,8 @@ class Sub(Expr):
     def _subst(self, mapping, s):
         return sub(s(self.a), s(self.b))
 
-    def _collect_vars(self, acc):
-        self.a._collect_vars(acc)
-        self.b._collect_vars(acc)
+    def _children(self):
+        return (self.a, self.b)
 
     def _fmt(self):
         return _child(self.a, 1) + " - " + _child(self.b, 2)
@@ -306,9 +307,8 @@ class Mul(Expr):
     def _subst(self, mapping, s):
         return mul(s(self.a), s(self.b))
 
-    def _collect_vars(self, acc):
-        self.a._collect_vars(acc)
-        self.b._collect_vars(acc)
+    def _children(self):
+        return (self.a, self.b)
 
     def _fmt(self):
         return _child(self.a, 2) + "*" + _child(self.b, 3)
@@ -336,9 +336,8 @@ class Div(Expr):
     def _subst(self, mapping, s):
         return div(s(self.a), s(self.b))
 
-    def _collect_vars(self, acc):
-        self.a._collect_vars(acc)
-        self.b._collect_vars(acc)
+    def _children(self):
+        return (self.a, self.b)
 
     def _fmt(self):
         return _child(self.a, 2) + "/" + _child(self.b, 3)
@@ -365,8 +364,8 @@ class Pow(Expr):
     def _subst(self, mapping, s):
         return pow_(s(self.base), self.exponent)
 
-    def _collect_vars(self, acc):
-        self.base._collect_vars(acc)
+    def _children(self):
+        return (self.base,)
 
     def _fmt(self):
         return _child(self.base, 5) + "^" + str(self.exponent)
@@ -434,8 +433,8 @@ class Call(Expr):
     def _subst(self, mapping, s):
         return call(self.fn, s(self.arg))
 
-    def _collect_vars(self, acc):
-        self.arg._collect_vars(acc)
+    def _children(self):
+        return (self.arg,)
 
     def _fmt(self):
         return self.fn + "(" + self.arg._fmt() + ")"
@@ -690,12 +689,15 @@ def evaluate(e: Expr, env: Mapping[str, Value]) -> Value:
     return e.eval(env)
 
 
-def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value]) -> list[Value]:
+def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value],
+                   check: Callable[[Value], None] | None = None) -> list[Value]:
     """Values of a table of expressions, evaluating each distinct node object
     once across the whole table (a DAG walk).  The values, and the first
     ExprError raised, are those of evaluating the entries one by one with
     `Expr.eval`: nodes are visited in the interpreter's order, and a node
-    is skipped only when it has already been evaluated without error."""
+    is skipped only when it has already been evaluated without error.
+    ``check``, if given, is called with the first entry's value before any
+    other entry is evaluated."""
     memo: dict[int, Value] = {}
 
     def ev(e: Expr) -> Value:
@@ -705,7 +707,12 @@ def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value]) -> list[Valu
         value = memo[key] = e._eval(env, ev)
         return value
 
-    return [ev(e) for e in exprs]
+    out = []
+    for e in exprs:
+        out.append(ev(e))
+        if check is not None and len(out) == 1:
+            check(out[0])
+    return out
 
 
 def diff(e: Expr, name: str) -> Expr:
@@ -718,9 +725,20 @@ def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     return e.subst(mapping)
 
 
-def free_vars(e: Expr) -> set[str]:
+def free_vars(*exprs: Expr) -> set[str]:
+    """Names of the variables the expressions read; each distinct node
+    object is visited once."""
     acc: set[str] = set()
-    e._collect_vars(acc)
+    seen: set[int] = set()
+    todo = list(exprs)
+    while todo:
+        e = todo.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            if isinstance(e, Var):
+                acc.add(e.name)
+            else:
+                todo.extend(e._children())
     return acc
 
 
@@ -750,21 +768,77 @@ def _literal(v: float) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
+# float calls a table answers by the DAG walk before it compiles: a few
+# walks cost less than one compile, which pays back only on reuse
+WALK_CALLS = 8
+
+
+class Table:
+    """A table of expressions as a function of the values of `names`, in
+    order, returning a tuple with one value per expression (see
+    `compile_table`).
+
+    Its first WALK_CALLS calls on floats run `evaluate_table`; the next
+    call, or the first call on a numpy array, compiles the table
+    (`compiled`) and every later call runs the compiled function.  Both
+    tiers compute each node as ``Expr.eval`` does, so they give the same
+    values bit for bit and raise the same first error.
+    """
+
+    __slots__ = ("exprs", "names", "check", "_walks", "_fn")
+
+    def __init__(self, exprs: Sequence[Expr], names: Sequence[str],
+                 check: Callable[[Value], None] | None):
+        self.exprs, self.names, self.check = list(exprs), list(names), check
+        self._walks = 0
+        self._fn: Callable[..., tuple] | None = None
+
+    def __call__(self, *args: Value) -> tuple:
+        fn = self._fn
+        if fn is None:
+            if self._walks < WALK_CALLS and not any(isinstance(a, np.ndarray) for a in args):
+                if len(args) != len(self.names):
+                    raise TypeError(f"table takes {len(self.names)} values, got {len(args)}")
+                self._walks += 1
+                return tuple(evaluate_table(self.exprs, dict(zip(self.names, args)), self.check))
+            fn = self.compiled()
+        return fn(*args)
+
+    def compiled(self) -> Callable[..., tuple]:
+        """The table's straight-line function, compiled on first use; loops
+        that call the table many times call it directly."""
+        if self._fn is None:
+            self._fn = _compile(self.exprs, self.names, self.check)
+        return self._fn
+
+
 def compile_table(exprs: Sequence[Expr], names: Sequence[str],
-                  check: Callable[[Value], None] | None = None) -> Callable[..., tuple]:
-    """Compile a table of expressions into one straight-line Python function.
+                  check: Callable[[Value], None] | None = None) -> Table:
+    """A table of expressions as one function of the values of `names`.
 
     The function takes one value per name, in order, and returns a tuple
     with one value per expression.  The values may be floats or equally
     shaped numpy arrays; each node computes exactly what ``Expr.eval``
-    computes.  Structurally equal subtrees are interned (one pass over the
-    trees, memoised by ``id``) and get one assignment.  Every domain guard of
-    the interpreter is kept, in the interpreter's order, so a table raises
-    the ExprError that evaluating its entries one by one would raise first.
+    computes.  It runs as a DAG walk on its first few float calls and then
+    as one compiled straight-line Python function (`Table`).  Every domain
+    guard of the interpreter is kept, in the interpreter's order, so a
+    table raises the ExprError that evaluating its entries one by one would
+    raise first; a variable outside `names` is an ExprError here.
 
     ``check``, if given, is called with the first entry's value before any
     other entry is computed; it may raise to stop the evaluation.
     """
+    unbound = free_vars(*exprs) - set(names)
+    if unbound:
+        raise ExprError(f"unbound variable '{min(unbound)}'")
+    return Table(exprs, names, check)
+
+
+def _compile(exprs: Sequence[Expr], names: Sequence[str],
+             check: Callable[[Value], None] | None) -> Callable[..., tuple]:
+    """One straight-line function for a table.  Structurally equal subtrees
+    are interned (one pass over the trees, memoised by ``id``) and get one
+    assignment."""
     args = {name: f"a{k}" for k, name in enumerate(names)}
     ns = dict(_TABLE_NAMESPACE, check=check)
     lines: list[str] = []
@@ -791,8 +865,6 @@ def compile_table(exprs: Sequence[Expr], names: Sequence[str],
         if isinstance(e, Num):
             got = _literal(e.value)
         elif isinstance(e, Var):
-            if e.name not in args:
-                raise ExprError(f"unbound variable '{e.name}'")
             got = args[e.name]
         elif isinstance(e, Neg):
             a = emit(e.a)

@@ -47,8 +47,8 @@ class Metric:
     kind is "temporal" (components over t1..tp) or "spatial" (over x1..xn).
     box optionally bounds the chart domain where nondegeneracy is certified.
 
-    Numeric values come from three compiled tables (`compile_table`), each
-    built on first use: g; det g with g^-1; det g with the Christoffel
+    Numeric values come from three `compile_table` tables, each built on
+    first use: g; det g with g^-1; det g with the Christoffel
     symbols.  Pointwise evaluation is the one-point batch, run on floats.
     The symbolic Christoffel symbols are cached, and `checked_table` lets
     other tables built from them (the canonical sprays) keep the same
@@ -65,6 +65,8 @@ class Metric:
         self.dim = len(self.components)
         self.box = None if box is None else [tuple(b) for b in box]
         self._kernels: dict[str, Callable[..., tuple]] = {}
+        # canonical sprays' tables by the other factor's dimension (sprays.py)
+        self._spray_tables: dict[int, object] = {}
         allowed = set(self.variables)
         for row in self.components:
             if len(row) != self.dim:
@@ -216,8 +218,12 @@ def pullback_metric(metric: Metric, change: ChangeMap) -> Metric:
     """Express a metric in the target chart of a product change.
 
     g~_{cd}(u) = g_{ab}(phi^{-1}(u)) * d phi^{-1 a}/d u^c * d phi^{-1 b}/d u^d,
-    built by Expr substitution, so the result is exact.
+    built by Expr substitution, so the result is exact.  Built once per
+    (metric, change): every caller shares the pulled-back metric, its
+    symbolic tables and its kernels.
     """
+    if metric in change._pulled:
+        return change._pulled[metric]
     if metric.kind == "temporal":
         if change.p != metric.dim:
             raise GeometryError("temporal change dimension does not match metric")
@@ -241,7 +247,9 @@ def pullback_metric(metric: Metric, change: ChangeMap) -> Metric:
                 for b in range(d):
                     acc = add(acc, mul(mul(comp[a][b], dinv[a][c]), dinv[b][e]))
             out[c][e] = acc
-    return Metric(f"{metric.name}@{change.name}", metric.kind, out, box=None)
+    pulled = change._pulled[metric] = Metric(f"{metric.name}@{change.name}", metric.kind,
+                                             out, box=None)
+    return pulled
 
 
 # ---------------------------------------------------------------------------

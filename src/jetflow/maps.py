@@ -163,7 +163,7 @@ def _jet_kernel(spray, n: int) -> tuple[Callable[..., Sequence[float]], slice]:
     det g check); any other `coefficients` runs on a JetPoint."""
     tables = spray.tables
     if tables is not None and spray.coefficients == tables.coefficients:
-        return tables.kernel, slice(1, n + 1)
+        return tables.kernel.compiled(), slice(1, n + 1)
 
     def kernel(*args: float) -> list[float]:
         u = JetPoint(np.array(args[:1]), np.array(args[1:1 + n]),

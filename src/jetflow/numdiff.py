@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exprlang import (
-    Expr, add, call, diff, div, free_vars, mul, num, sub, subst, var,
+    Expr, add, call, compile_table, diff, div, free_vars, mul, num, sub, subst, var,
 )
 
 __all__ = [
@@ -84,16 +84,6 @@ class ChartError(ValueError):
     pass
 
 
-def _eval_vector(exprs: Sequence[Expr], names: Sequence[str], values: np.ndarray) -> np.ndarray:
-    env = dict(zip(names, values))
-    return np.array([e.eval(env) for e in exprs], dtype=float)
-
-
-def _eval_matrix(exprs: Sequence[Sequence[Expr]], names: Sequence[str], values: np.ndarray) -> np.ndarray:
-    env = dict(zip(names, values))
-    return np.array([[e.eval(env) for e in row] for row in exprs], dtype=float)
-
-
 class ChangeMap:
     """Product-form chart change t~ = t~(t), x~ = x~(x) with symbolic inverse.
 
@@ -101,6 +91,8 @@ class ChangeMap:
     n Exprs over x1..xn (the inverse components are written in the same
     variable names, read as the target chart's coordinates).  Optional
     domain boxes bound where the forward map is certified invertible.
+    Values at a point (maps, Jacobians, Hessians) come from one
+    `compile_table` table each, built on first use.
     """
 
     def __init__(self, name: str, forward_t: Sequence[Expr], forward_x: Sequence[Expr],
@@ -116,6 +108,8 @@ class ChangeMap:
         self.inverse_x = list(inverse_x)
         self.box_t = None if box_t is None else [tuple(b) for b in box_t]
         self.box_x = None if box_x is None else [tuple(b) for b in box_x]
+        self._tables: dict[str, Callable[..., tuple]] = {}   # see _at
+        self._pulled: dict = {}     # metric -> its pullback, see geometry.pullback_metric
         if len(inverse_t) != self.p or len(inverse_x) != self.n:
             raise ChartError("forward and inverse components disagree in dimension")
         tset, xset = set(temporal_names(self.p)), set(spatial_names(self.n))
@@ -162,37 +156,50 @@ class ChangeMap:
 
     # pointwise evaluation ---------------------------------------------------
 
+    def _at(self, table: str, point: np.ndarray) -> np.ndarray:
+        """Values at a point of one factor of the nested symbolic table held
+        in the attribute `table` (a name ending in _t or _x for the factor;
+        `_d` marks first and `_d2` second derivatives).  Each table runs
+        through `compile_table`, built on first use."""
+        exprs = getattr(self, table)
+        rank = 1 + table.startswith("_d") + table.startswith("_d2")
+        kernel = self._tables.get(table)
+        if kernel is None:
+            flat = exprs
+            for _ in range(rank - 1):
+                flat = [e for row in flat for e in row]
+            names = temporal_names(self.p) if table.endswith("t") else spatial_names(self.n)
+            kernel = self._tables[table] = compile_table(flat, names)
+        values = kernel(*np.asarray(point, float).tolist())
+        return np.array(values, dtype=float).reshape((len(exprs),) * rank)
+
     def forward(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (_eval_vector(self.forward_t, temporal_names(self.p), np.asarray(t, float)),
-                _eval_vector(self.forward_x, spatial_names(self.n), np.asarray(x, float)))
+        return self._at("forward_t", t), self._at("forward_x", x)
 
     def inverse(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (_eval_vector(self.inverse_t, temporal_names(self.p), np.asarray(t, float)),
-                _eval_vector(self.inverse_x, spatial_names(self.n), np.asarray(x, float)))
+        return self._at("inverse_t", t), self._at("inverse_x", x)
 
     def jacobian_t(self, t: np.ndarray) -> np.ndarray:
         """A[a, b] = d t~^a / d t^b at t."""
-        return _eval_matrix(self._dft, temporal_names(self.p), np.asarray(t, float))
+        return self._at("_dft", t)
 
     def jacobian_x(self, x: np.ndarray) -> np.ndarray:
         """B[i, j] = d x~^i / d x^j at x."""
-        return _eval_matrix(self._dfx, spatial_names(self.n), np.asarray(x, float))
+        return self._at("_dfx", x)
 
     def inv_jacobian_t(self, t_new: np.ndarray) -> np.ndarray:
         """(A^-1)[a, b] = d t^a / d t~^b, from the inverse Exprs at the image point."""
-        return _eval_matrix(self._dit, temporal_names(self.p), np.asarray(t_new, float))
+        return self._at("_dit", t_new)
 
     def inv_jacobian_x(self, x_new: np.ndarray) -> np.ndarray:
-        return _eval_matrix(self._dix, spatial_names(self.n), np.asarray(x_new, float))
+        return self._at("_dix", x_new)
 
     def hessian_t(self, t: np.ndarray) -> np.ndarray:
         """H[a, b, c] = d^2 t~^a / d t^b d t^c at t."""
-        env = dict(zip(temporal_names(self.p), np.asarray(t, float)))
-        return np.array([[[e.eval(env) for e in row] for row in mat] for mat in self._d2ft], dtype=float)
+        return self._at("_d2ft", t)
 
     def hessian_x(self, x: np.ndarray) -> np.ndarray:
-        env = dict(zip(spatial_names(self.n), np.asarray(x, float)))
-        return np.array([[[e.eval(env) for e in row] for row in mat] for mat in self._d2fx], dtype=float)
+        return self._at("_d2fx", x)
 
     # structure --------------------------------------------------------------
 

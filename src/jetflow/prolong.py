@@ -192,7 +192,7 @@ def flow_point(X: BaseVectorField, t: np.ndarray, x: np.ndarray,
                eps: float, substeps: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """RK4 integration of the flow of X from (t, x) for parameter eps, on
     Python floats through the compiled components."""
-    rhs = X._values
+    rhs = X._values.compiled()
     y = np.asarray(t, float).tolist() + np.asarray(x, float).tolist()
     ds = eps / substeps
     half, sixth = 0.5 * ds, ds / 6.0

@@ -17,8 +17,9 @@ metric Christoffel symbols:
 The difference of two sprays of the same kind is a d-tensor; a spray is
 canonical part plus d-tensor remainder.
 
-A canonical spray is one compiled table over the jet variables (built from
-the metric's symbolic Christoffel symbols on first use); its pointwise and
+A canonical spray is one table over the jet variables (built from the
+metric's symbolic Christoffel symbols on first use, and shared by every
+canonical spray of the same metric and dimensions); its pointwise and
 batched coefficients run the same table, and constant folding makes the
 spray of a flat metric a table of zeros.
 """
@@ -113,7 +114,7 @@ class SprayPair:
 
 
 class _SprayTables:
-    """The compiled tables of a canonical spray, each built on first use:
+    """The `compile_table` tables of a canonical spray, each built on first use:
     its coefficients arr[j, b, a] (row-major) and their jet gradient
     d arr[j, b, a] / d x^k_g.  Both run over the jet variables t1..tp,
     x1..xn, x1_1..xn_p and lead with det g, so a degenerate metric stops
@@ -168,6 +169,18 @@ def _total(terms) -> Expr:
     return reduce(add, terms, num(0.0))
 
 
+def _tables_of(metric: Metric, p: int, n: int,
+               entries: Callable[[], list[Expr]]) -> _SprayTables:
+    """The canonical spray tables of a metric with the other factor of the
+    jet space, built once per (metric, other dimension): every canonical
+    spray of that pair shares them, and their compiled kernels."""
+    other = n if metric.kind == "temporal" else p
+    tables = metric._spray_tables.get(other)
+    if tables is None:
+        tables = metric._spray_tables[other] = _SprayTables(metric, p, n, entries)
+    return tables
+
+
 def canonical_temporal(h: Metric, n: int) -> TemporalSpray:
     if h.kind != "temporal":
         raise SprayError("canonical temporal spray needs a temporal metric")
@@ -180,7 +193,7 @@ def canonical_temporal(h: Metric, n: int) -> TemporalSpray:
                                       for g in range(p)))
                 for j in range(n) for b in range(p) for a in range(p)]
 
-    tables = _SprayTables(h, p, n, entries)
+    tables = _tables_of(h, p, n, entries)
     return TemporalSpray(p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
                          rebuild=lambda c: canonical_temporal(pullback_metric(h, c), n),
                          coefficients_batch=tables.coefficients_batch,
@@ -200,7 +213,7 @@ def canonical_spatial(phi: Metric, p: int) -> SpatialSpray:
                                      for k in range(n) for l in range(n)))
                 for j in range(n) for b in range(p) for a in range(p)]
 
-    tables = _SprayTables(phi, p, n, entries)
+    tables = _tables_of(phi, p, n, entries)
     return SpatialSpray(p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
                         rebuild=lambda c: canonical_spatial(pullback_metric(phi, c), p),
                         coefficients_batch=tables.coefficients_batch,

@@ -194,7 +194,7 @@ def test_compiled_table_shares_equal_subtrees():
     # product and the sum, so the function has one local per distinct node
     exprs = [parse("sin(x)*sin(x) + sin(x)"), parse("sin(x)*sin(x)"), parse("sin(x)")]
     table = compile_table(exprs, ["x"])
-    assert table.__code__.co_nlocals == 1 + 3
+    assert table.compiled().__code__.co_nlocals == 1 + 3
     assert table(0.5) == tuple(evaluate(e, {"x": 0.5}) for e in exprs)
 
 
@@ -373,6 +373,24 @@ def test_memoised_diff_equals_reference_on_random_trees():
             assert diff(shared, v) == naive_diff(shared, v)
         m = {"x": add(var("y"), num(1.0)), "y": call("sin", var("x"))}
         assert subst(shared, m) == naive_subst(shared, m)
+
+
+def test_diff_is_kept_on_the_node_across_calls():
+    rng = np.random.default_rng(707)
+    for _ in range(50):
+        e = _random_expr(rng, 4)
+        shared = mul(e, add(e, var("y")))
+        if isinstance(shared, (Num, Var)):
+            continue
+        for v in ("x", "y"):
+            first = diff(shared, v)
+            assert diff(shared, v) is first         # a new outermost call
+            assert first == naive_diff(shared, v)
+            if isinstance(first, (Num, Var)):
+                continue                            # leaves keep no derivatives
+            second = diff(first, "x")
+            assert diff(diff(shared, v), "x") is second
+            assert second == naive_diff(naive_diff(shared, v), "x")
 
 
 def test_evaluate_table_is_bit_equal_to_the_interpreter():

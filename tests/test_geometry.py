@@ -238,6 +238,16 @@ def test_pullback_preserves_lengths():
         assert abs(length - length_new) < 1e-10 * max(1.0, abs(length))
 
 
+def test_pullback_is_shared_per_metric_and_change():
+    rng = np.random.default_rng(5)
+    g, h = metric_from_name("sphere:2"), metric_from_name("hyperbolic:2")
+    c, d = nd.random_change(rng, 1, 2, "mixed"), nd.random_change(rng, 1, 2, "mixed")
+    assert pullback_metric(g, c) is pullback_metric(g, c)
+    others = {id(pullback_metric(g, d)), id(pullback_metric(h, c)),
+              id(pullback_metric(metric_from_name("sphere:2"), c))}
+    assert id(pullback_metric(g, c)) not in others and len(others) == 3
+
+
 def test_pullback_temporal_kind_and_dimension_checks():
     h = metric_from_name("exp1d")
     rng = np.random.default_rng(7)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jetflow import geometry
+from jetflow import geometry, numdiff as nd
 from jetflow.dtensor import is_dtensor
 from jetflow.exprlang import Num, compile_table, num, parse
 from jetflow.geometry import GeometryError, Metric, metric_from_name
@@ -389,3 +389,20 @@ def test_each_spray_compiles_its_table_once(monkeypatch):
             s.jet_gradient(jets[0])
         assert len(built) == before + 2
     assert not h._kernels and not phi._kernels         # no Christoffel tabulation
+
+
+def test_canonical_sprays_share_tables_per_metric_and_dimension():
+    h, phi = metric_from_name("exp1d"), metric_from_name("sphere:2")
+    assert canonical_temporal(h, 2).tables is canonical_temporal(h, 2).tables
+    assert canonical_temporal(h, 2).tables is not canonical_temporal(h, 3).tables
+    assert canonical_spatial(phi, 1).tables is canonical_spatial(phi, 1).tables
+    assert canonical_spatial(phi, 1).tables is not canonical_spatial(phi, 2).tables
+    other = metric_from_name("sphere:2")
+    assert canonical_spatial(other, 1).tables is not canonical_spatial(phi, 1).tables
+    u = JetPoint(np.array([0.2]), np.array([1.0, 0.3]), np.array([[0.5], [-0.4]]))
+    assert np.array_equal(canonical_spatial(phi, 1).coefficients(u),
+                          canonical_spatial(other, 1).coefficients(u))
+    # a rebuilt spray uses the shared pullback, so its tables are shared too
+    c = nd.random_change(np.random.default_rng(6), 1, 2, "shear")
+    s = canonical_spatial(phi, 1)
+    assert s.in_chart(c).tables is s.in_chart(c).tables

@@ -1,0 +1,203 @@
+"""Tiered tables: a table answers its first WALK_CALLS float calls by the DAG
+walk and then runs its compiled function.  Both tiers must agree bit for
+bit with the tree interpreter, for every structure that builds tables, and
+raise the interpreter's first error."""
+
+import numpy as np
+import pytest
+
+from jetflow import exprlang, numdiff as nd
+from jetflow.exprlang import WALK_CALLS, ExprError, compile_table, diff, parse
+from jetflow.geometry import GeometryError, Metric, metric_from_name
+from jetflow.maps import solve_affine_ode
+from jetflow.numdiff import spatial_names, temporal_names
+from jetflow.prolong import BaseVectorField, flow_point, pushforward
+from jetflow.sprays import canonical_pair, canonical_spatial, canonical_temporal
+
+from helpers import metric_and_points
+from test_exprlang import DOMAIN_ERRORS
+from test_geometry import CATALOG
+
+CHANGE_KINDS = [None, "affine", "shear", "mixed"]
+CALLS = WALK_CALLS + 2
+
+
+def _bits(values) -> list[str]:
+    """Exact text of each value: equal lists mean equal types and bits."""
+    return [repr(v) for v in values]
+
+
+def assert_tiers_match_interpreter(call, exprs, names, points, table=None):
+    """Calls 1 .. WALK_CALLS + 2 of `call` on the float rows of `points`
+    equal ``Expr.eval`` bit for bit; one call on the columns equals
+    ``Expr.eval`` on the columns bit for bit, and each of its rows the float
+    call on that row to 1e-13.  With `table`, also check which tier ran."""
+    points = np.asarray(points, float)
+    assert len(points) == CALLS
+    rows = []
+    for k, pt in enumerate(points):
+        env = dict(zip(names, pt.tolist()))
+        got = call(*pt.tolist())
+        assert _bits(got) == _bits(e.eval(env) for e in exprs), k
+        rows.append(got)
+        if table is not None:
+            assert (table._fn is not None) == (k >= WALK_CALLS), k
+    cols = list(points.T)
+    env = dict(zip(names, cols))
+    got = call(*cols)
+    for k, e in enumerate(exprs):
+        want = np.broadcast_to(np.asarray(e.eval(env), float), (len(points),))
+        column = np.broadcast_to(np.asarray(got[k], float), (len(points),))
+        assert column.tobytes() == want.tobytes(), k
+    for k, row in enumerate(rows):
+        want = np.asarray(row, float)
+        column = np.array([np.broadcast_to(g, (len(points),))[k] for g in got])
+        assert np.max(np.abs(column - want) / np.maximum(1.0, np.abs(want)), initial=0) <= 1e-13
+
+
+def _fresh(table):
+    """A new table of the same entries, in its first tier."""
+    return compile_table(table.exprs, table.names, table.check)
+
+
+@pytest.mark.parametrize("change_kind", CHANGE_KINDS)
+@pytest.mark.parametrize("name,kind", CATALOG)
+def test_metric_tables_tiers_match_interpreter(name, kind, change_kind):
+    rng = np.random.default_rng(sum(map(ord, "tiers" + name + kind + str(change_kind))))
+    g, pts = metric_and_points(name, kind, change_kind, rng, count=CALLS)
+    for which in ("g", "inverse", "christoffel"):
+        table = g._kernel(which)
+        assert table._fn is None
+        assert_tiers_match_interpreter(table, g._exprs(which), g.variables, pts, table)
+
+
+# the 3-dimensional catalog metric is left out here: the interpreter walks
+# every path of a pulled-back 3-d spray table's DAG, which takes seconds
+@pytest.mark.parametrize("change_kind", CHANGE_KINDS)
+@pytest.mark.parametrize("name,kind", [c for c in CATALOG if c[0] != "euclidean:3"])
+def test_spray_tables_tiers_match_interpreter(name, kind, change_kind):
+    rng = np.random.default_rng(sum(map(ord, "spray" + name + kind + str(change_kind))))
+    g, pts = metric_and_points(name, kind, change_kind, rng, count=CALLS)
+    # the other factor is 1-dimensional, for the same reason
+    if kind == "temporal":
+        p, n = g.dim, 1
+        s = canonical_temporal(g, n)
+        T, X = pts, rng.uniform(-1.0, 1.0, (CALLS, n))
+    else:
+        p, n = 1, g.dim
+        s = canonical_spatial(g, p)
+        T, X = rng.uniform(-1.0, 1.0, (CALLS, p)), pts
+    V = rng.normal(0.0, 1.5, (CALLS, n * p))
+    args = np.hstack([T, X, V])
+    tables = s.tables
+    for table in (tables.kernel, tables._gradient):
+        assert_tiers_match_interpreter(table, table.exprs, tables.names, args, table)
+
+
+FIELDS = {
+    "polynomial-trig": (["1 + 0.1*t2", "0.3*x1"], ["x2*t1", "-sin(x1) + t2^2"]),
+    "exp-log-sqrt": (["exp(0.3*x1) - 1", "log(2 + t1^2)"],
+                     ["sqrt(1 + x2^2)*t2", "0.2*exp(t1)*x1/(2 + sin(x2))"]),
+}
+
+
+@pytest.mark.parametrize("change_kind", CHANGE_KINDS)
+@pytest.mark.parametrize("name", FIELDS)
+def test_vector_field_tables_tiers_match_interpreter(name, change_kind):
+    rng = np.random.default_rng(sum(map(ord, name + str(change_kind))))
+    X = BaseVectorField(2, 2, *FIELDS[name], name=name)
+    if change_kind is not None:
+        X = pushforward(X, nd.random_change(rng, X.p, X.n, change_kind))
+    pts = rng.uniform(-0.8, 0.8, (CALLS, X.p + X.n))
+    comps = X.temporal + X.spatial
+    assert_tiers_match_interpreter(X._values, comps, X.variables, pts, X._values)
+    partials = [diff(e, v) for e in comps for v in X.variables]
+    assert_tiers_match_interpreter(lambda *a: [d for row in X._gradients(*a) for d in row],
+                                   partials, X.variables, pts)
+
+
+CHANGE_TABLES = ("forward_t", "forward_x", "inverse_t", "inverse_x",
+                 "_dft", "_dfx", "_dit", "_dix", "_d2ft", "_d2fx")
+
+
+@pytest.mark.parametrize("kind", ["affine", "shear", "monotone", "mixed"])
+def test_change_tables_tiers_match_interpreter(kind):
+    rng = np.random.default_rng(sum(map(ord, "change" + kind)))
+    c = nd.random_change(rng, 2, 2, kind)
+    pts = rng.uniform(-0.8, 0.8, (CALLS, 4))
+    names = temporal_names(2) + spatial_names(2)
+    images = np.array([[e.eval(dict(zip(names, pt))) for e in c.forward_t + c.forward_x]
+                       for pt in pts.tolist()])
+    for attr in CHANGE_TABLES:
+        exprs = getattr(c, attr)
+        for _ in range(attr.startswith("_d") + attr.startswith("_d2")):
+            exprs = [e for row in exprs for e in row]
+        at = images if attr.startswith(("inverse", "_di")) else pts
+        temporal = attr.endswith("t")
+        tiers = []
+
+        def call(*values):
+            if isinstance(values[0], np.ndarray):       # columns: the table itself
+                return c._tables[attr](*values)
+            out = c._at(attr, np.array(values)).ravel().tolist()
+            tiers.append(c._tables[attr]._fn is not None)
+            return out
+
+        assert attr not in c._tables
+        assert_tiers_match_interpreter(call, exprs, names[:2] if temporal else names[2:],
+                                       at[:, :2] if temporal else at[:, 2:])
+        assert tiers == [False] * WALK_CALLS + [True, True]
+
+
+@pytest.mark.parametrize("arrays", [False, True])
+@pytest.mark.parametrize("text,env", DOMAIN_ERRORS)
+def test_both_tiers_raise_the_interpreters_domain_error(text, env, arrays):
+    if arrays:
+        env = {k: np.array([1.0, v, 2.0]) for k, v in env.items()}
+    with pytest.raises(ExprError) as want:
+        parse(text).eval(env)
+    names = sorted(env) or ["x"]
+    values = [env[k] for k in sorted(env)] or [1.0]
+    table = compile_table([parse("x + 1"), parse(text)], names)
+    with pytest.raises(ExprError) as first:
+        table(*values)              # the walk on floats; arrays compile at once
+    assert (table._fn is not None) == any(isinstance(v, np.ndarray) for v in values)
+    with pytest.raises(ExprError) as compiled:
+        table.compiled()(*values)
+    assert str(first.value) == str(compiled.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind", ["spatial", "temporal"])
+def test_degenerate_metric_raises_from_both_tiers(kind):
+    v = "x1" if kind == "spatial" else "t1"
+    g = Metric("deg", kind, [[parse(v), parse("0")], [parse("0"), parse("1")]])
+    s = canonical_spatial(g, 2) if kind == "spatial" else canonical_temporal(g, 2)
+    for bad in (0.0, 1e-14):
+        pt = [bad, 1.0]
+        other = [0.5, 0.5]
+        jet = (other + pt if kind == "spatial" else pt + other) + [1.0] * 4
+        for table, args in ((g._kernel("inverse"), pt), (g._kernel("christoffel"), pt),
+                            (s.tables.kernel, jet), (s.tables._gradient, jet)):
+            fresh = _fresh(table)
+            with pytest.raises(GeometryError, match="degenerate"):
+                fresh(*args)
+            assert fresh._fn is None
+            with pytest.raises(GeometryError, match="degenerate"):
+                fresh.compiled()(*args)
+
+
+def test_solver_loops_compile_once_and_never_walk(monkeypatch):
+    walks, compiles = [], []
+    real_walk, real_compile = exprlang.evaluate_table, exprlang._compile
+    monkeypatch.setattr(exprlang, "evaluate_table",
+                        lambda *a, **k: walks.append(a) or real_walk(*a, **k))
+    monkeypatch.setattr(exprlang, "_compile",
+                        lambda *a, **k: compiles.append(a) or real_compile(*a, **k))
+    pair = canonical_pair(metric_from_name("exp1d"), metric_from_name("sphere:2"))
+    for _ in range(2):
+        solve_affine_ode(pair, [1.2, 0.1], [0.3, -0.5], (0.0, 0.5), 20)
+    assert len(compiles) == 2 and not walks          # one kernel per spray
+    X = BaseVectorField(2, 2, *FIELDS["exp-log-sqrt"])
+    for eps in (0.01, -0.02):
+        flow_point(X, np.array([0.1, 0.2]), np.array([0.3, 0.4]), eps)
+    assert len(compiles) == 3 and not walks
