@@ -2,8 +2,8 @@
 
 First integrates the equatorial great circle with the RK4 second-order
 solver and reads off the period and the metric-energy drift.  Then solves
-a flat-target Dirichlet problem on [0,1]^2 with the damped-Jacobi grid
-relaxation and compares against the closed-form harmonic polynomial.
+a flat-target Dirichlet problem on [0,1]^2 with the multigrid grid
+solver and compares against the closed-form harmonic polynomial.
 
 Run:  python3 demos/geodesics_and_harmonic_maps.py
 """
@@ -39,6 +39,6 @@ grid = solve_harmonic_grid(flat_pair, flat_h, boundary, m=33, tol=1e-9,
                            domain=[(0.0, 1.0), (0.0, 1.0)])
 G1, G2 = np.meshgrid(grid.t1, grid.t2, indexing="ij")
 err = np.max(np.abs(grid.values[..., 0] - (G1 ** 2 - G2 ** 2)))
-print(f"  status              = {grid.status} after {grid.iterations} sweeps")
+print(f"  status              = {grid.status} after {grid.iterations} V-cycles")
 print(f"  max residual        = {grid.max_residual:.2e}")
 print(f"  error vs closed form= {err:.2e}")

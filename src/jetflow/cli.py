@@ -98,6 +98,19 @@ def _cmd_geodesic(sc: Scenario, args) -> int:
     return 0
 
 
+# the harmonic report's residual history keeps at most this many entries
+HISTORY_ENTRIES = 64
+
+
+def _decimated(history) -> list[float]:
+    """Every k-th entry of `history` and its last, k = ceil(len / HISTORY_ENTRIES)."""
+    k = max(1, -(-len(history) // HISTORY_ENTRIES))
+    kept = [float(r) for r in history[k - 1::k]]
+    if len(history) % k:
+        kept.append(float(history[-1]))
+    return kept
+
+
 def _cmd_harmonic(sc: Scenario, args) -> int:
     section = sc.section("harmonic")
     if sc.p != 2:
@@ -124,6 +137,7 @@ def _cmd_harmonic(sc: Scenario, args) -> int:
         "status": sol.status,
         "iterations": int(sol.iterations),
         "max_residual": float(sol.max_residual),
+        "residual_history": _decimated(sol.history),
     }
     _emit(report, args.output)
     if args.csv:

@@ -99,9 +99,7 @@ def jet_env(u: JetPoint) -> dict[str, float]:
 def transform_jet(change: ChangeMap, u: JetPoint) -> JetPoint:
     """Apply the product chart change to a jet point."""
     jb = jacobian_blocks(change, u.t, u.x)
-    t_new, x_new = change.forward(u.t, u.x)
-    v_new = jb.B @ u.v @ jb.A_inv
-    return JetPoint(t_new, x_new, v_new)
+    return JetPoint(jb.t_new, jb.x_new, jb.B @ u.v @ jb.A_inv)
 
 
 def mixed_jet_derivatives(change: ChangeMap, u: JetPoint):

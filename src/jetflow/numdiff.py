@@ -241,14 +241,17 @@ class JacobianBlocks:
     B: np.ndarray       # d x~ / d x,   n x n
     A_inv: np.ndarray   # d t / d t~ at the image point
     B_inv: np.ndarray
+    t_new: np.ndarray   # the image point (t~, x~)
+    x_new: np.ndarray
 
 
 def jacobian_blocks(change: ChangeMap, t: np.ndarray, x: np.ndarray) -> JacobianBlocks:
     """Evaluate the block Jacobians of a product-form change at (t, x).
 
     Forward blocks are symbolic derivatives at (t, x); inverse blocks are the
-    inverse components' symbolic derivatives at the image point.  A nearly
-    singular block (|det| < 1e-12) raises ChartError.
+    inverse components' symbolic derivatives at the image point, which is
+    returned with them.  A nearly singular block (|det| < 1e-12) raises
+    ChartError.
     """
     A = change.jacobian_t(t)
     B = change.jacobian_x(x)
@@ -258,7 +261,8 @@ def jacobian_blocks(change: ChangeMap, t: np.ndarray, x: np.ndarray) -> Jacobian
     t_new, x_new = change.forward(t, x)
     return JacobianBlocks(A=A, B=B,
                           A_inv=change.inv_jacobian_t(t_new),
-                          B_inv=change.inv_jacobian_x(x_new))
+                          B_inv=change.inv_jacobian_x(x_new),
+                          t_new=t_new, x_new=x_new)
 
 
 # ---------------------------------------------------------------------------

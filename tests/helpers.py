@@ -104,6 +104,83 @@ def reference_affine_ode(pair, x0, v0, t_span, steps):
     return ts, xs, vs
 
 
+
+def jacobi_harmonic_reference(pair, h, boundary, m=33, tol=1e-9, max_iters=20000,
+                              damping=0.8, domain=None):
+    """Damped Jacobi relaxation for the p = 2 harmonic map equation on an
+    m x m grid, one sweep per iteration; the reference for the multigrid
+    `solve_harmonic_grid`, whose single-level case is this loop.  Returns
+    (status, sweeps, max_residual, t1, t2, values, history), history being
+    max|R| after each sweep."""
+    from jetflow.geometry import GeometryError
+    from jetflow.maps import _batch_coefficients
+
+    n = pair.temporal.n
+    box = list(domain) if domain is not None else (h.box or [(-1.0, 1.0), (-1.0, 1.0)])
+    t1 = np.linspace(box[0][0], box[0][1], m)
+    t2 = np.linspace(box[1][0], box[1][1], m)
+    d1 = t1[1] - t1[0]
+    d2 = t2[1] - t2[0]
+
+    bmap = boundary
+    values = np.zeros((m, m, n))
+    for i in (0, m - 1):
+        for j in range(m):
+            values[i, j] = bmap(np.array([t1[i], t2[j]]))
+            values[j, i] = bmap(np.array([t1[j], t2[i]]))
+
+    # interior-node temporal coordinates, flattened row-major
+    TT1, TT2 = np.meshgrid(t1[1:-1], t2[1:-1], indexing="ij")
+    T = np.stack([TT1.ravel(), TT2.ravel()], axis=1)
+    hinv = h.inverse_batch(T)                     # (q, 2, 2)
+    kappa = 2.0 * (hinv[:, 0, 0] / d1 ** 2 + hinv[:, 1, 1] / d2 ** 2)   # (q,)
+    if np.any(kappa <= 0):
+        raise GeometryError("metric inverse is not positive on the grid diagonal")
+
+    def residual(vals: np.ndarray) -> np.ndarray:
+        c = vals[1:-1, 1:-1]                      # (m-2, m-2, n)
+        e, w = vals[2:, 1:-1], vals[:-2, 1:-1]
+        nn, ss = vals[1:-1, 2:], vals[1:-1, :-2]
+        ne, sw = vals[2:, 2:], vals[:-2, :-2]
+        nw, se = vals[:-2, 2:], vals[2:, :-2]
+        d11 = (e - 2 * c + w) / d1 ** 2
+        d22 = (nn - 2 * c + ss) / d2 ** 2
+        d12 = (ne + sw - nw - se) / (4 * d1 * d2)
+        v1 = (e - w) / (2 * d1)
+        v2 = (nn - ss) / (2 * d2)
+        q = (m - 2) * (m - 2)
+        X = c.reshape(q, n)
+        V = np.stack([v1.reshape(q, n), v2.reshape(q, n)], axis=2)  # (q, n, 2)
+        coeffs = (_batch_coefficients(pair.spatial, T, X, V)
+                  + _batch_coefficients(pair.temporal, T, X, V))    # (q, n, 2, 2)
+        x2 = np.empty((q, n, 2, 2))
+        x2[:, :, 0, 0] = d11.reshape(q, n)
+        x2[:, :, 1, 1] = d22.reshape(q, n)
+        x2[:, :, 0, 1] = x2[:, :, 1, 0] = d12.reshape(q, n)
+        return np.einsum("qab,qiab->qi", hinv, x2 + 2.0 * coeffs)   # (q, n)
+
+    R = residual(values)
+    initial = max(float(np.max(np.abs(R))), 1e-30)
+    if initial <= tol:
+        return "converged", 0, initial, t1, t2, values, []
+    status = "max-iterations"
+    iterations = max_iters
+    history = []
+    for sweep in range(1, max_iters + 1):
+        step = (damping * R / kappa[:, None]).reshape(m - 2, m - 2, n)
+        values[1:-1, 1:-1] += step
+        R = residual(values)
+        worst = float(np.max(np.abs(R)))
+        history.append(worst)
+        if worst <= tol:
+            status, iterations = "converged", sweep
+            break
+        if worst > 10.0 * initial or not np.isfinite(worst):
+            status, iterations = "diverged", sweep
+            break
+    return status, iterations, float(np.max(np.abs(R))), t1, t2, values, history
+
+
 # --- reference symbolic rules: plain recursion, no memo ----------------------
 
 

@@ -187,6 +187,8 @@ def test_harmonic_converges_and_writes_csv(tmp_path):
     report = json.loads(r.stdout)
     assert report["status"] == "converged"
     assert report["max_residual"] <= 1e-9
+    assert len(report["residual_history"]) == report["iterations"] <= 25
+    assert report["residual_history"][-1] == report["max_residual"]
     with open(out_csv, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t1", "t2", "x1"]
@@ -196,6 +198,37 @@ def test_harmonic_converges_and_writes_csv(tmp_path):
     # solution matches the quadratic in the interior too (stencil-exact)
     mid = rows[1 + 8 * 17 + 8]                            # t = (0, 0)
     assert abs(float(mid[2])) < 1e-7
+
+
+def test_single_level_residual_history_is_decimated(tmp_path):
+    """An even grid runs one Jacobi sweep per iteration; the report keeps
+    every k-th residual and the last, at most 64 entries."""
+    payload = {
+        "dimensions": {"p": 2, "n": 1},
+        "metrics": {"temporal": "conformal2d:0.3*t1 - 0.2*t2",
+                    "spatial": "euclidean:1"},
+        "harmonic": {"boundary": ["exp(t1)*cos(t2)"], "grid": 12,
+                     "domain": [[-1.0, 1.0], [-1.0, 1.0]]},
+    }
+    r = run_cli("harmonic", write_scenario(tmp_path, payload))
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    iterations, history = report["iterations"], report["residual_history"]
+    assert report["status"] == "converged" and iterations > 64
+    k = -(-iterations // 64)
+    assert len(history) == -(-iterations // k) <= 64
+    assert history[-1] == report["max_residual"]
+    assert all(b < a for a, b in zip(history, history[1:]))
+
+
+def test_history_decimation():
+    from jetflow.cli import _decimated
+    assert _decimated([]) == []
+    assert _decimated(range(1, 65)) == list(range(1, 65))
+    assert _decimated(range(1, 66)) == list(range(2, 65, 2)) + [65]
+    assert _decimated(range(1, 129)) == list(range(2, 129, 2))
+    assert _decimated(range(1, 20001))[-2:] == [19719.0, 20000.0]
+    assert all(len(_decimated(range(n))) <= 64 for n in range(1, 2000, 7))
 
 
 def test_harmonic_requires_p2(tmp_path):

@@ -112,6 +112,31 @@ def test_transform_jet_inverse_round_trip():
     assert np.max(np.abs(w.t - u.t)) < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["affine", "shear", "mixed"])
+def test_transform_jet_maps_the_point_once(monkeypatch, kind):
+    """One forward chart evaluation per call (the image point comes with
+    the Jacobian blocks), and the same jet bit for bit as the forward map
+    and the blocks evaluated separately."""
+    rng = np.random.default_rng(24)
+    c = nd.random_change(rng, 2, 3, kind)
+    jets = [random_jet(rng, 2, 3) for _ in range(4)]
+    want = []
+    for u in jets:
+        jb = nd.jacobian_blocks(c, u.t, u.x)
+        t_new, x_new = c.forward(u.t, u.x)
+        want.append((t_new, x_new, jb.B @ u.v @ jb.A_inv))
+    calls = []
+    forward = nd.ChangeMap.forward
+    monkeypatch.setattr(nd.ChangeMap, "forward",
+                        lambda self, t, x: calls.append(1) or forward(self, t, x))
+    for u, (t_new, x_new, v_new) in zip(jets, want):
+        before = len(calls)
+        w = transform_jet(c, u)
+        assert len(calls) - before == 1
+        assert np.array_equal(w.t, t_new) and np.array_equal(w.x, x_new)
+        assert np.array_equal(w.v, v_new)
+
+
 # --- natural frame change -------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from jetflow.maps import (
     solve_harmonic_grid,
     spray_source,
 )
+from jetflow import maps
 from jetflow.sprays import (
     SprayPair,
     canonical_pair,
@@ -27,7 +28,7 @@ from jetflow.sprays import (
     spray_from_hspray,
 )
 
-from helpers import reference_affine_ode, standard_metrics
+from helpers import jacobi_harmonic_reference, reference_affine_ode, standard_metrics
 
 
 def _flat_pair(p, n):
@@ -321,3 +322,113 @@ def test_grid_solver_with_callable_boundary():
     assert sol.converged
     G1, G2 = np.meshgrid(sol.t1, sol.t2, indexing="ij")
     assert np.max(np.abs(sol.values[:, :, 0] - (G1 - G2))) < 1e-8
+
+
+SQUARE = [(-1.0, 1.0), (-1.0, 1.0)]
+
+
+def _conformal_pair():
+    h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
+    return canonical_pair(h, metric_from_name("euclidean:1")), h
+
+
+@pytest.mark.parametrize("temporal", ["euclidean:2", "conformal2d:0.3*t1 - 0.2*t2"])
+@pytest.mark.parametrize("expr", ["t1^2 - t2^2 + t1*t2", "exp(t1)*cos(t2)"])
+def test_multigrid_agrees_with_jacobi_reference(temporal, expr):
+    h = metric_from_name(temporal, kind="temporal")
+    pair = canonical_pair(h, metric_from_name("euclidean:1"))
+    f = SmoothMap(2, [expr])
+    sol = solve_harmonic_grid(pair, h, f, m=17, tol=1e-9, domain=SQUARE)
+    status, sweeps, _, _, _, values, _ = jacobi_harmonic_reference(
+        pair, h, f, m=17, tol=1e-9, domain=SQUARE)
+    assert sol.converged and status == "converged"
+    assert sol.iterations <= 25 < sweeps
+    assert np.max(np.abs(sol.values - values)) < 1e-8
+
+
+def test_multigrid_cycle_count_is_flat_in_the_grid_size():
+    pair, h = _conformal_pair()
+    f = SmoothMap(2, ["exp(t1)*cos(t2)"])
+    counts = []
+    for m in (17, 33, 65):
+        sol = solve_harmonic_grid(pair, h, f, m=m, tol=1e-9, domain=SQUARE)
+        assert sol.converged and sol.max_residual <= 1e-9
+        counts.append(sol.iterations)
+    assert max(counts) - min(counts) <= 2, counts
+
+
+@pytest.mark.parametrize("m", [7, 10, 12, 15])
+def test_single_level_grids_run_jacobi(m):
+    """A grid below MULTIGRID_MIN or of even size is a single level: each
+    V-cycle is one Jacobi sweep, bit for bit."""
+    assert maps._grid_sizes(m) == [m]
+    pair, h = _conformal_pair()
+    f = SmoothMap(2, ["exp(t1)*cos(t2)"])
+    sol = solve_harmonic_grid(pair, h, f, m=m, tol=1e-9, domain=SQUARE)
+    status, sweeps, worst, _, _, values, history = jacobi_harmonic_reference(
+        pair, h, f, m=m, tol=1e-9, domain=SQUARE)
+    assert (sol.status, sol.iterations, sol.max_residual) == (status, sweeps, worst)
+    assert np.array_equal(sol.values, values)
+    assert list(sol.history) == history
+
+
+def test_grid_sizes():
+    assert maps._grid_sizes(17) == [17, 9, 5, 3]
+    assert maps._grid_sizes(21) == [21, 11, 6]
+    assert maps._grid_sizes(35) == [35, 18]
+    assert maps._grid_sizes(65) == [65, 33, 17, 9, 5, 3]
+    assert [maps._coarsest_sweeps(m) for m in (3, 4, 6, 18)] == [2, 3, 8, 96]
+
+
+def test_partially_coarsened_grid_agrees_with_jacobi():
+    """m = 21 halves to 11 and then to 6, which cannot be halved again."""
+    pair, h = _conformal_pair()
+    f = SmoothMap(2, ["exp(t1)*cos(t2)"])
+    sol = solve_harmonic_grid(pair, h, f, m=21, tol=1e-9, domain=SQUARE)
+    status, sweeps, _, _, _, values, _ = jacobi_harmonic_reference(
+        pair, h, f, m=21, tol=1e-9, domain=SQUARE)
+    assert sol.converged and status == "converged"
+    assert sol.iterations <= 25 < sweeps
+    assert np.max(np.abs(sol.values - values)) < 1e-8
+
+
+@pytest.mark.parametrize("m", [19, 35])
+def test_large_coarsest_grid_keeps_the_cycle_count_flat(m):
+    """A grid that halves once keeps a coarsest grid of about m/2 points per
+    side, which gets enough sweeps that the V-cycle count stays flat."""
+    pair, h = _conformal_pair()
+    sol = solve_harmonic_grid(pair, h, SmoothMap(2, ["exp(t1)*cos(t2)"]), m=m,
+                              tol=1e-9, domain=SQUARE)
+    assert sol.converged and sol.iterations <= 25
+
+
+def test_grid_solver_residual_history():
+    pair, h = _conformal_pair()
+    sol = solve_harmonic_grid(pair, h, SmoothMap(2, ["exp(t1)*cos(t2)"]), m=17,
+                              tol=1e-9, domain=SQUARE)
+    assert sol.converged and len(sol.history) == sol.iterations
+    assert sol.history[-1] == sol.max_residual <= 1e-9
+    assert all(b < a for a, b in zip(sol.history, sol.history[1:]))
+    for cap in (1, 3):
+        capped = solve_harmonic_grid(pair, h, SmoothMap(2, ["exp(t1)*cos(t2)"]), m=17,
+                                     tol=1e-9, max_iters=cap, domain=SQUARE)
+        assert capped.status == "max-iterations"
+        assert capped.history == sol.history[:cap]
+        assert capped.max_residual == capped.history[-1]
+
+
+def test_grid_transfers():
+    """Bilinear prolongation reproduces a bilinear field from its coarse
+    nodes.  Full weighting reproduces a linear field at the coarse nodes
+    and removes the modes that alternate along either axis, which
+    injection would keep."""
+    s = np.linspace(-1.0, 1.0, 9)
+    G1, G2 = np.meshgrid(s, s, indexing="ij")
+    fine = np.stack([1 + 2 * G1 - G2 + 3 * G1 * G2, G1 - 0.5 * G2], axis=2)
+    assert np.allclose(maps._prolong(fine[::2, ::2]), fine, rtol=0, atol=1e-15)
+    interior = fine[1:-1, 1:-1, 1].reshape(-1, 1)
+    restricted = maps._restrict(interior, 9).reshape(3, 3)
+    assert np.allclose(restricted, fine[2:-2:2, 2:-2:2, 1], rtol=0, atol=1e-15)
+    for alternating in ((-1.0) ** np.indices((7, 7))):
+        assert np.array_equal(maps._restrict(alternating.reshape(-1, 1), 9),
+                              np.zeros((9, 1)))
