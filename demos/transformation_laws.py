@@ -20,8 +20,7 @@ from jetflow.geometry import energy_density, metric_from_name
 from jetflow.jetspace import random_jet
 from jetflow.numdiff import random_affine_change, random_shear_change
 from jetflow.sprays import (canonical_spatial, canonical_temporal,
-                            spatial_law_error, spray_coefficient_field,
-                            temporal_law_error)
+                            spray_coefficient_field, spray_law_error)
 
 rng = np.random.default_rng(7)
 p, n = 2, 2
@@ -48,8 +47,8 @@ for f in fields:
 print("\n== spray coefficient laws (inhomogeneous) ==")
 s_t = canonical_temporal(h, n)
 s_x = canonical_spatial(phi, p)
-vt = temporal_law_error(s_t, changes, jets, tol=1e-8)
-vx = spatial_law_error(s_x, changes, jets, tol=1e-8)
+vt = spray_law_error(s_t, changes, jets, tol=1e-8)
+vx = spray_law_error(s_x, changes, jets, tol=1e-8)
 print(f"  temporal spray  {'ok' if vt.passed else 'FAIL'}  "
       f"max_rel_err={vt.max_rel_err:.2e}")
 print(f"  spatial spray   {'ok' if vx.passed else 'FAIL'}  "

@@ -16,16 +16,14 @@ from .jetspace import (JetPoint, frame_size, jet_pullback, natural_coframe_chang
                        natural_frame_change, random_jet, transform_jet,
                        vert_index)
 from .dtensor import (DTensorField, IndexSignature, SignatureError, Verdict,
-                      is_dtensor, lagrangian_metric_field, liouville_c_field,
-                      liouville_l_field, normalization_j_field,
-                      transform_components)
-from .sprays import (HSpray, SpatialSpray, SprayError, SprayPair, TemporalSpray,
-                     canonical_pair, canonical_spatial, canonical_temporal,
-                     combine_spatial, combine_temporal, decompose_spatial,
-                     decompose_temporal, h_trace, spatial_law_error,
-                     spray_coefficient_field, spray_difference_field,
-                     spray_from_hspray, temporal_law_error, transform_spatial,
-                     transform_temporal, zero_spatial, zero_temporal)
+                      is_dtensor, lagrangian_metric_field, law_check,
+                      liouville_c_field, liouville_l_field,
+                      normalization_j_field, transform_components)
+from .sprays import (HSpray, Spray, SprayError, SprayPair, canonical_pair,
+                     canonical_spatial, canonical_temporal, combine_sprays,
+                     decompose_spray, h_trace, spray_coefficient_field,
+                     spray_difference_field, spray_from_hspray,
+                     spray_law_error, transform_spray, zero_spray)
 from .connection import (NonlinearConnection, adapted_coframe, adapted_frame,
                          adapted_frame_blocks, canonical_connection,
                          connection_from_sprays, connection_law_error,
@@ -55,16 +53,16 @@ __all__ = [
     "JetPoint", "transform_jet", "natural_frame_change", "natural_coframe_change",
     "jet_pullback", "random_jet", "frame_size", "vert_index",
     # d-tensors
-    "DTensorField", "IndexSignature", "SignatureError", "Verdict", "is_dtensor",
+    "DTensorField", "IndexSignature", "SignatureError", "Verdict", "law_check",
+    "is_dtensor",
     "transform_components", "liouville_c_field", "liouville_l_field",
     "normalization_j_field", "lagrangian_metric_field",
     # sprays
-    "TemporalSpray", "SpatialSpray", "HSpray", "SprayPair", "SprayError",
-    "canonical_temporal", "canonical_spatial", "canonical_pair",
-    "zero_temporal", "zero_spatial", "transform_temporal", "transform_spatial",
-    "temporal_law_error", "spatial_law_error", "h_trace", "spray_from_hspray",
-    "combine_temporal", "combine_spatial", "spray_difference_field",
-    "spray_coefficient_field", "decompose_temporal", "decompose_spatial",
+    "Spray", "HSpray", "SprayPair", "SprayError",
+    "canonical_temporal", "canonical_spatial", "canonical_pair", "zero_spray",
+    "transform_spray", "spray_law_error", "h_trace", "spray_from_hspray",
+    "combine_sprays", "spray_difference_field", "spray_coefficient_field",
+    "decompose_spray",
     # connections
     "NonlinearConnection", "canonical_connection", "connection_law_error",
     "adapted_frame", "adapted_coframe", "adapted_frame_blocks",

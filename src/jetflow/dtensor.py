@@ -28,7 +28,7 @@ from .jetspace import JetPoint, jet_env, jet_pullback, transform_jet
 
 __all__ = [
     "SignatureError", "IndexSignature", "DTensorField", "Verdict",
-    "transform_components", "is_dtensor",
+    "transform_components", "law_check", "is_dtensor",
     "liouville_c", "liouville_c_field", "liouville_l", "liouville_l_field",
     "normalization_j", "normalization_j_field",
     "lagrangian_metric_field",
@@ -157,29 +157,37 @@ class Verdict:
     witness: tuple[str, int] | None = None   # (change name, jet index) at the max error
 
 
-def is_dtensor(f: DTensorField, changes: Sequence[ChangeMap], jets: Sequence[JetPoint],
-               tol: float = 1e-8) -> Verdict:
-    """Numeric verdict: do the components obey the d-tensor law?
+def law_check(predict: Callable[[ChangeMap, JetPoint], np.ndarray],
+              native: Callable[[ChangeMap], Callable[[JetPoint], np.ndarray]],
+              changes: Sequence[ChangeMap], jets: Sequence[JetPoint],
+              tol: float = 1e-8) -> Verdict:
+    """Numeric verdict on a transformation law, the loop of every law check.
 
-    For each (change, jet) pair the tensorially transformed components are
-    compared against the native components in the target chart; the relative
-    error uses denominator max(1, |native component|).
+    For each (change, jet) pair the components `predict(change, u)` that the
+    law gives at the image of u are compared against the target chart's own
+    `native(change)` evaluated there; the relative error uses denominator
+    max(1, |native component|), and the witness is the first pair where the
+    largest error occurs.
     """
-    worst = 0.0
-    witness = None
-    pairs = 0
+    worst, witness, pairs = 0.0, None, 0
     for change in changes:
-        native_field = f.in_chart(change)
+        native_at = native(change)
         for k, u in enumerate(jets):
-            predicted = transform_components(f, change, u)
-            native = native_field(transform_jet(change, u))
-            err = float(np.max(np.abs(predicted - native) / np.maximum(1.0, np.abs(native))))
+            predicted = predict(change, u)
+            actual = native_at(transform_jet(change, u))
+            err = float(np.max(np.abs(predicted - actual) / np.maximum(1.0, np.abs(actual))))
             pairs += 1
             if err > worst:
-                worst = err
-                witness = (change.name, k)
+                worst, witness = err, (change.name, k)
     return Verdict(passed=bool(worst <= tol), max_rel_err=worst, pairs=pairs,
                    witness=witness)
+
+
+def is_dtensor(f: DTensorField, changes: Sequence[ChangeMap], jets: Sequence[JetPoint],
+               tol: float = 1e-8) -> Verdict:
+    """Numeric verdict: do the components obey the d-tensor law?  Tensorially
+    transformed components against the target chart's native field."""
+    return law_check(lambda c, u: transform_components(f, c, u), f.in_chart, changes, jets, tol)
 
 
 # ---------------------------------------------------------------------------

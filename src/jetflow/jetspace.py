@@ -18,10 +18,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .exprlang import Expr, Value, add, mul, num, subst, var
+from .exprlang import Expr, add, mul, num, subst, var
 from .numdiff import (
-    ChangeMap, jacobian_blocks, jet_name, jet_names, spatial_names,
-    temporal_names,
+    ChangeMap, jacobian_blocks, jet_name, spatial_names, temporal_names,
 )
 
 __all__ = [

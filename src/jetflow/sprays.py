@@ -1,8 +1,9 @@
 """Temporal and spatial sprays on the first jet space.
 
-Coefficients are stored as (n, p, p) arrays arr[j, b, a] = S^{(j)}_{(b)a}
-(vertical pair (j, b), extra lower temporal index a).  Temporal sprays
-transform by
+A spray is one `Spray` whose `kind` is "temporal" or "spatial"; the kind
+fixes only the inhomogeneous term of its transformation law.  Coefficients
+are stored as (n, p, p) arrays arr[j, b, a] = S^{(j)}_{(b)a} (vertical pair
+(j, b), extra lower temporal index a).  Temporal sprays transform by
 
     2 H~^{(k)}_{(m)g} = 2 H^{(j)}_{(b)a} (dt^a/dt~^g)(dx~^k/dx^j)(dt^b/dt~^m)
                         - (dt^a/dt~^g)(d x~^k_m / d t^a)
@@ -32,23 +33,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dtensor import DTensorField, IndexSignature, Verdict
+from .dtensor import DTensorField, IndexSignature, Verdict, law_check
 from .exprlang import Expr, add, diff, mul, num, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
-from .jetspace import JetPoint, mixed_jet_derivatives, transform_jet
+from .jetspace import JetPoint, mixed_jet_derivatives
 
 __all__ = [
-    "SprayError", "TemporalSpray", "SpatialSpray", "HSpray", "SprayPair",
-    "canonical_temporal", "canonical_spatial", "canonical_pair",
-    "zero_temporal", "zero_spatial",
-    "transform_temporal", "transform_spatial",
-    "temporal_law_error", "spatial_law_error",
-    "h_trace", "spray_from_hspray",
-    "combine_temporal", "combine_spatial",
-    "spray_difference_field", "spray_coefficient_field", "decompose_temporal",
-    "decompose_spatial",
+    "SprayError", "Spray", "HSpray", "SprayPair",
+    "canonical_temporal", "canonical_spatial", "canonical_pair", "zero_spray",
+    "transform_spray", "spray_law_error", "h_trace", "spray_from_hspray",
+    "combine_sprays", "spray_difference_field", "spray_coefficient_field",
+    "decompose_spray",
 ]
+
+_KINDS = ("temporal", "spatial")
 
 
 class SprayError(ValueError):
@@ -56,37 +55,25 @@ class SprayError(ValueError):
 
 
 @dataclass(frozen=True)
-class TemporalSpray:
+class Spray:
+    kind: str                                                # one of _KINDS
     p: int
     n: int
     coefficients: Callable[[JetPoint], np.ndarray]          # (n, p, p)
     jet_gradient: Callable[[JetPoint], np.ndarray] | None = None  # (n,p,p,n,p)
-    rebuild: Callable[[ChangeMap], "TemporalSpray"] | None = None
+    rebuild: Callable[[ChangeMap], "Spray"] | None = None
     # (T, X, V) arrays of shape (q,p), (q,n), (q,n,p) -> (q,n,p,p)
     coefficients_batch: Callable[..., np.ndarray] | None = None
-    name: str = "temporal-spray"
+    name: str = "spray"
     # a canonical spray's compiled tables; the geodesic RK4 runs their
     # kernel while `coefficients` is still `tables.coefficients`
     tables: _SprayTables | None = None
 
-    def in_chart(self, change: ChangeMap) -> "TemporalSpray":
-        if self.rebuild is None:
-            raise SprayError(f"spray '{self.name}' has no chart-native form")
-        return self.rebuild(change)
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise SprayError(f"spray kind must be one of {_KINDS}, not {self.kind!r}")
 
-
-@dataclass(frozen=True)
-class SpatialSpray:
-    p: int
-    n: int
-    coefficients: Callable[[JetPoint], np.ndarray]
-    jet_gradient: Callable[[JetPoint], np.ndarray] | None = None
-    rebuild: Callable[[ChangeMap], "SpatialSpray"] | None = None
-    coefficients_batch: Callable[..., np.ndarray] | None = None
-    name: str = "spatial-spray"
-    tables: _SprayTables | None = None
-
-    def in_chart(self, change: ChangeMap) -> "SpatialSpray":
+    def in_chart(self, change: ChangeMap) -> "Spray":
         if self.rebuild is None:
             raise SprayError(f"spray '{self.name}' has no chart-native form")
         return self.rebuild(change)
@@ -105,8 +92,12 @@ class HSpray:
 
 @dataclass(frozen=True)
 class SprayPair:
-    temporal: TemporalSpray
-    spatial: SpatialSpray
+    temporal: Spray
+    spatial: Spray
+
+    def __post_init__(self):
+        if (self.temporal.kind, self.spatial.kind) != _KINDS:
+            raise SprayError("a spray pair is a temporal spray then a spatial spray")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +172,7 @@ def _tables_of(metric: Metric, p: int, n: int,
     return tables
 
 
-def canonical_temporal(h: Metric, n: int) -> TemporalSpray:
+def canonical_temporal(h: Metric, n: int) -> Spray:
     if h.kind != "temporal":
         raise SprayError("canonical temporal spray needs a temporal metric")
     p = h.dim
@@ -194,13 +185,13 @@ def canonical_temporal(h: Metric, n: int) -> TemporalSpray:
                 for j in range(n) for b in range(p) for a in range(p)]
 
     tables = _tables_of(h, p, n, entries)
-    return TemporalSpray(p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
-                         rebuild=lambda c: canonical_temporal(pullback_metric(h, c), n),
-                         coefficients_batch=tables.coefficients_batch,
-                         name=f"canonical-temporal[{h.name}]", tables=tables)
+    return Spray("temporal", p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
+                 rebuild=lambda c: canonical_temporal(pullback_metric(h, c), n),
+                 coefficients_batch=tables.coefficients_batch,
+                 name=f"canonical-temporal[{h.name}]", tables=tables)
 
 
-def canonical_spatial(phi: Metric, p: int) -> SpatialSpray:
+def canonical_spatial(phi: Metric, p: int) -> Spray:
     if phi.kind != "spatial":
         raise SprayError("canonical spatial spray needs a spatial metric")
     n = phi.dim
@@ -214,79 +205,54 @@ def canonical_spatial(phi: Metric, p: int) -> SpatialSpray:
                 for j in range(n) for b in range(p) for a in range(p)]
 
     tables = _tables_of(phi, p, n, entries)
-    return SpatialSpray(p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
-                        rebuild=lambda c: canonical_spatial(pullback_metric(phi, c), p),
-                        coefficients_batch=tables.coefficients_batch,
-                        name=f"canonical-spatial[{phi.name}]", tables=tables)
+    return Spray("spatial", p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
+                 rebuild=lambda c: canonical_spatial(pullback_metric(phi, c), p),
+                 coefficients_batch=tables.coefficients_batch,
+                 name=f"canonical-spatial[{phi.name}]", tables=tables)
 
 
 def canonical_pair(h: Metric, phi: Metric) -> SprayPair:
     return SprayPair(canonical_temporal(h, phi.dim), canonical_spatial(phi, h.dim))
 
 
-def zero_temporal(p: int, n: int) -> TemporalSpray:
-    return TemporalSpray(p, n, lambda u: np.zeros((n, p, p)),
-                         jet_gradient=lambda u: np.zeros((n, p, p, n, p)),
-                         coefficients_batch=lambda T, X, V: np.zeros((len(T), n, p, p)),
-                         name="zero-temporal")
-
-
-def zero_spatial(p: int, n: int) -> SpatialSpray:
-    return SpatialSpray(p, n, lambda u: np.zeros((n, p, p)),
-                        jet_gradient=lambda u: np.zeros((n, p, p, n, p)),
-                        coefficients_batch=lambda T, X, V: np.zeros((len(T), n, p, p)),
-                        name="zero-spatial")
+def zero_spray(kind: str, p: int, n: int) -> Spray:
+    return Spray(kind, p, n, lambda u: np.zeros((n, p, p)),
+                 jet_gradient=lambda u: np.zeros((n, p, p, n, p)),
+                 coefficients_batch=lambda T, X, V: np.zeros((len(T), n, p, p)),
+                 name=f"zero-{kind}")
 
 
 # ---------------------------------------------------------------------------
 # transformation laws
 
 
-def transform_temporal(s: TemporalSpray, change: ChangeMap, u: JetPoint) -> np.ndarray:
-    """Predicted target-chart coefficients at the image of u."""
-    A, B, A_inv, Wt, _ = mixed_jet_derivatives(change, u)
+def transform_spray(s: Spray, change: ChangeMap, u: JetPoint) -> np.ndarray:
+    """Predicted target-chart coefficients at the image of u: the tensor
+    term plus the inhomogeneous term of the spray's kind."""
+    A, B, A_inv, Wt, Wx = mixed_jet_derivatives(change, u)
     tensor = np.einsum("jba,ag,kj,bm->kmg", s.coefficients(u), A_inv, B, A_inv)
-    return tensor - 0.5 * np.einsum("ag,kma->kmg", A_inv, Wt)
-
-
-def transform_spatial(s: SpatialSpray, change: ChangeMap, u: JetPoint) -> np.ndarray:
-    A, B, A_inv, _, Wx = mixed_jet_derivatives(change, u)
-    B_inv = np.linalg.inv(B)
+    if s.kind == "temporal":
+        return tensor - 0.5 * np.einsum("ag,kma->kmg", A_inv, Wt)
     v_new = B @ u.v @ A_inv
-    tensor = np.einsum("jba,ag,kj,bm->kmg", s.coefficients(u), A_inv, B, A_inv)
-    return tensor - 0.5 * np.einsum("ij,kmi,jg->kmg", B_inv, Wx, v_new)
+    return tensor - 0.5 * np.einsum("ij,kmi,jg->kmg", np.linalg.inv(B), Wx, v_new)
 
 
-def _law_error(s, transform, changes: Sequence[ChangeMap], jets: Sequence[JetPoint]) -> Verdict:
-    worst, witness, pairs = 0.0, None, 0
-    for change in changes:
-        native = s.in_chart(change)
-        for k, u in enumerate(jets):
-            predicted = transform(s, change, u)
-            actual = native.coefficients(transform_jet(change, u))
-            err = float(np.max(np.abs(predicted - actual) / np.maximum(1.0, np.abs(actual))))
-            pairs += 1
-            if err > worst:
-                worst, witness = err, (change.name, k)
-    return Verdict(passed=True, max_rel_err=worst, pairs=pairs, witness=witness)
-
-
-def temporal_law_error(s: TemporalSpray, changes, jets, tol: float = 1e-8) -> Verdict:
+def spray_law_error(s: Spray, changes: Sequence[ChangeMap], jets: Sequence[JetPoint],
+                    tol: float = 1e-8) -> Verdict:
     """Compare the transformation law against the chart-native recompute."""
-    v = _law_error(s, transform_temporal, changes, jets)
-    return Verdict(v.max_rel_err <= tol, v.max_rel_err, v.pairs, v.witness)
+    return law_check(lambda c, u: transform_spray(s, c, u),
+                     lambda c: s.in_chart(c).coefficients, changes, jets, tol)
 
 
-def spatial_law_error(s: SpatialSpray, changes, jets, tol: float = 1e-8) -> Verdict:
-    v = _law_error(s, transform_spatial, changes, jets)
-    return Verdict(v.max_rel_err <= tol, v.max_rel_err, v.pairs, v.witness)
+# perfbench's tracer times the spray law under this name
+_law_error = spray_law_error
 
 
 # ---------------------------------------------------------------------------
 # h-trace and the one-dimensional correspondence
 
 
-def h_trace(s: TemporalSpray | SpatialSpray, h: Metric) -> HSpray:
+def h_trace(s: Spray, h: Metric) -> HSpray:
     """G^i = h^{ab} S^{(i)}_{(a)b}."""
     if h.kind != "temporal":
         raise SprayError("h_trace contracts with a temporal metric")
@@ -304,7 +270,7 @@ def h_trace(s: TemporalSpray | SpatialSpray, h: Metric) -> HSpray:
     return HSpray(s.p, s.n, comps, jet_gradient=grad, name=f"h-trace[{s.name}]")
 
 
-def spray_from_hspray(hs: HSpray, h: Metric) -> SpatialSpray:
+def spray_from_hspray(hs: HSpray, h: Metric) -> Spray:
     """Inverse of h_trace; only one temporal dimension admits it."""
     if hs.p != 1 or h.dim != 1:
         raise SprayError("the spray <-> h-spray correspondence holds only for "
@@ -320,21 +286,35 @@ def spray_from_hspray(hs: HSpray, h: Metric) -> SpatialSpray:
             h11 = h.components_at(u.t)[0, 0]
             return (h11 * hs.jet_gradient(u)).reshape(hs.n, 1, 1, hs.n, 1)
 
-    return SpatialSpray(1, hs.n, coeff, jet_gradient=grad,
-                        name=f"from-h-spray[{hs.name}]")
+    return Spray("spatial", 1, hs.n, coeff, jet_gradient=grad,
+                 name=f"from-h-spray[{hs.name}]")
 
 
 # ---------------------------------------------------------------------------
 # affine structure
 
 
-def _combine(cls, sprays, weights):
+def _same_space(sprays: Sequence[Spray]) -> None:
+    """Sprays that are added or subtracted must share kind and jet space."""
+    first = sprays[0]
+    for s in sprays[1:]:
+        if s.kind != first.kind:
+            raise SprayError(f"sprays of different kinds: {first.kind} and {s.kind}")
+        if (s.p, s.n) != (first.p, first.n):
+            raise SprayError("sprays live on different jet spaces")
+
+
+def combine_sprays(sprays: Sequence[Spray], weights: Sequence[float]) -> Spray:
+    """Affine combination (weights summing to 1) of sprays of one kind,
+    which is again a spray of that kind."""
+    sprays = list(sprays)
     if not sprays:
         raise SprayError("nothing to combine")
+    _same_space(sprays)
     w = [float(c) for c in weights]
     if abs(sum(w) - 1.0) > 1e-12:
         raise SprayError("affine combination weights must sum to 1")
-    p, n = sprays[0].p, sprays[0].n
+    kind, p, n = sprays[0].kind, sprays[0].p, sprays[0].n
 
     def coeff(u: JetPoint) -> np.ndarray:
         return sum(c * s.coefficients(u) for c, s in zip(w, sprays))
@@ -347,24 +327,15 @@ def _combine(cls, sprays, weights):
     rebuild = None
     if all(s.rebuild is not None for s in sprays):
         def rebuild(change: ChangeMap):
-            return _combine(cls, [s.rebuild(change) for s in sprays], w)
+            return combine_sprays([s.rebuild(change) for s in sprays], w)
 
     batch = None
     if all(s.coefficients_batch is not None for s in sprays):
         def batch(T, X, V):
             return sum(c * s.coefficients_batch(T, X, V) for c, s in zip(w, sprays))
 
-    return cls(p, n, coeff, jet_gradient=grad, rebuild=rebuild,
-               coefficients_batch=batch, name="affine-combination")
-
-
-def combine_temporal(sprays: Sequence[TemporalSpray], weights: Sequence[float]) -> TemporalSpray:
-    """Affine combination (weights summing to 1), which is again a spray."""
-    return _combine(TemporalSpray, list(sprays), weights)
-
-
-def combine_spatial(sprays: Sequence[SpatialSpray], weights: Sequence[float]) -> SpatialSpray:
-    return _combine(SpatialSpray, list(sprays), weights)
+    return Spray(kind, p, n, coeff, jet_gradient=grad, rebuild=rebuild,
+                 coefficients_batch=batch, name="affine-combination")
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +345,9 @@ def combine_spatial(sprays: Sequence[SpatialSpray], weights: Sequence[float]) ->
 _SPRAY_SIG = IndexSignature.parse("U(j,b);L(a)")
 
 
-def spray_difference_field(s1, s2, name: str | None = None) -> DTensorField:
+def spray_difference_field(s1: Spray, s2: Spray, name: str | None = None) -> DTensorField:
     """The difference of two sprays of the same kind, as a d-tensor field."""
-    if (s1.p, s1.n) != (s2.p, s2.n):
-        raise SprayError("sprays live on different jet spaces")
+    _same_space([s1, s2])
     p, n = s1.p, s1.n
 
     def comps(u: JetPoint) -> np.ndarray:
@@ -392,7 +362,7 @@ def spray_difference_field(s1, s2, name: str | None = None) -> DTensorField:
                         comps, rebuild=rebuild)
 
 
-def spray_coefficient_field(s, name: str | None = None) -> DTensorField:
+def spray_coefficient_field(s: Spray, name: str | None = None) -> DTensorField:
     """Spray coefficients wrapped as a candidate d-tensor (a negative
     control: the inhomogeneous term makes is_dtensor fail)."""
     p, n = s.p, s.n
@@ -409,12 +379,11 @@ def spray_coefficient_field(s, name: str | None = None) -> DTensorField:
                         comps, rebuild=rebuild)
 
 
-def decompose_temporal(s: TemporalSpray, h: Metric) -> tuple[TemporalSpray, DTensorField]:
-    """Split s into the canonical temporal spray of h plus a d-tensor remainder."""
-    base = canonical_temporal(h, s.n)
-    return base, spray_difference_field(s, base, name=f"remainder[{s.name}]")
-
-
-def decompose_spatial(s: SpatialSpray, phi: Metric) -> tuple[SpatialSpray, DTensorField]:
-    base = canonical_spatial(phi, s.p)
+def decompose_spray(s: Spray, metric: Metric) -> tuple[Spray, DTensorField]:
+    """Split s into the canonical spray of a metric of its kind plus a
+    d-tensor remainder."""
+    if metric.kind != s.kind:
+        raise SprayError(f"a {s.kind} spray decomposes over a {s.kind} metric")
+    base = (canonical_temporal(metric, s.n) if s.kind == "temporal"
+            else canonical_spatial(metric, s.p))
     return base, spray_difference_field(s, base, name=f"remainder[{s.name}]")

@@ -23,10 +23,9 @@ from .prolong import (BaseVectorField, olver_prolong, prolongation_flow_error,
                       pushforward, vertical_gap_field)
 from .scenario import Scenario, ScenarioError, SUITE_NAMES
 from .sprays import (canonical_pair, canonical_spatial, canonical_temporal,
-                     combine_temporal, decompose_spatial, h_trace,
-                     spatial_law_error, spray_coefficient_field,
-                     spray_difference_field, spray_from_hspray,
-                     temporal_law_error)
+                     combine_sprays, decompose_spray, h_trace,
+                     spray_coefficient_field, spray_difference_field,
+                     spray_from_hspray, spray_law_error)
 
 __all__ = ["run_suite", "run_verify", "DTENSOR_CANDIDATES",
            "DEFAULT_CANDIDATES", "default_prolong_fields"]
@@ -84,18 +83,18 @@ def _suite_sprays(sc: Scenario, tol: float) -> list[dict]:
     flat = metric_from_name(f"euclidean:{p}", kind="temporal")
     out = [
         _verdict_check("temporal-law",
-                       temporal_law_error(canonical_temporal(h, n), changes, jets, tol)),
+                       spray_law_error(canonical_temporal(h, n), changes, jets, tol)),
         _verdict_check("spatial-law",
-                       spatial_law_error(canonical_spatial(phi, p), changes, jets, tol)),
+                       spray_law_error(canonical_spatial(phi, p), changes, jets, tol)),
         _verdict_check("affine-combination-law",
-                       temporal_law_error(
-                           combine_temporal([canonical_temporal(h, n),
-                                             canonical_temporal(flat, n)], [0.7, 0.3]),
+                       spray_law_error(
+                           combine_sprays([canonical_temporal(h, n),
+                                           canonical_temporal(flat, n)], [0.7, 0.3]),
                            changes, jets, tol)),
     ]
     # decomposition: spray = canonical part + d-tensor remainder, exactly
     s = canonical_spatial(phi, p)
-    base, remainder = decompose_spatial(s, metric_from_name(f"euclidean:{n}"))
+    base, remainder = decompose_spray(s, metric_from_name(f"euclidean:{n}"))
     err = max(float(np.max(np.abs(base.coefficients(u)
                                   + remainder(u).reshape(n, p, p)
                                   - s.coefficients(u))))

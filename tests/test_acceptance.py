@@ -27,9 +27,9 @@ from jetflow.maps import (SmoothMap, harmonic_residual, poisson_residual,
                           solve_affine_ode, solve_harmonic_grid, spray_source)
 from jetflow.prolong import prolongation_flow_error, vertical_gap_field
 from jetflow.sprays import (canonical_pair, canonical_spatial,
-                            canonical_temporal, decompose_temporal,
-                            spatial_law_error, spray_coefficient_field,
-                            spray_difference_field, temporal_law_error)
+                            canonical_temporal, decompose_spray,
+                            spray_coefficient_field, spray_difference_field,
+                            spray_law_error)
 from jetflow.verify import default_prolong_fields
 
 from helpers import catalog, jets_in
@@ -74,7 +74,7 @@ def test_criterion_02_spray_laws_and_negative_control():
     phi_s = metric_from_name("sphere:2")
     changes1 = catalog(rng, 1, 2, kinds=("affine", "monotone", "shear"), count=3)
     jets1 = jets_in(rng, 1, 2, h=h1, phi=phi_s, count=12)
-    v_t = temporal_law_error(canonical_temporal(h1, 2), changes1, jets1, tol=1e-8)
+    v_t = spray_law_error(canonical_temporal(h1, 2), changes1, jets1, tol=1e-8)
     assert v_t.pairs >= 100
 
     # spatial: sphere:2 and hyperbolic:2 at p=2, shear changes (both factors
@@ -85,8 +85,8 @@ def test_criterion_02_spray_laws_and_negative_control():
     for name in ("sphere:2", "hyperbolic:2"):
         phi = metric_from_name(name)
         jets2 = jets_in(rng, 2, 2, h=h2, phi=phi, count=12)
-        results.append(spatial_law_error(canonical_spatial(phi, 2),
-                                         changes2, jets2, tol=1e-8))
+        results.append(spray_law_error(canonical_spatial(phi, 2),
+                                       changes2, jets2, tol=1e-8))
         assert results[-1].pairs >= 100
 
     neg_t = is_dtensor(spray_coefficient_field(canonical_temporal(h1, 2)),
@@ -121,7 +121,7 @@ def test_criterion_03_spray_difference_decomposition():
     v = is_dtensor(diff, changes, jets, tol=1e-8)
     assert v.pairs >= 100
 
-    base, remainder = decompose_temporal(s1, h2)
+    base, remainder = decompose_spray(s1, h2)
     recon = max(float(np.max(np.abs(s1.coefficients(u) - base.coefficients(u)
                                     - remainder(u).reshape(2, 1, 1))))
                 for u in jets)

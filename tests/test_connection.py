@@ -20,7 +20,7 @@ from jetflow.connection import (
 from jetflow.geometry import metric_from_name
 from jetflow.jetspace import (JetPoint, frame_size, natural_frame_change,
                               random_jet, transform_jet)
-from jetflow.sprays import SprayPair, canonical_pair, zero_spatial, zero_temporal
+from jetflow.sprays import SprayPair, canonical_pair, zero_spray
 
 from helpers import catalog, jets_in, standard_metrics
 
@@ -78,7 +78,7 @@ def test_connection_law_fails_for_grafted_native_form():
 
 def test_transform_matches_spray_laws_through_m_equals_2h():
     """M = 2H must stay consistent with the temporal spray law pointwise."""
-    from jetflow.sprays import transform_temporal
+    from jetflow.sprays import transform_spray
     rng = np.random.default_rng(63)
     h, phi = standard_metrics(2, 2)
     pair = canonical_pair(h, phi)
@@ -86,7 +86,7 @@ def test_transform_matches_spray_laws_through_m_equals_2h():
     c = nd.random_change(rng, 2, 2, "mixed")
     u = jets_in(rng, 2, 2, h=h, phi=phi, count=1)[0]
     M_new = transform_connection_m(conn, c, u)
-    H_new = transform_temporal(pair.temporal, c, u)
+    H_new = transform_spray(pair.temporal, c, u)
     assert np.max(np.abs(M_new - 2.0 * H_new)) < 1e-12
 
 
@@ -195,10 +195,11 @@ def test_fd_fallback_matches_exact_gradient():
 
 def test_connection_from_sprays_validates_inputs():
     h, phi = standard_metrics(2, 2)
+    temporal = zero_spray("temporal", 2, 2)
     with pytest.raises(ConnectionError_, match="different jet spaces"):
-        connection_from_sprays(SprayPair(zero_temporal(2, 2), zero_spatial(2, 3)), h)
+        connection_from_sprays(SprayPair(temporal, zero_spray("spatial", 2, 3)), h)
     with pytest.raises(ConnectionError_, match="temporal metric"):
-        connection_from_sprays(SprayPair(zero_temporal(2, 2), zero_spatial(2, 2)), phi)
+        connection_from_sprays(SprayPair(temporal, zero_spray("spatial", 2, 2)), phi)
 
 
 def test_connection_without_rebuild_has_no_chart_native_form():

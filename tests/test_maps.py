@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from jetflow.connection import canonical_connection, sprays_from_connection
 from jetflow.geometry import GeometryError, metric_from_name
 from jetflow.jetspace import JetPoint
 from jetflow.maps import (
@@ -23,7 +24,7 @@ from jetflow.sprays import (
     SprayPair,
     canonical_pair,
     canonical_spatial,
-    combine_spatial,
+    combine_sprays,
     h_trace,
     spray_from_hspray,
 )
@@ -209,7 +210,7 @@ def test_float_rk4_matches_reference_for_sprays_without_tables():
     h = metric_from_name("exp1d")
     sphere, hyper = (canonical_spatial(metric_from_name(name), 1)
                      for name in ("sphere:2", "hyperbolic:2"))
-    mixed = combine_spatial([sphere, hyper], [0.3, 0.7])
+    mixed = combine_sprays([sphere, hyper], [0.3, 0.7])
     from_trace = spray_from_hspray(h_trace(sphere, h), h)
     temporal = canonical_pair(h, metric_from_name("sphere:2")).temporal
     for spatial in (mixed, from_trace):
@@ -370,6 +371,22 @@ def test_single_level_grids_run_jacobi(m):
     assert (sol.status, sol.iterations, sol.max_residual) == (status, sweeps, worst)
     assert np.array_equal(sol.values, values)
     assert list(sol.history) == history
+
+
+def test_grid_solver_pointwise_fallback_matches_batched_sprays():
+    """Sprays induced by a connection have no batch path, so the solver
+    evaluates them point by point; the canonical pair runs its compiled
+    batch tables.  Both describe the same sprays and give the same solve."""
+    h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
+    phi = metric_from_name("conformal2d:0.2*x1 - 0.1*x1*x2", kind="spatial")
+    pointwise = sprays_from_connection(canonical_connection(h, phi))
+    assert pointwise.temporal.coefficients_batch is None
+    assert pointwise.spatial.coefficients_batch is None
+    f = SmoothMap(2, ["0.4*t1 + 0.3*t2^2", "0.5*t1*t2 - 0.2*t2"])
+    a = solve_harmonic_grid(pointwise, h, f, m=7, tol=1e-10, domain=SQUARE)
+    b = solve_harmonic_grid(canonical_pair(h, phi), h, f, m=7, tol=1e-10, domain=SQUARE)
+    assert a.status == b.status == "converged"
+    assert np.max(np.abs(a.values - b.values)) <= 1e-10
 
 
 def test_grid_sizes():

@@ -11,24 +11,21 @@ from jetflow.exprlang import Num, compile_table, num, parse
 from jetflow.geometry import GeometryError, Metric, metric_from_name
 from jetflow.jetspace import JetPoint, random_jet, transform_jet
 from jetflow.sprays import (
+    Spray,
     SprayError,
+    SprayPair,
     canonical_pair,
     canonical_spatial,
     canonical_temporal,
-    combine_spatial,
-    combine_temporal,
-    decompose_spatial,
-    decompose_temporal,
+    combine_sprays,
+    decompose_spray,
     h_trace,
-    spatial_law_error,
     spray_coefficient_field,
     spray_difference_field,
     spray_from_hspray,
-    temporal_law_error,
-    transform_spatial,
-    transform_temporal,
-    zero_spatial,
-    zero_temporal,
+    spray_law_error,
+    transform_spray,
+    zero_spray,
 )
 
 from helpers import catalog, fd_spray_gradient, jets_in, metric_and_points, standard_metrics
@@ -61,8 +58,8 @@ def test_canonical_spatial_sphere_value():
 
 def test_zero_sprays_vanish():
     u = random_jet(np.random.default_rng(41), 2, 2)
-    assert np.max(np.abs(zero_temporal(2, 2).coefficients(u))) == 0.0
-    assert np.max(np.abs(zero_spatial(2, 2).coefficients(u))) == 0.0
+    assert np.max(np.abs(zero_spray("temporal", 2, 2).coefficients(u))) == 0.0
+    assert np.max(np.abs(zero_spray("spatial", 2, 2).coefficients(u))) == 0.0
 
 
 # --- transformation laws -----------------------------------------------------------
@@ -72,8 +69,8 @@ def test_temporal_law_holds_for_canonical_spray():
     rng = np.random.default_rng(42)
     h, phi = standard_metrics(2, 2)
     s = canonical_temporal(h, 2)
-    v = temporal_law_error(s, catalog(rng, 2, 2, count=2),
-                           jets_in(rng, 2, 2, h=h, phi=phi, count=6))
+    v = spray_law_error(s, catalog(rng, 2, 2, count=2),
+                        jets_in(rng, 2, 2, h=h, phi=phi, count=6))
     assert v.passed and v.max_rel_err < 1e-8
     assert v.pairs == 6 * 6
 
@@ -82,8 +79,8 @@ def test_spatial_law_holds_for_canonical_spray():
     rng = np.random.default_rng(43)
     h, phi = standard_metrics(2, 2)
     s = canonical_spatial(phi, 2)
-    v = spatial_law_error(s, catalog(rng, 2, 2, kinds=("affine", "shear"), count=3),
-                          jets_in(rng, 2, 2, h=h, phi=phi, count=6))
+    v = spray_law_error(s, catalog(rng, 2, 2, kinds=("affine", "shear"), count=3),
+                        jets_in(rng, 2, 2, h=h, phi=phi, count=6))
     assert v.passed and v.max_rel_err < 1e-8
 
 
@@ -97,8 +94,8 @@ def test_law_fails_for_metric_mismatch():
     # graft the flat spray's native form onto the curved spray
     from dataclasses import replace
     s_bad = replace(s_true, rebuild=broken.rebuild)
-    v = temporal_law_error(s_bad, catalog(rng, 2, 2, kinds=("mixed",), count=2),
-                           jets_in(rng, 2, 2, h=h, count=5))
+    v = spray_law_error(s_bad, catalog(rng, 2, 2, kinds=("mixed",), count=2),
+                        jets_in(rng, 2, 2, h=h, count=5))
     assert not v.passed and v.max_rel_err > 1e-4
     assert v.witness is not None
 
@@ -114,11 +111,11 @@ def test_transform_reduces_to_tensor_part_for_affine_change():
     jb = nd.jacobian_blocks(c, u.t, u.x)
     tensor = np.einsum("jba,ag,kj,bm->kmg", st.coefficients(u),
                        jb.A_inv, jb.B, jb.A_inv)
-    assert np.max(np.abs(transform_temporal(st, c, u) - tensor)) < 1e-12
+    assert np.max(np.abs(transform_spray(st, c, u) - tensor)) < 1e-12
     ss = canonical_spatial(phi, 2)
     tensor = np.einsum("jba,ag,kj,bm->kmg", ss.coefficients(u),
                        jb.A_inv, jb.B, jb.A_inv)
-    assert np.max(np.abs(transform_spatial(ss, c, u) - tensor)) < 1e-12
+    assert np.max(np.abs(transform_spray(ss, c, u) - tensor)) < 1e-12
 
 
 # --- jet gradients ---------------------------------------------------------------
@@ -186,10 +183,10 @@ def test_affine_combination_is_again_a_spray():
     rng = np.random.default_rng(48)
     h, phi = standard_metrics(2, 2)
     flat = metric_from_name("euclidean:2", "temporal")
-    s = combine_temporal([canonical_temporal(h, 2), canonical_temporal(flat, 2)],
-                         [0.7, 0.3])
-    v = temporal_law_error(s, catalog(rng, 2, 2, count=2),
-                           jets_in(rng, 2, 2, h=h, phi=phi, count=5))
+    s = combine_sprays([canonical_temporal(h, 2), canonical_temporal(flat, 2)],
+                       [0.7, 0.3])
+    v = spray_law_error(s, catalog(rng, 2, 2, count=2),
+                        jets_in(rng, 2, 2, h=h, phi=phi, count=5))
     assert v.passed, v.max_rel_err
 
 
@@ -197,14 +194,14 @@ def test_combination_weights_must_sum_to_one():
     h, _ = standard_metrics(2, 2)
     s = canonical_temporal(h, 2)
     with pytest.raises(SprayError, match="sum to 1"):
-        combine_temporal([s, s], [0.6, 0.3])
+        combine_sprays([s, s], [0.6, 0.3])
     with pytest.raises(SprayError):
-        combine_spatial([], [])
+        combine_sprays([], [])
 
 
 def test_spray_without_rebuild_has_no_chart_native_form():
     import jetflow.numdiff as nd
-    s = zero_temporal(2, 2)
+    s = zero_spray("temporal", 2, 2)
     with pytest.raises(SprayError, match="no chart-native form"):
         s.in_chart(nd.identity_change(2, 2))
 
@@ -237,14 +234,14 @@ def test_decompose_recovers_base_plus_remainder():
     h, phi = standard_metrics(2, 2)
     flat_t = metric_from_name("euclidean:2", "temporal")
     s = canonical_temporal(h, 2)
-    base, rem = decompose_temporal(s, flat_t)
+    base, rem = decompose_spray(s, flat_t)
     u = jets_in(rng, 2, 2, h=h, phi=phi, count=1)[0]
     rebuilt = base.coefficients(u) + rem(u).reshape(2, 2, 2)
     assert np.max(np.abs(rebuilt - s.coefficients(u))) < 1e-12
 
     flat_x = metric_from_name("euclidean:2")
     ss = canonical_spatial(phi, 2)
-    base2, rem2 = decompose_spatial(ss, flat_x)
+    base2, rem2 = decompose_spray(ss, flat_x)
     rebuilt2 = base2.coefficients(u) + rem2(u).reshape(2, 2, 2)
     assert np.max(np.abs(rebuilt2 - ss.coefficients(u))) < 1e-12
 
@@ -253,6 +250,46 @@ def test_difference_requires_matching_jet_space():
     h, phi = standard_metrics(2, 2)
     with pytest.raises(SprayError, match="different jet spaces"):
         spray_difference_field(canonical_temporal(h, 2), canonical_temporal(h, 3))
+
+
+# --- one spray type: the kind must match wherever sprays meet -----------------------
+
+
+def test_spray_kind_must_be_temporal_or_spatial():
+    with pytest.raises(SprayError, match="kind"):
+        Spray("vertical", 2, 2, lambda u: np.zeros((2, 2, 2)))
+
+
+def test_difference_rejects_mixed_kinds():
+    """A temporal minus a spatial spray is no d-tensor (on the demo
+    scenario's mixed changes it fails the law with max_rel_err 0.11), so
+    building it is an error."""
+    h, phi = standard_metrics(2, 2)
+    with pytest.raises(SprayError, match="different kinds"):
+        spray_difference_field(canonical_temporal(h, 2), canonical_spatial(phi, 2))
+
+
+def test_combine_rejects_mixed_kinds():
+    h, phi = standard_metrics(2, 2)
+    with pytest.raises(SprayError, match="different kinds"):
+        combine_sprays([canonical_temporal(h, 2), canonical_spatial(phi, 2)], [0.5, 0.5])
+
+
+def test_spray_pair_is_temporal_then_spatial():
+    h, phi = standard_metrics(2, 2)
+    temporal, spatial = canonical_temporal(h, 2), canonical_spatial(phi, 2)
+    assert SprayPair(temporal, spatial).spatial is spatial
+    for wrong in ((spatial, temporal), (temporal, temporal), (spatial, spatial)):
+        with pytest.raises(SprayError, match="temporal spray then a spatial spray"):
+            SprayPair(*wrong)
+
+
+def test_decompose_rejects_metric_of_other_kind():
+    h, phi = standard_metrics(2, 2)
+    with pytest.raises(SprayError, match="spatial spray decomposes over a spatial metric"):
+        decompose_spray(canonical_spatial(phi, 2), h)
+    with pytest.raises(SprayError, match="temporal spray decomposes over a temporal metric"):
+        decompose_spray(canonical_temporal(h, 2), phi)
 
 
 # --- compiled spray tables against the Christoffel x einsum formula --------------

@@ -1,11 +1,12 @@
 """Verification suites: check records, pass/fail wiring, negative controls."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from jetflow.geometry import metric_from_name
-from jetflow.scenario import Scenario, ScenarioError
+from jetflow.scenario import Scenario, ScenarioError, load_scenario
 from jetflow.verify import (
     DEFAULT_CANDIDATES,
     DTENSOR_CANDIDATES,
@@ -13,6 +14,9 @@ from jetflow.verify import (
     run_suite,
     run_verify,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _scenario(p=2, n=2, raw=None, jets=5, changes=2):
@@ -161,3 +165,21 @@ def test_run_verify_expands_all():
     assert [s["suite"] for s in report["suites"]] == [
         "dtensors", "sprays", "connection", "adapted", "prolong"]
     assert report["all_pass"]
+
+
+
+def test_demo_report_matches_golden_report():
+    """The demo scenario's verify report against the one stored in
+    tests/data: everything but `max_rel_err` exactly, each error within
+    1e-12 + 1e-9 |ref| (another numpy or libm may round the last bit apart)."""
+    want = json.loads((ROOT / "tests" / "data" / "verify_demo_report.json").read_text())
+    got = run_verify(load_scenario(str(ROOT / "demos" / "verify_scenario.json")))
+    got = json.loads(json.dumps(got))          # the report as the CLI writes it
+
+    def errors(report):
+        return [c.pop("max_rel_err") for s in report["suites"] for c in s["checks"]]
+
+    got_errors, want_errors = errors(got), errors(want)
+    assert got == want and got["all_pass"] is True
+    for g, w in zip(got_errors, want_errors):
+        assert abs(g - w) <= 1e-12 + 1e-9 * abs(w)
