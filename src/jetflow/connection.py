@@ -70,11 +70,11 @@ def canonical_connection(h: Metric, phi: Metric) -> NonlinearConnection:
     p, n = h.dim, phi.dim
 
     def M(u: JetPoint) -> np.ndarray:
-        gamma = h.christoffel_at(u.t)
+        gamma = h.christoffel_batch(u.t)[0]
         return -np.einsum("gba,jg->jba", gamma, u.v)
 
     def N(u: JetPoint) -> np.ndarray:
-        gamma = phi.christoffel_at(u.x)
+        gamma = phi.christoffel_batch(u.x)[0]
         return np.einsum("jik,kb->jbi", gamma, u.v)
 
     return NonlinearConnection(
@@ -190,7 +190,7 @@ def connection_from_sprays(pair: SprayPair, h: Metric,
         return out
 
     def N(u: JetPoint) -> np.ndarray:
-        h_at = h.components_at(u.t)
+        h_at = h.components_batch(u.t)[0]
         return np.einsum("ijg,ga->iaj", trace_grad(u), h_at)
 
     rebuild = None

@@ -167,7 +167,7 @@ def law_check(predict: Callable[[ChangeMap, JetPoint], np.ndarray],
     law gives at the image of u are compared against the target chart's own
     `native(change)` evaluated there; the relative error uses denominator
     max(1, |native component|), and the witness is the first pair where the
-    largest error occurs.
+    largest error occurs (None only when there are no pairs).
     """
     worst, witness, pairs = 0.0, None, 0
     for change in changes:
@@ -177,7 +177,7 @@ def law_check(predict: Callable[[ChangeMap, JetPoint], np.ndarray],
             actual = native_at(transform_jet(change, u))
             err = float(np.max(np.abs(predicted - actual) / np.maximum(1.0, np.abs(actual))))
             pairs += 1
-            if err > worst:
+            if witness is None or err > worst:
                 worst, witness = err, (change.name, k)
     return Verdict(passed=bool(worst <= tol), max_rel_err=worst, pairs=pairs,
                    witness=witness)
@@ -206,7 +206,7 @@ def liouville_c_field(p: int, n: int) -> DTensorField:
 
 def liouville_l(h: Metric, u: JetPoint) -> np.ndarray:
     """Components L^{(i)}_{(a)bc} = h_bc x^i_a."""
-    hm = h.components_at(u.t)
+    hm = h.components_batch(u.t)[0]
     return np.einsum("ia,bc->iabc", u.v, hm).reshape(u.n * u.p, u.p, u.p)
 
 
@@ -221,7 +221,7 @@ def liouville_l_field(h: Metric, n: int) -> DTensorField:
 
 def normalization_j(h: Metric, n: int, u: JetPoint) -> np.ndarray:
     """Components J^{(i)}_{(a)bj} = h_ab delta^i_j."""
-    hm = h.components_at(u.t)
+    hm = h.components_batch(u.t)[0]
     p = h.dim
     return np.einsum("ab,ij->iabj", hm, np.eye(n)).reshape(n * p, p, n)
 

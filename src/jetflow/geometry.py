@@ -49,7 +49,8 @@ class Metric:
 
     Numeric values come from three `compile_table` tables, each built on
     first use: g; det g with g^-1; det g with the Christoffel
-    symbols.  Pointwise evaluation is the one-point batch, run on floats.
+    symbols.  Each `*_batch` method takes (q, dim) points, or one point of
+    shape (dim,) as a one-point batch that runs on floats.
     The symbolic Christoffel symbols are cached, and `checked_table` lets
     other tables built from them (the canonical sprays) keep the same
     degeneracy check.
@@ -184,25 +185,16 @@ class Metric:
             out[:, k] = v
         return out
 
-    def components_at(self, point: np.ndarray) -> np.ndarray:
-        return self.components_batch(np.asarray(point, float)[None, :])[0]
-
     def components_batch(self, points: np.ndarray) -> np.ndarray:
         d = self.dim
         return self._tabulate("g", points).reshape(-1, d, d)
-
-    def inverse_at(self, point: np.ndarray) -> np.ndarray:
-        return self.inverse_batch(np.asarray(point, float)[None, :])[0]
 
     def inverse_batch(self, points: np.ndarray) -> np.ndarray:
         d = self.dim
         return self._tabulate("inverse", points)[:, 1:].reshape(-1, d, d)
 
-    def christoffel_at(self, point: np.ndarray) -> np.ndarray:
-        """Levi-Civita coefficients G[a, b, c] = Gamma^a_bc at a point."""
-        return self.christoffel_batch(np.asarray(point, float)[None, :])[0]
-
     def christoffel_batch(self, points: np.ndarray) -> np.ndarray:
+        """Levi-Civita coefficients G[q, a, b, c] = Gamma^a_bc at each point."""
         d = self.dim
         return self._tabulate("christoffel", points)[:, 1:].reshape(-1, d, d, d)
 

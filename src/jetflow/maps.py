@@ -107,7 +107,7 @@ def harmonic_residual(f: SmoothMap, pair: SprayPair, h: Metric,
         raise MapError("harmonic residual needs a temporal metric")
     t = np.asarray(t, dtype=float)
     u = f.jet_lift(t)
-    hinv = h.inverse_at(t)
+    hinv = h.inverse_batch(t)[0]
     coeffs = (f.second_derivatives(t)
               + 2.0 * pair.spatial.coefficients(u)
               + 2.0 * pair.temporal.coefficients(u))
@@ -118,8 +118,8 @@ def metric_laplacian(f: SmoothMap, h: Metric, t: np.ndarray) -> np.ndarray:
     """Delta_h x^i = h^{ab}(x^i_{ab} - H^g_{ab} x^i_g)."""
     t = np.asarray(t, dtype=float)
     u = f.jet_lift(t)
-    hinv = h.inverse_at(t)
-    gamma = h.christoffel_at(t)
+    hinv = h.inverse_batch(t)[0]
+    gamma = h.christoffel_batch(t)[0]
     corrected = f.second_derivatives(t) - np.einsum("gab,ig->iab", gamma, u.v)
     return np.einsum("ab,iab->i", hinv, corrected)
 
@@ -128,8 +128,8 @@ def spray_source(pair: SprayPair, h: Metric) -> Callable[[JetPoint], np.ndarray]
     """S^i = h^{ab}(G + H)^{(i)}_{(a)b} + (1/2) h^{ab} H^g_{ab} x^i_g."""
 
     def source(u: JetPoint) -> np.ndarray:
-        hinv = h.inverse_at(u.t)
-        gamma = h.christoffel_at(u.t)
+        hinv = h.inverse_batch(u.t)[0]
+        gamma = h.christoffel_batch(u.t)[0]
         coeffs = pair.spatial.coefficients(u) + pair.temporal.coefficients(u)
         trace = np.einsum("ab,iab->i", hinv, coeffs)
         correction = 0.5 * np.einsum("ab,gab,ig->i", hinv, gamma, u.v)

@@ -258,13 +258,13 @@ def h_trace(s: Spray, h: Metric) -> HSpray:
         raise SprayError("h_trace contracts with a temporal metric")
 
     def comps(u: JetPoint) -> np.ndarray:
-        hinv = h.inverse_at(u.t)
+        hinv = h.inverse_batch(u.t)[0]
         return np.einsum("ab,iab->i", hinv, s.coefficients(u))
 
     grad = None
     if s.jet_gradient is not None:
         def grad(u: JetPoint) -> np.ndarray:
-            hinv = h.inverse_at(u.t)
+            hinv = h.inverse_batch(u.t)[0]
             return np.einsum("ab,iabkg->ikg", hinv, s.jet_gradient(u))
 
     return HSpray(s.p, s.n, comps, jet_gradient=grad, name=f"h-trace[{s.name}]")
@@ -277,13 +277,13 @@ def spray_from_hspray(hs: HSpray, h: Metric) -> Spray:
                          "one temporal dimension")
 
     def coeff(u: JetPoint) -> np.ndarray:
-        h11 = h.components_at(u.t)[0, 0]
+        h11 = h.components_batch(u.t)[0, 0, 0]
         return (h11 * hs.components(u)).reshape(hs.n, 1, 1)
 
     grad = None
     if hs.jet_gradient is not None:
         def grad(u: JetPoint) -> np.ndarray:
-            h11 = h.components_at(u.t)[0, 0]
+            h11 = h.components_batch(u.t)[0, 0, 0]
             return (h11 * hs.jet_gradient(u)).reshape(hs.n, 1, 1, hs.n, 1)
 
     return Spray("spatial", 1, hs.n, coeff, jet_gradient=grad,

@@ -1,21 +1,29 @@
 """Verification suites: randomized numerical checks of every transformation
 law in the package, driven by a scenario.
 
-Each suite produces check records {name, pairs, max_rel_err, pass}; a suite
-passes when all its checks pass.  Deliberate negative controls (for example
-the candidate 'spray-coefficients', whose transformation has an
-inhomogeneous term) report pass=false, which callers use to confirm the
-harness can fail.
+Each suite produces check records {name, pairs, max_rel_err, pass, witness};
+a suite passes when all its checks pass.  Every check runs one of two loops:
+a chart law goes through `dtensor.law_check` over (change, jet) pairs and
+reports the worst relative error, and a pointwise identity goes through
+`_identity_check` over jets and reports the worst absolute error.  The
+witness names the first pair, {"change": name or null, "jet": index}, where
+the worst error occurs; the flow-transport checks have none.  Deliberate
+negative controls (for example the candidate 'spray-coefficients', whose
+transformation has an inhomogeneous term) report pass=false, which callers
+use to confirm the harness can fail.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .dtensor import (DTensorField, Verdict, is_dtensor, lagrangian_metric_field,
-                      liouville_c_field, liouville_l_field, normalization_j_field)
+                      law_check, liouville_c_field, liouville_l_field,
+                      normalization_j_field)
 from .geometry import energy_density, metric_from_name
-from .jetspace import natural_coframe_change, natural_frame_change, transform_jet
+from .jetspace import natural_coframe_change, natural_frame_change
 from .connection import (adapted_coframe, adapted_frame, adapted_frame_blocks,
                          canonical_connection, connection_from_sprays,
                          connection_law_error, sprays_from_connection)
@@ -35,13 +43,25 @@ DTENSOR_CANDIDATES = ("liouville-c", "liouville-l", "normalization-j",
 DEFAULT_CANDIDATES = DTENSOR_CANDIDATES[:5]
 
 
-def _check(name: str, pairs: int, err: float, ok: bool) -> dict:
+def _check(name: str, pairs: int, err: float, ok: bool, witness: dict | None) -> dict:
     return {"name": name, "pairs": int(pairs), "max_rel_err": float(err),
-            "pass": bool(ok)}
+            "pass": bool(ok), "witness": witness}
 
 
 def _verdict_check(name: str, v: Verdict) -> dict:
-    return _check(name, v.pairs, v.max_rel_err, v.passed)
+    witness = None if v.witness is None else {"change": v.witness[0], "jet": v.witness[1]}
+    return _check(name, v.pairs, v.max_rel_err, v.passed, witness)
+
+
+def _identity_check(name: str, lhs, rhs, jets, tol: float) -> dict:
+    """Pointwise identity lhs(u) = rhs(u) at every jet: the largest
+    |lhs - rhs| entry and the first jet where it occurs."""
+    worst, witness = 0.0, None
+    for k, u in enumerate(jets):
+        err = float(np.max(np.abs(lhs(u) - rhs(u))))
+        if witness is None or err > worst:
+            worst, witness = err, {"change": None, "jet": k}
+    return _check(name, len(jets), worst, worst <= tol, witness)
 
 
 def _candidate_field(name: str, sc: Scenario) -> DTensorField:
@@ -95,17 +115,14 @@ def _suite_sprays(sc: Scenario, tol: float) -> list[dict]:
     # decomposition: spray = canonical part + d-tensor remainder, exactly
     s = canonical_spatial(phi, p)
     base, remainder = decompose_spray(s, metric_from_name(f"euclidean:{n}"))
-    err = max(float(np.max(np.abs(base.coefficients(u)
-                                  + remainder(u).reshape(n, p, p)
-                                  - s.coefficients(u))))
-              for u in jets)
-    out.append(_check("decomposition-reconstruction", len(jets), err, err <= 1e-12))
+    out.append(_identity_check(
+        "decomposition-reconstruction",
+        lambda u: base.coefficients(u) + remainder(u).reshape(n, p, p),
+        s.coefficients, jets, 1e-12))
     if p == 1:
-        tr = h_trace(s, h)
-        back = spray_from_hspray(tr, h)
-        err = max(float(np.max(np.abs(back.coefficients(u) - s.coefficients(u))))
-                  for u in jets)
-        out.append(_check("hspray-roundtrip", len(jets), err, err <= 1e-12))
+        back = spray_from_hspray(h_trace(s, h), h)
+        out.append(_identity_check("hspray-roundtrip", back.coefficients,
+                                   s.coefficients, jets, 1e-12))
     return out
 
 
@@ -118,18 +135,15 @@ def _suite_connection(sc: Scenario, tol: float) -> list[dict]:
 
     pair = canonical_pair(h, phi)
     derived = connection_from_sprays(pair, h)
-    err_m = max(float(np.max(np.abs(derived.temporal(u) - 2.0 * pair.temporal.coefficients(u))))
-                for u in jets)
-    out.append(_check("temporal-is-twice-spray", len(jets), err_m, err_m <= 1e-12))
+    out.append(_identity_check("temporal-is-twice-spray", derived.temporal,
+                               lambda u: 2.0 * pair.temporal.coefficients(u), jets, 1e-12))
 
-    back = sprays_from_connection(derived)
-    err = 0.0
-    for u in jets:
-        err = max(err, float(np.max(np.abs(back.temporal.coefficients(u)
-                                           - pair.temporal.coefficients(u)))))
-        err = max(err, float(np.max(np.abs(back.spatial.coefficients(u)
-                                           - pair.spatial.coefficients(u)))))
-    out.append(_check("spray-roundtrip", len(jets), err, err <= 1e-10))
+    def raveled(sprays):
+        return lambda u: np.concatenate([sprays.temporal.coefficients(u).ravel(),
+                                         sprays.spatial.coefficients(u).ravel()])
+
+    out.append(_identity_check("spray-roundtrip", raveled(sprays_from_connection(derived)),
+                               raveled(pair), jets, 1e-10))
     return out
 
 
@@ -138,28 +152,21 @@ def _suite_adapted(sc: Scenario, tol: float) -> list[dict]:
     changes = sc.changes_for("adapted")
     jets = sc.jets_for("adapted")
     conn = canonical_connection(h, phi)
-    worst_f = worst_c = worst_d = 0.0
-    pairs = 0
-    for change in changes:
-        native = conn.in_chart(change)
-        for u in jets:
-            u_new = transform_jet(change, u)
-            F = adapted_frame(conn, u)
-            F_new = adapted_frame(native, u_new)
-            D = F @ natural_frame_change(change, u) @ np.linalg.inv(F_new)
-            blocks = adapted_frame_blocks(change, u)
-            worst_f = max(worst_f, float(np.max(np.abs(D - blocks))))
-            Cf = adapted_coframe(conn, u)
-            Cf_new = adapted_coframe(native, u_new)
-            Dc = Cf @ natural_coframe_change(change, u) @ np.linalg.inv(Cf_new)
-            worst_c = max(worst_c, float(np.max(np.abs(Dc - np.linalg.inv(blocks).T))))
-            worst_d = max(worst_d, float(np.max(np.abs(
-                Cf - np.linalg.inv(F).T))))
-            pairs += 1
+    # F S = D F~ and C S* = D^-T C~, with D = adapted_frame_blocks, S and S*
+    # the natural frame and coframe changes, F~ and C~ the target chart's own
+    frame_law = law_check(
+        lambda c, u: (np.linalg.inv(adapted_frame_blocks(c, u)) @ adapted_frame(conn, u)
+                      @ natural_frame_change(c, u)),
+        lambda c: partial(adapted_frame, conn.in_chart(c)), changes, jets, tol)
+    coframe_law = law_check(
+        lambda c, u: (adapted_frame_blocks(c, u).T @ adapted_coframe(conn, u)
+                      @ natural_coframe_change(c, u)),
+        lambda c: partial(adapted_coframe, conn.in_chart(c)), changes, jets, tol)
     return [
-        _check("frame-block-diagonal", pairs, worst_f, worst_f <= tol),
-        _check("coframe-block-diagonal", pairs, worst_c, worst_c <= tol),
-        _check("frame-coframe-duality", pairs, worst_d, worst_d <= 1e-12),
+        _verdict_check("frame-block-diagonal", frame_law),
+        _verdict_check("coframe-block-diagonal", coframe_law),
+        _identity_check("frame-coframe-duality", partial(adapted_coframe, conn),
+                        lambda u: np.linalg.inv(adapted_frame(conn, u)).T, jets, 1e-12),
     ]
 
 
@@ -201,29 +208,21 @@ def _suite_prolong(sc: Scenario, tol: float) -> list[dict]:
         coarse = prolongation_flow_error(X, jets, eps, substeps)
         fine = prolongation_flow_error(X, jets, eps / 2.0, substeps)
         if coarse < 1e-8:          # transport is exact for this field
-            out.append(_check(f"flow-exact[{X.name}]", len(jets), coarse, True))
+            out.append(_check(f"flow-exact[{X.name}]", len(jets), coarse, True, None))
             continue
         ratio = coarse / fine
         out.append(_check(f"flow-ratio[{X.name}]", len(jets), abs(ratio - 4.0),
-                          3.5 <= ratio <= 4.5))
+                          3.5 <= ratio <= 4.5, None))
 
     conn = canonical_connection(h, phi)
     gap = vertical_gap_field(fields[0], conn)
     out.append(_verdict_check("vertical-gap-dtensor",
                               is_dtensor(gap, changes, jets, tol=tol)))
 
-    worst = 0.0
-    pairs = 0
-    X = fields[0]
-    pr_old = olver_prolong(X)
-    for change in changes:
-        pr_new = olver_prolong(pushforward(X, change))
-        for u in jets:
-            S = natural_frame_change(change, u)
-            diff = pr_new.packed(transform_jet(change, u)) - S.T @ pr_old.packed(u)
-            worst = max(worst, float(np.max(np.abs(diff))))
-            pairs += 1
-    out.append(_check("prolongation-chart-equivariance", pairs, worst, worst <= tol))
+    pr = olver_prolong(fields[0])
+    out.append(_verdict_check("prolongation-chart-equivariance", law_check(
+        lambda c, u: natural_frame_change(c, u).T @ pr.packed(u),
+        lambda c: olver_prolong(pushforward(fields[0], c)).packed, changes, jets, tol)))
     return out
 
 

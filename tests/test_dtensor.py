@@ -16,6 +16,7 @@ from jetflow.dtensor import (
     V_UP,
     is_dtensor,
     lagrangian_metric_field,
+    law_check,
     liouville_c_field,
     liouville_l_field,
     normalization_j_field,
@@ -135,6 +136,26 @@ def test_failing_field_yields_witness():
     assert name.startswith("mixed") and 0 <= k < 5
 
 
+def test_law_check_witness_names_the_first_worst_pair():
+    rng = np.random.default_rng(35)
+    changes = catalog(rng, 2, 2, kinds=("affine", "shear"), count=1)
+    jets = jets_in(rng, 2, 2, count=3)
+    zero = lambda change, u: np.zeros(2)
+    # every error 0: the first pair is the witness
+    v = law_check(zero, lambda change: lambda u: np.zeros(2), changes, jets)
+    assert v.passed and v.max_rel_err == 0.0 and v.pairs == 6
+    assert v.witness == (changes[0].name, 0)
+    # the largest error, 1, occurs at two pairs: the first of them is named
+    index = {id(u): k for k, u in enumerate(jets)}
+    errors = {(changes[1].name, 1): 1.0, (changes[1].name, 2): 1.0}
+    v = law_check(lambda change, u: np.full(2, errors.get((change.name, index[id(u)]), 0.0)),
+                  lambda change: lambda u: np.zeros(2), changes, jets)
+    assert not v.passed and v.max_rel_err == 1.0 and v.witness == (changes[1].name, 1)
+    # no pairs, no witness
+    v = law_check(zero, lambda change: lambda u: np.zeros(2), [], jets)
+    assert v.passed and v.pairs == 0 and v.witness is None
+
+
 def test_shape_mismatch_raises():
     f = DTensorField("bad-shape", IndexSignature.parse("U(i,a)"), 2, 2,
                      lambda u: np.zeros(3))
@@ -158,7 +179,7 @@ def test_liouville_l_components_product_structure():
     u = random_jet(np.random.default_rng(35), 2, 2)
     f = liouville_l_field(h, 2)
     arr = f(u)
-    hm = h.components_at(u.t)
+    hm = h.components_batch(u.t)[0]
     for i in range(2):
         for a in range(2):
             assert np.max(np.abs(arr[i * 2 + a] - u.v[i, a] * hm)) < 1e-14
@@ -185,7 +206,7 @@ def test_lagrangian_metric_of_energy_density():
     u = random_jet(np.random.default_rng(37), 2, 2,
                    box_t=h.box, box_x=phi.box)
     arr = f(u)
-    want = np.kron(phi.components_at(u.x), h.inverse_at(u.t))
+    want = np.kron(phi.components_batch(u.x)[0], h.inverse_batch(u.t)[0])
     assert np.max(np.abs(arr - want)) < 1e-9
 
 

@@ -22,7 +22,7 @@ from helpers import metric_and_points
 
 def test_sphere_christoffel_values():
     g = metric_from_name("sphere:2")
-    G = g.christoffel_at(np.array([np.pi / 4, 0.3]))
+    G = g.christoffel_batch(np.array([np.pi / 4, 0.3]))[0]
     # Gamma^1_22 = -sin(th)cos(th) = -1/2,  Gamma^2_12 = cot(th) = 1 at th=pi/4
     assert abs(G[0, 1, 1] - (-0.5)) < 1e-12
     assert abs(G[1, 0, 1] - 1.0) < 1e-12
@@ -32,7 +32,7 @@ def test_sphere_christoffel_values():
 
 def test_exp1d_christoffel_value():
     h = metric_from_name("exp1d")
-    G = h.christoffel_at(np.array([0.7]))
+    G = h.christoffel_batch(np.array([0.7]))[0]
     # h11 = exp(2 t): Gamma^1_11 = h'/(2h) = 1 for every t
     assert abs(G[0, 0, 0] - 1.0) < 1e-12
 
@@ -40,7 +40,7 @@ def test_exp1d_christoffel_value():
 def test_hyperbolic_christoffel_values():
     g = metric_from_name("hyperbolic:2")
     x2 = 0.8
-    G = g.christoffel_at(np.array([0.4, x2]))
+    G = g.christoffel_batch(np.array([0.4, x2]))[0]
     assert abs(G[0, 0, 1] - (-1.0 / x2)) < 1e-12
     assert abs(G[0, 1, 0] - (-1.0 / x2)) < 1e-12
     assert abs(G[1, 0, 0] - (1.0 / x2)) < 1e-12
@@ -50,7 +50,7 @@ def test_hyperbolic_christoffel_values():
 
 def test_euclidean_christoffel_vanishes():
     g = metric_from_name("euclidean:3")
-    G = g.christoffel_at(np.array([0.1, -0.4, 2.0]))
+    G = g.christoffel_batch(np.array([0.1, -0.4, 2.0]))[0]
     assert np.max(np.abs(G)) == 0.0
 
 
@@ -65,8 +65,8 @@ def test_conformal_christoffel_against_finite_differences():
     dg = np.empty((d, d, d))
     for c in range(d):
         dt = np.zeros(d); dt[c] = eps
-        dg[c] = (h.components_at(t + dt) - h.components_at(t - dt)) / (2 * eps)
-    ginv = h.inverse_at(t)
+        dg[c] = (h.components_batch(t + dt)[0] - h.components_batch(t - dt)[0]) / (2 * eps)
+    ginv = h.inverse_batch(t)[0]
     G_fd = np.empty((d, d, d))
     for a in range(d):
         for b in range(d):
@@ -74,7 +74,7 @@ def test_conformal_christoffel_against_finite_differences():
                 G_fd[a, b, c] = 0.5 * sum(
                     ginv[a, e] * (dg[b][e, c] + dg[c][b, e] - dg[e][b, c])
                     for e in range(d))
-    G = h.christoffel_at(t)
+    G = h.christoffel_batch(t)[0]
     assert np.max(np.abs(G - G_fd)) < 1e-8
 
 
@@ -95,7 +95,7 @@ def test_components_batch_matches_pointwise():
     pts = np.column_stack([rng.uniform(0.5, 2.5, 7), rng.uniform(-2, 2, 7)])
     batch = g.components_batch(pts)
     for k, pt in enumerate(pts):
-        assert np.max(np.abs(batch[k] - g.components_at(pt))) < 1e-15
+        assert np.max(np.abs(batch[k] - g.components_batch(pt)[0])) < 1e-15
 
 
 def test_christoffel_batch_matches_pointwise():
@@ -104,7 +104,7 @@ def test_christoffel_batch_matches_pointwise():
     pts = np.column_stack([rng.uniform(0.5, 2.5, 6), rng.uniform(-2, 2, 6)])
     batch = g.christoffel_batch(pts)
     for k, pt in enumerate(pts):
-        assert np.max(np.abs(batch[k] - g.christoffel_at(pt))) < 1e-15
+        assert np.max(np.abs(batch[k] - g.christoffel_batch(pt)[0])) < 1e-15
 
 
 @pytest.mark.parametrize("name,kind,point", [
@@ -116,7 +116,7 @@ def test_symbolic_inverse_matches_numeric(name, kind, point):
     inv_sym = g.inverse_components()
     env = dict(zip(g.variables, point))
     inv_val = np.array([[e.eval(env) for e in row] for row in inv_sym])
-    assert np.max(np.abs(inv_val - g.inverse_at(np.array(point)))) < 1e-12
+    assert np.max(np.abs(inv_val - g.inverse_batch(np.array(point))[0])) < 1e-12
 
 
 def test_symbolic_inverse_dim3():
@@ -128,18 +128,16 @@ def test_symbolic_inverse_dim3():
     inv_sym = g.inverse_components()
     env = dict(zip(g.variables, pt))
     inv_val = np.array([[e.eval(env) for e in row] for row in inv_sym])
-    assert np.max(np.abs(inv_val - g.inverse_at(pt))) < 1e-12
+    assert np.max(np.abs(inv_val - g.inverse_batch(pt)[0])) < 1e-12
 
 
 def test_degenerate_metric_raises():
     g = Metric("deg", "spatial", [[parse("x1"), num(0.0)], [num(0.0), parse("1")]])
     for x1 in (0.0, 1e-14):
-        for method in (g.inverse_at, g.christoffel_at):
-            with pytest.raises(GeometryError):
-                method(np.array([x1, 1.0]))
         for method in (g.inverse_batch, g.christoffel_batch):
-            with pytest.raises(GeometryError):
-                method(np.array([[1.0, 1.0], [x1, 1.0]]))
+            for points in (np.array([x1, 1.0]), np.array([[1.0, 1.0], [x1, 1.0]])):
+                with pytest.raises(GeometryError):
+                    method(points)
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
@@ -154,9 +152,9 @@ def test_symbolic_inverse_beyond_dim3(d, kind):
     inv = compile_table([e for row in g.inverse_components() for e in row], g.variables)
     for _ in range(3):
         pt = rng.uniform(-1.0, 1.0, d)
-        want = np.linalg.inv(g.components_at(pt))
+        want = np.linalg.inv(g.components_batch(pt)[0])
         assert np.max(np.abs(np.reshape(inv(*pt.tolist()), (d, d)) - want)) < 1e-12
-        assert np.max(np.abs(g.inverse_at(pt) - want)) < 1e-12
+        assert np.max(np.abs(g.inverse_batch(pt)[0] - want)) < 1e-12
 
 
 # --- compiled tables against the tree interpreter -------------------------------
@@ -190,11 +188,11 @@ def test_christoffel_matches_numeric_formula(name, kind, change_kind):
     for pt in pts:
         env = dict(zip(g.variables, pt))
         dg = np.array([[[e.eval(env) for e in row] for row in plane] for plane in g._dg])
-        ginv = np.linalg.inv(g.components_at(pt))
+        ginv = np.linalg.inv(g.components_batch(pt)[0])
         lowered = dg.transpose(1, 0, 2) + dg.transpose(2, 1, 0) - dg
         want = 0.5 * np.einsum("ad,dbc->abc", ginv, lowered)
-        assert np.max(np.abs(g.christoffel_at(pt) - want)) < 1e-12
-        assert np.max(np.abs(g.inverse_at(pt) - ginv)) < 1e-12
+        assert np.max(np.abs(g.christoffel_batch(pt)[0] - want)) < 1e-12
+        assert np.max(np.abs(g.inverse_batch(pt)[0] - ginv)) < 1e-12
 
 
 def test_each_table_is_compiled_once(monkeypatch):
@@ -208,13 +206,13 @@ def test_each_table_is_compiled_once(monkeypatch):
     g = metric_from_name("sphere:2")
     pts = np.array([[1.0, 0.2], [1.2, -0.3]])
     for _ in range(3):
-        g.christoffel_at(pts[0])
+        g.christoffel_batch(pts[0])
         g.christoffel_batch(pts)
     assert len(built) == 1
     for _ in range(3):
-        g.inverse_at(pts[0])
+        g.inverse_batch(pts[0])
         g.inverse_batch(pts)
-        g.components_at(pts[0])
+        g.components_batch(pts[0])
         g.components_batch(pts)
     assert len(built) == 3
     assert len(metric_from_name("sphere:2")._kernels) == 0
@@ -233,8 +231,8 @@ def test_pullback_preserves_lengths():
         w = rng.normal(size=2)
         B = c.jacobian_x(x)
         _, x_new = c.forward(np.zeros(1), x)
-        length = w @ g.components_at(x) @ w
-        length_new = (B @ w) @ gt.components_at(x_new) @ (B @ w)
+        length = w @ g.components_batch(x)[0] @ w
+        length_new = (B @ w) @ gt.components_batch(x_new)[0] @ (B @ w)
         assert abs(length - length_new) < 1e-10 * max(1.0, abs(length))
 
 
@@ -261,8 +259,8 @@ def test_pullback_of_flat_metric_under_affine_is_constant():
     rng = np.random.default_rng(8)
     c = nd.random_change(rng, 2, 2, "affine")
     gt = pullback_metric(g, c)
-    a = gt.components_at(np.array([0.0, 0.0]))
-    b = gt.components_at(np.array([1.0, -1.0]))
+    a = gt.components_batch(np.array([0.0, 0.0]))[0]
+    b = gt.components_batch(np.array([1.0, -1.0]))[0]
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -311,7 +309,7 @@ def test_energy_density_value():
     v = np.array([[0.4, -1.1], [0.7, 0.2]])
     env = {"t1": 0.0, "t2": 0.0, "x1": th, "x2": 0.5,
            "x1_1": v[0, 0], "x1_2": v[0, 1], "x2_1": v[1, 0], "x2_2": v[1, 1]}
-    phi_val = phi.components_at(np.array([th, 0.5]))
+    phi_val = phi.components_batch(np.array([th, 0.5]))[0]
     expected = sum(v[:, a] @ phi_val @ v[:, a] for a in range(2))
     assert abs(E.eval(env) - expected) < 1e-12
 

@@ -88,7 +88,7 @@ def test_harmonic_residual_is_trace_of_affine_residual():
     pair = canonical_pair(h, phi)
     f = SmoothMap(2, ["0.7*t1 + 0.2*t2 + 1.2", "0.3*t1^2 - 0.1*t2"])
     t = np.array([0.4, -0.6])
-    hinv = h.inverse_at(t)
+    hinv = h.inverse_batch(t)[0]
     # canonical (G + H) is symmetric in its lower pair, so the symmetrized
     # affine form traces to the harmonic one
     got = np.einsum("ab,iab->i", hinv, affine_residual(f, pair, t))
@@ -152,8 +152,8 @@ def test_sphere_geodesic_conserves_energy():
     phi = metric_from_name("sphere:2")
     pair = canonical_pair(h, phi)
     sol = solve_affine_ode(pair, [np.pi / 2, 0.0], [0.6, 1.0], (0.0, 1.0), 400)
-    e0 = sol.vs[0] @ phi.components_at(sol.xs[0]) @ sol.vs[0]
-    e1 = sol.vs[-1] @ phi.components_at(sol.xs[-1]) @ sol.vs[-1]
+    e0 = sol.vs[0] @ phi.components_batch(sol.xs[0])[0] @ sol.vs[0]
+    e1 = sol.vs[-1] @ phi.components_batch(sol.xs[-1])[0] @ sol.vs[-1]
     assert abs(e1 - e0) < 1e-9 * e0
 
 

@@ -154,7 +154,7 @@ def test_h_trace_and_round_trip_p1():
     hs = h_trace(s, h)
     u = JetPoint(np.array([0.2]), np.array([np.pi / 3, 0.4]),
                  np.array([[0.7], [(-1.1)]]))
-    hinv = h.inverse_at(u.t)
+    hinv = h.inverse_batch(u.t)[0]
     want = hinv[0, 0] * s.coefficients(u)[:, 0, 0]
     assert np.max(np.abs(hs.components(u) - want)) < 1e-13
     back = spray_from_hspray(hs, h)
@@ -308,9 +308,9 @@ def reference_coefficients(kind, metric, T, X, V):
 def reference_gradient(kind, metric, u):
     """d arr[j, b, a] / d x^k_g from the Christoffel symbols, (n, p, p, n, p)."""
     if kind == "temporal":
-        gamma = metric.christoffel_at(u.t)
+        gamma = metric.christoffel_batch(u.t)[0]
         return -0.5 * np.einsum("gab,jk->jbakg", gamma, np.eye(u.n))
-    gamma = metric.christoffel_at(u.x)
+    gamma = metric.christoffel_batch(u.x)[0]
     eye_p = np.eye(u.p)
     return 0.5 * (np.einsum("jml,lb,ga->jbamg", gamma, u.v, eye_p)
                   + np.einsum("jkm,ka,gb->jbamg", gamma, u.v, eye_p))
