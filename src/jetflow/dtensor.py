@@ -157,6 +157,14 @@ class Verdict:
     witness: tuple[str, int] | None = None   # (change name, jet index) at the max error
 
 
+def _worse(err: float, worst: float, witness) -> bool:
+    """Does `err` replace `worst` as the largest error so far?  The first
+    pair always does.  NaN counts as the largest error: a NaN replaces any
+    number and is replaced by nothing, so a check with a NaN at any pair
+    reports NaN, fails (NaN <= tol is false), and names the first NaN pair."""
+    return witness is None or err > worst or (err != err and worst == worst)
+
+
 def law_check(predict: Callable[[ChangeMap, JetPoint], np.ndarray],
               native: Callable[[ChangeMap], Callable[[JetPoint], np.ndarray]],
               changes: Sequence[ChangeMap], jets: Sequence[JetPoint],
@@ -167,7 +175,8 @@ def law_check(predict: Callable[[ChangeMap, JetPoint], np.ndarray],
     law gives at the image of u are compared against the target chart's own
     `native(change)` evaluated there; the relative error uses denominator
     max(1, |native component|), and the witness is the first pair where the
-    largest error occurs (None only when there are no pairs).
+    largest error occurs (None only when there are no pairs).  A NaN error
+    at any pair makes `max_rel_err` NaN and fails the check (`_worse`).
     """
     worst, witness, pairs = 0.0, None, 0
     for change in changes:
@@ -177,7 +186,7 @@ def law_check(predict: Callable[[ChangeMap, JetPoint], np.ndarray],
             actual = native_at(transform_jet(change, u))
             err = float(np.max(np.abs(predicted - actual) / np.maximum(1.0, np.abs(actual))))
             pairs += 1
-            if witness is None or err > worst:
+            if _worse(err, worst, witness):
                 worst, witness = err, (change.name, k)
     return Verdict(passed=bool(worst <= tol), max_rel_err=worst, pairs=pairs,
                    witness=witness)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Collection, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -782,16 +782,18 @@ class Table:
     call, or the first call on a numpy array, compiles the table
     (`compiled`) and every later call runs the compiled function.  Both
     tiers compute each node as ``Expr.eval`` does, so they give the same
-    values bit for bit and raise the same first error.
+    values bit for bit and raise the same first error.  `freeze` binds
+    some names once and for all.
     """
 
-    __slots__ = ("exprs", "names", "check", "_walks", "_fn")
+    __slots__ = ("exprs", "names", "check", "_walks", "_fn", "_makers")
 
     def __init__(self, exprs: Sequence[Expr], names: Sequence[str],
                  check: Callable[[Value], None] | None):
         self.exprs, self.names, self.check = list(exprs), list(names), check
         self._walks = 0
         self._fn: Callable[..., tuple] | None = None
+        self._makers: dict[frozenset, Callable[..., Callable[..., tuple]]] = {}
 
     def __call__(self, *args: Value) -> tuple:
         fn = self._fn
@@ -810,6 +812,28 @@ class Table:
         if self._fn is None:
             self._fn = _compile(self.exprs, self.names, self.check)
         return self._fn
+
+    def freeze(self, fixed_names: Sequence[str], values: Sequence[Value]) -> Callable[..., tuple]:
+        """The table as a compiled function of its other names, in `names`
+        order, with `fixed_names` bound to `values` (partial evaluation).
+
+        Every node that reads only fixed names and literals is computed
+        here, once, together with its guards, and so is `check` when the
+        first entry is such a node: a domain error, or a failed check such
+        as a degenerate metric's GeometryError, on those nodes raises from
+        `freeze` rather than from the first call.  The returned function
+        computes the remaining nodes; every value is the one the full table
+        computes from the same arguments, bit for bit.  The generated code
+        is compiled once per set of fixed names."""
+        fixed = frozenset(fixed_names)
+        if not (len(fixed) == len(fixed_names) == len(values) and fixed <= set(self.names)):
+            raise TypeError(f"cannot freeze {list(fixed_names)} to {len(values)} values "
+                            f"in a table of {self.names}")
+        make = self._makers.get(fixed)
+        if make is None:
+            make = self._makers[fixed] = _compile(self.exprs, self.names, self.check, fixed)
+        bound = dict(zip(fixed_names, values))
+        return make(*(bound[name] for name in self.names if name in fixed))
 
 
 def compile_table(exprs: Sequence[Expr], names: Sequence[str],
@@ -835,27 +859,46 @@ def compile_table(exprs: Sequence[Expr], names: Sequence[str],
 
 
 def _compile(exprs: Sequence[Expr], names: Sequence[str],
-             check: Callable[[Value], None] | None) -> Callable[..., tuple]:
+             check: Callable[[Value], None] | None,
+             fixed: Collection[str] | None = None) -> Callable:
     """One straight-line function for a table.  Structurally equal subtrees
     are interned (one pass over the trees, memoised by ``id``) and get one
-    assignment."""
+    assignment.
+
+    With `fixed`, the result is ``make(<fixed args>)`` instead, fixed
+    arguments in `names` order.  A node is frozen when all its operands are
+    fixed arguments, literals or frozen nodes; `make` computes the frozen
+    nodes, with the guards (and `check`) on frozen operands, and returns
+    ``table(<other args>)``, which computes the rest."""
     args = {name: f"a{k}" for k, name in enumerate(names)}
     ns = dict(_TABLE_NAMESPACE, check=check)
-    lines: list[str] = []
+    outer: list[str] = []           # the lines of `make`
+    lines: list[str] = []           # the lines of `table`
+    frozen = set() if fixed is None else {args[name] for name in fixed}
     by_id: dict[int, str] = {}      # id(node) -> operand text
     by_key: dict[tuple, str] = {}   # structure -> operand text
     guarded: set[tuple[str, str]] = set()
+
+    def place(operands: Sequence[str], line: str) -> bool:
+        # a line on frozen operands goes to `make`; without `fixed`, no
+        # operand is frozen and every line goes to `table`
+        if all(o in frozen for o in operands):
+            outer.append(line)
+            return True
+        lines.append(line)
+        return False
 
     def guard(key: tuple[str, str], line: str) -> None:
         # a repeat of a passed guard on the same operand cannot fail
         if key not in guarded:
             guarded.add(key)
-            lines.append(line)
+            place(key[1:], line)
 
-    def intern(key: tuple, code: str) -> str:
+    def intern(key: tuple, code: str, *operands: str) -> str:
         if key not in by_key:
             by_key[key] = f"v{len(by_key)}"
-            lines.append(f"{by_key[key]} = {code}")
+            if place(operands, f"{by_key[key]} = {code}"):
+                frozen.add(by_key[key])
         return by_key[key]
 
     def emit(e: Expr) -> str:
@@ -864,31 +907,33 @@ def _compile(exprs: Sequence[Expr], names: Sequence[str],
             return got
         if isinstance(e, Num):
             got = _literal(e.value)
+            if fixed is not None:
+                frozen.add(got)
         elif isinstance(e, Var):
             got = args[e.name]
         elif isinstance(e, Neg):
             a = emit(e.a)
-            got = intern(("-", a), f"-{a}")
+            got = intern(("-", a), f"-{a}", a)
         elif type(e) in _BINARY:
             op = _BINARY[type(e)]
             a = emit(e.a)
             b = emit(e.b)
-            got = intern((op, a, b), f"{a} {op} {b}")
+            got = intern((op, a, b), f"{a} {op} {b}", a, b)
         elif isinstance(e, Div):
             b = emit(e.b)                   # the interpreter checks the denominator first
             guard(("/", b), f"if _any({b} == 0): raise ExprError({_DIV0!r})")
             a = emit(e.a)
-            got = intern(("/", a, b), f"{a} / {b}")
+            got = intern(("/", a, b), f"{a} / {b}", a, b)
         elif isinstance(e, Pow):
             b = emit(e.base)
             if e.exponent < 0:
                 guard(("^", b), f"if _any({b} == 0): raise ExprError({_NEG_POW0!r})")
-            got = intern(("^", b, e.exponent), f"_power({b}, {e.exponent})")
+            got = intern(("^", b, e.exponent), f"_power({b}, {e.exponent})", b)
         elif isinstance(e, Call):
             x = emit(e.arg)
             if FUNCTIONS[e.fn][2] is not None:
                 guard((e.fn, x), f"_g_{e.fn}({x})")
-            got = intern((e.fn, x), f"_f_{e.fn}({x})")
+            got = intern((e.fn, x), f"_f_{e.fn}({x})", x)
         else:
             raise ExprError(f"cannot compile node {type(e).__name__}")
         by_id[id(e)] = got
@@ -898,8 +943,12 @@ def _compile(exprs: Sequence[Expr], names: Sequence[str],
     for k, e in enumerate(exprs):
         outs.append(emit(e))
         if k == 0 and check is not None:
-            lines.append(f"check({outs[0]})")
+            place(outs[:1], f"check({outs[0]})")
     lines.append(f"return ({''.join(o + ', ' for o in outs)})")
-    src = f"def table({', '.join(args.values())}):\n" + "".join(f"    {x}\n" for x in lines)
-    exec(compile(src, "<compiled table>", "exec"), ns)
-    return ns["table"]
+    inner = [a for name, a in args.items() if fixed is None or name not in fixed]
+    src = [f"def table({', '.join(inner)}):", *(f"    {x}" for x in lines)]
+    if fixed is not None:
+        src = [f"def make({', '.join(a for name, a in args.items() if name in fixed)}):",
+               *(f"    {x}" for x in [*outer, *src, "return table"])]
+    exec(compile("".join(x + "\n" for x in src), "<compiled table>", "exec"), ns)
+    return ns["table" if fixed is None else "make"]

@@ -246,13 +246,26 @@ class GridSolution:
         return self.status == "converged"
 
 
-def _batch_coefficients(spray, T, X, V):
-    if spray.coefficients_batch is not None:
-        return spray.coefficients_batch(T, X, V)
-    out = np.empty((len(T), spray.n, spray.p, spray.p))
-    for q in range(len(T)):
-        out[q] = spray.coefficients(JetPoint(T[q], X[q], V[q]))
-    return out
+def _batch_kernel(spray, T: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The spray's coefficients at the fixed nodes T, as a function of
+    X (q, n) and V (q, n, p) returning (q, n, p, p), chosen the way
+    `_jet_kernel` chooses: while `coefficients_batch` is still the canonical
+    spray's own, its tables frozen on T (`_SprayTables.batch_at`); else any
+    other `coefficients_batch`; else `coefficients`, one node at a time."""
+    tables = spray.tables
+    if tables is not None and spray.coefficients_batch == tables.coefficients_batch:
+        return tables.batch_at(T)
+    batch = spray.coefficients_batch
+    if batch is not None:
+        return lambda X, V: batch(T, X, V)
+
+    def pointwise(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        out = np.empty((len(T), spray.n, spray.p, spray.p))
+        for q in range(len(T)):
+            out[q] = spray.coefficients(JetPoint(T[q], X[q], V[q]))
+        return out
+
+    return pointwise
 
 
 # V-cycle shape: damped-Jacobi steps before and after the coarse-grid
@@ -274,11 +287,13 @@ def _coarsest_sweeps(m: int) -> int:
 
 class _Level:
     """One grid of the multigrid hierarchy: its interior nodes T, the metric
-    inverse frozen there, and kappa, the diagonal of the linearised residual
-    that scales the damped-Jacobi step."""
+    inverse frozen there, kappa, the diagonal of the linearised residual
+    that scales the damped-Jacobi step, and each spray's coefficients as a
+    function of the jet columns with its `t`-only terms computed once on T
+    (`_batch_kernel`)."""
 
     def __init__(self, pair: SprayPair, h: Metric, t1: np.ndarray, t2: np.ndarray):
-        self.pair, self.m, self.n = pair, len(t1), pair.temporal.n
+        self.m, self.n = len(t1), pair.temporal.n
         self.d1, self.d2 = t1[1] - t1[0], t2[1] - t2[0]
         TT1, TT2 = np.meshgrid(t1[1:-1], t2[1:-1], indexing="ij")
         self.T = np.stack([TT1.ravel(), TT2.ravel()], axis=1)        # row-major
@@ -287,11 +302,12 @@ class _Level:
                             + self.hinv[:, 1, 1] / self.d2 ** 2)     # (q,)
         if np.any(self.kappa <= 0):
             raise GeometryError("metric inverse is not positive on the grid diagonal")
+        self.sprays = (_batch_kernel(pair.spatial, self.T), _batch_kernel(pair.temporal, self.T))
 
     def residual(self, vals: np.ndarray, rhs: np.ndarray | float) -> np.ndarray:
         """(q, n): the harmonic residual of the grid values `vals` at the
         interior nodes (jet coordinates from central differences), minus rhs."""
-        d1, d2, n, pair, T = self.d1, self.d2, self.n, self.pair, self.T
+        d1, d2, n, (G, H) = self.d1, self.d2, self.n, self.sprays
         c = vals[1:-1, 1:-1]                      # (m-2, m-2, n)
         e, w = vals[2:, 1:-1], vals[:-2, 1:-1]
         nn, ss = vals[1:-1, 2:], vals[1:-1, :-2]
@@ -302,11 +318,10 @@ class _Level:
         d12 = (ne + sw - nw - se) / (4 * d1 * d2)
         v1 = (e - w) / (2 * d1)
         v2 = (nn - ss) / (2 * d2)
-        q = len(T)
+        q = len(self.T)
         X = c.reshape(q, n)
         V = np.stack([v1.reshape(q, n), v2.reshape(q, n)], axis=2)  # (q, n, 2)
-        coeffs = (_batch_coefficients(pair.spatial, T, X, V)
-                  + _batch_coefficients(pair.temporal, T, X, V))    # (q, n, 2, 2)
+        coeffs = G(X, V) + H(X, V)                                  # (q, n, 2, 2)
         x2 = np.empty((q, n, 2, 2))
         x2[:, :, 0, 0] = d11.reshape(q, n)
         x2[:, :, 1, 1] = d22.reshape(q, n)

@@ -110,6 +110,7 @@ class ChangeMap:
         self.box_x = None if box_x is None else [tuple(b) for b in box_x]
         self._tables: dict[str, Callable[..., tuple]] = {}   # see _at
         self._pulled: dict = {}     # metric -> its pullback, see geometry.pullback_metric
+        self._inverse: ChangeMap | None = None                 # see inverted
         if len(inverse_t) != self.p or len(inverse_x) != self.n:
             raise ChartError("forward and inverse components disagree in dimension")
         tset, xset = set(temporal_names(self.p)), set(spatial_names(self.n))
@@ -204,8 +205,14 @@ class ChangeMap:
     # structure --------------------------------------------------------------
 
     def inverted(self) -> "ChangeMap":
-        return ChangeMap(self.name + "^-1", self.inverse_t, self.inverse_x,
-                         self.forward_t, self.forward_x)
+        """The inverse change, built on first use and kept, so its tables
+        compile once: ``c.inverted() is c.inverted()`` and
+        ``c.inverted().inverted() is c``."""
+        if self._inverse is None:
+            self._inverse = ChangeMap(self.name + "^-1", self.inverse_t, self.inverse_x,
+                                      self.forward_t, self.forward_x)
+            self._inverse._inverse = self
+        return self._inverse
 
     def then(self, other: "ChangeMap") -> "ChangeMap":
         """Composition: apply self first, then other (Expr substitution)."""

@@ -22,7 +22,8 @@ A canonical spray is one table over the jet variables (built from the
 metric's symbolic Christoffel symbols on first use, and shared by every
 canonical spray of the same metric and dimensions); its pointwise and
 batched coefficients run the same table, and constant folding makes the
-spray of a flat metric a table of zeros.
+spray of a flat metric a table of zeros.  A grid solver that evaluates a
+spray on fixed temporal nodes runs the table frozen on them (`batch_at`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dtensor import DTensorField, IndexSignature, Verdict, law_check
-from .exprlang import Expr, add, diff, mul, num, var
+from .exprlang import Expr, add, diff, free_vars, mul, num, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, mixed_jet_derivatives
@@ -146,14 +147,40 @@ class _SprayTables:
         values = self._gradient(*self._floats(u))
         return np.array(values[1:]).reshape(n, p, p, n, p)
 
-    def coefficients_batch(self, T: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        q = len(T)
-        values = self.kernel(*np.asarray(T, float).T, *np.asarray(X, float).T,
-                             *np.asarray(V, float).reshape(q, self.n * self.p).T)
+    def _filled(self, q: int, values: Sequence) -> np.ndarray:
+        """(q, n, p, p) coefficients from a kernel's values (det g first)."""
         out = np.empty((q, len(values) - 1))
         for k, v in enumerate(values[1:]):
             out[:, k] = v                       # a constant entry broadcasts
         return out.reshape(q, self.n, self.p, self.p)
+
+    def _jet_columns(self, X: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
+        return [*np.asarray(X, float).T,
+                *np.asarray(V, float).reshape(len(X), self.n * self.p).T]
+
+    def coefficients_batch(self, T: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return self._filled(len(T), self.kernel(*np.asarray(T, float).T,
+                                                *self._jet_columns(X, V)))
+
+    def batch_at(self, T: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """`coefficients_batch` on the fixed temporal nodes T, as a function
+        of (X, V): the kernel frozen on t1..tp (`Table.freeze`), so the terms
+        that read only t are computed once, here, and a metric degenerate at
+        a node raises GeometryError here.  Every value is bit for bit the
+        one `coefficients_batch(T, X, V)` gives.  When no entry reads x or
+        the jet variables (the spray of a flat metric), every call returns
+        the same read-only array."""
+        q, fixed = len(T), temporal_names(self.p)
+        table = self.kernel.freeze(fixed, list(np.asarray(T, float).T))
+
+        def batch(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+            return self._filled(q, table(*self._jet_columns(X, V)))
+
+        if free_vars(*self.kernel.exprs) <= set(fixed):
+            constant = batch(np.zeros((q, self.n)), np.zeros((q, self.n, self.p)))
+            constant.flags.writeable = False
+            return lambda X, V: constant
+        return batch
 
 
 def _total(terms) -> Expr:

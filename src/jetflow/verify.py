@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .dtensor import (DTensorField, Verdict, is_dtensor, lagrangian_metric_field,
+from .dtensor import (DTensorField, Verdict, _worse, is_dtensor, lagrangian_metric_field,
                       law_check, liouville_c_field, liouville_l_field,
                       normalization_j_field)
 from .geometry import energy_density, metric_from_name
@@ -55,11 +55,12 @@ def _verdict_check(name: str, v: Verdict) -> dict:
 
 def _identity_check(name: str, lhs, rhs, jets, tol: float) -> dict:
     """Pointwise identity lhs(u) = rhs(u) at every jet: the largest
-    |lhs - rhs| entry and the first jet where it occurs."""
+    |lhs - rhs| entry and the first jet where it occurs, with the rule of
+    `law_check` (a NaN at any jet is the largest error and fails)."""
     worst, witness = 0.0, None
     for k, u in enumerate(jets):
         err = float(np.max(np.abs(lhs(u) - rhs(u))))
-        if witness is None or err > worst:
+        if _worse(err, worst, witness):
             worst, witness = err, {"change": None, "jet": k}
     return _check(name, len(jets), worst, worst <= tol, witness)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import platform
+
 import numpy as np
 
 from jetflow import numdiff as nd
@@ -10,6 +12,13 @@ from jetflow.jetspace import random_jet
 
 TOL_LAW = 1e-8          # transformation-law agreement
 TOL_EXACT = 1e-12       # identities that hold to rounding
+
+
+def golden_writer() -> dict:
+    """What the bits of a stored report depend on beyond the code: numpy,
+    Python, the machine and its C library (libm)."""
+    return {"numpy": np.__version__, "python": platform.python_version(),
+            "machine": platform.machine(), "libc": list(platform.libc_ver())}
 
 
 def catalog(rng: np.random.Generator, p: int, n: int, kinds=("affine", "shear", "mixed"),
@@ -113,7 +122,7 @@ def jacobi_harmonic_reference(pair, h, boundary, m=33, tol=1e-9, max_iters=20000
     (status, sweeps, max_residual, t1, t2, values, history), history being
     max|R| after each sweep."""
     from jetflow.geometry import GeometryError
-    from jetflow.maps import _batch_coefficients
+    from jetflow.jetspace import JetPoint
 
     n = pair.temporal.n
     box = list(domain) if domain is not None else (h.box or [(-1.0, 1.0), (-1.0, 1.0)])
@@ -137,6 +146,14 @@ def jacobi_harmonic_reference(pair, h, boundary, m=33, tol=1e-9, max_iters=20000
     if np.any(kappa <= 0):
         raise GeometryError("metric inverse is not positive on the grid diagonal")
 
+    def coefficients(spray, X, V):
+        # the spray's own batch path on the whole (T, X, V), not the
+        # solver's frozen tables
+        if spray.coefficients_batch is not None:
+            return spray.coefficients_batch(T, X, V)
+        return np.array([spray.coefficients(JetPoint(T[k], X[k], V[k]))
+                         for k in range(len(T))])
+
     def residual(vals: np.ndarray) -> np.ndarray:
         c = vals[1:-1, 1:-1]                      # (m-2, m-2, n)
         e, w = vals[2:, 1:-1], vals[:-2, 1:-1]
@@ -151,8 +168,8 @@ def jacobi_harmonic_reference(pair, h, boundary, m=33, tol=1e-9, max_iters=20000
         q = (m - 2) * (m - 2)
         X = c.reshape(q, n)
         V = np.stack([v1.reshape(q, n), v2.reshape(q, n)], axis=2)  # (q, n, 2)
-        coeffs = (_batch_coefficients(pair.spatial, T, X, V)
-                  + _batch_coefficients(pair.temporal, T, X, V))    # (q, n, 2, 2)
+        coeffs = (coefficients(pair.spatial, X, V)
+                  + coefficients(pair.temporal, X, V))               # (q, n, 2, 2)
         x2 = np.empty((q, n, 2, 2))
         x2[:, :, 0, 0] = d11.reshape(q, n)
         x2[:, :, 1, 1] = d22.reshape(q, n)

@@ -156,6 +156,22 @@ def test_law_check_witness_names_the_first_worst_pair():
     assert v.passed and v.pairs == 0 and v.witness is None
 
 
+@pytest.mark.parametrize("nan_at", [0, 1, 4])
+def test_law_check_fails_on_a_nan_error_at_any_pair(nan_at):
+    """NaN is the largest error: a NaN after finite errors, even larger
+    ones, fails the check, and the first NaN pair is the witness."""
+    rng = np.random.default_rng(36)
+    changes = catalog(rng, 2, 2, kinds=("affine",), count=1)
+    jets = jets_in(rng, 2, 2, count=6)
+    errors = [0.0, 0.5, 0.0, 2.0, 0.0, 0.0]
+    errors[nan_at:] = [np.nan] * (len(errors) - nan_at)
+    index = {id(u): k for k, u in enumerate(jets)}
+    v = law_check(lambda change, u: np.array([errors[index[id(u)]], 0.0]),
+                  lambda change: lambda u: np.zeros(2), changes, jets)
+    assert not v.passed and np.isnan(v.max_rel_err) and v.pairs == 6
+    assert v.witness == (changes[0].name, nan_at)
+
+
 def test_shape_mismatch_raises():
     f = DTensorField("bad-shape", IndexSignature.parse("U(i,a)"), 2, 2,
                      lambda u: np.zeros(3))

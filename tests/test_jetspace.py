@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jetflow import numdiff as nd
-from jetflow.exprlang import parse
+from jetflow.exprlang import WALK_CALLS, parse
 from jetflow.jetspace import (
     JetPoint,
     frame_size,
@@ -200,6 +200,27 @@ def test_frame_change_inverts_through_inverse_change():
     S_back = natural_frame_change(c.inverted(), transform_jet(c, u))
     eye = np.eye(frame_size(2, 2))
     assert np.max(np.abs(S @ S_back - eye)) < 1e-9
+
+
+def test_inverse_change_is_built_once():
+    rng = np.random.default_rng(29)
+    c = nd.random_change(rng, 2, 2, "mixed")
+    assert c.inverted() is c.inverted()
+    assert c.inverted().inverted() is c
+
+
+def test_coframe_change_keeps_the_bits_of_a_fresh_inverse():
+    """natural_coframe_change reuses the change's inverse, whose tables move
+    from the walk to the compiled tier as calls accumulate; every call
+    equals, bit for bit, the frame change of an inverse built afresh for
+    that call."""
+    rng = np.random.default_rng(30)
+    c = nd.random_change(rng, 2, 2, "mixed")
+    for u in [random_jet(rng, 2, 2) for _ in range(WALK_CALLS + 2)]:
+        fresh = nd.ChangeMap(c.name + "^-1", c.inverse_t, c.inverse_x,
+                             c.forward_t, c.forward_x)
+        want = natural_frame_change(fresh, transform_jet(c, u)).T
+        assert natural_coframe_change(c, u).tobytes() == want.tobytes()
 
 
 def test_coframe_is_inverse_transpose_of_frame():

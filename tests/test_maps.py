@@ -1,6 +1,9 @@
 """Maps, PDE residuals, and the two solvers."""
 
+import csv
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,14 @@ from jetflow.sprays import (
     spray_from_hspray,
 )
 
-from helpers import jacobi_harmonic_reference, reference_affine_ode, standard_metrics
+from helpers import (golden_writer, jacobi_harmonic_reference, reference_affine_ode,
+                     standard_metrics)
+
+ROOT = Path(__file__).resolve().parents[1]
+HARMONIC_DEMO = ROOT / "demos" / "harmonic_scenario.json"
+GOLDEN = {"report": ROOT / "tests" / "data" / "harmonic_demo_report.json",
+          "csv": ROOT / "tests" / "data" / "harmonic_demo_grid.csv"}
+GOLDEN_WRITER = ROOT / "tests" / "data" / "harmonic_demo_report.writer.json"
 
 
 def _flat_pair(p, n):
@@ -449,3 +459,58 @@ def test_grid_transfers():
     for alternating in ((-1.0) ** np.indices((7, 7))):
         assert np.array_equal(maps._restrict(alternating.reshape(-1, 1), 9),
                               np.zeros((9, 1)))
+
+
+def _run_harmonic_demo(out_dir: Path) -> dict:
+    from jetflow.cli import main
+    paths = {"report": out_dir / "report.json", "csv": out_dir / "grid.csv"}
+    assert main(["harmonic", str(HARMONIC_DEMO), "--output", str(paths["report"]),
+                 "--csv", str(paths["csv"])]) == 0
+    return paths
+
+
+def _floats_apart(got, want) -> list:
+    """Pairs of floats at the same place in two JSON values or CSV rows;
+    everything else must be equal."""
+    if isinstance(want, float):
+        assert isinstance(got, float)
+        return [(got, want)]
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want)
+        return [pair for k in want for pair in _floats_apart(got[k], want[k])]
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        return [pair for g, w in zip(got, want) for pair in _floats_apart(g, w)]
+    assert got == want
+    return []
+
+
+def test_demo_harmonic_outputs_match_golden_outputs(tmp_path):
+    """The demo scenario's harmonic report and CSV against the ones stored in
+    tests/data.  Where the stored writer matches this one, both files must
+    be equal byte for byte; elsewhere another numpy or libm may round the
+    last bit apart, and each number is held within 1e-12 + 1e-9 |ref|."""
+    got = _run_harmonic_demo(tmp_path)
+    if json.loads(GOLDEN_WRITER.read_text()) == golden_writer():
+        for which in GOLDEN:
+            assert got[which].read_bytes() == GOLDEN[which].read_bytes(), which
+        return
+    pairs = _floats_apart(json.loads(got["report"].read_text()),
+                          json.loads(GOLDEN["report"].read_text()))
+    rows = [list(csv.reader(open(path))) for path in (got["csv"], GOLDEN["csv"])]
+    assert rows[0][0] == rows[1][0] and len(rows[0]) == len(rows[1])
+    pairs += _floats_apart([[float(x) for x in r] for r in rows[0][1:]],
+                           [[float(x) for x in r] for r in rows[1][1:]])
+    for g, w in pairs:
+        assert abs(g - w) <= 1e-12 + 1e-9 * abs(w)
+
+
+if __name__ == "__main__":
+    # Regenerate the golden harmonic outputs and their writer:
+    #   PYTHONPATH=src python tests/test_maps.py
+    import shutil
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        for which, path in _run_harmonic_demo(Path(tmp)).items():
+            shutil.copyfile(path, GOLDEN[which])
+    GOLDEN_WRITER.write_text(json.dumps(golden_writer(), sort_keys=True, indent=2) + "\n")

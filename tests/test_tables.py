@@ -1,18 +1,21 @@
 """Tiered tables: a table answers its first WALK_CALLS float calls by the DAG
 walk and then runs its compiled function.  Both tiers must agree bit for
 bit with the tree interpreter, for every structure that builds tables, and
-raise the interpreter's first error."""
+raise the interpreter's first error.  A frozen table (`Table.freeze`) must
+agree bit for bit with the full table and raise the interpreter's error."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from jetflow import exprlang, numdiff as nd
-from jetflow.exprlang import WALK_CALLS, ExprError, compile_table, diff, parse
+from jetflow import exprlang, maps, numdiff as nd, sprays
+from jetflow.exprlang import WALK_CALLS, ExprError, compile_table, diff, free_vars, parse
 from jetflow.geometry import GeometryError, Metric, metric_from_name
 from jetflow.maps import solve_affine_ode
 from jetflow.numdiff import spatial_names, temporal_names
 from jetflow.prolong import BaseVectorField, flow_point, pushforward
-from jetflow.sprays import canonical_pair, canonical_spatial, canonical_temporal
+from jetflow.sprays import SprayPair, canonical_pair, canonical_spatial, canonical_temporal
 
 from helpers import metric_and_points
 from test_exprlang import DOMAIN_ERRORS
@@ -201,3 +204,157 @@ def test_solver_loops_compile_once_and_never_walk(monkeypatch):
     for eps in (0.01, -0.02):
         flow_point(X, np.array([0.1, 0.2]), np.array([0.3, 0.4]), eps)
     assert len(compiles) == 3 and not walks
+
+
+# ---------------------------------------------------------------------------
+# frozen tables
+
+
+def assert_frozen_matches_table(table, fixed, points):
+    """`table.freeze(fixed, ...)` on the other values equals the full
+    compiled table bit for bit: on each float row of `points`, and on its
+    columns (same types, same bytes)."""
+    points = np.asarray(points, float)
+    at = [table.names.index(name) for name in fixed]
+    rest = [k for k, name in enumerate(table.names) if name not in fixed]
+    full = table.compiled()
+    for row in points.tolist():
+        frozen = table.freeze(fixed, [row[k] for k in at])
+        assert _bits(frozen(*[row[k] for k in rest])) == _bits(full(*row))
+    cols = list(points.T)
+    got = table.freeze(fixed, [cols[k] for k in at])(*[cols[k] for k in rest])
+    want = full(*cols)
+    assert [type(g) for g in got] == [type(w) for w in want]
+    assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
+
+
+def _spray_and_args(name, kind, change_kind, count=CALLS):
+    """A catalog metric's canonical spray (pulled back through a change of
+    `change_kind`) with the other factor 1-dimensional, and `count` rows of
+    its jet arguments."""
+    rng = np.random.default_rng(sum(map(ord, "freeze" + name + kind + str(change_kind))))
+    g, pts = metric_and_points(name, kind, change_kind, rng, count=count)
+    if kind == "temporal":
+        s, n = canonical_temporal(g, 1), 1
+        T, X = pts, rng.uniform(-1.0, 1.0, (count, n))
+    else:
+        s, n = canonical_spatial(g, 1), g.dim
+        T, X = rng.uniform(-1.0, 1.0, (count, 1)), pts
+    V = rng.normal(0.0, 1.5, (count, n * s.p))
+    return s, np.hstack([T, X, V])
+
+
+@pytest.mark.parametrize("change_kind", [None, "affine", "mixed"])
+@pytest.mark.parametrize("name,kind", CATALOG)
+def test_frozen_spray_tables_match_the_full_tables(name, kind, change_kind):
+    s, args = _spray_and_args(name, kind, change_kind)
+    tables = s.tables
+    for table in (tables.kernel, tables._gradient):
+        assert_frozen_matches_table(table, temporal_names(s.p), args)
+
+
+@pytest.mark.parametrize("name,kind", [("conformal2d:0.3*t1 - 0.2*t2 + 0.1*t1*t2", "temporal"),
+                                       ("sphere:2", "spatial")])
+def test_table_frozen_on_all_or_none_of_its_names(name, kind):
+    s, args = _spray_and_args(name, kind, "mixed")
+    table = s.tables.kernel
+    assert_frozen_matches_table(table, table.names, args)
+    assert_frozen_matches_table(table, [], args)
+    with pytest.raises(TypeError):
+        table.freeze(["t1", "t1"], [0.0, 0.0])
+    with pytest.raises(TypeError):
+        table.freeze(["nowhere"], [0.0])
+    with pytest.raises(TypeError):
+        table.freeze(["t1"], [])
+
+
+@pytest.mark.parametrize("fixed_all", [False, True])
+@pytest.mark.parametrize("arrays", [False, True])
+@pytest.mark.parametrize("text,env", DOMAIN_ERRORS)
+def test_frozen_table_raises_the_interpreters_domain_error(text, env, arrays, fixed_all):
+    """The error is raised by `freeze` when the failing node reads only
+    fixed names and literals, and by the call otherwise."""
+    if arrays:
+        env = {k: np.array([1.0, v, 2.0]) for k, v in env.items()}
+    with pytest.raises(ExprError) as want:
+        parse(text).eval(env)
+    names = sorted(env) or ["x"]
+    values = [env[k] for k in sorted(env)] or [1.0]
+    fixed = names if fixed_all else []
+    at_freeze = free_vars(parse(text)) <= set(fixed)
+    table = compile_table([parse("x + 1"), parse(text)], names)
+    with pytest.raises(ExprError) as got:
+        frozen = table.freeze(fixed, values[:len(fixed)])
+        assert not at_freeze, "freeze should have raised"
+        frozen(*values[len(fixed):])
+    assert str(got.value) == str(want.value)
+
+
+def test_degenerate_temporal_metric_raises_when_frozen():
+    """A temporal spray frozen on nodes where its metric is degenerate
+    raises there, before any call: a grid level is refused when built."""
+    g = Metric("deg", "temporal", [[parse("t1"), parse("0")], [parse("0"), parse("1")]])
+    T = np.array([[0.5, 0.5], [0.0, 0.5]])
+    with pytest.raises(GeometryError, match="degenerate"):
+        canonical_temporal(g, 2).tables.batch_at(T)
+    h = metric_from_name("euclidean:2", kind="temporal")
+    pair = SprayPair(canonical_temporal(g, 2), canonical_spatial(metric_from_name("euclidean:2"), 2))
+    with pytest.raises(GeometryError, match="degenerate"):
+        maps._Level(pair, h, np.linspace(0.0, 1.0, 3) - 0.5, np.linspace(0.0, 1.0, 3))
+
+
+def _level_problem():
+    h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
+    phi = metric_from_name("conformal2d:0.2*x1 - 0.1*x1*x2", kind="spatial")
+    t = np.linspace(-1.0, 1.0, 9)
+    vals = np.random.default_rng(41).uniform(-1.0, 1.0, (9, 9, 2))
+    return canonical_pair(h, phi), h, t, vals
+
+
+def test_batch_at_matches_coefficients_batch():
+    pair = _level_problem()[0]
+    rng = np.random.default_rng(42)
+    T = rng.uniform(-1.0, 1.0, (11, 2))
+    X, V = rng.uniform(-1.0, 1.0, (11, 2)), rng.normal(0.0, 1.5, (11, 2, 2))
+    for s in (pair.temporal, pair.spatial):
+        got = s.tables.batch_at(T)(X, V)
+        assert got.tobytes() == s.coefficients_batch(T, X, V).tobytes()
+        assert got.shape == (11, 2, 2, 2) and got.flags.writeable
+
+
+def test_flat_metric_spray_is_one_constant_array():
+    T = np.random.default_rng(43).uniform(-1.0, 1.0, (5, 2))
+    X, V = np.ones((5, 2)), np.ones((5, 2, 2))
+    for s in (canonical_temporal(metric_from_name("euclidean:2", kind="temporal"), 2),
+              canonical_spatial(metric_from_name("euclidean:2"), 2)):
+        batch = s.tables.batch_at(T)
+        first = batch(X, V)
+        assert batch(2 * X, 3 * V) is first and not first.flags.writeable
+        assert first.tobytes() == s.coefficients_batch(T, X, V).tobytes()
+
+
+def test_level_runs_frozen_tables_only_for_the_tables_own_batch(monkeypatch):
+    """A level freezes a canonical spray's tables; a spray whose
+    `coefficients_batch` was replaced runs that callable, once per spray per
+    residual, and both give the same bits."""
+    pair, h, t, vals = _level_problem()
+    frozen = []
+    real_batch_at = sprays._SprayTables.batch_at
+    monkeypatch.setattr(sprays._SprayTables, "batch_at",
+                        lambda self, T: frozen.append(self) or real_batch_at(self, T))
+    level = maps._Level(pair, h, t, t)
+    assert frozen == [pair.spatial.tables, pair.temporal.tables]
+
+    calls = {"temporal": 0, "spatial": 0}
+
+    def counting(s):
+        def batch(T, X, V):
+            calls[s.kind] += 1
+            return s.coefficients_batch(T, X, V)
+        return replace(s, coefficients_batch=batch)
+
+    counted = maps._Level(SprayPair(counting(pair.temporal), counting(pair.spatial)), h, t, t)
+    assert len(frozen) == 2
+    for k in range(1, 4):
+        assert counted.residual(vals, 0.0).tobytes() == level.residual(vals, 0.0).tobytes()
+        assert calls == {"temporal": k, "spatial": k}

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import platform
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,8 @@ from jetflow.verify import (
     run_suite,
     run_verify,
 )
+
+from helpers import golden_writer
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +76,20 @@ def test_every_check_carries_a_witness():
     for name in ("frame-block-diagonal", "coframe-block-diagonal",
                  "prolongation-chart-equivariance", "connection-law"):
         assert checks[name]["witness"]["change"] is not None, name
+
+
+@pytest.mark.parametrize("nan_at", [0, 1, 3])
+def test_identity_check_fails_on_a_nan_error_at_any_jet(nan_at):
+    """The pointwise identity loop takes `law_check`'s rule: a NaN after
+    finite errors, even larger ones, fails, and the first NaN jet is the
+    witness."""
+    errors = [0.0, 0.25, 3.0, 0.0, 0.0]
+    errors[nan_at:] = [float("nan")] * (len(errors) - nan_at)
+    check = verify._identity_check("nan-identity", lambda k: np.array([errors[k], 0.0]),
+                                   lambda k: np.zeros(2), range(len(errors)), 1e-8)
+    assert check["pass"] is False and np.isnan(check["max_rel_err"])
+    assert check["pairs"] == len(errors)
+    assert check["witness"] == {"change": None, "jet": nan_at}
 
 
 def test_default_candidates_exclude_the_negative_control():
@@ -230,13 +245,6 @@ def test_run_verify_expands_all():
     assert report["all_pass"]
 
 
-def _writer() -> dict:
-    """What the bits of a report depend on beyond the code: numpy, Python,
-    the machine and its C library (libm)."""
-    return {"numpy": np.__version__, "python": platform.python_version(),
-            "machine": platform.machine(), "libc": list(platform.libc_ver())}
-
-
 def test_demo_report_matches_golden_report():
     """The demo scenario's verify report against the one stored in tests/data.
     Where the stored writer matches this one, the whole report must be equal,
@@ -247,7 +255,7 @@ def test_demo_report_matches_golden_report():
     want = json.loads(GOLDEN.read_text())
     got = json.loads(json.dumps(run_verify(load_scenario(str(DEMO)))))   # as the CLI writes it
     assert got["all_pass"] is True
-    if json.loads(GOLDEN_WRITER.read_text()) == _writer():
+    if json.loads(GOLDEN_WRITER.read_text()) == golden_writer():
         assert got == want
         return
 
@@ -267,4 +275,4 @@ if __name__ == "__main__":
     #   PYTHONPATH=src python tests/test_verify.py
     from jetflow.cli import main
     main(["verify", str(DEMO), "--output", str(GOLDEN)])
-    GOLDEN_WRITER.write_text(json.dumps(_writer(), sort_keys=True, indent=2) + "\n")
+    GOLDEN_WRITER.write_text(json.dumps(golden_writer(), sort_keys=True, indent=2) + "\n")
