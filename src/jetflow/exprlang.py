@@ -847,14 +847,12 @@ def compile_table(exprs: Sequence[Expr], names: Sequence[str],
     as one compiled straight-line Python function (`Table`).  Every domain
     guard of the interpreter is kept, in the interpreter's order, so a
     table raises the ExprError that evaluating its entries one by one would
-    raise first; a variable outside `names` is an ExprError here.
+    raise first; a variable outside `names` raises its "unbound variable"
+    ExprError at the first evaluation, compile or freeze, not here.
 
     ``check``, if given, is called with the first entry's value before any
     other entry is computed; it may raise to stop the evaluation.
     """
-    unbound = free_vars(*exprs) - set(names)
-    if unbound:
-        raise ExprError(f"unbound variable '{min(unbound)}'")
     return Table(exprs, names, check)
 
 
@@ -910,7 +908,7 @@ def _compile(exprs: Sequence[Expr], names: Sequence[str],
             if fixed is not None:
                 frozen.add(got)
         elif isinstance(e, Var):
-            got = args[e.name]
+            got = _lookup(args, e.name)
         elif isinstance(e, Neg):
             a = emit(e.a)
             got = intern(("-", a), f"-{a}", a)

@@ -111,16 +111,15 @@ def mixed_jet_derivatives(change: ChangeMap, u: JetPoint):
     computed from first and second forward derivatives (the inverse temporal
     Jacobian enters through d(A^-1) = -A^-1 dA A^-1).
     """
-    A = change.jacobian_t(u.t)
-    B = change.jacobian_x(u.x)
-    A_inv = np.linalg.inv(A)
-    hess_t = change.hessian_t(u.t)   # [d, g, a] = d^2 t~^d / dt^g dt^a
-    hess_x = change.hessian_x(u.x)   # [k, j, i]
+    jb = jacobian_blocks(change, u.t, u.x)
+    # numpy's inverse, not the record's symbolic A_inv: the two differ in
+    # the last bits, and the laws' reported errors are this one's
+    A_inv = np.linalg.inv(jb.A)
     # dAinv[b, m, a] = d (A^-1)[b, m] / d t^a
-    dAinv = -np.einsum("bg,gda,dm->bma", A_inv, hess_t, A_inv)
-    Wt = np.einsum("kj,jb,bma->kma", B, u.v, dAinv)
-    Wx = np.einsum("kji,bm,jb->kmi", hess_x, A_inv, u.v)
-    return A, B, A_inv, Wt, Wx
+    dAinv = -np.einsum("bg,gda,dm->bma", A_inv, jb.hess_t, A_inv)
+    Wt = np.einsum("kj,jb,bma->kma", jb.B, u.v, dAinv)
+    Wx = np.einsum("kji,bm,jb->kmi", jb.hess_x, A_inv, u.v)
+    return jb.A, jb.B, A_inv, Wt, Wx
 
 
 def natural_frame_change(change: ChangeMap, u: JetPoint) -> np.ndarray:

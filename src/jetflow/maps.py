@@ -437,7 +437,7 @@ def solve_harmonic_grid(pair: SprayPair, h: Metric,
               for k in range(len(_grid_sizes(m)))]
 
     R = levels[0].residual(values, 0.0)
-    initial = max(float(np.max(np.abs(R))), 1e-30)
+    initial = float(np.max(np.abs(R)))
     if initial <= tol:
         return GridSolution("converged", 0, initial, t1, t2, values, ())
     status = "max-iterations"
@@ -449,7 +449,7 @@ def solve_harmonic_grid(pair: SprayPair, h: Metric,
         if worst <= tol:
             status = "converged"
             break
-        if worst > 10.0 * initial or not np.isfinite(worst):
+        if worst > 10.0 * max(initial, 1e-30) or not np.isfinite(worst):
             status = "diverged"
             break
     return GridSolution(status, len(history), float(np.max(np.abs(R))), t1, t2, values,

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exprlang import (
-    Expr, add, call, compile_table, diff, div, free_vars, mul, num, sub, subst, var,
+    Expr, Table, add, call, compile_table, diff, div, free_vars, mul, num, sub, subst, var,
 )
 
 __all__ = [
@@ -91,8 +91,9 @@ class ChangeMap:
     n Exprs over x1..xn (the inverse components are written in the same
     variable names, read as the target chart's coordinates).  Optional
     domain boxes bound where the forward map is certified invertible.
-    Values at a point (maps, Jacobians, Hessians) come from one
-    `compile_table` table each, built on first use.
+    Its values at a point (the map, its Jacobians and Hessians) come from
+    four `compile_table` tables through `jacobian_blocks`, which keeps one
+    read-only record per point on the change.
     """
 
     def __init__(self, name: str, forward_t: Sequence[Expr], forward_x: Sequence[Expr],
@@ -108,7 +109,7 @@ class ChangeMap:
         self.inverse_x = list(inverse_x)
         self.box_t = None if box_t is None else [tuple(b) for b in box_t]
         self.box_x = None if box_x is None else [tuple(b) for b in box_x]
-        self._tables: dict[str, Callable[..., tuple]] = {}   # see _at
+        self._blocks: dict[bytes, JacobianBlocks] = {}   # see jacobian_blocks
         self._pulled: dict = {}     # metric -> its pullback, see geometry.pullback_metric
         self._inverse: ChangeMap | None = None                 # see inverted
         if len(inverse_t) != self.p or len(inverse_x) != self.n:
@@ -157,50 +158,20 @@ class ChangeMap:
 
     # pointwise evaluation ---------------------------------------------------
 
-    def _at(self, table: str, point: np.ndarray) -> np.ndarray:
-        """Values at a point of one factor of the nested symbolic table held
-        in the attribute `table` (a name ending in _t or _x for the factor;
-        `_d` marks first and `_d2` second derivatives).  Each table runs
-        through `compile_table`, built on first use."""
-        exprs = getattr(self, table)
-        rank = 1 + table.startswith("_d") + table.startswith("_d2")
-        kernel = self._tables.get(table)
-        if kernel is None:
-            flat = exprs
-            for _ in range(rank - 1):
-                flat = [e for row in flat for e in row]
-            names = temporal_names(self.p) if table.endswith("t") else spatial_names(self.n)
-            kernel = self._tables[table] = compile_table(flat, names)
-        values = kernel(*np.asarray(point, float).tolist())
-        return np.array(values, dtype=float).reshape((len(exprs),) * rank)
+    @cached_property
+    def _tables(self) -> tuple[Table, Table, Table, Table]:
+        """The four tables `jacobian_blocks` evaluates, flattened: t~ with its
+        first and second derivatives over t1..tp, the same for x~ over
+        x1..xn, then d t / d t~ and d x / d x~ over the image's names."""
+        tn, xn = temporal_names(self.p), spatial_names(self.n)
+        return (compile_table(self.forward_t + _flat(self._dft) + _flat(_flat(self._d2ft)), tn),
+                compile_table(self.forward_x + _flat(self._dfx) + _flat(_flat(self._d2fx)), xn),
+                compile_table(_flat(self._dit), tn), compile_table(_flat(self._dix), xn))
 
     def forward(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._at("forward_t", t), self._at("forward_x", x)
-
-    def inverse(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._at("inverse_t", t), self._at("inverse_x", x)
-
-    def jacobian_t(self, t: np.ndarray) -> np.ndarray:
-        """A[a, b] = d t~^a / d t^b at t."""
-        return self._at("_dft", t)
-
-    def jacobian_x(self, x: np.ndarray) -> np.ndarray:
-        """B[i, j] = d x~^i / d x^j at x."""
-        return self._at("_dfx", x)
-
-    def inv_jacobian_t(self, t_new: np.ndarray) -> np.ndarray:
-        """(A^-1)[a, b] = d t^a / d t~^b, from the inverse Exprs at the image point."""
-        return self._at("_dit", t_new)
-
-    def inv_jacobian_x(self, x_new: np.ndarray) -> np.ndarray:
-        return self._at("_dix", x_new)
-
-    def hessian_t(self, t: np.ndarray) -> np.ndarray:
-        """H[a, b, c] = d^2 t~^a / d t^b d t^c at t."""
-        return self._at("_d2ft", t)
-
-    def hessian_x(self, x: np.ndarray) -> np.ndarray:
-        return self._at("_d2fx", x)
+        """The image point (t~, x~), read from the record `jacobian_blocks` keeps."""
+        jb = jacobian_blocks(self, t, x)
+        return jb.t_new, jb.x_new
 
     # structure --------------------------------------------------------------
 
@@ -227,8 +198,7 @@ class ChangeMap:
                          box_t=self.box_t, box_x=self.box_x)
 
     def roundtrip_error(self, t: np.ndarray, x: np.ndarray) -> float:
-        tt, xx = self.forward(t, x)
-        t2, x2 = self.inverse(tt, xx)
+        t2, x2 = self.inverted().forward(*self.forward(t, x))
         err = 0.0
         if self.p:
             err = max(err, float(np.max(np.abs(t2 - np.asarray(t, float)))))
@@ -242,7 +212,8 @@ class ChangeMap:
 
 @dataclass(frozen=True)
 class JacobianBlocks:
-    """Forward blocks at a point plus inverse blocks at its image."""
+    """A chart change evaluated at a point: forward blocks at the point,
+    inverse blocks at its image.  Every array is read-only."""
 
     A: np.ndarray       # d t~ / d t,   p x p
     B: np.ndarray       # d x~ / d x,   n x n
@@ -250,26 +221,53 @@ class JacobianBlocks:
     B_inv: np.ndarray
     t_new: np.ndarray   # the image point (t~, x~)
     x_new: np.ndarray
+    hess_t: np.ndarray  # [a, b, c] = d^2 t~^a / d t^b d t^c,  p x p x p
+    hess_x: np.ndarray  # [i, j, k] = d^2 x~^i / d x^j d x^k,  n x n x n
+
+
+def _flat(rows: list) -> list:
+    return [e for row in rows for e in row]
+
+
+def _readonly(values: Sequence[float], shape: tuple[int, ...]) -> np.ndarray:
+    out = np.array(values, dtype=float).reshape(shape)
+    out.flags.writeable = False
+    return out
+
+
+def _unpack(values: tuple, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A forward table's values as the image, the Jacobian and the Hessian."""
+    return (_readonly(values[:d], (d,)), _readonly(values[d:d + d * d], (d, d)),
+            _readonly(values[d + d * d:], (d, d, d)))
 
 
 def jacobian_blocks(change: ChangeMap, t: np.ndarray, x: np.ndarray) -> JacobianBlocks:
-    """Evaluate the block Jacobians of a product-form change at (t, x).
+    """The one evaluation of a product-form change at (t, x).
 
     Forward blocks are symbolic derivatives at (t, x); inverse blocks are the
     inverse components' symbolic derivatives at the image point, which is
     returned with them.  A nearly singular block (|det| < 1e-12) raises
-    ChartError.
+    ChartError before the inverse blocks are evaluated.  The change keeps
+    the record, keyed by the point's bytes, so each point is evaluated
+    once; a failed evaluation is not kept.
     """
-    A = change.jacobian_t(t)
-    B = change.jacobian_x(x)
-    for label, m in (("temporal", A), ("spatial", B)):
-        if m.size and abs(np.linalg.det(m)) < DET_TOL:
-            raise ChartError(f"invalid chart change: singular {label} block at evaluation point")
-    t_new, x_new = change.forward(t, x)
-    return JacobianBlocks(A=A, B=B,
-                          A_inv=change.inv_jacobian_t(t_new),
-                          B_inv=change.inv_jacobian_x(x_new),
-                          t_new=t_new, x_new=x_new)
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    key = t.tobytes() + x.tobytes()
+    jb = change._blocks.get(key)
+    if jb is None:
+        (fwd_t, fwd_x, inv_t, inv_x), p, n = change._tables, change.p, change.n
+        t_new, A, hess_t = _unpack(fwd_t(*t.tolist()), p)
+        x_new, B, hess_x = _unpack(fwd_x(*x.tolist()), n)
+        for label, m in (("temporal", A), ("spatial", B)):
+            if m.size and abs(np.linalg.det(m)) < DET_TOL:
+                raise ChartError(f"invalid chart change: singular {label} block "
+                                 "at evaluation point")
+        jb = change._blocks[key] = JacobianBlocks(
+            A=A, B=B,
+            A_inv=_readonly(inv_t(*t_new.tolist()), (p, p)),
+            B_inv=_readonly(inv_x(*x_new.tolist()), (n, n)),
+            t_new=t_new, x_new=x_new, hess_t=hess_t, hess_x=hess_x)
+    return jb
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def jacobi_harmonic_reference(pair, h, boundary, m=33, tol=1e-9, max_iters=20000
         return np.einsum("qab,qiab->qi", hinv, x2 + 2.0 * coeffs)   # (q, n)
 
     R = residual(values)
-    initial = max(float(np.max(np.abs(R))), 1e-30)
+    initial = float(np.max(np.abs(R)))
     if initial <= tol:
         return "converged", 0, initial, t1, t2, values, []
     status = "max-iterations"
@@ -192,7 +192,7 @@ def jacobi_harmonic_reference(pair, h, boundary, m=33, tol=1e-9, max_iters=20000
         if worst <= tol:
             status, iterations = "converged", sweep
             break
-        if worst > 10.0 * initial or not np.isfinite(worst):
+        if worst > 10.0 * max(initial, 1e-30) or not np.isfinite(worst):
             status, iterations = "diverged", sweep
             break
     return status, iterations, float(np.max(np.abs(R))), t1, t2, values, history

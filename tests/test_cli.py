@@ -200,6 +200,21 @@ def test_harmonic_converges_and_writes_csv(tmp_path):
     assert abs(float(mid[2])) < 1e-7
 
 
+def test_harmonic_exact_start_reports_the_measured_residual(tmp_path):
+    """A zero boundary makes the zero start exact: no V-cycle runs, and the
+    report gives the measured max|R|, not the divergence guard's floor."""
+    payload = {
+        "dimensions": {"p": 2, "n": 1},
+        "metrics": {"temporal": "euclidean:2", "spatial": "euclidean:1"},
+        "harmonic": {"boundary": ["0"], "grid": 9},
+    }
+    r = run_cli("harmonic", write_scenario(tmp_path, payload))
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    assert report["status"] == "converged" and report["iterations"] == 0
+    assert report["max_residual"] == 0.0 and report["residual_history"] == []
+
+
 def test_single_level_residual_history_is_decimated(tmp_path):
     """An even grid runs one Jacobi sweep per iteration; the report keeps
     every k-th residual and the last, at most 64 entries."""

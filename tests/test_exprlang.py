@@ -210,8 +210,15 @@ def test_compiled_table_check_runs_before_other_entries():
 
 
 def test_compiled_table_rejects_unbound_variable():
-    with pytest.raises(ExprError):
-        compile_table([parse("x + y")], ["x"])
+    """The interpreter's error, from whichever tier first evaluates the
+    table: the walk, the compiler, a call on columns, or `freeze`."""
+    exprs = [parse("x + y")]
+    for run in (lambda table: table(1.0), lambda table: table.compiled(),
+                lambda table: table(np.array([1.0, 2.0])),
+                lambda table: table.freeze(["x"], [1.0])):
+        table = compile_table(exprs, ["x"])
+        with pytest.raises(ExprError, match="unbound variable 'y'"):
+            run(table)
 
 
 # ---------------------------------------------------------------------------

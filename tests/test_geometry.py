@@ -229,8 +229,8 @@ def test_pullback_preserves_lengths():
     for _ in range(6):
         x = np.array([rng.uniform(0.6, 2.4), rng.uniform(-1.5, 1.5)])
         w = rng.normal(size=2)
-        B = c.jacobian_x(x)
-        _, x_new = c.forward(np.zeros(1), x)
+        blocks = nd.jacobian_blocks(c, np.zeros(1), x)
+        B, x_new = blocks.B, blocks.x_new
         length = w @ g.components_batch(x)[0] @ w
         length_new = (B @ w) @ gt.components_batch(x_new)[0] @ (B @ w)
         assert abs(length - length_new) < 1e-10 * max(1.0, abs(length))

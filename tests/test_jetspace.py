@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from jetflow import numdiff as nd
-from jetflow.exprlang import WALK_CALLS, parse
+from jetflow.exprlang import WALK_CALLS, Table, parse
 from jetflow.jetspace import (
     JetPoint,
     frame_size,
     jet_env,
     jet_pullback,
+    mixed_jet_derivatives,
     natural_coframe_change,
     natural_frame_change,
     random_jet,
@@ -79,7 +80,7 @@ def test_transform_jet_matches_curve_derivative():
     w = transform_jet(c, u)
     # finite-difference the composed curve in the target chart
     eps = 1e-6
-    A = c.jacobian_t(t0)
+    A = nd.jacobian_blocks(c, t0, curve(t0)).A
     V = np.empty((2, 2))
     for b in range(2):
         db = np.zeros(2)
@@ -112,29 +113,28 @@ def test_transform_jet_inverse_round_trip():
     assert np.max(np.abs(w.t - u.t)) < 1e-10
 
 
-@pytest.mark.parametrize("kind", ["affine", "shear", "mixed"])
-def test_transform_jet_maps_the_point_once(monkeypatch, kind):
-    """One forward chart evaluation per call (the image point comes with
-    the Jacobian blocks), and the same jet bit for bit as the forward map
-    and the blocks evaluated separately."""
-    rng = np.random.default_rng(24)
-    c = nd.random_change(rng, 2, 3, kind)
-    jets = [random_jet(rng, 2, 3) for _ in range(4)]
-    want = []
-    for u in jets:
-        jb = nd.jacobian_blocks(c, u.t, u.x)
-        t_new, x_new = c.forward(u.t, u.x)
-        want.append((t_new, x_new, jb.B @ u.v @ jb.A_inv))
+@pytest.mark.parametrize("kind,p,n", [("affine", 2, 3), ("shear", 2, 3), ("mixed", 2, 3),
+                                      ("monotone", 1, 1)])
+def test_one_chart_evaluation_per_point(monkeypatch, kind, p, n):
+    """Everything that reads a change at a jet takes it from the one record
+    `jacobian_blocks` keeps: at a new point each of the change's four tables
+    is called once, however many of them read it.  The jet transform is
+    the record's image and jet rule bit for bit."""
+    rng = np.random.default_rng(sum(map(ord, "once" + kind)))
+    c = nd.random_change(rng, p, n, kind)
     calls = []
-    forward = nd.ChangeMap.forward
-    monkeypatch.setattr(nd.ChangeMap, "forward",
-                        lambda self, t, x: calls.append(1) or forward(self, t, x))
-    for u, (t_new, x_new, v_new) in zip(jets, want):
-        before = len(calls)
+    call = Table.__call__
+    monkeypatch.setattr(Table, "__call__",
+                        lambda self, *args: calls.append(id(self)) or call(self, *args))
+    for u in [random_jet(rng, p, n) for _ in range(3)]:
+        del calls[:]
+        jb = nd.jacobian_blocks(c, u.t, u.x)
         w = transform_jet(c, u)
-        assert len(calls) - before == 1
-        assert np.array_equal(w.t, t_new) and np.array_equal(w.x, x_new)
-        assert np.array_equal(w.v, v_new)
+        mixed_jet_derivatives(c, u)
+        natural_frame_change(c, u)
+        assert sorted(calls) == sorted(map(id, c._tables))
+        assert np.array_equal(w.t, jb.t_new) and np.array_equal(w.x, jb.x_new)
+        assert np.array_equal(w.v, jb.B @ u.v @ jb.A_inv)
 
 
 # --- natural frame change -------------------------------------------------------

@@ -294,6 +294,7 @@ def test_grid_solver_zero_boundary_exits_immediately():
     sol = solve_harmonic_grid(pair, h, SmoothMap(2, ["0"]), m=9, tol=1e-9,
                               domain=[(-1.0, 1.0), (-1.0, 1.0)])
     assert sol.converged and sol.iterations == 0
+    assert sol.max_residual == 0.0
     assert np.max(np.abs(sol.values)) == 0.0
 
 

@@ -51,32 +51,65 @@ def test_symbolic_jacobian_matches_finite_differences():
         return c.forward(tv, x)[0]
 
     J_fd = nd.fd_jacobian(ft, t)
-    assert np.max(np.abs(c.jacobian_t(t) - J_fd)) < 1e-6
+    assert np.max(np.abs(nd.jacobian_blocks(c, t, x).A - J_fd)) < 1e-6
 
     def fx(xv):
         return c.forward(t, xv)[1]
 
     J_fd = nd.fd_jacobian(fx, x)
-    assert np.max(np.abs(c.jacobian_x(x) - J_fd)) < 1e-6
+    assert np.max(np.abs(nd.jacobian_blocks(c, t, x).B - J_fd)) < 1e-6
 
 
 def test_hessian_matches_finite_differences_of_jacobian():
     rng = np.random.default_rng(9)
     c = nd.random_change(rng, 2, 2, "shear")
-    t, _ = _sample(rng, c)
-    H = c.hessian_t(t)
+    t, x = _sample(rng, c)
+    H = nd.jacobian_blocks(c, t, x).hess_t
     h = 1e-5
     for b in range(2):
         dt = np.zeros(2); dt[b] = h
-        J_fd = (c.jacobian_t(t + dt) - c.jacobian_t(t - dt)) / (2 * h)
+        J_fd = (nd.jacobian_blocks(c, t + dt, x).A - nd.jacobian_blocks(c, t - dt, x).A) / (2 * h)
         assert np.max(np.abs(H[:, :, b] - J_fd)) < 1e-6
 
 
 def test_singular_jacobian_raises():
+    """On every call: a failed evaluation is not kept."""
     c = ChangeMap("sq", [parse("t1^2")], [parse("x1")],
                   [parse("sqrt(t1)")], [parse("x1")])
-    with pytest.raises(ChartError):
-        nd.jacobian_blocks(c, np.array([0.0]), np.array([1.0]))
+    for _ in range(2):
+        with pytest.raises(ChartError):
+            nd.jacobian_blocks(c, np.array([0.0]), np.array([1.0]))
+
+
+def _flat(entries):
+    while entries and isinstance(entries[0], list):
+        entries = [e for row in entries for e in row]
+    return entries
+
+
+@pytest.mark.parametrize("kind", ["affine", "shear", "monotone", "mixed"])
+def test_record_equals_the_interpreter_bit_for_bit(kind):
+    """Every field of the record is ``Expr.eval`` of the change's symbolic
+    lists: the forward map and its derivatives at the point, the inverse
+    Jacobian at the image.  The record is kept per point and read-only."""
+    rng = np.random.default_rng(sum(map(ord, "record" + kind)))
+    c = nd.random_change(rng, 2, 3, kind)
+    names = nd.temporal_names(2) + nd.spatial_names(3)
+    for _ in range(3):
+        t, x = _sample(rng, c, scale=0.8)
+        jb = nd.jacobian_blocks(c, t, x)
+        assert nd.jacobian_blocks(c, t.copy(), x.copy()) is jb
+        env = dict(zip(names, [*t.tolist(), *x.tolist()]))
+        image = dict(zip(names, [*jb.t_new.tolist(), *jb.x_new.tolist()]))
+        for field, exprs, at in (("t_new", c.forward_t, env), ("x_new", c.forward_x, env),
+                                 ("A", c._dft, env), ("B", c._dfx, env),
+                                 ("hess_t", c._d2ft, env), ("hess_x", c._d2fx, env),
+                                 ("A_inv", c._dit, image), ("B_inv", c._dix, image)):
+            want = np.array([e.eval(at) for e in _flat(exprs)], dtype=float)
+            assert getattr(jb, field).ravel().tobytes() == want.tobytes(), field
+            assert not getattr(jb, field).flags.writeable, field
+        with pytest.raises(ValueError):
+            jb.A[0, 0] = 1.0
 
 
 def test_product_structure_is_enforced():
@@ -116,7 +149,7 @@ def test_identity_change():
     t, x = np.array([0.1, -0.2]), np.array([1.0, 2.0, -0.5])
     tt, xx = c.forward(t, x)
     assert np.allclose(tt, t) and np.allclose(xx, x)
-    assert np.allclose(c.jacobian_t(t), np.eye(2))
+    assert np.allclose(nd.jacobian_blocks(c, t, x).A, np.eye(2))
 
 
 def test_affine_changes_are_well_conditioned():
@@ -124,7 +157,8 @@ def test_affine_changes_are_well_conditioned():
     for _ in range(20):
         c = nd.random_change(rng, 3, 3, "affine")
         t, x = _sample(rng, c)
-        for M in (c.jacobian_t(t), c.jacobian_x(x)):
+        blocks = nd.jacobian_blocks(c, t, x)
+        for M in (blocks.A, blocks.B):
             assert np.linalg.cond(M) < 50
 
 

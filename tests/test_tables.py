@@ -119,8 +119,10 @@ def test_vector_field_tables_tiers_match_interpreter(name, change_kind):
                                    partials, X.variables, pts)
 
 
-CHANGE_TABLES = ("forward_t", "forward_x", "inverse_t", "inverse_x",
-                 "_dft", "_dfx", "_dit", "_dix", "_d2ft", "_d2fx")
+# a change's four tables in order (`ChangeMap._tables`): the symbolic lists
+# each flattens, and whether it is read at the image point
+CHANGE_TABLES = [(("forward_t", "_dft", "_d2ft"), False), (("forward_x", "_dfx", "_d2fx"), False),
+                 (("_dit",), True), (("_dix",), True)]
 
 
 @pytest.mark.parametrize("kind", ["affine", "shear", "monotone", "mixed"])
@@ -131,25 +133,18 @@ def test_change_tables_tiers_match_interpreter(kind):
     names = temporal_names(2) + spatial_names(2)
     images = np.array([[e.eval(dict(zip(names, pt))) for e in c.forward_t + c.forward_x]
                        for pt in pts.tolist()])
-    for attr in CHANGE_TABLES:
-        exprs = getattr(c, attr)
-        for _ in range(attr.startswith("_d") + attr.startswith("_d2")):
-            exprs = [e for row in exprs for e in row]
-        at = images if attr.startswith(("inverse", "_di")) else pts
-        temporal = attr.endswith("t")
-        tiers = []
-
-        def call(*values):
-            if isinstance(values[0], np.ndarray):       # columns: the table itself
-                return c._tables[attr](*values)
-            out = c._at(attr, np.array(values)).ravel().tolist()
-            tiers.append(c._tables[attr]._fn is not None)
-            return out
-
-        assert attr not in c._tables
-        assert_tiers_match_interpreter(call, exprs, names[:2] if temporal else names[2:],
-                                       at[:, :2] if temporal else at[:, 2:])
-        assert tiers == [False] * WALK_CALLS + [True, True]
+    for table, (lists, at_image) in zip(c._tables, CHANGE_TABLES):
+        exprs = []
+        for name in lists:
+            entries = getattr(c, name)
+            for _ in range(name.startswith("_d") + name.startswith("_d2")):
+                entries = [e for row in entries for e in row]
+            exprs += entries
+        at = images if at_image else pts
+        temporal = lists[0].endswith("t")
+        assert table._fn is None
+        assert_tiers_match_interpreter(table, exprs, names[:2] if temporal else names[2:],
+                                       at[:, :2] if temporal else at[:, 2:], table)
 
 
 @pytest.mark.parametrize("arrays", [False, True])
