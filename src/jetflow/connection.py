@@ -33,7 +33,7 @@ import numpy as np
 from .dtensor import Verdict, law_check
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap
-from .jetspace import JetPoint, frame_size, mixed_jet_derivatives
+from .jetspace import JetPoint, adapted_frame_blocks, frame_size, mixed_jet_derivatives
 from .sprays import Spray, SprayPair, h_trace
 
 __all__ = [
@@ -90,17 +90,16 @@ def canonical_connection(h: Metric, phi: Metric) -> NonlinearConnection:
 
 def transform_connection_m(conn: NonlinearConnection, change: ChangeMap,
                            u: JetPoint) -> np.ndarray:
-    A, B, A_inv, Wt, _ = mixed_jet_derivatives(change, u)
-    tensor = np.einsum("jba,kj,bm,ag->kmg", conn.temporal(u), B, A_inv, A_inv)
-    return tensor - np.einsum("kma,ag->kmg", Wt, A_inv)
+    jb, Wt, _ = mixed_jet_derivatives(change, u)
+    tensor = np.einsum("jba,kj,bm,ag->kmg", conn.temporal(u), jb.B, jb.A_inv, jb.A_inv)
+    return tensor - np.einsum("kma,ag->kmg", Wt, jb.A_inv)
 
 
 def transform_connection_n(conn: NonlinearConnection, change: ChangeMap,
                            u: JetPoint) -> np.ndarray:
-    A, B, A_inv, _, Wx = mixed_jet_derivatives(change, u)
-    B_inv = np.linalg.inv(B)
-    tensor = np.einsum("jbi,kj,bm,il->kml", conn.spatial(u), B, A_inv, B_inv)
-    return tensor - np.einsum("kmi,il->kml", Wx, B_inv)
+    jb, _, Wx = mixed_jet_derivatives(change, u)
+    tensor = np.einsum("jbi,kj,bm,il->kml", conn.spatial(u), jb.B, jb.A_inv, jb.B_inv)
+    return tensor - np.einsum("kmi,il->kml", Wx, jb.B_inv)
 
 
 def connection_law_error(conn: NonlinearConnection, changes: Sequence[ChangeMap],
@@ -142,19 +141,6 @@ def adapted_coframe(conn: NonlinearConnection, u: JetPoint) -> np.ndarray:
     C[p + n:, :p] = conn.temporal(u).reshape(n * p, p)
     C[p + n:, p:p + n] = conn.spatial(u).reshape(n * p, n)
     return C
-
-
-def adapted_frame_blocks(change: ChangeMap, u: JetPoint) -> np.ndarray:
-    """The block-diagonal matrix blockdiag(A.T, B.T, kron(B.T, A_inv)) that
-    conjugating the natural frame change by adapted frames must produce."""
-    A, B, A_inv, _, _ = mixed_jet_derivatives(change, u)
-    p, n = len(A), len(B)
-    sz = frame_size(p, n)
-    D = np.zeros((sz, sz))
-    D[:p, :p] = A.T
-    D[p:p + n, p:p + n] = B.T
-    D[p + n:, p + n:] = np.kron(B.T, A_inv)
-    return D
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .numdiff import (
 __all__ = [
     "JetPoint", "vert_index", "frame_size", "transform_jet",
     "natural_frame_change", "natural_coframe_change", "jet_pullback",
-    "mixed_jet_derivatives",
+    "mixed_jet_derivatives", "adapted_frame_blocks",
     "jet_env", "random_jet",
 ]
 
@@ -102,8 +102,9 @@ def transform_jet(change: ChangeMap, u: JetPoint) -> JetPoint:
 
 
 def mixed_jet_derivatives(change: ChangeMap, u: JetPoint):
-    """Derivatives of the transformed jet coordinates with respect to the
-    base coordinates, as functions on the jet space:
+    """The change's record at u with the derivatives of the transformed jet
+    coordinates with respect to the base coordinates, as functions on the
+    jet space, returned as (record, Wt, Wx):
 
         Wt[k, m, a] = d x~^k_m / d t^a
         Wx[k, m, i] = d x~^k_m / d x^i
@@ -112,14 +113,24 @@ def mixed_jet_derivatives(change: ChangeMap, u: JetPoint):
     Jacobian enters through d(A^-1) = -A^-1 dA A^-1).
     """
     jb = jacobian_blocks(change, u.t, u.x)
-    # numpy's inverse, not the record's symbolic A_inv: the two differ in
-    # the last bits, and the laws' reported errors are this one's
-    A_inv = np.linalg.inv(jb.A)
     # dAinv[b, m, a] = d (A^-1)[b, m] / d t^a
-    dAinv = -np.einsum("bg,gda,dm->bma", A_inv, jb.hess_t, A_inv)
+    dAinv = -np.einsum("bg,gda,dm->bma", jb.A_inv, jb.hess_t, jb.A_inv)
     Wt = np.einsum("kj,jb,bma->kma", jb.B, u.v, dAinv)
-    Wx = np.einsum("kji,bm,jb->kmi", jb.hess_x, A_inv, u.v)
-    return jb.A, jb.B, A_inv, Wt, Wx
+    Wx = np.einsum("kji,bm,jb->kmi", jb.hess_x, jb.A_inv, u.v)
+    return jb, Wt, Wx
+
+
+def adapted_frame_blocks(change: ChangeMap, u: JetPoint) -> np.ndarray:
+    """The block-diagonal matrix blockdiag(A.T, B.T, kron(B.T, A_inv)): the
+    natural frame change without its mixed blocks, and what conjugating it
+    by adapted frames must produce."""
+    jb = jacobian_blocks(change, u.t, u.x)
+    p, vt = u.p, u.p + u.n
+    D = np.zeros((frame_size(u.p, u.n),) * 2)
+    D[:p, :p] = jb.A.T
+    D[p:vt, p:vt] = jb.B.T
+    D[vt:, vt:] = np.kron(jb.B.T, jb.A_inv)
+    return D
 
 
 def natural_frame_change(change: ChangeMap, u: JetPoint) -> np.ndarray:
@@ -128,17 +139,12 @@ def natural_frame_change(change: ChangeMap, u: JetPoint) -> np.ndarray:
     that (frame element a) = sum_b S[a, b] (target frame element b).
 
     Ordering: p temporal rows, n spatial rows, n*p vertical rows fused as
-    i*p + a.
+    i*p + a.  S is `adapted_frame_blocks` plus the vertical columns of the
+    base rows.
     """
-    p, n = u.p, u.n
-    A, B, A_inv, Wt, Wx = mixed_jet_derivatives(change, u)
-    size = frame_size(p, n)
-    S = np.zeros((size, size))
-    vt = p + n
-    S[:p, :p] = A.T
-    S[p:vt, p:vt] = B.T
-    S[vt:, vt:] = np.kron(B.T, A_inv)
-    # vertical columns of the base rows
+    p, n, vt = u.p, u.n, u.p + u.n
+    _, Wt, Wx = mixed_jet_derivatives(change, u)
+    S = adapted_frame_blocks(change, u)
     S[:p, vt:] = Wt.reshape(n * p, p).T
     S[p:vt, vt:] = Wx.reshape(n * p, n).T
     return S

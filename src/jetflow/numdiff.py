@@ -91,8 +91,9 @@ class ChangeMap:
     n Exprs over x1..xn (the inverse components are written in the same
     variable names, read as the target chart's coordinates).  Optional
     domain boxes bound where the forward map is certified invertible.
-    Its values at a point (the map, its Jacobians and Hessians) come from
-    four `compile_table` tables through `jacobian_blocks`, which keeps one
+    Its values at a point (the map, its Jacobians and Hessians, and
+    numpy's inverse of each Jacobian block there) come from two
+    `compile_table` tables through `jacobian_blocks`, which keeps one
     read-only record per point on the change.
     """
 
@@ -159,14 +160,12 @@ class ChangeMap:
     # pointwise evaluation ---------------------------------------------------
 
     @cached_property
-    def _tables(self) -> tuple[Table, Table, Table, Table]:
-        """The four tables `jacobian_blocks` evaluates, flattened: t~ with its
-        first and second derivatives over t1..tp, the same for x~ over
-        x1..xn, then d t / d t~ and d x / d x~ over the image's names."""
+    def _tables(self) -> tuple[Table, Table]:
+        """The two tables `jacobian_blocks` evaluates, flattened: t~ with its first
+        and second derivatives over t1..tp, the same for x~ over x1..xn."""
         tn, xn = temporal_names(self.p), spatial_names(self.n)
         return (compile_table(self.forward_t + _flat(self._dft) + _flat(_flat(self._d2ft)), tn),
-                compile_table(self.forward_x + _flat(self._dfx) + _flat(_flat(self._d2fx)), xn),
-                compile_table(_flat(self._dit), tn), compile_table(_flat(self._dix), xn))
+                compile_table(self.forward_x + _flat(self._dfx) + _flat(_flat(self._d2fx)), xn))
 
     def forward(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The image point (t~, x~), read from the record `jacobian_blocks` keeps."""
@@ -212,13 +211,13 @@ class ChangeMap:
 
 @dataclass(frozen=True)
 class JacobianBlocks:
-    """A chart change evaluated at a point: forward blocks at the point,
-    inverse blocks at its image.  Every array is read-only."""
+    """A chart change evaluated at a point: the image, Jacobian blocks and
+    Hessians there, and numpy's inverse of each block.  All read-only."""
 
     A: np.ndarray       # d t~ / d t,   p x p
     B: np.ndarray       # d x~ / d x,   n x n
-    A_inv: np.ndarray   # d t / d t~ at the image point
-    B_inv: np.ndarray
+    A_inv: np.ndarray   # inv(A) = d t / d t~ at the image point
+    B_inv: np.ndarray   # inv(B) = d x / d x~ at the image point
     t_new: np.ndarray   # the image point (t~, x~)
     x_new: np.ndarray
     hess_t: np.ndarray  # [a, b, c] = d^2 t~^a / d t^b d t^c,  p x p x p
@@ -244,18 +243,19 @@ def _unpack(values: tuple, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def jacobian_blocks(change: ChangeMap, t: np.ndarray, x: np.ndarray) -> JacobianBlocks:
     """The one evaluation of a product-form change at (t, x).
 
-    Forward blocks are symbolic derivatives at (t, x); inverse blocks are the
-    inverse components' symbolic derivatives at the image point, which is
-    returned with them.  A nearly singular block (|det| < 1e-12) raises
-    ChartError before the inverse blocks are evaluated.  The change keeps
-    the record, keyed by the point's bytes, so each point is evaluated
-    once; a failed evaluation is not kept.
+    The image, the forward blocks and the Hessians are the change's two
+    tables at (t, x); the inverse blocks are numpy's inverse of the forward
+    ones, taken once here, so every law reads the same A^-1 and B^-1 and
+    only the target chart's own side reads the inverse components.  A
+    nearly singular block (|det| < 1e-12) raises ChartError before it is
+    inverted.  The change keeps the record, keyed by the point's bytes; a
+    failed evaluation is not kept.
     """
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     key = t.tobytes() + x.tobytes()
     jb = change._blocks.get(key)
     if jb is None:
-        (fwd_t, fwd_x, inv_t, inv_x), p, n = change._tables, change.p, change.n
+        (fwd_t, fwd_x), p, n = change._tables, change.p, change.n
         t_new, A, hess_t = _unpack(fwd_t(*t.tolist()), p)
         x_new, B, hess_x = _unpack(fwd_x(*x.tolist()), n)
         for label, m in (("temporal", A), ("spatial", B)):
@@ -264,8 +264,7 @@ def jacobian_blocks(change: ChangeMap, t: np.ndarray, x: np.ndarray) -> Jacobian
                                  "at evaluation point")
         jb = change._blocks[key] = JacobianBlocks(
             A=A, B=B,
-            A_inv=_readonly(inv_t(*t_new.tolist()), (p, p)),
-            B_inv=_readonly(inv_x(*x_new.tolist()), (n, n)),
+            A_inv=_readonly(np.linalg.inv(A), (p, p)), B_inv=_readonly(np.linalg.inv(B), (n, n)),
             t_new=t_new, x_new=x_new, hess_t=hess_t, hess_x=hess_x)
     return jb
 

@@ -171,10 +171,13 @@ class Scenario:
         tag = zlib.crc32(suite.encode("utf-8"))
         return np.random.default_rng(np.random.SeedSequence([self.seed, tag]))
 
+    def catalog_kinds(self) -> list[str]:
+        """The change kinds drawn at (p, n): `monotone` only when p = n = 1."""
+        return [k for k in self.change_kinds if k != "monotone" or self.p == self.n == 1]
+
     def changes_for(self, suite: str) -> list[ChangeMap]:
-        kinds = [k for k in self.change_kinds if k != "monotone" or self.p == self.n == 1]
         return change_catalog(self.suite_rng(suite + "/changes"), self.p, self.n,
-                              kinds, self.change_count)
+                              self.catalog_kinds(), self.change_count)
 
     def jets_for(self, suite: str, count: int | None = None) -> list[JetPoint]:
         rng = self.suite_rng(suite + "/jets")
@@ -237,6 +240,9 @@ def load_scenario(path: str) -> Scenario:
     changes = raw.get("changes", {})
     if "kinds" in changes:
         sc.change_kinds = list(changes["kinds"])
+        if not sc.catalog_kinds():
+            raise ScenarioError(f"scenario error at '/changes/kinds': no kind of {sc.change_kinds} "
+                                f"applies at p={p}, n={n} (monotone needs p = n = 1)")
     if "count" in changes:
         sc.change_count = changes["count"]
     jets = raw.get("jets", {})

@@ -256,12 +256,12 @@ def zero_spray(kind: str, p: int, n: int) -> Spray:
 def transform_spray(s: Spray, change: ChangeMap, u: JetPoint) -> np.ndarray:
     """Predicted target-chart coefficients at the image of u: the tensor
     term plus the inhomogeneous term of the spray's kind."""
-    A, B, A_inv, Wt, Wx = mixed_jet_derivatives(change, u)
-    tensor = np.einsum("jba,ag,kj,bm->kmg", s.coefficients(u), A_inv, B, A_inv)
+    jb, Wt, Wx = mixed_jet_derivatives(change, u)
+    tensor = np.einsum("jba,ag,kj,bm->kmg", s.coefficients(u), jb.A_inv, jb.B, jb.A_inv)
     if s.kind == "temporal":
-        return tensor - 0.5 * np.einsum("ag,kma->kmg", A_inv, Wt)
-    v_new = B @ u.v @ A_inv
-    return tensor - 0.5 * np.einsum("ij,kmi,jg->kmg", np.linalg.inv(B), Wx, v_new)
+        return tensor - 0.5 * np.einsum("ag,kma->kmg", jb.A_inv, Wt)
+    v_new = jb.B @ u.v @ jb.A_inv
+    return tensor - 0.5 * np.einsum("ij,kmi,jg->kmg", jb.B_inv, Wx, v_new)
 
 
 def spray_law_error(s: Spray, changes: Sequence[ChangeMap], jets: Sequence[JetPoint],

@@ -99,6 +99,19 @@ def test_scenario_schema_error_exits_two(tmp_path):
     assert "'spatial' is a required property" in r.stderr
 
 
+def test_verify_with_no_applicable_change_kind_exits_two(tmp_path):
+    """monotone is drawn only at p = n = 1: a monotone-only list at p = n = 2
+    would check every chart law on no pair, so it is a scenario error."""
+    payload = {"dimensions": {"p": 2, "n": 2},
+               "metrics": {"temporal": "euclidean:2", "spatial": "sphere:2"},
+               "changes": {"kinds": ["monotone"]}}
+    out = tmp_path / "report.json"
+    r = run_cli("verify", write_scenario(tmp_path, payload), "--output", str(out))
+    assert r.returncode == 2
+    assert r.stdout == "" and not out.exists()
+    assert "error: scenario error at '/changes/kinds'" in r.stderr
+
+
 def test_missing_file_exits_two(tmp_path):
     r = run_cli("verify", str(tmp_path / "nope.json"))
     assert r.returncode == 2 and "cannot read scenario" in r.stderr

@@ -22,6 +22,7 @@ from jetflow.dtensor import (
     normalization_j_field,
     transform_components,
 )
+from jetflow.exprlang import mul, num
 from jetflow.geometry import energy_density, metric_from_name
 from jetflow.jetspace import JetPoint, random_jet, transform_jet
 
@@ -134,6 +135,24 @@ def test_failing_field_yields_witness():
     assert v.witness is not None
     name, k = v.witness
     assert name.startswith("mixed") and 0 <= k < 5
+
+
+def test_predictions_read_only_the_forward_map():
+    """Negative control: a change whose inverse components are 1% off is no
+    chart change, and the target chart's own fields (pulled back through
+    those components) disagree with the prediction, which reads only the
+    forward map and numpy's inverse of its blocks."""
+    rng = np.random.default_rng(36)
+    good = nd.random_affine_change(rng, 2, 2)
+    bad = nd.ChangeMap("wrong-inverse", good.forward_t, good.forward_x,
+                       [mul(num(1.01), e) for e in good.inverse_t],
+                       [mul(num(1.01), e) for e in good.inverse_x])
+    h, phi = metric_from_name("euclidean:2", "temporal"), metric_from_name("euclidean:2", "spatial")
+    jets = jets_in(rng, 2, 2, count=4)
+    for f in (liouville_l_field(h, 2), lagrangian_metric_field(energy_density(h, phi), 2, 2)):
+        assert is_dtensor(f, [good], jets).passed, f.name
+        v = is_dtensor(f, [bad], jets)
+        assert not v.passed and v.max_rel_err > 1e-3, (f.name, v.max_rel_err)
 
 
 def test_law_check_witness_names_the_first_worst_pair():

@@ -117,7 +117,7 @@ def test_transform_jet_inverse_round_trip():
                                       ("monotone", 1, 1)])
 def test_one_chart_evaluation_per_point(monkeypatch, kind, p, n):
     """Everything that reads a change at a jet takes it from the one record
-    `jacobian_blocks` keeps: at a new point each of the change's four tables
+    `jacobian_blocks` keeps: at a new point each of the change's two tables
     is called once, however many of them read it.  The jet transform is
     the record's image and jet rule bit for bit."""
     rng = np.random.default_rng(sum(map(ord, "once" + kind)))

@@ -89,9 +89,9 @@ def _flat(entries):
 
 @pytest.mark.parametrize("kind", ["affine", "shear", "monotone", "mixed"])
 def test_record_equals_the_interpreter_bit_for_bit(kind):
-    """Every field of the record is ``Expr.eval`` of the change's symbolic
-    lists: the forward map and its derivatives at the point, the inverse
-    Jacobian at the image.  The record is kept per point and read-only."""
+    """Every forward field of the record is ``Expr.eval`` of the change's
+    symbolic lists at the point, and the inverse blocks are numpy's inverse
+    of the forward ones.  The record is kept per point and read-only."""
     rng = np.random.default_rng(sum(map(ord, "record" + kind)))
     c = nd.random_change(rng, 2, 3, kind)
     names = nd.temporal_names(2) + nd.spatial_names(3)
@@ -100,13 +100,14 @@ def test_record_equals_the_interpreter_bit_for_bit(kind):
         jb = nd.jacobian_blocks(c, t, x)
         assert nd.jacobian_blocks(c, t.copy(), x.copy()) is jb
         env = dict(zip(names, [*t.tolist(), *x.tolist()]))
-        image = dict(zip(names, [*jb.t_new.tolist(), *jb.x_new.tolist()]))
-        for field, exprs, at in (("t_new", c.forward_t, env), ("x_new", c.forward_x, env),
-                                 ("A", c._dft, env), ("B", c._dfx, env),
-                                 ("hess_t", c._d2ft, env), ("hess_x", c._d2fx, env),
-                                 ("A_inv", c._dit, image), ("B_inv", c._dix, image)):
-            want = np.array([e.eval(at) for e in _flat(exprs)], dtype=float)
+        for field, exprs in (("t_new", c.forward_t), ("x_new", c.forward_x),
+                             ("A", c._dft), ("B", c._dfx),
+                             ("hess_t", c._d2ft), ("hess_x", c._d2fx)):
+            want = np.array([e.eval(env) for e in _flat(exprs)], dtype=float)
             assert getattr(jb, field).ravel().tobytes() == want.tobytes(), field
+            assert not getattr(jb, field).flags.writeable, field
+        for field, block in (("A_inv", jb.A), ("B_inv", jb.B)):
+            assert getattr(jb, field).tobytes() == np.linalg.inv(block).tobytes(), field
             assert not getattr(jb, field).flags.writeable, field
         with pytest.raises(ValueError):
             jb.A[0, 0] = 1.0

@@ -133,6 +133,13 @@ def test_changes_for_drops_monotone_in_higher_dimensions(tmp_path):
     assert names11 == ["monotone-0", "monotone-1"]
 
 
+def test_kinds_that_all_drop_are_a_scenario_error(tmp_path):
+    payload = json.loads(json.dumps(BASE))
+    payload["changes"] = {"kinds": ["monotone", "monotone"]}
+    with pytest.raises(ScenarioError, match="scenario error at '/changes/kinds'.*p=2, n=2"):
+        load_scenario(_write(tmp_path, payload))
+
+
 def test_jets_respect_metric_boxes(tmp_path):
     sc = load_scenario(_write(tmp_path, BASE))
     for u in sc.jets_for("dtensors", count=40):
