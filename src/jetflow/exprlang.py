@@ -25,7 +25,9 @@ visits a distinct node object once, so shared subtrees stay shared.
 object evaluated once, and `compile_table` turns a table into a function
 that runs that walk on its first few calls and then one compiled
 straight-line function with shared subexpressions and the same guards; the
-tree interpreter (``Expr.eval``) is the reference for both.
+tree interpreter (``Expr.eval``) is the reference for both.  `compile_rk4`
+writes tables into one generated RK4 loop on Python floats, with the same
+emitter.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "parse", "to_str", "evaluate", "evaluate_table", "diff", "subst", "free_vars",
     "num", "var", "neg", "add", "sub", "mul", "div", "pow_", "call",
-    "FUNCTIONS", "compile_table", "Table", "WALK_CALLS",
+    "FUNCTIONS", "compile_table", "Table", "WALK_CALLS", "compile_rk4",
 ]
 
 MAX_EXPONENT = 1000
@@ -760,6 +762,12 @@ _TABLE_NAMESPACE: dict[str, object] = {
        for fn, (scalar_fn, array_fn, _) in FUNCTIONS.items()},
     **{f"_g_{fn}": domain for fn, (_, _, domain) in FUNCTIONS.items() if domain is not None},
 }
+# the same names in the float-only code of `compile_rk4`
+_FLOAT_NAMESPACE: dict[str, object] = {
+    "ExprError": ExprError, "_isfinite": math.isfinite,
+    **{f"_f_{fn}": scalar_fn for fn, (scalar_fn, _, _) in FUNCTIONS.items()},
+    **{f"_g_{fn}": domain for fn, (_, _, domain) in FUNCTIONS.items() if domain is not None},
+}
 _BINARY = {Add: "+", Sub: "-", Mul: "*"}
 
 
@@ -807,8 +815,7 @@ class Table:
         return fn(*args)
 
     def compiled(self) -> Callable[..., tuple]:
-        """The table's straight-line function, compiled on first use; loops
-        that call the table many times call it directly."""
+        """The table's straight-line function, compiled on first use."""
         if self._fn is None:
             self._fn = _compile(self.exprs, self.names, self.check)
         return self._fn
@@ -856,12 +863,120 @@ def compile_table(exprs: Sequence[Expr], names: Sequence[str],
     return Table(exprs, names, check)
 
 
+class _Emitter:
+    """The lines of straight-line Python that compute tables of expressions.
+
+    `args` maps each variable name to the operand text that holds its
+    value, and each computed node gets one assignment to a temporary named
+    `prefix` and a counter.  Structurally equal subtrees are interned (one
+    pass over the trees, memoised by ``id``), a guard that passed is not
+    repeated on the same operand, and the guards come in the interpreter's
+    order.  With `floats`, the code runs on Python floats only: ``b ** k``
+    and plain ``== 0`` tests stand for the numpy-aware `_power` and `_any`.
+
+    `frozen` holds the operand texts known before the call (`Table.freeze`);
+    then literals are frozen too, a node on frozen operands only is frozen,
+    and its line goes to `outer` instead of `lines`."""
+
+    def __init__(self, args: Mapping[str, str], prefix: str = "v", floats: bool = False,
+                 frozen: set[str] | None = None):
+        self.args, self.prefix, self.floats = args, prefix, floats
+        self.hoist = frozen is not None
+        self.frozen = set() if frozen is None else frozen
+        self.outer: list[str] = []
+        self.lines: list[str] = []
+        self.by_id: dict[int, str] = {}      # id(node) -> operand text
+        self.by_key: dict[tuple, str] = {}   # structure -> operand text
+        self.guarded: set[tuple[str, str]] = set()
+
+    def place(self, operands: Sequence[str], line: str) -> bool:
+        # without `frozen`, no operand is frozen and every line goes to `lines`
+        if all(o in self.frozen for o in operands):
+            self.outer.append(line)
+            return True
+        self.lines.append(line)
+        return False
+
+    def guard(self, key: tuple[str, str], line: str) -> None:
+        # a repeat of a passed guard on the same operand cannot fail
+        if key not in self.guarded:
+            self.guarded.add(key)
+            self.place(key[1:], line)
+
+    def zero_guard(self, key: tuple[str, str], message: str) -> None:
+        b = key[1]
+        test = f"{b} == 0" if self.floats else f"_any({b} == 0)"
+        self.guard(key, f"if {test}: raise ExprError({message!r})")
+
+    def intern(self, key: tuple, code: str, *operands: str) -> str:
+        got = self.by_key.get(key)
+        if got is None:
+            got = self.by_key[key] = f"{self.prefix}{len(self.by_key)}"
+            if self.place(operands, f"{got} = {code}"):
+                self.frozen.add(got)
+        return got
+
+    def emit(self, e: Expr) -> str:
+        got = self.by_id.get(id(e))
+        if got is not None:
+            return got
+        if isinstance(e, Num):
+            got = _literal(e.value)
+            if self.hoist:
+                self.frozen.add(got)
+        elif isinstance(e, Var):
+            got = _lookup(self.args, e.name)
+        elif isinstance(e, Neg):
+            a = self.emit(e.a)
+            got = self.intern(("-", a), f"-{a}", a)
+        elif type(e) in _BINARY:
+            op = _BINARY[type(e)]
+            a = self.emit(e.a)
+            b = self.emit(e.b)
+            got = self.intern((op, a, b), f"{a} {op} {b}", a, b)
+        elif isinstance(e, Div):
+            b = self.emit(e.b)              # the interpreter checks the denominator first
+            self.zero_guard(("/", b), _DIV0)
+            a = self.emit(e.a)
+            got = self.intern(("/", a, b), f"{a} / {b}", a, b)
+        elif isinstance(e, Pow):
+            b, k = self.emit(e.base), e.exponent
+            if k < 0:
+                self.zero_guard(("^", b), _NEG_POW0)
+            got = self.intern(("^", b, k), f"{b} ** {k}" if self.floats else f"_power({b}, {k})", b)
+        elif isinstance(e, Call):
+            x = self.emit(e.arg)
+            if FUNCTIONS[e.fn][2] is not None:
+                self.guard((e.fn, x), f"_g_{e.fn}({x})")
+            got = self.intern((e.fn, x), f"_f_{e.fn}({x})", x)
+        else:
+            raise ExprError(f"cannot compile node {type(e).__name__}")
+        self.by_id[id(e)] = got
+        return got
+
+    def table(self, exprs: Sequence[Expr], check: str | None) -> list[str]:
+        """The operand texts of the entries' values, with a call of the
+        function named `check` on the first entry's value before any other
+        entry is computed."""
+        outs = []
+        for k, e in enumerate(exprs):
+            outs.append(self.emit(e))
+            if k == 0 and check is not None:
+                self.place(outs[:1], f"{check}({outs[0]})")
+        return outs
+
+
+def _define(src: Sequence[str], ns: dict, filename: str, name: str) -> Callable:
+    """The function `name` that the source lines `src` define, run in `ns`."""
+    exec(compile("".join(x + "\n" for x in src), filename, "exec"), ns)
+    return ns[name]
+
+
 def _compile(exprs: Sequence[Expr], names: Sequence[str],
              check: Callable[[Value], None] | None,
              fixed: Collection[str] | None = None) -> Callable:
-    """One straight-line function for a table.  Structurally equal subtrees
-    are interned (one pass over the trees, memoised by ``id``) and get one
-    assignment.
+    """One straight-line function for a table (`_Emitter`): one assignment
+    per distinct node.
 
     With `fixed`, the result is ``make(<fixed args>)`` instead, fixed
     arguments in `names` order.  A node is frozen when all its operands are
@@ -869,84 +984,123 @@ def _compile(exprs: Sequence[Expr], names: Sequence[str],
     nodes, with the guards (and `check`) on frozen operands, and returns
     ``table(<other args>)``, which computes the rest."""
     args = {name: f"a{k}" for k, name in enumerate(names)}
-    ns = dict(_TABLE_NAMESPACE, check=check)
-    outer: list[str] = []           # the lines of `make`
-    lines: list[str] = []           # the lines of `table`
-    frozen = set() if fixed is None else {args[name] for name in fixed}
-    by_id: dict[int, str] = {}      # id(node) -> operand text
-    by_key: dict[tuple, str] = {}   # structure -> operand text
-    guarded: set[tuple[str, str]] = set()
-
-    def place(operands: Sequence[str], line: str) -> bool:
-        # a line on frozen operands goes to `make`; without `fixed`, no
-        # operand is frozen and every line goes to `table`
-        if all(o in frozen for o in operands):
-            outer.append(line)
-            return True
-        lines.append(line)
-        return False
-
-    def guard(key: tuple[str, str], line: str) -> None:
-        # a repeat of a passed guard on the same operand cannot fail
-        if key not in guarded:
-            guarded.add(key)
-            place(key[1:], line)
-
-    def intern(key: tuple, code: str, *operands: str) -> str:
-        if key not in by_key:
-            by_key[key] = f"v{len(by_key)}"
-            if place(operands, f"{by_key[key]} = {code}"):
-                frozen.add(by_key[key])
-        return by_key[key]
-
-    def emit(e: Expr) -> str:
-        got = by_id.get(id(e))
-        if got is not None:
-            return got
-        if isinstance(e, Num):
-            got = _literal(e.value)
-            if fixed is not None:
-                frozen.add(got)
-        elif isinstance(e, Var):
-            got = _lookup(args, e.name)
-        elif isinstance(e, Neg):
-            a = emit(e.a)
-            got = intern(("-", a), f"-{a}", a)
-        elif type(e) in _BINARY:
-            op = _BINARY[type(e)]
-            a = emit(e.a)
-            b = emit(e.b)
-            got = intern((op, a, b), f"{a} {op} {b}", a, b)
-        elif isinstance(e, Div):
-            b = emit(e.b)                   # the interpreter checks the denominator first
-            guard(("/", b), f"if _any({b} == 0): raise ExprError({_DIV0!r})")
-            a = emit(e.a)
-            got = intern(("/", a, b), f"{a} / {b}", a, b)
-        elif isinstance(e, Pow):
-            b = emit(e.base)
-            if e.exponent < 0:
-                guard(("^", b), f"if _any({b} == 0): raise ExprError({_NEG_POW0!r})")
-            got = intern(("^", b, e.exponent), f"_power({b}, {e.exponent})", b)
-        elif isinstance(e, Call):
-            x = emit(e.arg)
-            if FUNCTIONS[e.fn][2] is not None:
-                guard((e.fn, x), f"_g_{e.fn}({x})")
-            got = intern((e.fn, x), f"_f_{e.fn}({x})", x)
-        else:
-            raise ExprError(f"cannot compile node {type(e).__name__}")
-        by_id[id(e)] = got
-        return got
-
-    outs = []
-    for k, e in enumerate(exprs):
-        outs.append(emit(e))
-        if k == 0 and check is not None:
-            place(outs[:1], f"check({outs[0]})")
-    lines.append(f"return ({''.join(o + ', ' for o in outs)})")
+    em = _Emitter(args, frozen=None if fixed is None else {args[name] for name in fixed})
+    outs = em.table(exprs, None if check is None else "check")
+    lines = [*em.lines, f"return ({''.join(o + ', ' for o in outs)})"]
     inner = [a for name, a in args.items() if fixed is None or name not in fixed]
     src = [f"def table({', '.join(inner)}):", *(f"    {x}" for x in lines)]
     if fixed is not None:
         src = [f"def make({', '.join(a for name, a in args.items() if name in fixed)}):",
-               *(f"    {x}" for x in [*outer, *src, "return table"])]
-    exec(compile("".join(x + "\n" for x in src), "<compiled table>", "exec"), ns)
-    return ns["table" if fixed is None else "make"]
+               *(f"    {x}" for x in [*em.outer, *src, "return table"])]
+    return _define(src, dict(_TABLE_NAMESPACE, check=check), "<compiled table>",
+                   "table" if fixed is None else "make")
+
+
+# ---------------------------------------------------------------------------
+# generated RK4 loops
+
+
+def compile_rk4(state: Sequence[str], s: str, rhs: Sequence[Expr],
+                blocks: Sequence[tuple[Callable, Sequence[str], Sequence[str]]] = (),
+                nonfinite: Callable[[int, int, float], None] | None = None) -> Callable:
+    """Classic RK4 for y' = F(s, y) as one generated function
+    ``run(s0, *y0, ds, steps, rows)`` on Python floats.
+
+    `state` names the entries of y and `s` the independent variable.  `rhs`
+    is F, one expression per entry of y, over those names and the outputs
+    of `blocks`; it is written out as it stands, so build it from the raw
+    node classes (``add(g, num(0.0))`` folds to g, and -2(g + 0.0) is not
+    -2g at g = -0.0).  Each block ``(fn, inputs, outputs)`` computes the
+    values named by `outputs` from those named by `inputs`, once per
+    stage, in the order given.  A `Table` is written into
+    the loop in float form, with its `check` as a call on entry 0; a check
+    on a literal entry 0 runs once, here.  Any other callable is called as
+    ``fn(*inputs)`` and returns one float per output.
+
+    `run` takes `steps` steps of size `ds` from (s0, y0), in the operation
+    order of the same RK4 on numpy vectors, so its values are theirs bit
+    for bit: half = 0.5*ds, sixth = ds/6, stage inputs y + half*k1,
+    y + half*k2 and y + ds*k3 at s + half, s + half and s + ds, the update
+    y + sixth*(k1 + 2*k2 + 2*k3 + k4), then s = s0 + step*ds.  It returns
+    the final (s, *y) and, when `rows` is not None, sets rows[step - 1] to
+    (s, *y) at the start of each step and rows[steps] to the final one.
+    With `nonfinite`, every stage input and the final state are checked
+    first, and ``nonfinite(step, steps, s)`` is called (to raise) where one
+    of them is not finite."""
+    m = len(state)
+    names = [s, *state, *(o for _, _, outs in blocks for o in outs)]
+    if len(set(names)) != len(names):
+        raise ExprError(f"the names of an RK4 loop must be distinct: {names}")
+    if len(rhs) != m:
+        raise ExprError(f"an RK4 loop over {m} values needs {m} right-hand sides")
+    ns = dict(_FLOAT_NAMESPACE, nonfinite=nonfinite)
+    checks: list[str | None] = []
+    for j, (fn, ins, outs) in enumerate(blocks):
+        if isinstance(fn, Table) and (len(ins), len(outs)) != (len(fn.names), len(fn.exprs)):
+            raise ExprError(f"block {j} does not match its table's names and entries")
+        ns[f"blk{j}"] = fn
+        check = fn.check if isinstance(fn, Table) else None
+        if check is not None and isinstance(fn.exprs[0], Num):
+            check(fn.exprs[0].value)        # a constant first entry: checked once
+            check = None
+        checks.append(None if check is None else f"check{j}")
+        ns[f"check{j}"] = check
+
+    ys = [f"y{i}" for i in range(m)]
+    body: list[str] = []
+
+    def guard(step: str, at: str, values: Sequence[str]) -> list[str]:
+        if nonfinite is None:
+            return []
+        finite = " and ".join(f"_isfinite({v})" for v in [at, *values])
+        return [f"if not ({finite}): nonfinite({step}, steps, {at})"]
+
+    def stage(k: int, at: str, values: Sequence[str]) -> list[str]:
+        """F at (at, values) for stage k; the operand texts of its entries."""
+        body.extend(guard("step", at, values))
+        bind = {s: at, **dict(zip(state, values))}
+        for j, ((fn, ins, outs), check) in enumerate(zip(blocks, checks)):
+            operands = [_lookup(bind, name) for name in ins]
+            prefix = f"b{j}s{k}_"
+            if isinstance(fn, Table):
+                em = _Emitter(dict(zip(fn.names, operands)), prefix, floats=True)
+                texts = em.table(fn.exprs, check)
+                body.extend(em.lines)
+            else:
+                texts = [f"{prefix}{i}" for i in range(len(outs))]
+                body.append(f"{''.join(t + ', ' for t in texts)}= blk{j}({', '.join(operands)})")
+            bind.update(zip(outs, texts))
+        em = _Emitter(bind, f"f{k}_", floats=True)
+        texts = em.table(rhs, None)
+        body.extend(em.lines)
+        return texts
+
+    def inputs(k: int, scale: str, slopes: Sequence[str]) -> list[str]:
+        zs = [f"z{k}_{i}" for i in range(m)]
+        body.extend(f"{z} = {y} + {scale}*{d}" for z, y, d in zip(zs, ys, slopes))
+        return zs
+
+    k1 = stage(1, "s", ys)
+    body.append("sh = s + half")
+    k2 = stage(2, "sh", inputs(2, "half", k1))
+    k3 = stage(3, "sh", inputs(3, "half", k2))
+    body.append("sf = s + ds")
+    k4 = stage(4, "sf", inputs(4, "ds", k3))
+    updates = [f"{y} + sixth*({a} + 2*{b} + 2*{c} + {d})"
+               for y, a, b, c, d in zip(ys, k1, k2, k3, k4)]
+    body += [f"{''.join(y + ', ' for y in ys)}= {''.join(u + ', ' for u in updates)}",
+             "s = s0 + step*ds"]
+    point = f"(s, {''.join(y + ', ' for y in ys)})"
+    src = [f"def run(s0, {''.join(y + ', ' for y in ys)}ds, steps, rows):",
+           "    half = 0.5*ds",
+           "    sixth = ds/6.0",
+           "    s = s0",
+           "    for step in range(1, steps + 1):",
+           "        if rows is not None:",
+           f"            rows[step - 1] = {point}",
+           *(f"        {x}" for x in body),
+           *(f"    {x}" for x in guard("steps", "s", ys)),
+           "    if rows is not None:",
+           f"        rows[steps] = {point}",
+           f"    return {point}"]
+    return _define(src, ns, "<compiled rk4>", "run")

@@ -13,22 +13,24 @@ The harmonic and Poisson forms agree identically: the Christoffel trace
 added inside Delta_h is subtracted back inside the source.
 
 Two solvers are provided: a fixed-step RK4 integrator for the p = 1 affine
-equation (geodesics of a spray pair) and nonlinear full-approximation-scheme
-(FAS) multigrid V-cycles, smoothed by damped Jacobi, for the p = 2 harmonic
+equation (geodesics of a spray pair), generated as one straight-line loop
+on Python floats with both sprays' tables written into each stage
+(`exprlang.compile_rk4`), and nonlinear full-approximation-scheme (FAS)
+multigrid V-cycles, smoothed by damped Jacobi, for the p = 2 harmonic
 equation on a rectangular grid with Dirichlet boundary data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import Expr, diff, evaluate, free_vars, parse
+from .exprlang import (Add, Expr, Mul, Num, Table, Var, compile_rk4, diff, evaluate,
+                       free_vars, parse)
 from .geometry import GeometryError, Metric
-from .numdiff import temporal_names
+from .numdiff import jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint
 from .sprays import SprayPair
 
@@ -156,31 +158,56 @@ class OdeSolution:
     vs: np.ndarray       # (steps + 1, n)
 
 
-def _jet_kernel(spray, n: int) -> tuple[Callable[..., Sequence[float]], slice]:
-    """The spray's `coefficients` as a function of the flat p = 1 jet
-    arguments (t, x1..xn, x1_1..xn_1), with the slice of its result that
-    holds S^{(1)}_{(1)1}..S^{(n)}_{(1)1}.  While `coefficients` is still the
-    canonical spray's own, that is its compiled kernel (entry 0 is the
-    det g check); any other `coefficients` runs on a JetPoint."""
+def _jet_block(spray, n: int, name: str) -> tuple[Callable, list[str], list[str]]:
+    """The spray as a block of the generated RK4 (`compile_rk4`): a function
+    of the flat p = 1 jet (t1, x1..xn, x1_1..xn_1) whose outputs named
+    name1..name<n> are S^{(1)}_{(1)1}..S^{(n)}_{(1)1}.  While
+    `coefficients` is still the canonical spray's own, that is its table,
+    written into the loop (entry 0, named name + "det", is det g, checked);
+    any other `coefficients` runs on a JetPoint once per stage."""
+    names = temporal_names(1) + spatial_names(n) + jet_names(n, 1)
+    outs = [f"{name}{i + 1}" for i in range(n)]
     tables = spray.tables
     if tables is not None and spray.coefficients == tables.coefficients:
-        return tables.kernel.compiled(), slice(1, n + 1)
+        return tables.kernel, names, [f"{name}det", *outs]
 
-    def kernel(*args: float) -> list[float]:
+    def coefficients(*args: float) -> list[float]:
         u = JetPoint(np.array(args[:1]), np.array(args[1:1 + n]),
                      np.array(args[1 + n:]).reshape(n, 1))
         return spray.coefficients(u)[:, 0, 0].tolist()
 
-    return kernel, slice(0, n)
+    return coefficients, names, outs
+
+
+def _nonfinite(step: int, steps: int, t: float) -> None:
+    raise MapError(f"non-finite geodesic state in RK4 step {step} of {steps}, at t = {t!r}")
+
+
+def _geodesic_loop(pair: SprayPair, n: int) -> Callable:
+    """The generated RK4 of the p = 1 affine equation: state (x, v) and
+    F = (v, -2 (G + H)^{(i)}_{(1)1}).  Built once per pair of spray tables
+    when both sprays run their tables, and on every call otherwise."""
+    G, H = _jet_block(pair.spatial, n, "G"), _jet_block(pair.temporal, n, "H")
+    shared = isinstance(G[0], Table) and isinstance(H[0], Table)
+    if shared and pair.temporal.tables in pair.spatial.tables.loops:
+        return pair.spatial.tables.loops[pair.temporal.tables]
+    x, v = spatial_names(n), jet_names(n, 1)
+    # raw nodes: add() would fold a flat spray's H = 0.0 away, and
+    # -2 (G + 0.0) is not -2 G at G = -0.0
+    accel = [Mul(Num(-2.0), Add(Var(f"G{i}"), Var(f"H{i}"))) for i in range(1, n + 1)]
+    loop = compile_rk4([*x, *v], "t1", [*map(Var, v), *accel], [G, H], nonfinite=_nonfinite)
+    if shared:
+        pair.spatial.tables.loops[pair.temporal.tables] = loop
+    return loop
 
 
 def solve_affine_ode(pair: SprayPair, x0: np.ndarray, v0: np.ndarray,
                      t_span: tuple[float, float], steps: int) -> OdeSolution:
     """Classic RK4 for the p = 1 affine equation
-    x'' = -2 (G + H)^{(i)}_{(1)1}, on Python floats: each stage calls the
-    two sprays' jet kernels on [t, *x, *v].  A non-finite stage input
-    stops the solve with MapError before the kernels see it, and so does a
-    non-finite final state."""
+    x'' = -2 (G + H)^{(i)}_{(1)1}, as one generated loop on Python floats
+    with both sprays' tables written into it (`_geodesic_loop`).  A
+    non-finite stage input stops the solve with MapError before the sprays
+    see it, and so does a non-finite final state."""
     if pair.temporal.p != 1:
         raise MapError("the ODE solver handles one temporal dimension")
     n = pair.temporal.n
@@ -191,43 +218,8 @@ def solve_affine_ode(pair: SprayPair, x0: np.ndarray, v0: np.ndarray,
         raise MapError("steps must be positive")
     if len(x) != n or len(v) != n:
         raise MapError(f"x0 and v0 need n = {n} entries")
-    dt = (t1 - t0) / steps
-    half, sixth = 0.5 * dt, dt / 6.0
-    G, gs = _jet_kernel(pair.spatial, n)
-    H, hs = _jet_kernel(pair.temporal, n)
-
-    def check_finite(step: int, args: list[float]) -> None:
-        if not all(map(isfinite, args)):
-            raise MapError(f"non-finite geodesic state in RK4 step {step} of "
-                           f"{steps}, at t = {args[0]!r}")
-
-    def acc(step: int, args: list[float]) -> list[float]:
-        check_finite(step, args)
-        return [-2.0 * (g + h) for g, h in zip(G(*args)[gs], H(*args)[hs])]
-
-    # each stage and update keeps the operation order of the vector form
-    # x + (dt/6)(k1 + 2 k2 + 2 k3 + k4), so the trajectory is bit for bit
-    # that of the same RK4 on numpy arrays
     rows = np.empty((steps + 1, 1 + 2 * n))     # t, x, v per step
-    t, state = t0, [t0, *x, *v]
-    for k in range(steps):
-        rows[k] = state
-        step = k + 1
-        k1v = acc(step, state)
-        k2x = [a + half * b for a, b in zip(v, k1v)]
-        k2v = acc(step, [t + half, *[a + half * b for a, b in zip(x, v)], *k2x])
-        k3x = [a + half * b for a, b in zip(v, k2v)]
-        k3v = acc(step, [t + half, *[a + half * b for a, b in zip(x, k2x)], *k3x])
-        k4x = [a + dt * b for a, b in zip(v, k3v)]
-        k4v = acc(step, [t + dt, *[a + dt * b for a, b in zip(x, k3x)], *k4x])
-        x = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(x, v, k2x, k3x, k4x)]
-        v = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(v, k1v, k2v, k3v, k4v)]
-        t = t0 + step * dt
-        state = [t, *x, *v]
-    check_finite(steps, state)
-    rows[steps] = state
+    _geodesic_loop(pair, n)(t0, *x, *v, (t1 - t0) / steps, steps, rows)
     return OdeSolution(rows[:, 0], rows[:, 1:1 + n], rows[:, 1 + n:])
 
 
@@ -249,7 +241,7 @@ class GridSolution:
 def _batch_kernel(spray, T: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The spray's coefficients at the fixed nodes T, as a function of
     X (q, n) and V (q, n, p) returning (q, n, p, p), chosen the way
-    `_jet_kernel` chooses: while `coefficients_batch` is still the canonical
+    `_jet_block` chooses: while `coefficients_batch` is still the canonical
     spray's own, its tables frozen on T (`_SprayTables.batch_at`); else any
     other `coefficients_batch`; else `coefficients`, one node at a time."""
     tables = spray.tables

@@ -9,9 +9,10 @@ first jet space with vertical components
 
 so that the prolongation is the infinitesimal generator of the jet lift of
 the flow of X.  The module also provides the flow-transport oracle used to
-verify that statement numerically, the horizontal lift through a nonlinear
-connection, and the vertical gap between prolongation and horizontal lift
-(a d-tensor field).
+verify that statement numerically (the flow of X runs as one generated RK4
+loop per field, `exprlang.compile_rk4`), the horizontal lift through a
+nonlinear connection, and the vertical gap between prolongation and
+horizontal lift (a d-tensor field).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import Expr, add, compile_table, diff, free_vars, mul, num, parse, subst
+from .exprlang import (Expr, add, compile_rk4, compile_table, diff, free_vars, mul, num,
+                       parse, subst)
 from .dtensor import DTensorField, IndexSignature
 from .connection import NonlinearConnection
 from .numdiff import ChangeMap, jet_names, spatial_names, temporal_names
@@ -69,7 +71,9 @@ class BaseVectorField:
 
     Numeric values come from two compiled tables (`compile_table`), each
     built on first use: the p + n components, and their first partials.
-    Both run on Python floats, so they agree bit for bit with `Expr.eval`.
+    Its flow runs as one generated RK4 loop with the components written in
+    (`compile_rk4`), also built on first use.  All run on Python floats, so
+    they agree bit for bit with `Expr.eval`.
     """
 
     def __init__(self, p: int, n: int, temporal: Sequence[Expr | str],
@@ -95,6 +99,11 @@ class BaseVectorField:
     def _values(self) -> Callable[..., tuple]:
         """The p + n components as a function of t1..tp, x1..xn."""
         return compile_table(self.temporal + self.spatial, self.variables)
+
+    @cached_property
+    def _flow(self) -> Callable[..., tuple]:
+        """RK4 for the flow y' = X(y), y = (t, x), in the parameter s."""
+        return compile_rk4(self.variables, "s", self.temporal + self.spatial)
 
     @cached_property
     def _gradients(self) -> Callable[..., list[tuple]]:
@@ -190,20 +199,11 @@ def pushforward(X: BaseVectorField, change: ChangeMap) -> BaseVectorField:
 
 def flow_point(X: BaseVectorField, t: np.ndarray, x: np.ndarray,
                eps: float, substeps: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 integration of the flow of X from (t, x) for parameter eps, on
-    Python floats through the compiled components."""
-    rhs = X._values.compiled()
+    """RK4 integration of the flow of X from (t, x) for parameter eps, in
+    `substeps` steps on Python floats: the field's generated loop."""
     y = np.asarray(t, float).tolist() + np.asarray(x, float).tolist()
-    ds = eps / substeps
-    half, sixth = 0.5 * ds, ds / 6.0
-    for _ in range(substeps):
-        k1 = rhs(*y)
-        k2 = rhs(*[a + half * k for a, k in zip(y, k1)])
-        k3 = rhs(*[a + half * k for a, k in zip(y, k2)])
-        k4 = rhs(*[a + ds * k for a, k in zip(y, k3)])
-        y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    return np.array(y[:X.p]), np.array(y[X.p:])
+    end = X._flow(0.0, *y, eps / substeps, substeps, None)
+    return np.array(end[1:1 + X.p]), np.array(end[1 + X.p:])
 
 
 def flow_transport(X: BaseVectorField, u: JetPoint, eps: float,

@@ -66,8 +66,8 @@ class Spray:
     # (T, X, V) arrays of shape (q,p), (q,n), (q,n,p) -> (q,n,p,p)
     coefficients_batch: Callable[..., np.ndarray] | None = None
     name: str = "spray"
-    # a canonical spray's compiled tables; the geodesic RK4 runs their
-    # kernel while `coefficients` is still `tables.coefficients`
+    # a canonical spray's compiled tables; the geodesic RK4 writes their
+    # kernel into its loop while `coefficients` is still `tables.coefficients`
     tables: _SprayTables | None = None
 
     def __post_init__(self):
@@ -119,6 +119,9 @@ class _SprayTables:
         self.metric, self.p, self.n = metric, p, n
         self._build_entries = entries
         self.names = temporal_names(p) + spatial_names(n) + jet_names(n, p)
+        # generated geodesic loops (maps.solve_affine_ode) that write this
+        # spatial spray's kernel in, by the temporal spray's tables
+        self.loops: dict[_SprayTables, Callable] = {}
 
     @cached_property
     def _entries(self) -> list[Expr]:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from jetflow.exprlang import (Call, Expr, ExprError, Mul, Num, Pow, Var, add,
-                              call, compile_table, diff, div, evaluate, evaluate_table,
+                              call, compile_rk4, compile_table, diff, div, evaluate,
+                              evaluate_table,
                               free_vars, mul, neg, num, parse, pow_, subst, to_str, var)
 from jetflow import numdiff as nd
 from jetflow.dtensor import _hessian_exprs
@@ -119,6 +120,28 @@ def test_compiled_table_raises_the_interpreters_domain_error(text, env, arrays):
     with pytest.raises(ExprError) as got:
         table(*[env[k] for k in sorted(env)] or [1.0])
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text,env", DOMAIN_ERRORS)
+def test_rk4_loop_raises_the_interpreters_domain_error(text, env):
+    """A table written into a generated RK4 loop keeps its guards in float
+    form: the first stage raises the interpreter's error."""
+    with pytest.raises(ExprError) as want:
+        evaluate(parse(text), env)
+    table = compile_table([parse("x + 1"), parse(text)], ["x"])
+    run = compile_rk4(["x"], "s", [Var("f")], [(table, ["x"], ["e", "f"])])
+    with pytest.raises(ExprError) as got:
+        run(0.0, env.get("x", 1.0), 0.1, 1, None)
+    assert str(got.value) == str(want.value)
+
+
+def test_rk4_loop_checks_a_constant_first_entry_once():
+    seen = []
+    table = compile_table([num(2.0), parse("-x")], ["x"], check=seen.append)
+    run = compile_rk4(["x"], "s", [Var("f")], [(table, ["x"], ["c", "f"])])
+    assert seen == [2.0]
+    s, x = run(0.0, 1.0, 0.01, 100, None)
+    assert seen == [2.0] and s == 1.0 and abs(x - math.exp(-1.0)) < 1e-9
 
 
 @pytest.mark.parametrize("arrays", [False, True])

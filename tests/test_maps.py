@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from jetflow.connection import canonical_connection, sprays_from_connection
-from jetflow.geometry import GeometryError, metric_from_name
+from jetflow.geometry import GeometryError, metric_from_name, pullback_metric
 from jetflow.jetspace import JetPoint
 from jetflow.maps import (
     MapError,
@@ -23,6 +23,7 @@ from jetflow.maps import (
     spray_source,
 )
 from jetflow import maps
+from jetflow.numdiff import random_change
 from jetflow.sprays import (
     SprayPair,
     canonical_pair,
@@ -36,10 +37,16 @@ from helpers import (golden_writer, jacobi_harmonic_reference, reference_affine_
                      standard_metrics)
 
 ROOT = Path(__file__).resolve().parents[1]
-HARMONIC_DEMO = ROOT / "demos" / "harmonic_scenario.json"
-GOLDEN = {"report": ROOT / "tests" / "data" / "harmonic_demo_report.json",
-          "csv": ROOT / "tests" / "data" / "harmonic_demo_grid.csv"}
-GOLDEN_WRITER = ROOT / "tests" / "data" / "harmonic_demo_report.writer.json"
+DATA = ROOT / "tests" / "data"
+# per demo command: its stored report and CSV, and the writer that made them
+GOLDEN = {
+    "harmonic": {"report": DATA / "harmonic_demo_report.json",
+                 "csv": DATA / "harmonic_demo_grid.csv",
+                 "writer": DATA / "harmonic_demo_report.writer.json"},
+    "geodesic": {"report": DATA / "geodesic_demo_report.json",
+                 "csv": DATA / "geodesic_demo_orbit.csv",
+                 "writer": DATA / "geodesic_demo_report.writer.json"},
+}
 
 
 def _flat_pair(p, n):
@@ -197,14 +204,26 @@ def _assert_matches_reference(pair, x0, v0, t_span, steps):
     assert np.array_equal(sol.vs, vs)
 
 
+def _spatial_metric(name):
+    """A catalog metric as the spatial factor; ``name@mixed`` is the metric
+    pulled back through a seeded mixed p = 1 chart change."""
+    base, _, change = name.partition("@")
+    phi = metric_from_name(base, kind="spatial")
+    if change:
+        phi = pullback_metric(phi, random_change(np.random.default_rng(61), 1, phi.dim, change))
+    return phi
+
+
 @pytest.mark.parametrize("spatial,x0,v0", [
     ("sphere:2", [np.pi / 2, 0.0], [0.6, 1.0]),
     ("hyperbolic:2", [0.3, 1.0], [0.5, 0.4]),
     ("euclidean:2", [1.0, -2.0], [0.5, 0.25]),
+    ("exp1d", [0.3], [0.8]),                                        # n = 1
+    ("euclidean:3@mixed", [0.2, -0.1, 0.3], [0.5, 0.2, -0.4]),       # n = 3
 ])
 def test_float_rk4_matches_numpy_reference_bit_for_bit(spatial, x0, v0):
     h = metric_from_name("euclidean:1", kind="temporal")
-    _assert_matches_reference(canonical_pair(h, metric_from_name(spatial)),
+    _assert_matches_reference(canonical_pair(h, _spatial_metric(spatial)),
                               x0, v0, (0.0, 3.0), 300)
 
 
@@ -462,10 +481,11 @@ def test_grid_transfers():
                               np.zeros((9, 1)))
 
 
-def _run_harmonic_demo(out_dir: Path) -> dict:
+def _run_demo(command: str, out_dir: Path) -> dict:
     from jetflow.cli import main
-    paths = {"report": out_dir / "report.json", "csv": out_dir / "grid.csv"}
-    assert main(["harmonic", str(HARMONIC_DEMO), "--output", str(paths["report"]),
+    paths = {"report": out_dir / "report.json", "csv": out_dir / "out.csv"}
+    scenario = ROOT / "demos" / f"{command}_scenario.json"
+    assert main([command, str(scenario), "--output", str(paths["report"]),
                  "--csv", str(paths["csv"])]) == 0
     return paths
 
@@ -486,19 +506,20 @@ def _floats_apart(got, want) -> list:
     return []
 
 
-def test_demo_harmonic_outputs_match_golden_outputs(tmp_path):
-    """The demo scenario's harmonic report and CSV against the ones stored in
-    tests/data.  Where the stored writer matches this one, both files must
-    be equal byte for byte; elsewhere another numpy or libm may round the
-    last bit apart, and each number is held within 1e-12 + 1e-9 |ref|."""
-    got = _run_harmonic_demo(tmp_path)
-    if json.loads(GOLDEN_WRITER.read_text()) == golden_writer():
-        for which in GOLDEN:
-            assert got[which].read_bytes() == GOLDEN[which].read_bytes(), which
+def _assert_demo_matches_golden(command: str, out_dir: Path) -> None:
+    """The demo scenario's report and CSV for `command` against the ones
+    stored in tests/data.  Where the stored writer matches this one, both
+    files must be equal byte for byte; elsewhere another numpy or libm may
+    round the last bit apart, and each number is held within
+    1e-12 + 1e-9 |ref|."""
+    got, golden = _run_demo(command, out_dir), GOLDEN[command]
+    if json.loads(golden["writer"].read_text()) == golden_writer():
+        for which in ("report", "csv"):
+            assert got[which].read_bytes() == golden[which].read_bytes(), which
         return
     pairs = _floats_apart(json.loads(got["report"].read_text()),
-                          json.loads(GOLDEN["report"].read_text()))
-    rows = [list(csv.reader(open(path))) for path in (got["csv"], GOLDEN["csv"])]
+                          json.loads(golden["report"].read_text()))
+    rows = [list(csv.reader(open(path))) for path in (got["csv"], golden["csv"])]
     assert rows[0][0] == rows[1][0] and len(rows[0]) == len(rows[1])
     pairs += _floats_apart([[float(x) for x in r] for r in rows[0][1:]],
                            [[float(x) for x in r] for r in rows[1][1:]])
@@ -506,12 +527,22 @@ def test_demo_harmonic_outputs_match_golden_outputs(tmp_path):
         assert abs(g - w) <= 1e-12 + 1e-9 * abs(w)
 
 
+def test_demo_harmonic_outputs_match_golden_outputs(tmp_path):
+    _assert_demo_matches_golden("harmonic", tmp_path)
+
+
+def test_demo_geodesic_outputs_match_golden_outputs(tmp_path):
+    """The stored orbit locks the bits of the RK4 trajectory."""
+    _assert_demo_matches_golden("geodesic", tmp_path)
+
+
 if __name__ == "__main__":
-    # Regenerate the golden harmonic outputs and their writer:
+    # Regenerate the golden demo outputs and their writers:
     #   PYTHONPATH=src python tests/test_maps.py
     import shutil
     import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        for which, path in _run_harmonic_demo(Path(tmp)).items():
-            shutil.copyfile(path, GOLDEN[which])
-    GOLDEN_WRITER.write_text(json.dumps(golden_writer(), sort_keys=True, indent=2) + "\n")
+    for command, golden in GOLDEN.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            for which, path in _run_demo(command, Path(tmp)).items():
+                shutil.copyfile(path, golden[which])
+        golden["writer"].write_text(json.dumps(golden_writer(), sort_keys=True, indent=2) + "\n")

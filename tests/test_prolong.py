@@ -161,12 +161,25 @@ ORACLE_FIELDS = default_prolong_fields(2, 2) + [
                     ["sqrt(1 + x2^2)*t2", "0.2*exp(t1)*x1/(2 + sin(x2))"],
                     name="exp-log-sqrt"),
 ]
+# the generated flow loop unrolls over the p + n state entries
+SHAPED_FIELDS = [
+    *default_prolong_fields(1, 3), *default_prolong_fields(3, 1),
+    BaseVectorField(1, 3, ["0.2*x1*x3 + sin(t1)"],
+                    ["exp(0.2*t1)*x2", "log(2 + x3^2) - 0.1*x1", "x1/(2 + cos(x2))"],
+                    name="exp-log-div"),
+    BaseVectorField(3, 1, ["0.1*x1 + t2*t3", "sqrt(1 + t1^2)", "cosh(0.3*t3) - 1"],
+                    ["0.3*x1^2 + 0.1*t1*t2*t3"], name="sqrt-cosh"),
+]
 
 
-@pytest.mark.parametrize("X", ORACLE_FIELDS, ids=lambda X: X.name)
+def _field_id(X):
+    return X.name if (X.p, X.n) == (2, 2) else f"{X.name}-p{X.p}n{X.n}"
+
+
+@pytest.mark.parametrize("X", ORACLE_FIELDS + SHAPED_FIELDS, ids=_field_id)
 def test_compiled_field_and_flow_match_interpreter_bit_for_bit(X):
     rng = np.random.default_rng(sum(map(ord, X.name)))
-    for u in jets_in(rng, 2, 2, count=4):
+    for u in jets_in(rng, X.p, X.n, count=4):
         for got, want in zip(X(u.t, u.x), _interpreted(X, u.t, u.x)):
             assert np.array_equal(got, want)
         for eps in (0.02, -0.01):

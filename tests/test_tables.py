@@ -182,20 +182,24 @@ def test_degenerate_metric_raises_from_both_tiers(kind):
 
 
 def test_solver_loops_compile_once_and_never_walk(monkeypatch):
-    walks, compiles = [], []
-    real_walk, real_compile = exprlang.evaluate_table, exprlang._compile
+    """Both RK4 solvers run one generated loop with the tables written in:
+    two geodesic solves on one spray pair build one loop, two flows of one
+    field build one loop, and neither compiles or walks a table."""
+    walks, built = [], []
+    real_walk, real_define = exprlang.evaluate_table, exprlang._define
     monkeypatch.setattr(exprlang, "evaluate_table",
                         lambda *a, **k: walks.append(a) or real_walk(*a, **k))
-    monkeypatch.setattr(exprlang, "_compile",
-                        lambda *a, **k: compiles.append(a) or real_compile(*a, **k))
+    monkeypatch.setattr(exprlang, "_define",
+                        lambda src, ns, filename, name:
+                        built.append(filename) or real_define(src, ns, filename, name))
     pair = canonical_pair(metric_from_name("exp1d"), metric_from_name("sphere:2"))
     for _ in range(2):
         solve_affine_ode(pair, [1.2, 0.1], [0.3, -0.5], (0.0, 0.5), 20)
-    assert len(compiles) == 2 and not walks          # one kernel per spray
+    assert built == ["<compiled rk4>"] and not walks     # one loop per spray pair
     X = BaseVectorField(2, 2, *FIELDS["exp-log-sqrt"])
     for eps in (0.01, -0.02):
         flow_point(X, np.array([0.1, 0.2]), np.array([0.3, 0.4]), eps)
-    assert len(compiles) == 3 and not walks
+    assert built == ["<compiled rk4>"] * 2 and not walks
 
 
 # ---------------------------------------------------------------------------
