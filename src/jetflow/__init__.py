@@ -19,7 +19,7 @@ from .dtensor import (DTensorField, IndexSignature, SignatureError, Verdict,
                       is_dtensor, lagrangian_metric_field, law_check,
                       liouville_c_field, liouville_l_field,
                       normalization_j_field, transform_components)
-from .sprays import (HSpray, Spray, SprayError, SprayPair, canonical_pair,
+from .sprays import (HSpray, JetTable, Spray, SprayError, SprayPair, canonical_pair,
                      canonical_spatial, canonical_temporal, combine_sprays,
                      decompose_spray, h_trace, spray_coefficient_field,
                      spray_difference_field, spray_from_hspray,
@@ -58,7 +58,7 @@ __all__ = [
     "transform_components", "liouville_c_field", "liouville_l_field",
     "normalization_j_field", "lagrangian_metric_field",
     # sprays
-    "Spray", "HSpray", "SprayPair", "SprayError",
+    "JetTable", "Spray", "HSpray", "SprayPair", "SprayError",
     "canonical_temporal", "canonical_spatial", "canonical_pair", "zero_spray",
     "transform_spray", "spray_law_error", "h_trace", "spray_from_hspray",
     "combine_sprays", "spray_difference_field", "spray_coefficient_field",

@@ -21,6 +21,13 @@ A pair of sprays induces a connection (M = 2H, N from the jet gradient of
 the h-trace of the spatial spray) and a connection induces sprays
 (H = M/2, 2 G^{(i)}_{(a)b} = N^{(i)}_{(a)j} x^j_b); on canonical sprays the
 round trip is exact.
+
+M and N are two `sprays.JetTable`s, symbolic entries over the jet
+variables, so every connection, and every spray it induces, has the
+pointwise, batched and frozen evaluations of a canonical spray.  Both
+directions build entries from entries: the jet gradient of the h-trace is
+its symbolic derivative.  The tables of a canonical connection are shared
+per metric and other dimension, like the canonical sprays' tables.
 """
 
 from __future__ import annotations
@@ -31,10 +38,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dtensor import Verdict, law_check
+from .exprlang import Expr, mul, neg, num, var
 from .geometry import Metric, pullback_metric
-from .numdiff import ChangeMap
+from .numdiff import ChangeMap, jet_name
 from .jetspace import JetPoint, adapted_frame_blocks, frame_size, mixed_jet_derivatives
-from .sprays import Spray, SprayPair, h_trace
+from .sprays import JetTable, Spray, SprayPair, _shared, _total, h_trace
 
 __all__ = [
     "ConnectionError_", "NonlinearConnection", "canonical_connection",
@@ -50,12 +58,18 @@ class ConnectionError_(ValueError):
 
 @dataclass(frozen=True)
 class NonlinearConnection:
-    p: int
-    n: int
-    temporal: Callable[[JetPoint], np.ndarray]    # M, (n, p, p)
-    spatial: Callable[[JetPoint], np.ndarray]     # N, (n, p, n)
+    M: JetTable                                   # temporal components, (n, p, p)
+    N: JetTable                                   # spatial components, (n, p, n)
     rebuild: Callable[[ChangeMap], "NonlinearConnection"] | None = None
     name: str = "connection"
+
+    def __post_init__(self):
+        p, n = self.p, self.n
+        if (self.M.shape, self.N.shape, self.N.p) != ((n, p, p), (n, p, n), p):
+            raise ConnectionError_("M and N are (n, p, p) and (n, p, n) tables on one jet space")
+
+    p = property(lambda self: self.M.p)
+    n = property(lambda self: self.M.n)
 
     def in_chart(self, change: ChangeMap) -> "NonlinearConnection":
         if self.rebuild is None:
@@ -69,16 +83,20 @@ def canonical_connection(h: Metric, phi: Metric) -> NonlinearConnection:
         raise ConnectionError_("canonical connection needs a temporal and a spatial metric")
     p, n = h.dim, phi.dim
 
-    def M(u: JetPoint) -> np.ndarray:
-        gamma = h.christoffel_batch(u.t)[0]
-        return -np.einsum("gba,jg->jba", gamma, u.v)
+    def m_entries() -> list[Expr]:
+        gamma = h.christoffel_exprs
+        return [neg(_total(mul(gamma[g][b][a], var(jet_name(j + 1, g + 1)))
+                           for g in range(p)))
+                for j in range(n) for b in range(p) for a in range(p)]
 
-    def N(u: JetPoint) -> np.ndarray:
-        gamma = phi.christoffel_batch(u.x)[0]
-        return np.einsum("jik,kb->jbi", gamma, u.v)
+    def n_entries() -> list[Expr]:
+        gamma = phi.christoffel_exprs
+        return [_total(mul(gamma[j][i][k], var(jet_name(k + 1, b + 1))) for k in range(n))
+                for j in range(n) for b in range(p) for i in range(n)]
 
     return NonlinearConnection(
-        p, n, M, N,
+        _shared(h, "connection", n, lambda: JetTable(p, n, (n, p, p), [h], m_entries)),
+        _shared(phi, "connection", p, lambda: JetTable(p, n, (n, p, n), [phi], n_entries)),
         rebuild=lambda c: canonical_connection(pullback_metric(h, c),
                                                pullback_metric(phi, c)),
         name=f"canonical[{h.name},{phi.name}]")
@@ -91,14 +109,14 @@ def canonical_connection(h: Metric, phi: Metric) -> NonlinearConnection:
 def transform_connection_m(conn: NonlinearConnection, change: ChangeMap,
                            u: JetPoint) -> np.ndarray:
     jb, Wt, _ = mixed_jet_derivatives(change, u)
-    tensor = np.einsum("jba,kj,bm,ag->kmg", conn.temporal(u), jb.B, jb.A_inv, jb.A_inv)
+    tensor = np.einsum("jba,kj,bm,ag->kmg", conn.M.at(u), jb.B, jb.A_inv, jb.A_inv)
     return tensor - np.einsum("kma,ag->kmg", Wt, jb.A_inv)
 
 
 def transform_connection_n(conn: NonlinearConnection, change: ChangeMap,
                            u: JetPoint) -> np.ndarray:
     jb, _, Wx = mixed_jet_derivatives(change, u)
-    tensor = np.einsum("jbi,kj,bm,il->kml", conn.spatial(u), jb.B, jb.A_inv, jb.B_inv)
+    tensor = np.einsum("jbi,kj,bm,il->kml", conn.N.at(u), jb.B, jb.A_inv, jb.B_inv)
     return tensor - np.einsum("kmi,il->kml", Wx, jb.B_inv)
 
 
@@ -112,7 +130,7 @@ def connection_law_error(conn: NonlinearConnection, changes: Sequence[ChangeMap]
 
     def native(change: ChangeMap) -> Callable[[JetPoint], np.ndarray]:
         c = conn.in_chart(change)
-        return lambda u: np.concatenate([c.temporal(u).ravel(), c.spatial(u).ravel()])
+        return lambda u: np.concatenate([c.M.at(u).ravel(), c.N.at(u).ravel()])
 
     return law_check(predict, native, changes, jets, tol)
 
@@ -127,8 +145,8 @@ def adapted_frame(conn: NonlinearConnection, u: JetPoint) -> np.ndarray:
     p, n = conn.p, conn.n
     sz = frame_size(p, n)
     F = np.eye(sz)
-    F[:p, p + n:] = -conn.temporal(u).reshape(n * p, p).T
-    F[p:p + n, p + n:] = -conn.spatial(u).reshape(n * p, n).T
+    F[:p, p + n:] = -conn.M.at(u).reshape(n * p, p).T
+    F[p:p + n, p + n:] = -conn.N.at(u).reshape(n * p, n).T
     return F
 
 
@@ -138,8 +156,8 @@ def adapted_coframe(conn: NonlinearConnection, u: JetPoint) -> np.ndarray:
     p, n = conn.p, conn.n
     sz = frame_size(p, n)
     C = np.eye(sz)
-    C[p + n:, :p] = conn.temporal(u).reshape(n * p, p)
-    C[p + n:, p:p + n] = conn.spatial(u).reshape(n * p, n)
+    C[p + n:, :p] = conn.M.at(u).reshape(n * p, p)
+    C[p + n:, p:p + n] = conn.N.at(u).reshape(n * p, n)
     return C
 
 
@@ -147,58 +165,48 @@ def adapted_coframe(conn: NonlinearConnection, u: JetPoint) -> np.ndarray:
 # sprays <-> connection
 
 
-def connection_from_sprays(pair: SprayPair, h: Metric,
-                           fd_step: float = 1e-6) -> NonlinearConnection:
-    """M = 2H; N^{(i)}_{(a)j} = (dG^i/dx^j_g) h_{ga} with G^i the h-trace of
-    the spatial spray (jet gradient used when available, else centered
-    differences in the jet coordinates)."""
+def connection_from_sprays(pair: SprayPair, h: Metric) -> NonlinearConnection:
+    """M = 2H; N^{(i)}_{(a)j} = (dG^i/dx^j_g) h_{ga}, with dG^i/dx^j_g the
+    symbolic jet gradient of the h-trace G^i of the spatial spray."""
     H, G = pair.temporal, pair.spatial
     if (H.p, H.n) != (G.p, G.n):
         raise ConnectionError_("spray pair lives on different jet spaces")
     if h.kind != "temporal" or h.dim != H.p:
         raise ConnectionError_("h must be a temporal metric of matching dimension")
     p, n = H.p, H.n
-    trace = h_trace(G, h)
+    trace = h_trace(G, h).tables
 
-    def M(u: JetPoint) -> np.ndarray:
-        return 2.0 * H.coefficients(u)
+    def m_entries() -> list[Expr]:
+        return [mul(num(2.0), e) for e in H.tables.entries]
 
-    def trace_grad(u: JetPoint) -> np.ndarray:
-        if trace.jet_gradient is not None:
-            return trace.jet_gradient(u)
-        out = np.zeros((n, n, p))
-        for j in range(n):
-            for g in range(p):
-                vp = u.v.copy(); vp[j, g] += fd_step
-                vm = u.v.copy(); vm[j, g] -= fd_step
-                out[:, j, g] = (trace.components(JetPoint(u.t, u.x, vp))
-                                - trace.components(JetPoint(u.t, u.x, vm))) / (2 * fd_step)
-        return out
-
-    def N(u: JetPoint) -> np.ndarray:
-        h_at = h.components_batch(u.t)[0]
-        return np.einsum("ijg,ga->iaj", trace_grad(u), h_at)
+    def n_entries() -> list[Expr]:
+        grad, hc = trace.gradient_entries, h.components      # grad[(i*n + j)*p + g]
+        return [_total(mul(grad[(i * n + j) * p + g], hc[g][a]) for g in range(p))
+                for i in range(n) for a in range(p) for j in range(n)]
 
     rebuild = None
     if H.rebuild is not None and G.rebuild is not None:
         def rebuild(change: ChangeMap) -> NonlinearConnection:
             return connection_from_sprays(
-                SprayPair(H.rebuild(change), G.rebuild(change)),
-                pullback_metric(h, change), fd_step)
+                SprayPair(H.rebuild(change), G.rebuild(change)), pullback_metric(h, change))
 
-    return NonlinearConnection(p, n, M, N, rebuild=rebuild,
-                               name=f"from-sprays[{H.name},{G.name}]")
+    return NonlinearConnection(JetTable(p, n, (n, p, p), H.tables.metrics, m_entries),
+                               JetTable(p, n, (n, p, n), trace.metrics, n_entries),
+                               rebuild=rebuild, name=f"from-sprays[{H.name},{G.name}]")
 
 
 def sprays_from_connection(conn: NonlinearConnection) -> SprayPair:
     """H = M/2 and 2 G^{(i)}_{(a)b} = N^{(i)}_{(a)j} x^j_b."""
     p, n = conn.p, conn.n
 
-    def h_coeff(u: JetPoint) -> np.ndarray:
-        return 0.5 * conn.temporal(u)
+    def h_entries() -> list[Expr]:
+        return [mul(num(0.5), e) for e in conn.M.entries]
 
-    def g_coeff(u: JetPoint) -> np.ndarray:
-        return 0.5 * np.einsum("iaj,jb->iab", conn.spatial(u), u.v)
+    def g_entries() -> list[Expr]:
+        N = conn.N.entries
+        return [mul(num(0.5), _total(mul(N[(i * p + a) * n + j], var(jet_name(j + 1, b + 1)))
+                                     for j in range(n)))
+                for i in range(n) for a in range(p) for b in range(p)]
 
     h_rebuild = g_rebuild = None
     if conn.rebuild is not None:
@@ -209,5 +217,7 @@ def sprays_from_connection(conn: NonlinearConnection) -> SprayPair:
             return sprays_from_connection(conn.rebuild(change)).spatial
 
     return SprayPair(
-        Spray("temporal", p, n, h_coeff, rebuild=h_rebuild, name=f"temporal[{conn.name}]"),
-        Spray("spatial", p, n, g_coeff, rebuild=g_rebuild, name=f"spatial[{conn.name}]"))
+        Spray("temporal", JetTable(p, n, (n, p, p), conn.M.metrics, h_entries),
+              rebuild=h_rebuild, name=f"temporal[{conn.name}]"),
+        Spray("spatial", JetTable(p, n, (n, p, p), conn.N.metrics, g_entries),
+              rebuild=g_rebuild, name=f"spatial[{conn.name}]"))

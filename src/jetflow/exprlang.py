@@ -45,7 +45,7 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "parse", "to_str", "evaluate", "evaluate_table", "diff", "subst", "free_vars",
     "num", "var", "neg", "add", "sub", "mul", "div", "pow_", "call",
-    "FUNCTIONS", "compile_table", "Table", "WALK_CALLS", "compile_rk4",
+    "FUNCTIONS", "compile_table", "Table", "WALK_CALLS", "table_columns", "compile_rk4",
 ]
 
 MAX_EXPONENT = 1000
@@ -692,14 +692,14 @@ def evaluate(e: Expr, env: Mapping[str, Value]) -> Value:
 
 
 def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value],
-                   check: Callable[[Value], None] | None = None) -> list[Value]:
+                   checks: Sequence[Callable[[Value], None]] = ()) -> list[Value]:
     """Values of a table of expressions, evaluating each distinct node object
     once across the whole table (a DAG walk).  The values, and the first
     ExprError raised, are those of evaluating the entries one by one with
     `Expr.eval`: nodes are visited in the interpreter's order, and a node
     is skipped only when it has already been evaluated without error.
-    ``check``, if given, is called with the first entry's value before any
-    other entry is evaluated."""
+    ``checks[k]`` is called with entry k's value before any later entry is
+    evaluated."""
     memo: dict[int, Value] = {}
 
     def ev(e: Expr) -> Value:
@@ -710,10 +710,10 @@ def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value],
         return value
 
     out = []
-    for e in exprs:
+    for k, e in enumerate(exprs):
         out.append(ev(e))
-        if check is not None and len(out) == 1:
-            check(out[0])
+        if k < len(checks):
+            checks[k](out[k])
     return out
 
 
@@ -755,7 +755,7 @@ def _on_values(scalar_fn: Callable, array_fn: Callable) -> Callable[[Value], Val
     return apply
 
 
-# names the generated functions use, besides `check`
+# names the generated functions use, besides the checks `check0`, `check1`, ...
 _TABLE_NAMESPACE: dict[str, object] = {
     "ExprError": ExprError, "_any": _any, "_power": _power,
     **{f"_f_{fn}": _on_values(scalar_fn, array_fn)
@@ -794,11 +794,11 @@ class Table:
     some names once and for all.
     """
 
-    __slots__ = ("exprs", "names", "check", "_walks", "_fn", "_makers")
+    __slots__ = ("exprs", "names", "checks", "_walks", "_fn", "_makers")
 
     def __init__(self, exprs: Sequence[Expr], names: Sequence[str],
-                 check: Callable[[Value], None] | None):
-        self.exprs, self.names, self.check = list(exprs), list(names), check
+                 checks: Sequence[Callable[[Value], None]]):
+        self.exprs, self.names, self.checks = list(exprs), list(names), tuple(checks)
         self._walks = 0
         self._fn: Callable[..., tuple] | None = None
         self._makers: dict[frozenset, Callable[..., Callable[..., tuple]]] = {}
@@ -810,14 +810,14 @@ class Table:
                 if len(args) != len(self.names):
                     raise TypeError(f"table takes {len(self.names)} values, got {len(args)}")
                 self._walks += 1
-                return tuple(evaluate_table(self.exprs, dict(zip(self.names, args)), self.check))
+                return tuple(evaluate_table(self.exprs, dict(zip(self.names, args)), self.checks))
             fn = self.compiled()
         return fn(*args)
 
     def compiled(self) -> Callable[..., tuple]:
         """The table's straight-line function, compiled on first use."""
         if self._fn is None:
-            self._fn = _compile(self.exprs, self.names, self.check)
+            self._fn = _compile(self.exprs, self.names, self.checks)
         return self._fn
 
     def freeze(self, fixed_names: Sequence[str], values: Sequence[Value]) -> Callable[..., tuple]:
@@ -825,8 +825,8 @@ class Table:
         order, with `fixed_names` bound to `values` (partial evaluation).
 
         Every node that reads only fixed names and literals is computed
-        here, once, together with its guards, and so is `check` when the
-        first entry is such a node: a domain error, or a failed check such
+        here, once, together with its guards, and so is a check whose entry
+        is such a node: a domain error, or a failed check such
         as a degenerate metric's GeometryError, on those nodes raises from
         `freeze` rather than from the first call.  The returned function
         computes the remaining nodes; every value is the one the full table
@@ -838,13 +838,13 @@ class Table:
                             f"in a table of {self.names}")
         make = self._makers.get(fixed)
         if make is None:
-            make = self._makers[fixed] = _compile(self.exprs, self.names, self.check, fixed)
+            make = self._makers[fixed] = _compile(self.exprs, self.names, self.checks, fixed)
         bound = dict(zip(fixed_names, values))
         return make(*(bound[name] for name in self.names if name in fixed))
 
 
 def compile_table(exprs: Sequence[Expr], names: Sequence[str],
-                  check: Callable[[Value], None] | None = None) -> Table:
+                  checks: Sequence[Callable[[Value], None]] = ()) -> Table:
     """A table of expressions as one function of the values of `names`.
 
     The function takes one value per name, in order, and returns a tuple
@@ -857,10 +857,20 @@ def compile_table(exprs: Sequence[Expr], names: Sequence[str],
     raise first; a variable outside `names` raises its "unbound variable"
     ExprError at the first evaluation, compile or freeze, not here.
 
-    ``check``, if given, is called with the first entry's value before any
-    other entry is computed; it may raise to stop the evaluation.
+    ``checks`` holds one function per leading entry: ``checks[k]`` is
+    called with entry k's value before any later entry is computed, and it
+    may raise to stop the evaluation.
     """
-    return Table(exprs, names, check)
+    return Table(exprs, names, checks)
+
+
+def table_columns(values: Sequence[Value], q: int) -> np.ndarray:
+    """A table's values at q points as a (q, k) array, one column per entry;
+    a constant entry (a float beside columns) broadcasts down its column."""
+    out = np.empty((q, len(values)))
+    for k, v in enumerate(values):
+        out[:, k] = v
+    return out
 
 
 class _Emitter:
@@ -954,15 +964,15 @@ class _Emitter:
         self.by_id[id(e)] = got
         return got
 
-    def table(self, exprs: Sequence[Expr], check: str | None) -> list[str]:
+    def table(self, exprs: Sequence[Expr], checks: Sequence[str | None] = ()) -> list[str]:
         """The operand texts of the entries' values, with a call of the
-        function named `check` on the first entry's value before any other
-        entry is computed."""
+        function named ``checks[k]`` (unless None) on entry k's value before
+        any later entry is computed."""
         outs = []
         for k, e in enumerate(exprs):
             outs.append(self.emit(e))
-            if k == 0 and check is not None:
-                self.place(outs[:1], f"{check}({outs[0]})")
+            if k < len(checks) and checks[k] is not None:
+                self.place([outs[k]], f"{checks[k]}({outs[k]})")
         return outs
 
 
@@ -973,7 +983,7 @@ def _define(src: Sequence[str], ns: dict, filename: str, name: str) -> Callable:
 
 
 def _compile(exprs: Sequence[Expr], names: Sequence[str],
-             check: Callable[[Value], None] | None,
+             checks: Sequence[Callable[[Value], None]],
              fixed: Collection[str] | None = None) -> Callable:
     """One straight-line function for a table (`_Emitter`): one assignment
     per distinct node.
@@ -981,18 +991,19 @@ def _compile(exprs: Sequence[Expr], names: Sequence[str],
     With `fixed`, the result is ``make(<fixed args>)`` instead, fixed
     arguments in `names` order.  A node is frozen when all its operands are
     fixed arguments, literals or frozen nodes; `make` computes the frozen
-    nodes, with the guards (and `check`) on frozen operands, and returns
+    nodes, with the guards (and checks) on frozen operands, and returns
     ``table(<other args>)``, which computes the rest."""
     args = {name: f"a{k}" for k, name in enumerate(names)}
     em = _Emitter(args, frozen=None if fixed is None else {args[name] for name in fixed})
-    outs = em.table(exprs, None if check is None else "check")
+    named = {f"check{k}": check for k, check in enumerate(checks)}
+    outs = em.table(exprs, list(named))
     lines = [*em.lines, f"return ({''.join(o + ', ' for o in outs)})"]
     inner = [a for name, a in args.items() if fixed is None or name not in fixed]
     src = [f"def table({', '.join(inner)}):", *(f"    {x}" for x in lines)]
     if fixed is not None:
         src = [f"def make({', '.join(a for name, a in args.items() if name in fixed)}):",
                *(f"    {x}" for x in [*em.outer, *src, "return table"])]
-    return _define(src, dict(_TABLE_NAMESPACE, check=check), "<compiled table>",
+    return _define(src, dict(_TABLE_NAMESPACE, **named), "<compiled table>",
                    "table" if fixed is None else "make")
 
 
@@ -1012,9 +1023,9 @@ def compile_rk4(state: Sequence[str], s: str, rhs: Sequence[Expr],
     node classes (``add(g, num(0.0))`` folds to g, and -2(g + 0.0) is not
     -2g at g = -0.0).  Each block ``(fn, inputs, outputs)`` computes the
     values named by `outputs` from those named by `inputs`, once per
-    stage, in the order given.  A `Table` is written into
-    the loop in float form, with its `check` as a call on entry 0; a check
-    on a literal entry 0 runs once, here.  Any other callable is called as
+    stage, in the order given.  A `Table` is written into the loop in float
+    form, with each of its checks as a call on its entry; a check on a
+    literal entry runs once, here.  Any other callable is called as
     ``fn(*inputs)`` and returns one float per output.
 
     `run` takes `steps` steps of size `ds` from (s0, y0), in the operation
@@ -1034,17 +1045,19 @@ def compile_rk4(state: Sequence[str], s: str, rhs: Sequence[Expr],
     if len(rhs) != m:
         raise ExprError(f"an RK4 loop over {m} values needs {m} right-hand sides")
     ns = dict(_FLOAT_NAMESPACE, nonfinite=nonfinite)
-    checks: list[str | None] = []
+    checks: list[list[str | None]] = []
     for j, (fn, ins, outs) in enumerate(blocks):
         if isinstance(fn, Table) and (len(ins), len(outs)) != (len(fn.names), len(fn.exprs)):
             raise ExprError(f"block {j} does not match its table's names and entries")
         ns[f"blk{j}"] = fn
-        check = fn.check if isinstance(fn, Table) else None
-        if check is not None and isinstance(fn.exprs[0], Num):
-            check(fn.exprs[0].value)        # a constant first entry: checked once
-            check = None
-        checks.append(None if check is None else f"check{j}")
-        ns[f"check{j}"] = check
+        checks.append([])
+        for k, check in enumerate(fn.checks if isinstance(fn, Table) else ()):
+            if isinstance(fn.exprs[k], Num):
+                check(fn.exprs[k].value)        # a constant entry: checked once
+                checks[j].append(None)
+            else:
+                checks[j].append(f"check{j}_{k}")
+                ns[f"check{j}_{k}"] = check
 
     ys = [f"y{i}" for i in range(m)]
     body: list[str] = []
@@ -1059,19 +1072,19 @@ def compile_rk4(state: Sequence[str], s: str, rhs: Sequence[Expr],
         """F at (at, values) for stage k; the operand texts of its entries."""
         body.extend(guard("step", at, values))
         bind = {s: at, **dict(zip(state, values))}
-        for j, ((fn, ins, outs), check) in enumerate(zip(blocks, checks)):
+        for j, ((fn, ins, outs), named) in enumerate(zip(blocks, checks)):
             operands = [_lookup(bind, name) for name in ins]
             prefix = f"b{j}s{k}_"
             if isinstance(fn, Table):
                 em = _Emitter(dict(zip(fn.names, operands)), prefix, floats=True)
-                texts = em.table(fn.exprs, check)
+                texts = em.table(fn.exprs, named)
                 body.extend(em.lines)
             else:
                 texts = [f"{prefix}{i}" for i in range(len(outs))]
                 body.append(f"{''.join(t + ', ' for t in texts)}= blk{j}({', '.join(operands)})")
             bind.update(zip(outs, texts))
         em = _Emitter(bind, f"f{k}_", floats=True)
-        texts = em.table(rhs, None)
+        texts = em.table(rhs)
         body.extend(em.lines)
         return texts
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exprlang import (
     Expr, Num, add, compile_table, diff, div, free_vars, mul, neg, num, parse, sub, subst,
-    var,
+    table_columns, var,
 )
 from .numdiff import ChangeMap, jet_name, spatial_names, temporal_names
 
@@ -51,9 +51,9 @@ class Metric:
     first use: g; det g with g^-1; det g with the Christoffel
     symbols.  Each `*_batch` method takes (q, dim) points, or one point of
     shape (dim,) as a one-point batch that runs on floats.
-    The symbolic Christoffel symbols are cached, and `checked_table` lets
-    other tables built from them (the canonical sprays) keep the same
-    degeneracy check.
+    The symbolic det g, inverse and Christoffel symbols are cached; a table
+    built from them elsewhere (`sprays.JetTable`) leads with `det` and
+    checks it with `check_det`, as the metric's own tables do.
     """
 
     def __init__(self, name: str, kind: str, components: Sequence[Sequence[Expr]],
@@ -66,8 +66,9 @@ class Metric:
         self.dim = len(self.components)
         self.box = None if box is None else [tuple(b) for b in box]
         self._kernels: dict[str, Callable[..., tuple]] = {}
-        # canonical sprays' tables by the other factor's dimension (sprays.py)
-        self._spray_tables: dict[int, object] = {}
+        # canonical sprays' and connections' tables, by (role, the other
+        # factor's dimension) (sprays.py, connection.py)
+        self._jet_tables: dict[tuple[str, int], object] = {}
         allowed = set(self.variables)
         for row in self.components:
             if len(row) != self.dim:
@@ -142,48 +143,42 @@ class Metric:
         """Symbolic inverse matrix via the adjugate formula."""
         return [list(row) for row in self._det_inverse[1]]
 
-    def _check_det(self, det) -> None:
+    @property
+    def det(self) -> Expr:
+        """Symbolic det g, the leading entry of every table that divides by it."""
+        return self._det_inverse[0]
+
+    def check_det(self, det) -> None:
+        """Stop with GeometryError where |det g| (float or column) is below DET_TOL."""
         small = abs(det) < DET_TOL
         if small.any() if isinstance(small, np.ndarray) else small:
             raise GeometryError(f"metric '{self.name}' is degenerate: |det g| < {DET_TOL}")
-
-    def checked_table(self, exprs: Sequence[Expr], names: Sequence[str]) -> Callable[..., tuple]:
-        """`compile_table` of det g followed by `exprs`, over `names`: the
-        kernel stops with GeometryError where the metric is degenerate,
-        before any entry divides by det g."""
-        return compile_table([self._det_inverse[0], *exprs], names, check=self._check_det)
 
     def _exprs(self, table: str) -> list[Expr]:
         """Entries of a table, row-major: "g" is g; "inverse" is det g then
         g^-1; "christoffel" is det g then Gamma^a_bc."""
         if table == "g":
             return [e for row in self.components for e in row]
-        det, inv = self._det_inverse
+        inv = self._det_inverse[1]
         if table == "inverse":
-            return [det] + [e for row in inv for e in row]
-        return [det] + [e for plane in self.christoffel_exprs for row in plane for e in row]
+            return [self.det] + [e for row in inv for e in row]
+        return [self.det] + [e for plane in self.christoffel_exprs for row in plane for e in row]
 
     def _kernel(self, table: str) -> Callable[..., tuple]:
         """The compiled table, built on first use; tables led by det g stop
         with GeometryError where the metric is degenerate."""
         kernel = self._kernels.get(table)
         if kernel is None:
-            check = None if table == "g" else self._check_det
-            kernel = compile_table(self._exprs(table), self.variables, check=check)
+            checks = () if table == "g" else (self.check_det,)
+            kernel = compile_table(self._exprs(table), self.variables, checks)
             self._kernels[table] = kernel
         return kernel
 
     def _tabulate(self, table: str, points: np.ndarray) -> np.ndarray:
         """(q, k) values of a k-entry table at q points; one point runs on floats."""
         pts = _as_points(points, self.dim)
-        kernel = self._kernel(table)
-        if len(pts) == 1:
-            return np.array([kernel(*pts[0].tolist())], dtype=float)
-        values = kernel(*pts.T)
-        out = np.empty((len(pts), len(values)))
-        for k, v in enumerate(values):
-            out[:, k] = v
-        return out
+        args = pts[0].tolist() if len(pts) == 1 else pts.T
+        return table_columns(self._kernel(table)(*args), len(pts))
 
     def components_batch(self, points: np.ndarray) -> np.ndarray:
         d = self.dim

@@ -17,7 +17,8 @@ equation (geodesics of a spray pair), generated as one straight-line loop
 on Python floats with both sprays' tables written into each stage
 (`exprlang.compile_rk4`), and nonlinear full-approximation-scheme (FAS)
 multigrid V-cycles, smoothed by damped Jacobi, for the p = 2 harmonic
-equation on a rectangular grid with Dirichlet boundary data.
+equation on a rectangular grid with Dirichlet boundary data.  Both take
+every spray pair the same way, through the sprays' `sprays.JetTable`s.
 """
 
 from __future__ import annotations
@@ -162,14 +163,16 @@ def _jet_block(spray, n: int, name: str) -> tuple[Callable, list[str], list[str]
     """The spray as a block of the generated RK4 (`compile_rk4`): a function
     of the flat p = 1 jet (t1, x1..xn, x1_1..xn_1) whose outputs named
     name1..name<n> are S^{(1)}_{(1)1}..S^{(n)}_{(1)1}.  While
-    `coefficients` is still the canonical spray's own, that is its table,
-    written into the loop (entry 0, named name + "det", is det g, checked);
-    any other `coefficients` runs on a JetPoint once per stage."""
+    `coefficients` is still `tables.at`, that is the spray's table, written
+    into the loop (its leading entries, named name + "det0", ..., are the
+    checked det g of its metrics); a replaced `coefficients` runs on a
+    JetPoint once per stage."""
     names = temporal_names(1) + spatial_names(n) + jet_names(n, 1)
     outs = [f"{name}{i + 1}" for i in range(n)]
     tables = spray.tables
-    if tables is not None and spray.coefficients == tables.coefficients:
-        return tables.kernel, names, [f"{name}det", *outs]
+    if spray.coefficients == tables.at:
+        dets = [f"{name}det{k}" for k in range(len(tables.metrics))]
+        return tables.kernel, names, [*dets, *outs]
 
     def coefficients(*args: float) -> list[float]:
         u = JetPoint(np.array(args[:1]), np.array(args[1:1 + n]),
@@ -238,28 +241,6 @@ class GridSolution:
         return self.status == "converged"
 
 
-def _batch_kernel(spray, T: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The spray's coefficients at the fixed nodes T, as a function of
-    X (q, n) and V (q, n, p) returning (q, n, p, p), chosen the way
-    `_jet_block` chooses: while `coefficients_batch` is still the canonical
-    spray's own, its tables frozen on T (`_SprayTables.batch_at`); else any
-    other `coefficients_batch`; else `coefficients`, one node at a time."""
-    tables = spray.tables
-    if tables is not None and spray.coefficients_batch == tables.coefficients_batch:
-        return tables.batch_at(T)
-    batch = spray.coefficients_batch
-    if batch is not None:
-        return lambda X, V: batch(T, X, V)
-
-    def pointwise(X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        out = np.empty((len(T), spray.n, spray.p, spray.p))
-        for q in range(len(T)):
-            out[q] = spray.coefficients(JetPoint(T[q], X[q], V[q]))
-        return out
-
-    return pointwise
-
-
 # V-cycle shape: damped-Jacobi steps before and after the coarse-grid
 # correction
 PRE_SWEEPS, POST_SWEEPS = 2, 1
@@ -282,7 +263,7 @@ class _Level:
     inverse frozen there, kappa, the diagonal of the linearised residual
     that scales the damped-Jacobi step, and each spray's coefficients as a
     function of the jet columns with its `t`-only terms computed once on T
-    (`_batch_kernel`)."""
+    (`JetTable.batch_at`)."""
 
     def __init__(self, pair: SprayPair, h: Metric, t1: np.ndarray, t2: np.ndarray):
         self.m, self.n = len(t1), pair.temporal.n
@@ -294,7 +275,8 @@ class _Level:
                             + self.hinv[:, 1, 1] / self.d2 ** 2)     # (q,)
         if np.any(self.kappa <= 0):
             raise GeometryError("metric inverse is not positive on the grid diagonal")
-        self.sprays = (_batch_kernel(pair.spatial, self.T), _batch_kernel(pair.temporal, self.T))
+        self.sprays = (pair.spatial.tables.batch_at(self.T),
+                       pair.temporal.tables.batch_at(self.T))
 
     def residual(self, vals: np.ndarray, rhs: np.ndarray | float) -> np.ndarray:
         """(q, n): the harmonic residual of the grid values `vals` at the

@@ -268,8 +268,8 @@ def horizontal_lift(X: BaseVectorField, conn: NonlinearConnection) -> JetVectorF
 
     def vertical(u: JetPoint) -> np.ndarray:
         Xt, Xx = X(u.t, u.x)
-        return -(np.einsum("jba,a->jb", conn.temporal(u), Xt)
-                 + np.einsum("jbi,i->jb", conn.spatial(u), Xx))
+        return -(np.einsum("jba,a->jb", conn.M.at(u), Xt)
+                 + np.einsum("jbi,i->jb", conn.N.at(u), Xx))
 
     return JetVectorField(X.p, X.n, temporal, spatial, vertical,
                           name=f"horizontal[{X.name}]")
@@ -316,11 +316,11 @@ def adapted_t_derivative(f: Expr | str, conn: NonlinearConnection,
     """(d/dt^a) f = @f/@t^a - M^{(j)}_{(b)a} @f/@x^j_b for f a function of
     the jet coordinates, as a (p,) array."""
     dt, dv = _jet_partials(f, temporal_names(conn.p), u)
-    return dt - np.einsum("jba,jb->a", conn.temporal(u), dv)
+    return dt - np.einsum("jba,jb->a", conn.M.at(u), dv)
 
 
 def adapted_x_derivative(f: Expr | str, conn: NonlinearConnection,
                          u: JetPoint) -> np.ndarray:
     """(d/dx^i) f = @f/@x^i - N^{(j)}_{(b)i} @f/@x^j_b, as an (n,) array."""
     dx, dv = _jet_partials(f, spatial_names(conn.n), u)
-    return dx - np.einsum("jbi,jb->i", conn.spatial(u), dv)
+    return dx - np.einsum("jbi,jb->i", conn.N.at(u), dv)

@@ -18,30 +18,32 @@ metric Christoffel symbols:
 The difference of two sprays of the same kind is a d-tensor; a spray is
 canonical part plus d-tensor remainder.
 
-A canonical spray is one table over the jet variables (built from the
-metric's symbolic Christoffel symbols on first use, and shared by every
-canonical spray of the same metric and dimensions); its pointwise and
-batched coefficients run the same table, and constant folding makes the
-spray of a flat metric a table of zeros.  A grid solver that evaluates a
-spray on fixed temporal nodes runs the table frozen on them (`batch_at`).
+Every spray, h-spray and nonlinear connection (connection.py) is one
+`JetTable`: symbolic entries over the jet variables whose pointwise,
+batched, frozen and jet-gradient values all run compiled tables.  A
+canonical spray's entries come from the metric's symbolic Christoffel
+symbols, shared by every canonical spray of one metric and other
+dimension (a flat metric's fold to zeros); a derived object (an affine
+combination, an h-trace, the spray of an h-spray, a connection's sprays)
+builds its entries from its parts' entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .dtensor import DTensorField, IndexSignature, Verdict, law_check
-from .exprlang import Expr, add, diff, free_vars, mul, num, var
+from .exprlang import Expr, Table, add, compile_table, diff, free_vars, mul, num, table_columns, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, mixed_jet_derivatives
 
 __all__ = [
-    "SprayError", "Spray", "HSpray", "SprayPair",
+    "SprayError", "JetTable", "Spray", "HSpray", "SprayPair",
     "canonical_temporal", "canonical_spatial", "canonical_pair", "zero_spray",
     "transform_spray", "spray_law_error", "h_trace", "spray_from_hspray",
     "combine_sprays", "spray_difference_field", "spray_coefficient_field",
@@ -55,24 +57,135 @@ class SprayError(ValueError):
     pass
 
 
+class JetTable:
+    """Symbolic entries over the jet variables t1..tp, x1..xn, x1_1..xn_p,
+    read as one row-major array of `shape`, and their compiled tables.
+
+    Each table (`compile_table`) leads with det g of every metric the
+    entries read (`metrics`, in order), each checked as soon as it is
+    computed, so a degenerate metric stops any evaluation with
+    GeometryError before an entry divides by its det g.  The entries, and
+    each table, are built on first use: `kernel` holds the entries and
+    `_gradient` their jet gradient d entry / d x^k_g.  Points run on
+    Python floats (`at`, `gradient_at`), batches on numpy columns
+    (`batch`), and `batch_at` freezes the kernel on fixed temporal nodes."""
+
+    def __init__(self, p: int, n: int, shape: Sequence[int], metrics: Iterable[Metric],
+                 entries: Callable[[], list[Expr]]):
+        self.p, self.n, self.shape = p, n, tuple(shape)
+        self.metrics = list(dict.fromkeys(metrics))
+        self._build_entries = entries
+        self.names = temporal_names(p) + spatial_names(n) + jet_names(n, p)
+        # generated geodesic loops (maps.solve_affine_ode) that write this
+        # spatial spray's kernel in, by the temporal spray's table
+        self.loops: dict[JetTable, Callable] = {}
+
+    @cached_property
+    def entries(self) -> list[Expr]:
+        return self._build_entries()
+
+    @cached_property
+    def gradient_entries(self) -> list[Expr]:
+        """d entry / d x^k_g, entry by entry and then (k, g) row-major."""
+        jets = jet_names(self.n, self.p)
+        return [diff(e, v) for e in self.entries for v in jets]
+
+    def _table(self, exprs: list[Expr]) -> Table:
+        return compile_table([m.det for m in self.metrics] + exprs, self.names,
+                             [m.check_det for m in self.metrics])
+
+    @cached_property
+    def kernel(self) -> Table:
+        return self._table(self.entries)
+
+    @cached_property
+    def _gradient(self) -> Table:
+        return self._table(self.gradient_entries)
+
+    def _point(self, table: Table, u: JetPoint, shape: tuple[int, ...]) -> np.ndarray:
+        values = table(*u.t.tolist(), *u.x.tolist(), *u.v.ravel().tolist())
+        return np.array(values[len(self.metrics):]).reshape(shape)
+
+    def at(self, u: JetPoint) -> np.ndarray:
+        return self._point(self.kernel, u, self.shape)
+
+    def gradient_at(self, u: JetPoint) -> np.ndarray:
+        """The jet gradient at u, of shape `shape` + (n, p)."""
+        return self._point(self._gradient, u, (*self.shape, self.n, self.p))
+
+    def _filled(self, q: int, values: Sequence) -> np.ndarray:
+        """(q, *shape) entries from a kernel's values (the dets first)."""
+        return table_columns(values[len(self.metrics):], q).reshape(q, *self.shape)
+
+    def _jet_columns(self, X: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
+        return [*np.asarray(X, float).T,
+                *np.asarray(V, float).reshape(len(X), self.n * self.p).T]
+
+    def batch(self, T: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The entries at q jets given as T (q, p), X (q, n), V (q, n, p)."""
+        return self._filled(len(T), self.kernel(*np.asarray(T, float).T,
+                                                *self._jet_columns(X, V)))
+
+    def batch_at(self, T: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """`batch` on the fixed temporal nodes T, as a function of (X, V):
+        the kernel frozen on t1..tp (`Table.freeze`), so the terms that read
+        only t are computed once, here, and a metric degenerate at a node
+        raises GeometryError here.  Every value is bit for bit the one
+        `batch(T, X, V)` gives.  When no entry reads x or the jet variables
+        (the spray of a flat metric), every call returns the same read-only
+        array."""
+        q, fixed = len(T), temporal_names(self.p)
+        table = self.kernel.freeze(fixed, list(np.asarray(T, float).T))
+
+        def batch(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+            return self._filled(q, table(*self._jet_columns(X, V)))
+
+        if free_vars(*self.kernel.exprs) <= set(fixed):
+            constant = batch(np.zeros((q, self.n)), np.zeros((q, self.n, self.p)))
+            constant.flags.writeable = False
+            return lambda X, V: constant
+        return batch
+
+
+def _total(terms: Iterable[Expr]) -> Expr:
+    return reduce(add, terms, num(0.0))
+
+
+def _shared(metric: Metric, role: str, other: int,
+            make: Callable[[], JetTable]) -> JetTable:
+    """The table of a canonical object of `metric` (role "spray", or
+    "connection" for its half of a canonical connection) with the other
+    factor of dimension `other`, built once: every such object shares it,
+    and its compiled tables."""
+    key = (role, other)
+    if key not in metric._jet_tables:
+        metric._jet_tables[key] = make()
+    return metric._jet_tables[key]
+
+
 @dataclass(frozen=True)
 class Spray:
+    """A spray whose coefficients arr[j, b, a] are the (n, p, p) entries of
+    `tables`.  `coefficients` is `tables.at`; it is a field only so that a
+    `dataclasses.replace` copy may wrap it, and then the geodesic solver
+    calls the wrapper (`maps._jet_block`)."""
+
     kind: str                                                # one of _KINDS
-    p: int
-    n: int
-    coefficients: Callable[[JetPoint], np.ndarray]          # (n, p, p)
-    jet_gradient: Callable[[JetPoint], np.ndarray] | None = None  # (n,p,p,n,p)
+    tables: JetTable
     rebuild: Callable[[ChangeMap], "Spray"] | None = None
-    # (T, X, V) arrays of shape (q,p), (q,n), (q,n,p) -> (q,n,p,p)
-    coefficients_batch: Callable[..., np.ndarray] | None = None
     name: str = "spray"
-    # a canonical spray's compiled tables; the geodesic RK4 writes their
-    # kernel into its loop while `coefficients` is still `tables.coefficients`
-    tables: _SprayTables | None = None
+    coefficients: Callable[[JetPoint], np.ndarray] | None = None   # (n, p, p)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise SprayError(f"spray kind must be one of {_KINDS}, not {self.kind!r}")
+        if self.tables.shape != (self.n, self.p, self.p):
+            raise SprayError(f"a spray's table has shape (n, p, p), not {self.tables.shape}")
+        if self.coefficients is None:
+            object.__setattr__(self, "coefficients", self.tables.at)
+
+    p = property(lambda self: self.tables.p)
+    n = property(lambda self: self.tables.n)
 
     def in_chart(self, change: ChangeMap) -> "Spray":
         if self.rebuild is None:
@@ -82,12 +195,10 @@ class Spray:
 
 @dataclass(frozen=True)
 class HSpray:
-    """h-trace of a spray: components G^i = h^{ab} S^{(i)}_{(a)b}."""
+    """h-trace of a spray: components G^i = h^{ab} S^{(i)}_{(a)b}, the (n,)
+    entries of `tables`."""
 
-    p: int
-    n: int
-    components: Callable[[JetPoint], np.ndarray]             # (n,)
-    jet_gradient: Callable[[JetPoint], np.ndarray] | None = None  # (n, n, p)
+    tables: JetTable
     name: str = "h-spray"
 
 
@@ -105,103 +216,6 @@ class SprayPair:
 # canonical sprays
 
 
-class _SprayTables:
-    """The `compile_table` tables of a canonical spray, each built on first use:
-    its coefficients arr[j, b, a] (row-major) and their jet gradient
-    d arr[j, b, a] / d x^k_g.  Both run over the jet variables t1..tp,
-    x1..xn, x1_1..xn_p and lead with det g, so a degenerate metric stops
-    them with GeometryError.  Points run on Python floats, batches on numpy
-    columns; `kernel` is the coefficient table itself, a function of the
-    flat jet arguments returning (det g, *arr.ravel())."""
-
-    def __init__(self, metric: Metric, p: int, n: int,
-                 entries: Callable[[], list[Expr]]):
-        self.metric, self.p, self.n = metric, p, n
-        self._build_entries = entries
-        self.names = temporal_names(p) + spatial_names(n) + jet_names(n, p)
-        # generated geodesic loops (maps.solve_affine_ode) that write this
-        # spatial spray's kernel in, by the temporal spray's tables
-        self.loops: dict[_SprayTables, Callable] = {}
-
-    @cached_property
-    def _entries(self) -> list[Expr]:
-        return self._build_entries()
-
-    @cached_property
-    def kernel(self) -> Callable[..., tuple]:
-        return self.metric.checked_table(self._entries, self.names)
-
-    @cached_property
-    def _gradient(self) -> Callable[..., tuple]:
-        jets = jet_names(self.n, self.p)
-        return self.metric.checked_table([diff(e, v) for e in self._entries for v in jets],
-                                         self.names)
-
-    @staticmethod
-    def _floats(u: JetPoint) -> list[float]:
-        return u.t.tolist() + u.x.tolist() + u.v.ravel().tolist()
-
-    def coefficients(self, u: JetPoint) -> np.ndarray:
-        values = self.kernel(*self._floats(u))
-        return np.array(values[1:]).reshape(self.n, self.p, self.p)
-
-    def jet_gradient(self, u: JetPoint) -> np.ndarray:
-        n, p = self.n, self.p
-        values = self._gradient(*self._floats(u))
-        return np.array(values[1:]).reshape(n, p, p, n, p)
-
-    def _filled(self, q: int, values: Sequence) -> np.ndarray:
-        """(q, n, p, p) coefficients from a kernel's values (det g first)."""
-        out = np.empty((q, len(values) - 1))
-        for k, v in enumerate(values[1:]):
-            out[:, k] = v                       # a constant entry broadcasts
-        return out.reshape(q, self.n, self.p, self.p)
-
-    def _jet_columns(self, X: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
-        return [*np.asarray(X, float).T,
-                *np.asarray(V, float).reshape(len(X), self.n * self.p).T]
-
-    def coefficients_batch(self, T: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return self._filled(len(T), self.kernel(*np.asarray(T, float).T,
-                                                *self._jet_columns(X, V)))
-
-    def batch_at(self, T: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """`coefficients_batch` on the fixed temporal nodes T, as a function
-        of (X, V): the kernel frozen on t1..tp (`Table.freeze`), so the terms
-        that read only t are computed once, here, and a metric degenerate at
-        a node raises GeometryError here.  Every value is bit for bit the
-        one `coefficients_batch(T, X, V)` gives.  When no entry reads x or
-        the jet variables (the spray of a flat metric), every call returns
-        the same read-only array."""
-        q, fixed = len(T), temporal_names(self.p)
-        table = self.kernel.freeze(fixed, list(np.asarray(T, float).T))
-
-        def batch(X: np.ndarray, V: np.ndarray) -> np.ndarray:
-            return self._filled(q, table(*self._jet_columns(X, V)))
-
-        if free_vars(*self.kernel.exprs) <= set(fixed):
-            constant = batch(np.zeros((q, self.n)), np.zeros((q, self.n, self.p)))
-            constant.flags.writeable = False
-            return lambda X, V: constant
-        return batch
-
-
-def _total(terms) -> Expr:
-    return reduce(add, terms, num(0.0))
-
-
-def _tables_of(metric: Metric, p: int, n: int,
-               entries: Callable[[], list[Expr]]) -> _SprayTables:
-    """The canonical spray tables of a metric with the other factor of the
-    jet space, built once per (metric, other dimension): every canonical
-    spray of that pair shares them, and their compiled kernels."""
-    other = n if metric.kind == "temporal" else p
-    tables = metric._spray_tables.get(other)
-    if tables is None:
-        tables = metric._spray_tables[other] = _SprayTables(metric, p, n, entries)
-    return tables
-
-
 def canonical_temporal(h: Metric, n: int) -> Spray:
     if h.kind != "temporal":
         raise SprayError("canonical temporal spray needs a temporal metric")
@@ -214,11 +228,10 @@ def canonical_temporal(h: Metric, n: int) -> Spray:
                                       for g in range(p)))
                 for j in range(n) for b in range(p) for a in range(p)]
 
-    tables = _tables_of(h, p, n, entries)
-    return Spray("temporal", p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
+    tables = _shared(h, "spray", n, lambda: JetTable(p, n, (n, p, p), [h], entries))
+    return Spray("temporal", tables,
                  rebuild=lambda c: canonical_temporal(pullback_metric(h, c), n),
-                 coefficients_batch=tables.coefficients_batch,
-                 name=f"canonical-temporal[{h.name}]", tables=tables)
+                 name=f"canonical-temporal[{h.name}]")
 
 
 def canonical_spatial(phi: Metric, p: int) -> Spray:
@@ -234,11 +247,10 @@ def canonical_spatial(phi: Metric, p: int) -> Spray:
                                      for k in range(n) for l in range(n)))
                 for j in range(n) for b in range(p) for a in range(p)]
 
-    tables = _tables_of(phi, p, n, entries)
-    return Spray("spatial", p, n, tables.coefficients, jet_gradient=tables.jet_gradient,
+    tables = _shared(phi, "spray", p, lambda: JetTable(p, n, (n, p, p), [phi], entries))
+    return Spray("spatial", tables,
                  rebuild=lambda c: canonical_spatial(pullback_metric(phi, c), p),
-                 coefficients_batch=tables.coefficients_batch,
-                 name=f"canonical-spatial[{phi.name}]", tables=tables)
+                 name=f"canonical-spatial[{phi.name}]")
 
 
 def canonical_pair(h: Metric, phi: Metric) -> SprayPair:
@@ -246,9 +258,7 @@ def canonical_pair(h: Metric, phi: Metric) -> SprayPair:
 
 
 def zero_spray(kind: str, p: int, n: int) -> Spray:
-    return Spray(kind, p, n, lambda u: np.zeros((n, p, p)),
-                 jet_gradient=lambda u: np.zeros((n, p, p, n, p)),
-                 coefficients_batch=lambda T, X, V: np.zeros((len(T), n, p, p)),
+    return Spray(kind, JetTable(p, n, (n, p, p), [], lambda: [num(0.0)] * (n * p * p)),
                  name=f"zero-{kind}")
 
 
@@ -284,39 +294,32 @@ _law_error = spray_law_error
 
 def h_trace(s: Spray, h: Metric) -> HSpray:
     """G^i = h^{ab} S^{(i)}_{(a)b}."""
-    if h.kind != "temporal":
-        raise SprayError("h_trace contracts with a temporal metric")
+    if h.kind != "temporal" or h.dim != s.p:
+        raise SprayError(f"h_trace contracts with a temporal metric of dimension p = {s.p}")
+    p, n = s.p, s.n
 
-    def comps(u: JetPoint) -> np.ndarray:
-        hinv = h.inverse_batch(u.t)[0]
-        return np.einsum("ab,iab->i", hinv, s.coefficients(u))
+    def entries() -> list[Expr]:
+        hinv, S = h.inverse_components(), s.tables.entries
+        return [_total(mul(hinv[a][b], S[(i * p + a) * p + b])
+                       for a in range(p) for b in range(p))
+                for i in range(n)]
 
-    grad = None
-    if s.jet_gradient is not None:
-        def grad(u: JetPoint) -> np.ndarray:
-            hinv = h.inverse_batch(u.t)[0]
-            return np.einsum("ab,iabkg->ikg", hinv, s.jet_gradient(u))
-
-    return HSpray(s.p, s.n, comps, jet_gradient=grad, name=f"h-trace[{s.name}]")
+    return HSpray(JetTable(p, n, (n,), [*s.tables.metrics, h], entries),
+                  name=f"h-trace[{s.name}]")
 
 
 def spray_from_hspray(hs: HSpray, h: Metric) -> Spray:
     """Inverse of h_trace; only one temporal dimension admits it."""
-    if hs.p != 1 or h.dim != 1:
+    if hs.tables.p != 1 or h.dim != 1 or h.kind != "temporal":
         raise SprayError("the spray <-> h-spray correspondence holds only for "
                          "one temporal dimension")
+    n = hs.tables.n
 
-    def coeff(u: JetPoint) -> np.ndarray:
-        h11 = h.components_batch(u.t)[0, 0, 0]
-        return (h11 * hs.components(u)).reshape(hs.n, 1, 1)
+    def entries() -> list[Expr]:
+        h11 = h.components[0][0]
+        return [mul(h11, e) for e in hs.tables.entries]
 
-    grad = None
-    if hs.jet_gradient is not None:
-        def grad(u: JetPoint) -> np.ndarray:
-            h11 = h.components_batch(u.t)[0, 0, 0]
-            return (h11 * hs.jet_gradient(u)).reshape(hs.n, 1, 1, hs.n, 1)
-
-    return Spray("spatial", 1, hs.n, coeff, jet_gradient=grad,
+    return Spray("spatial", JetTable(1, n, (n, 1, 1), [*hs.tables.metrics, h], entries),
                  name=f"from-h-spray[{hs.name}]")
 
 
@@ -335,37 +338,31 @@ def _same_space(sprays: Sequence[Spray]) -> None:
 
 
 def combine_sprays(sprays: Sequence[Spray], weights: Sequence[float]) -> Spray:
-    """Affine combination (weights summing to 1) of sprays of one kind,
-    which is again a spray of that kind."""
+    """Affine combination (one weight per spray, summing to 1) of sprays of
+    one kind, which is again a spray of that kind."""
     sprays = list(sprays)
     if not sprays:
         raise SprayError("nothing to combine")
     _same_space(sprays)
     w = [float(c) for c in weights]
+    if len(w) != len(sprays):
+        raise SprayError(f"{len(sprays)} sprays need {len(sprays)} weights, not {len(w)}")
     if abs(sum(w) - 1.0) > 1e-12:
         raise SprayError("affine combination weights must sum to 1")
     kind, p, n = sprays[0].kind, sprays[0].p, sprays[0].n
 
-    def coeff(u: JetPoint) -> np.ndarray:
-        return sum(c * s.coefficients(u) for c, s in zip(w, sprays))
-
-    grad = None
-    if all(s.jet_gradient is not None for s in sprays):
-        def grad(u: JetPoint) -> np.ndarray:
-            return sum(c * s.jet_gradient(u) for c, s in zip(w, sprays))
+    def entries() -> list[Expr]:
+        return [_total(mul(num(c), e) for c, e in zip(w, column))
+                for column in zip(*(s.tables.entries for s in sprays))]
 
     rebuild = None
     if all(s.rebuild is not None for s in sprays):
         def rebuild(change: ChangeMap):
             return combine_sprays([s.rebuild(change) for s in sprays], w)
 
-    batch = None
-    if all(s.coefficients_batch is not None for s in sprays):
-        def batch(T, X, V):
-            return sum(c * s.coefficients_batch(T, X, V) for c, s in zip(w, sprays))
-
-    return Spray(kind, p, n, coeff, jet_gradient=grad, rebuild=rebuild,
-                 coefficients_batch=batch, name="affine-combination")
+    metrics = [m for s in sprays for m in s.tables.metrics]
+    return Spray(kind, JetTable(p, n, (n, p, p), metrics, entries), rebuild=rebuild,
+                 name="affine-combination")
 
 
 # ---------------------------------------------------------------------------

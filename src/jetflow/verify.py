@@ -136,7 +136,7 @@ def _suite_connection(sc: Scenario, tol: float) -> list[dict]:
 
     pair = canonical_pair(h, phi)
     derived = connection_from_sprays(pair, h)
-    out.append(_identity_check("temporal-is-twice-spray", derived.temporal,
+    out.append(_identity_check("temporal-is-twice-spray", derived.M.at,
                                lambda u: 2.0 * pair.temporal.coefficients(u), jets, 1e-12))
 
     def raveled(sprays):

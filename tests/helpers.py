@@ -122,7 +122,6 @@ def jacobi_harmonic_reference(pair, h, boundary, m=33, tol=1e-9, max_iters=20000
     (status, sweeps, max_residual, t1, t2, values, history), history being
     max|R| after each sweep."""
     from jetflow.geometry import GeometryError
-    from jetflow.jetspace import JetPoint
 
     n = pair.temporal.n
     box = list(domain) if domain is not None else (h.box or [(-1.0, 1.0), (-1.0, 1.0)])
@@ -149,10 +148,7 @@ def jacobi_harmonic_reference(pair, h, boundary, m=33, tol=1e-9, max_iters=20000
     def coefficients(spray, X, V):
         # the spray's own batch path on the whole (T, X, V), not the
         # solver's frozen tables
-        if spray.coefficients_batch is not None:
-            return spray.coefficients_batch(T, X, V)
-        return np.array([spray.coefficients(JetPoint(T[k], X[k], V[k]))
-                         for k in range(len(T))])
+        return spray.tables.batch(T, X, V)
 
     def residual(vals: np.ndarray) -> np.ndarray:
         c = vals[1:-1, 1:-1]                      # (m-2, m-2, n)

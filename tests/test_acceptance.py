@@ -142,7 +142,7 @@ def test_criterion_04_connection_round_trips():
     conn = connection_from_sprays(pair, h)
     back = sprays_from_connection(conn)
     jets = jets_in(rng, 2, 2, h=h, phi=phi, count=20)
-    err_m = max(float(np.max(np.abs(conn.temporal(u)
+    err_m = max(float(np.max(np.abs(conn.M.at(u)
                                     - 2.0 * pair.temporal.coefficients(u))))
                 for u in jets)
     err_t = max(float(np.max(np.abs(back.temporal.coefficients(u)

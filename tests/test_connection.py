@@ -20,7 +20,7 @@ from jetflow.connection import (
 from jetflow.geometry import metric_from_name
 from jetflow.jetspace import (JetPoint, frame_size, natural_frame_change,
                               random_jet, transform_jet)
-from jetflow.sprays import SprayPair, canonical_pair, zero_spray
+from jetflow.sprays import SprayPair, canonical_pair, h_trace, zero_spray
 
 from helpers import catalog, jets_in, standard_metrics
 
@@ -35,8 +35,8 @@ def test_canonical_connection_frozen_values():
     conn = canonical_connection(h, phi)
     u = JetPoint(np.array([0.1, -0.2]), np.array([np.pi / 4, 0.8]),
                  np.array([[1.0, 0.5], [2.0, -1.0]]))
-    assert np.max(np.abs(conn.temporal(u))) == 0.0
-    N = conn.spatial(u)
+    assert np.max(np.abs(conn.M.at(u))) == 0.0
+    N = conn.N.at(u)
     # N[j, b, i] = gamma^j_{ik} v^k_b; gamma^1_{22} = -1/2 at th = pi/4
     assert abs(N[0, 0, 1] - (-0.5) * u.v[1, 0]) < 1e-12   # = -1.0
     assert abs(N[0, 0, 1] - (-1.0)) < 1e-12
@@ -168,7 +168,7 @@ def test_m_is_twice_temporal_spray():
     pair = canonical_pair(h, phi)
     conn = connection_from_sprays(pair, h)
     u = jets_in(rng, 2, 2, h=h, phi=phi, count=1)[0]
-    assert np.max(np.abs(conn.temporal(u) - 2.0 * pair.temporal.coefficients(u))) < 1e-14
+    assert np.max(np.abs(conn.M.at(u) - 2.0 * pair.temporal.coefficients(u))) < 1e-14
 
 
 def test_canonical_connection_equals_spray_induced_one():
@@ -177,20 +177,45 @@ def test_canonical_connection_equals_spray_induced_one():
     direct = canonical_connection(h, phi)
     induced = connection_from_sprays(canonical_pair(h, phi), h)
     for u in jets_in(rng, 2, 2, h=h, phi=phi, count=4):
-        assert np.max(np.abs(direct.temporal(u) - induced.temporal(u))) < 1e-12
-        assert np.max(np.abs(direct.spatial(u) - induced.spatial(u))) < 1e-10
+        assert np.max(np.abs(direct.M.at(u) - induced.M.at(u))) < 1e-12
+        assert np.max(np.abs(direct.N.at(u) - induced.N.at(u))) < 1e-10
 
 
-def test_fd_fallback_matches_exact_gradient():
+def test_spray_induced_n_matches_differences_of_the_h_trace():
+    """N is the symbolic jet gradient of the h-trace, lowered by h: against
+    central differences of the h-trace's own values."""
     rng = np.random.default_rng(71)
-    from dataclasses import replace
     h, phi = standard_metrics(2, 2)
     pair = canonical_pair(h, phi)
-    stripped = SprayPair(pair.temporal, replace(pair.spatial, jet_gradient=None))
-    exact = connection_from_sprays(pair, h)
-    fallback = connection_from_sprays(stripped, h)
-    u = jets_in(rng, 2, 2, h=h, phi=phi, count=1)[0]
-    assert np.max(np.abs(exact.spatial(u) - fallback.spatial(u))) < 1e-8
+    trace = h_trace(pair.spatial, h).tables
+    conn = connection_from_sprays(pair, h)
+    eps = 1e-6
+    for u in jets_in(rng, 2, 2, h=h, phi=phi, count=3):
+        grad = np.zeros((2, 2, 2))                      # [i, j, g]
+        for j in range(2):
+            for g in range(2):
+                vp, vm = u.v.copy(), u.v.copy()
+                vp[j, g] += eps
+                vm[j, g] -= eps
+                grad[:, j, g] = (trace.at(JetPoint(u.t, u.x, vp))
+                                 - trace.at(JetPoint(u.t, u.x, vm))) / (2 * eps)
+        want = np.einsum("ijg,ga->iaj", grad, h.components_batch(u.t)[0])
+        assert np.max(np.abs(conn.N.at(u) - want)) < 1e-8
+        assert np.max(np.abs(np.einsum("ijg,ga->iaj", trace.gradient_at(u),
+                                       h.components_batch(u.t)[0]) - conn.N.at(u))) < 1e-14
+
+
+def test_canonical_connection_tables_are_shared():
+    """One M table per (h, n) and one N table per (phi, p), like the
+    canonical sprays' tables; a rebuilt connection shares the pullbacks'."""
+    h, phi = standard_metrics(2, 2)
+    conn = canonical_connection(h, phi)
+    assert canonical_connection(h, phi).M is conn.M
+    assert canonical_connection(h, phi).N is conn.N
+    assert canonical_connection(h, metric_from_name("euclidean:3")).M is not conn.M
+    c = nd.random_change(np.random.default_rng(72), 2, 2, "mixed")
+    assert conn.in_chart(c).M is conn.in_chart(c).M
+    assert conn.in_chart(c).N is conn.in_chart(c).N
 
 
 def test_connection_from_sprays_validates_inputs():
@@ -203,7 +228,15 @@ def test_connection_from_sprays_validates_inputs():
 
 
 def test_connection_without_rebuild_has_no_chart_native_form():
-    conn = NonlinearConnection(2, 2, lambda u: np.zeros((2, 2, 2)),
-                               lambda u: np.zeros((2, 2, 2)))
+    zero = zero_spray("temporal", 2, 2).tables
+    conn = NonlinearConnection(zero, zero)
     with pytest.raises(ConnectionError_, match="no chart-native form"):
         conn.in_chart(nd.identity_change(2, 2))
+
+
+def test_connection_tables_must_share_one_jet_space():
+    m = zero_spray("temporal", 2, 3).tables                  # (3, 2, 2)
+    with pytest.raises(ConnectionError_, match="one jet space"):
+        NonlinearConnection(m, zero_spray("temporal", 2, 2).tables)
+    with pytest.raises(ConnectionError_, match="one jet space"):
+        NonlinearConnection(m, m)

@@ -137,11 +137,31 @@ def test_rk4_loop_raises_the_interpreters_domain_error(text, env):
 
 def test_rk4_loop_checks_a_constant_first_entry_once():
     seen = []
-    table = compile_table([num(2.0), parse("-x")], ["x"], check=seen.append)
+    table = compile_table([num(2.0), parse("-x")], ["x"], checks=[seen.append])
     run = compile_rk4(["x"], "s", [Var("f")], [(table, ["x"], ["c", "f"])])
     assert seen == [2.0]
     s, x = run(0.0, 1.0, 0.01, 100, None)
     assert seen == [2.0] and s == 1.0 and abs(x - math.exp(-1.0)) < 1e-9
+
+
+def test_rk4_loop_runs_each_check_on_its_entry():
+    """A constant leading entry is checked once, at build time; a variable
+    one on every stage, before the entries after it."""
+    const, seen = [], []
+
+    def second(value):
+        seen.append(value)
+        if value < 0.5:
+            raise RuntimeError("second entry below 0.5")
+
+    table = compile_table([num(2.0), parse("x"), parse("-x")], ["x"],
+                          checks=[const.append, second])
+    run = compile_rk4(["x"], "s", [Var("f")], [(table, ["x"], ["c", "d", "f"])])
+    assert const == [2.0] and seen == []
+    run(0.0, 1.0, 0.01, 10, None)
+    assert const == [2.0] and len(seen) == 4 * 10
+    with pytest.raises(RuntimeError, match="below 0.5"):
+        run(0.0, 1.0, 0.1, 10, None)
 
 
 @pytest.mark.parametrize("arrays", [False, True])
@@ -226,10 +246,39 @@ def test_compiled_table_check_runs_before_other_entries():
         if value == 0:
             raise RuntimeError("first entry is zero")
 
-    table = compile_table([parse("x"), parse("1/x")], ["x"], check=check)
+    table = compile_table([parse("x"), parse("1/x")], ["x"], checks=[check])
     assert table(2.0) == (2.0, 0.5)
     with pytest.raises(RuntimeError):
         table(0.0)
+
+
+def test_each_check_runs_on_its_entry_before_later_entries():
+    """checks[k] sees entry k and stops the entries after it, in every
+    tier: the walk, the compiled function, on columns, and frozen."""
+    seen = []
+
+    def first(value):
+        seen.append(("first", value))
+
+    def second(value):
+        seen.append(("second", value))
+        if np.any(np.asarray(value) == 0):
+            raise RuntimeError("second entry is zero")
+
+    exprs = [parse("x + 1"), parse("y"), parse("x/y")]
+    for run in (lambda table, x, y: table(x, y),
+                lambda table, x, y: table.compiled()(x, y),
+                lambda table, x, y: table(np.array([x, x]), np.array([1.0, y])),
+                lambda table, x, y: table.freeze(["x"], [x])(y)):
+        table = compile_table(exprs, ["x", "y"], checks=[first, second])
+        seen.clear()
+        got = run(table, 3.0, 2.0)
+        assert [np.broadcast_to(v, (2,))[-1] for v in got] == [4.0, 2.0, 1.5]
+        assert [name for name, _ in seen] == ["first", "second"]
+        seen.clear()
+        with pytest.raises(RuntimeError, match="second entry is zero"):
+            run(table, 3.0, 0.0)
+        assert [name for name, _ in seen][-1] == "second"
 
 
 def test_compiled_table_rejects_unbound_variable():

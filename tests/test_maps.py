@@ -24,13 +24,16 @@ from jetflow.maps import (
 )
 from jetflow import maps
 from jetflow.numdiff import random_change
+from jetflow.exprlang import Table
 from jetflow.sprays import (
+    JetTable,
     SprayPair,
     canonical_pair,
     canonical_spatial,
     combine_sprays,
     h_trace,
     spray_from_hspray,
+    zero_spray,
 )
 
 from helpers import (golden_writer, jacobi_harmonic_reference, reference_affine_ode,
@@ -235,17 +238,25 @@ def test_float_rk4_matches_reference_with_curved_time():
     _assert_matches_reference(pair, [1.2, 0.3], [0.6, 1.0], (-0.5, 1.0), 200)
 
 
-def test_float_rk4_matches_reference_for_sprays_without_tables():
+def test_float_rk4_writes_derived_sprays_in_and_matches_reference(monkeypatch):
+    """Derived sprays are tables too: the RK4 writes them in, with no
+    callable block, and matches the numpy reference bit for bit."""
     h = metric_from_name("exp1d")
     sphere, hyper = (canonical_spatial(metric_from_name(name), 1)
                      for name in ("sphere:2", "hyperbolic:2"))
     mixed = combine_sprays([sphere, hyper], [0.3, 0.7])
     from_trace = spray_from_hspray(h_trace(sphere, h), h)
-    temporal = canonical_pair(h, metric_from_name("sphere:2")).temporal
-    for spatial in (mixed, from_trace):
-        assert spatial.tables is None
-        _assert_matches_reference(SprayPair(temporal, spatial),
-                                  [1.2, 0.5], [0.4, 0.8], (0.0, 1.0), 80)
+    canonical = canonical_pair(h, metric_from_name("sphere:2"))
+    induced = sprays_from_connection(canonical_connection(h, metric_from_name("sphere:2")))
+    blocks = []
+    real_rk4 = maps.compile_rk4
+    monkeypatch.setattr(maps, "compile_rk4",
+                        lambda *a, **k: blocks.append(a[3]) or real_rk4(*a, **k))
+    for pair in (SprayPair(canonical.temporal, mixed), SprayPair(canonical.temporal, from_trace),
+                 induced, SprayPair(zero_spray("temporal", 1, 2), induced.spatial)):
+        _assert_matches_reference(pair, [1.2, 0.5], [0.4, 0.8], (0.0, 1.0), 80)
+    assert len(blocks) == 4
+    assert all(isinstance(fn, Table) for pair_blocks in blocks for fn, _, _ in pair_blocks)
 
 
 def test_ode_runs_a_replaced_coefficients():
@@ -403,20 +414,26 @@ def test_single_level_grids_run_jacobi(m):
     assert list(sol.history) == history
 
 
-def test_grid_solver_pointwise_fallback_matches_batched_sprays():
-    """Sprays induced by a connection have no batch path, so the solver
-    evaluates them point by point; the canonical pair runs its compiled
-    batch tables.  Both describe the same sprays and give the same solve."""
+def test_grid_solver_runs_connection_sprays_frozen(monkeypatch):
+    """Sprays induced by a connection are tables like the canonical pair's:
+    each level freezes them on its nodes, and the solve agrees with the
+    canonical pair's to 1e-10."""
     h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
     phi = metric_from_name("conformal2d:0.2*x1 - 0.1*x1*x2", kind="spatial")
-    pointwise = sprays_from_connection(canonical_connection(h, phi))
-    assert pointwise.temporal.coefficients_batch is None
-    assert pointwise.spatial.coefficients_batch is None
+    induced = sprays_from_connection(canonical_connection(h, phi))
+    frozen = []
+    real_batch_at = JetTable.batch_at
+    monkeypatch.setattr(JetTable, "batch_at",
+                        lambda self, T: frozen.append(self) or real_batch_at(self, T))
     f = SmoothMap(2, ["0.4*t1 + 0.3*t2^2", "0.5*t1*t2 - 0.2*t2"])
-    a = solve_harmonic_grid(pointwise, h, f, m=7, tol=1e-10, domain=SQUARE)
-    b = solve_harmonic_grid(canonical_pair(h, phi), h, f, m=7, tol=1e-10, domain=SQUARE)
-    assert a.status == b.status == "converged"
-    assert np.max(np.abs(a.values - b.values)) <= 1e-10
+    for m in (9, 17):
+        frozen.clear()
+        a = solve_harmonic_grid(induced, h, f, m=m, tol=1e-10, domain=SQUARE)
+        levels = len(maps._grid_sizes(m))
+        assert frozen == [induced.spatial.tables, induced.temporal.tables] * levels
+        b = solve_harmonic_grid(canonical_pair(h, phi), h, f, m=m, tol=1e-10, domain=SQUARE)
+        assert a.status == b.status == "converged"
+        assert np.max(np.abs(a.values - b.values)) <= 1e-10
 
 
 def test_grid_sizes():

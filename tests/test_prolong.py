@@ -217,9 +217,9 @@ def test_partials_match_interpreted_derivatives_bit_for_bit():
         dx = np.array([d[v] for v in xn])
         dv = np.array([[d[v] for v in vn[j * 2:(j + 1) * 2]] for j in range(2)])
         assert np.array_equal(adapted_t_derivative(f, conn, u),
-                              dt - np.einsum("jba,jb->a", conn.temporal(u), dv))
+                              dt - np.einsum("jba,jb->a", conn.M.at(u), dv))
         assert np.array_equal(adapted_x_derivative(f, conn, u),
-                              dx - np.einsum("jbi,jb->i", conn.spatial(u), dv))
+                              dx - np.einsum("jbi,jb->i", conn.N.at(u), dv))
         g = "sin(x1)*t2 + x2^2*t1"
         base = {v: diff(parse(g), v).eval(env) for v in tn + xn}
         want = np.array([base[v] for v in tn]) + u.v.T @ np.array([base[v] for v in xn])
@@ -289,7 +289,7 @@ def test_horizontal_lift_vertical_components():
     X = BaseVectorField(2, 2, ["1", "0"], ["0", "1"])
     lift = horizontal_lift(X, conn)
     u = jets_in(np.random.default_rng(96), 2, 2, h=h, phi=phi, count=1)[0]
-    want = -(conn.temporal(u)[:, :, 0] + conn.spatial(u)[:, :, 1])
+    want = -(conn.M.at(u)[:, :, 0] + conn.N.at(u)[:, :, 1])
     assert np.max(np.abs(lift.vertical(u) - want)) < 1e-13
     assert np.array_equal(lift.temporal(u), np.array([1.0, 0.0]))
 
@@ -334,9 +334,9 @@ def test_adapted_derivative_subtracts_connection_terms():
     u = jets_in(np.random.default_rng(99), 2, 2, h=h, phi=phi, count=1)[0]
     # f = x1_1: @f/@x^j_b = delta(j,0)delta(b,0)
     dt = adapted_t_derivative("x1_1", conn, u)
-    assert np.max(np.abs(dt - (-conn.temporal(u)[0, 0, :]))) < 1e-13
+    assert np.max(np.abs(dt - (-conn.M.at(u)[0, 0, :]))) < 1e-13
     dx = adapted_x_derivative("x1_1", conn, u)
-    assert np.max(np.abs(dx - (-conn.spatial(u)[0, 0, :]))) < 1e-13
+    assert np.max(np.abs(dx - (-conn.N.at(u)[0, 0, :]))) < 1e-13
 
 
 # --- validation -----------------------------------------------------------------------------

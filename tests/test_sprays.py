@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jetflow import geometry, numdiff as nd
+from jetflow import numdiff as nd, sprays
 from jetflow.dtensor import is_dtensor
 from jetflow.exprlang import Num, compile_table, num, parse
 from jetflow.geometry import GeometryError, Metric, metric_from_name
@@ -126,7 +126,7 @@ def test_exact_jet_gradients_match_finite_differences():
     h, phi = standard_metrics(2, 2)
     u = jets_in(rng, 2, 2, h=h, phi=phi, count=1)[0]
     for s in (canonical_temporal(h, 2), canonical_spatial(phi, 2)):
-        G = s.jet_gradient(u)
+        G = s.tables.gradient_at(u)
         G_fd = fd_spray_gradient(s, u)
         assert np.max(np.abs(G - G_fd)) < 1e-7, s.name
 
@@ -139,7 +139,7 @@ def test_batch_coefficients_match_pointwise():
     X = np.stack([u.x for u in jets])
     V = np.stack([u.v for u in jets])
     for s in (canonical_temporal(h, 2), canonical_spatial(phi, 2)):
-        batch = s.coefficients_batch(T, X, V)
+        batch = s.tables.batch(T, X, V)
         for k, u in enumerate(jets):
             assert np.max(np.abs(batch[k] - s.coefficients(u))) < 1e-14
 
@@ -156,10 +156,10 @@ def test_h_trace_and_round_trip_p1():
                  np.array([[0.7], [(-1.1)]]))
     hinv = h.inverse_batch(u.t)[0]
     want = hinv[0, 0] * s.coefficients(u)[:, 0, 0]
-    assert np.max(np.abs(hs.components(u) - want)) < 1e-13
+    assert np.max(np.abs(hs.tables.at(u) - want)) < 1e-13
     back = spray_from_hspray(hs, h)
     assert np.max(np.abs(back.coefficients(u) - s.coefficients(u))) < 1e-13
-    assert np.max(np.abs(back.jet_gradient(u) - s.jet_gradient(u))) < 1e-13
+    assert np.max(np.abs(back.tables.gradient_at(u) - s.tables.gradient_at(u))) < 1e-13
 
 
 def test_hspray_correspondence_requires_one_temporal_dim():
@@ -257,7 +257,7 @@ def test_difference_requires_matching_jet_space():
 
 def test_spray_kind_must_be_temporal_or_spatial():
     with pytest.raises(SprayError, match="kind"):
-        Spray("vertical", 2, 2, lambda u: np.zeros((2, 2, 2)))
+        Spray("vertical", zero_spray("temporal", 2, 2).tables)
 
 
 def test_difference_rejects_mixed_kinds():
@@ -345,9 +345,9 @@ def test_compiled_sprays_match_christoffel_formula(name, kind, change_kind):
     g, s, T, X, V = _spray_and_jets(name, kind, change_kind, rng)
     want = reference_coefficients(kind, g, T, X, V)
     scale = np.maximum(1.0, np.abs(want))
-    columns = s.coefficients_batch(T, X, V)
+    columns = s.tables.batch(T, X, V)
     assert columns.shape == want.shape
-    assert s.coefficients_batch(T[:0], X[:0], V[:0]).shape == (0,) + want.shape[1:]
+    assert s.tables.batch(T[:0], X[:0], V[:0]).shape == (0,) + want.shape[1:]
     assert np.max(np.abs(columns - want) / scale) <= 1e-13
     for k in range(len(T)):
         u = JetPoint(T[k], X[k], V[k])
@@ -356,22 +356,22 @@ def test_compiled_sprays_match_christoffel_formula(name, kind, change_kind):
         # one formula: batch row k is the pointwise value at row k
         assert np.max(np.abs(columns[k] - floats) / scale[k]) <= 1e-14
         grad = reference_gradient(kind, g, u)
-        assert np.max(np.abs(s.jet_gradient(u) - grad) / np.maximum(1.0, np.abs(grad))) <= 1e-13
+        assert np.max(np.abs(s.tables.gradient_at(u) - grad) / np.maximum(1.0, np.abs(grad))) <= 1e-13
 
 
 def test_flat_sprays_fold_to_constant_zero(monkeypatch):
     tables = []
 
-    def recording(exprs, names, check=None):
+    def recording(exprs, names, checks=()):
         tables.append(exprs)
-        return compile_table(exprs, names, check=check)
+        return compile_table(exprs, names, checks)
 
-    monkeypatch.setattr(geometry, "compile_table", recording)
+    monkeypatch.setattr(sprays, "compile_table", recording)
     flat_t = canonical_temporal(metric_from_name("euclidean:2", "temporal"), 3)
     flat_s = canonical_spatial(metric_from_name("euclidean:3"), 2)
     T, X, V = np.zeros((4, 2)), np.ones((4, 3)), np.ones((4, 3, 2))
-    assert np.array_equal(flat_t.coefficients_batch(T, X, V), np.zeros((4, 3, 2, 2)))
-    assert np.array_equal(flat_s.coefficients_batch(T, X, V), np.zeros((4, 3, 2, 2)))
+    assert np.array_equal(flat_t.tables.batch(T, X, V), np.zeros((4, 3, 2, 2)))
+    assert np.array_equal(flat_s.tables.batch(T, X, V), np.zeros((4, 3, 2, 2)))
     assert len(tables) == 2
     for exprs in tables:
         assert exprs[0] == num(1.0)                          # det g
@@ -392,11 +392,11 @@ def test_degenerate_metric_raises_from_both_spray_paths():
             with pytest.raises(GeometryError, match="degenerate"):
                 s.coefficients(JetPoint(t, x, np.ones((2, 2))))
             with pytest.raises(GeometryError, match="degenerate"):
-                s.jet_gradient(JetPoint(t, x, np.ones((2, 2))))
+                s.tables.gradient_at(JetPoint(t, x, np.ones((2, 2))))
             T = np.stack([other, t])
             X = np.stack([other + 1.0, x])
             with pytest.raises(GeometryError, match="degenerate"):
-                s.coefficients_batch(T, X, np.ones((2, 2, 2)))
+                s.tables.batch(T, X, np.ones((2, 2, 2)))
 
 
 def test_each_spray_compiles_its_table_once(monkeypatch):
@@ -406,7 +406,7 @@ def test_each_spray_compiles_its_table_once(monkeypatch):
         built.append(args[0])
         return compile_table(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "compile_table", counting)
+    monkeypatch.setattr(sprays, "compile_table", counting)
     rng = np.random.default_rng(48)
     h, phi = standard_metrics(2, 2)
     jets = jets_in(rng, 2, 2, h=h, phi=phi, count=3)
@@ -419,11 +419,11 @@ def test_each_spray_compiles_its_table_once(monkeypatch):
             for u in jets:
                 s.coefficients(u)
                 copy.coefficients(u)
-            s.coefficients_batch(T, X, V)
-            copy.coefficients_batch(T, X, V)
+            s.tables.batch(T, X, V)
+            copy.tables.batch(T, X, V)
         assert len(built) == before + 1
         for _ in range(2):
-            s.jet_gradient(jets[0])
+            s.tables.gradient_at(jets[0])
         assert len(built) == before + 2
     assert not h._kernels and not phi._kernels         # no Christoffel tabulation
 
@@ -443,3 +443,80 @@ def test_canonical_sprays_share_tables_per_metric_and_dimension():
     c = nd.random_change(np.random.default_rng(6), 1, 2, "shear")
     s = canonical_spatial(phi, 1)
     assert s.in_chart(c).tables is s.in_chart(c).tables
+
+
+# --- derived sprays: weights, dimensions, degenerate metrics ------------------------
+
+
+def test_combination_needs_one_weight_per_spray():
+    """zip would drop the extra weight or spray: 0.5*a is no spray, and
+    [a, b] with [1.0] would silently be a."""
+    h, _ = standard_metrics(2, 2)
+    a = canonical_temporal(h, 2)
+    b = canonical_temporal(metric_from_name("euclidean:2", "temporal"), 2)
+    with pytest.raises(SprayError, match="1 sprays need 1 weights, not 2"):
+        combine_sprays([a], [0.5, 0.5])
+    with pytest.raises(SprayError, match="2 sprays need 2 weights, not 1"):
+        combine_sprays([a, b], [1.0])
+
+
+def test_h_spray_correspondence_rejects_a_metric_of_another_dimension():
+    phi = metric_from_name("sphere:2")
+    h1, h2 = metric_from_name("exp1d"), metric_from_name("conformal2d:0.1*t1")
+    with pytest.raises(SprayError, match="temporal metric of dimension p = 1"):
+        h_trace(canonical_spatial(phi, 1), h2)
+    with pytest.raises(SprayError, match="temporal metric of dimension p = 2"):
+        h_trace(canonical_spatial(phi, 2), h1)
+    hs = h_trace(canonical_spatial(phi, 1), h1)
+    for wrong in (h2, metric_from_name("exp1d", "spatial")):
+        with pytest.raises(SprayError, match="one temporal dimension"):
+            spray_from_hspray(hs, wrong)
+
+
+def test_derived_tables_lead_with_each_metric_once():
+    h, phi = standard_metrics(2, 2)
+    flat = metric_from_name("euclidean:2", "temporal")
+    s = canonical_spatial(phi, 2)
+    assert combine_sprays([canonical_temporal(h, 2), canonical_temporal(flat, 2),
+                           canonical_temporal(h, 2)], [0.5, 0.3, 0.2]).tables.metrics == [h, flat]
+    assert h_trace(s, h).tables.metrics == [phi, h]
+    assert zero_spray("spatial", 2, 2).tables.metrics == []
+    kernel = h_trace(s, h).tables.kernel
+    assert kernel.exprs[:2] == [phi.det, h.det]
+    assert kernel.checks == (phi.check_det, h.check_det)
+
+
+def test_derived_sprays_on_a_degenerate_metric_raise_geometry_error():
+    """A combination whose second metric is degenerate (hyperbolic, det g =
+    x2^-4 < 1e-12 at x2 = 2000) and the spray of an h-trace over a
+    degenerate temporal metric (det h = t1) raise GeometryError from `at`,
+    `batch`, `batch_at` and the geodesic RK4 that writes their table in."""
+    from jetflow.maps import solve_affine_ode
+
+    sphere, hyper = metric_from_name("sphere:2"), metric_from_name("hyperbolic:2")
+    mixed = combine_sprays([canonical_spatial(sphere, 1), canonical_spatial(hyper, 1)],
+                           [0.3, 0.7])
+    deg = Metric("deg", "temporal", [[parse("t1")]])
+    from_trace = spray_from_hspray(h_trace(canonical_spatial(sphere, 1), deg), deg)
+    good_t, good_x = np.array([0.5]), np.array([1.0, 0.5])
+    V = np.ones((2, 2, 1))
+    for s, t, x in ((mixed, good_t, np.array([1.0, 2000.0])),
+                    (from_trace, np.array([0.0]), good_x),
+                    (from_trace, np.array([1e-14]), good_x)):
+        T, X = np.stack([good_t, t]), np.stack([good_x, x])
+        with pytest.raises(GeometryError, match="degenerate"):
+            s.coefficients(JetPoint(t, x, V[0]))
+        with pytest.raises(GeometryError, match="degenerate"):
+            s.tables.batch(T, X, V)
+        with pytest.raises(GeometryError, match="degenerate"):
+            s.tables.batch_at(T)(X, V)
+    temporal = canonical_temporal(metric_from_name("euclidean:1", "temporal"), 2)
+    with pytest.raises(GeometryError, match="metric 'hyperbolic:2' is degenerate"):
+        solve_affine_ode(SprayPair(temporal, mixed), [0.3, 1.0], [0.0, 40.0], (0.0, 20.0), 40)
+    # det h = t1 reaches 0 at the midpoint of [-0.5, 0.5]
+    with pytest.raises(GeometryError, match="metric 'deg' is degenerate"):
+        solve_affine_ode(SprayPair(temporal, from_trace), [1.0, 0.5], [0.1, 0.1],
+                         (-0.5, 0.5), 40)
+    # the h-trace itself, frozen on nodes where det h = 0
+    with pytest.raises(GeometryError, match="metric 'deg' is degenerate"):
+        h_trace(canonical_spatial(sphere, 1), deg).tables.batch_at(np.array([[0.5], [0.0]]))

@@ -15,7 +15,10 @@ from jetflow.geometry import GeometryError, Metric, metric_from_name
 from jetflow.maps import solve_affine_ode
 from jetflow.numdiff import spatial_names, temporal_names
 from jetflow.prolong import BaseVectorField, flow_point, pushforward
-from jetflow.sprays import SprayPair, canonical_pair, canonical_spatial, canonical_temporal
+from jetflow.connection import (canonical_connection, connection_from_sprays,
+                                sprays_from_connection)
+from jetflow.sprays import (SprayPair, canonical_pair, canonical_spatial, canonical_temporal,
+                            combine_sprays)
 
 from helpers import metric_and_points
 from test_exprlang import DOMAIN_ERRORS
@@ -60,7 +63,7 @@ def assert_tiers_match_interpreter(call, exprs, names, points, table=None):
 
 def _fresh(table):
     """A new table of the same entries, in its first tier."""
-    return compile_table(table.exprs, table.names, table.check)
+    return compile_table(table.exprs, table.names, table.checks)
 
 
 @pytest.mark.parametrize("change_kind", CHANGE_KINDS)
@@ -307,14 +310,26 @@ def _level_problem():
     return canonical_pair(h, phi), h, t, vals
 
 
-def test_batch_at_matches_coefficients_batch():
-    pair = _level_problem()[0]
+def _derived_pairs(pair, h):
+    """Sprays built from the canonical pair's entries: the pair induced by
+    the canonical connection, and a combination with the flat sprays."""
+    flat = canonical_pair(metric_from_name("euclidean:2", kind="temporal"),
+                          metric_from_name("euclidean:2"))
+    phi = pair.spatial.tables.metrics[0]
+    return [sprays_from_connection(canonical_connection(h, phi)),
+            sprays_from_connection(connection_from_sprays(pair, h)),
+            SprayPair(combine_sprays([pair.temporal, flat.temporal], [0.6, 0.4]),
+                      combine_sprays([pair.spatial, flat.spatial], [1.5, -0.5]))]
+
+
+def test_batch_at_matches_batch():
+    pair, h = _level_problem()[:2]
     rng = np.random.default_rng(42)
     T = rng.uniform(-1.0, 1.0, (11, 2))
     X, V = rng.uniform(-1.0, 1.0, (11, 2)), rng.normal(0.0, 1.5, (11, 2, 2))
-    for s in (pair.temporal, pair.spatial):
+    for s in [s for pr in [pair, *_derived_pairs(pair, h)] for s in (pr.temporal, pr.spatial)]:
         got = s.tables.batch_at(T)(X, V)
-        assert got.tobytes() == s.coefficients_batch(T, X, V).tobytes()
+        assert got.tobytes() == s.tables.batch(T, X, V).tobytes()
         assert got.shape == (11, 2, 2, 2) and got.flags.writeable
 
 
@@ -326,31 +341,40 @@ def test_flat_metric_spray_is_one_constant_array():
         batch = s.tables.batch_at(T)
         first = batch(X, V)
         assert batch(2 * X, 3 * V) is first and not first.flags.writeable
-        assert first.tobytes() == s.coefficients_batch(T, X, V).tobytes()
+        assert first.tobytes() == s.tables.batch(T, X, V).tobytes()
 
 
-def test_level_runs_frozen_tables_only_for_the_tables_own_batch(monkeypatch):
-    """A level freezes a canonical spray's tables; a spray whose
-    `coefficients_batch` was replaced runs that callable, once per spray per
-    residual, and both give the same bits."""
-    pair, h, t, vals = _level_problem()
+def _wrapped(pair, calls):
+    """A `dataclasses.replace` copy of each spray whose `coefficients`
+    records its calls: the shape of the benchmark tracer's copies."""
+    def wrap(s):
+        return replace(s, coefficients=lambda u: calls.append(u) or s.coefficients(u))
+    return SprayPair(wrap(pair.temporal), wrap(pair.spatial))
+
+
+def test_level_runs_each_sprays_frozen_tables(monkeypatch):
+    """A level freezes each spray's tables on its nodes, whatever the
+    spray's `coefficients`."""
+    pair, h, t, _ = _level_problem()
     frozen = []
-    real_batch_at = sprays._SprayTables.batch_at
-    monkeypatch.setattr(sprays._SprayTables, "batch_at",
+    real_batch_at = sprays.JetTable.batch_at
+    monkeypatch.setattr(sprays.JetTable, "batch_at",
                         lambda self, T: frozen.append(self) or real_batch_at(self, T))
-    level = maps._Level(pair, h, t, t)
-    assert frozen == [pair.spatial.tables, pair.temporal.tables]
+    for each in (pair, _wrapped(pair, [])):
+        frozen.clear()
+        maps._Level(each, h, t, t)
+        assert frozen == [pair.spatial.tables, pair.temporal.tables]
 
-    calls = {"temporal": 0, "spatial": 0}
 
-    def counting(s):
-        def batch(T, X, V):
-            calls[s.kind] += 1
-            return s.coefficients_batch(T, X, V)
-        return replace(s, coefficients_batch=batch)
-
-    counted = maps._Level(SprayPair(counting(pair.temporal), counting(pair.spatial)), h, t, t)
-    assert len(frozen) == 2
-    for k in range(1, 4):
-        assert counted.residual(vals, 0.0).tobytes() == level.residual(vals, 0.0).tobytes()
-        assert calls == {"temporal": k, "spatial": k}
+def test_wrapped_pair_solves_a_harmonic_grid_bit_for_bit():
+    """A copy of a canonical pair with wrapped `coefficients` runs the same
+    frozen tables as the pair: the same V-cycles, history and values, bit
+    for bit, and no call of the wrapper."""
+    pair, h = _level_problem()[:2]
+    calls = []
+    boundary = maps.SmoothMap(2, ["0.4*t1 + 0.3*t2^2", "0.5*t1*t2 - 0.2*t2"])
+    a = maps.solve_harmonic_grid(pair, h, boundary, m=17, tol=1e-10)
+    b = maps.solve_harmonic_grid(_wrapped(pair, calls), h, boundary, m=17, tol=1e-10)
+    assert a.status == b.status == "converged" and not calls
+    assert (a.iterations, a.history) == (b.iterations, b.history)
+    assert a.values.tobytes() == b.values.tobytes()
