@@ -142,10 +142,9 @@ def _cmd_harmonic(sc: Scenario, args) -> int:
     _emit(report, args.output)
     if args.csv:
         header = ["t1", "t2"] + [f"x{i + 1}" for i in range(sc.n)]
-        rows = []
-        for i, a in enumerate(sol.t1):
-            for j, b in enumerate(sol.t2):
-                rows.append([a, b] + list(sol.values[i, j]))
+        t2, values = sol.t2.tolist(), sol.values.tolist()
+        rows = [[a, b, *x] for a, row in zip(sol.t1.tolist(), values)
+                for b, x in zip(t2, row)]
         _write_csv(args.csv, header, rows)
     return 0 if sol.converged else 1
 

@@ -24,6 +24,7 @@ every spray pair the same way, through the sprays' `sprays.JetTable`s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,10 +64,17 @@ class SmoothMap:
             bad = free_vars(e) - allowed
             if bad:
                 raise MapError(f"component {k} references foreign variables {sorted(bad)}")
-        self._grad = [[diff(e, t) for t in temporal_names(self.p)]
-                      for e in self.components]
-        self._hess = [[[diff(g, t) for t in temporal_names(self.p)] for g in row]
-                      for row in self._grad]
+
+    @cached_property
+    def _grad(self) -> list[list[Expr]]:
+        """d component / d t_a, built on first use: calling the map needs
+        no derivative."""
+        return [[diff(e, t) for t in temporal_names(self.p)] for e in self.components]
+
+    @cached_property
+    def _hess(self) -> list[list[list[Expr]]]:
+        return [[[diff(g, t) for t in temporal_names(self.p)] for g in row]
+                for row in self._grad]
 
     def _env(self, t: np.ndarray) -> dict:
         return {name: float(t[a]) for a, name in enumerate(temporal_names(self.p))}
@@ -246,8 +254,13 @@ class GridSolution:
 PRE_SWEEPS, POST_SWEEPS = 2, 1
 # grids smaller than this run as a single level: there the fixed cost of a
 # residual evaluation, paid on every coarse grid, can outweigh the sweeps
-# saved (13 x 13 and 15 x 15 multigrid solves of a near-harmonic boundary
-# run about 5 % slower than Jacobi)
+# saved.  Best of 12 in-process solves on a 2-core x86-64 machine, with the
+# conformal2d:0.3*t1 - 0.2*t2 domain metric: 13 x 13 and 15 x 15 multigrid
+# solves take 1.11-1.19x the time of Jacobi for the boundary t1^2 - t2^2
+# into euclidean:1, 0.88-0.96x for a quadratic harmonic pair into
+# euclidean:2, and 0.25-0.30x for exp(t1)*(cos t2, sin t2) into
+# conformal2d:0.2*(x1^2 + x2^2), so the size is due for retuning together
+# with the starting guess
 MULTIGRID_MIN = 17
 
 
@@ -261,54 +274,67 @@ def _coarsest_sweeps(m: int) -> int:
 class _Level:
     """One grid of the multigrid hierarchy: its interior nodes T, the metric
     inverse frozen there, kappa, the diagonal of the linearised residual
-    that scales the damped-Jacobi step, and each spray's coefficients as a
-    function of the jet columns with its `t`-only terms computed once on T
-    (`JetTable.batch_at`)."""
+    that scales the damped-Jacobi step, each spray's coefficients as a
+    function of the jet components over the (m-2) x (m-2) interior grid
+    with its `t`-only terms computed once on T (`JetTable.batch_at`), the
+    stencil's spacing constants as floats, and the buffers each residual
+    writes the jet coordinates, second differences and coefficients into.
+    A residual evaluation (`residual`) and a damped-Jacobi step (`relax`)
+    are separate calls, so a V-cycle computes only the residuals it reads."""
 
     def __init__(self, pair: SprayPair, h: Metric, t1: np.ndarray, t2: np.ndarray):
-        self.m, self.n = len(t1), pair.temporal.n
-        self.d1, self.d2 = t1[1] - t1[0], t2[1] - t2[0]
+        m, n = len(t1), pair.temporal.n
+        self.m, self.n = m, n
+        d1, d2 = t1[1] - t1[0], t2[1] - t2[0]
         TT1, TT2 = np.meshgrid(t1[1:-1], t2[1:-1], indexing="ij")
         self.T = np.stack([TT1.ravel(), TT2.ravel()], axis=1)        # row-major
         self.hinv = h.inverse_batch(self.T)                          # (q, 2, 2)
-        self.kappa = 2.0 * (self.hinv[:, 0, 0] / self.d1 ** 2
-                            + self.hinv[:, 1, 1] / self.d2 ** 2)     # (q,)
+        self.kappa = 2.0 * (self.hinv[:, 0, 0] / d1 ** 2
+                            + self.hinv[:, 1, 1] / d2 ** 2)          # (q,)
         if np.any(self.kappa <= 0):
             raise GeometryError("metric inverse is not positive on the grid diagonal")
-        self.sprays = (pair.spatial.tables.batch_at(self.T),
-                       pair.temporal.tables.batch_at(self.T))
+        grid = self.T.reshape(m - 2, m - 2, 2)
+        self.sprays = (pair.spatial.tables.batch_at(grid),
+                       pair.temporal.tables.batch_at(grid))
+        self.d1sq, self.d2sq = float(d1 ** 2), float(d2 ** 2)
+        self.d12x4, self.d1x2, self.d2x2 = float(4 * d1 * d2), float(2 * d1), float(2 * d2)
+        # x^i and x^i_a, one contiguous (m-2) x (m-2) block per component
+        # (the tables run faster on those than on strided views), read
+        # through views laid out as the tables take them: (.., n), (.., n, 2)
+        X, V = np.empty((n, m - 2, m - 2)), np.empty((n, 2, m - 2, m - 2))
+        self.X, self.V = X.transpose(1, 2, 0), V.transpose(2, 3, 0, 1)
+        self.x2 = np.empty((m - 2, m - 2, n, 2, 2))       # x^i_ab
+        self.hcoef = np.empty((m - 2, m - 2, n, 2, 2))    # H^(i)_(a)b
+        # G^(i)_(a)b, then x2 + 2 (G + H), which the contraction reads as (q, n, 2, 2)
+        self.acc = np.empty((m - 2, m - 2, n, 2, 2))
+        self.flat = self.acc.reshape(-1, n, 2, 2)
 
     def residual(self, vals: np.ndarray, rhs: np.ndarray | float) -> np.ndarray:
         """(q, n): the harmonic residual of the grid values `vals` at the
         interior nodes (jet coordinates from central differences), minus rhs."""
-        d1, d2, n, (G, H) = self.d1, self.d2, self.n, self.sprays
+        V, x2, acc, (G, H) = self.V, self.x2, self.acc, self.sprays
         c = vals[1:-1, 1:-1]                      # (m-2, m-2, n)
         e, w = vals[2:, 1:-1], vals[:-2, 1:-1]
         nn, ss = vals[1:-1, 2:], vals[1:-1, :-2]
         ne, sw = vals[2:, 2:], vals[:-2, :-2]
         nw, se = vals[:-2, 2:], vals[2:, :-2]
-        d11 = (e - 2 * c + w) / d1 ** 2
-        d22 = (nn - 2 * c + ss) / d2 ** 2
-        d12 = (ne + sw - nw - se) / (4 * d1 * d2)
-        v1 = (e - w) / (2 * d1)
-        v2 = (nn - ss) / (2 * d2)
-        q = len(self.T)
-        X = c.reshape(q, n)
-        V = np.stack([v1.reshape(q, n), v2.reshape(q, n)], axis=2)  # (q, n, 2)
-        coeffs = G(X, V) + H(X, V)                                  # (q, n, 2, 2)
-        x2 = np.empty((q, n, 2, 2))
-        x2[:, :, 0, 0] = d11.reshape(q, n)
-        x2[:, :, 1, 1] = d22.reshape(q, n)
-        x2[:, :, 0, 1] = x2[:, :, 1, 0] = d12.reshape(q, n)
-        return np.einsum("qab,qiab->qi", self.hinv, x2 + 2.0 * coeffs) - rhs
+        c2 = 2 * c
+        np.divide(e - c2 + w, self.d1sq, out=x2[..., 0, 0])
+        np.divide(nn - c2 + ss, self.d2sq, out=x2[..., 1, 1])
+        np.divide(ne + sw - nw - se, self.d12x4, out=x2[..., 0, 1])
+        x2[..., 1, 0] = x2[..., 0, 1]
+        np.divide(e - w, self.d1x2, out=V[..., 0])
+        np.divide(nn - ss, self.d2x2, out=V[..., 1])
+        np.copyto(self.X, c)
+        np.add(G(self.X, V, acc), H(self.X, V, self.hcoef), out=acc)
+        np.multiply(acc, 2.0, out=acc)
+        np.add(x2, acc, out=acc)
+        return np.einsum("qab,qiab->qi", self.hinv, self.flat) - rhs
 
-    def smooth(self, vals: np.ndarray, R: np.ndarray, rhs: np.ndarray | float,
-               damping: float) -> np.ndarray:
-        """One damped-Jacobi step on `vals`, in place, from its residual R;
-        returns the new residual."""
+    def relax(self, vals: np.ndarray, R: np.ndarray, damping: float) -> None:
+        """One damped-Jacobi step on `vals`, in place, from its residual R."""
         vals[1:-1, 1:-1] += (damping * R / self.kappa[:, None]).reshape(
             self.m - 2, self.m - 2, self.n)
-        return self.residual(vals, rhs)
 
 
 def _restrict(R: np.ndarray, m: int) -> np.ndarray:
@@ -331,18 +357,32 @@ def _prolong(E: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sweeps(level: _Level, vals: np.ndarray, R: np.ndarray, rhs: np.ndarray | float,
+            damping: float, count: int, keep: bool) -> np.ndarray | None:
+    """`count` damped-Jacobi steps on `vals` from its residual R, each
+    followed by the new residual, which is returned; with `keep` False the
+    final step only relaxes and None is returned, as nothing reads it."""
+    for k in range(count):
+        level.relax(vals, R, damping)
+        if not keep and k == count - 1:
+            return None
+        R = level.residual(vals, rhs)
+    return R
+
+
 def _v_cycle(levels: list[_Level], k: int, vals: np.ndarray, R: np.ndarray,
-             rhs: np.ndarray | float, damping: float) -> np.ndarray:
+             rhs: np.ndarray | float, damping: float) -> np.ndarray | None:
     """One FAS V-cycle from level k down, updating `vals` in place towards
-    residual(vals) = rhs; R is its residual on entry, the new one is returned.
-    A hierarchy of one level makes the cycle a single Jacobi sweep."""
-    level = levels[k]
+    residual(vals) = rhs; R is its residual on entry.  The finest level
+    (k = 0) returns its new residual, which the solver reads.  A coarser
+    level's result is the correction left in `vals`, so its last sweep
+    only relaxes and the cycle returns None.  A hierarchy of one level
+    makes the cycle a single Jacobi sweep."""
+    level, fine = levels[k], k == 0
     if k == len(levels) - 1:
-        for _ in range(_coarsest_sweeps(level.m) if k else 1):
-            R = level.smooth(vals, R, rhs, damping)
-        return R
-    for _ in range(PRE_SWEEPS):
-        R = level.smooth(vals, R, rhs, damping)
+        return _sweeps(level, vals, R, rhs, damping,
+                       1 if fine else _coarsest_sweeps(level.m), fine)
+    R = _sweeps(level, vals, R, rhs, damping, PRE_SWEEPS, True)
     # full approximation scheme: the coarse problem is solved for the
     # injected values themselves, its right-hand side carrying the
     # restricted fine residual, so the coarse residual starts out as that
@@ -352,10 +392,7 @@ def _v_cycle(levels: list[_Level], k: int, vals: np.ndarray, R: np.ndarray,
     approx = start.copy()
     _v_cycle(levels, k + 1, approx, Rc, coarse.residual(start, 0.0) - Rc, damping)
     vals[1:-1, 1:-1] += _prolong(approx - start)[1:-1, 1:-1]
-    R = level.residual(vals, rhs)
-    for _ in range(POST_SWEEPS):
-        R = level.smooth(vals, R, rhs, damping)
-    return R
+    return _sweeps(level, vals, level.residual(vals, rhs), rhs, damping, POST_SWEEPS, fine)
 
 
 def _grid_sizes(m: int) -> list[int]:

@@ -126,24 +126,38 @@ class JetTable:
         return self._filled(len(T), self.kernel(*np.asarray(T, float).T,
                                                 *self._jet_columns(X, V)))
 
-    def batch_at(self, T: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    def batch_at(self, T: np.ndarray) -> Callable[..., np.ndarray]:
         """`batch` on the fixed temporal nodes T, as a function of (X, V):
         the kernel frozen on t1..tp (`Table.freeze`), so the terms that read
         only t are computed once, here, and a metric degenerate at a node
-        raises GeometryError here.  Every value is bit for bit the one
-        `batch(T, X, V)` gives.  When no entry reads x or the jet variables
-        (the spray of a flat metric), every call returns the same read-only
-        array."""
-        q, fixed = len(T), temporal_names(self.p)
-        table = self.kernel.freeze(fixed, list(np.asarray(T, float).T))
+        raises GeometryError here.  The nodes may be laid out in any shape:
+        T is (..., p), X (..., n) and V (..., n, p) over the same leading
+        shape, and the entries come back as (..., *shape), written into
+        `out` when a C-contiguous array of that shape is given.  The kernel
+        reads the components of X and V as they lie, with no copy.  Every
+        value is bit for bit the one `batch(T, X, V)` gives.  When no entry
+        reads x or the jet variables (the spray of a flat metric), every
+        call returns the same read-only array and leaves `out` alone."""
+        T = np.asarray(T, float)
+        lead, fixed = T.shape[:-1], temporal_names(self.p)
+        table = self.kernel.freeze(fixed, [T[..., a] for a in range(self.p)])
+        skip = len(self.metrics)
+        jets = [(i, a) for i in range(self.n) for a in range(self.p)]
 
-        def batch(X: np.ndarray, V: np.ndarray) -> np.ndarray:
-            return self._filled(q, table(*self._jet_columns(X, V)))
+        def batch(X: np.ndarray, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            values = table(*(X[..., i] for i in range(self.n)),
+                           *(V[..., i, a] for i, a in jets))
+            if out is None:
+                out = np.empty((*lead, *self.shape))
+            columns = out.reshape(*lead, -1)
+            for k, v in enumerate(values[skip:]):
+                columns[..., k] = v
+            return out
 
         if free_vars(*self.kernel.exprs) <= set(fixed):
-            constant = batch(np.zeros((q, self.n)), np.zeros((q, self.n, self.p)))
+            constant = batch(np.zeros((*lead, self.n)), np.zeros((*lead, self.n, self.p)))
             constant.flags.writeable = False
-            return lambda X, V: constant
+            return lambda X, V, out=None: constant
         return batch
 
 

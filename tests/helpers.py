@@ -113,6 +113,40 @@ def reference_affine_ode(pair, x0, v0, t_span, steps):
     return ts, xs, vs
 
 
+def reference_grid_residual(pair, T, hinv, d1, d2, vals):
+    """The harmonic residual of the m x m grid values `vals` (m, m, n) at the
+    interior nodes T ((m-2)^2, 2, row-major), as (q, n): second differences
+    and jet coordinates from central differences with spacings d1 and d2,
+    contracted with the metric inverse hinv (q, 2, 2).  The reference for
+    `maps._Level.residual`; it shares no code with it."""
+    m, n = vals.shape[0], vals.shape[2]
+
+    def coefficients(spray, X, V):
+        # the spray's own batch path on the whole (T, X, V), not the
+        # solver's frozen tables
+        return spray.tables.batch(T, X, V)
+
+    c = vals[1:-1, 1:-1]                      # (m-2, m-2, n)
+    e, w = vals[2:, 1:-1], vals[:-2, 1:-1]
+    nn, ss = vals[1:-1, 2:], vals[1:-1, :-2]
+    ne, sw = vals[2:, 2:], vals[:-2, :-2]
+    nw, se = vals[:-2, 2:], vals[2:, :-2]
+    d11 = (e - 2 * c + w) / d1 ** 2
+    d22 = (nn - 2 * c + ss) / d2 ** 2
+    d12 = (ne + sw - nw - se) / (4 * d1 * d2)
+    v1 = (e - w) / (2 * d1)
+    v2 = (nn - ss) / (2 * d2)
+    q = (m - 2) * (m - 2)
+    X = c.reshape(q, n)
+    V = np.stack([v1.reshape(q, n), v2.reshape(q, n)], axis=2)  # (q, n, 2)
+    coeffs = (coefficients(pair.spatial, X, V)
+              + coefficients(pair.temporal, X, V))               # (q, n, 2, 2)
+    x2 = np.empty((q, n, 2, 2))
+    x2[:, :, 0, 0] = d11.reshape(q, n)
+    x2[:, :, 1, 1] = d22.reshape(q, n)
+    x2[:, :, 0, 1] = x2[:, :, 1, 0] = d12.reshape(q, n)
+    return np.einsum("qab,qiab->qi", hinv, x2 + 2.0 * coeffs)   # (q, n)
+
 
 def jacobi_harmonic_reference(pair, h, boundary, m=33, tol=1e-9, max_iters=20000,
                               damping=0.8, domain=None):
@@ -145,34 +179,7 @@ def jacobi_harmonic_reference(pair, h, boundary, m=33, tol=1e-9, max_iters=20000
     if np.any(kappa <= 0):
         raise GeometryError("metric inverse is not positive on the grid diagonal")
 
-    def coefficients(spray, X, V):
-        # the spray's own batch path on the whole (T, X, V), not the
-        # solver's frozen tables
-        return spray.tables.batch(T, X, V)
-
-    def residual(vals: np.ndarray) -> np.ndarray:
-        c = vals[1:-1, 1:-1]                      # (m-2, m-2, n)
-        e, w = vals[2:, 1:-1], vals[:-2, 1:-1]
-        nn, ss = vals[1:-1, 2:], vals[1:-1, :-2]
-        ne, sw = vals[2:, 2:], vals[:-2, :-2]
-        nw, se = vals[:-2, 2:], vals[2:, :-2]
-        d11 = (e - 2 * c + w) / d1 ** 2
-        d22 = (nn - 2 * c + ss) / d2 ** 2
-        d12 = (ne + sw - nw - se) / (4 * d1 * d2)
-        v1 = (e - w) / (2 * d1)
-        v2 = (nn - ss) / (2 * d2)
-        q = (m - 2) * (m - 2)
-        X = c.reshape(q, n)
-        V = np.stack([v1.reshape(q, n), v2.reshape(q, n)], axis=2)  # (q, n, 2)
-        coeffs = (coefficients(pair.spatial, X, V)
-                  + coefficients(pair.temporal, X, V))               # (q, n, 2, 2)
-        x2 = np.empty((q, n, 2, 2))
-        x2[:, :, 0, 0] = d11.reshape(q, n)
-        x2[:, :, 1, 1] = d22.reshape(q, n)
-        x2[:, :, 0, 1] = x2[:, :, 1, 0] = d12.reshape(q, n)
-        return np.einsum("qab,qiab->qi", hinv, x2 + 2.0 * coeffs)   # (q, n)
-
-    R = residual(values)
+    R = reference_grid_residual(pair, T, hinv, d1, d2, values)
     initial = float(np.max(np.abs(R)))
     if initial <= tol:
         return "converged", 0, initial, t1, t2, values, []
@@ -182,7 +189,7 @@ def jacobi_harmonic_reference(pair, h, boundary, m=33, tol=1e-9, max_iters=20000
     for sweep in range(1, max_iters + 1):
         step = (damping * R / kappa[:, None]).reshape(m - 2, m - 2, n)
         values[1:-1, 1:-1] += step
-        R = residual(values)
+        R = reference_grid_residual(pair, T, hinv, d1, d2, values)
         worst = float(np.max(np.abs(R)))
         history.append(worst)
         if worst <= tol:

@@ -37,7 +37,7 @@ from jetflow.sprays import (
 )
 
 from helpers import (golden_writer, jacobi_harmonic_reference, reference_affine_ode,
-                     standard_metrics)
+                     reference_grid_residual, standard_metrics)
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -496,6 +496,56 @@ def test_grid_transfers():
     for alternating in ((-1.0) ** np.indices((7, 7))):
         assert np.array_equal(maps._restrict(alternating.reshape(-1, 1), 9),
                               np.zeros((9, 1)))
+
+
+@pytest.mark.parametrize("rhs", ["zero", "array"])
+@pytest.mark.parametrize("target", ["euclidean:1", "euclidean:2", "euclidean:3", "sphere:2",
+                                    "conformal2d:0.2*(x1^2 + x2^2)"])
+@pytest.mark.parametrize("m", [3, 5, 9, 17])
+def test_level_residual_matches_reference_bit_for_bit(m, target, rhs):
+    """A level's residual, on its frozen tables and buffers, is the
+    reference residual of tests/helpers.py minus rhs, bit for bit, at
+    random grid values; a second call on other values reuses the buffers
+    and still agrees."""
+    h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
+    pair = canonical_pair(h, metric_from_name(target, kind="spatial"))
+    t1, t2 = np.linspace(-1.0, 1.0, m), np.linspace(-0.5, 0.7, m)
+    level = maps._Level(pair, h, t1, t2)
+    rng = np.random.default_rng(m)
+    for _ in range(2):
+        vals = rng.uniform(0.4, 1.4, (m, m, pair.temporal.n))
+        b = 0.0 if rhs == "zero" else rng.normal(0.0, 1.0, ((m - 2) ** 2, pair.temporal.n))
+        want = reference_grid_residual(pair, level.T, level.hinv, t1[1] - t1[0],
+                                       t2[1] - t2[0], vals) - b
+        got = level.residual(vals, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_v_cycle_computes_no_residual_it_discards(monkeypatch):
+    """On the seed-2026 benchmark problem (17 x 17, levels 17, 9, 5, 3) the
+    finest level evaluates its residual once up front and four times per
+    V-cycle, each coarse level four times and the coarsest twice; the last
+    sweep on a coarse level only relaxes, as no one reads its residual."""
+    h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
+    pair = canonical_pair(h, metric_from_name("euclidean:2"))
+    f = SmoothMap(2, ["-0.7638214601533735*(t1^2 - t2^2) + -0.8786981412954407*t1*t2",
+                      "0.857904385207962*(t1^2 - t2^2) + -0.8522862045962581*t1*t2"])
+    events = []
+    for name in ("residual", "relax"):
+        real = getattr(maps._Level, name)
+        monkeypatch.setattr(maps._Level, name,
+                            lambda self, *a, _real=real, _name=name:
+                            events.append((self.m, _name)) or _real(self, *a))
+    sol = solve_harmonic_grid(pair, h, f, m=17, tol=1e-9, domain=SQUARE)
+    assert sol.converged and sol.iterations == 17
+    count = {(m, name): events.count((m, name)) for m in (17, 9, 5, 3)
+             for name in ("residual", "relax")}
+    assert [count[m, "residual"] for m in (17, 9, 5, 3)] == [69, 68, 68, 34]
+    assert [count[m, "relax"] for m in (17, 9, 5, 3)] == [51, 51, 51, 34]
+    # leaving a level for a finer one: the coarse level's last call relaxed
+    for (m, name), (m_next, _) in zip(events, events[1:]):
+        if m_next > m:
+            assert name == "relax", (m, m_next)
 
 
 def _run_demo(command: str, out_dir: Path) -> dict:

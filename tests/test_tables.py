@@ -331,6 +331,13 @@ def test_batch_at_matches_batch():
         got = s.tables.batch_at(T)(X, V)
         assert got.tobytes() == s.tables.batch(T, X, V).tobytes()
         assert got.shape == (11, 2, 2, 2) and got.flags.writeable
+    # nodes laid out as a 3 x 3 grid, the entries written into a given array
+    T, X, V = T[:-2].reshape(3, 3, 2), X[:-2].reshape(3, 3, 2), V[:-2].reshape(3, 3, 2, 2)
+    for s in [s for pr in [pair, *_derived_pairs(pair, h)] for s in (pr.temporal, pr.spatial)]:
+        out = np.empty((3, 3, 2, 2, 2))
+        assert s.tables.batch_at(T)(X, V, out) is out
+        want = s.tables.batch(T.reshape(9, 2), X.reshape(9, 2), V.reshape(9, 2, 2))
+        assert out.tobytes() == want.tobytes()
 
 
 def test_flat_metric_spray_is_one_constant_array():
