@@ -121,13 +121,19 @@ def _cmd_harmonic(sc: Scenario, args) -> int:
         boundary = SmoothMap(2, section["boundary"], name="boundary")
     except ValueError as exc:
         raise ScenarioError(f"scenario error at '/harmonic/boundary': {exc}") from exc
+    tol, damping = section.get("tolerance", 1e-9), section.get("damping", 0.8)
+    sides = [(float(lo), float(hi)) for lo, hi in section.get("domain") or ()]
+    values = [tol, damping, *(v for lo, hi in sides for v in (lo, hi, hi - lo))]
+    if not np.all(np.isfinite(values)) or any(lo == hi for lo, hi in sides):
+        raise ScenarioError("tolerance, damping, the domain sides and their lengths must be "
+                            "finite, and no side may have zero length")
     pair = canonical_pair(sc.temporal_metric, sc.spatial_metric)
     sol = solve_harmonic_grid(
         pair, sc.temporal_metric, boundary,
         m=section.get("grid", 33),
-        tol=section.get("tolerance", 1e-9),
+        tol=tol,
         max_iters=section.get("max_iters", 20000),
-        damping=section.get("damping", 0.8),
+        damping=damping,
         domain=section.get("domain"))
     report = {
         "command": "harmonic",

@@ -25,9 +25,10 @@ visits a distinct node object once, so shared subtrees stay shared.
 object evaluated once, and `compile_table` turns a table into a function
 that runs that walk on its first few calls and then one compiled
 straight-line function with shared subexpressions and the same guards; the
-tree interpreter (``Expr.eval``) is the reference for both.  `compile_rk4`
-writes tables into one generated RK4 loop on Python floats, with the same
-emitter.
+tree interpreter (``Expr.eval``) is the reference for both.  `compile_floats`
+compiles a table with the same emitter for Python floats only, and
+`compile_rk4` generates one RK4 loop on Python floats that calls such a
+right-hand side once per stage.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "parse", "to_str", "evaluate", "evaluate_table", "diff", "subst", "free_vars",
     "num", "var", "neg", "add", "sub", "mul", "div", "pow_", "call",
-    "FUNCTIONS", "compile_table", "Table", "WALK_CALLS", "table_columns", "compile_rk4",
+    "FUNCTIONS", "compile_table", "Table", "WALK_CALLS", "table_columns",
+    "compile_floats", "compile_rk4",
 ]
 
 MAX_EXPONENT = 1000
@@ -762,9 +764,9 @@ _TABLE_NAMESPACE: dict[str, object] = {
        for fn, (scalar_fn, array_fn, _) in FUNCTIONS.items()},
     **{f"_g_{fn}": domain for fn, (_, _, domain) in FUNCTIONS.items() if domain is not None},
 }
-# the same names in the float-only code of `compile_rk4`
+# the same names in float-only code (`compile_floats`)
 _FLOAT_NAMESPACE: dict[str, object] = {
-    "ExprError": ExprError, "_isfinite": math.isfinite,
+    "ExprError": ExprError,
     **{f"_f_{fn}": scalar_fn for fn, (scalar_fn, _, _) in FUNCTIONS.items()},
     **{f"_g_{fn}": domain for fn, (_, _, domain) in FUNCTIONS.items() if domain is not None},
 }
@@ -877,8 +879,8 @@ class _Emitter:
     """The lines of straight-line Python that compute tables of expressions.
 
     `args` maps each variable name to the operand text that holds its
-    value, and each computed node gets one assignment to a temporary named
-    `prefix` and a counter.  Structurally equal subtrees are interned (one
+    value, and each computed node gets one assignment to a temporary, v0,
+    v1, ....  Structurally equal subtrees are interned (one
     pass over the trees, memoised by ``id``), a guard that passed is not
     repeated on the same operand, and the guards come in the interpreter's
     order.  With `floats`, the code runs on Python floats only: ``b ** k``
@@ -888,9 +890,9 @@ class _Emitter:
     then literals are frozen too, a node on frozen operands only is frozen,
     and its line goes to `outer` instead of `lines`."""
 
-    def __init__(self, args: Mapping[str, str], prefix: str = "v", floats: bool = False,
+    def __init__(self, args: Mapping[str, str], floats: bool = False,
                  frozen: set[str] | None = None):
-        self.args, self.prefix, self.floats = args, prefix, floats
+        self.args, self.floats = args, floats
         self.hoist = frozen is not None
         self.frozen = set() if frozen is None else frozen
         self.outer: list[str] = []
@@ -921,7 +923,7 @@ class _Emitter:
     def intern(self, key: tuple, code: str, *operands: str) -> str:
         got = self.by_key.get(key)
         if got is None:
-            got = self.by_key[key] = f"{self.prefix}{len(self.by_key)}"
+            got = self.by_key[key] = f"v{len(self.by_key)}"
             if self.place(operands, f"{got} = {code}"):
                 self.frozen.add(got)
         return got
@@ -983,10 +985,12 @@ def _define(src: Sequence[str], ns: dict, filename: str, name: str) -> Callable:
 
 
 def _compile(exprs: Sequence[Expr], names: Sequence[str],
-             checks: Sequence[Callable[[Value], None]],
-             fixed: Collection[str] | None = None) -> Callable:
+             checks: Sequence[Callable[[Value], None] | None],
+             fixed: Collection[str] | None = None, floats: bool = False,
+             last: int | None = None) -> Callable:
     """One straight-line function for a table (`_Emitter`): one assignment
-    per distinct node.
+    per distinct node.  With `floats` it runs on Python floats only and
+    returns the last `last` entries.
 
     With `fixed`, the result is ``make(<fixed args>)`` instead, fixed
     arguments in `names` order.  A node is frozen when all its operands are
@@ -994,71 +998,60 @@ def _compile(exprs: Sequence[Expr], names: Sequence[str],
     nodes, with the guards (and checks) on frozen operands, and returns
     ``table(<other args>)``, which computes the rest."""
     args = {name: f"a{k}" for k, name in enumerate(names)}
-    em = _Emitter(args, frozen=None if fixed is None else {args[name] for name in fixed})
-    named = {f"check{k}": check for k, check in enumerate(checks)}
-    outs = em.table(exprs, list(named))
+    em = _Emitter(args, floats=floats,
+                  frozen=None if fixed is None else {args[name] for name in fixed})
+    named = {f"check{k}": check for k, check in enumerate(checks) if check is not None}
+    outs = em.table(exprs, [None if check is None else f"check{k}"
+                            for k, check in enumerate(checks)])
+    if last is not None:
+        outs = outs[len(outs) - last:]
     lines = [*em.lines, f"return ({''.join(o + ', ' for o in outs)})"]
     inner = [a for name, a in args.items() if fixed is None or name not in fixed]
     src = [f"def table({', '.join(inner)}):", *(f"    {x}" for x in lines)]
     if fixed is not None:
         src = [f"def make({', '.join(a for name, a in args.items() if name in fixed)}):",
                *(f"    {x}" for x in [*em.outer, *src, "return table"])]
-    return _define(src, dict(_TABLE_NAMESPACE, **named), "<compiled table>",
-                   "table" if fixed is None else "make")
+    return _define(src, dict(_FLOAT_NAMESPACE if floats else _TABLE_NAMESPACE, **named),
+                   "<compiled table>", "table" if fixed is None else "make")
 
 
 # ---------------------------------------------------------------------------
 # generated RK4 loops
 
 
-def compile_rk4(state: Sequence[str], s: str, rhs: Sequence[Expr],
-                blocks: Sequence[tuple[Callable, Sequence[str], Sequence[str]]] = (),
+def compile_floats(exprs: Sequence[Expr], names: Sequence[str],
+                   checks: Sequence[Callable[[float], None] | None] = (),
+                   last: int | None = None) -> Callable[..., tuple]:
+    """A table of expressions as one compiled function on Python floats,
+    taking one float per name, in order, and returning its last `last`
+    entries (all by default): the form `compile_rk4` calls.
+
+    Each node computes exactly what ``Expr.eval`` computes on floats, with
+    the interpreter's guards in its order.  ``checks[k]``, unless None, is
+    called with entry k's value before any later entry is computed.  The
+    nodes that read only literals are computed here, once, with their
+    guards, and so are the checks on such entries (`Table.freeze`)."""
+    return _compile(exprs, names, checks, (), floats=True, last=last)()
+
+
+def compile_rk4(m: int, rhs: Callable[..., Sequence[float]],
                 nonfinite: Callable[[int, int, float], None] | None = None) -> Callable:
-    """Classic RK4 for y' = F(s, y) as one generated function
+    """Classic RK4 for y' = F(s, y), y of m values, as one generated function
     ``run(s0, *y0, ds, steps, rows)`` on Python floats.
 
-    `state` names the entries of y and `s` the independent variable.  `rhs`
-    is F, one expression per entry of y, over those names and the outputs
-    of `blocks`; it is written out as it stands, so build it from the raw
-    node classes (``add(g, num(0.0))`` folds to g, and -2(g + 0.0) is not
-    -2g at g = -0.0).  Each block ``(fn, inputs, outputs)`` computes the
-    values named by `outputs` from those named by `inputs`, once per
-    stage, in the order given.  A `Table` is written into the loop in float
-    form, with each of its checks as a call on its entry; a check on a
-    literal entry runs once, here.  Any other callable is called as
-    ``fn(*inputs)`` and returns one float per output.
-
-    `run` takes `steps` steps of size `ds` from (s0, y0), in the operation
-    order of the same RK4 on numpy vectors, so its values are theirs bit
-    for bit: half = 0.5*ds, sixth = ds/6, stage inputs y + half*k1,
+    `rhs` is F: ``rhs(s, *y)`` returns the m slopes, and `run` calls it
+    once per stage (`compile_floats` makes one from expressions).  `run`
+    takes `steps` steps of size `ds` from (s0, y0), in the operation order
+    of the same RK4 on numpy vectors, so its values are theirs bit for
+    bit: half = 0.5*ds, sixth = ds/6, stage inputs y + half*k1,
     y + half*k2 and y + ds*k3 at s + half, s + half and s + ds, the update
     y + sixth*(k1 + 2*k2 + 2*k3 + k4), then s = s0 + step*ds.  It returns
-    the final (s, *y) and, when `rows` is not None, sets rows[step - 1] to
-    (s, *y) at the start of each step and rows[steps] to the final one.
+    the final (s, *y).  `rows`, unless None, is a C-contiguous float64
+    array of shape (steps + 1, m + 1): `run` sets rows[step - 1] to (s, *y)
+    at the start of each step and rows[steps] to the final one.
     With `nonfinite`, every stage input and the final state are checked
     first, and ``nonfinite(step, steps, s)`` is called (to raise) where one
     of them is not finite."""
-    m = len(state)
-    names = [s, *state, *(o for _, _, outs in blocks for o in outs)]
-    if len(set(names)) != len(names):
-        raise ExprError(f"the names of an RK4 loop must be distinct: {names}")
-    if len(rhs) != m:
-        raise ExprError(f"an RK4 loop over {m} values needs {m} right-hand sides")
-    ns = dict(_FLOAT_NAMESPACE, nonfinite=nonfinite)
-    checks: list[list[str | None]] = []
-    for j, (fn, ins, outs) in enumerate(blocks):
-        if isinstance(fn, Table) and (len(ins), len(outs)) != (len(fn.names), len(fn.exprs)):
-            raise ExprError(f"block {j} does not match its table's names and entries")
-        ns[f"blk{j}"] = fn
-        checks.append([])
-        for k, check in enumerate(fn.checks if isinstance(fn, Table) else ()):
-            if isinstance(fn.exprs[k], Num):
-                check(fn.exprs[k].value)        # a constant entry: checked once
-                checks[j].append(None)
-            else:
-                checks[j].append(f"check{j}_{k}")
-                ns[f"check{j}_{k}"] = check
-
     ys = [f"y{i}" for i in range(m)]
     body: list[str] = []
 
@@ -1069,24 +1062,11 @@ def compile_rk4(state: Sequence[str], s: str, rhs: Sequence[Expr],
         return [f"if not ({finite}): nonfinite({step}, steps, {at})"]
 
     def stage(k: int, at: str, values: Sequence[str]) -> list[str]:
-        """F at (at, values) for stage k; the operand texts of its entries."""
+        """The slopes of stage k at (at, values)."""
+        slopes = [f"k{k}_{i}" for i in range(m)]
         body.extend(guard("step", at, values))
-        bind = {s: at, **dict(zip(state, values))}
-        for j, ((fn, ins, outs), named) in enumerate(zip(blocks, checks)):
-            operands = [_lookup(bind, name) for name in ins]
-            prefix = f"b{j}s{k}_"
-            if isinstance(fn, Table):
-                em = _Emitter(dict(zip(fn.names, operands)), prefix, floats=True)
-                texts = em.table(fn.exprs, named)
-                body.extend(em.lines)
-            else:
-                texts = [f"{prefix}{i}" for i in range(len(outs))]
-                body.append(f"{''.join(t + ', ' for t in texts)}= blk{j}({', '.join(operands)})")
-            bind.update(zip(outs, texts))
-        em = _Emitter(bind, f"f{k}_", floats=True)
-        texts = em.table(rhs)
-        body.extend(em.lines)
-        return texts
+        body.append(f"{''.join(d + ', ' for d in slopes)}= rhs({at}, {', '.join(values)})")
+        return slopes
 
     def inputs(k: int, scale: str, slopes: Sequence[str]) -> list[str]:
         zs = [f"z{k}_{i}" for i in range(m)]
@@ -1103,17 +1083,23 @@ def compile_rk4(state: Sequence[str], s: str, rhs: Sequence[Expr],
                for y, a, b, c, d in zip(ys, k1, k2, k3, k4)]
     body += [f"{''.join(y + ', ' for y in ys)}= {''.join(u + ', ' for u in updates)}",
              "s = s0 + step*ds"]
-    point = f"(s, {''.join(y + ', ' for y in ys)})"
+    # a row goes into `rows` one float at a time, through a flat view: a
+    # tuple assigned to a numpy row costs about twice as much
+    store = [f"out[at + {k}] = {v}" for k, v in enumerate(["s", *ys])]
     src = [f"def run(s0, {''.join(y + ', ' for y in ys)}ds, steps, rows):",
            "    half = 0.5*ds",
            "    sixth = ds/6.0",
            "    s = s0",
+           "    out = None if rows is None else memoryview(rows).cast('B').cast('d')",
+           "    at = 0",
            "    for step in range(1, steps + 1):",
-           "        if rows is not None:",
-           f"            rows[step - 1] = {point}",
+           "        if out is not None:",
+           *(f"            {x}" for x in store),
+           f"            at += {m + 1}",
            *(f"        {x}" for x in body),
            *(f"    {x}" for x in guard("steps", "s", ys)),
-           "    if rows is not None:",
-           f"        rows[steps] = {point}",
-           f"    return {point}"]
+           "    if out is not None:",
+           *(f"        {x}" for x in store),
+           f"    return (s, {''.join(y + ', ' for y in ys)})"]
+    ns = {"_isfinite": math.isfinite, "rhs": rhs, "nonfinite": nonfinite}
     return _define(src, ns, "<compiled rk4>", "run")

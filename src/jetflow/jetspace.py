@@ -12,9 +12,7 @@ i*p + a.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -68,21 +66,6 @@ class JetPoint:
     @property
     def n(self) -> int:
         return self.x.size
-
-    def to_dict(self) -> dict:
-        return {"t": self.t.tolist(), "x": self.x.tolist(), "v": self.v.tolist()}
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "JetPoint":
-        return JetPoint(np.asarray(d["t"], float), np.asarray(d["x"], float),
-                        np.asarray(d["v"], float))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str) -> "JetPoint":
-        return JetPoint.from_dict(json.loads(s))
 
 
 def jet_env(u: JetPoint) -> dict[str, float]:

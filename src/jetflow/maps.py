@@ -13,9 +13,9 @@ The harmonic and Poisson forms agree identically: the Christoffel trace
 added inside Delta_h is subtracted back inside the source.
 
 Two solvers are provided: a fixed-step RK4 integrator for the p = 1 affine
-equation (geodesics of a spray pair), generated as one straight-line loop
-on Python floats with both sprays' tables written into each stage
-(`exprlang.compile_rk4`), and nonlinear full-approximation-scheme (FAS)
+equation (geodesics of a spray pair), generated as one loop on Python
+floats that calls one compiled float table of both sprays' entries per
+stage (`exprlang.compile_rk4`), and nonlinear full-approximation-scheme (FAS)
 multigrid V-cycles, smoothed by damped Jacobi, for the p = 2 harmonic
 equation on a rectangular grid with Dirichlet boundary data.  Both take
 every spray pair the same way, through the sprays' `sprays.JetTable`s.
@@ -29,10 +29,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import (Add, Expr, Mul, Num, Table, Var, compile_rk4, diff, evaluate,
-                       free_vars, parse)
+from .exprlang import (Add, Expr, Mul, Num, Var, compile_floats, compile_rk4, diff,
+                       evaluate, free_vars, parse)
 from .geometry import GeometryError, Metric
-from .numdiff import jet_names, spatial_names, temporal_names
+from .numdiff import jet_names, temporal_names
 from .jetspace import JetPoint
 from .sprays import SprayPair
 
@@ -167,56 +167,53 @@ class OdeSolution:
     vs: np.ndarray       # (steps + 1, n)
 
 
-def _jet_block(spray, n: int, name: str) -> tuple[Callable, list[str], list[str]]:
-    """The spray as a block of the generated RK4 (`compile_rk4`): a function
-    of the flat p = 1 jet (t1, x1..xn, x1_1..xn_1) whose outputs named
-    name1..name<n> are S^{(1)}_{(1)1}..S^{(n)}_{(1)1}.  While
-    `coefficients` is still `tables.at`, that is the spray's table, written
-    into the loop (its leading entries, named name + "det0", ..., are the
-    checked det g of its metrics); a replaced `coefficients` runs on a
-    JetPoint once per stage."""
-    names = temporal_names(1) + spatial_names(n) + jet_names(n, 1)
-    outs = [f"{name}{i + 1}" for i in range(n)]
-    tables = spray.tables
-    if spray.coefficients == tables.at:
-        dets = [f"{name}det{k}" for k in range(len(tables.metrics))]
-        return tables.kernel, names, [*dets, *outs]
-
-    def coefficients(*args: float) -> list[float]:
-        u = JetPoint(np.array(args[:1]), np.array(args[1:1 + n]),
-                     np.array(args[1 + n:]).reshape(n, 1))
-        return spray.coefficients(u)[:, 0, 0].tolist()
-
-    return coefficients, names, outs
-
-
 def _nonfinite(step: int, steps: int, t: float) -> None:
     raise MapError(f"non-finite geodesic state in RK4 step {step} of {steps}, at t = {t!r}")
 
 
+def _coefficients_rhs(pair: SprayPair, n: int) -> Callable[..., tuple]:
+    """F = (v, -2 (G + H)^{(i)}_{(1)1}) at (t1, x, v) through the sprays'
+    `coefficients` on a JetPoint, one call per spray: the right-hand side
+    for sprays whose `coefficients` is not their tables' `at`."""
+    def rhs(t: float, *y: float) -> tuple:
+        u = JetPoint(np.array([t]), np.array(y[:n]), np.array(y[n:]).reshape(n, 1))
+        G = pair.spatial.coefficients(u)[:, 0, 0].tolist()
+        H = pair.temporal.coefficients(u)[:, 0, 0].tolist()
+        return (*y[n:], *(-2.0 * (g + h) for g, h in zip(G, H)))
+
+    return rhs
+
+
 def _geodesic_loop(pair: SprayPair, n: int) -> Callable:
     """The generated RK4 of the p = 1 affine equation: state (x, v) and
-    F = (v, -2 (G + H)^{(i)}_{(1)1}).  Built once per pair of spray tables
-    when both sprays run their tables, and on every call otherwise."""
-    G, H = _jet_block(pair.spatial, n, "G"), _jet_block(pair.temporal, n, "H")
-    shared = isinstance(G[0], Table) and isinstance(H[0], Table)
-    if shared and pair.temporal.tables in pair.spatial.tables.loops:
-        return pair.spatial.tables.loops[pair.temporal.tables]
-    x, v = spatial_names(n), jet_names(n, 1)
-    # raw nodes: add() would fold a flat spray's H = 0.0 away, and
-    # -2 (G + 0.0) is not -2 G at G = -0.0
-    accel = [Mul(Num(-2.0), Add(Var(f"G{i}"), Var(f"H{i}"))) for i in range(1, n + 1)]
-    loop = compile_rk4([*x, *v], "t1", [*map(Var, v), *accel], [G, H], nonfinite=_nonfinite)
-    if shared:
-        pair.spatial.tables.loops[pair.temporal.tables] = loop
-    return loop
+    F = (v, -2 (G + H)^{(i)}_{(1)1}).  While both sprays' `coefficients`
+    are their tables' `at`, F is one float table (`compile_floats`) of the
+    spatial kernel's checked dets and entries, the temporal kernel's, v and
+    -2 (G + H), and the loop is built once per pair of spray tables;
+    otherwise F calls `coefficients` and the loop is built on every call."""
+    G, H = pair.spatial.tables, pair.temporal.tables
+    if pair.spatial.coefficients != G.at or pair.temporal.coefficients != H.at:
+        return compile_rk4(2 * n, _coefficients_rhs(pair, n), _nonfinite)
+    if H not in G.loops:
+        exprs: list[Expr] = []
+        checks: list[Callable | None] = []
+        for kernel in (G.kernel, H.kernel):
+            checks += [None] * (len(exprs) - len(checks)) + list(kernel.checks)
+            exprs += kernel.exprs
+        # raw nodes: add() would fold a flat spray's H = 0.0 away, and
+        # -2 (G + 0.0) is not -2 G at G = -0.0
+        accel = [Mul(Num(-2.0), Add(g, h)) for g, h in zip(G.entries, H.entries)]
+        rhs = compile_floats([*exprs, *map(Var, jet_names(n, 1)), *accel], G.names, checks,
+                             last=2 * n)
+        G.loops[H] = compile_rk4(2 * n, rhs, _nonfinite)
+    return G.loops[H]
 
 
 def solve_affine_ode(pair: SprayPair, x0: np.ndarray, v0: np.ndarray,
                      t_span: tuple[float, float], steps: int) -> OdeSolution:
     """Classic RK4 for the p = 1 affine equation
     x'' = -2 (G + H)^{(i)}_{(1)1}, as one generated loop on Python floats
-    with both sprays' tables written into it (`_geodesic_loop`).  A
+    that calls one compiled right-hand side per stage (`_geodesic_loop`).  A
     non-finite stage input stops the solve with MapError before the sprays
     see it, and so does a non-finite final state."""
     if pair.temporal.p != 1:

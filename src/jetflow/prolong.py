@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import (Expr, add, compile_rk4, compile_table, diff, free_vars, mul, num,
-                       parse, subst)
+from .exprlang import (Expr, add, compile_floats, compile_rk4, compile_table, diff,
+                       free_vars, mul, num, parse, subst)
 from .dtensor import DTensorField, IndexSignature
 from .connection import NonlinearConnection
 from .numdiff import ChangeMap, jet_names, spatial_names, temporal_names
@@ -71,9 +71,10 @@ class BaseVectorField:
 
     Numeric values come from two compiled tables (`compile_table`), each
     built on first use: the p + n components, and their first partials.
-    Its flow runs as one generated RK4 loop with the components written in
-    (`compile_rk4`), also built on first use.  All run on Python floats, so
-    they agree bit for bit with `Expr.eval`.
+    Its flow runs as one generated RK4 loop that calls the components, as
+    one compiled float table, once per stage (`compile_rk4`), also built on
+    first use.  All run on Python floats, so they agree bit for bit with
+    `Expr.eval`.
     """
 
     def __init__(self, p: int, n: int, temporal: Sequence[Expr | str],
@@ -103,7 +104,8 @@ class BaseVectorField:
     @cached_property
     def _flow(self) -> Callable[..., tuple]:
         """RK4 for the flow y' = X(y), y = (t, x), in the parameter s."""
-        return compile_rk4(self.variables, "s", self.temporal + self.spatial)
+        rhs = compile_floats(self.temporal + self.spatial, ["s", *self.variables])
+        return compile_rk4(self.p + self.n, rhs)
 
     @cached_property
     def _gradients(self) -> Callable[..., list[tuple]]:

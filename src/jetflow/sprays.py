@@ -19,8 +19,8 @@ The difference of two sprays of the same kind is a d-tensor; a spray is
 canonical part plus d-tensor remainder.
 
 Every spray, h-spray and nonlinear connection (connection.py) is one
-`JetTable`: symbolic entries over the jet variables whose pointwise,
-batched, frozen and jet-gradient values all run compiled tables.  A
+`JetTable`: symbolic entries over the jet variables whose pointwise and
+frozen batched values run one compiled table.  A
 canonical spray's entries come from the metric's symbolic Christoffel
 symbols, shared by every canonical spray of one metric and other
 dimension (a flat metric's fold to zeros); a derived object (an affine
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dtensor import DTensorField, IndexSignature, Verdict, law_check
-from .exprlang import Expr, Table, add, compile_table, diff, free_vars, mul, num, table_columns, var
+from .exprlang import Expr, Table, add, compile_table, diff, free_vars, mul, num, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, mixed_jet_derivatives
@@ -59,16 +59,17 @@ class SprayError(ValueError):
 
 class JetTable:
     """Symbolic entries over the jet variables t1..tp, x1..xn, x1_1..xn_p,
-    read as one row-major array of `shape`, and their compiled tables.
+    read as one row-major array of `shape`, and their compiled table.
 
-    Each table (`compile_table`) leads with det g of every metric the
-    entries read (`metrics`, in order), each checked as soon as it is
+    The table `kernel` (`compile_table`) leads with det g of every metric
+    the entries read (`metrics`, in order), each checked as soon as it is
     computed, so a degenerate metric stops any evaluation with
-    GeometryError before an entry divides by its det g.  The entries, and
-    each table, are built on first use: `kernel` holds the entries and
-    `_gradient` their jet gradient d entry / d x^k_g.  Points run on
-    Python floats (`at`, `gradient_at`), batches on numpy columns
-    (`batch`), and `batch_at` freezes the kernel on fixed temporal nodes."""
+    GeometryError before an entry divides by its det g.  The entries, the
+    kernel and the symbolic jet gradient (`gradient_entries`) are built on
+    first use.  Points run on Python floats (`at`), `batch_at` freezes the
+    kernel on fixed temporal nodes for numpy columns, and the geodesic
+    solver compiles the kernel's entries into the right-hand side of its
+    loop (`maps._geodesic_loop`)."""
 
     def __init__(self, p: int, n: int, shape: Sequence[int], metrics: Iterable[Metric],
                  entries: Callable[[], list[Expr]]):
@@ -76,8 +77,8 @@ class JetTable:
         self.metrics = list(dict.fromkeys(metrics))
         self._build_entries = entries
         self.names = temporal_names(p) + spatial_names(n) + jet_names(n, p)
-        # generated geodesic loops (maps.solve_affine_ode) that write this
-        # spatial spray's kernel in, by the temporal spray's table
+        # generated geodesic loops (maps.solve_affine_ode) whose right-hand
+        # side holds this spatial spray's kernel, by the temporal spray's table
         self.loops: dict[JetTable, Callable] = {}
 
     @cached_property
@@ -90,52 +91,26 @@ class JetTable:
         jets = jet_names(self.n, self.p)
         return [diff(e, v) for e in self.entries for v in jets]
 
-    def _table(self, exprs: list[Expr]) -> Table:
-        return compile_table([m.det for m in self.metrics] + exprs, self.names,
-                             [m.check_det for m in self.metrics])
-
     @cached_property
     def kernel(self) -> Table:
-        return self._table(self.entries)
-
-    @cached_property
-    def _gradient(self) -> Table:
-        return self._table(self.gradient_entries)
-
-    def _point(self, table: Table, u: JetPoint, shape: tuple[int, ...]) -> np.ndarray:
-        values = table(*u.t.tolist(), *u.x.tolist(), *u.v.ravel().tolist())
-        return np.array(values[len(self.metrics):]).reshape(shape)
+        return compile_table([m.det for m in self.metrics] + self.entries, self.names,
+                             [m.check_det for m in self.metrics])
 
     def at(self, u: JetPoint) -> np.ndarray:
-        return self._point(self.kernel, u, self.shape)
-
-    def gradient_at(self, u: JetPoint) -> np.ndarray:
-        """The jet gradient at u, of shape `shape` + (n, p)."""
-        return self._point(self._gradient, u, (*self.shape, self.n, self.p))
-
-    def _filled(self, q: int, values: Sequence) -> np.ndarray:
-        """(q, *shape) entries from a kernel's values (the dets first)."""
-        return table_columns(values[len(self.metrics):], q).reshape(q, *self.shape)
-
-    def _jet_columns(self, X: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
-        return [*np.asarray(X, float).T,
-                *np.asarray(V, float).reshape(len(X), self.n * self.p).T]
-
-    def batch(self, T: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """The entries at q jets given as T (q, p), X (q, n), V (q, n, p)."""
-        return self._filled(len(T), self.kernel(*np.asarray(T, float).T,
-                                                *self._jet_columns(X, V)))
+        values = self.kernel(*u.t.tolist(), *u.x.tolist(), *u.v.ravel().tolist())
+        return np.array(values[len(self.metrics):]).reshape(self.shape)
 
     def batch_at(self, T: np.ndarray) -> Callable[..., np.ndarray]:
-        """`batch` on the fixed temporal nodes T, as a function of (X, V):
-        the kernel frozen on t1..tp (`Table.freeze`), so the terms that read
-        only t are computed once, here, and a metric degenerate at a node
-        raises GeometryError here.  The nodes may be laid out in any shape:
-        T is (..., p), X (..., n) and V (..., n, p) over the same leading
-        shape, and the entries come back as (..., *shape), written into
-        `out` when a C-contiguous array of that shape is given.  The kernel
-        reads the components of X and V as they lie, with no copy.  Every
-        value is bit for bit the one `batch(T, X, V)` gives.  When no entry
+        """The entries at the jets (T, X, V) on the fixed temporal nodes T,
+        as a function of (X, V): the kernel frozen on t1..tp
+        (`Table.freeze`), so the terms that read only t are computed once,
+        here, and a metric degenerate at a node raises GeometryError here.
+        The nodes may be laid out in any shape: T is (..., p), X (..., n)
+        and V (..., n, p) over the same leading shape, and the entries come
+        back as (..., *shape), written into `out` when a C-contiguous array
+        of that shape is given.  The kernel reads the components of X and V
+        as they lie, with no copy.  Every value is bit for bit the one
+        ``Expr.eval`` gives on the columns of (T, X, V).  When no entry
         reads x or the jet variables (the spray of a flat metric), every
         call returns the same read-only array and leaves `out` alone."""
         T = np.asarray(T, float)
@@ -182,7 +157,7 @@ class Spray:
     """A spray whose coefficients arr[j, b, a] are the (n, p, p) entries of
     `tables`.  `coefficients` is `tables.at`; it is a field only so that a
     `dataclasses.replace` copy may wrap it, and then the geodesic solver
-    calls the wrapper (`maps._jet_block`)."""
+    calls the wrapper (`maps._geodesic_loop`)."""
 
     kind: str                                                # one of _KINDS
     tables: JetTable

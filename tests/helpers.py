@@ -7,6 +7,7 @@ import platform
 import numpy as np
 
 from jetflow import numdiff as nd
+from jetflow.exprlang import evaluate_table, table_columns
 from jetflow.geometry import metric_from_name, pullback_metric
 from jetflow.jetspace import random_jet
 
@@ -82,6 +83,35 @@ def fd_spray_gradient(s, u, eps: float = 1e-6) -> np.ndarray:
     return out
 
 
+def walk_entries(tables, exprs, env) -> list:
+    """`exprs`, entries of the JetTable `tables` or their jet gradients, at
+    the jets bound in `env` (floats or numpy columns), after the checked
+    det g of each of its metrics: the DAG walk `exprlang.evaluate_table`,
+    which shares no code with the compiled tables."""
+    metrics = tables.metrics
+    values = evaluate_table([m.det for m in metrics] + list(exprs), env,
+                            [m.check_det for m in metrics])
+    return values[len(metrics):]
+
+
+def walk_batch(tables, T, X, V) -> np.ndarray:
+    """The entries at q jets T (q, p), X (q, n), V (q, n, p), as an array of
+    shape (q, *tables.shape), walked on numpy columns."""
+    q = len(T)
+    columns = [*np.asarray(T, float).T, *np.asarray(X, float).T,
+               *np.asarray(V, float).reshape(q, tables.n * tables.p).T]
+    values = walk_entries(tables, tables.entries, dict(zip(tables.names, columns)))
+    return table_columns(values, q).reshape(q, *tables.shape)
+
+
+def walk_gradient(tables, u) -> np.ndarray:
+    """The jet gradient d entry / d x^k_g at the jet u, of shape
+    tables.shape + (n, p), walked on floats."""
+    from jetflow.jetspace import jet_env
+    values = walk_entries(tables, tables.gradient_entries, jet_env(u))
+    return np.array(values).reshape(*tables.shape, tables.n, tables.p)
+
+
 def reference_affine_ode(pair, x0, v0, t_span, steps):
     """(ts, xs, vs) of classic RK4 for x'' = -2 (G + H)^{(i)}_{(1)1} on numpy
     vectors, each right-hand side a JetPoint through the sprays'
@@ -122,9 +152,9 @@ def reference_grid_residual(pair, T, hinv, d1, d2, vals):
     m, n = vals.shape[0], vals.shape[2]
 
     def coefficients(spray, X, V):
-        # the spray's own batch path on the whole (T, X, V), not the
-        # solver's frozen tables
-        return spray.tables.batch(T, X, V)
+        # the DAG walk of the spray's entries on the whole (T, X, V), not
+        # the solver's frozen tables
+        return walk_batch(spray.tables, T, X, V)
 
     c = vals[1:-1, 1:-1]                      # (m-2, m-2, n)
     e, w = vals[2:, 1:-1], vals[:-2, 1:-1]

@@ -185,6 +185,30 @@ def test_geodesic_non_finite_input_exits_two(tmp_path, field, text):
     assert r.stderr == "error: x0, v0, t_span and the span's length must be finite\n"
 
 
+@pytest.mark.parametrize("field,text", [
+    ("domain", "[[1, 1], [-1, 1]]"),                       # a side of zero length
+    ("domain", "[[0, Infinity], [-1, 1]]"),
+    ("domain", "[[-1, 1], [NaN, 1]]"),
+    ("domain", "[[-1e308, 1e308], [-1, 1]]"),              # the side's length overflows
+    ("damping", "Infinity"),
+    ("tolerance", "NaN"),
+])
+def test_harmonic_non_finite_input_exits_two(tmp_path, field, text):
+    # like the geodesic's inputs: a bad input is a scenario error, and no
+    # report is written
+    path = tmp_path / "scenario.json"
+    path.write_text('{"dimensions": {"p": 2, "n": 1}, "metrics": '
+                    '{"temporal": "conformal2d:0.3*t1 - 0.2*t2", "spatial": "euclidean:1"}, '
+                    '"harmonic": {"boundary": ["t1^2 - t2^2"], "grid": 9, "%s": %s}}'
+                    % (field, text))
+    out = tmp_path / "report.json"
+    r = run_cli("harmonic", str(path), "--output", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and not out.exists()
+    assert r.stderr == ("error: tolerance, damping, the domain sides and their lengths must be "
+                        "finite, and no side may have zero length\n")
+
+
 def test_harmonic_converges_and_writes_csv(tmp_path):
     payload = {
         "dimensions": {"p": 2, "n": 1},

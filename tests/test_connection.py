@@ -22,7 +22,7 @@ from jetflow.jetspace import (JetPoint, frame_size, natural_frame_change,
                               random_jet, transform_jet)
 from jetflow.sprays import SprayPair, canonical_pair, h_trace, zero_spray
 
-from helpers import catalog, jets_in, standard_metrics
+from helpers import catalog, jets_in, standard_metrics, walk_gradient
 
 
 # --- frozen values ------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_spray_induced_n_matches_differences_of_the_h_trace():
                                  - trace.at(JetPoint(u.t, u.x, vm))) / (2 * eps)
         want = np.einsum("ijg,ga->iaj", grad, h.components_batch(u.t)[0])
         assert np.max(np.abs(conn.N.at(u) - want)) < 1e-8
-        assert np.max(np.abs(np.einsum("ijg,ga->iaj", trace.gradient_at(u),
+        assert np.max(np.abs(np.einsum("ijg,ga->iaj", walk_gradient(trace, u),
                                        h.components_batch(u.t)[0]) - conn.N.at(u))) < 1e-14
 
 

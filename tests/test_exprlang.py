@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from jetflow.exprlang import (Call, Expr, ExprError, Mul, Num, Pow, Var, add,
-                              call, compile_rk4, compile_table, diff, div, evaluate,
+                              call, compile_floats, compile_rk4, compile_table, diff, div,
+                              evaluate,
                               evaluate_table,
                               free_vars, mul, neg, num, parse, pow_, subst, to_str, var)
 from jetflow import numdiff as nd
@@ -124,39 +125,43 @@ def test_compiled_table_raises_the_interpreters_domain_error(text, env, arrays):
 
 @pytest.mark.parametrize("text,env", DOMAIN_ERRORS)
 def test_rk4_loop_raises_the_interpreters_domain_error(text, env):
-    """A table written into a generated RK4 loop keeps its guards in float
-    form: the first stage raises the interpreter's error."""
+    """A right-hand side compiled for floats keeps the table's guards: a
+    node on literals only raises when it is built, any other in the first
+    stage, with the interpreter's error."""
     with pytest.raises(ExprError) as want:
         evaluate(parse(text), env)
-    table = compile_table([parse("x + 1"), parse(text)], ["x"])
-    run = compile_rk4(["x"], "s", [Var("f")], [(table, ["x"], ["e", "f"])])
+    built = False
     with pytest.raises(ExprError) as got:
-        run(0.0, env.get("x", 1.0), 0.1, 1, None)
+        rhs = compile_floats([parse("x + 1"), parse(text)], ["s", "x"], last=1)
+        built = True
+        compile_rk4(1, rhs)(0.0, env.get("x", 1.0), 0.1, 1, None)
     assert str(got.value) == str(want.value)
+    assert built == bool(free_vars(parse(text)))
 
 
 def test_rk4_loop_checks_a_constant_first_entry_once():
     seen = []
-    table = compile_table([num(2.0), parse("-x")], ["x"], checks=[seen.append])
-    run = compile_rk4(["x"], "s", [Var("f")], [(table, ["x"], ["c", "f"])])
+    rhs = compile_floats([num(2.0), parse("-x")], ["s", "x"], [seen.append], last=1)
     assert seen == [2.0]
+    run = compile_rk4(1, rhs)
     s, x = run(0.0, 1.0, 0.01, 100, None)
     assert seen == [2.0] and s == 1.0 and abs(x - math.exp(-1.0)) < 1e-9
 
 
 def test_rk4_loop_runs_each_check_on_its_entry():
     """A constant leading entry is checked once, at build time; a variable
-    one on every stage, before the entries after it."""
+    one on every stage, before the entries after it; a None check is no
+    check."""
     const, seen = [], []
 
-    def second(value):
+    def third(value):
         seen.append(value)
         if value < 0.5:
-            raise RuntimeError("second entry below 0.5")
+            raise RuntimeError("third entry below 0.5")
 
-    table = compile_table([num(2.0), parse("x"), parse("-x")], ["x"],
-                          checks=[const.append, second])
-    run = compile_rk4(["x"], "s", [Var("f")], [(table, ["x"], ["c", "d", "f"])])
+    rhs = compile_floats([num(2.0), parse("x + 1"), parse("x"), parse("-x")], ["s", "x"],
+                         checks=[const.append, None, third], last=1)
+    run = compile_rk4(1, rhs)
     assert const == [2.0] and seen == []
     run(0.0, 1.0, 0.01, 10, None)
     assert const == [2.0] and len(seen) == 4 * 10

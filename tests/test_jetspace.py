@@ -31,14 +31,8 @@ def test_jet_point_validation():
         JetPoint(np.zeros(2), np.zeros(3), np.zeros((2, 3)))  # transposed v
     with pytest.raises(ValueError):
         JetPoint(np.array([np.nan]), np.zeros(1), np.zeros((1, 1)))
-
-
-def test_jet_point_json_round_trip():
     u = JetPoint(np.array([0.1, -0.2]), np.array([1.0, 2.0, 3.0]),
                  np.arange(6.0).reshape(3, 2))
-    w = JetPoint.from_json(u.to_json())
-    assert np.array_equal(w.t, u.t) and np.array_equal(w.x, u.x)
-    assert np.array_equal(w.v, u.v)
     assert (u.p, u.n) == (2, 3)
 
 

@@ -22,9 +22,8 @@ from jetflow.maps import (
     solve_harmonic_grid,
     spray_source,
 )
-from jetflow import maps
+from jetflow import exprlang, maps
 from jetflow.numdiff import random_change
-from jetflow.exprlang import Table
 from jetflow.sprays import (
     JetTable,
     SprayPair,
@@ -239,8 +238,9 @@ def test_float_rk4_matches_reference_with_curved_time():
 
 
 def test_float_rk4_writes_derived_sprays_in_and_matches_reference(monkeypatch):
-    """Derived sprays are tables too: the RK4 writes them in, with no
-    callable block, and matches the numpy reference bit for bit."""
+    """Derived sprays are tables too: the RK4 calls them as one compiled
+    float table, not through `coefficients`, and matches the numpy
+    reference bit for bit."""
     h = metric_from_name("exp1d")
     sphere, hyper = (canonical_spatial(metric_from_name(name), 1)
                      for name in ("sphere:2", "hyperbolic:2"))
@@ -248,15 +248,49 @@ def test_float_rk4_writes_derived_sprays_in_and_matches_reference(monkeypatch):
     from_trace = spray_from_hspray(h_trace(sphere, h), h)
     canonical = canonical_pair(h, metric_from_name("sphere:2"))
     induced = sprays_from_connection(canonical_connection(h, metric_from_name("sphere:2")))
-    blocks = []
+    rhs = []
     real_rk4 = maps.compile_rk4
     monkeypatch.setattr(maps, "compile_rk4",
-                        lambda *a, **k: blocks.append(a[3]) or real_rk4(*a, **k))
+                        lambda *a, **k: rhs.append(a[1]) or real_rk4(*a, **k))
     for pair in (SprayPair(canonical.temporal, mixed), SprayPair(canonical.temporal, from_trace),
                  induced, SprayPair(zero_spray("temporal", 1, 2), induced.spatial)):
         _assert_matches_reference(pair, [1.2, 0.5], [0.4, 0.8], (0.0, 1.0), 80)
-    assert len(blocks) == 4
-    assert all(isinstance(fn, Table) for pair_blocks in blocks for fn, _, _ in pair_blocks)
+    assert len(rhs) == 4
+    assert all(f.__code__.co_filename == "<compiled table>" for f in rhs)
+
+
+def _mixed_pair():
+    h = metric_from_name("euclidean:1", kind="temporal")
+    return canonical_pair(h, _spatial_metric("euclidean:3@mixed"))
+
+
+def test_mixed_n3_loop_is_at_most_800_generated_lines(monkeypatch):
+    """The n = 3 pulled-back loop is one float table and one RK4 loop that
+    calls it: the table is not written out once per stage."""
+    built = []
+    real_define = exprlang._define
+    monkeypatch.setattr(exprlang, "_define", lambda src, ns, filename, name:
+                        built.append((filename, len(src))) or real_define(src, ns, filename, name))
+    solve_affine_ode(_mixed_pair(), [0.2, -0.1, 0.3], [0.5, 0.2, -0.4], (0.0, 3.0), 10)
+    assert [filename for filename, _ in built] == ["<compiled table>", "<compiled rk4>"]
+    assert sum(lines for _, lines in built) <= 800
+
+
+def test_literal_det_check_runs_once_per_build():
+    """A flat temporal metric's det g is the literal 1.0: its check runs
+    when the loop is built, not at each stage; a curved spatial metric's
+    det is checked at every stage, and a second solve reuses the loop."""
+    h = metric_from_name("euclidean:1", kind="temporal")
+    phi = metric_from_name("sphere:2")
+    seen = {"h": [], "phi": []}
+    for key, metric in (("h", h), ("phi", phi)):
+        metric.check_det = lambda det, real=metric.check_det, log=seen[key]: (
+            log.append(det) or real(det))
+    pair = canonical_pair(h, phi)
+    for _ in range(2):
+        solve_affine_ode(pair, [np.pi / 2, 0.0], [0.6, 1.0], (0.0, 1.0), 25)
+    assert seen["h"] == [1.0]
+    assert len(seen["phi"]) == 2 * 4 * 25
 
 
 def test_ode_runs_a_replaced_coefficients():

@@ -28,7 +28,8 @@ from jetflow.sprays import (
     zero_spray,
 )
 
-from helpers import catalog, fd_spray_gradient, jets_in, metric_and_points, standard_metrics
+from helpers import (catalog, fd_spray_gradient, jets_in, metric_and_points, standard_metrics,
+                     walk_batch, walk_gradient)
 
 
 # --- frozen coefficient values ---------------------------------------------------
@@ -126,7 +127,7 @@ def test_exact_jet_gradients_match_finite_differences():
     h, phi = standard_metrics(2, 2)
     u = jets_in(rng, 2, 2, h=h, phi=phi, count=1)[0]
     for s in (canonical_temporal(h, 2), canonical_spatial(phi, 2)):
-        G = s.tables.gradient_at(u)
+        G = walk_gradient(s.tables, u)
         G_fd = fd_spray_gradient(s, u)
         assert np.max(np.abs(G - G_fd)) < 1e-7, s.name
 
@@ -139,7 +140,7 @@ def test_batch_coefficients_match_pointwise():
     X = np.stack([u.x for u in jets])
     V = np.stack([u.v for u in jets])
     for s in (canonical_temporal(h, 2), canonical_spatial(phi, 2)):
-        batch = s.tables.batch(T, X, V)
+        batch = walk_batch(s.tables, T, X, V)
         for k, u in enumerate(jets):
             assert np.max(np.abs(batch[k] - s.coefficients(u))) < 1e-14
 
@@ -159,7 +160,7 @@ def test_h_trace_and_round_trip_p1():
     assert np.max(np.abs(hs.tables.at(u) - want)) < 1e-13
     back = spray_from_hspray(hs, h)
     assert np.max(np.abs(back.coefficients(u) - s.coefficients(u))) < 1e-13
-    assert np.max(np.abs(back.tables.gradient_at(u) - s.tables.gradient_at(u))) < 1e-13
+    assert np.max(np.abs(walk_gradient(back.tables, u) - walk_gradient(s.tables, u))) < 1e-13
 
 
 def test_hspray_correspondence_requires_one_temporal_dim():
@@ -345,9 +346,8 @@ def test_compiled_sprays_match_christoffel_formula(name, kind, change_kind):
     g, s, T, X, V = _spray_and_jets(name, kind, change_kind, rng)
     want = reference_coefficients(kind, g, T, X, V)
     scale = np.maximum(1.0, np.abs(want))
-    columns = s.tables.batch(T, X, V)
+    columns = walk_batch(s.tables, T, X, V)
     assert columns.shape == want.shape
-    assert s.tables.batch(T[:0], X[:0], V[:0]).shape == (0,) + want.shape[1:]
     assert np.max(np.abs(columns - want) / scale) <= 1e-13
     for k in range(len(T)):
         u = JetPoint(T[k], X[k], V[k])
@@ -356,7 +356,8 @@ def test_compiled_sprays_match_christoffel_formula(name, kind, change_kind):
         # one formula: batch row k is the pointwise value at row k
         assert np.max(np.abs(columns[k] - floats) / scale[k]) <= 1e-14
         grad = reference_gradient(kind, g, u)
-        assert np.max(np.abs(s.tables.gradient_at(u) - grad) / np.maximum(1.0, np.abs(grad))) <= 1e-13
+        assert np.max(np.abs(walk_gradient(s.tables, u) - grad)
+                      / np.maximum(1.0, np.abs(grad))) <= 1e-13
 
 
 def test_flat_sprays_fold_to_constant_zero(monkeypatch):
@@ -370,8 +371,8 @@ def test_flat_sprays_fold_to_constant_zero(monkeypatch):
     flat_t = canonical_temporal(metric_from_name("euclidean:2", "temporal"), 3)
     flat_s = canonical_spatial(metric_from_name("euclidean:3"), 2)
     T, X, V = np.zeros((4, 2)), np.ones((4, 3)), np.ones((4, 3, 2))
-    assert np.array_equal(flat_t.tables.batch(T, X, V), np.zeros((4, 3, 2, 2)))
-    assert np.array_equal(flat_s.tables.batch(T, X, V), np.zeros((4, 3, 2, 2)))
+    assert np.array_equal(flat_t.tables.batch_at(T)(X, V), np.zeros((4, 3, 2, 2)))
+    assert np.array_equal(flat_s.tables.batch_at(T)(X, V), np.zeros((4, 3, 2, 2)))
     assert len(tables) == 2
     for exprs in tables:
         assert exprs[0] == num(1.0)                          # det g
@@ -392,11 +393,11 @@ def test_degenerate_metric_raises_from_both_spray_paths():
             with pytest.raises(GeometryError, match="degenerate"):
                 s.coefficients(JetPoint(t, x, np.ones((2, 2))))
             with pytest.raises(GeometryError, match="degenerate"):
-                s.tables.gradient_at(JetPoint(t, x, np.ones((2, 2))))
+                walk_gradient(s.tables, JetPoint(t, x, np.ones((2, 2))))
             T = np.stack([other, t])
             X = np.stack([other + 1.0, x])
             with pytest.raises(GeometryError, match="degenerate"):
-                s.tables.batch(T, X, np.ones((2, 2, 2)))
+                s.tables.batch_at(T)(X, np.ones((2, 2, 2)))
 
 
 def test_each_spray_compiles_its_table_once(monkeypatch):
@@ -419,12 +420,12 @@ def test_each_spray_compiles_its_table_once(monkeypatch):
             for u in jets:
                 s.coefficients(u)
                 copy.coefficients(u)
-            s.tables.batch(T, X, V)
-            copy.tables.batch(T, X, V)
+            s.tables.batch_at(T)(X, V)
+            copy.tables.batch_at(T)(X, V)
         assert len(built) == before + 1
         for _ in range(2):
-            s.tables.gradient_at(jets[0])
-        assert len(built) == before + 2
+            s.tables.gradient_entries                    # symbolic: no table
+        assert len(built) == before + 1
     assert not h._kernels and not phi._kernels         # no Christoffel tabulation
 
 
@@ -507,7 +508,7 @@ def test_derived_sprays_on_a_degenerate_metric_raise_geometry_error():
         with pytest.raises(GeometryError, match="degenerate"):
             s.coefficients(JetPoint(t, x, V[0]))
         with pytest.raises(GeometryError, match="degenerate"):
-            s.tables.batch(T, X, V)
+            walk_batch(s.tables, T, X, V)
         with pytest.raises(GeometryError, match="degenerate"):
             s.tables.batch_at(T)(X, V)
     temporal = canonical_temporal(metric_from_name("euclidean:1", "temporal"), 2)

@@ -20,7 +20,7 @@ from jetflow.connection import (canonical_connection, connection_from_sprays,
 from jetflow.sprays import (SprayPair, canonical_pair, canonical_spatial, canonical_temporal,
                             combine_sprays)
 
-from helpers import metric_and_points
+from helpers import metric_and_points, walk_batch
 from test_exprlang import DOMAIN_ERRORS
 from test_geometry import CATALOG
 
@@ -66,6 +66,13 @@ def _fresh(table):
     return compile_table(table.exprs, table.names, table.checks)
 
 
+def _gradient_table(tables):
+    """The table of a JetTable's jet gradient entries, led by its checked
+    dets like its kernel: the compiler on derivative trees."""
+    return compile_table([m.det for m in tables.metrics] + tables.gradient_entries, tables.names,
+                         [m.check_det for m in tables.metrics])
+
+
 @pytest.mark.parametrize("change_kind", CHANGE_KINDS)
 @pytest.mark.parametrize("name,kind", CATALOG)
 def test_metric_tables_tiers_match_interpreter(name, kind, change_kind):
@@ -96,7 +103,7 @@ def test_spray_tables_tiers_match_interpreter(name, kind, change_kind):
     V = rng.normal(0.0, 1.5, (CALLS, n * p))
     args = np.hstack([T, X, V])
     tables = s.tables
-    for table in (tables.kernel, tables._gradient):
+    for table in (tables.kernel, _gradient_table(tables)):
         assert_tiers_match_interpreter(table, table.exprs, tables.names, args, table)
 
 
@@ -175,7 +182,7 @@ def test_degenerate_metric_raises_from_both_tiers(kind):
         other = [0.5, 0.5]
         jet = (other + pt if kind == "spatial" else pt + other) + [1.0] * 4
         for table, args in ((g._kernel("inverse"), pt), (g._kernel("christoffel"), pt),
-                            (s.tables.kernel, jet), (s.tables._gradient, jet)):
+                            (s.tables.kernel, jet), (_gradient_table(s.tables), jet)):
             fresh = _fresh(table)
             with pytest.raises(GeometryError, match="degenerate"):
                 fresh(*args)
@@ -185,9 +192,10 @@ def test_degenerate_metric_raises_from_both_tiers(kind):
 
 
 def test_solver_loops_compile_once_and_never_walk(monkeypatch):
-    """Both RK4 solvers run one generated loop with the tables written in:
-    two geodesic solves on one spray pair build one loop, two flows of one
-    field build one loop, and neither compiles or walks a table."""
+    """Both RK4 solvers run one generated loop that calls one float table:
+    two geodesic solves on one spray pair build one table and one loop, two
+    flows of one field build one table and one loop, and neither compiles
+    or walks any other table."""
     walks, built = [], []
     real_walk, real_define = exprlang.evaluate_table, exprlang._define
     monkeypatch.setattr(exprlang, "evaluate_table",
@@ -198,11 +206,12 @@ def test_solver_loops_compile_once_and_never_walk(monkeypatch):
     pair = canonical_pair(metric_from_name("exp1d"), metric_from_name("sphere:2"))
     for _ in range(2):
         solve_affine_ode(pair, [1.2, 0.1], [0.3, -0.5], (0.0, 0.5), 20)
-    assert built == ["<compiled rk4>"] and not walks     # one loop per spray pair
+    loop = ["<compiled table>", "<compiled rk4>"]
+    assert built == loop and not walks                   # one loop per spray pair
     X = BaseVectorField(2, 2, *FIELDS["exp-log-sqrt"])
     for eps in (0.01, -0.02):
         flow_point(X, np.array([0.1, 0.2]), np.array([0.3, 0.4]), eps)
-    assert built == ["<compiled rk4>"] * 2 and not walks
+    assert built == loop * 2 and not walks
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +257,7 @@ def _spray_and_args(name, kind, change_kind, count=CALLS):
 def test_frozen_spray_tables_match_the_full_tables(name, kind, change_kind):
     s, args = _spray_and_args(name, kind, change_kind)
     tables = s.tables
-    for table in (tables.kernel, tables._gradient):
+    for table in (tables.kernel, _gradient_table(tables)):
         assert_frozen_matches_table(table, temporal_names(s.p), args)
 
 
@@ -322,21 +331,21 @@ def _derived_pairs(pair, h):
                       combine_sprays([pair.spatial, flat.spatial], [1.5, -0.5]))]
 
 
-def test_batch_at_matches_batch():
+def test_batch_at_matches_the_walk():
     pair, h = _level_problem()[:2]
     rng = np.random.default_rng(42)
     T = rng.uniform(-1.0, 1.0, (11, 2))
     X, V = rng.uniform(-1.0, 1.0, (11, 2)), rng.normal(0.0, 1.5, (11, 2, 2))
     for s in [s for pr in [pair, *_derived_pairs(pair, h)] for s in (pr.temporal, pr.spatial)]:
         got = s.tables.batch_at(T)(X, V)
-        assert got.tobytes() == s.tables.batch(T, X, V).tobytes()
+        assert got.tobytes() == walk_batch(s.tables, T, X, V).tobytes()
         assert got.shape == (11, 2, 2, 2) and got.flags.writeable
     # nodes laid out as a 3 x 3 grid, the entries written into a given array
     T, X, V = T[:-2].reshape(3, 3, 2), X[:-2].reshape(3, 3, 2), V[:-2].reshape(3, 3, 2, 2)
     for s in [s for pr in [pair, *_derived_pairs(pair, h)] for s in (pr.temporal, pr.spatial)]:
         out = np.empty((3, 3, 2, 2, 2))
         assert s.tables.batch_at(T)(X, V, out) is out
-        want = s.tables.batch(T.reshape(9, 2), X.reshape(9, 2), V.reshape(9, 2, 2))
+        want = walk_batch(s.tables, T.reshape(9, 2), X.reshape(9, 2), V.reshape(9, 2, 2))
         assert out.tobytes() == want.tobytes()
 
 
@@ -348,7 +357,7 @@ def test_flat_metric_spray_is_one_constant_array():
         batch = s.tables.batch_at(T)
         first = batch(X, V)
         assert batch(2 * X, 3 * V) is first and not first.flags.writeable
-        assert first.tobytes() == s.tables.batch(T, X, V).tobytes()
+        assert first.tobytes() == walk_batch(s.tables, T, X, V).tobytes()
 
 
 def _wrapped(pair, calls):
