@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, fields
 from typing import Callable, Collection, Mapping, Sequence, Union
 
 import numpy as np
@@ -99,9 +100,31 @@ def _apply(fn: str, x: Value) -> Value:
     return array_fn(x) if isinstance(x, np.ndarray) else scalar_fn(x)
 
 
+def _define(src: Sequence[str], ns: dict, filename: str, name: str) -> Callable:
+    """The function `name` that the source lines `src` define, run in `ns`."""
+    exec(compile("".join(x + "\n" for x in src), filename, "exec"), ns)
+    return ns[name]
+
+
+def _node(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)`` of a node class, with an
+    ``__init__`` that stores each field through its slot's member descriptor
+    at about two thirds of the generated one's cost.  Assigning a field
+    still raises FrozenInstanceError."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    ns = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    cls.__init__ = _define([f"def __init__(self, {', '.join(names)}):",
+                            *(f"    _set_{name}(self, {name})" for name in names)],
+                           ns, f"<{cls.__name__}.__init__>", "__init__")
+    return cls
+
+
 class Expr:
     """Base class for expression nodes.  Nodes are immutable and comparable;
-    `_dmemo` (not a field) holds the derivatives `diff` has built."""
+    `_dmemo` (not a field) holds the derivatives `diff` has built.  The
+    smart constructors and the leaves' derivatives share one node for 0.0
+    and one for 1.0 (a -0.0 literal keeps a node of its own)."""
 
     __slots__ = ("_dmemo",)
 
@@ -168,7 +191,7 @@ class Expr:
         return self._fmt()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Num(Expr):
     value: float
 
@@ -179,7 +202,7 @@ class Num(Expr):
         return self.value
 
     def _diff(self, name, d):
-        return Num(0.0)
+        return _ZERO
 
     def _subst(self, mapping, s):
         return self
@@ -190,7 +213,10 @@ class Num(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True, slots=True)
+_ZERO, _ONE = Num(0.0), Num(1.0)         # the shared zero and one leaves
+
+
+@_node
 class Var(Expr):
     name: str
 
@@ -201,7 +227,7 @@ class Var(Expr):
         return _lookup(env, self.name)
 
     def _diff(self, name, d):
-        return Num(1.0 if self.name == name else 0.0)
+        return _ONE if self.name == name else _ZERO
 
     def _subst(self, mapping, s):
         return mapping.get(self.name, self)
@@ -219,7 +245,7 @@ def _child(e: Expr, min_level: int) -> str:
     return "(" + s + ")" if level < min_level else s
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Neg(Expr):
     a: Expr
     _LEVEL = 3
@@ -243,7 +269,7 @@ class Neg(Expr):
         return "-" + _child(self.a, 3)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Add(Expr):
     a: Expr
     b: Expr
@@ -268,7 +294,7 @@ class Add(Expr):
         return _child(self.a, 1) + " + " + _child(self.b, 2)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Sub(Expr):
     a: Expr
     b: Expr
@@ -293,7 +319,7 @@ class Sub(Expr):
         return _child(self.a, 1) + " - " + _child(self.b, 2)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mul(Expr):
     a: Expr
     b: Expr
@@ -318,7 +344,7 @@ class Mul(Expr):
         return _child(self.a, 2) + "*" + _child(self.b, 3)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Div(Expr):
     a: Expr
     b: Expr
@@ -347,7 +373,7 @@ class Div(Expr):
         return _child(self.a, 2) + "/" + _child(self.b, 3)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -362,7 +388,7 @@ class Pow(Expr):
     def _diff(self, name, d):
         k = self.exponent
         if k == 0:
-            return Num(0.0)
+            return _ZERO
         return mul(mul(Num(float(k)), pow_(self.base, k - 1)), d(self.base))
 
     def _subst(self, mapping, s):
@@ -406,13 +432,13 @@ def _fn_derivative(name: str, u: Expr) -> Expr:
     if name == "cos":
         return neg(call("sin", u))
     if name == "tan":
-        return div(Num(1.0), pow_(call("cos", u), 2))
+        return div(_ONE, pow_(call("cos", u), 2))
     if name == "exp":
         return call("exp", u)
     if name == "log":
-        return div(Num(1.0), u)
+        return div(_ONE, u)
     if name == "sqrt":
-        return div(Num(1.0), mul(Num(2.0), call("sqrt", u)))
+        return div(_ONE, mul(Num(2.0), call("sqrt", u)))
     if name == "sinh":
         return call("cosh", u)
     if name == "cosh":
@@ -420,7 +446,7 @@ def _fn_derivative(name: str, u: Expr) -> Expr:
     raise ExprError(f"unknown function '{name}'")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Call(Expr):
     fn: str
     arg: Expr
@@ -449,7 +475,10 @@ class Call(Expr):
 # trees.  parse() builds raw nodes and never simplifies.
 
 def num(v: float) -> Num:
-    return Num(float(v))
+    v = float(v)
+    if v == 0.0 and math.copysign(1.0, v) > 0:      # -0.0 keeps a node of its own
+        return _ZERO
+    return _ONE if v == 1.0 else Num(v)
 
 
 def var(name: str) -> Var:
@@ -490,7 +519,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Num(0.0)
+        return _ZERO
     if _is_const(a, 1.0):
         return b
     if _is_const(b, 1.0):
@@ -510,7 +539,7 @@ def div(a: Expr, b: Expr) -> Expr:
 
 def pow_(base: Expr, exponent: int) -> Expr:
     if exponent == 0:
-        return Num(1.0)
+        return _ONE
     if exponent == 1:
         return base
     if isinstance(base, Num):
@@ -701,7 +730,7 @@ def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value],
     `Expr.eval`: nodes are visited in the interpreter's order, and a node
     is skipped only when it has already been evaluated without error.
     ``checks[k]`` is called with entry k's value before any later entry is
-    evaluated."""
+    evaluated.  Nothing is kept between calls; a `Table` keeps its points."""
     memo: dict[int, Value] = {}
 
     def ev(e: Expr) -> Value:
@@ -792,27 +821,39 @@ class Table:
     call, or the first call on a numpy array, compiles the table
     (`compiled`) and every later call runs the compiled function.  Both
     tiers compute each node as ``Expr.eval`` does, so they give the same
-    values bit for bit and raise the same first error.  `freeze` binds
-    some names once and for all.
+    values bit for bit and raise the same first error.  The walk tier keeps
+    each walked point's values by the exact bits of the arguments (0.0 and
+    -0.0 are two points): a call on Python floats at a kept point returns
+    them and is not a walk.  A walk that raised keeps nothing.  `freeze`
+    binds some names once and for all.
     """
 
-    __slots__ = ("exprs", "names", "checks", "_walks", "_fn", "_makers")
+    __slots__ = ("exprs", "names", "checks", "_walks", "_points", "_fn", "_makers")
 
     def __init__(self, exprs: Sequence[Expr], names: Sequence[str],
                  checks: Sequence[Callable[[Value], None]]):
         self.exprs, self.names, self.checks = list(exprs), list(names), tuple(checks)
         self._walks = 0
+        self._points: dict[bytes, tuple] = {}    # argument bits -> walked values
         self._fn: Callable[..., tuple] | None = None
         self._makers: dict[frozenset, Callable[..., Callable[..., tuple]]] = {}
 
     def __call__(self, *args: Value) -> tuple:
         fn = self._fn
         if fn is None:
+            key = (struct.pack(f"{len(args)}d", *args)
+                   if all(type(a) is float for a in args) else None)
+            got = self._points.get(key)
+            if got is not None:
+                return got
             if self._walks < WALK_CALLS and not any(isinstance(a, np.ndarray) for a in args):
                 if len(args) != len(self.names):
                     raise TypeError(f"table takes {len(self.names)} values, got {len(args)}")
                 self._walks += 1
-                return tuple(evaluate_table(self.exprs, dict(zip(self.names, args)), self.checks))
+                got = tuple(evaluate_table(self.exprs, dict(zip(self.names, args)), self.checks))
+                if key is not None:
+                    self._points[key] = got
+                return got
             fn = self.compiled()
         return fn(*args)
 
@@ -852,12 +893,13 @@ def compile_table(exprs: Sequence[Expr], names: Sequence[str],
     The function takes one value per name, in order, and returns a tuple
     with one value per expression.  The values may be floats or equally
     shaped numpy arrays; each node computes exactly what ``Expr.eval``
-    computes.  It runs as a DAG walk on its first few float calls and then
-    as one compiled straight-line Python function (`Table`).  Every domain
-    guard of the interpreter is kept, in the interpreter's order, so a
-    table raises the ExprError that evaluating its entries one by one would
-    raise first; a variable outside `names` raises its "unbound variable"
-    ExprError at the first evaluation, compile or freeze, not here.
+    computes.  It runs as a DAG walk on its first few float calls, which
+    keeps each point's values for a repeated call, and then as one compiled
+    straight-line Python function (`Table`).  Every domain guard of the
+    interpreter is kept, in the interpreter's order, so a table raises the
+    ExprError that evaluating its entries one by one would raise first; a
+    variable outside `names` raises its "unbound variable" ExprError at the
+    first evaluation, compile or freeze, not here.
 
     ``checks`` holds one function per leading entry: ``checks[k]`` is
     called with entry k's value before any later entry is computed, and it
@@ -976,12 +1018,6 @@ class _Emitter:
             if k < len(checks) and checks[k] is not None:
                 self.place([outs[k]], f"{checks[k]}({outs[k]})")
         return outs
-
-
-def _define(src: Sequence[str], ns: dict, filename: str, name: str) -> Callable:
-    """The function `name` that the source lines `src` define, run in `ns`."""
-    exec(compile("".join(x + "\n" for x in src), filename, "exec"), ns)
-    return ns[name]
 
 
 def _compile(exprs: Sequence[Expr], names: Sequence[str],

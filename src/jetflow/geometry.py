@@ -70,10 +70,12 @@ class Metric:
         # factor's dimension) (sprays.py, connection.py)
         self._jet_tables: dict[tuple[str, int], object] = {}
         allowed = set(self.variables)
+        # one pass over all components; the loop below only names the first offender
+        foreign = free_vars(*(e for row in self.components for e in row)) - allowed
         for row in self.components:
             if len(row) != self.dim:
                 raise GeometryError("metric component matrix is not square")
-            for e in row:
+            for e in row if foreign else ():
                 bad = free_vars(e) - allowed
                 if bad:
                     raise GeometryError(

@@ -116,11 +116,13 @@ class ChangeMap:
         if len(inverse_t) != self.p or len(inverse_x) != self.n:
             raise ChartError("forward and inverse components disagree in dimension")
         tset, xset = set(temporal_names(self.p)), set(spatial_names(self.n))
-        for e in list(forward_t) + list(inverse_t):
+        # one pass per factor; each loop below only names the first offender
+        ts, xs = self.forward_t + self.inverse_t, self.forward_x + self.inverse_x
+        for e in ts if free_vars(*ts) - tset else ():
             bad = free_vars(e) - tset
             if bad:
                 raise ChartError(f"temporal component references non-temporal variables {sorted(bad)}")
-        for e in list(forward_x) + list(inverse_x):
+        for e in xs if free_vars(*xs) - xset else ():
             bad = free_vars(e) - xset
             if bad:
                 raise ChartError(f"spatial component references non-spatial variables {sorted(bad)}")

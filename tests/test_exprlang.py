@@ -1,11 +1,12 @@
 """Expression language: parsing, printing, evaluation, differentiation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from jetflow.exprlang import (Call, Expr, ExprError, Mul, Num, Pow, Var, add,
+from jetflow.exprlang import (Add, Call, Div, Expr, ExprError, Mul, Neg, Num, Pow, Sub, Var, add,
                               call, compile_floats, compile_rk4, compile_table, diff, div,
                               evaluate,
                               evaluate_table,
@@ -522,3 +523,82 @@ def test_diff_and_subst_keep_shared_subtrees_shared():
         chain = mul(chain, add(chain, num(1.0)))
     assert distinct_nodes(diff(chain, "x")) < 10 * 60
     assert distinct_nodes(subst(chain, {"x": var("y")})) < 3 * 60 + 3
+
+
+# ---------------------------------------------------------------------------
+# node objects
+
+
+NODE_CLASSES = [Num, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
+
+
+def _one_of_each_node():
+    x = var("x")
+    return [Num(2.0), x, Neg(x), Add(x, x), Sub(x, x), Mul(x, x), Div(x, x), Pow(x, 3),
+            Call("sin", x)]
+
+
+def test_assigning_a_field_of_any_node_raises():
+    nodes = _one_of_each_node()
+    assert [type(e) for e in nodes] == NODE_CLASSES
+    for e in nodes:
+        assert dataclasses.fields(e)
+        for f in dataclasses.fields(e):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, f.name, getattr(e, f.name))
+
+
+def _distinct(*roots):
+    seen, todo = {}, list(roots)
+    while todo:
+        e = todo.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            todo.extend(e._children())
+    return list(seen.values())
+
+
+def _assert_dataclass_semantics(roots):
+    """Each node equals, and hashes like, a fresh node of its type and fields
+    (keyword arguments, as the generated ``__init__`` takes them); its hash
+    is that of its field tuple; printing and parsing give an equal tree."""
+    for e in _distinct(*roots):
+        values = {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
+        twin = type(e)(**values)
+        assert twin == e and twin is not e and hash(twin) == hash(e)
+        assert hash(e) == hash(tuple(values.values()))
+        assert str(twin) == str(e)
+    for e in roots:
+        back = parse(to_str(e))
+        assert back == e and hash(back) == hash(e) and str(back) == str(e)
+
+
+@pytest.mark.parametrize("name,kind", METRICS)
+def test_nodes_compare_hash_and_print_as_dataclasses(name, kind):
+    rng = np.random.default_rng(sum(map(ord, "nodes" + name + kind)))
+    g = metric_from_name(name, kind)
+    p, n = (g.dim, 1) if kind == "temporal" else (1, g.dim)
+    c = nd.random_change(rng, p, n, "mixed")
+    comps = [e for row in g.components for e in row]
+    derived = [diff(e, v) for e in comps for v in g.variables]
+    pulled = [e for row in pullback_metric(g, c).components for e in row]
+    inv = dict(zip(g.variables, c.inverse_t if kind == "temporal" else c.inverse_x))
+    _assert_dataclass_semantics(comps + derived + pulled + [subst(e, inv) for e in comps])
+    assert Num(1.0) != Num(2.0) and Var("x") != Var("y")
+    assert Add(var("x"), num(1.0)) != Sub(var("x"), num(1.0))
+
+
+def test_leaf_derivatives_are_the_shared_zero_and_one():
+    zero, one = num(0.0), num(1.0)
+    assert num(0) is zero and num(1) is one and Num(0.0) is not zero
+    for e in (var("x"), var("y"), Num(2.5), Num(-0.0), Pow(var("x"), 0)):
+        assert diff(e, "x") is (one if e == var("x") else zero)
+    assert mul(var("x"), num(0.0)) is zero and mul(Num(0.0), var("x")) is zero
+    assert pow_(var("x"), 0) is one
+
+
+def test_minus_zero_keeps_its_sign():
+    for e in (num(-0.0), Num(-0.0), neg(num(0.0))):
+        assert e.value == 0.0 and math.copysign(1.0, e.value) == -1.0
+        assert e is not num(0.0)
+    assert math.copysign(1.0, num(0.0).value) == 1.0

@@ -4,7 +4,11 @@ bit with the tree interpreter, for every structure that builds tables, and
 raise the interpreter's first error.  A frozen table (`Table.freeze`) must
 agree bit for bit with the full table and raise the interpreter's error."""
 
+import collections
+import math
+import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from jetflow.geometry import GeometryError, Metric, metric_from_name
 from jetflow.maps import solve_affine_ode
 from jetflow.numdiff import spatial_names, temporal_names
 from jetflow.prolong import BaseVectorField, flow_point, pushforward
+from jetflow.scenario import load_scenario
+from jetflow.verify import run_verify
 from jetflow.connection import (canonical_connection, connection_from_sprays,
                                 sprays_from_connection)
 from jetflow.sprays import (SprayPair, canonical_pair, canonical_spatial, canonical_temporal,
@@ -26,6 +32,7 @@ from test_geometry import CATALOG
 
 CHANGE_KINDS = [None, "affine", "shear", "mixed"]
 CALLS = WALK_CALLS + 2
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "verify_scenario.json"
 
 
 def _bits(values) -> list[str]:
@@ -212,6 +219,87 @@ def test_solver_loops_compile_once_and_never_walk(monkeypatch):
     for eps in (0.01, -0.02):
         flow_point(X, np.array([0.1, 0.2]), np.array([0.3, 0.4]), eps)
     assert built == loop * 2 and not walks
+
+
+# ---------------------------------------------------------------------------
+# the values a table keeps per point
+
+
+def test_kept_values_tell_zero_from_minus_zero():
+    """A point is the exact bits of the arguments: sin(-0.0) is -0.0, not
+    the sin(0.0) kept before it, though 0.0 == -0.0 and the two hash alike."""
+    table = compile_table([parse("sin(x)")], ["x"])
+    assert math.copysign(1.0, table(0.0)[0]) == 1.0
+    assert math.copysign(1.0, table(-0.0)[0]) == -1.0
+    assert table._walks == 2
+
+
+@pytest.mark.parametrize("text,env", [c for c in DOMAIN_ERRORS if c[1]])
+def test_a_failed_walk_is_not_kept(text, env):
+    names = sorted(env)
+    table = compile_table([parse("x + 1"), parse(text)], names)
+    for walks in (1, 2):
+        with pytest.raises(ExprError):
+            table(*(env[k] for k in names))
+        assert table._walks == walks and not table._points
+
+
+def test_a_degenerate_det_raises_again_at_the_same_point():
+    g = Metric("deg", "spatial", [[parse("x1"), parse("0")], [parse("0"), parse("1")]])
+    kernel = _fresh(canonical_spatial(g, 2).tables.kernel)
+    jet = [0.5, 0.5, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    for walks in (1, 2):
+        with pytest.raises(GeometryError, match="degenerate"):
+            kernel(*jet)
+        assert kernel._walks == walks and not kernel._points
+
+
+def test_calls_at_kept_points_are_not_walks(monkeypatch):
+    walks = []
+    real_walk = exprlang.evaluate_table
+    monkeypatch.setattr(exprlang, "evaluate_table",
+                        lambda *a, **k: walks.append(a) or real_walk(*a, **k))
+    e = parse("exp(x)*y - log(2 + y^2)")
+    table = compile_table([e, diff(e, "x")], ["x", "y"])
+    points = [(0.25, -1.5), (-0.75, 2.0)]
+    for k in range(CALLS):
+        x, y = points[k % 2]
+        assert _bits(table(x, y)) == _bits(f.eval({"x": x, "y": y}) for f in table.exprs)
+    assert table._fn is None and table._walks == len(walks) == 2
+    # K + 1 distinct points: the (K + 1)-th compiles, as without kept values
+    table = compile_table([e], ["x", "y"])
+    for k in range(WALK_CALLS + 1):
+        got = table(0.1 * k, 0.5)
+        assert _bits(got) == _bits([e.eval({"x": 0.1 * k, "y": 0.5})])
+        assert len(table._points) == min(k + 1, WALK_CALLS)
+        assert (table._fn is not None) == (k == WALK_CALLS)
+
+
+@pytest.mark.parametrize("point", [(1, 2), (np.float64(1.0), np.float64(2.0)), (1.0, 2)])
+def test_calls_not_all_on_python_floats_keep_nothing(point):
+    table = compile_table([parse("x/y + 1")], ["x", "y"])
+    for walks in (1, 2, 3):
+        assert table(*point) == (1.5,)
+        assert table._walks == walks and not table._points
+
+
+def test_demo_verify_walks_no_table_twice_at_one_point(monkeypatch):
+    """Every law re-evaluates source-side tables once per chart change; each
+    table walks each of its points once."""
+    seen = collections.Counter()
+    real_walk = exprlang.evaluate_table
+
+    def walk(exprs, env, checks=()):
+        seen[id(exprs), struct.pack(f"{len(env)}d", *env.values())] += 1
+        return real_walk(exprs, env, checks)
+
+    monkeypatch.setattr(exprlang, "evaluate_table", walk)
+    tables = []                     # keep every table alive, so no id is reused
+    real_init = exprlang.Table.__init__
+    monkeypatch.setattr(exprlang.Table, "__init__",
+                        lambda self, *a: tables.append(self) or real_init(self, *a))
+    run_verify(load_scenario(str(DEMO)))
+    assert seen and max(seen.values()) == 1
 
 
 # ---------------------------------------------------------------------------
