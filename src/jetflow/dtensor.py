@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import Expr, compile_table, diff
+from .exprlang import Expr, compile_table, partials
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jacobian_blocks, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, jet_env, jet_pullback, transform_jet
@@ -246,11 +246,10 @@ def normalization_j_field(h: Metric, n: int) -> DTensorField:
 
 def _hessian_exprs(L: Expr, p: int, n: int) -> list[list[Expr]]:
     names = jet_names(n, p)
-    first = [diff(L, v) for v in names]
-    return [[diff(fi, vj) for vj in names] for fi in first]
+    return partials(partials([L], names)[0], names)
 
 
-def lagrangian_metric_field(L: Expr, p: int, n: int, name: str = "lagrangian-metric") -> DTensorField:
+def lagrangian_metric_field(L: Expr, p: int, n: int) -> DTensorField:
     """Vertical metric G_{(i)(j)}^{(a)(b)} = (1/2) d^2 L / dx^i_a dx^j_b.
 
     The Hessian is built once per chart by the memoised `diff` and
@@ -263,5 +262,5 @@ def lagrangian_metric_field(L: Expr, p: int, n: int, name: str = "lagrangian-met
         return 0.5 * np.array(table(*jet_env(u).values()), dtype=float).reshape(size, size)
 
     return DTensorField(
-        name, IndexSignature.parse("L(i,a);L(j,b)"), p, n, comps,
-        rebuild=lambda c: lagrangian_metric_field(jet_pullback(L, c, p, n), p, n, name))
+        "lagrangian-metric", IndexSignature.parse("L(i,a);L(j,b)"), p, n, comps,
+        rebuild=lambda c: lagrangian_metric_field(jet_pullback(L, c, p, n), p, n))

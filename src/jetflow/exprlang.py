@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Callable, Collection, Mapping, Sequence, Union
 
 import numpy as np
@@ -46,6 +46,7 @@ Value = Union[float, np.ndarray]
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "parse", "to_str", "evaluate", "evaluate_table", "diff", "subst", "free_vars",
+    "partials", "foreign_vars",
     "num", "var", "neg", "add", "sub", "mul", "div", "pow_", "call",
     "FUNCTIONS", "compile_table", "Table", "WALK_CALLS", "table_columns",
     "compile_floats", "compile_rk4",
@@ -106,17 +107,29 @@ def _define(src: Sequence[str], ns: dict, filename: str, name: str) -> Callable:
     return ns[name]
 
 
+def _refuse_set(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _node(cls: type) -> type:
     """``dataclass(frozen=True, slots=True)`` of a node class, with an
     ``__init__`` that stores each field through its slot's member descriptor
-    at about two thirds of the generated one's cost.  Assigning a field
-    still raises FrozenInstanceError."""
+    at about two thirds of the generated one's cost.  Assigning or deleting
+    any attribute raises FrozenInstanceError (the dataclass's own guard
+    refers to the class it replaced, so it would raise TypeError for a
+    name that is not a field); only `diff` writes `_dmemo`, through
+    ``object.__setattr__``."""
     cls = dataclass(frozen=True, slots=True)(cls)
     names = [f.name for f in fields(cls)]
     ns = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
     cls.__init__ = _define([f"def __init__(self, {', '.join(names)}):",
                             *(f"    _set_{name}(self, {name})" for name in names)],
                            ns, f"<{cls.__name__}.__init__>", "__init__")
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
     return cls
 
 
@@ -758,6 +771,12 @@ def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     return e.subst(mapping)
 
 
+def partials(exprs: Sequence[Expr], names: Sequence[str]) -> list[list[Expr]]:
+    """The matrix of first partials: row k holds the derivatives of
+    ``exprs[k]`` in each of `names`, in order."""
+    return [[diff(e, v) for v in names] for e in exprs]
+
+
 def free_vars(*exprs: Expr) -> set[str]:
     """Names of the variables the expressions read; each distinct node
     object is visited once."""
@@ -773,6 +792,21 @@ def free_vars(*exprs: Expr) -> set[str]:
             else:
                 todo.extend(e._children())
     return acc
+
+
+def foreign_vars(exprs: Sequence[Expr], allowed: Collection[str]) -> tuple[int, list[str]] | None:
+    """The index of the first expression that reads a variable outside
+    `allowed`, with the sorted names it reads there; None when all are
+    allowed.  One `free_vars` pass over all of them, then one per
+    expression only when some name is foreign."""
+    allowed = set(allowed)
+    if free_vars(*exprs) <= allowed:
+        return None
+    for k, e in enumerate(exprs):
+        bad = free_vars(e) - allowed
+        if bad:
+            return k, sorted(bad)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exprlang import (
-    Expr, Num, add, compile_table, diff, div, free_vars, mul, neg, num, parse, sub, subst,
+    Expr, Num, add, compile_table, diff, div, foreign_vars, mul, neg, num, parse, sub, subst,
     table_columns, var,
 )
-from .numdiff import ChangeMap, jet_name, spatial_names, temporal_names
+from .numdiff import DET_TOL, ChangeMap, jet_name, spatial_names, temporal_names
 
 __all__ = [
     "GeometryError", "Metric",
     "metric_from_name", "pullback_metric", "energy_density",
 ]
-
-DET_TOL = 1e-12
 
 
 class GeometryError(ValueError):
@@ -69,17 +67,11 @@ class Metric:
         # canonical sprays' and connections' tables, by (role, the other
         # factor's dimension) (sprays.py, connection.py)
         self._jet_tables: dict[tuple[str, int], object] = {}
-        allowed = set(self.variables)
-        # one pass over all components; the loop below only names the first offender
-        foreign = free_vars(*(e for row in self.components for e in row)) - allowed
-        for row in self.components:
-            if len(row) != self.dim:
-                raise GeometryError("metric component matrix is not square")
-            for e in row if foreign else ():
-                bad = free_vars(e) - allowed
-                if bad:
-                    raise GeometryError(
-                        f"{kind} metric component references foreign variables {sorted(bad)}")
+        if any(len(row) != self.dim for row in self.components):
+            raise GeometryError("metric component matrix is not square")
+        found = foreign_vars([e for row in self.components for e in row], self.variables)
+        if found:
+            raise GeometryError(f"{kind} metric component references foreign variables {found[1]}")
 
     @property
     def variables(self) -> list[str]:
@@ -288,10 +280,9 @@ def metric_from_name(name: str, kind: str | None = None) -> Metric:
     if head == "conformal2d":
         k = kind or "temporal"
         lam = parse(param) if param else num(0.0)
-        names = temporal_names(2) if k == "temporal" else spatial_names(2)
-        bad = free_vars(lam) - set(names)
-        if bad:
-            raise GeometryError(f"conformal factor references foreign variables {sorted(bad)}")
+        found = foreign_vars([lam], temporal_names(2) if k == "temporal" else spatial_names(2))
+        if found:
+            raise GeometryError(f"conformal factor references foreign variables {found[1]}")
         factor = parse(f"exp(2*({param or '0'}))")
         zero = num(0.0)
         comp = [[factor, zero], [zero, factor]]

@@ -167,17 +167,16 @@ def jet_pullback(e: Expr, change: ChangeMap, p: int, n: int) -> Expr:
 
 
 def random_jet(rng: np.random.Generator, p: int, n: int,
-               box_t=None, box_x=None, v_scale: float = 2.0,
-               margin: float = 0.1) -> JetPoint:
+               box_t=None, box_x=None, v_scale: float = 2.0) -> JetPoint:
     """Seeded jet point with base coordinates drawn inside the boxes
-    (shrunk inward by `margin` of each side length) and v uniform in
+    (shrunk inward by a tenth of each side length) and v uniform in
     [-v_scale, v_scale]."""
     def draw(box, d):
         if box is None:
             return rng.uniform(-1.0, 1.0, size=d)
         out = np.empty(d)
         for k, (lo, hi) in enumerate(box):
-            pad = margin * (hi - lo)
+            pad = 0.1 * (hi - lo)
             out[k] = rng.uniform(lo + pad, hi - pad)
         return out
 

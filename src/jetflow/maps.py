@@ -29,8 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import (Add, Expr, Mul, Num, Var, compile_floats, compile_rk4, diff,
-                       evaluate, free_vars, parse)
+from .exprlang import (Add, Expr, Mul, Num, Var, compile_floats, compile_rk4, evaluate,
+                       foreign_vars, parse, partials)
 from .geometry import GeometryError, Metric
 from .numdiff import jet_names, temporal_names
 from .jetspace import JetPoint
@@ -59,22 +59,19 @@ class SmoothMap:
         self.name = name
         self.components: list[Expr] = [
             parse(c) if isinstance(c, str) else c for c in components]
-        allowed = set(temporal_names(self.p))
-        for k, e in enumerate(self.components):
-            bad = free_vars(e) - allowed
-            if bad:
-                raise MapError(f"component {k} references foreign variables {sorted(bad)}")
+        found = foreign_vars(self.components, temporal_names(self.p))
+        if found:
+            raise MapError(f"component {found[0]} references foreign variables {found[1]}")
 
     @cached_property
     def _grad(self) -> list[list[Expr]]:
         """d component / d t_a, built on first use: calling the map needs
         no derivative."""
-        return [[diff(e, t) for t in temporal_names(self.p)] for e in self.components]
+        return partials(self.components, temporal_names(self.p))
 
     @cached_property
     def _hess(self) -> list[list[list[Expr]]]:
-        return [[[diff(g, t) for t in temporal_names(self.p)] for g in row]
-                for row in self._grad]
+        return [partials(row, temporal_names(self.p)) for row in self._grad]
 
     def _env(self, t: np.ndarray) -> dict:
         return {name: float(t[a]) for a, name in enumerate(temporal_names(self.p))}

@@ -1,11 +1,9 @@
-"""Finite-difference derivatives and product-form coordinate changes.
+"""Product-form coordinate changes and the names of the jet-space variables.
 
 A ChangeMap is a diffeomorphism of product form t~ = t~(t), x~ = x~(x),
 held symbolically (forward and inverse component Exprs) so Jacobians and
-Hessians are exact.  The module also provides central-difference fallbacks
-used as independent oracles for every symbolic derivative in the package,
-and a seeded catalog of random chart changes whose inverses are closed
-form by construction.
+Hessians are exact.  The module also provides a seeded catalog of random
+chart changes whose inverses are closed form by construction.
 """
 
 from __future__ import annotations
@@ -13,16 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .exprlang import (
-    Expr, Table, add, call, compile_table, diff, div, free_vars, mul, num, sub, subst, var,
+    Expr, Table, add, call, compile_table, div, foreign_vars, mul, num, partials, sub, subst, var,
 )
 
 __all__ = [
-    "EPS", "fd_partial", "fd_jacobian",
     "ChartError", "ChangeMap", "JacobianBlocks", "jacobian_blocks",
     "temporal_names", "spatial_names", "jet_name", "jet_names",
     "identity_change", "affine_change", "random_affine_change",
@@ -30,8 +27,7 @@ __all__ = [
     "change_catalog",
 ]
 
-EPS = float(np.finfo(float).eps)
-
+# |det| below this is singular: a chart-change block, an affine block, det g
 DET_TOL = 1e-12
 
 
@@ -54,29 +50,6 @@ def jet_names(n: int, p: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# central differences
-
-
-def fd_partial(f: Callable[[np.ndarray], float], point: np.ndarray, i: int) -> float:
-    """Central-difference first partial with step eps^(1/3) * max(1, |p_i|)."""
-    point = np.asarray(point, dtype=float)
-    h = EPS ** (1.0 / 3.0) * max(1.0, abs(point[i]))
-    ep = point.copy()
-    em = point.copy()
-    ep[i] += h
-    em[i] -= h
-    return (f(ep) - f(em)) / (2.0 * h)
-
-
-def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray) -> np.ndarray:
-    point = np.asarray(point, dtype=float)
-    cols = []
-    for i in range(point.size):
-        cols.append(fd_partial(lambda q, i=i: np.asarray(f(q), dtype=float), point, i))
-    return np.stack(cols, axis=-1)
-
-
-# ---------------------------------------------------------------------------
 # coordinate changes
 
 
@@ -89,18 +62,15 @@ class ChangeMap:
 
     forward_t / inverse_t are p Exprs over t1..tp; forward_x / inverse_x are
     n Exprs over x1..xn (the inverse components are written in the same
-    variable names, read as the target chart's coordinates).  Optional
-    domain boxes bound where the forward map is certified invertible.
-    Its values at a point (the map, its Jacobians and Hessians, and
-    numpy's inverse of each Jacobian block there) come from two
-    `compile_table` tables through `jacobian_blocks`, which keeps one
-    read-only record per point on the change.
+    variable names, read as the target chart's coordinates).  Its values
+    at a point (the map, its Jacobians and Hessians, and numpy's inverse of
+    each Jacobian block there) come from two `compile_table` tables through
+    `jacobian_blocks`, which keeps one read-only record per point on the
+    change.
     """
 
     def __init__(self, name: str, forward_t: Sequence[Expr], forward_x: Sequence[Expr],
-                 inverse_t: Sequence[Expr], inverse_x: Sequence[Expr],
-                 box_t: Sequence[tuple[float, float]] | None = None,
-                 box_x: Sequence[tuple[float, float]] | None = None):
+                 inverse_t: Sequence[Expr], inverse_x: Sequence[Expr]):
         self.name = name
         self.p = len(forward_t)
         self.n = len(forward_x)
@@ -108,56 +78,28 @@ class ChangeMap:
         self.forward_x = list(forward_x)
         self.inverse_t = list(inverse_t)
         self.inverse_x = list(inverse_x)
-        self.box_t = None if box_t is None else [tuple(b) for b in box_t]
-        self.box_x = None if box_x is None else [tuple(b) for b in box_x]
         self._blocks: dict[bytes, JacobianBlocks] = {}   # see jacobian_blocks
         self._pulled: dict = {}     # metric -> its pullback, see geometry.pullback_metric
         self._inverse: ChangeMap | None = None                 # see inverted
         if len(inverse_t) != self.p or len(inverse_x) != self.n:
             raise ChartError("forward and inverse components disagree in dimension")
-        tset, xset = set(temporal_names(self.p)), set(spatial_names(self.n))
-        # one pass per factor; each loop below only names the first offender
-        ts, xs = self.forward_t + self.inverse_t, self.forward_x + self.inverse_x
-        for e in ts if free_vars(*ts) - tset else ():
-            bad = free_vars(e) - tset
-            if bad:
-                raise ChartError(f"temporal component references non-temporal variables {sorted(bad)}")
-        for e in xs if free_vars(*xs) - xset else ():
-            bad = free_vars(e) - xset
-            if bad:
-                raise ChartError(f"spatial component references non-spatial variables {sorted(bad)}")
+        for label, exprs, names in (
+                ("temporal", self.forward_t + self.inverse_t, temporal_names(self.p)),
+                ("spatial", self.forward_x + self.inverse_x, spatial_names(self.n))):
+            found = foreign_vars(exprs, names)
+            if found:
+                raise ChartError(f"{label} component references non-{label} variables {found[1]}")
 
-    # cached symbolic derivative tables -------------------------------------
-
-    @cached_property
-    def _dft(self) -> list[list[Expr]]:
-        names = temporal_names(self.p)
-        return [[diff(e, v) for v in names] for e in self.forward_t]
-
-    @cached_property
-    def _dfx(self) -> list[list[Expr]]:
-        names = spatial_names(self.n)
-        return [[diff(e, v) for v in names] for e in self.forward_x]
-
-    @cached_property
-    def _dit(self) -> list[list[Expr]]:
-        names = temporal_names(self.p)
-        return [[diff(e, v) for v in names] for e in self.inverse_t]
-
-    @cached_property
-    def _dix(self) -> list[list[Expr]]:
-        names = spatial_names(self.n)
-        return [[diff(e, v) for v in names] for e in self.inverse_x]
-
-    @cached_property
-    def _d2ft(self) -> list[list[list[Expr]]]:
-        names = temporal_names(self.p)
-        return [[[diff(d, v) for v in names] for d in row] for row in self._dft]
-
-    @cached_property
-    def _d2fx(self) -> list[list[list[Expr]]]:
-        names = spatial_names(self.n)
-        return [[[diff(d, v) for v in names] for d in row] for row in self._dfx]
+    # cached symbolic derivative tables: d[component][name] of the forward
+    # and inverse components, and d2[component][name][name] of the forward ones
+    _dft = cached_property(lambda self: partials(self.forward_t, temporal_names(self.p)))
+    _dfx = cached_property(lambda self: partials(self.forward_x, spatial_names(self.n)))
+    _dit = cached_property(lambda self: partials(self.inverse_t, temporal_names(self.p)))
+    _dix = cached_property(lambda self: partials(self.inverse_x, spatial_names(self.n)))
+    _d2ft = cached_property(lambda self: [partials(row, temporal_names(self.p))
+                                          for row in self._dft])
+    _d2fx = cached_property(lambda self: [partials(row, spatial_names(self.n))
+                                          for row in self._dfx])
 
     # pointwise evaluation ---------------------------------------------------
 
@@ -195,17 +137,7 @@ class ChangeMap:
         fwd_x = [subst(e, dict(zip(xnames, self.forward_x))) for e in other.forward_x]
         inv_t = [subst(e, dict(zip(tnames, other.inverse_t))) for e in self.inverse_t]
         inv_x = [subst(e, dict(zip(xnames, other.inverse_x))) for e in self.inverse_x]
-        return ChangeMap(f"{other.name}.{self.name}", fwd_t, fwd_x, inv_t, inv_x,
-                         box_t=self.box_t, box_x=self.box_x)
-
-    def roundtrip_error(self, t: np.ndarray, x: np.ndarray) -> float:
-        t2, x2 = self.inverted().forward(*self.forward(t, x))
-        err = 0.0
-        if self.p:
-            err = max(err, float(np.max(np.abs(t2 - np.asarray(t, float)))))
-        if self.n:
-            err = max(err, float(np.max(np.abs(x2 - np.asarray(x, float)))))
-        return err
+        return ChangeMap(f"{other.name}.{self.name}", fwd_t, fwd_x, inv_t, inv_x)
 
     def __repr__(self):
         return f"ChangeMap({self.name!r}, p={self.p}, n={self.n})"
@@ -236,6 +168,10 @@ def _readonly(values: Sequence[float], shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _singular(m: np.ndarray) -> bool:
+    return bool(m.size) and abs(np.linalg.det(m)) < DET_TOL
+
+
 def _unpack(values: tuple, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A forward table's values as the image, the Jacobian and the Hessian."""
     return (_readonly(values[:d], (d,)), _readonly(values[d:d + d * d], (d, d)),
@@ -249,7 +185,7 @@ def jacobian_blocks(change: ChangeMap, t: np.ndarray, x: np.ndarray) -> Jacobian
     tables at (t, x); the inverse blocks are numpy's inverse of the forward
     ones, taken once here, so every law reads the same A^-1 and B^-1 and
     only the target chart's own side reads the inverse components.  A
-    nearly singular block (|det| < 1e-12) raises ChartError before it is
+    nearly singular block (|det| < DET_TOL) raises ChartError before it is
     inverted.  The change keeps the record, keyed by the point's bytes; a
     failed evaluation is not kept.
     """
@@ -261,7 +197,7 @@ def jacobian_blocks(change: ChangeMap, t: np.ndarray, x: np.ndarray) -> Jacobian
         t_new, A, hess_t = _unpack(fwd_t(*t.tolist()), p)
         x_new, B, hess_x = _unpack(fwd_x(*x.tolist()), n)
         for label, m in (("temporal", A), ("spatial", B)):
-            if m.size and abs(np.linalg.det(m)) < DET_TOL:
+            if _singular(m):
                 raise ChartError(f"invalid chart change: singular {label} block "
                                  "at evaluation point")
         jb = change._blocks[key] = JacobianBlocks(
@@ -295,12 +231,11 @@ def identity_change(p: int, n: int) -> ChangeMap:
 
 
 def affine_change(name: str, At: np.ndarray, bt: np.ndarray,
-                  Ax: np.ndarray, bx: np.ndarray, **kw) -> ChangeMap:
+                  Ax: np.ndarray, bx: np.ndarray) -> ChangeMap:
     At, bt = np.asarray(At, float), np.asarray(bt, float)
     Ax, bx = np.asarray(Ax, float), np.asarray(bx, float)
-    for m in (At, Ax):
-        if m.size and abs(np.linalg.det(m)) < DET_TOL:
-            raise ChartError("affine block is singular")
+    if _singular(At) or _singular(Ax):
+        raise ChartError("affine block is singular")
     p, n = len(bt), len(bx)
     At_i, Ax_i = np.linalg.inv(At), np.linalg.inv(Ax)
     return ChangeMap(
@@ -309,17 +244,16 @@ def affine_change(name: str, At: np.ndarray, bt: np.ndarray,
         _linear_exprs(spatial_names(n), Ax, bx),
         _linear_exprs(temporal_names(p), At_i, -At_i @ bt),
         _linear_exprs(spatial_names(n), Ax_i, -Ax_i @ bx),
-        **kw,
     )
 
 
-def _random_well_conditioned(rng: np.random.Generator, d: int, max_cond: float = 50.0) -> np.ndarray:
-    """Random matrix with singular values in [0.5, 2], so cond <= 4 < max_cond."""
+def _random_well_conditioned(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Random matrix with singular values in [0.5, 2], so cond <= 4 < 50."""
     q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
     q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
     s = rng.uniform(0.5, 2.0, size=d)
     m = q1 @ np.diag(s) @ q2
-    assert np.linalg.cond(m) < max_cond
+    assert np.linalg.cond(m) < 50.0
     return m
 
 
@@ -333,10 +267,10 @@ def random_affine_change(rng: np.random.Generator, p: int, n: int, name: str = "
     return affine_change(name, At, bt, Ax, bx)
 
 
-def _shear_exprs(rng: np.random.Generator, names: Sequence[str], eps: float) -> tuple[list[Expr], list[Expr]]:
-    """Triangular sin/cos shear: coordinate k is displaced by a bounded smooth
-    function of the later coordinates, so the inverse is exact back-substitution
-    and the Jacobian is unit triangular."""
+def _shear_exprs(rng: np.random.Generator, names: Sequence[str]) -> tuple[list[Expr], list[Expr]]:
+    """Triangular sin/cos shear: coordinate k is displaced by a smooth
+    function of the later coordinates, of amplitude at most 0.1, so the
+    inverse is exact back-substitution and the Jacobian is unit triangular."""
     d = len(names)
     fwd: list[Expr] = [var(v) for v in names]
     perturb: list[Expr | None] = [None] * d
@@ -345,7 +279,7 @@ def _shear_exprs(rng: np.random.Generator, names: Sequence[str], eps: float) -> 
         fn = "sin" if rng.random() < 0.5 else "cos"
         freq = float(rng.uniform(0.5, 1.5))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        amp = float(rng.uniform(0.3, 1.0) * eps)
+        amp = float(rng.uniform(0.3, 1.0) * 0.1)
         perturb[k] = mul(num(amp), call(fn, add(mul(num(freq), var(names[j])), num(phase))))
         fwd[k] = add(var(names[k]), perturb[k])
     inv: list[Expr] = [var(v) for v in names]
@@ -369,14 +303,14 @@ def _monotone_1d(rng: np.random.Generator, name: str) -> tuple[list[Expr], list[
     return fwd, inv
 
 
-def random_shear_change(rng: np.random.Generator, p: int, n: int, eps: float = 0.1,
+def random_shear_change(rng: np.random.Generator, p: int, n: int,
                         name: str = "shear") -> ChangeMap:
     if p >= 2:
-        ft, it = _shear_exprs(rng, temporal_names(p), eps)
+        ft, it = _shear_exprs(rng, temporal_names(p))
     else:
         ft, it = _monotone_1d(rng, "t1")
     if n >= 2:
-        fx, ix = _shear_exprs(rng, spatial_names(n), eps)
+        fx, ix = _shear_exprs(rng, spatial_names(n))
     else:
         fx, ix = _monotone_1d(rng, "x1")
     return ChangeMap(name, ft, fx, it, ix)

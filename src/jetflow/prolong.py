@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import (Expr, add, compile_floats, compile_rk4, compile_table, diff,
-                       free_vars, mul, num, parse, subst)
+from .exprlang import (Expr, add, compile_floats, compile_rk4, compile_table, foreign_vars,
+                       mul, num, parse, partials, subst)
 from .dtensor import DTensorField, IndexSignature
 from .connection import NonlinearConnection
 from .numdiff import ChangeMap, jet_names, spatial_names, temporal_names
@@ -48,7 +48,7 @@ def _partials(exprs: Sequence[Expr], args: Sequence[str],
     """Compiled first partials of each expression in each name of `wrt`:
     a function of the values of `args` that returns one tuple of floats
     per expression."""
-    kernel = compile_table([diff(e, w) for e in exprs for w in wrt], args)
+    kernel = compile_table([d for row in partials(exprs, wrt) for d in row], args)
     m = len(wrt)
 
     def at(*values: float) -> list[tuple]:
@@ -85,11 +85,9 @@ class BaseVectorField:
         conv = lambda c: parse(c) if isinstance(c, str) else c
         self.temporal = [conv(c) for c in temporal]
         self.spatial = [conv(c) for c in spatial]
-        allowed = set(temporal_names(p)) | set(spatial_names(n))
-        for e in self.temporal + self.spatial:
-            bad = free_vars(e) - allowed
-            if bad:
-                raise ProlongError(f"component references foreign variables {sorted(bad)}")
+        found = foreign_vars(self.temporal + self.spatial, self.variables)
+        if found:
+            raise ProlongError(f"component references foreign variables {found[1]}")
         self._pushed: dict[ChangeMap, BaseVectorField] = {}   # see pushforward
 
     @property
@@ -148,15 +146,17 @@ class JetVectorField:
         return out
 
 
+def _over_base(X: BaseVectorField, vertical: Callable[[JetPoint], np.ndarray],
+               name: str) -> JetVectorField:
+    """The jet field whose temporal and spatial parts are X at the base
+    point of the jet, with the given vertical part."""
+    return JetVectorField(X.p, X.n, lambda u: X(u.t, u.x)[0], lambda u: X(u.t, u.x)[1],
+                          vertical, name=name)
+
+
 def olver_prolong(X: BaseVectorField) -> JetVectorField:
     """First prolongation: vertical part D_a X^i - (D_a X^b) x^i_b."""
-    p, n = X.p, X.n
-
-    def temporal(u: JetPoint) -> np.ndarray:
-        return X(u.t, u.x)[0]
-
-    def spatial(u: JetPoint) -> np.ndarray:
-        return X(u.t, u.x)[1]
+    p = X.p
 
     def vertical(u: JetPoint) -> np.ndarray:
         rows = X._gradients(*u.t.tolist(), *u.x.tolist())
@@ -164,7 +164,7 @@ def olver_prolong(X: BaseVectorField) -> JetVectorField:
         Dx = _total_derivatives(rows[p:], u)    # (n, p) [i, a]
         return Dx - u.v @ Dt
 
-    return JetVectorField(p, n, temporal, spatial, vertical, name=f"pr1[{X.name}]")
+    return _over_base(X, vertical, f"pr1[{X.name}]")
 
 
 def pushforward(X: BaseVectorField, change: ChangeMap) -> BaseVectorField:
@@ -209,28 +209,26 @@ def flow_point(X: BaseVectorField, t: np.ndarray, x: np.ndarray,
 
 
 def flow_transport(X: BaseVectorField, u: JetPoint, eps: float,
-                   substeps: int = 16, fd_step: float = 1e-6) -> JetPoint:
-    """Transport of the jet u by the time-eps flow of X: base point flows,
-    and the jet matrix transports through the flow's (finite-difference)
-    Jacobian as  v~ = (dPhiM/dt + dPhiM/dx v)(dPhiT/dt + dPhiT/dx v)^-1."""
-    p, n = u.p, u.n
+                   substeps: int = 16) -> JetPoint:
+    """Transport of the jet u by the time-eps flow (PhiT, PhiM) of X: the
+    base point flows, and the jet matrix transports through the flow's
+    Jacobian as  v~ = (dPhiM/dt + dPhiM/dx v)(dPhiT/dt + dPhiT/dx v)^-1.
+    Column k of the Jacobian is a central difference of the flow with step
+    1e-6 in base coordinate k of (t, x), the others held."""
+    p, step = u.p, 1e-6
     t_new, x_new = flow_point(X, u.t, u.x, eps, substeps)
-    Jtt = np.empty((p, p)); Jtx = np.empty((p, n))
-    Jxt = np.empty((n, p)); Jxx = np.empty((n, n))
-    for a in range(p):
-        dt = np.zeros(p); dt[a] = fd_step
-        tp_, xp_ = flow_point(X, u.t + dt, u.x, eps, substeps)
-        tm_, xm_ = flow_point(X, u.t - dt, u.x, eps, substeps)
-        Jtt[:, a] = (tp_ - tm_) / (2 * fd_step)
-        Jxt[:, a] = (xp_ - xm_) / (2 * fd_step)
-    for i in range(n):
-        dx = np.zeros(n); dx[i] = fd_step
-        tp_, xp_ = flow_point(X, u.t, u.x + dx, eps, substeps)
-        tm_, xm_ = flow_point(X, u.t, u.x - dx, eps, substeps)
-        Jtx[:, i] = (tp_ - tm_) / (2 * fd_step)
-        Jxx[:, i] = (xp_ - xm_) / (2 * fd_step)
-    denom = Jtt + Jtx @ u.v
-    v_new = (Jxt + Jxx @ u.v) @ np.linalg.inv(denom)
+    y = np.concatenate([u.t, u.x])
+    J = np.empty((y.size, y.size))      # [component of (PhiT, PhiM), coordinate k]
+    for k in range(y.size):
+        plus, minus = y.copy(), y.copy()
+        plus[k] += step
+        minus[k] -= step
+        tp, xp = flow_point(X, plus[:p], plus[p:], eps, substeps)
+        tm, xm = flow_point(X, minus[:p], minus[p:], eps, substeps)
+        J[:p, k] = (tp - tm) / (2 * step)
+        J[p:, k] = (xp - xm) / (2 * step)
+    denom = J[:p, :p] + J[:p, p:] @ u.v
+    v_new = (J[p:, :p] + J[p:, p:] @ u.v) @ np.linalg.inv(denom)
     return JetPoint(t_new, x_new, v_new)
 
 
@@ -262,19 +260,12 @@ def horizontal_lift(X: BaseVectorField, conn: NonlinearConnection) -> JetVectorF
     if (X.p, X.n) != (conn.p, conn.n):
         raise ProlongError("field and connection live on different jet spaces")
 
-    def temporal(u: JetPoint) -> np.ndarray:
-        return X(u.t, u.x)[0]
-
-    def spatial(u: JetPoint) -> np.ndarray:
-        return X(u.t, u.x)[1]
-
     def vertical(u: JetPoint) -> np.ndarray:
         Xt, Xx = X(u.t, u.x)
         return -(np.einsum("jba,a->jb", conn.M.at(u), Xt)
                  + np.einsum("jbi,i->jb", conn.N.at(u), Xx))
 
-    return JetVectorField(X.p, X.n, temporal, spatial, vertical,
-                          name=f"horizontal[{X.name}]")
+    return _over_base(X, vertical, f"horizontal[{X.name}]")
 
 
 _GAP_SIG = IndexSignature.parse("U(i,a)")

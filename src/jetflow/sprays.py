@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dtensor import DTensorField, IndexSignature, Verdict, law_check
-from .exprlang import Expr, Table, add, compile_table, diff, free_vars, mul, num, var
+from .exprlang import Expr, Table, add, compile_table, free_vars, mul, num, partials, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, mixed_jet_derivatives
@@ -88,8 +88,7 @@ class JetTable:
     @cached_property
     def gradient_entries(self) -> list[Expr]:
         """d entry / d x^k_g, entry by entry and then (k, g) row-major."""
-        jets = jet_names(self.n, self.p)
-        return [diff(e, v) for e in self.entries for v in jets]
+        return [d for row in partials(self.entries, jet_names(self.n, self.p)) for d in row]
 
     @cached_property
     def kernel(self) -> Table:
@@ -378,7 +377,7 @@ def spray_difference_field(s1: Spray, s2: Spray, name: str | None = None) -> DTe
                         comps, rebuild=rebuild)
 
 
-def spray_coefficient_field(s: Spray, name: str | None = None) -> DTensorField:
+def spray_coefficient_field(s: Spray) -> DTensorField:
     """Spray coefficients wrapped as a candidate d-tensor (a negative
     control: the inhomogeneous term makes is_dtensor fail)."""
     p, n = s.p, s.n
@@ -389,9 +388,9 @@ def spray_coefficient_field(s: Spray, name: str | None = None) -> DTensorField:
     rebuild = None
     if s.rebuild is not None:
         def rebuild(change: ChangeMap) -> DTensorField:
-            return spray_coefficient_field(s.rebuild(change), name)
+            return spray_coefficient_field(s.rebuild(change))
 
-    return DTensorField(name or f"coefficients[{s.name}]", _SPRAY_SIG, p, n,
+    return DTensorField(f"coefficients[{s.name}]", _SPRAY_SIG, p, n,
                         comps, rebuild=rebuild)
 
 

@@ -14,6 +14,8 @@ from jetflow.jetspace import random_jet
 TOL_LAW = 1e-8          # transformation-law agreement
 TOL_EXACT = 1e-12       # identities that hold to rounding
 
+EPS = float(np.finfo(float).eps)
+
 
 def golden_writer() -> dict:
     """What the bits of a stored report depend on beyond the code: numpy,
@@ -67,6 +69,67 @@ def metric_and_points(name: str, kind: str, change_kind: str | None,
     else:
         pts = np.array([c.forward(np.zeros(1), x)[1] for x in pts])
     return pullback_metric(g, c), pts
+
+
+# --- central differences: references for the symbolic derivatives ----------
+
+
+def fd_partial(f, point: np.ndarray, i: int) -> float:
+    """Central-difference first partial with step eps^(1/3) * max(1, |p_i|)."""
+    point = np.asarray(point, dtype=float)
+    h = EPS ** (1.0 / 3.0) * max(1.0, abs(point[i]))
+    ep = point.copy()
+    em = point.copy()
+    ep[i] += h
+    em[i] -= h
+    return (f(ep) - f(em)) / (2.0 * h)
+
+
+def fd_jacobian(f, point: np.ndarray) -> np.ndarray:
+    point = np.asarray(point, dtype=float)
+    cols = []
+    for i in range(point.size):
+        cols.append(fd_partial(lambda q, i=i: np.asarray(f(q), dtype=float), point, i))
+    return np.stack(cols, axis=-1)
+
+
+def roundtrip_error(change, t: np.ndarray, x: np.ndarray) -> float:
+    """Largest coordinate gap after the change and then its inverse."""
+    t2, x2 = change.inverted().forward(*change.forward(t, x))
+    err = 0.0
+    if change.p:
+        err = max(err, float(np.max(np.abs(t2 - np.asarray(t, float)))))
+    if change.n:
+        err = max(err, float(np.max(np.abs(x2 - np.asarray(x, float)))))
+    return err
+
+
+def reference_flow_transport(X, u, eps: float, substeps: int = 16):
+    """`prolong.flow_transport` built block by block: the flow's Jacobian
+    as its four blocks d(t~, x~)/d(t, x), each filled by central
+    differences with step 1e-6; the reference for its one loop over the
+    base coordinates."""
+    from jetflow.jetspace import JetPoint
+    from jetflow.prolong import flow_point
+    p, n, fd_step = u.p, u.n, 1e-6
+    t_new, x_new = flow_point(X, u.t, u.x, eps, substeps)
+    Jtt = np.empty((p, p)); Jtx = np.empty((p, n))
+    Jxt = np.empty((n, p)); Jxx = np.empty((n, n))
+    for a in range(p):
+        dt = np.zeros(p); dt[a] = fd_step
+        tp_, xp_ = flow_point(X, u.t + dt, u.x, eps, substeps)
+        tm_, xm_ = flow_point(X, u.t - dt, u.x, eps, substeps)
+        Jtt[:, a] = (tp_ - tm_) / (2 * fd_step)
+        Jxt[:, a] = (xp_ - xm_) / (2 * fd_step)
+    for i in range(n):
+        dx = np.zeros(n); dx[i] = fd_step
+        tp_, xp_ = flow_point(X, u.t, u.x + dx, eps, substeps)
+        tm_, xm_ = flow_point(X, u.t, u.x - dx, eps, substeps)
+        Jtx[:, i] = (tp_ - tm_) / (2 * fd_step)
+        Jxx[:, i] = (xp_ - xm_) / (2 * fd_step)
+    denom = Jtt + Jtx @ u.v
+    v_new = (Jxt + Jxx @ u.v) @ np.linalg.inv(denom)
+    return JetPoint(t_new, x_new, v_new)
 
 
 def fd_spray_gradient(s, u, eps: float = 1e-6) -> np.ndarray:

@@ -548,6 +548,23 @@ def test_assigning_a_field_of_any_node_raises():
                 setattr(e, f.name, getattr(e, f.name))
 
 
+def test_any_assignment_or_deletion_on_any_node_raises():
+    """Not only fields: any other name, `_dmemo` included, and deletion.
+    `diff` still keeps its derivatives on the node."""
+    assert set(NODE_CLASSES) == set(Expr.__subclasses__())
+    for e in _one_of_each_node():
+        for name in [f.name for f in dataclasses.fields(e)] + ["other", "_dmemo"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(e, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parse("x + 1").other = 1
+    e = parse("x*sin(x)")
+    first = diff(e, "x")
+    assert diff(e, "x") is first and e._dmemo == {"x": first}
+
+
 def _distinct(*roots):
     seen, todo = {}, list(roots)
     while todo:

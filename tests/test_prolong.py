@@ -25,7 +25,7 @@ from jetflow.prolong import (
 )
 from jetflow.verify import default_prolong_fields
 
-from helpers import catalog, jets_in, standard_metrics
+from helpers import catalog, jets_in, reference_flow_transport, standard_metrics
 
 
 # --- total derivative ----------------------------------------------------------
@@ -125,6 +125,21 @@ def test_flow_transport_matches_jet_lift_of_flowed_graph():
     assert np.max(np.abs(w.t - q.t)) < 1e-3
     assert np.max(np.abs(w.x - q.x)) < 1e-3
     assert np.max(np.abs(w.v - q.v)) < 1e-3
+
+
+@pytest.mark.parametrize("p,n", [(1, 2), (2, 1), (2, 2)])
+def test_flow_transport_equals_the_block_by_block_reference(p, n):
+    """One loop over the p + n base coordinates fills the flow's Jacobian
+    as its four blocks d(t~, x~)/d(t, x) would, bit for bit, at p != n too,
+    where the two off-diagonal blocks differ in shape."""
+    h, phi = standard_metrics(p, n)
+    jets = jets_in(np.random.default_rng(94 + 3 * p + n), p, n, h, phi, count=3)
+    for X in default_prolong_fields(p, n):
+        for u in jets:
+            for eps in (0.02, -0.01):
+                got, want = flow_transport(X, u, eps), reference_flow_transport(X, u, eps)
+                for a, b in ((got.t, want.t), (got.x, want.x), (got.v, want.v)):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), X.name
 
 
 # --- compiled fields against the tree interpreter --------------------------------
