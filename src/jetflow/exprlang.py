@@ -49,10 +49,12 @@ __all__ = [
     "partials", "foreign_vars",
     "num", "var", "neg", "add", "sub", "mul", "div", "pow_", "call",
     "FUNCTIONS", "compile_table", "Table", "WALK_CALLS", "table_columns",
-    "compile_floats", "compile_rk4",
+    "compile_floats", "compile_rk4", "DET_TOL",
 ]
 
 MAX_EXPONENT = 1000
+# |det| below this is singular: a chart-change block, an affine block, det g
+DET_TOL = 1e-12
 _DIV0 = "domain error: division by zero"
 _NEG_POW0 = "domain error: 0 raised to a negative power"
 
@@ -742,8 +744,9 @@ def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value],
     ExprError raised, are those of evaluating the entries one by one with
     `Expr.eval`: nodes are visited in the interpreter's order, and a node
     is skipped only when it has already been evaluated without error.
-    ``checks[k]`` is called with entry k's value before any later entry is
-    evaluated.  Nothing is kept between calls; a `Table` keeps its points."""
+    ``checks[k]`` is the det-g guard of entry k (`compile_table`), tested
+    before any later entry is evaluated.  Nothing is kept between calls; a
+    `Table` keeps its points."""
     memo: dict[int, Value] = {}
 
     def ev(e: Expr) -> Value:
@@ -755,9 +758,10 @@ def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value],
 
     out = []
     for k, e in enumerate(exprs):
-        out.append(ev(e))
-        if k < len(checks):
-            checks[k](out[k])
+        value = ev(e)
+        out.append(value)
+        if k < len(checks) and _any(abs(value) < DET_TOL):
+            checks[k](value)
     return out
 
 
@@ -822,14 +826,14 @@ def _on_values(scalar_fn: Callable, array_fn: Callable) -> Callable[[Value], Val
 
 # names the generated functions use, besides the checks `check0`, `check1`, ...
 _TABLE_NAMESPACE: dict[str, object] = {
-    "ExprError": ExprError, "_any": _any, "_power": _power,
+    "ExprError": ExprError, "DET_TOL": DET_TOL, "_any": _any, "_power": _power,
     **{f"_f_{fn}": _on_values(scalar_fn, array_fn)
        for fn, (scalar_fn, array_fn, _) in FUNCTIONS.items()},
     **{f"_g_{fn}": domain for fn, (_, _, domain) in FUNCTIONS.items() if domain is not None},
 }
 # the same names in float-only code (`compile_floats`)
 _FLOAT_NAMESPACE: dict[str, object] = {
-    "ExprError": ExprError,
+    "ExprError": ExprError, "DET_TOL": DET_TOL,
     **{f"_f_{fn}": scalar_fn for fn, (scalar_fn, _, _) in FUNCTIONS.items()},
     **{f"_g_{fn}": domain for fn, (_, _, domain) in FUNCTIONS.items() if domain is not None},
 }
@@ -859,7 +863,8 @@ class Table:
     each walked point's values by the exact bits of the arguments (0.0 and
     -0.0 are two points): a call on Python floats at a kept point returns
     them and is not a walk.  A walk that raised keeps nothing.  `freeze`
-    binds some names once and for all.
+    binds some names once and for all.  Every tier runs the same det-g
+    guards (`compile_table`).
     """
 
     __slots__ = ("exprs", "names", "checks", "_walks", "_points", "_fn", "_makers")
@@ -902,10 +907,10 @@ class Table:
         order, with `fixed_names` bound to `values` (partial evaluation).
 
         Every node that reads only fixed names and literals is computed
-        here, once, together with its guards, and so is a check whose entry
-        is such a node: a domain error, or a failed check such
-        as a degenerate metric's GeometryError, on those nodes raises from
-        `freeze` rather than from the first call.  The returned function
+        here, once, together with its guards, and so is the det-g guard of
+        a checked entry that is such a node: a domain error, or a degenerate
+        metric's GeometryError, on those nodes raises from `freeze` rather
+        than from the first call.  The returned function
         computes the remaining nodes; every value is the one the full table
         computes from the same arguments, bit for bit.  The generated code
         is compiled once per set of fixed names."""
@@ -935,9 +940,15 @@ def compile_table(exprs: Sequence[Expr], names: Sequence[str],
     variable outside `names` raises its "unbound variable" ExprError at the
     first evaluation, compile or freeze, not here.
 
-    ``checks`` holds one function per leading entry: ``checks[k]`` is
-    called with entry k's value before any later entry is computed, and it
-    may raise to stop the evaluation.
+    ``checks`` holds one det-g guard per leading entry: ``checks[k]`` is
+    called with entry k's value only where |entry k| < DET_TOL (on columns,
+    where any element is below), before any later entry is computed, and
+    it must raise there.  The test runs inline, so a nondegenerate point
+    makes no call; a literal entry of at least DET_TOL is not tested at
+    all, and one below raises when the code runs its literals (for a
+    frozen or float table, when it is built).  A division by a checked
+    entry, or a negative power of one, has no zero test after it: the det
+    test that passed rules zero out, and a NaN passes both alike.
     """
     return Table(exprs, names, checks)
 
@@ -959,8 +970,10 @@ class _Emitter:
     v1, ....  Structurally equal subtrees are interned (one
     pass over the trees, memoised by ``id``), a guard that passed is not
     repeated on the same operand, and the guards come in the interpreter's
-    order.  With `floats`, the code runs on Python floats only: ``b ** k``
-    and plain ``== 0`` tests stand for the numpy-aware `_power` and `_any`.
+    order.  A checked entry's det-g guard (`det_guard`) counts as a passed
+    zero test of its operand.  With `floats`, the code runs on Python
+    floats only: ``b ** k`` and plain ``== 0`` tests stand for the
+    numpy-aware `_power` and `_any`.
 
     `frozen` holds the operand texts known before the call (`Table.freeze`);
     then literals are frozen too, a node on frozen operands only is frozen,
@@ -990,6 +1003,17 @@ class _Emitter:
         if key not in self.guarded:
             self.guarded.add(key)
             self.place(key[1:], line)
+
+    def det_guard(self, e: Expr, v: str, check: str) -> None:
+        """Call `check` on entry `e`, held in `v`, where |v| < DET_TOL; a
+        literal is tested here.  A division by `v`, or a negative power of
+        it, then needs no zero test."""
+        if not isinstance(e, Num):
+            test = f"abs({v}) < DET_TOL" if self.floats else f"_any(abs({v}) < DET_TOL)"
+            self.place([v], f"if {test}: {check}({v})")
+        elif abs(e.value) < DET_TOL:
+            self.place([v], f"{check}({v})")
+        self.guarded.update({("/", v), ("^", v)})
 
     def zero_guard(self, key: tuple[str, str], message: str) -> None:
         b = key[1]
@@ -1043,14 +1067,14 @@ class _Emitter:
         return got
 
     def table(self, exprs: Sequence[Expr], checks: Sequence[str | None] = ()) -> list[str]:
-        """The operand texts of the entries' values, with a call of the
-        function named ``checks[k]`` (unless None) on entry k's value before
-        any later entry is computed."""
+        """The operand texts of the entries' values, with the det-g guard
+        of the function named ``checks[k]`` (unless None) on entry k's
+        value before any later entry is computed."""
         outs = []
         for k, e in enumerate(exprs):
             outs.append(self.emit(e))
             if k < len(checks) and checks[k] is not None:
-                self.place([outs[k]], f"{checks[k]}({outs[k]})")
+                self.det_guard(e, outs[k], checks[k])
         return outs
 
 
@@ -1098,9 +1122,9 @@ def compile_floats(exprs: Sequence[Expr], names: Sequence[str],
 
     Each node computes exactly what ``Expr.eval`` computes on floats, with
     the interpreter's guards in its order.  ``checks[k]``, unless None, is
-    called with entry k's value before any later entry is computed.  The
-    nodes that read only literals are computed here, once, with their
-    guards, and so are the checks on such entries (`Table.freeze`)."""
+    the det-g guard of entry k, as in `compile_table`.  The nodes that
+    read only literals are computed here, once, with their guards, and so
+    are the det tests of such entries (`Table.freeze`)."""
     return _compile(exprs, names, checks, (), floats=True, last=last)()
 
 

@@ -15,10 +15,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exprlang import (
-    Expr, Num, add, compile_table, diff, div, foreign_vars, mul, neg, num, parse, sub, subst,
-    table_columns, var,
+    DET_TOL, Expr, Num, add, compile_table, diff, div, foreign_vars, mul, neg, num, parse, sub,
+    subst, table_columns, var,
 )
-from .numdiff import DET_TOL, ChangeMap, jet_name, spatial_names, temporal_names
+from .numdiff import ChangeMap, jet_name, spatial_names, temporal_names
 
 __all__ = [
     "GeometryError", "Metric",
@@ -51,7 +51,8 @@ class Metric:
     shape (dim,) as a one-point batch that runs on floats.
     The symbolic det g, inverse and Christoffel symbols are cached; a table
     built from them elsewhere (`sprays.JetTable`) leads with `det` and
-    checks it with `check_det`, as the metric's own tables do.
+    guards it with `check_det`, as the metric's own tables do: the table
+    tests |det g| < DET_TOL inline and calls `check_det` only there.
     """
 
     def __init__(self, name: str, kind: str, components: Sequence[Sequence[Expr]],
@@ -89,7 +90,9 @@ class Metric:
     @cached_property
     def _det_inverse(self) -> tuple[Expr, list[list[Expr]]]:
         """(det g, g^-1) by the adjugate formula.  Determinants expand along
-        their first row; each minor is built once and shared."""
+        their first row; each minor is built once and shared.  A diagonal
+        cofactor that is det g itself (g^11 of diag(1, f)) gives the
+        literal 1, not det g / det g."""
         g, d = self.components, self.dim
         minors: dict[tuple[tuple[int, ...], tuple[int, ...]], Expr] = {}
 
@@ -111,6 +114,8 @@ class Metric:
             cof = minor(without(j), without(i))
             if isinstance(cof, Num) and cof.value == 0:
                 return num(0.0)
+            if i == j and cof is det:
+                return num(1.0)
             return div(cof if (i + j) % 2 == 0 else neg(cof), det)
 
         det = minor(tuple(range(d)), tuple(range(d)))
@@ -143,10 +148,10 @@ class Metric:
         return self._det_inverse[0]
 
     def check_det(self, det) -> None:
-        """Stop with GeometryError where |det g| (float or column) is below DET_TOL."""
-        small = abs(det) < DET_TOL
-        if small.any() if isinstance(small, np.ndarray) else small:
-            raise GeometryError(f"metric '{self.name}' is degenerate: |det g| < {DET_TOL}")
+        """The det-g guard of every table led by det g: the table calls it
+        only where |det g| (float, or any element of a column) is below
+        DET_TOL, and it raises GeometryError."""
+        raise GeometryError(f"metric '{self.name}' is degenerate: |det g| < {DET_TOL}")
 
     def _exprs(self, table: str) -> list[Expr]:
         """Entries of a table, row-major: "g" is g; "inverse" is det g then
@@ -160,7 +165,7 @@ class Metric:
 
     def _kernel(self, table: str) -> Callable[..., tuple]:
         """The compiled table, built on first use; tables led by det g stop
-        with GeometryError where the metric is degenerate."""
+        with GeometryError where the metric is degenerate (`check_det`)."""
         kernel = self._kernels.get(table)
         if kernel is None:
             checks = () if table == "g" else (self.check_det,)

@@ -185,9 +185,12 @@ def _geodesic_loop(pair: SprayPair, n: int) -> Callable:
     """The generated RK4 of the p = 1 affine equation: state (x, v) and
     F = (v, -2 (G + H)^{(i)}_{(1)1}).  While both sprays' `coefficients`
     are their tables' `at`, F is one float table (`compile_floats`) of the
-    spatial kernel's checked dets and entries, the temporal kernel's, v and
+    spatial kernel's dets and entries, the temporal kernel's, v and
     -2 (G + H), and the loop is built once per pair of spray tables;
-    otherwise F calls `coefficients` and the loop is built on every call."""
+    otherwise F calls `coefficients` and the loop is built on every call.
+    Each det keeps its kernel's det-g guard (`Metric.check_det`), tested
+    inline at every stage; a literal det, such as a flat metric's 1.0, is
+    tested once, when F is built."""
     G, H = pair.spatial.tables, pair.temporal.tables
     if pair.spatial.coefficients != G.at or pair.temporal.coefficients != H.at:
         return compile_rk4(2 * n, _coefficients_rhs(pair, n), _nonfinite)

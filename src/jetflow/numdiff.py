@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .exprlang import (
-    Expr, Table, add, call, compile_table, div, foreign_vars, mul, num, partials, sub, subst, var,
+    DET_TOL, Expr, Table, add, call, compile_table, div, foreign_vars, mul, num, partials, sub,
+    subst, var,
 )
 
 __all__ = [
@@ -26,9 +27,6 @@ __all__ = [
     "random_shear_change", "random_monotone_change", "random_change",
     "change_catalog",
 ]
-
-# |det| below this is singular: a chart-change block, an affine block, det g
-DET_TOL = 1e-12
 
 
 def temporal_names(p: int) -> list[str]:

@@ -62,8 +62,9 @@ class JetTable:
     read as one row-major array of `shape`, and their compiled table.
 
     The table `kernel` (`compile_table`) leads with det g of every metric
-    the entries read (`metrics`, in order), each checked as soon as it is
-    computed, so a degenerate metric stops any evaluation with
+    the entries read (`metrics`, in order), each guarded as soon as it is
+    computed: where |det g| < DET_TOL the kernel calls the metric's
+    `check_det`, so a degenerate metric stops any evaluation with
     GeometryError before an entry divides by its det g.  The entries, the
     kernel and the symbolic jet gradient (`gradient_entries`) are built on
     first use.  Points run on Python floats (`at`), `batch_at` freezes the

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from jetflow.exprlang import (Add, Call, Div, Expr, ExprError, Mul, Neg, Num, Pow, Sub, Var, add,
-                              call, compile_floats, compile_rk4, compile_table, diff, div,
+from jetflow.exprlang import (DET_TOL, Add, Call, Div, Expr, ExprError, Mul, Neg, Num, Pow, Sub,
+                              Var, add, call, compile_floats, compile_rk4, compile_table, diff, div,
                               evaluate,
                               evaluate_table,
                               free_vars, mul, neg, num, parse, pow_, subst, to_str, var)
@@ -141,33 +141,51 @@ def test_rk4_loop_raises_the_interpreters_domain_error(text, env):
 
 
 def test_rk4_loop_checks_a_constant_first_entry_once():
+    """A literal first entry of at least DET_TOL has no det test in the
+    generated code, so its check is never called; one below DET_TOL calls
+    its check, which raises, once, when the right-hand side is built."""
     seen = []
     rhs = compile_floats([num(2.0), parse("-x")], ["s", "x"], [seen.append], last=1)
-    assert seen == [2.0]
+    assert not {"check0", "DET_TOL"} & set(rhs.__code__.co_names)
     run = compile_rk4(1, rhs)
     s, x = run(0.0, 1.0, 0.01, 100, None)
-    assert seen == [2.0] and s == 1.0 and abs(x - math.exp(-1.0)) < 1e-9
+    assert seen == [] and s == 1.0 and abs(x - math.exp(-1.0)) < 1e-9
+
+    def degenerate(value):
+        seen.append(value)
+        raise RuntimeError("first entry below DET_TOL")
+
+    with pytest.raises(RuntimeError, match="below DET_TOL"):
+        compile_floats([num(1e-13), parse("-x")], ["s", "x"], [degenerate], last=1)
+    assert seen == [1e-13]
 
 
 def test_rk4_loop_runs_each_check_on_its_entry():
-    """A constant leading entry is checked once, at build time; a variable
-    one on every stage, before the entries after it; a None check is no
-    check."""
+    """A literal leading entry of at least DET_TOL is never tested; a
+    variable one is tested at every stage, and its check is called where
+    the entry is below DET_TOL, before the entries after it; a None check
+    is no check.  A check that records instead of raising shows every
+    stage's test."""
     const, seen = [], []
+    rhs = compile_floats([num(2.0), parse("x + 1"), parse("1e-13*x"), parse("-x")], ["s", "x"],
+                         checks=[const.append, None, seen.append], last=1)
+    compile_rk4(1, rhs)(0.0, 1.0, 0.01, 10, None)
+    assert const == [] and len(seen) == 4 * 10 and all(0 < v < DET_TOL for v in seen)
 
     def third(value):
         seen.append(value)
-        if value < 0.5:
-            raise RuntimeError("third entry below 0.5")
+        raise RuntimeError("third entry below DET_TOL")
 
-    rhs = compile_floats([num(2.0), parse("x + 1"), parse("x"), parse("-x")], ["s", "x"],
-                         checks=[const.append, None, third], last=1)
-    run = compile_rk4(1, rhs)
-    assert const == [2.0] and seen == []
-    run(0.0, 1.0, 0.01, 10, None)
-    assert const == [2.0] and len(seen) == 4 * 10
-    with pytest.raises(RuntimeError, match="below 0.5"):
-        run(0.0, 1.0, 0.1, 10, None)
+    # 1e-12*x is below DET_TOL once x < 1, where sqrt(x - 1) would raise
+    exprs = [num(2.0), parse("x + 1"), parse("1e-12*x"), parse("sqrt(x - 1)"), parse("-x")]
+    run = compile_rk4(1, compile_floats(exprs, ["s", "x"], checks=[const.append, None, third],
+                                        last=1))
+    seen.clear()
+    run(0.0, 2.0, 0.01, 10, None)
+    assert seen == []
+    with pytest.raises(RuntimeError, match="third entry below DET_TOL"):
+        run(0.0, 1.0, 0.01, 10, None)      # stage 1 at x = 1 passes, stage 2 does not
+    assert const == [] and len(seen) == 1 and 0 < seen[0] < DET_TOL
 
 
 @pytest.mark.parametrize("arrays", [False, True])
@@ -259,19 +277,23 @@ def test_compiled_table_check_runs_before_other_entries():
 
 
 def test_each_check_runs_on_its_entry_before_later_entries():
-    """checks[k] sees entry k and stops the entries after it, in every
-    tier: the walk, the compiled function, on columns, and frozen."""
+    """checks[k] is called with entry k only where |entry k| < DET_TOL (on
+    columns, where any element is), and no entry after a failing det is
+    computed, in every tier: the walk, the compiled function, on columns,
+    and frozen.  The later entries would raise a different error at y = 0:
+    x/y has no zero test of its own after the det test on y, and
+    sqrt(y - 1) is a domain error."""
     seen = []
 
     def first(value):
         seen.append(("first", value))
+        raise RuntimeError("first entry is degenerate")
 
     def second(value):
         seen.append(("second", value))
-        if np.any(np.asarray(value) == 0):
-            raise RuntimeError("second entry is zero")
+        raise RuntimeError("second entry is degenerate")
 
-    exprs = [parse("x + 1"), parse("y"), parse("x/y")]
+    exprs = [parse("x + 1"), parse("y"), parse("x/y"), parse("sqrt(y - 1)")]
     for run in (lambda table, x, y: table(x, y),
                 lambda table, x, y: table.compiled()(x, y),
                 lambda table, x, y: table(np.array([x, x]), np.array([1.0, y])),
@@ -279,12 +301,15 @@ def test_each_check_runs_on_its_entry_before_later_entries():
         table = compile_table(exprs, ["x", "y"], checks=[first, second])
         seen.clear()
         got = run(table, 3.0, 2.0)
-        assert [np.broadcast_to(v, (2,))[-1] for v in got] == [4.0, 2.0, 1.5]
-        assert [name for name, _ in seen] == ["first", "second"]
-        seen.clear()
-        with pytest.raises(RuntimeError, match="second entry is zero"):
+        assert [np.broadcast_to(v, (2,))[-1] for v in got] == [4.0, 2.0, 1.5, 1.0]
+        assert seen == []
+        with pytest.raises(RuntimeError, match="second entry is degenerate"):
             run(table, 3.0, 0.0)
-        assert [name for name, _ in seen][-1] == "second"
+        assert [name for name, _ in seen] == ["second"]
+        seen.clear()
+        with pytest.raises(RuntimeError, match="first entry is degenerate"):
+            run(table, -1.0, 0.0)
+        assert [name for name, _ in seen] == ["first"]
 
 
 def test_compiled_table_rejects_unbound_variable():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -277,20 +278,50 @@ def test_mixed_n3_loop_is_at_most_800_generated_lines(monkeypatch):
 
 
 def test_literal_det_check_runs_once_per_build():
-    """A flat temporal metric's det g is the literal 1.0: its check runs
-    when the loop is built, not at each stage; a curved spatial metric's
-    det is checked at every stage, and a second solve reuses the loop."""
-    h = metric_from_name("euclidean:1", kind="temporal")
+    """A flat temporal metric's det g is the literal 1.0, at least DET_TOL:
+    it is not tested, when the loop is built or at any stage, and a literal
+    det below DET_TOL raises when the loop is built.  A curved spatial
+    metric's det is tested at every stage, and a second solve reuses the
+    loop: a check that records instead of raising is never called on the
+    unit sphere and is called at every stage on a sphere of radius 1e-4,
+    where det g = 1e-16 sin(x1)^2 is below DET_TOL everywhere."""
+    from jetflow.geometry import Metric
+    radius_1e4 = Metric("sphere:2/1e4", "spatial",
+                        [[exprlang.Num(1e-8), exprlang.num(0.0)],
+                         [exprlang.num(0.0), exprlang.parse("1e-8*sin(x1)^2")]])
+    for phi, stages in ((metric_from_name("sphere:2"), 0), (radius_1e4, 2 * 4 * 25)):
+        h = metric_from_name("euclidean:1", kind="temporal")
+        seen = {"h": [], "phi": []}
+        for key, metric in (("h", h), ("phi", phi)):
+            metric.check_det = seen[key].append
+        pair = canonical_pair(h, phi)
+        for _ in range(2):
+            solve_affine_ode(pair, [np.pi / 2, 0.0], [0.6, 1.0], (0.0, 1.0), 25)
+        assert seen["h"] == []
+        assert len(seen["phi"]) == stages and all(abs(d) < exprlang.DET_TOL for d in seen["phi"])
+    h = Metric("flat-1e-13", "temporal", [[exprlang.Num(1e-13)]])
+    with pytest.raises(GeometryError, match="'flat-1e-13' is degenerate"):
+        maps._geodesic_loop(canonical_pair(h, metric_from_name("sphere:2")), 2)
+
+
+def test_sphere_geodesic_right_hand_side_has_no_implied_zero_tests(monkeypatch):
+    """sphere:2's g^11 is the literal 1, not sin(x1)^2 / sin(x1)^2, and the
+    generated right-hand side of its geodesic loop tests det g inline once
+    (the flat temporal metric's literal det has no test), then divides by
+    it with no `== 0` test, and computes no vK / vK."""
     phi = metric_from_name("sphere:2")
-    seen = {"h": [], "phi": []}
-    for key, metric in (("h", h), ("phi", phi)):
-        metric.check_det = lambda det, real=metric.check_det, log=seen[key]: (
-            log.append(det) or real(det))
-    pair = canonical_pair(h, phi)
-    for _ in range(2):
-        solve_affine_ode(pair, [np.pi / 2, 0.0], [0.6, 1.0], (0.0, 1.0), 25)
-    assert seen["h"] == [1.0]
-    assert len(seen["phi"]) == 2 * 4 * 25
+    assert phi.inverse_components()[0][0] == exprlang.Num(1.0)
+    built = []
+    real_define = exprlang._define
+    monkeypatch.setattr(exprlang, "_define", lambda src, ns, filename, name:
+                        built.append((filename, "\n".join(src)))
+                        or real_define(src, ns, filename, name))
+    pair = canonical_pair(metric_from_name("euclidean:1", kind="temporal"), phi)
+    solve_affine_ode(pair, [np.pi / 2, 0.0], [0.6, 1.0], (0.0, 1.0), 10)
+    (rhs,) = [src for filename, src in built if filename == "<compiled table>"]
+    assert "== 0" not in rhs and " / " in rhs
+    assert re.search(r"\b(v\d+) / \1\b", rhs) is None
+    assert rhs.count("if abs(") == 1 and "< DET_TOL: check0(" in rhs
 
 
 def test_ode_runs_a_replaced_coefficients():

@@ -6,6 +6,7 @@ agree bit for bit with the full table and raise the interpreter's error."""
 
 import collections
 import math
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from jetflow import exprlang, maps, numdiff as nd, sprays
-from jetflow.exprlang import WALK_CALLS, ExprError, compile_table, diff, free_vars, parse
+from jetflow.exprlang import (DET_TOL, WALK_CALLS, ExprError, Num, compile_floats, compile_rk4,
+                              compile_table, diff, free_vars, parse)
 from jetflow.geometry import GeometryError, Metric, metric_from_name
 from jetflow.maps import solve_affine_ode
 from jetflow.numdiff import spatial_names, temporal_names
@@ -482,3 +484,82 @@ def test_wrapped_pair_solves_a_harmonic_grid_bit_for_bit():
     assert a.status == b.status == "converged" and not calls
     assert (a.iterations, a.history) == (b.iterations, b.history)
     assert a.values.tobytes() == b.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# det-g guards: a table calls a check only where |det g| < DET_TOL, and the
+# check (`Metric.check_det`) raises there
+
+
+BELOW = math.nextafter(DET_TOL, 0.0)
+DEGENERATE = "metric 'line' is degenerate: |det g| < 1e-12"
+
+# each tier computes the inverse table of a 1-d metric, det g then 1/det g,
+# at x1; the RK4 loop's right-hand side also returns a zero slope, so every
+# stage of its two steps sees the same det g
+DET_TIERS = {
+    "walk": lambda g, x1: g._kernel("inverse")(x1),
+    "compiled": lambda g, x1: g._kernel("inverse").compiled()(x1),
+    "columns": lambda g, x1: g._kernel("inverse")(np.array([1.0, x1])),
+    "frozen": lambda g, x1: g._kernel("inverse").freeze(["x1"], [x1])(),
+    "rk4": lambda g, x1: compile_rk4(1, compile_floats(
+        [g.det, g.inverse_components()[0][0], exprlang.num(0.0)], ["s", "x1"],
+        [g.check_det], last=1))(0.0, x1, 0.1, 2, None),
+}
+
+
+def _spied_line(det: float, literal: bool):
+    """The 1-d metric named "line" with det g = `det`, a literal or the
+    value of x1; its `check_det` records each call before it raises.
+    Returns the metric, the x1 that gives `det`, and the calls."""
+    g = Metric("line", "spatial", [[Num(det) if literal else parse("x1")]])
+    calls = []
+    real = g.check_det
+    g.check_det = lambda value: calls.append(value) or real(value)
+    return g, 0.5 if literal else det, calls
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("det", [DET_TOL, -DET_TOL, math.nan, 1.0, -3.0])
+@pytest.mark.parametrize("tier", DET_TIERS)
+def test_det_guard_passes_at_det_tol_and_nan(tier, det, literal):
+    """|det g| = DET_TOL is not below it, and NaN fails the test: no tier
+    calls the check, at a boundary or at a nondegenerate point."""
+    g, x1, calls = _spied_line(det, literal)
+    DET_TIERS[tier](g, x1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("det", [BELOW, -BELOW, 0.0, -0.0])
+@pytest.mark.parametrize("tier", DET_TIERS)
+def test_det_guard_raises_just_below_det_tol(tier, det, literal):
+    """The largest |det g| below DET_TOL, and a zero det g, call the check
+    once, which raises GeometryError with the metric's message before
+    1/det g is computed."""
+    g, x1, calls = _spied_line(det, literal)
+    with pytest.raises(GeometryError) as err:
+        DET_TIERS[tier](g, x1)
+    assert str(err.value) == DEGENERATE
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("det,raises", [(DET_TOL, False), (math.nan, False), (BELOW, True)])
+def test_literal_det_guard_runs_when_the_loop_is_built(det, raises):
+    """A float right-hand side tests a literal det g once, when it is built:
+    one of at least DET_TOL (or NaN) leaves no test in the function the
+    loop calls, and one below raises from `compile_floats`."""
+    g, _, calls = _spied_line(det, literal=True)
+
+    def build():
+        return compile_floats([g.det, exprlang.num(0.0)], ["s", "x1"], [g.check_det], last=1)
+
+    if raises:
+        with pytest.raises(GeometryError, match=re.escape(DEGENERATE)):
+            build()
+        assert len(calls) == 1
+    else:
+        rhs = build()
+        assert not {"check0", "DET_TOL"} & set(rhs.__code__.co_names)
+        compile_rk4(1, rhs)(0.0, 1.0, 0.1, 3, None)
+        assert calls == []
