@@ -118,7 +118,7 @@ def _cmd_harmonic(sc: Scenario, args) -> int:
     if len(section["boundary"]) != sc.n:
         raise ScenarioError(f"boundary needs n={sc.n} component expressions")
     try:
-        boundary = SmoothMap(2, section["boundary"], name="boundary")
+        boundary = SmoothMap(2, section["boundary"])
     except ValueError as exc:
         raise ScenarioError(f"scenario error at '/harmonic/boundary': {exc}") from exc
     tol, damping = section.get("tolerance", 1e-9), section.get("damping", 0.8)

@@ -28,7 +28,9 @@ straight-line function with shared subexpressions and the same guards; the
 tree interpreter (``Expr.eval``) is the reference for both.  `compile_floats`
 compiles a table with the same emitter for Python floats only, and
 `compile_rk4` generates one RK4 loop on Python floats that calls such a
-right-hand side once per stage.
+right-hand side once per stage.  Every table tier takes its det-g guards
+(`Guard`, one ``(det, check)`` pair per metric) apart from its entries,
+tests them first, in order, and returns one value per entry.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from typing import Callable, Collection, Mapping, Sequence, Union
 import numpy as np
 
 Value = Union[float, np.ndarray]
+# a det-g guard: an expression and the check that raises where its value is
+# degenerate (`compile_table`)
+Guard = tuple["Expr", Callable[[Value], None]]
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
@@ -49,7 +54,7 @@ __all__ = [
     "partials", "foreign_vars",
     "num", "var", "neg", "add", "sub", "mul", "div", "pow_", "call",
     "FUNCTIONS", "compile_table", "Table", "WALK_CALLS", "table_columns",
-    "compile_floats", "compile_rk4", "DET_TOL",
+    "compile_floats", "compile_rk4", "DET_TOL", "Guard",
 ]
 
 MAX_EXPONENT = 1000
@@ -613,7 +618,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -738,15 +742,15 @@ def evaluate(e: Expr, env: Mapping[str, Value]) -> Value:
 
 
 def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value],
-                   checks: Sequence[Callable[[Value], None]] = ()) -> list[Value]:
+                   guards: Sequence[Guard] = ()) -> list[Value]:
     """Values of a table of expressions, evaluating each distinct node object
     once across the whole table (a DAG walk).  The values, and the first
-    ExprError raised, are those of evaluating the entries one by one with
-    `Expr.eval`: nodes are visited in the interpreter's order, and a node
-    is skipped only when it has already been evaluated without error.
-    ``checks[k]`` is the det-g guard of entry k (`compile_table`), tested
-    before any later entry is evaluated.  Nothing is kept between calls; a
-    `Table` keeps its points."""
+    ExprError raised, are those of evaluating the guards' expressions and
+    then the entries one by one with `Expr.eval`: nodes are visited in the
+    interpreter's order, and a node is skipped only when it has already
+    been evaluated without error.  Each det-g guard (`compile_table`) is
+    tested as soon as its expression is evaluated, before any entry.
+    Nothing is kept between calls; a `Table` keeps its points."""
     memo: dict[int, Value] = {}
 
     def ev(e: Expr) -> Value:
@@ -756,13 +760,11 @@ def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value],
         value = memo[key] = e._eval(env, ev)
         return value
 
-    out = []
-    for k, e in enumerate(exprs):
-        value = ev(e)
-        out.append(value)
-        if k < len(checks) and _any(abs(value) < DET_TOL):
-            checks[k](value)
-    return out
+    for e, check in guards:
+        det = ev(e)
+        if _any(abs(det) < DET_TOL):
+            check(det)
+    return [ev(e) for e in exprs]
 
 
 def diff(e: Expr, name: str) -> Expr:
@@ -824,7 +826,7 @@ def _on_values(scalar_fn: Callable, array_fn: Callable) -> Callable[[Value], Val
     return apply
 
 
-# names the generated functions use, besides the checks `check0`, `check1`, ...
+# names the generated functions use, besides the guards' checks `check0`, `check1`, ...
 _TABLE_NAMESPACE: dict[str, object] = {
     "ExprError": ExprError, "DET_TOL": DET_TOL, "_any": _any, "_power": _power,
     **{f"_f_{fn}": _on_values(scalar_fn, array_fn)
@@ -864,14 +866,13 @@ class Table:
     -0.0 are two points): a call on Python floats at a kept point returns
     them and is not a walk.  A walk that raised keeps nothing.  `freeze`
     binds some names once and for all.  Every tier runs the same det-g
-    guards (`compile_table`).
+    guards first (`compile_table`).
     """
 
-    __slots__ = ("exprs", "names", "checks", "_walks", "_points", "_fn", "_makers")
+    __slots__ = ("exprs", "names", "guards", "_walks", "_points", "_fn", "_makers")
 
-    def __init__(self, exprs: Sequence[Expr], names: Sequence[str],
-                 checks: Sequence[Callable[[Value], None]]):
-        self.exprs, self.names, self.checks = list(exprs), list(names), tuple(checks)
+    def __init__(self, exprs: Sequence[Expr], names: Sequence[str], guards: Sequence[Guard]):
+        self.exprs, self.names, self.guards = list(exprs), list(names), tuple(guards)
         self._walks = 0
         self._points: dict[bytes, tuple] = {}    # argument bits -> walked values
         self._fn: Callable[..., tuple] | None = None
@@ -889,7 +890,7 @@ class Table:
                 if len(args) != len(self.names):
                     raise TypeError(f"table takes {len(self.names)} values, got {len(args)}")
                 self._walks += 1
-                got = tuple(evaluate_table(self.exprs, dict(zip(self.names, args)), self.checks))
+                got = tuple(evaluate_table(self.exprs, dict(zip(self.names, args)), self.guards))
                 if key is not None:
                     self._points[key] = got
                 return got
@@ -899,7 +900,7 @@ class Table:
     def compiled(self) -> Callable[..., tuple]:
         """The table's straight-line function, compiled on first use."""
         if self._fn is None:
-            self._fn = _compile(self.exprs, self.names, self.checks)
+            self._fn = _compile(self.exprs, self.names, self.guards)
         return self._fn
 
     def freeze(self, fixed_names: Sequence[str], values: Sequence[Value]) -> Callable[..., tuple]:
@@ -907,26 +908,25 @@ class Table:
         order, with `fixed_names` bound to `values` (partial evaluation).
 
         Every node that reads only fixed names and literals is computed
-        here, once, together with its guards, and so is the det-g guard of
-        a checked entry that is such a node: a domain error, or a degenerate
-        metric's GeometryError, on those nodes raises from `freeze` rather
-        than from the first call.  The returned function
-        computes the remaining nodes; every value is the one the full table
-        computes from the same arguments, bit for bit.  The generated code
-        is compiled once per set of fixed names."""
+        here, once, together with its guards, and so is a det-g guard on
+        such a node: a domain error, or a degenerate metric's GeometryError,
+        on those nodes raises from `freeze` rather than from the first call.
+        The returned function computes the remaining nodes; every value is
+        the one the full table computes from the same arguments, bit for
+        bit.  The generated code is compiled once per set of fixed names."""
         fixed = frozenset(fixed_names)
         if not (len(fixed) == len(fixed_names) == len(values) and fixed <= set(self.names)):
             raise TypeError(f"cannot freeze {list(fixed_names)} to {len(values)} values "
                             f"in a table of {self.names}")
         make = self._makers.get(fixed)
         if make is None:
-            make = self._makers[fixed] = _compile(self.exprs, self.names, self.checks, fixed)
+            make = self._makers[fixed] = _compile(self.exprs, self.names, self.guards, fixed)
         bound = dict(zip(fixed_names, values))
         return make(*(bound[name] for name in self.names if name in fixed))
 
 
 def compile_table(exprs: Sequence[Expr], names: Sequence[str],
-                  checks: Sequence[Callable[[Value], None]] = ()) -> Table:
+                  guards: Sequence[Guard] = ()) -> Table:
     """A table of expressions as one function of the values of `names`.
 
     The function takes one value per name, in order, and returns a tuple
@@ -940,17 +940,19 @@ def compile_table(exprs: Sequence[Expr], names: Sequence[str],
     variable outside `names` raises its "unbound variable" ExprError at the
     first evaluation, compile or freeze, not here.
 
-    ``checks`` holds one det-g guard per leading entry: ``checks[k]`` is
-    called with entry k's value only where |entry k| < DET_TOL (on columns,
-    where any element is below), before any later entry is computed, and
-    it must raise there.  The test runs inline, so a nondegenerate point
-    makes no call; a literal entry of at least DET_TOL is not tested at
-    all, and one below raises when the code runs its literals (for a
-    frozen or float table, when it is built).  A division by a checked
-    entry, or a negative power of one, has no zero test after it: the det
-    test that passed rules zero out, and a NaN passes both alike.
+    ``guards`` holds the det-g guards, ``(det, check)`` pairs such as
+    `geometry.Metric.guard`, which every tier computes and tests first, in
+    order, before any entry, whether or not an entry reads them: ``check``
+    is called with the value of ``det`` only where |det| < DET_TOL (on
+    columns, where any element is below), and it must raise there.  The
+    test runs inline, so a nondegenerate point makes no call; a literal det
+    of at least DET_TOL is not tested at all, and one below raises when the
+    code runs its literals (for a frozen or float table, when it is built).
+    A division by a guarded det, or a negative power of one, has no zero
+    test after it: the det test that passed rules zero out, and a NaN
+    passes both alike.
     """
-    return Table(exprs, names, checks)
+    return Table(exprs, names, guards)
 
 
 def table_columns(values: Sequence[Value], q: int) -> np.ndarray:
@@ -970,8 +972,8 @@ class _Emitter:
     v1, ....  Structurally equal subtrees are interned (one
     pass over the trees, memoised by ``id``), a guard that passed is not
     repeated on the same operand, and the guards come in the interpreter's
-    order.  A checked entry's det-g guard (`det_guard`) counts as a passed
-    zero test of its operand.  With `floats`, the code runs on Python
+    order.  A det-g guard (`det_guard`) counts as a passed zero test of its
+    operand.  With `floats`, the code runs on Python
     floats only: ``b ** k`` and plain ``== 0`` tests stand for the
     numpy-aware `_power` and `_any`.
 
@@ -1004,10 +1006,11 @@ class _Emitter:
             self.guarded.add(key)
             self.place(key[1:], line)
 
-    def det_guard(self, e: Expr, v: str, check: str) -> None:
-        """Call `check` on entry `e`, held in `v`, where |v| < DET_TOL; a
-        literal is tested here.  A division by `v`, or a negative power of
-        it, then needs no zero test."""
+    def det_guard(self, e: Expr, check: str) -> None:
+        """Compute `e` and call `check` on it where |e| < DET_TOL; a literal
+        is tested here.  A division by `e`, or a negative power of it, then
+        needs no zero test."""
+        v = self.emit(e)
         if not isinstance(e, Num):
             test = f"abs({v}) < DET_TOL" if self.floats else f"_any(abs({v}) < DET_TOL)"
             self.place([v], f"if {test}: {check}({v})")
@@ -1066,45 +1069,31 @@ class _Emitter:
         self.by_id[id(e)] = got
         return got
 
-    def table(self, exprs: Sequence[Expr], checks: Sequence[str | None] = ()) -> list[str]:
-        """The operand texts of the entries' values, with the det-g guard
-        of the function named ``checks[k]`` (unless None) on entry k's
-        value before any later entry is computed."""
-        outs = []
-        for k, e in enumerate(exprs):
-            outs.append(self.emit(e))
-            if k < len(checks) and checks[k] is not None:
-                self.det_guard(e, outs[k], checks[k])
-        return outs
 
-
-def _compile(exprs: Sequence[Expr], names: Sequence[str],
-             checks: Sequence[Callable[[Value], None] | None],
-             fixed: Collection[str] | None = None, floats: bool = False,
-             last: int | None = None) -> Callable:
+def _compile(exprs: Sequence[Expr], names: Sequence[str], guards: Sequence[Guard],
+             fixed: Collection[str] | None = None, floats: bool = False) -> Callable:
     """One straight-line function for a table (`_Emitter`): one assignment
-    per distinct node.  With `floats` it runs on Python floats only and
-    returns the last `last` entries.
+    per distinct node, the det-g guards first.  With `floats` it runs on
+    Python floats only.
 
     With `fixed`, the result is ``make(<fixed args>)`` instead, fixed
     arguments in `names` order.  A node is frozen when all its operands are
     fixed arguments, literals or frozen nodes; `make` computes the frozen
-    nodes, with the guards (and checks) on frozen operands, and returns
+    nodes, with the guards on frozen operands, and returns
     ``table(<other args>)``, which computes the rest."""
     args = {name: f"a{k}" for k, name in enumerate(names)}
     em = _Emitter(args, floats=floats,
                   frozen=None if fixed is None else {args[name] for name in fixed})
-    named = {f"check{k}": check for k, check in enumerate(checks) if check is not None}
-    outs = em.table(exprs, [None if check is None else f"check{k}"
-                            for k, check in enumerate(checks)])
-    if last is not None:
-        outs = outs[len(outs) - last:]
+    for k, (det, _) in enumerate(guards):
+        em.det_guard(det, f"check{k}")
+    outs = [em.emit(e) for e in exprs]
     lines = [*em.lines, f"return ({''.join(o + ', ' for o in outs)})"]
     inner = [a for name, a in args.items() if fixed is None or name not in fixed]
     src = [f"def table({', '.join(inner)}):", *(f"    {x}" for x in lines)]
     if fixed is not None:
         src = [f"def make({', '.join(a for name, a in args.items() if name in fixed)}):",
                *(f"    {x}" for x in [*em.outer, *src, "return table"])]
+    named = {f"check{k}": check for k, (_, check) in enumerate(guards)}
     return _define(src, dict(_FLOAT_NAMESPACE if floats else _TABLE_NAMESPACE, **named),
                    "<compiled table>", "table" if fixed is None else "make")
 
@@ -1114,18 +1103,17 @@ def _compile(exprs: Sequence[Expr], names: Sequence[str],
 
 
 def compile_floats(exprs: Sequence[Expr], names: Sequence[str],
-                   checks: Sequence[Callable[[float], None] | None] = (),
-                   last: int | None = None) -> Callable[..., tuple]:
+                   guards: Sequence[Guard] = ()) -> Callable[..., tuple]:
     """A table of expressions as one compiled function on Python floats,
-    taking one float per name, in order, and returning its last `last`
-    entries (all by default): the form `compile_rk4` calls.
+    taking one float per name, in order, and returning one value per
+    entry: the form `compile_rk4` calls.
 
     Each node computes exactly what ``Expr.eval`` computes on floats, with
-    the interpreter's guards in its order.  ``checks[k]``, unless None, is
-    the det-g guard of entry k, as in `compile_table`.  The nodes that
-    read only literals are computed here, once, with their guards, and so
-    are the det tests of such entries (`Table.freeze`)."""
-    return _compile(exprs, names, checks, (), floats=True, last=last)()
+    the interpreter's guards in its order, after the det-g guards, as in
+    `compile_table`.  The nodes that read only literals are computed here,
+    once, with their guards, and so are the det tests of such guards
+    (`Table.freeze`)."""
+    return _compile(exprs, names, guards, (), floats=True)()
 
 
 def compile_rk4(m: int, rhs: Callable[..., Sequence[float]],

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exprlang import (
-    DET_TOL, Expr, Num, add, compile_table, diff, div, foreign_vars, mul, neg, num, parse, sub,
-    subst, table_columns, var,
+    DET_TOL, Expr, Guard, Num, add, compile_table, diff, div, foreign_vars, mul, neg, num, parse,
+    sub, subst, table_columns, var,
 )
 from .numdiff import ChangeMap, jet_name, spatial_names, temporal_names
 
@@ -46,13 +46,13 @@ class Metric:
     box optionally bounds the chart domain where nondegeneracy is certified.
 
     Numeric values come from three `compile_table` tables, each built on
-    first use: g; det g with g^-1; det g with the Christoffel
-    symbols.  Each `*_batch` method takes (q, dim) points, or one point of
-    shape (dim,) as a one-point batch that runs on floats.
-    The symbolic det g, inverse and Christoffel symbols are cached; a table
-    built from them elsewhere (`sprays.JetTable`) leads with `det` and
-    guards it with `check_det`, as the metric's own tables do: the table
-    tests |det g| < DET_TOL inline and calls `check_det` only there.
+    first use: g, g^-1 and the Christoffel symbols.  Each `*_batch` method
+    takes (q, dim) points, or one point of shape (dim,) as a one-point
+    batch that runs on floats.  The symbolic det g, inverse and Christoffel
+    symbols are cached.  `guard` is the metric's det-g guard: every table
+    that divides by det g, the metric's own and those built elsewhere
+    (`sprays.JetTable`), takes it, tests |det g| < DET_TOL inline before
+    any entry and calls `check_det` only there.
     """
 
     def __init__(self, name: str, kind: str, components: Sequence[Sequence[Expr]],
@@ -143,33 +143,34 @@ class Metric:
         return [list(row) for row in self._det_inverse[1]]
 
     @property
-    def det(self) -> Expr:
-        """Symbolic det g, the leading entry of every table that divides by it."""
-        return self._det_inverse[0]
+    def guard(self) -> Guard:
+        """The det-g guard (symbolic det g, `check_det`) of every table that
+        divides by det g (`exprlang.compile_table`)."""
+        return self._det_inverse[0], self.check_det
 
     def check_det(self, det) -> None:
-        """The det-g guard of every table led by det g: the table calls it
-        only where |det g| (float, or any element of a column) is below
-        DET_TOL, and it raises GeometryError."""
+        """The check of `guard`: a table calls it only where |det g| (float,
+        or any element of a column) is below DET_TOL, and it raises
+        GeometryError."""
         raise GeometryError(f"metric '{self.name}' is degenerate: |det g| < {DET_TOL}")
 
     def _exprs(self, table: str) -> list[Expr]:
-        """Entries of a table, row-major: "g" is g; "inverse" is det g then
-        g^-1; "christoffel" is det g then Gamma^a_bc."""
+        """Entries of a table, row-major: "g" is g; "inverse" is g^-1;
+        "christoffel" is Gamma^a_bc."""
         if table == "g":
             return [e for row in self.components for e in row]
-        inv = self._det_inverse[1]
         if table == "inverse":
-            return [self.det] + [e for row in inv for e in row]
-        return [self.det] + [e for plane in self.christoffel_exprs for row in plane for e in row]
+            return [e for row in self._det_inverse[1] for e in row]
+        return [e for plane in self.christoffel_exprs for row in plane for e in row]
 
     def _kernel(self, table: str) -> Callable[..., tuple]:
-        """The compiled table, built on first use; tables led by det g stop
-        with GeometryError where the metric is degenerate (`check_det`)."""
+        """The compiled table, built on first use; the tables that divide by
+        det g stop with GeometryError where the metric is degenerate
+        (`guard`)."""
         kernel = self._kernels.get(table)
         if kernel is None:
-            checks = () if table == "g" else (self.check_det,)
-            kernel = compile_table(self._exprs(table), self.variables, checks)
+            guards = () if table == "g" else (self.guard,)
+            kernel = compile_table(self._exprs(table), self.variables, guards)
             self._kernels[table] = kernel
         return kernel
 
@@ -185,12 +186,12 @@ class Metric:
 
     def inverse_batch(self, points: np.ndarray) -> np.ndarray:
         d = self.dim
-        return self._tabulate("inverse", points)[:, 1:].reshape(-1, d, d)
+        return self._tabulate("inverse", points).reshape(-1, d, d)
 
     def christoffel_batch(self, points: np.ndarray) -> np.ndarray:
         """Levi-Civita coefficients G[q, a, b, c] = Gamma^a_bc at each point."""
         d = self.dim
-        return self._tabulate("christoffel", points)[:, 1:].reshape(-1, d, d, d)
+        return self._tabulate("christoffel", points).reshape(-1, d, d, d)
 
     def __repr__(self):
         return f"Metric({self.name!r}, kind={self.kind!r}, dim={self.dim})"
@@ -261,7 +262,6 @@ def metric_from_name(name: str, kind: str | None = None) -> Metric:
     if head == "euclidean":
         d = int(param)
         k = kind or "spatial"
-        names = temporal_names(d) if k == "temporal" else spatial_names(d)
         comp = [[num(1.0) if a == b else num(0.0) for b in range(d)] for a in range(d)]
         return Metric(name, k, comp, box=[(-2.0, 2.0)] * d)
     if head == "sphere":

@@ -53,10 +53,9 @@ class SmoothMap:
     """A map t -> x given by one expression per spatial coordinate, in the
     temporal variables t1..tp."""
 
-    def __init__(self, p: int, components: Sequence[Expr | str], name: str = "map"):
+    def __init__(self, p: int, components: Sequence[Expr | str]):
         self.p = int(p)
         self.n = len(components)
-        self.name = name
         self.components: list[Expr] = [
             parse(c) if isinstance(c, str) else c for c in components]
         found = foreign_vars(self.components, temporal_names(self.p))
@@ -184,27 +183,21 @@ def _coefficients_rhs(pair: SprayPair, n: int) -> Callable[..., tuple]:
 def _geodesic_loop(pair: SprayPair, n: int) -> Callable:
     """The generated RK4 of the p = 1 affine equation: state (x, v) and
     F = (v, -2 (G + H)^{(i)}_{(1)1}).  While both sprays' `coefficients`
-    are their tables' `at`, F is one float table (`compile_floats`) of the
-    spatial kernel's dets and entries, the temporal kernel's, v and
-    -2 (G + H), and the loop is built once per pair of spray tables;
+    are their tables' `at`, F is one float table (`compile_floats`) of v
+    and -2 (G + H), and the loop is built once per pair of spray tables;
     otherwise F calls `coefficients` and the loop is built on every call.
-    Each det keeps its kernel's det-g guard (`Metric.check_det`), tested
-    inline at every stage; a literal det, such as a flat metric's 1.0, is
-    tested once, when F is built."""
+    F takes both tables' det-g guards, the spatial ones first, and tests
+    them inline at every stage before any entry; a literal det, such as a
+    flat metric's 1.0, is tested once, when F is built."""
     G, H = pair.spatial.tables, pair.temporal.tables
     if pair.spatial.coefficients != G.at or pair.temporal.coefficients != H.at:
         return compile_rk4(2 * n, _coefficients_rhs(pair, n), _nonfinite)
     if H not in G.loops:
-        exprs: list[Expr] = []
-        checks: list[Callable | None] = []
-        for kernel in (G.kernel, H.kernel):
-            checks += [None] * (len(exprs) - len(checks)) + list(kernel.checks)
-            exprs += kernel.exprs
         # raw nodes: add() would fold a flat spray's H = 0.0 away, and
         # -2 (G + 0.0) is not -2 G at G = -0.0
         accel = [Mul(Num(-2.0), Add(g, h)) for g, h in zip(G.entries, H.entries)]
-        rhs = compile_floats([*exprs, *map(Var, jet_names(n, 1)), *accel], G.names, checks,
-                             last=2 * n)
+        rhs = compile_floats([*map(Var, jet_names(n, 1)), *accel], G.names,
+                             [*G.guards, *H.guards])
         G.loops[H] = compile_rk4(2 * n, rhs, _nonfinite)
     return G.loops[H]
 

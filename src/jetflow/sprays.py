@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dtensor import DTensorField, IndexSignature, Verdict, law_check
-from .exprlang import Expr, Table, add, compile_table, free_vars, mul, num, partials, var
+from .exprlang import Expr, Guard, Table, add, compile_table, free_vars, mul, num, partials, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, mixed_jet_derivatives
@@ -61,9 +61,9 @@ class JetTable:
     """Symbolic entries over the jet variables t1..tp, x1..xn, x1_1..xn_p,
     read as one row-major array of `shape`, and their compiled table.
 
-    The table `kernel` (`compile_table`) leads with det g of every metric
-    the entries read (`metrics`, in order), each guarded as soon as it is
-    computed: where |det g| < DET_TOL the kernel calls the metric's
+    The table `kernel` (`compile_table`) takes the det-g guard (`guards`)
+    of every metric the entries read (`metrics`, in order) and tests each
+    before any entry: where |det g| < DET_TOL it calls the metric's
     `check_det`, so a degenerate metric stops any evaluation with
     GeometryError before an entry divides by its det g.  The entries, the
     kernel and the symbolic jet gradient (`gradient_entries`) are built on
@@ -91,14 +91,17 @@ class JetTable:
         """d entry / d x^k_g, entry by entry and then (k, g) row-major."""
         return [d for row in partials(self.entries, jet_names(self.n, self.p)) for d in row]
 
+    @property
+    def guards(self) -> list[Guard]:
+        return [m.guard for m in self.metrics]
+
     @cached_property
     def kernel(self) -> Table:
-        return compile_table([m.det for m in self.metrics] + self.entries, self.names,
-                             [m.check_det for m in self.metrics])
+        return compile_table(self.entries, self.names, self.guards)
 
     def at(self, u: JetPoint) -> np.ndarray:
         values = self.kernel(*u.t.tolist(), *u.x.tolist(), *u.v.ravel().tolist())
-        return np.array(values[len(self.metrics):]).reshape(self.shape)
+        return np.array(values).reshape(self.shape)
 
     def batch_at(self, T: np.ndarray) -> Callable[..., np.ndarray]:
         """The entries at the jets (T, X, V) on the fixed temporal nodes T,
@@ -110,13 +113,13 @@ class JetTable:
         back as (..., *shape), written into `out` when a C-contiguous array
         of that shape is given.  The kernel reads the components of X and V
         as they lie, with no copy.  Every value is bit for bit the one
-        ``Expr.eval`` gives on the columns of (T, X, V).  When no entry
-        reads x or the jet variables (the spray of a flat metric), every
-        call returns the same read-only array and leaves `out` alone."""
+        ``Expr.eval`` gives on the columns of (T, X, V).  When neither an
+        entry nor a guard reads x or the jet variables (the spray of a flat
+        metric), every call returns the same read-only array and leaves
+        `out` alone."""
         T = np.asarray(T, float)
         lead, fixed = T.shape[:-1], temporal_names(self.p)
         table = self.kernel.freeze(fixed, [T[..., a] for a in range(self.p)])
-        skip = len(self.metrics)
         jets = [(i, a) for i in range(self.n) for a in range(self.p)]
 
         def batch(X: np.ndarray, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -125,11 +128,11 @@ class JetTable:
             if out is None:
                 out = np.empty((*lead, *self.shape))
             columns = out.reshape(*lead, -1)
-            for k, v in enumerate(values[skip:]):
+            for k, v in enumerate(values):
                 columns[..., k] = v
             return out
 
-        if free_vars(*self.kernel.exprs) <= set(fixed):
+        if free_vars(*self.entries, *(det for det, _ in self.guards)) <= set(fixed):
             constant = batch(np.zeros((*lead, self.n)), np.zeros((*lead, self.n, self.p)))
             constant.flags.writeable = False
             return lambda X, V, out=None: constant

@@ -148,13 +148,10 @@ def fd_spray_gradient(s, u, eps: float = 1e-6) -> np.ndarray:
 
 def walk_entries(tables, exprs, env) -> list:
     """`exprs`, entries of the JetTable `tables` or their jet gradients, at
-    the jets bound in `env` (floats or numpy columns), after the checked
-    det g of each of its metrics: the DAG walk `exprlang.evaluate_table`,
+    the jets bound in `env` (floats or numpy columns), after the det-g
+    guard of each of its metrics: the DAG walk `exprlang.evaluate_table`,
     which shares no code with the compiled tables."""
-    metrics = tables.metrics
-    values = evaluate_table([m.det for m in metrics] + list(exprs), env,
-                            [m.check_det for m in metrics])
-    return values[len(metrics):]
+    return evaluate_table(exprs, env, tables.guards)
 
 
 def walk_batch(tables, T, X, V) -> np.ndarray:

@@ -133,19 +133,19 @@ def test_rk4_loop_raises_the_interpreters_domain_error(text, env):
         evaluate(parse(text), env)
     built = False
     with pytest.raises(ExprError) as got:
-        rhs = compile_floats([parse("x + 1"), parse(text)], ["s", "x"], last=1)
+        rhs = compile_floats([parse(text)], ["s", "x"])
         built = True
         compile_rk4(1, rhs)(0.0, env.get("x", 1.0), 0.1, 1, None)
     assert str(got.value) == str(want.value)
     assert built == bool(free_vars(parse(text)))
 
 
-def test_rk4_loop_checks_a_constant_first_entry_once():
-    """A literal first entry of at least DET_TOL has no det test in the
-    generated code, so its check is never called; one below DET_TOL calls
-    its check, which raises, once, when the right-hand side is built."""
+def test_rk4_loop_checks_a_literal_guard_once():
+    """A literal guard of at least DET_TOL has no det test in the generated
+    code, so its check is never called; one below DET_TOL calls its check,
+    which raises, once, when the right-hand side is built."""
     seen = []
-    rhs = compile_floats([num(2.0), parse("-x")], ["s", "x"], [seen.append], last=1)
+    rhs = compile_floats([parse("-x")], ["s", "x"], [(num(2.0), seen.append)])
     assert not {"check0", "DET_TOL"} & set(rhs.__code__.co_names)
     run = compile_rk4(1, rhs)
     s, x = run(0.0, 1.0, 0.01, 100, None)
@@ -156,34 +156,34 @@ def test_rk4_loop_checks_a_constant_first_entry_once():
         raise RuntimeError("first entry below DET_TOL")
 
     with pytest.raises(RuntimeError, match="below DET_TOL"):
-        compile_floats([num(1e-13), parse("-x")], ["s", "x"], [degenerate], last=1)
+        compile_floats([parse("-x")], ["s", "x"], [(num(1e-13), degenerate)])
     assert seen == [1e-13]
 
 
-def test_rk4_loop_runs_each_check_on_its_entry():
-    """A literal leading entry of at least DET_TOL is never tested; a
-    variable one is tested at every stage, and its check is called where
-    the entry is below DET_TOL, before the entries after it; a None check
-    is no check.  A check that records instead of raising shows every
-    stage's test."""
+def test_rk4_loop_runs_each_guard_before_any_entry():
+    """A literal guard of at least DET_TOL is never tested; a variable one,
+    which no entry reads, is tested at every stage, and its check is called
+    where its value is below DET_TOL, before any entry.  A check that
+    records instead of raising shows every stage's test."""
     const, seen = [], []
-    rhs = compile_floats([num(2.0), parse("x + 1"), parse("1e-13*x"), parse("-x")], ["s", "x"],
-                         checks=[const.append, None, seen.append], last=1)
+    rhs = compile_floats([parse("-x")], ["s", "x"],
+                         [(num(2.0), const.append), (parse("1e-13*x"), seen.append)])
     compile_rk4(1, rhs)(0.0, 1.0, 0.01, 10, None)
     assert const == [] and len(seen) == 4 * 10 and all(0 < v < DET_TOL for v in seen)
 
-    def third(value):
+    def second(value):
         seen.append(value)
-        raise RuntimeError("third entry below DET_TOL")
+        raise RuntimeError("second guard below DET_TOL")
 
     # 1e-12*x is below DET_TOL once x < 1, where sqrt(x - 1) would raise
-    exprs = [num(2.0), parse("x + 1"), parse("1e-12*x"), parse("sqrt(x - 1)"), parse("-x")]
-    run = compile_rk4(1, compile_floats(exprs, ["s", "x"], checks=[const.append, None, third],
-                                        last=1))
+    rhs = compile_floats([parse("0*sqrt(x - 1) - x")], ["s", "x"],
+                         [(num(2.0), const.append), (parse("1e-12*x"), second)])
+    assert len(rhs(0.0, 2.0)) == 1
+    run = compile_rk4(1, rhs)
     seen.clear()
     run(0.0, 2.0, 0.01, 10, None)
     assert seen == []
-    with pytest.raises(RuntimeError, match="third entry below DET_TOL"):
+    with pytest.raises(RuntimeError, match="second guard below DET_TOL"):
         run(0.0, 1.0, 0.01, 10, None)      # stage 1 at x = 1 passes, stage 2 does not
     assert const == [] and len(seen) == 1 and 0 < seen[0] < DET_TOL
 
@@ -265,24 +265,26 @@ def test_compiled_table_shares_equal_subtrees():
     assert table(0.5) == tuple(evaluate(e, {"x": 0.5}) for e in exprs)
 
 
-def test_compiled_table_check_runs_before_other_entries():
+def test_compiled_table_guard_runs_before_the_entries():
     def check(value):
         if value == 0:
-            raise RuntimeError("first entry is zero")
+            raise RuntimeError("guard is zero")
 
-    table = compile_table([parse("x"), parse("1/x")], ["x"], checks=[check])
-    assert table(2.0) == (2.0, 0.5)
+    table = compile_table([parse("1/x")], ["x"], [(parse("x"), check)])
+    assert table(2.0) == (0.5,)
     with pytest.raises(RuntimeError):
         table(0.0)
 
 
-def test_each_check_runs_on_its_entry_before_later_entries():
-    """checks[k] is called with entry k only where |entry k| < DET_TOL (on
-    columns, where any element is), and no entry after a failing det is
-    computed, in every tier: the walk, the compiled function, on columns,
-    and frozen.  The later entries would raise a different error at y = 0:
-    x/y has no zero test of its own after the det test on y, and
-    sqrt(y - 1) is a domain error."""
+def test_each_guard_runs_before_any_entry():
+    """A guard's check is called with its value only where that value is
+    below DET_TOL (on columns, where any element is), the guards are
+    tested in order, and no entry is computed after a failing guard, in
+    every tier: the walk, the compiled function, on columns, frozen, and
+    `compile_floats`.  The first guard, x + 1, is read by no entry.  The
+    entries would raise a different error at y = 0: x/y has no zero test of
+    its own after the det test on y, and sqrt(y - 1) is a domain error.  A
+    table returns one value per entry, and none per guard."""
     seen = []
 
     def first(value):
@@ -293,15 +295,17 @@ def test_each_check_runs_on_its_entry_before_later_entries():
         seen.append(("second", value))
         raise RuntimeError("second entry is degenerate")
 
-    exprs = [parse("x + 1"), parse("y"), parse("x/y"), parse("sqrt(y - 1)")]
+    exprs = [parse("x/y"), parse("sqrt(y - 1)")]
+    guards = [(parse("x + 1"), first), (parse("y"), second)]
     for run in (lambda table, x, y: table(x, y),
                 lambda table, x, y: table.compiled()(x, y),
                 lambda table, x, y: table(np.array([x, x]), np.array([1.0, y])),
-                lambda table, x, y: table.freeze(["x"], [x])(y)):
-        table = compile_table(exprs, ["x", "y"], checks=[first, second])
+                lambda table, x, y: table.freeze(["x"], [x])(y),
+                lambda table, x, y: compile_floats(table.exprs, table.names, table.guards)(x, y)):
+        table = compile_table(exprs, ["x", "y"], guards)
         seen.clear()
         got = run(table, 3.0, 2.0)
-        assert [np.broadcast_to(v, (2,))[-1] for v in got] == [4.0, 2.0, 1.5, 1.0]
+        assert [np.broadcast_to(v, (2,))[-1] for v in got] == [1.5, 1.0]
         assert seen == []
         with pytest.raises(RuntimeError, match="second entry is degenerate"):
             run(table, 3.0, 0.0)

@@ -345,12 +345,23 @@ def test_ode_runs_a_replaced_coefficients():
     assert len(calls) == 2 * 4 * 50
 
 
-def test_ode_degenerate_metric_raises_geometry_error():
-    # the hyperbolic geodesic climbs to large x2, where det g = x2^-4 < 1e-12
-    h = metric_from_name("euclidean:1", kind="temporal")
-    pair = canonical_pair(h, metric_from_name("hyperbolic:2"))
-    with pytest.raises(GeometryError, match="metric 'hyperbolic:2' is degenerate"):
-        solve_affine_ode(pair, [0.3, 1.0], [0.0, 40.0], (0.0, 20.0), 40)
+# (h, phi, x0, v0, t_span, steps, the degenerate metric): the hyperbolic
+# geodesic climbs to large x2, where det g = x2^-4 < 1e-12; exp1d's
+# det h = exp(2 t1) is below DET_TOL on t1 in [-20, -19], and from the pole
+# of sphere:2, where det g = 0 as well, the spatial guard, tested first,
+# names sphere:2
+DEGENERATE_GEODESICS = [
+    ("euclidean:1", "hyperbolic:2", [0.3, 1.0], [0.0, 40.0], (0.0, 20.0), 40, "hyperbolic:2"),
+    ("exp1d", "sphere:2", [1.0, 0.0], [0.3, 0.2], (-20.0, -19.0), 10, "exp1d"),
+    ("exp1d", "sphere:2", [0.0, 0.0], [0.3, 0.2], (-20.0, -19.0), 10, "sphere:2"),
+]
+
+
+@pytest.mark.parametrize("h,phi,x0,v0,t_span,steps,name", DEGENERATE_GEODESICS)
+def test_ode_degenerate_metric_raises_geometry_error(h, phi, x0, v0, t_span, steps, name):
+    pair = canonical_pair(metric_from_name(h, kind="temporal"), metric_from_name(phi))
+    with pytest.raises(GeometryError, match=f"^metric '{name}' is degenerate"):
+        solve_affine_ode(pair, x0, v0, t_span, steps)
 
 
 def test_ode_non_finite_stage_input_raises_map_error():

@@ -363,9 +363,9 @@ def test_compiled_sprays_match_christoffel_formula(name, kind, change_kind):
 def test_flat_sprays_fold_to_constant_zero(monkeypatch):
     tables = []
 
-    def recording(exprs, names, checks=()):
-        tables.append(exprs)
-        return compile_table(exprs, names, checks)
+    def recording(exprs, names, guards=()):
+        tables.append((exprs, guards))
+        return compile_table(exprs, names, guards)
 
     monkeypatch.setattr(sprays, "compile_table", recording)
     flat_t = canonical_temporal(metric_from_name("euclidean:2", "temporal"), 3)
@@ -374,9 +374,9 @@ def test_flat_sprays_fold_to_constant_zero(monkeypatch):
     assert np.array_equal(flat_t.tables.batch_at(T)(X, V), np.zeros((4, 3, 2, 2)))
     assert np.array_equal(flat_s.tables.batch_at(T)(X, V), np.zeros((4, 3, 2, 2)))
     assert len(tables) == 2
-    for exprs in tables:
-        assert exprs[0] == num(1.0)                          # det g
-        assert all(e == Num(0.0) for e in exprs[1:])
+    for exprs, guards in tables:
+        assert [det for det, _ in guards] == [num(1.0)]     # det g
+        assert len(exprs) == 3 * 2 * 2 and all(e == Num(0.0) for e in exprs)
 
 
 def test_degenerate_metric_raises_from_both_spray_paths():
@@ -474,7 +474,7 @@ def test_h_spray_correspondence_rejects_a_metric_of_another_dimension():
             spray_from_hspray(hs, wrong)
 
 
-def test_derived_tables_lead_with_each_metric_once():
+def test_derived_tables_guard_each_metric_once():
     h, phi = standard_metrics(2, 2)
     flat = metric_from_name("euclidean:2", "temporal")
     s = canonical_spatial(phi, 2)
@@ -482,9 +482,9 @@ def test_derived_tables_lead_with_each_metric_once():
                            canonical_temporal(h, 2)], [0.5, 0.3, 0.2]).tables.metrics == [h, flat]
     assert h_trace(s, h).tables.metrics == [phi, h]
     assert zero_spray("spatial", 2, 2).tables.metrics == []
-    kernel = h_trace(s, h).tables.kernel
-    assert kernel.exprs[:2] == [phi.det, h.det]
-    assert kernel.checks == (phi.check_det, h.check_det)
+    tables = h_trace(s, h).tables
+    assert tables.kernel.guards == (phi.guard, h.guard)
+    assert tables.kernel.exprs == tables.entries
 
 
 def test_derived_sprays_on_a_degenerate_metric_raise_geometry_error():

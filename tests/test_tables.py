@@ -72,14 +72,13 @@ def assert_tiers_match_interpreter(call, exprs, names, points, table=None):
 
 def _fresh(table):
     """A new table of the same entries, in its first tier."""
-    return compile_table(table.exprs, table.names, table.checks)
+    return compile_table(table.exprs, table.names, table.guards)
 
 
 def _gradient_table(tables):
-    """The table of a JetTable's jet gradient entries, led by its checked
-    dets like its kernel: the compiler on derivative trees."""
-    return compile_table([m.det for m in tables.metrics] + tables.gradient_entries, tables.names,
-                         [m.check_det for m in tables.metrics])
+    """The table of a JetTable's jet gradient entries, with its det-g guards
+    like its kernel: the compiler on derivative trees."""
+    return compile_table(tables.gradient_entries, tables.names, tables.guards)
 
 
 @pytest.mark.parametrize("change_kind", CHANGE_KINDS)
@@ -450,6 +449,19 @@ def test_flat_metric_spray_is_one_constant_array():
         assert first.tobytes() == walk_batch(s.tables, T, X, V).tobytes()
 
 
+def test_constant_entries_over_a_det_that_reads_x_keep_their_guard():
+    """`batch_at`'s constant short-cut also reads the guards: entries that
+    read no x or jet variable, over a metric whose det g = x1 + 1 does,
+    still test det g at every call, and raise where it vanishes."""
+    g = Metric("shifted", "spatial", [[parse("x1 + 1")]])
+    batch = sprays.JetTable(1, 1, (1, 1, 1), [g], lambda: [Num(0.0)]).batch_at(np.zeros((2, 1)))
+    V = np.ones((2, 1, 1))
+    got = batch(np.array([[0.5], [1.0]]), V)
+    assert got.flags.writeable and got.shape == (2, 1, 1, 1) and not got.any()
+    with pytest.raises(GeometryError, match="'shifted' is degenerate"):
+        batch(np.array([[0.5], [-1.0]]), V)
+
+
 def _wrapped(pair, calls):
     """A `dataclasses.replace` copy of each spray whose `coefficients`
     records its calls: the shape of the benchmark tracer's copies."""
@@ -487,24 +499,37 @@ def test_wrapped_pair_solves_a_harmonic_grid_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
-# det-g guards: a table calls a check only where |det g| < DET_TOL, and the
-# check (`Metric.check_det`) raises there
+# det-g guards: a table calls a guard's check only where |det g| < DET_TOL,
+# and the check (`Metric.check_det`) raises there
 
 
 BELOW = math.nextafter(DET_TOL, 0.0)
 DEGENERATE = "metric 'line' is degenerate: |det g| < 1e-12"
 
-# each tier computes the inverse table of a 1-d metric, det g then 1/det g,
-# at x1; the RK4 loop's right-hand side also returns a zero slope, so every
-# stage of its two steps sees the same det g
+
+def _rk4_tier(table, x1):
+    """Two RK4 steps from x1 whose right-hand side is the table's entries
+    times 0, so every stage sees the same det g; then that right-hand
+    side's values at x1."""
+    rhs = compile_floats([exprlang.Mul(Num(0.0), e) for e in table.exprs], ["s", "x1"],
+                         table.guards)
+    compile_rk4(1, rhs)(0.0, x1, 0.1, 2, None)
+    return rhs(0.0, x1)
+
+
+# each tier computes a one-entry table of a 1-d metric at x1, with the
+# metric's det-g guard: the metric's inverse table, 1/det g, or a literal
+# 0 that reads no guard
+DET_TABLES = {
+    "inverse": lambda g: g._kernel("inverse"),
+    "unread": lambda g: compile_table([Num(0.0)], ["x1"], [g.guard]),
+}
 DET_TIERS = {
-    "walk": lambda g, x1: g._kernel("inverse")(x1),
-    "compiled": lambda g, x1: g._kernel("inverse").compiled()(x1),
-    "columns": lambda g, x1: g._kernel("inverse")(np.array([1.0, x1])),
-    "frozen": lambda g, x1: g._kernel("inverse").freeze(["x1"], [x1])(),
-    "rk4": lambda g, x1: compile_rk4(1, compile_floats(
-        [g.det, g.inverse_components()[0][0], exprlang.num(0.0)], ["s", "x1"],
-        [g.check_det], last=1))(0.0, x1, 0.1, 2, None),
+    "walk": lambda table, x1: table(x1),
+    "compiled": lambda table, x1: table.compiled()(x1),
+    "columns": lambda table, x1: table(np.array([1.0, x1])),
+    "frozen": lambda table, x1: table.freeze(["x1"], [x1])(),
+    "rk4": _rk4_tier,
 }
 
 
@@ -519,27 +544,30 @@ def _spied_line(det: float, literal: bool):
     return g, 0.5 if literal else det, calls
 
 
+@pytest.mark.parametrize("entries", DET_TABLES)
 @pytest.mark.parametrize("literal", [False, True])
 @pytest.mark.parametrize("det", [DET_TOL, -DET_TOL, math.nan, 1.0, -3.0])
 @pytest.mark.parametrize("tier", DET_TIERS)
-def test_det_guard_passes_at_det_tol_and_nan(tier, det, literal):
+def test_det_guard_passes_at_det_tol_and_nan(tier, det, literal, entries):
     """|det g| = DET_TOL is not below it, and NaN fails the test: no tier
-    calls the check, at a boundary or at a nondegenerate point."""
+    calls the check, at a boundary or at a nondegenerate point, and each
+    returns one value per entry, none for the guard."""
     g, x1, calls = _spied_line(det, literal)
-    DET_TIERS[tier](g, x1)
+    assert len(DET_TIERS[tier](DET_TABLES[entries](g), x1)) == 1
     assert calls == []
 
 
+@pytest.mark.parametrize("entries", DET_TABLES)
 @pytest.mark.parametrize("literal", [False, True])
 @pytest.mark.parametrize("det", [BELOW, -BELOW, 0.0, -0.0])
 @pytest.mark.parametrize("tier", DET_TIERS)
-def test_det_guard_raises_just_below_det_tol(tier, det, literal):
+def test_det_guard_raises_just_below_det_tol(tier, det, literal, entries):
     """The largest |det g| below DET_TOL, and a zero det g, call the check
     once, which raises GeometryError with the metric's message before
-    1/det g is computed."""
+    1/det g is computed; a guard that no entry reads is tested too."""
     g, x1, calls = _spied_line(det, literal)
     with pytest.raises(GeometryError) as err:
-        DET_TIERS[tier](g, x1)
+        DET_TIERS[tier](DET_TABLES[entries](g), x1)
     assert str(err.value) == DEGENERATE
     assert len(calls) == 1
 
@@ -552,7 +580,7 @@ def test_literal_det_guard_runs_when_the_loop_is_built(det, raises):
     g, _, calls = _spied_line(det, literal=True)
 
     def build():
-        return compile_floats([g.det, exprlang.num(0.0)], ["s", "x1"], [g.check_det], last=1)
+        return compile_floats([exprlang.num(0.0)], ["s", "x1"], [g.guard])
 
     if raises:
         with pytest.raises(GeometryError, match=re.escape(DEGENERATE)):
