@@ -13,6 +13,8 @@ which is the sign that the symbolic formula matches the geometry exactly.
 Run:  python3 demos/prolongation_flow.py
 """
 
+import random
+
 import numpy as np
 
 from jetflow.connection import canonical_connection
@@ -23,7 +25,7 @@ from jetflow.numdiff import random_affine_change, random_monotone_change
 from jetflow.prolong import (BaseVectorField, olver_prolong,
                              prolongation_flow_error, vertical_gap_field)
 
-rng = np.random.default_rng(11)
+rng = random.Random(11)
 h = metric_from_name("exp1d")
 phi = metric_from_name("sphere:2")
 jets = [random_jet(rng, 1, 2, box_t=h.box, box_x=phi.box, v_scale=1.5)

@@ -11,6 +11,8 @@ metric boxes, and checks:
 Run:  python3 demos/transformation_laws.py
 """
 
+import random
+
 import numpy as np
 
 from jetflow.dtensor import (is_dtensor, lagrangian_metric_field,
@@ -22,7 +24,7 @@ from jetflow.numdiff import random_affine_change, random_shear_change
 from jetflow.sprays import (canonical_spatial, canonical_temporal,
                             spray_coefficient_field, spray_law_error)
 
-rng = np.random.default_rng(7)
+rng = random.Random(7)
 p, n = 2, 2
 h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
 phi = metric_from_name("sphere:2")

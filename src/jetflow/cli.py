@@ -12,7 +12,8 @@ passes (or the solver converges), 1 on check failure, non-convergence or a
 numerical failure, 2 on scenario or usage errors.  A numerical failure (a
 degenerate metric or chart, a domain error or a floating-point overflow while
 evaluating) writes the report {"command", "status": "error", "error"} in
-place of the usual one.
+place of the usual one.  Reports are strict JSON (RFC 8259): a non-finite
+number, such as a diverged solve's residual, is written as null.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ __all__ = ["main"]
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    plain = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    text = json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:

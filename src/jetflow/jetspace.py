@@ -18,7 +18,7 @@ import numpy as np
 
 from .exprlang import Expr, add, mul, num, subst, var
 from .numdiff import (
-    ChangeMap, jacobian_blocks, jet_name, spatial_names, temporal_names,
+    ChangeMap, _uniform, jacobian_blocks, jet_name, spatial_names, temporal_names,
 )
 
 __all__ = [
@@ -166,21 +166,19 @@ def jet_pullback(e: Expr, change: ChangeMap, p: int, n: int) -> Expr:
     return subst(e, back)
 
 
-def random_jet(rng: np.random.Generator, p: int, n: int,
+def random_jet(rng, p: int, n: int,
                box_t=None, box_x=None, v_scale: float = 2.0) -> JetPoint:
     """Seeded jet point with base coordinates drawn inside the boxes
     (shrunk inward by a tenth of each side length) and v uniform in
-    [-v_scale, v_scale]."""
+    [-v_scale, v_scale].  Like the chart-change catalog, it draws only
+    through `rng.random()` (`numdiff._uniform`)."""
     def draw(box, d):
         if box is None:
-            return rng.uniform(-1.0, 1.0, size=d)
-        out = np.empty(d)
-        for k, (lo, hi) in enumerate(box):
-            pad = 0.1 * (hi - lo)
-            out[k] = rng.uniform(lo + pad, hi - pad)
-        return out
+            return _uniform(rng, -1.0, 1.0, (d,))
+        return np.array([_uniform(rng, lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
+                         for lo, hi in box])
 
     t = draw(box_t, p)
     x = draw(box_x, n)
-    v = rng.uniform(-v_scale, v_scale, size=(n, p))
+    v = _uniform(rng, -v_scale, v_scale, (n, p))
     return JetPoint(t, x, v)

@@ -437,21 +437,23 @@ def solve_harmonic_grid(pair: SprayPair, h: Metric,
     levels = [_Level(pair, h, t1[::1 << k], t2[::1 << k])
               for k in range(len(_grid_sizes(m)))]
 
-    R = levels[0].residual(values, 0.0)
-    initial = float(np.max(np.abs(R)))
-    if initial <= tol:
-        return GridSolution("converged", 0, initial, t1, t2, values, ())
-    status = "max-iterations"
-    history: list[float] = []
-    for _ in range(max_iters):
-        R = _v_cycle(levels, 0, values, R, 0.0, damping)
-        worst = float(np.max(np.abs(R)))
-        history.append(worst)
-        if worst <= tol:
-            status = "converged"
-            break
-        if worst > 10.0 * max(initial, 1e-30) or not np.isfinite(worst):
-            status = "diverged"
-            break
+    # a diverging iterate overflows silently: the finiteness test below classifies it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        R = levels[0].residual(values, 0.0)
+        initial = float(np.max(np.abs(R)))
+        if initial <= tol:
+            return GridSolution("converged", 0, initial, t1, t2, values, ())
+        status = "max-iterations"
+        history: list[float] = []
+        for _ in range(max_iters):
+            R = _v_cycle(levels, 0, values, R, 0.0, damping)
+            worst = float(np.max(np.abs(R)))
+            history.append(worst)
+            if worst <= tol:
+                status = "converged"
+                break
+            if worst > 10.0 * max(initial, 1e-30) or not np.isfinite(worst):
+                status = "diverged"
+                break
     return GridSolution(status, len(history), float(np.max(np.abs(R))), t1, t2, values,
                         tuple(history))

@@ -245,27 +245,36 @@ def affine_change(name: str, At: np.ndarray, bt: np.ndarray,
     )
 
 
-def _random_well_conditioned(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Random matrix with singular values in [0.5, 2], so cond <= 4 < 50."""
-    q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    s = rng.uniform(0.5, 2.0, size=d)
+def _uniform(rng, lo: float, hi: float, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """lo + (hi - lo) u for each u = rng.random(), filled in C order.  Every
+    draw of the catalog and of `jetspace.random_jet` comes through here, so
+    `rng` needs only `random()`: a `random.Random`, or numpy's Generator."""
+    u = np.array([rng.random() for _ in range(math.prod(shape))]).reshape(shape)
+    return lo + (hi - lo) * u
+
+
+def _random_well_conditioned(rng, d: int) -> np.ndarray:
+    """Random matrix with singular values in [0.5, 2], so cond <= 4 < 50: the
+    orthogonal factors of two uniform [-1, 1) matrices around diag(s)."""
+    q1, _ = np.linalg.qr(_uniform(rng, -1.0, 1.0, (d, d)))
+    q2, _ = np.linalg.qr(_uniform(rng, -1.0, 1.0, (d, d)))
+    s = _uniform(rng, 0.5, 2.0, (d,))
     m = q1 @ np.diag(s) @ q2
     assert np.linalg.cond(m) < 50.0
     return m
 
 
-def _affine_block(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
-    return _random_well_conditioned(rng, d), rng.uniform(-0.5, 0.5, size=d)
+def _affine_block(rng, d: int) -> tuple[np.ndarray, np.ndarray]:
+    return _random_well_conditioned(rng, d), _uniform(rng, -0.5, 0.5, (d,))
 
 
-def random_affine_change(rng: np.random.Generator, p: int, n: int, name: str = "affine") -> ChangeMap:
+def random_affine_change(rng, p: int, n: int, name: str = "affine") -> ChangeMap:
     At, bt = _affine_block(rng, p)
     Ax, bx = _affine_block(rng, n)
     return affine_change(name, At, bt, Ax, bx)
 
 
-def _shear_exprs(rng: np.random.Generator, names: Sequence[str]) -> tuple[list[Expr], list[Expr]]:
+def _shear_exprs(rng, names: Sequence[str]) -> tuple[list[Expr], list[Expr]]:
     """Triangular sin/cos shear: coordinate k is displaced by a smooth
     function of the later coordinates, of amplitude at most 0.1, so the
     inverse is exact back-substitution and the Jacobian is unit triangular."""
@@ -273,11 +282,11 @@ def _shear_exprs(rng: np.random.Generator, names: Sequence[str]) -> tuple[list[E
     fwd: list[Expr] = [var(v) for v in names]
     perturb: list[Expr | None] = [None] * d
     for k in range(d - 1):
-        j = int(rng.integers(k + 1, d))
+        j = min(k + 1 + int(rng.random() * (d - k - 1)), d - 1)
         fn = "sin" if rng.random() < 0.5 else "cos"
-        freq = float(rng.uniform(0.5, 1.5))
-        phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        amp = float(rng.uniform(0.3, 1.0) * 0.1)
+        freq = float(_uniform(rng, 0.5, 1.5))
+        phase = float(_uniform(rng, 0.0, 2.0 * math.pi))
+        amp = float(_uniform(rng, 0.3, 1.0) * 0.1)
         perturb[k] = mul(num(amp), call(fn, add(mul(num(freq), var(names[j])), num(phase))))
         fwd[k] = add(var(names[k]), perturb[k])
     inv: list[Expr] = [var(v) for v in names]
@@ -289,11 +298,11 @@ def _shear_exprs(rng: np.random.Generator, names: Sequence[str]) -> tuple[list[E
     return fwd, inv
 
 
-def _monotone_1d(rng: np.random.Generator, name: str) -> tuple[list[Expr], list[Expr]]:
+def _monotone_1d(rng, name: str) -> tuple[list[Expr], list[Expr]]:
     """Nonlinear monotone map of a single coordinate with an elementary inverse."""
-    a = float(rng.uniform(0.8, 1.2))
-    b = float(rng.uniform(0.4, 0.8))
-    c = float(rng.uniform(-0.3, 0.3))
+    a = float(_uniform(rng, 0.8, 1.2))
+    b = float(_uniform(rng, 0.4, 0.8))
+    c = float(_uniform(rng, -0.3, 0.3))
     v = var(name)
     # u = a*exp(b*t) + c  with inverse  t = log((u - c)/a)/b
     fwd = [add(mul(num(a), call("exp", mul(num(b), v))), num(c))]
@@ -301,7 +310,7 @@ def _monotone_1d(rng: np.random.Generator, name: str) -> tuple[list[Expr], list[
     return fwd, inv
 
 
-def random_shear_change(rng: np.random.Generator, p: int, n: int,
+def random_shear_change(rng, p: int, n: int,
                         name: str = "shear") -> ChangeMap:
     if p >= 2:
         ft, it = _shear_exprs(rng, temporal_names(p))
@@ -314,7 +323,7 @@ def random_shear_change(rng: np.random.Generator, p: int, n: int,
     return ChangeMap(name, ft, fx, it, ix)
 
 
-def random_monotone_change(rng: np.random.Generator, p: int, n: int, name: str = "monotone") -> ChangeMap:
+def random_monotone_change(rng, p: int, n: int, name: str = "monotone") -> ChangeMap:
     """Coordinatewise nonlinear monotone map in every single coordinate."""
     ft, it = [], []
     for v in temporal_names(p):
@@ -329,7 +338,7 @@ def random_monotone_change(rng: np.random.Generator, p: int, n: int, name: str =
     return ChangeMap(name, ft, fx, it, ix)
 
 
-def random_change(rng: np.random.Generator, p: int, n: int, kind: str = "mixed") -> ChangeMap:
+def random_change(rng, p: int, n: int, kind: str = "mixed") -> ChangeMap:
     if kind == "affine":
         return random_affine_change(rng, p, n)
     if kind == "shear":
@@ -346,7 +355,7 @@ def random_change(rng: np.random.Generator, p: int, n: int, kind: str = "mixed")
     raise ChartError(f"unknown change kind '{kind}'")
 
 
-def change_catalog(rng: np.random.Generator, p: int, n: int, kinds: Sequence[str],
+def change_catalog(rng, p: int, n: int, kinds: Sequence[str],
                    count: int) -> list[ChangeMap]:
     """Deterministic list of catalog changes: `count` draws per kind, named kind-k."""
     out = []

@@ -6,16 +6,20 @@ sections.  Loading validates against a JSON schema (errors carry the JSON
 path of the offending element) and the JETFLOW_SEED environment variable
 overrides the scenario seed so a run can be reproduced or re-randomized
 without editing the file.
+
+A suite draws its changes and jets from `random.Random(f"{seed}/{suite}/changes")`
+and `.../jets`, through `random()` alone: Python fixes that sequence for a
+seed across versions (numpy's Generators promise no such thing), and no run
+loads `numpy.random`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import zlib
+import random
 from dataclasses import dataclass, field
 
-import numpy as np
 from jsonschema import Draft202012Validator
 
 from .geometry import Metric, metric_from_name
@@ -165,11 +169,11 @@ class Scenario:
     jet_count: int = 20
     v_scale: float = 2.0
 
-    def suite_rng(self, suite: str) -> np.random.Generator:
-        """Independent deterministic stream per suite: adding or reordering
-        suites does not perturb the draws of the others."""
-        tag = zlib.crc32(suite.encode("utf-8"))
-        return np.random.default_rng(np.random.SeedSequence([self.seed, tag]))
+    def suite_rng(self, suite: str) -> random.Random:
+        """Independent deterministic stream per suite, `random.Random(f"{seed}/{suite}")`,
+        e.g. "2026/dtensors/changes": adding or reordering suites does not
+        perturb the draws of the others."""
+        return random.Random(f"{self.seed}/{suite}")
 
     def catalog_kinds(self) -> list[str]:
         """The change kinds drawn at (p, n): `monotone` only when p = n = 1."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import platform
+import random
 
 import numpy as np
 
@@ -22,6 +23,22 @@ def golden_writer() -> dict:
     Python, the machine and its C library (libm)."""
     return {"numpy": np.__version__, "python": platform.python_version(),
             "machine": platform.machine(), "libc": list(platform.libc_ver())}
+
+
+class RandomOnly:
+    """A draw source with nothing but `random()`, counting its calls: the
+    chart-change catalog and `random_jet` may ask a source for nothing else.
+    With a float `seed`, every draw returns that float."""
+
+    __slots__ = ("_draw", "calls")
+
+    def __init__(self, seed):
+        self._draw = (lambda: seed) if isinstance(seed, float) else random.Random(seed).random
+        self.calls = 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return self._draw()
 
 
 def catalog(rng: np.random.Generator, p: int, n: int, kinds=("affine", "shear", "mixed"),

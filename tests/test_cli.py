@@ -372,6 +372,54 @@ def test_overflow_during_a_solve_exits_one(tmp_path):
     assert "Traceback" not in r.stderr and "error: math range error" in r.stderr
 
 
+HARMONIC_DIVERGES = {
+    "dimensions": {"p": 2, "n": 2},
+    "metrics": {"temporal": "conformal2d:0.3*t1 - 0.2*t2",
+                "spatial": "conformal2d:0.2*(x1^2 + x2^2)"},
+    "harmonic": {"boundary": ["exp(t1)*cos(t2)", "exp(t1)*sin(t2)"], "grid": 35},
+}
+
+
+def _strict_json(text: str):
+    """Parse as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_diverging_solve_reports_without_warnings(tmp_path):
+    # on the default domain the 35 x 35 grid overflows in its first V-cycle;
+    # with RuntimeWarning an error the solve must still end in its report,
+    # and the non-finite residual is written as null
+    path = write_scenario(tmp_path, HARMONIC_DIVERGES)
+    env = dict(os.environ)
+    env.pop("JETFLOW_SEED", None)
+    r = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "jetflow",
+                        "harmonic", path], capture_output=True, text=True, env=env)
+    assert r.returncode == 1, r.stderr
+    assert "RuntimeWarning" not in r.stderr and "Traceback" not in r.stderr
+    report = _strict_json(r.stdout)
+    assert report["status"] == "diverged"
+    assert report["max_residual"] is None and None in report["residual_history"]
+
+
+def test_verify_and_prolong_leave_numpy_random_unloaded(tmp_path):
+    # the suites draw from the stdlib generator, so neither command loads
+    # numpy.random, which costs several MB and ms per run
+    code = "\n".join(
+        ["import sys", "from jetflow.cli import main"]
+        + [f"main([{cmd!r}, 'demos/verify_scenario.json', '--output', {str(tmp_path / cmd)!r}])"
+           for cmd in ("verify", "prolong")]
+        + ["assert 'numpy.random' not in sys.modules, 'numpy.random was imported'"])
+    env = dict(os.environ)
+    env.pop("JETFLOW_SEED", None)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                       cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    assert r.returncode == 0, r.stderr
+    for cmd in ("verify", "prolong"):
+        assert _strict_json((tmp_path / cmd).read_text())["all_pass"] is True
+
+
 def test_non_finite_geodesic_state_exits_one(tmp_path):
     # x overflows to inf in the first step; the second step's stage input
     # is non-finite, a numerical failure rather than a bad scenario

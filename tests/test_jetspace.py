@@ -18,7 +18,7 @@ from jetflow.jetspace import (
     vert_index,
 )
 
-from helpers import catalog, jets_in
+from helpers import RandomOnly, catalog, jets_in
 
 
 # --- JetPoint -----------------------------------------------------------------
@@ -254,3 +254,20 @@ def test_random_jet_respects_boxes():
         assert 0.1 <= u.t[0] <= 0.9 + 1e-12
         assert box_x[0][0] < u.x[0] < box_x[0][1]
         assert np.max(np.abs(u.v)) <= 0.5
+
+
+def test_random_jet_draws_only_through_random():
+    """One `random()` per coordinate, each mapped to lo + (hi - lo) u, with
+    and without boxes."""
+    rng = RandomOnly("jets")
+    u = random_jet(rng, 2, 3)
+    assert rng.calls == 2 + 3 + 3 * 2
+    assert np.max(np.abs(np.concatenate([u.t, u.x]))) < 1.0
+    assert np.max(np.abs(u.v)) < 2.0
+    box_t, box_x = [(0.0, 1.0)], [(0.2, np.pi - 0.2), (-3.0, 3.0)]
+    u = random_jet(RandomOnly(0.25), 1, 2, box_t=box_t, box_x=box_x, v_scale=0.5)
+    assert u.t.tolist() == [0.1 + 0.8 * 0.25]
+    pad = 0.1 * (box_x[0][1] - box_x[0][0])
+    lo, hi = box_x[0][0] + pad, box_x[0][1] - pad
+    assert u.x.tolist() == [lo + (hi - lo) * 0.25, -2.4 + 4.8 * 0.25]
+    assert u.v.tolist() == [[-0.25], [-0.25]]

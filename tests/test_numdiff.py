@@ -7,7 +7,7 @@ from jetflow import numdiff as nd
 from jetflow.exprlang import parse
 from jetflow.numdiff import ChangeMap, ChartError
 
-from helpers import fd_jacobian, roundtrip_error
+from helpers import RandomOnly, fd_jacobian, roundtrip_error
 
 
 def _sample(rng, change, scale=1.0):
@@ -171,6 +171,42 @@ def test_change_catalog_names_and_count():
     assert len(cs) == 6
     assert [c.name for c in cs[:3]] == ["affine-0", "affine-1", "affine-2"]
     assert cs[3].name == "shear-0"
+
+
+KINDS = ["affine", "shear", "monotone", "mixed"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p,n", [(1, 1), (2, 2), (2, 3)])
+def test_catalog_draws_only_through_random(kind, p, n):
+    """A source with only `random()` drives every kind: equal seeds give
+    equal changes, each round-trips, and an affine block keeps cond <= 4."""
+    rng = RandomOnly(f"{kind}/{p}/{n}")
+    changes = nd.change_catalog(rng, p, n, [kind], 3)
+    assert rng.calls > 0
+    again = nd.change_catalog(RandomOnly(f"{kind}/{p}/{n}"), p, n, [kind], 3)
+    points = np.random.default_rng(14)
+    for c, d in zip(changes, again):
+        assert [str(e) for e in c.forward_t + c.forward_x] == \
+            [str(e) for e in d.forward_t + d.forward_x]
+        t, x = _sample(points, c, scale=0.8)
+        assert roundtrip_error(c, t, x) < 1e-10, c.name
+        if kind == "affine":
+            blocks = nd.jacobian_blocks(c, t, x)
+            assert max(np.linalg.cond(blocks.A), np.linalg.cond(blocks.B)) <= 4 + 1e-9
+
+
+@pytest.mark.parametrize("u", [0.0, 1 - 2 ** -53])
+def test_catalog_holds_at_the_ends_of_the_unit_interval(u):
+    """Every draw at 0 or just below 1: a shear's partner index stays below
+    d, and the rank-one uniform matrices still give orthogonal factors."""
+    for kind in KINDS:
+        for c in nd.change_catalog(RandomOnly(u), 2, 3, [kind], 1):
+            t, x = np.array([0.1, -0.2]), np.array([0.3, 0.2, -0.1])
+            assert roundtrip_error(c, t, x) < 1e-10, c.name
+            if kind == "affine":
+                blocks = nd.jacobian_blocks(c, t, x)
+                assert max(np.linalg.cond(blocks.A), np.linalg.cond(blocks.B)) <= 4 + 1e-9
 
 
 def test_name_helpers():

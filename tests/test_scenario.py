@@ -118,6 +118,15 @@ def test_suite_streams_are_deterministic_and_independent(tmp_path):
     assert c1 == c2
 
 
+def test_suite_stream_is_the_stdlib_generator_on_seed_and_suite(tmp_path):
+    """suite_rng(s) is random.Random(f"{seed}/{s}"), which Python keeps
+    fixed across versions; these are its first draws for the default seed."""
+    payload = {key: value for key, value in BASE.items() if key != "seed"}
+    rng = load_scenario(_write(tmp_path, payload)).suite_rng("dtensors/changes")
+    assert [rng.random() for _ in range(3)] == [
+        0.3063198434554373, 0.363611745913075, 0.12126633734388836]
+
+
 def test_changes_for_drops_monotone_in_higher_dimensions(tmp_path):
     payload = json.loads(json.dumps(BASE))
     payload["changes"] = {"kinds": ["affine", "monotone"], "count": 2}
