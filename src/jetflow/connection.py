@@ -38,11 +38,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dtensor import Verdict, law_check
-from .exprlang import Expr, mul, neg, num, var
+from .exprlang import Expr, mul, neg, num, total, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jet_name
 from .jetspace import JetPoint, adapted_frame_blocks, frame_size, mixed_jet_derivatives
-from .sprays import JetTable, Spray, SprayPair, _shared, _total, h_trace
+from .sprays import JetTable, Spray, SprayPair, _shared, h_trace
 
 __all__ = [
     "ConnectionError_", "NonlinearConnection", "canonical_connection",
@@ -58,6 +58,11 @@ class ConnectionError_(ValueError):
 
 @dataclass(frozen=True)
 class NonlinearConnection:
+    """M and N as jet tables.  `rebuild` gives the native form in a change's
+    target chart (`in_chart`); None means there is none.  A derived
+    connection's native form is its constructor on its parts' native forms,
+    so a part with none raises its own error."""
+
     M: JetTable                                   # temporal components, (n, p, p)
     N: JetTable                                   # spatial components, (n, p, n)
     rebuild: Callable[[ChangeMap], "NonlinearConnection"] | None = None
@@ -85,13 +90,13 @@ def canonical_connection(h: Metric, phi: Metric) -> NonlinearConnection:
 
     def m_entries() -> list[Expr]:
         gamma = h.christoffel_exprs
-        return [neg(_total(mul(gamma[g][b][a], var(jet_name(j + 1, g + 1)))
-                           for g in range(p)))
+        return [neg(total(mul(gamma[g][b][a], var(jet_name(j + 1, g + 1)))
+                          for g in range(p)))
                 for j in range(n) for b in range(p) for a in range(p)]
 
     def n_entries() -> list[Expr]:
         gamma = phi.christoffel_exprs
-        return [_total(mul(gamma[j][i][k], var(jet_name(k + 1, b + 1))) for k in range(n))
+        return [total(mul(gamma[j][i][k], var(jet_name(k + 1, b + 1))) for k in range(n))
                 for j in range(n) for b in range(p) for i in range(n)]
 
     return NonlinearConnection(
@@ -181,18 +186,15 @@ def connection_from_sprays(pair: SprayPair, h: Metric) -> NonlinearConnection:
 
     def n_entries() -> list[Expr]:
         grad, hc = trace.gradient_entries, h.components      # grad[(i*n + j)*p + g]
-        return [_total(mul(grad[(i * n + j) * p + g], hc[g][a]) for g in range(p))
+        return [total(mul(grad[(i * n + j) * p + g], hc[g][a]) for g in range(p))
                 for i in range(n) for a in range(p) for j in range(n)]
 
-    rebuild = None
-    if H.rebuild is not None and G.rebuild is not None:
-        def rebuild(change: ChangeMap) -> NonlinearConnection:
-            return connection_from_sprays(
-                SprayPair(H.rebuild(change), G.rebuild(change)), pullback_metric(h, change))
-
-    return NonlinearConnection(JetTable(p, n, (n, p, p), H.tables.metrics, m_entries),
-                               JetTable(p, n, (n, p, n), trace.metrics, n_entries),
-                               rebuild=rebuild, name=f"from-sprays[{H.name},{G.name}]")
+    return NonlinearConnection(
+        JetTable(p, n, (n, p, p), H.tables.metrics, m_entries),
+        JetTable(p, n, (n, p, n), trace.metrics, n_entries),
+        rebuild=lambda c: connection_from_sprays(SprayPair(H.in_chart(c), G.in_chart(c)),
+                                                 pullback_metric(h, c)),
+        name=f"from-sprays[{H.name},{G.name}]")
 
 
 def sprays_from_connection(conn: NonlinearConnection) -> SprayPair:
@@ -204,20 +206,14 @@ def sprays_from_connection(conn: NonlinearConnection) -> SprayPair:
 
     def g_entries() -> list[Expr]:
         N = conn.N.entries
-        return [mul(num(0.5), _total(mul(N[(i * p + a) * n + j], var(jet_name(j + 1, b + 1)))
-                                     for j in range(n)))
+        return [mul(num(0.5), total(mul(N[(i * p + a) * n + j], var(jet_name(j + 1, b + 1)))
+                                    for j in range(n)))
                 for i in range(n) for a in range(p) for b in range(p)]
-
-    h_rebuild = g_rebuild = None
-    if conn.rebuild is not None:
-        def h_rebuild(change: ChangeMap) -> Spray:
-            return sprays_from_connection(conn.rebuild(change)).temporal
-
-        def g_rebuild(change: ChangeMap) -> Spray:
-            return sprays_from_connection(conn.rebuild(change)).spatial
 
     return SprayPair(
         Spray("temporal", JetTable(p, n, (n, p, p), conn.M.metrics, h_entries),
-              rebuild=h_rebuild, name=f"temporal[{conn.name}]"),
+              rebuild=lambda c: sprays_from_connection(conn.in_chart(c)).temporal,
+              name=f"temporal[{conn.name}]"),
         Spray("spatial", JetTable(p, n, (n, p, p), conn.N.metrics, g_entries),
-              rebuild=g_rebuild, name=f"spatial[{conn.name}]"))
+              rebuild=lambda c: sprays_from_connection(conn.in_chart(c)).spatial,
+              name=f"spatial[{conn.name}]"))

@@ -94,18 +94,13 @@ class IndexSignature:
 
 
 def _slot_factors(sig: IndexSignature, blocks) -> list[np.ndarray]:
-    """Per-slot transformation matrices M with new = M @ old on that axis."""
-    A, B = blocks.A, blocks.B
-    A_inv, B_inv = blocks.A_inv, blocks.B_inv
-    table = {
-        T_UP: A,
-        T_LO: A_inv.T,
-        S_UP: B,
-        S_LO: B_inv.T,
-        V_UP: np.kron(B, A_inv.T),
-        V_LO: np.kron(B_inv.T, A),
-    }
-    return [table[s] for s in sig.slots]
+    """Per-slot transformation matrices M with new = M @ old on that axis;
+    each slot kind of the signature is built once, and no other kind."""
+    A, B, A_inv, B_inv = blocks.A, blocks.B, blocks.A_inv, blocks.B_inv
+    make = {T_UP: lambda: A, T_LO: lambda: A_inv.T, S_UP: lambda: B, S_LO: lambda: B_inv.T,
+            V_UP: lambda: np.kron(B, A_inv.T), V_LO: lambda: np.kron(B_inv.T, A)}
+    built = {s: make[s]() for s in set(sig.slots)}
+    return [built[s] for s in sig.slots]
 
 
 @dataclass(frozen=True)
@@ -114,9 +109,10 @@ class DTensorField:
 
     `components` evaluates the chart-native components at a jet point.  When
     the defining formula involves chart-dependent ingredients (a metric, a
-    Lagrangian), `rebuild` produces the native field of the target chart of
-    a change; fields whose formula reads the same in every chart leave it
-    None.
+    Lagrangian, a spray), `rebuild` produces the native field of the target
+    chart of a change (`in_chart`); a None `rebuild` means the same formula in
+    every chart.  A derived field's native form is its constructor on its
+    parts' native forms, so a part with none raises its own error.
     """
 
     name: str

@@ -19,7 +19,9 @@ errors (division by zero, log of a nonpositive value, sqrt of a negative
 value, 0 raised to a negative power).  Differentiation and substitution are
 symbolic and apply only conservative simplifications (constant folding,
 0*e -> 0, 1*e -> e, e+0 -> e and the like), so results stay exact; each
-visits a distinct node object once, so shared subtrees stay shared.
+visits a distinct node object once, so shared subtrees stay shared.  Every
+plain symbolic sum elsewhere in the package is `total`, the left-to-right
+fold of `add` onto zero.
 
 `evaluate_table` evaluates a table of expressions with each distinct node
 object evaluated once, and `compile_table` turns a table into a function
@@ -39,7 +41,8 @@ import math
 import re
 import struct
 from dataclasses import FrozenInstanceError, dataclass, fields
-from typing import Callable, Collection, Mapping, Sequence, Union
+from functools import reduce
+from typing import Callable, Collection, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -52,7 +55,7 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "parse", "to_str", "evaluate", "evaluate_table", "diff", "subst", "free_vars",
     "partials", "foreign_vars",
-    "num", "var", "neg", "add", "sub", "mul", "div", "pow_", "call",
+    "num", "var", "neg", "add", "sub", "mul", "div", "pow_", "call", "total",
     "FUNCTIONS", "compile_table", "Table", "WALK_CALLS", "table_columns",
     "compile_floats", "compile_rk4", "DET_TOL", "Guard",
 ]
@@ -379,8 +382,11 @@ class Div(Expr):
         return ev(self.a) / den
 
     def _diff(self, name, d):
-        # (a/b)' = a'/b - a*b'/b^2
+        # (a/b)' = a'/b - a*b'/b^2; a'/b where b' is the literal zero, which
+        # keeps the guard on b (also 0/b) and has no b^2 that can underflow
         da, db = d(self.a), d(self.b)
+        if _is_const(db, 0.0):
+            return div(da, self.b)
         return sub(div(da, self.b), div(mul(self.a, db), pow_(self.b, 2)))
 
     def _subst(self, mapping, s):
@@ -555,6 +561,12 @@ def div(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num) and b.value != 0:
         return Num(a.value / b.value)
     return Div(a, b)
+
+
+def total(terms: Iterable[Expr]) -> Expr:
+    """The symbolic sum of `terms`, added left to right onto the zero leaf:
+    total([a, b, c]) is add(add(a, b), c), and total([]) is num(0.0)."""
+    return reduce(add, terms, _ZERO)
 
 
 def pow_(base: Expr, exponent: int) -> Expr:

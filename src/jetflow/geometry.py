@@ -16,7 +16,7 @@ import numpy as np
 
 from .exprlang import (
     DET_TOL, Expr, Guard, Num, add, compile_table, diff, div, foreign_vars, mul, neg, num, parse,
-    sub, subst, table_columns, var,
+    sub, subst, table_columns, total, var,
 )
 from .numdiff import ChangeMap, jet_name, spatial_names, temporal_names
 
@@ -130,11 +130,8 @@ class Metric:
         inv = self._det_inverse[1]
 
         def entry(a: int, b: int, c: int) -> Expr:
-            acc: Expr = num(0.0)
-            for e in range(d):
-                lowered = sub(add(dg[b][e][c], dg[c][b][e]), dg[e][b][c])
-                acc = add(acc, mul(inv[a][e], lowered))
-            return mul(num(0.5), acc)
+            lowered = lambda e: sub(add(dg[b][e][c], dg[c][b][e]), dg[e][b][c])
+            return mul(num(0.5), total(mul(inv[a][e], lowered(e)) for e in range(d)))
 
         return [[[entry(a, b, c) for c in range(d)] for b in range(d)] for a in range(d)]
 
@@ -226,14 +223,9 @@ def pullback_metric(metric: Metric, change: ChangeMap) -> Metric:
     back = dict(zip(names, inv_exprs))
     d = metric.dim
     comp = [[subst(metric.components[a][b], back) for b in range(d)] for a in range(d)]
-    out = [[num(0.0) for _ in range(d)] for _ in range(d)]
-    for c in range(d):
-        for e in range(d):
-            acc: Expr = num(0.0)
-            for a in range(d):
-                for b in range(d):
-                    acc = add(acc, mul(mul(comp[a][b], dinv[a][c]), dinv[b][e]))
-            out[c][e] = acc
+    out = [[total(mul(mul(comp[a][b], dinv[a][c]), dinv[b][e])
+                  for a in range(d) for b in range(d))
+            for e in range(d)] for c in range(d)]
     pulled = change._pulled[metric] = Metric(f"{metric.name}@{change.name}", metric.kind,
                                              out, box=None)
     return pulled
@@ -301,12 +293,6 @@ def energy_density(h: Metric, phi: Metric) -> Expr:
         raise GeometryError("energy density expects a temporal and a spatial metric")
     hinv = h.inverse_components()
     p, n = h.dim, phi.dim
-    acc: Expr = num(0.0)
-    for a in range(p):
-        for b in range(p):
-            for i in range(n):
-                for j in range(n):
-                    term = mul(mul(hinv[a][b], phi.components[i][j]),
-                               mul(var(jet_name(i + 1, a + 1)), var(jet_name(j + 1, b + 1))))
-                    acc = add(acc, term)
-    return acc
+    return total(mul(mul(hinv[a][b], phi.components[i][j]),
+                     mul(var(jet_name(i + 1, a + 1)), var(jet_name(j + 1, b + 1))))
+                 for a in range(p) for b in range(p) for i in range(n) for j in range(n))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import Expr, add, mul, num, subst, var
+from .exprlang import Expr, mul, subst, total, var
 from .numdiff import (
     ChangeMap, _uniform, jacobian_blocks, jet_name, spatial_names, temporal_names,
 )
@@ -149,20 +149,14 @@ def jet_pullback(e: Expr, change: ChangeMap, p: int, n: int) -> Expr:
     Substitutes the inverse base maps and the inverse jet rule
     v^i_a = (dx^i/dx~^j) (dt~^b/dt^a) v~^j_b, all symbolically.
     """
-    tnames, xnames = temporal_names(p), spatial_names(n)
-    back: dict[str, Expr] = {}
-    back.update(zip(tnames, change.inverse_t))
-    back.update(zip(xnames, change.inverse_x))
-    back_t = dict(zip(tnames, change.inverse_t))
+    back_t = dict(zip(temporal_names(p), change.inverse_t))
+    back: dict[str, Expr] = {**back_t, **dict(zip(spatial_names(n), change.inverse_x))}
     for i in range(n):
         for a in range(p):
-            acc: Expr = num(0.0)
-            for j in range(n):
-                for b in range(p):
-                    fwd_jac = subst(change._dft[b][a], back_t)
-                    acc = add(acc, mul(mul(change._dix[i][j], fwd_jac),
-                                       var(jet_name(j + 1, b + 1))))
-            back[jet_name(i + 1, a + 1)] = acc
+            back[jet_name(i + 1, a + 1)] = total(
+                mul(mul(change._dix[i][j], subst(change._dft[b][a], back_t)),
+                    var(jet_name(j + 1, b + 1)))
+                for j in range(n) for b in range(p))
     return subst(e, back)
 
 

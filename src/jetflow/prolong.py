@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import (Expr, add, compile_floats, compile_rk4, compile_table, foreign_vars,
-                       mul, num, parse, partials, subst)
+from .exprlang import (Expr, compile_floats, compile_rk4, compile_table, foreign_vars, mul,
+                       parse, partials, subst, total)
 from .dtensor import DTensorField, IndexSignature
 from .connection import NonlinearConnection
 from .numdiff import ChangeMap, jet_names, spatial_names, temporal_names
@@ -180,13 +180,8 @@ def pushforward(X: BaseVectorField, change: ChangeMap) -> BaseVectorField:
     back.update(zip(spatial_names(X.n), change.inverse_x))
 
     def push(rows: list[list[Expr]], comps: list[Expr]) -> list[Expr]:
-        out = []
-        for row in rows:
-            acc: Expr = num(0.0)
-            for d, comp in zip(row, comps):
-                acc = add(acc, mul(d, comp))
-            out.append(subst(acc, back))
-        return out
+        return [subst(total(mul(d, comp) for d, comp in zip(row, comps)), back)
+                for row in rows]
 
     pushed = X._pushed[change] = BaseVectorField(X.p, X.n,
                                                  push(change._dft, X.temporal),
@@ -280,13 +275,8 @@ def vertical_gap_field(X: BaseVectorField, conn: NonlinearConnection) -> DTensor
     def comps(u: JetPoint) -> np.ndarray:
         return (pr.vertical(u) - lift.vertical(u)).reshape(n * p)
 
-    rebuild = None
-    if conn.rebuild is not None:
-        def rebuild(change: ChangeMap) -> DTensorField:
-            return vertical_gap_field(pushforward(X, change), conn.in_chart(change))
-
     return DTensorField(f"vertical-gap[{X.name}]", _GAP_SIG, p, n, comps,
-                        rebuild=rebuild)
+                        rebuild=lambda c: vertical_gap_field(pushforward(X, c), conn.in_chart(c)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,13 @@ builds its entries from its parts' entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .dtensor import DTensorField, IndexSignature, Verdict, law_check
-from .exprlang import Expr, Guard, Table, add, compile_table, free_vars, mul, num, partials, var
+from .exprlang import Expr, Guard, Table, compile_table, free_vars, mul, num, partials, total, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, mixed_jet_derivatives
@@ -139,10 +139,6 @@ class JetTable:
         return batch
 
 
-def _total(terms: Iterable[Expr]) -> Expr:
-    return reduce(add, terms, num(0.0))
-
-
 def _shared(metric: Metric, role: str, other: int,
             make: Callable[[], JetTable]) -> JetTable:
     """The table of a canonical object of `metric` (role "spray", or
@@ -160,7 +156,10 @@ class Spray:
     """A spray whose coefficients arr[j, b, a] are the (n, p, p) entries of
     `tables`.  `coefficients` is `tables.at`; it is a field only so that a
     `dataclasses.replace` copy may wrap it, and then the geodesic solver
-    calls the wrapper (`maps._geodesic_loop`)."""
+    calls the wrapper (`maps._geodesic_loop`).  `rebuild` gives the native
+    form in a change's target chart (`in_chart`); None means there is none.
+    A derived spray's native form is its constructor on its parts' native
+    forms, so a part with none raises its own error."""
 
     kind: str                                                # one of _KINDS
     tables: JetTable
@@ -216,8 +215,8 @@ def canonical_temporal(h: Metric, n: int) -> Spray:
     def entries() -> list[Expr]:
         # H^{(j)}_{(b)a} = -(1/2) Gamma^g_ab x^j_g
         gamma = h.christoffel_exprs
-        return [mul(num(-0.5), _total(mul(gamma[g][a][b], var(jet_name(j + 1, g + 1)))
-                                      for g in range(p)))
+        return [mul(num(-0.5), total(mul(gamma[g][a][b], var(jet_name(j + 1, g + 1)))
+                                     for g in range(p)))
                 for j in range(n) for b in range(p) for a in range(p)]
 
     tables = _shared(h, "spray", n, lambda: JetTable(p, n, (n, p, p), [h], entries))
@@ -234,9 +233,9 @@ def canonical_spatial(phi: Metric, p: int) -> Spray:
     def entries() -> list[Expr]:
         # G^{(j)}_{(b)a} = (1/2) gamma^j_kl x^k_a x^l_b
         gamma = phi.christoffel_exprs
-        return [mul(num(0.5), _total(mul(mul(gamma[j][k][l], var(jet_name(k + 1, a + 1))),
-                                         var(jet_name(l + 1, b + 1)))
-                                     for k in range(n) for l in range(n)))
+        return [mul(num(0.5), total(mul(mul(gamma[j][k][l], var(jet_name(k + 1, a + 1))),
+                                        var(jet_name(l + 1, b + 1)))
+                                    for k in range(n) for l in range(n)))
                 for j in range(n) for b in range(p) for a in range(p)]
 
     tables = _shared(phi, "spray", p, lambda: JetTable(p, n, (n, p, p), [phi], entries))
@@ -292,8 +291,8 @@ def h_trace(s: Spray, h: Metric) -> HSpray:
 
     def entries() -> list[Expr]:
         hinv, S = h.inverse_components(), s.tables.entries
-        return [_total(mul(hinv[a][b], S[(i * p + a) * p + b])
-                       for a in range(p) for b in range(p))
+        return [total(mul(hinv[a][b], S[(i * p + a) * p + b])
+                      for a in range(p) for b in range(p))
                 for i in range(n)]
 
     return HSpray(JetTable(p, n, (n,), [*s.tables.metrics, h], entries),
@@ -344,16 +343,12 @@ def combine_sprays(sprays: Sequence[Spray], weights: Sequence[float]) -> Spray:
     kind, p, n = sprays[0].kind, sprays[0].p, sprays[0].n
 
     def entries() -> list[Expr]:
-        return [_total(mul(num(c), e) for c, e in zip(w, column))
+        return [total(mul(num(c), e) for c, e in zip(w, column))
                 for column in zip(*(s.tables.entries for s in sprays))]
 
-    rebuild = None
-    if all(s.rebuild is not None for s in sprays):
-        def rebuild(change: ChangeMap):
-            return combine_sprays([s.rebuild(change) for s in sprays], w)
-
     metrics = [m for s in sprays for m in s.tables.metrics]
-    return Spray(kind, JetTable(p, n, (n, p, p), metrics, entries), rebuild=rebuild,
+    return Spray(kind, JetTable(p, n, (n, p, p), metrics, entries),
+                 rebuild=lambda c: combine_sprays([s.in_chart(c) for s in sprays], w),
                  name="affine-combination")
 
 
@@ -372,13 +367,9 @@ def spray_difference_field(s1: Spray, s2: Spray, name: str | None = None) -> DTe
     def comps(u: JetPoint) -> np.ndarray:
         return (s1.coefficients(u) - s2.coefficients(u)).reshape(n * p, p)
 
-    rebuild = None
-    if s1.rebuild is not None and s2.rebuild is not None:
-        def rebuild(change: ChangeMap) -> DTensorField:
-            return spray_difference_field(s1.rebuild(change), s2.rebuild(change), name)
-
-    return DTensorField(name or f"{s1.name}-minus-{s2.name}", _SPRAY_SIG, p, n,
-                        comps, rebuild=rebuild)
+    return DTensorField(
+        name or f"{s1.name}-minus-{s2.name}", _SPRAY_SIG, p, n, comps,
+        rebuild=lambda c: spray_difference_field(s1.in_chart(c), s2.in_chart(c), name))
 
 
 def spray_coefficient_field(s: Spray) -> DTensorField:
@@ -389,13 +380,8 @@ def spray_coefficient_field(s: Spray) -> DTensorField:
     def comps(u: JetPoint) -> np.ndarray:
         return s.coefficients(u).reshape(n * p, p)
 
-    rebuild = None
-    if s.rebuild is not None:
-        def rebuild(change: ChangeMap) -> DTensorField:
-            return spray_coefficient_field(s.rebuild(change))
-
-    return DTensorField(f"coefficients[{s.name}]", _SPRAY_SIG, p, n,
-                        comps, rebuild=rebuild)
+    return DTensorField(f"coefficients[{s.name}]", _SPRAY_SIG, p, n, comps,
+                        rebuild=lambda c: spray_coefficient_field(s.in_chart(c)))
 
 
 def decompose_spray(s: Spray, metric: Metric) -> tuple[Spray, DTensorField]:

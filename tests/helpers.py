@@ -330,7 +330,10 @@ def naive_diff(e, name: str):
     if isinstance(e, ex.Mul):
         return ex.add(ex.mul(d(e.a), e.b), ex.mul(e.a, d(e.b)))
     if isinstance(e, ex.Div):
-        return ex.sub(ex.div(d(e.a), e.b), ex.div(ex.mul(e.a, d(e.b)), ex.pow_(e.b, 2)))
+        db = d(e.b)
+        if isinstance(db, ex.Num) and db.value == 0.0:
+            return ex.div(d(e.a), e.b)
+        return ex.sub(ex.div(d(e.a), e.b), ex.div(ex.mul(e.a, db), ex.pow_(e.b, 2)))
     if isinstance(e, ex.Pow):
         k = e.exponent
         if k == 0:

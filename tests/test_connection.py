@@ -20,7 +20,7 @@ from jetflow.connection import (
 from jetflow.geometry import metric_from_name
 from jetflow.jetspace import (JetPoint, frame_size, natural_frame_change,
                               random_jet, transform_jet)
-from jetflow.sprays import SprayPair, canonical_pair, h_trace, zero_spray
+from jetflow.sprays import SprayError, SprayPair, canonical_pair, h_trace, zero_spray
 
 from helpers import catalog, jets_in, standard_metrics, walk_gradient
 
@@ -232,6 +232,22 @@ def test_connection_without_rebuild_has_no_chart_native_form():
     conn = NonlinearConnection(zero, zero)
     with pytest.raises(ConnectionError_, match="no chart-native form"):
         conn.in_chart(nd.identity_change(2, 2))
+
+
+def test_derived_connection_and_sprays_raise_their_parts_error():
+    """connection_from_sprays of a zero spray raises the spray's SprayError
+    from `in_chart`, and the sprays of a connection with no native form
+    raise its ConnectionError_."""
+    h, phi = standard_metrics(2, 2)
+    c = nd.identity_change(2, 2)
+    pair = SprayPair(zero_spray("temporal", 2, 2), canonical_pair(h, phi).spatial)
+    with pytest.raises(SprayError, match="'zero-temporal' has no chart-native form"):
+        connection_from_sprays(pair, h).in_chart(c)
+    zero = zero_spray("temporal", 2, 2).tables
+    derived = sprays_from_connection(NonlinearConnection(zero, zero, name="bare"))
+    for s in (derived.temporal, derived.spatial):
+        with pytest.raises(ConnectionError_, match="'bare' has no chart-native form"):
+            s.in_chart(c)
 
 
 def test_connection_tables_must_share_one_jet_space():

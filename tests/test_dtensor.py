@@ -90,6 +90,29 @@ def test_transform_components_spatial_slots():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("text,krons", [("U(i,a);L(b);L(c)", 1), ("L(i,a);L(j,b)", 1),
+                                        ("U(i,a);L(j,b)", 2), ("U(i);L(j)", 0)])
+def test_each_used_slot_kind_is_built_once_per_call(monkeypatch, text, krons):
+    """A vertical slot's Kronecker factor is built once per call, and only
+    for the vertical kinds the signature uses."""
+    kron, calls = np.kron, []
+
+    def counted(a, b):
+        calls.append(1)
+        return kron(a, b)
+
+    rng = np.random.default_rng(34)
+    c = nd.random_change(rng, 2, 2, "affine")
+    u = random_jet(rng, 2, 2)
+    sig = IndexSignature.parse(text)
+    arr = rng.normal(size=sig.shape(2, 2))
+    f = DTensorField("probe", sig, 2, 2, lambda q: arr)
+    want = transform_components(f, c, u)
+    monkeypatch.setattr(np, "kron", counted)
+    assert np.array_equal(transform_components(f, c, u), want)
+    assert len(calls) == krons
+
+
 # --- canonical fields pass the law --------------------------------------------------
 
 

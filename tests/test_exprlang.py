@@ -10,7 +10,7 @@ from jetflow.exprlang import (DET_TOL, Add, Call, Div, Expr, ExprError, Mul, Neg
                               Var, add, call, compile_floats, compile_rk4, compile_table, diff, div,
                               evaluate,
                               evaluate_table,
-                              free_vars, mul, neg, num, parse, pow_, subst, to_str, var)
+                              free_vars, mul, neg, num, parse, pow_, subst, to_str, total, var)
 from jetflow import numdiff as nd
 from jetflow.dtensor import _hessian_exprs
 from jetflow.geometry import energy_density, metric_from_name, pullback_metric
@@ -414,6 +414,30 @@ def test_smart_constructors_fold():
     assert pow_(x, 1) is x
     assert isinstance(neg(neg(x)), Var)
     assert evaluate(add(num(2.0), num(3.0)), {}) == 5.0
+
+
+def test_total_folds_add_left_to_right_onto_zero():
+    a, b, c = var("a"), parse("sin(b)"), Num(2.5)
+    assert total([a, b, c]) == add(add(a, b), c)
+    assert total(iter([a, b])) == add(a, b)
+    assert total([]) is num(0.0)
+    assert total([num(0.0), a]) is a
+
+
+def test_quotient_with_constant_denominator_differentiates_without_b_squared():
+    """(a/b)' is a'/b where b' is the literal zero, so no b^2 can underflow
+    to a spurious division by zero; the division by b stays, and so does
+    its guard, also where a' is zero."""
+    d = diff(parse("x/t1"), "x")
+    assert d == div(num(1.0), var("t1"))
+    assert evaluate(d, {"x": 2.0, "t1": 1e-200}) == 1.0 / 1e-200
+    with pytest.raises(ExprError, match="division by zero"):
+        evaluate(d, {"x": 2.0, "t1": 0.0})
+    assert diff(parse("t1/sin(t1)"), "x") == div(num(0.0), call("sin", var("t1")))
+    with pytest.raises(ExprError, match="division by zero"):
+        evaluate(diff(parse("t1/sin(t1)"), "x"), {"t1": 0.0})
+    # a denominator that varies keeps the quotient rule
+    assert evaluate(diff(parse("x/t1"), "t1"), {"x": 2.0, "t1": 0.5}) == -8.0
 
 
 def test_diff_of_power_and_call():

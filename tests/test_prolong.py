@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jetflow import numdiff as nd
-from jetflow.connection import canonical_connection
+from jetflow.connection import ConnectionError_, NonlinearConnection, canonical_connection
 from jetflow.dtensor import is_dtensor
 from jetflow.exprlang import ExprError, diff, parse
 from jetflow.jetspace import (JetPoint, jet_env, natural_frame_change,
@@ -23,6 +23,7 @@ from jetflow.prolong import (
     total_derivative,
     vertical_gap_field,
 )
+from jetflow.sprays import zero_spray
 from jetflow.verify import default_prolong_fields
 
 from helpers import catalog, jets_in, reference_flow_transport, standard_metrics
@@ -318,6 +319,16 @@ def test_vertical_gap_is_a_dtensor():
     v = is_dtensor(gap, catalog(rng, 2, 2, count=2),
                    jets_in(rng, 2, 2, h=h, phi=phi, count=5))
     assert v.passed, v.max_rel_err
+
+
+def test_vertical_gap_of_a_connection_without_native_form_raises():
+    """The gap's native form needs the connection's, so a connection built
+    without `rebuild` raises from the gap's `in_chart`."""
+    zero = zero_spray("temporal", 2, 2).tables
+    X = BaseVectorField(2, 2, ["0.2*t2", "0.1*t1"], ["sin(x2)", "0.3*x1"])
+    gap = vertical_gap_field(X, NonlinearConnection(zero, zero, name="bare"))
+    with pytest.raises(ConnectionError_, match="'bare' has no chart-native form"):
+        gap.in_chart(nd.identity_change(2, 2))
 
 
 def test_horizontal_lift_dimension_check():

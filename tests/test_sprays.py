@@ -207,6 +207,22 @@ def test_spray_without_rebuild_has_no_chart_native_form():
         s.in_chart(nd.identity_change(2, 2))
 
 
+@pytest.mark.parametrize("derive", [
+    lambda s, z: combine_sprays([s, z], [0.5, 0.5]),
+    lambda s, z: spray_difference_field(s, z),
+    lambda s, z: spray_difference_field(z, s),
+    lambda s, z: spray_coefficient_field(z),
+], ids=["combination", "difference", "difference-reversed", "coefficients"])
+def test_derived_object_of_a_spray_without_native_form_raises_its_error(derive):
+    """A derived object's native form is its constructor on its parts'
+    native forms, so a zero spray's missing one raises from `in_chart`; a
+    d-tensor field does not fall back to its source-chart formula."""
+    h, _ = standard_metrics(2, 2)
+    derived = derive(canonical_temporal(h, 2), zero_spray("temporal", 2, 2))
+    with pytest.raises(SprayError, match="spray 'zero-temporal' has no chart-native form"):
+        derived.in_chart(nd.identity_change(2, 2))
+
+
 # --- sprays vs d-tensors ----------------------------------------------------------------
 
 
