@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 
@@ -213,6 +214,22 @@ def _is_numerical(exc: Exception) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the return value is the exit status.
+
+    The objects a command builds hold no reference cycles, so reference
+    counting frees them, suite by suite: the cyclic collector is paused
+    while `main` runs, and its earlier state is restored on every way
+    out, argparse's SystemExit included."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -88,20 +88,18 @@ def canonical_connection(h: Metric, phi: Metric) -> NonlinearConnection:
         raise ConnectionError_("canonical connection needs a temporal and a spatial metric")
     p, n = h.dim, phi.dim
 
-    def m_entries() -> list[Expr]:
-        gamma = h.christoffel_exprs
+    def m_entries(gamma) -> list[Expr]:
         return [neg(total(mul(gamma[g][b][a], var(jet_name(j + 1, g + 1)))
                           for g in range(p)))
                 for j in range(n) for b in range(p) for a in range(p)]
 
-    def n_entries() -> list[Expr]:
-        gamma = phi.christoffel_exprs
+    def n_entries(gamma) -> list[Expr]:
         return [total(mul(gamma[j][i][k], var(jet_name(k + 1, b + 1))) for k in range(n))
                 for j in range(n) for b in range(p) for i in range(n)]
 
     return NonlinearConnection(
-        _shared(h, "connection", n, lambda: JetTable(p, n, (n, p, p), [h], m_entries)),
-        _shared(phi, "connection", p, lambda: JetTable(p, n, (n, p, n), [phi], n_entries)),
+        _shared(h, "connection", n, (n, p, p), m_entries),
+        _shared(phi, "connection", p, (n, p, n), n_entries),
         rebuild=lambda c: canonical_connection(pullback_metric(h, c),
                                                pullback_metric(phi, c)),
         name=f"canonical[{h.name},{phi.name}]")

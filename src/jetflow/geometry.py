@@ -39,6 +39,16 @@ def _as_points(points: np.ndarray, dim: int) -> np.ndarray:
     return pts
 
 
+def _degenerate(name: str) -> Callable[[object], None]:
+    """The check of a metric's `guard`: a table calls it only where |det g|
+    (float, or any element of a column) is below DET_TOL, and it raises
+    GeometryError."""
+    def check_det(det) -> None:
+        raise GeometryError(f"metric '{name}' is degenerate: |det g| < {DET_TOL}")
+
+    return check_det
+
+
 class Metric:
     """Symmetric nondegenerate metric with symbolic components.
 
@@ -53,6 +63,11 @@ class Metric:
     that divides by det g, the metric's own and those built elsewhere
     (`sprays.JetTable`), takes it, tests |det g| < DET_TOL inline before
     any entry and calls `check_det` only there.
+
+    `check_det` is an attribute, a function of the det value that raises
+    GeometryError naming the metric, and it does not refer to the metric:
+    the tables that hold the guard do not hold the metric, so the metric,
+    which keeps its tables, frees them by reference counting.
     """
 
     def __init__(self, name: str, kind: str, components: Sequence[Sequence[Expr]],
@@ -64,6 +79,7 @@ class Metric:
         self.components = [list(row) for row in components]
         self.dim = len(self.components)
         self.box = None if box is None else [tuple(b) for b in box]
+        self.check_det = _degenerate(name)
         self._kernels: dict[str, Callable[..., tuple]] = {}
         # canonical sprays' and connections' tables, by (role, the other
         # factor's dimension) (sprays.py, connection.py)
@@ -118,8 +134,11 @@ class Metric:
                 return num(1.0)
             return div(cof if (i + j) % 2 == 0 else neg(cof), det)
 
-        det = minor(tuple(range(d)), tuple(range(d)))
-        return det, [[entry(i, j) for j in range(d)] for i in range(d)]
+        try:
+            det = minor(tuple(range(d)), tuple(range(d)))
+            return det, [[entry(i, j) for j in range(d)] for i in range(d)]
+        finally:
+            del minor       # `minor` reaches itself through its cell: empty it
 
     @cached_property
     def christoffel_exprs(self) -> list[list[list[Expr]]]:
@@ -144,12 +163,6 @@ class Metric:
         """The det-g guard (symbolic det g, `check_det`) of every table that
         divides by det g (`exprlang.compile_table`)."""
         return self._det_inverse[0], self.check_det
-
-    def check_det(self, det) -> None:
-        """The check of `guard`: a table calls it only where |det g| (float,
-        or any element of a column) is below DET_TOL, and it raises
-        GeometryError."""
-        raise GeometryError(f"metric '{self.name}' is degenerate: |det g| < {DET_TOL}")
 
     def _exprs(self, table: str) -> list[Expr]:
         """Entries of a table, row-major: "g" is g; "inverse" is g^-1;

@@ -151,11 +151,12 @@ def jet_pullback(e: Expr, change: ChangeMap, p: int, n: int) -> Expr:
     """
     back_t = dict(zip(temporal_names(p), change.inverse_t))
     back: dict[str, Expr] = {**back_t, **dict(zip(spatial_names(n), change.inverse_x))}
+    # d t~^b / d t^a in the target coordinates, each entry substituted once
+    dft = [[subst(d, back_t) for d in row] for row in change._dft]
     for i in range(n):
         for a in range(p):
             back[jet_name(i + 1, a + 1)] = total(
-                mul(mul(change._dix[i][j], subst(change._dft[b][a], back_t)),
-                    var(jet_name(j + 1, b + 1)))
+                mul(mul(change._dix[i][j], dft[b][a]), var(jet_name(j + 1, b + 1)))
                 for j in range(n) for b in range(p))
     return subst(e, back)
 

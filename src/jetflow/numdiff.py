@@ -9,6 +9,7 @@ chart changes whose inverses are closed form by construction.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -78,7 +79,7 @@ class ChangeMap:
         self.inverse_x = list(inverse_x)
         self._blocks: dict[bytes, JacobianBlocks] = {}   # see jacobian_blocks
         self._pulled: dict = {}     # metric -> its pullback, see geometry.pullback_metric
-        self._inverse: ChangeMap | None = None                 # see inverted
+        self._inverse: ChangeMap | weakref.ref | None = None   # see inverted
         if len(inverse_t) != self.p or len(inverse_x) != self.n:
             raise ChartError("forward and inverse components disagree in dimension")
         for label, exprs, names in (
@@ -118,13 +119,21 @@ class ChangeMap:
 
     def inverted(self) -> "ChangeMap":
         """The inverse change, built on first use and kept, so its tables
-        compile once: ``c.inverted() is c.inverted()`` and
-        ``c.inverted().inverted() is c``."""
-        if self._inverse is None:
-            self._inverse = ChangeMap(self.name + "^-1", self.inverse_t, self.inverse_x,
-                                      self.forward_t, self.forward_x)
-            self._inverse._inverse = self
-        return self._inverse
+        compile once: ``c.inverted() is c.inverted()``.
+
+        The change holds its inverse, and the inverse refers back to it
+        weakly, so the two do not hold each other: while `c` lives,
+        ``c.inverted().inverted() is c``.  An inverse that outlives `c`
+        still inverts: it builds and keeps a new inverse of its own, with
+        the components of `c`."""
+        got = self._inverse
+        if isinstance(got, weakref.ref):
+            got = got()
+        if got is None:
+            got = self._inverse = ChangeMap(self.name + "^-1", self.inverse_t, self.inverse_x,
+                                            self.forward_t, self.forward_x)
+            got._inverse = weakref.ref(self)
+        return got
 
     def then(self, other: "ChangeMap") -> "ChangeMap":
         """Composition: apply self first, then other (Expr substitution)."""

@@ -30,6 +30,7 @@ builds its entries from its parts' entries.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -70,12 +71,19 @@ class JetTable:
     first use.  Points run on Python floats (`at`), `batch_at` freezes the
     kernel on fixed temporal nodes for numpy columns, and the geodesic
     solver compiles the kernel's entries into the right-hand side of its
-    loop (`maps._geodesic_loop`)."""
+    loop (`maps._geodesic_loop`).
+
+    A metric keeps the tables of its canonical objects (`_shared`), so a
+    table must not keep the metric: it holds its metrics' guards, which do
+    not refer to them, and refers to the metrics weakly (`metrics` reads
+    None for one that has been freed)."""
 
     def __init__(self, p: int, n: int, shape: Sequence[int], metrics: Iterable[Metric],
                  entries: Callable[[], list[Expr]]):
         self.p, self.n, self.shape = p, n, tuple(shape)
-        self.metrics = list(dict.fromkeys(metrics))
+        metrics = list(dict.fromkeys(metrics))
+        self._metrics = [weakref.ref(m) for m in metrics]
+        self.guards: tuple[Guard, ...] = tuple(m.guard for m in metrics)
         self._build_entries = entries
         self.names = temporal_names(p) + spatial_names(n) + jet_names(n, p)
         # generated geodesic loops (maps.solve_affine_ode) whose right-hand
@@ -92,8 +100,8 @@ class JetTable:
         return [d for row in partials(self.entries, jet_names(self.n, self.p)) for d in row]
 
     @property
-    def guards(self) -> list[Guard]:
-        return [m.guard for m in self.metrics]
+    def metrics(self) -> list[Metric | None]:
+        return [ref() for ref in self._metrics]
 
     @cached_property
     def kernel(self) -> Table:
@@ -139,15 +147,19 @@ class JetTable:
         return batch
 
 
-def _shared(metric: Metric, role: str, other: int,
-            make: Callable[[], JetTable]) -> JetTable:
+def _shared(metric: Metric, role: str, other: int, shape: Sequence[int],
+            entries: Callable[[list[list[list[Expr]]]], list[Expr]]) -> JetTable:
     """The table of a canonical object of `metric` (role "spray", or
     "connection" for its half of a canonical connection) with the other
     factor of dimension `other`, built once: every such object shares it,
-    and its compiled tables."""
+    and its compiled tables.  Its entries are ``entries(gamma)`` for the
+    metric's symbolic Christoffel symbols, which the table holds in place
+    of the metric (`JetTable`)."""
     key = (role, other)
     if key not in metric._jet_tables:
-        metric._jet_tables[key] = make()
+        gamma = metric.christoffel_exprs
+        p, n = (metric.dim, other) if metric.kind == "temporal" else (other, metric.dim)
+        metric._jet_tables[key] = JetTable(p, n, shape, [metric], lambda: entries(gamma))
     return metric._jet_tables[key]
 
 
@@ -212,15 +224,13 @@ def canonical_temporal(h: Metric, n: int) -> Spray:
         raise SprayError("canonical temporal spray needs a temporal metric")
     p = h.dim
 
-    def entries() -> list[Expr]:
+    def entries(gamma) -> list[Expr]:
         # H^{(j)}_{(b)a} = -(1/2) Gamma^g_ab x^j_g
-        gamma = h.christoffel_exprs
         return [mul(num(-0.5), total(mul(gamma[g][a][b], var(jet_name(j + 1, g + 1)))
                                      for g in range(p)))
                 for j in range(n) for b in range(p) for a in range(p)]
 
-    tables = _shared(h, "spray", n, lambda: JetTable(p, n, (n, p, p), [h], entries))
-    return Spray("temporal", tables,
+    return Spray("temporal", _shared(h, "spray", n, (n, p, p), entries),
                  rebuild=lambda c: canonical_temporal(pullback_metric(h, c), n),
                  name=f"canonical-temporal[{h.name}]")
 
@@ -230,16 +240,14 @@ def canonical_spatial(phi: Metric, p: int) -> Spray:
         raise SprayError("canonical spatial spray needs a spatial metric")
     n = phi.dim
 
-    def entries() -> list[Expr]:
+    def entries(gamma) -> list[Expr]:
         # G^{(j)}_{(b)a} = (1/2) gamma^j_kl x^k_a x^l_b
-        gamma = phi.christoffel_exprs
         return [mul(num(0.5), total(mul(mul(gamma[j][k][l], var(jet_name(k + 1, a + 1))),
                                         var(jet_name(l + 1, b + 1)))
                                     for k in range(n) for l in range(n)))
                 for j in range(n) for b in range(p) for a in range(p)]
 
-    tables = _shared(phi, "spray", p, lambda: JetTable(p, n, (n, p, p), [phi], entries))
-    return Spray("spatial", tables,
+    return Spray("spatial", _shared(phi, "spray", p, (n, p, p), entries),
                  rebuild=lambda c: canonical_spatial(pullback_metric(phi, c), p),
                  name=f"canonical-spatial[{phi.name}]")
 

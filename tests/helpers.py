@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import platform
 import random
 
@@ -363,16 +365,34 @@ def naive_subst(e, mapping):
     return ctor(s(e.a), s(e.b))
 
 
-def distinct_nodes(e) -> int:
-    """Number of distinct node objects reachable from e."""
+def node_objects(e) -> list:
+    """The distinct node objects reachable from e."""
     from jetflow import exprlang as ex
 
-    seen, todo = set(), [e]
+    seen, todo = {}, [e]
     while todo:
         node = todo.pop()
         if id(node) in seen:
             continue
-        seen.add(id(node))
+        seen[id(node)] = node
         todo.extend(getattr(node, f) for f in ("a", "b", "base", "arg")
                     if isinstance(getattr(node, f, None), ex.Expr))
-    return len(seen)
+    return list(seen.values())
+
+
+def distinct_nodes(e) -> int:
+    """Number of distinct node objects reachable from e."""
+    return len(node_objects(e))
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """The cyclic collector disabled for the block, then as it was: inside,
+    only reference counting frees objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

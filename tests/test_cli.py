@@ -1,13 +1,20 @@
 """End-to-end CLI: exit codes, deterministic reports, CSV output."""
 
+import collections
 import csv
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import types
 
 import pytest
+
+from helpers import collector_paused
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -414,7 +421,7 @@ def test_verify_and_prolong_leave_numpy_random_unloaded(tmp_path):
     env = dict(os.environ)
     env.pop("JETFLOW_SEED", None)
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                       cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+                       cwd=ROOT)
     assert r.returncode == 0, r.stderr
     for cmd in ("verify", "prolong"):
         assert _strict_json((tmp_path / cmd).read_text())["all_pass"] is True
@@ -475,3 +482,95 @@ def test_console_script_version():
     r = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert r.returncode == 0
     assert r.stdout.strip().startswith("jetflow ")
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector: `main` pauses it and restores it on every way out
+
+
+GEODESIC_SMALL = {"dimensions": {"p": 1, "n": 2},
+                  "metrics": {"temporal": "euclidean:1", "spatial": "sphere:2"},
+                  "geodesic": {"x0": [1.2, 0.0], "v0": [0.0, 1.0], "t_span": [0, 0.1],
+                               "steps": 5}}
+
+
+def _exit_cases(tmp_path):
+    """(argv, the exit status, or the SystemExit code argparse raises)."""
+    report = str(tmp_path / "report.json")
+    return {
+        "pass": (["geodesic", write_scenario(tmp_path, GEODESIC_SMALL), "--output", report], 0),
+        "numerical": (["harmonic", write_scenario(tmp_path, HARMONIC_SPHERE, "sphere.json"),
+                       "--output", report], 1),
+        "scenario": (["verify", str(tmp_path / "nope.json")], 2),
+        "help": (["verify", "--help"], SystemExit(0)),
+        "bad-arguments": (["verify"], SystemExit(2)),
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", ["pass", "numerical", "scenario", "help", "bad-arguments"])
+def test_main_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, case, enabled):
+    """The collector is off while `main` runs, and afterwards as the caller
+    had it, whatever the way out: a report, the numerical-failure report,
+    a scenario error, or argparse's SystemExit."""
+    from jetflow import cli
+
+    argv, want = _exit_cases(tmp_path)[case]
+    seen = []
+    real_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: seen.append(gc.isenabled()) or real_parser())
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(want, SystemExit):
+            with pytest.raises(SystemExit) as stop:
+                cli.main(argv)
+            assert stop.value.code == want.code
+        else:
+            assert cli.main(argv) == want
+        assert gc.isenabled() is enabled and seen == [False]
+    finally:
+        gc.enable()
+    if case == "numerical":
+        assert json.loads((tmp_path / "report.json").read_text())["status"] == "error"
+
+
+def _jetflow_garbage(objects) -> collections.Counter:
+    """How many objects of each jetflow type, expression nodes included,
+    and of each jetflow function (generated code included) `objects` hold."""
+    from jetflow.exprlang import Expr
+
+    def ours(o) -> str | None:
+        if isinstance(o, Expr) or type(o).__module__.startswith("jetflow"):
+            return type(o).__qualname__
+        if isinstance(o, types.FunctionType) and (
+                (o.__module__ or "").startswith("jetflow")
+                or o.__code__.co_filename.startswith("<compiled")):
+            return f"function {o.__qualname__}"
+        return None
+
+    return collections.Counter(name for name in map(ours, objects) if name is not None)
+
+
+@pytest.mark.parametrize("command", ["verify", "prolong", "geodesic", "harmonic"])
+def test_a_command_leaves_no_cyclic_garbage(tmp_path, command):
+    """The object graphs a command builds are acyclic: run in-process on
+    the demo scenario with the collector off, a command leaves nothing of
+    jetflow's for it to find (argparse and json may leave cycles)."""
+    from jetflow.cli import main
+
+    scenario = os.path.join(ROOT, "demos", f"{'verify' if command == 'prolong' else command}"
+                                           "_scenario.json")
+    gc.collect()
+    with collector_paused():
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main([command, scenario, "--output", str(tmp_path / "report.json"),
+                         *(["--csv", str(tmp_path / "out.csv")]
+                           if command in ("geodesic", "harmonic") else [])]) == 0
+            gc.collect()
+            found = _jetflow_garbage(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+    assert not found, found.most_common(10)

@@ -188,6 +188,22 @@ def test_rk4_loop_runs_each_guard_before_any_entry():
     assert const == [] and len(seen) == 1 and 0 < seen[0] < DET_TOL
 
 
+def test_rk4_loops_of_one_shape_share_one_compile():
+    """A loop's source depends only on m and on whether `nonfinite` is
+    given: loops of one shape run one code object, compiled once per
+    process, and each calls its own right-hand side."""
+    def loop(text, m=1, nonfinite=None):
+        names = ["s", *(f"x{i}" for i in range(m))]
+        return compile_rk4(m, compile_floats([parse(text)] * m, names), nonfinite)
+
+    decay, growth = loop("-x0"), loop("x0")
+    assert decay.__code__ is growth.__code__
+    assert abs(decay(0.0, 1.0, 0.01, 100, None)[1] - math.exp(-1.0)) < 1e-9
+    assert abs(growth(0.0, 1.0, 0.01, 100, None)[1] - math.exp(1.0)) < 1e-8
+    others = [loop("-x0", nonfinite=lambda *a: None), loop("-x0", m=2)]
+    assert len({id(f.__code__) for f in [decay, *others]}) == 3
+
+
 @pytest.mark.parametrize("arrays", [False, True])
 @pytest.mark.parametrize("text,env", DOMAIN_ERRORS)
 def test_evaluate_table_raises_the_interpreters_first_error(text, env, arrays):

@@ -1,10 +1,14 @@
 """Jet space: point transforms, natural frame/coframe changes, scalar pullback."""
 
+import random
+import weakref
+
 import numpy as np
 import pytest
 
 from jetflow import numdiff as nd
-from jetflow.exprlang import WALK_CALLS, Table, parse
+from jetflow.exprlang import WALK_CALLS, Table, mul, parse, subst, total, var
+from jetflow.geometry import energy_density, metric_from_name
 from jetflow.jetspace import (
     JetPoint,
     frame_size,
@@ -18,7 +22,7 @@ from jetflow.jetspace import (
     vert_index,
 )
 
-from helpers import RandomOnly, catalog, jets_in
+from helpers import RandomOnly, catalog, collector_paused, jets_in, node_objects, roundtrip_error
 
 
 # --- JetPoint -----------------------------------------------------------------
@@ -203,6 +207,28 @@ def test_inverse_change_is_built_once():
     assert c.inverted().inverted() is c
 
 
+def test_an_inverse_outlives_its_change():
+    """The inverse refers back to its change weakly: with the collector
+    paused, dropping the change frees it, and then its inverse, which
+    still inverts, builds an inverse of its own; dropping both frees
+    both, so neither is left in cyclic garbage."""
+    rng = np.random.default_rng(29)
+    t, x = np.array([0.3, -0.2]), np.array([0.1, 0.4])
+    with collector_paused():
+        c = nd.random_change(rng, 2, 2, "mixed")
+        inv = c.inverted()
+        gone = weakref.ref(c)
+        del c
+        assert gone() is None
+        back = inv.inverted()
+        assert back.inverted() is inv
+        assert roundtrip_error(inv, t, x) < 1e-12
+        assert roundtrip_error(back, t, x) < 1e-12
+        refs = [weakref.ref(inv), weakref.ref(back)]
+        del inv, back
+        assert [ref() for ref in refs] == [None, None]
+
+
 def test_coframe_change_keeps_the_bits_of_a_fresh_inverse():
     """natural_coframe_change reuses the change's inverse, whose tables move
     from the walk to the compiled tier as calls accumulate; every call
@@ -229,6 +255,31 @@ def test_coframe_is_inverse_transpose_of_frame():
 
 
 # --- scalar pullback --------------------------------------------------------------
+
+
+def test_jet_pullback_substitutes_each_temporal_jacobian_entry_once():
+    """Each entry d t~^b / d t^a of the change, in the target coordinates,
+    is one node object of the pulled-back Lagrangian, however many jet
+    variables read it; the tree equals the one built by substituting it
+    once per (i, a, j, b), which had 216 distinct node objects."""
+    L = energy_density(metric_from_name("conformal2d:0.3*t1 - 0.2*t2"),
+                       metric_from_name("sphere:2"))
+    c = nd.random_change(random.Random(3), 2, 2, "mixed")
+    got = jet_pullback(L, c, 2, 2)
+    back_t = dict(zip(nd.temporal_names(2), c.inverse_t))
+    back = {**back_t, **dict(zip(nd.spatial_names(2), c.inverse_x))}
+    for i in range(2):
+        for a in range(2):
+            back[nd.jet_name(i + 1, a + 1)] = total(
+                mul(mul(c._dix[i][j], subst(c._dft[b][a], back_t)), var(nd.jet_name(j + 1, b + 1)))
+                for j in range(2) for b in range(2))
+    assert got == subst(L, back)
+    nodes = node_objects(got)
+    assert (len(nodes), len({repr(e) for e in nodes})) == (168, 141)
+    for row in c._dft:
+        for entry in row:
+            want = subst(entry, back_t)
+            assert sum(e == want for e in nodes) <= 1
 
 
 def test_jet_pullback_scalar_identity():
