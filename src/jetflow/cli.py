@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import importlib
 import json
 import sys
 
@@ -34,6 +35,9 @@ from .numdiff import ChartError
 from .scenario import Scenario, ScenarioError, load_scenario
 from .sprays import canonical_pair
 from .verify import run_suite, run_verify
+
+# argparse's first parser loads locale through gettext: load it with the imports, not in main
+importlib.import_module("locale")
 
 __all__ = ["main"]
 

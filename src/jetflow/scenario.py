@@ -2,10 +2,17 @@
 
 A scenario fixes the jet-space dimensions, a temporal and a spatial metric,
 the randomized chart-change catalog and jet sample, and per-command
-sections.  Loading validates against a JSON schema (errors carry the JSON
-path of the offending element) and the JETFLOW_SEED environment variable
-overrides the scenario seed so a run can be reproduced or re-randomized
-without editing the file.
+sections.  The JETFLOW_SEED environment variable overrides the scenario
+seed so a run can be reproduced or re-randomized without editing the file.
+
+Loading checks a scenario against `SCENARIO_SCHEMA` in two steps.  First
+`_conforms` walks the schema: it knows only the keywords the schema uses
+and answers True only where jsonschema would find no error.  Only when it
+answers False is jsonschema imported and run, to word the error with the
+JSON path of the offending element, or to accept what the walk could not
+decide (an integer written as 2.0, NaN).  So a valid scenario never loads
+jsonschema and its ~70 modules, and the loader accepts and words exactly
+what jsonschema alone would.
 
 A suite draws its changes and jets from `random.Random(f"{seed}/{suite}/changes")`
 and `.../jets`, through `random()` alone: Python fixes that sequence for a
@@ -18,9 +25,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 from dataclasses import dataclass, field
-
-from jsonschema import Draft202012Validator
 
 from .geometry import Metric, metric_from_name
 from .numdiff import ChangeMap, change_catalog
@@ -197,12 +203,73 @@ class Scenario:
         return self.raw[name]
 
 
+def _is_number(x) -> bool:
+    # a bool is an int to Python but not a number to JSON Schema; NaN compares
+    # unlike any number, so the walk leaves it to jsonschema
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and x == x
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    # jsonschema also takes a float such as 2.0; the walk leaves that to it
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "number": _is_number,
+}
+
+# keyword -> check(instance, keyword value, whole schema); each check asks
+# for the instance type its keyword applies to, where jsonschema ignores the
+# keyword on other types, so it can only answer False too often
+_KEYWORDS = {
+    "$schema": lambda x, v, s: True,
+    "type": lambda x, v, s: v in _TYPES and _TYPES[v](x),
+    "enum": lambda x, v, s: isinstance(x, str) and x in v,
+    "required": lambda x, v, s: isinstance(x, dict) and all(k in x for k in v),
+    "properties": lambda x, v, s: isinstance(x, dict) and all(
+        _conforms(x[k], sub) for k, sub in v.items() if k in x),
+    "additionalProperties": lambda x, v, s: isinstance(x, dict) and all(
+        _conforms(x[k], v) for k in x if k not in s.get("properties", {})),
+    "items": lambda x, v, s: isinstance(x, list) and all(_conforms(e, v) for e in x),
+    "minItems": lambda x, v, s: isinstance(x, list) and len(x) >= v,
+    "maxItems": lambda x, v, s: isinstance(x, list) and len(x) <= v,
+    "minimum": lambda x, v, s: _is_number(x) and x >= v,
+    "maximum": lambda x, v, s: _is_number(x) and x <= v,
+    "exclusiveMinimum": lambda x, v, s: _is_number(x) and x > v,
+}
+
+
+def _conforms(instance, schema) -> bool:
+    """True only where jsonschema's Draft 2020-12 validator finds no error in
+    `instance` against `schema`; False where it may find one, or where this
+    walk cannot tell: a keyword outside `_KEYWORDS`, a float where an integer
+    is asked, NaN.  A JSON document and `SCENARIO_SCHEMA` make it raise
+    nothing: the walk goes no deeper than the schema."""
+    if isinstance(schema, bool):
+        return schema
+    return all(key in _KEYWORDS and _KEYWORDS[key](instance, value, schema)
+               for key, value in schema.items())
+
+
 def _json_path(error) -> str:
     return "/" + "/".join(str(part) for part in error.absolute_path)
 
 
+# numbers the schema bounds below only: inf, NaN and an integer beyond the
+# float range would pass as a verify tolerance, a jet velocity scale or a
+# prolongation step
+_FINITE = (("verify", "tolerance"), ("jets", "v_scale"), ("prolong", "eps"))
+
+
 def load_scenario(path: str) -> Scenario:
-    """Read, schema-validate, and resolve a scenario file."""
+    """Read, schema-validate, and resolve a scenario file.
+
+    Validation has two steps: `_conforms` accepts a scenario that meets
+    `SCENARIO_SCHEMA` without importing jsonschema; only a scenario it
+    rejects goes to jsonschema, whose first error, in path order, becomes
+    the ScenarioError (and which may accept what the walk could not
+    decide).  A verify tolerance, jet velocity scale or prolongation step
+    that is not a finite float is a ScenarioError too."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -211,11 +278,19 @@ def load_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
 
-    validator = Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        raise ScenarioError(f"scenario error at '{_json_path(first)}': {first.message}")
+    if not _conforms(raw, SCENARIO_SCHEMA):
+        from jsonschema import Draft202012Validator
+
+        validator = Draft202012Validator(SCENARIO_SCHEMA)
+        errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+        if errors:
+            first = errors[0]
+            raise ScenarioError(f"scenario error at '{_json_path(first)}': {first.message}")
+    for section, key in _FINITE:
+        value = raw.get(section, {}).get(key, 1.0)
+        if not abs(value) <= sys.float_info.max:
+            raise ScenarioError(f"scenario error at '/{section}/{key}': "
+                                f"{value!r} is not a finite float")
 
     p = raw["dimensions"]["p"]
     n = raw["dimensions"]["n"]

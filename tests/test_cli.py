@@ -216,6 +216,31 @@ def test_harmonic_non_finite_input_exits_two(tmp_path, field, text):
                         "finite, and no side may have zero length\n")
 
 
+@pytest.mark.parametrize("text", ["Infinity", "NaN", "1e999", "1" + "0" * 400])
+@pytest.mark.parametrize("section,key", [
+    ("verify", "tolerance"),                # inf passed, and NaN failed, every check
+    ("jets", "v_scale"),
+    ("prolong", "eps"),
+])
+def test_non_finite_tolerance_scale_or_step_exits_two(tmp_path, section, key, text):
+    # the schema bounds these numbers below only, and JSON readers take
+    # Infinity, NaN, 1e999 (inf) and an integer beyond the float range as
+    # numbers: a scenario error, no report
+    payload = {"dimensions": {"p": 1, "n": 1},
+               "metrics": {"temporal": "exp1d", "spatial": "euclidean:1"},
+               "jets": {"count": 2}, "verify": {}, "prolong": {}}
+    payload[section][key] = "@"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload).replace('"@"', text))
+    out = tmp_path / "report.json"
+    r = run_cli("prolong", str(path), "--output", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and not out.exists()
+    value = json.loads(text)
+    assert r.stderr == (f"error: scenario error at '/{section}/{key}': "
+                        f"{value!r} is not a finite float\n")
+
+
 def test_harmonic_converges_and_writes_csv(tmp_path):
     payload = {
         "dimensions": {"p": 2, "n": 1},
@@ -412,12 +437,16 @@ def test_diverging_solve_reports_without_warnings(tmp_path):
 
 def test_verify_and_prolong_leave_numpy_random_unloaded(tmp_path):
     # the suites draw from the stdlib generator, so neither command loads
-    # numpy.random, which costs several MB and ms per run
+    # numpy.random, which costs several MB and ms per run; a valid scenario
+    # passes the schema walk, so no command loads jsonschema either
+    runs = [("verify", "verify"), ("prolong", "verify"), ("geodesic", "geodesic"),
+            ("harmonic", "harmonic")]
     code = "\n".join(
         ["import sys", "from jetflow.cli import main"]
-        + [f"main([{cmd!r}, 'demos/verify_scenario.json', '--output', {str(tmp_path / cmd)!r}])"
-           for cmd in ("verify", "prolong")]
-        + ["assert 'numpy.random' not in sys.modules, 'numpy.random was imported'"])
+        + [f"assert main([{cmd!r}, 'demos/{demo}_scenario.json', "
+           f"'--output', {str(tmp_path / cmd)!r}]) == 0" for cmd, demo in runs]
+        + ["assert 'numpy.random' not in sys.modules, 'numpy.random was imported'",
+           "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'"])
     env = dict(os.environ)
     env.pop("JETFLOW_SEED", None)
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
@@ -425,6 +454,15 @@ def test_verify_and_prolong_leave_numpy_random_unloaded(tmp_path):
     assert r.returncode == 0, r.stderr
     for cmd in ("verify", "prolong"):
         assert _strict_json((tmp_path / cmd).read_text())["all_pass"] is True
+    # jsonschema words the error of a scenario the walk rejects, as before
+    with open(os.path.join(ROOT, "demos", "verify_scenario.json"), encoding="utf-8") as fh:
+        demo = json.load(fh)
+    demo["dimensions"]["p"] = 9
+    r = run_cli("verify", write_scenario(tmp_path, demo))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == ("error: scenario error at '/dimensions/p': "
+                        "9 is greater than the maximum of 6\n")
 
 
 def test_non_finite_geodesic_state_exits_one(tmp_path):
