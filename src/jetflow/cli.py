@@ -74,8 +74,8 @@ def _cmd_geodesic(sc: Scenario, args) -> int:
     if len(x0) != n or len(v0) != n:
         raise ScenarioError(f"x0 and v0 must have length n={n}")
     t0, t1 = (float(t) for t in section["t_span"])
-    if not np.all(np.isfinite([*x0, *v0, t0, t1, t1 - t0])):
-        raise ScenarioError("x0, v0, t_span and the span's length must be finite")
+    if not np.isfinite(t1 - t0):            # the loader checked each number
+        raise ScenarioError("the length of t_span must be finite")
     if sc.p != 1:
         raise ScenarioError("geodesic integration needs a scenario with p=1")
     pair = canonical_pair(sc.temporal_metric, sc.spatial_metric)
@@ -130,10 +130,8 @@ def _cmd_harmonic(sc: Scenario, args) -> int:
         raise ScenarioError(f"scenario error at '/harmonic/boundary': {exc}") from exc
     tol, damping = section.get("tolerance", 1e-9), section.get("damping", 0.8)
     sides = [(float(lo), float(hi)) for lo, hi in section.get("domain") or ()]
-    values = [tol, damping, *(v for lo, hi in sides for v in (lo, hi, hi - lo))]
-    if not np.all(np.isfinite(values)) or any(lo == hi for lo, hi in sides):
-        raise ScenarioError("tolerance, damping, the domain sides and their lengths must be "
-                            "finite, and no side may have zero length")
+    if not all(np.isfinite(hi - lo) and lo != hi for lo, hi in sides):
+        raise ScenarioError("each side of the domain must have a finite, nonzero length")
     pair = canonical_pair(sc.temporal_metric, sc.spatial_metric)
     sol = solve_harmonic_grid(
         pair, sc.temporal_metric, boundary,

@@ -23,8 +23,8 @@ the h-trace of the spatial spray) and a connection induces sprays
 round trip is exact.
 
 M and N are two `sprays.JetTable`s, symbolic entries over the jet
-variables, so every connection, and every spray it induces, has the
-pointwise, batched and frozen evaluations of a canonical spray.  Both
+variables, so every connection, and every spray it induces, is
+evaluated, and enters the solvers' tables, as a canonical spray does.  Both
 directions build entries from entries: the jet gradient of the h-trace is
 its symbolic derivative.  The tables of a canonical connection are shared
 per metric and other dimension, like the canonical sprays' tables.

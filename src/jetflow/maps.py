@@ -17,8 +17,9 @@ equation (geodesics of a spray pair), generated as one loop on Python
 floats that calls one compiled float table of both sprays' entries per
 stage (`exprlang.compile_rk4`), and nonlinear full-approximation-scheme (FAS)
 multigrid V-cycles, smoothed by damped Jacobi, for the p = 2 harmonic
-equation on a rectangular grid with Dirichlet boundary data.  Both take
-every spray pair the same way, through the sprays' `sprays.JetTable`s.
+equation on a rectangular grid with Dirichlet boundary data, whose
+residual is one table per solve (`_residual_table`).  Both take every
+spray pair the same way, through its `sprays.JetTable`s' entries.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import (Add, Expr, Mul, Num, Var, compile_floats, compile_rk4, evaluate,
-                       foreign_vars, parse, partials)
+from .exprlang import (Add, Expr, Mul, Num, Table, Var, add, compile_floats, compile_rk4,
+                       compile_table, evaluate, foreign_vars, free_vars, mul, num, parse,
+                       partials, total, var)
 from .geometry import GeometryError, Metric
 from .numdiff import jet_names, temporal_names
 from .jetspace import JetPoint
@@ -244,13 +246,13 @@ class GridSolution:
 PRE_SWEEPS, POST_SWEEPS = 2, 1
 # grids smaller than this run as a single level: there the fixed cost of a
 # residual evaluation, paid on every coarse grid, can outweigh the sweeps
-# saved.  Best of 12 in-process solves on a 2-core x86-64 machine, with the
-# conformal2d:0.3*t1 - 0.2*t2 domain metric: 13 x 13 and 15 x 15 multigrid
-# solves take 1.11-1.19x the time of Jacobi for the boundary t1^2 - t2^2
-# into euclidean:1, 0.88-0.96x for a quadratic harmonic pair into
-# euclidean:2, and 0.25-0.30x for exp(t1)*(cos t2, sin t2) into
-# conformal2d:0.2*(x1^2 + x2^2), so the size is due for retuning together
-# with the starting guess
+# saved.  Best of 12 in-process solves on [-1, 1]^2 on a 2-core x86-64
+# machine, with the conformal2d:0.3*t1 - 0.2*t2 domain metric: 13 x 13 and
+# 15 x 15 multigrid solves take 1.10-1.13x the time of Jacobi for the
+# boundary t1^2 - t2^2 into euclidean:1, 0.96-1.08x for a quadratic
+# harmonic pair into euclidean:2, and 0.29-0.31x for exp(t1)*(cos t2,
+# sin t2) into conformal2d:0.2*(x1^2 + x2^2), so the size is due for
+# retuning together with the starting guess
 MULTIGRID_MIN = 17
 
 
@@ -261,19 +263,40 @@ def _coarsest_sweeps(m: int) -> int:
     return max(2, (m - 1) ** 2 // 3)
 
 
+def _residual_table(pair: SprayPair, h: Metric) -> Table:
+    """The harmonic residual at one node as one table of n entries,
+    R^i = h^{ab} (x^i_{ab} + 2 (G + H)^{(i)}_{(a)b}), summed over (a, b) by
+    `total`.  Its names are the sprays' (t1, t2, x^i, x^i_a) and then the
+    second derivatives x^i_{ab}, a <= b (x1_11, x1_12, x1_22, x2_11, ...);
+    its guards are the det-g guards of G, H and h, each metric's once.
+    A literal zero of h^{ab} or of a spray entry folds its terms away, so
+    the table reads only the jet columns the residual needs."""
+    G, H = pair.spatial.tables, pair.temporal.tables
+    hinv = h.inverse_components()
+    second = [[f"x{i + 1}_{min(a, b) + 1}{max(a, b) + 1}" for a in range(2) for b in range(2)]
+              for i in range(G.n)]
+    entries = [total(mul(hinv[a][b], add(var(second[i][2 * a + b]),
+                                         mul(num(2.0), add(G.entries[k], H.entries[k]))))
+                     for a in range(2) for b in range(2) for k in [(2 * i + a) * 2 + b])
+               for i in range(G.n)]
+    guards = {check: (det, check) for det, check in (*G.guards, *H.guards, h.guard)}
+    return compile_table(entries, [*G.names, *dict.fromkeys(x for row in second for x in row)],
+                         list(guards.values()))
+
+
 class _Level:
     """One grid of the multigrid hierarchy: its interior nodes T, the metric
-    inverse frozen there, kappa, the diagonal of the linearised residual
-    that scales the damped-Jacobi step, each spray's coefficients as a
-    function of the jet components over the (m-2) x (m-2) interior grid
-    with its `t`-only terms computed once on T (`JetTable.batch_at`), the
-    stencil's spacing constants as floats, and the buffers each residual
-    writes the jet coordinates, second differences and coefficients into.
-    A residual evaluation (`residual`) and a damped-Jacobi step (`relax`)
-    are separate calls, so a V-cycle computes only the residuals it reads."""
+    inverse there, kappa, the diagonal of the linearised residual that
+    scales the damped-Jacobi step, the solve's residual table frozen on
+    the (m-2) x (m-2) interior nodes (`Table.freeze`, so its `t`-only terms,
+    h^{ab}, det h and its test and the temporal Christoffel symbols, are
+    computed once, here), the stencil columns that table reads, and the
+    stencil's spacing constants as floats.  A residual evaluation
+    (`residual`) and a damped-Jacobi step (`relax`) are separate calls, so
+    a V-cycle computes only the residuals it reads."""
 
-    def __init__(self, pair: SprayPair, h: Metric, t1: np.ndarray, t2: np.ndarray):
-        m, n = len(t1), pair.temporal.n
+    def __init__(self, residual: Table, h: Metric, t1: np.ndarray, t2: np.ndarray):
+        m, n = len(t1), len(residual.exprs)
         self.m, self.n = m, n
         d1, d2 = t1[1] - t1[0], t2[1] - t2[0]
         TT1, TT2 = np.meshgrid(t1[1:-1], t2[1:-1], indexing="ij")
@@ -283,43 +306,46 @@ class _Level:
                             + self.hinv[:, 1, 1] / d2 ** 2)          # (q,)
         if np.any(self.kappa <= 0):
             raise GeometryError("metric inverse is not positive on the grid diagonal")
-        grid = self.T.reshape(m - 2, m - 2, 2)
-        self.sprays = (pair.spatial.tables.batch_at(grid),
-                       pair.temporal.tables.batch_at(grid))
+        self.table = residual.freeze(["t1", "t2"], [TT1, TT2])
+        # the table's other arguments as (stencil, i): x1 is ("x", 0),
+        # x1_2 is ("2", 0), x2_12 is ("12", 1); a residual computes only
+        # the differences some entry or guard reads
+        self.args = [(name.partition("_")[2] or "x", int(name[1:].partition("_")[0]) - 1)
+                     for name in residual.names[2:]]
+        reads = free_vars(*residual.exprs, *(det for det, _ in residual.guards))
+        self.stencils = {s for (s, _), name in zip(self.args, residual.names[2:])
+                         if name in reads}
         self.d1sq, self.d2sq = float(d1 ** 2), float(d2 ** 2)
         self.d12x4, self.d1x2, self.d2x2 = float(4 * d1 * d2), float(2 * d1), float(2 * d2)
-        # x^i and x^i_a, one contiguous (m-2) x (m-2) block per component
-        # (the tables run faster on those than on strided views), read
-        # through views laid out as the tables take them: (.., n), (.., n, 2)
-        X, V = np.empty((n, m - 2, m - 2)), np.empty((n, 2, m - 2, m - 2))
-        self.X, self.V = X.transpose(1, 2, 0), V.transpose(2, 3, 0, 1)
-        self.x2 = np.empty((m - 2, m - 2, n, 2, 2))       # x^i_ab
-        self.hcoef = np.empty((m - 2, m - 2, n, 2, 2))    # H^(i)_(a)b
-        # G^(i)_(a)b, then x2 + 2 (G + H), which the contraction reads as (q, n, 2, 2)
-        self.acc = np.empty((m - 2, m - 2, n, 2, 2))
-        self.flat = self.acc.reshape(-1, n, 2, 2)
 
     def residual(self, vals: np.ndarray, rhs: np.ndarray | float) -> np.ndarray:
         """(q, n): the harmonic residual of the grid values `vals` at the
         interior nodes (jet coordinates from central differences), minus rhs."""
-        V, x2, acc, (G, H) = self.V, self.x2, self.acc, self.sprays
-        c = vals[1:-1, 1:-1]                      # (m-2, m-2, n)
-        e, w = vals[2:, 1:-1], vals[:-2, 1:-1]
-        nn, ss = vals[1:-1, 2:], vals[1:-1, :-2]
-        ne, sw = vals[2:, 2:], vals[:-2, :-2]
-        nw, se = vals[:-2, 2:], vals[2:, :-2]
-        c2 = 2 * c
-        np.divide(e - c2 + w, self.d1sq, out=x2[..., 0, 0])
-        np.divide(nn - c2 + ss, self.d2sq, out=x2[..., 1, 1])
-        np.divide(ne + sw - nw - se, self.d12x4, out=x2[..., 0, 1])
-        x2[..., 1, 0] = x2[..., 0, 1]
-        np.divide(e - w, self.d1x2, out=V[..., 0])
-        np.divide(nn - ss, self.d2x2, out=V[..., 1])
-        np.copyto(self.X, c)
-        np.add(G(self.X, V, acc), H(self.X, V, self.hcoef), out=acc)
-        np.multiply(acc, 2.0, out=acc)
-        np.add(x2, acc, out=acc)
-        return np.einsum("qab,qiab->qi", self.hinv, self.flat) - rhs
+        # one contiguous (m, m) block per component: the table runs faster
+        # on those than on strided views
+        u = np.ascontiguousarray(vals.transpose(2, 0, 1))
+        c, e, w = u[:, 1:-1, 1:-1], u[:, 2:, 1:-1], u[:, :-2, 1:-1]    # (n, m-2, m-2)
+        nn, ss = u[:, 1:-1, 2:], u[:, 1:-1, :-2]
+        need, cols = self.stencils, {"x": c}
+        if "1" in need:
+            cols["1"] = (e - w) / self.d1x2
+        if "2" in need:
+            cols["2"] = (nn - ss) / self.d2x2
+        if "11" in need or "22" in need:
+            c2 = 2 * c
+            cols["11"] = (e - c2 + w) / self.d1sq
+            cols["22"] = (nn - c2 + ss) / self.d2sq
+        if "12" in need:
+            ne, sw, nw, se = u[:, 2:, 2:], u[:, :-2, :-2], u[:, :-2, 2:], u[:, 2:, :-2]
+            cols["12"] = (ne + sw - nw - se) / self.d12x4
+        out = np.empty((self.m - 2, self.m - 2, self.n))
+        for i, v in enumerate(self.table(*(cols[s][i] if s in cols else None
+                                           for s, i in self.args))):
+            out[..., i] = v
+        R = out.reshape(-1, self.n)
+        if type(rhs) is not float or rhs != 0.0:      # R - 0.0 is R, bit for bit
+            R -= rhs
+        return R
 
     def relax(self, vals: np.ndarray, R: np.ndarray, damping: float) -> None:
         """One damped-Jacobi step on `vals`, in place, from its residual R."""
@@ -403,13 +429,14 @@ def solve_harmonic_grid(pair: SprayPair, h: Metric,
     m x m grid with Dirichlet data from `boundary`, from a zero interior.
 
     From m = MULTIGRID_MIN (17) on, the grid is halved while m - 1 is even
-    and m >= 5 (17, 9, 5, 3); each level keeps its own nodes, frozen metric
-    inverse and kappa.  The smoother is damped Jacobi with factor
-    `damping`: each step freezes the spray coefficients at the current
-    iterate and relaxes the diagonal second-difference terms.  Residuals
-    restrict by full weighting, coarse corrections prolong bilinearly, and
-    the coarsest grid gets O(size^2) steps (`_coarsest_sweeps`).  A smaller
-    or an even m gives one level, and each V-cycle is then one Jacobi sweep.
+    and m >= 5 (17, 9, 5, 3); each level freezes the call's one residual
+    table (`_residual_table`) on its own nodes, next to its metric inverse
+    and kappa.  The smoother is damped Jacobi with factor `damping`: each
+    step freezes the spray coefficients at the current iterate and relaxes
+    the diagonal second-difference terms.  Residuals restrict by full
+    weighting, coarse corrections prolong bilinearly, and the coarsest grid
+    gets O(size^2) steps (`_coarsest_sweeps`).  A smaller or an even m gives
+    one level, and each V-cycle is then one Jacobi sweep.
 
     At most `max_iters` V-cycles run; the solve has converged once the fine
     max|R| is at most `tol`, and has diverged when it exceeds ten times its
@@ -434,7 +461,8 @@ def solve_harmonic_grid(pair: SprayPair, h: Metric,
             values[i, j] = bmap(np.array([t1[i], t2[j]]))
             values[j, i] = bmap(np.array([t1[j], t2[i]]))
 
-    levels = [_Level(pair, h, t1[::1 << k], t2[::1 << k])
+    residual = _residual_table(pair, h)
+    levels = [_Level(residual, h, t1[::1 << k], t2[::1 << k])
               for k in range(len(_grid_sizes(m)))]
 
     # a diverging iterate overflows silently: the finiteness test below classifies it

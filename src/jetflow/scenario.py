@@ -12,7 +12,8 @@ answers False is jsonschema imported and run, to word the error with the
 JSON path of the offending element, or to accept what the walk could not
 decide (an integer written as 2.0, NaN).  So a valid scenario never loads
 jsonschema and its ~70 modules, and the loader accepts and words exactly
-what jsonschema alone would.
+what jsonschema alone would.  Past the schema, 2.0 as an integer is the
+int 2, and a number that is not a finite float is a scenario error.
 
 A suite draws its changes and jets from `random.Random(f"{seed}/{suite}/changes")`
 and `.../jets`, through `random()` alone: Python fixes that sequence for a
@@ -255,10 +256,22 @@ def _json_path(error) -> str:
     return "/" + "/".join(str(part) for part in error.absolute_path)
 
 
-# numbers the schema bounds below only: inf, NaN and an integer beyond the
-# float range would pass as a verify tolerance, a jet velocity scale or a
-# prolongation step
-_FINITE = (("verify", "tolerance"), ("jets", "v_scale"), ("prolong", "eps"))
+def _settle_numbers(x, schema: dict, path: str = "") -> None:
+    """In a scenario `x` that meets `schema`, make each integer written as
+    a float (2.0) an int, in place, and raise ScenarioError at the first
+    number that is not a finite float: the schema takes inf, NaN and an
+    integer beyond the float range wherever it sets a number no maximum."""
+    if schema.get("type") == "number" and not abs(x) <= sys.float_info.max:
+        raise ScenarioError(f"scenario error at '{path}': {x!r} is not a finite float")
+    if isinstance(x, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in x:
+                if sub.get("type") == "integer":
+                    x[key] = int(x[key])
+                _settle_numbers(x[key], sub, f"{path}/{key}")
+    elif isinstance(x, list):
+        for k, item in enumerate(x):
+            _settle_numbers(item, schema.get("items", {}), f"{path}/{k}")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -268,8 +281,8 @@ def load_scenario(path: str) -> Scenario:
     `SCENARIO_SCHEMA` without importing jsonschema; only a scenario it
     rejects goes to jsonschema, whose first error, in path order, becomes
     the ScenarioError (and which may accept what the walk could not
-    decide).  A verify tolerance, jet velocity scale or prolongation step
-    that is not a finite float is a ScenarioError too."""
+    decide).  Then `_settle_numbers` reads 2.0 as an integer 2 and makes a
+    number that is not a finite float a ScenarioError too."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -286,11 +299,7 @@ def load_scenario(path: str) -> Scenario:
         if errors:
             first = errors[0]
             raise ScenarioError(f"scenario error at '{_json_path(first)}': {first.message}")
-    for section, key in _FINITE:
-        value = raw.get(section, {}).get(key, 1.0)
-        if not abs(value) <= sys.float_info.max:
-            raise ScenarioError(f"scenario error at '/{section}/{key}': "
-                                f"{value!r} is not a finite float")
+    _settle_numbers(raw, SCENARIO_SCHEMA)
 
     p = raw["dimensions"]["p"]
     n = raw["dimensions"]["n"]

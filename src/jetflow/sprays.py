@@ -19,9 +19,9 @@ The difference of two sprays of the same kind is a d-tensor; a spray is
 canonical part plus d-tensor remainder.
 
 Every spray, h-spray and nonlinear connection (connection.py) is one
-`JetTable`: symbolic entries over the jet variables whose pointwise and
-frozen batched values run one compiled table.  A
-canonical spray's entries come from the metric's symbolic Christoffel
+`JetTable`: symbolic entries over the jet variables whose pointwise
+values run one compiled table, and which the solvers compile into their
+own tables.  A canonical spray's entries come from the metric's symbolic Christoffel
 symbols, shared by every canonical spray of one metric and other
 dimension (a flat metric's fold to zeros); a derived object (an affine
 combination, an h-trace, the spray of an h-spray, a connection's sprays)
@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dtensor import DTensorField, IndexSignature, Verdict, law_check
-from .exprlang import Expr, Guard, Table, compile_table, free_vars, mul, num, partials, total, var
+from .exprlang import Expr, Guard, Table, compile_table, mul, num, partials, total, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, mixed_jet_derivatives
@@ -68,10 +68,10 @@ class JetTable:
     `check_det`, so a degenerate metric stops any evaluation with
     GeometryError before an entry divides by its det g.  The entries, the
     kernel and the symbolic jet gradient (`gradient_entries`) are built on
-    first use.  Points run on Python floats (`at`), `batch_at` freezes the
-    kernel on fixed temporal nodes for numpy columns, and the geodesic
-    solver compiles the kernel's entries into the right-hand side of its
-    loop (`maps._geodesic_loop`).
+    first use.  Points run on Python floats (`at`); the solvers build their
+    own tables from the entries: the geodesic solver compiles them into the
+    right-hand side of its loop (`maps._geodesic_loop`), and the harmonic
+    grid solver into its residual table (`maps._residual_table`).
 
     A metric keeps the tables of its canonical objects (`_shared`), so a
     table must not keep the metric: it holds its metrics' guards, which do
@@ -110,41 +110,6 @@ class JetTable:
     def at(self, u: JetPoint) -> np.ndarray:
         values = self.kernel(*u.t.tolist(), *u.x.tolist(), *u.v.ravel().tolist())
         return np.array(values).reshape(self.shape)
-
-    def batch_at(self, T: np.ndarray) -> Callable[..., np.ndarray]:
-        """The entries at the jets (T, X, V) on the fixed temporal nodes T,
-        as a function of (X, V): the kernel frozen on t1..tp
-        (`Table.freeze`), so the terms that read only t are computed once,
-        here, and a metric degenerate at a node raises GeometryError here.
-        The nodes may be laid out in any shape: T is (..., p), X (..., n)
-        and V (..., n, p) over the same leading shape, and the entries come
-        back as (..., *shape), written into `out` when a C-contiguous array
-        of that shape is given.  The kernel reads the components of X and V
-        as they lie, with no copy.  Every value is bit for bit the one
-        ``Expr.eval`` gives on the columns of (T, X, V).  When neither an
-        entry nor a guard reads x or the jet variables (the spray of a flat
-        metric), every call returns the same read-only array and leaves
-        `out` alone."""
-        T = np.asarray(T, float)
-        lead, fixed = T.shape[:-1], temporal_names(self.p)
-        table = self.kernel.freeze(fixed, [T[..., a] for a in range(self.p)])
-        jets = [(i, a) for i in range(self.n) for a in range(self.p)]
-
-        def batch(X: np.ndarray, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            values = table(*(X[..., i] for i in range(self.n)),
-                           *(V[..., i, a] for i, a in jets))
-            if out is None:
-                out = np.empty((*lead, *self.shape))
-            columns = out.reshape(*lead, -1)
-            for k, v in enumerate(values):
-                columns[..., k] = v
-            return out
-
-        if free_vars(*self.entries, *(det for det, _ in self.guards)) <= set(fixed):
-            constant = batch(np.zeros((*lead, self.n)), np.zeros((*lead, self.n, self.p)))
-            constant.flags.writeable = False
-            return lambda X, V, out=None: constant
-        return batch
 
 
 def _shared(metric: Metric, role: str, other: int, shape: Sequence[int],

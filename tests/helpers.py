@@ -183,6 +183,15 @@ def walk_batch(tables, T, X, V) -> np.ndarray:
     return table_columns(values, q).reshape(q, *tables.shape)
 
 
+def frozen_batch(tables, T, X, V) -> np.ndarray:
+    """The entries at the same q jets as `walk_batch`, through the table's
+    kernel frozen on the temporal nodes T (`Table.freeze`)."""
+    q = len(T)
+    frozen = tables.kernel.freeze(tables.names[:tables.p], list(np.asarray(T, float).T))
+    values = frozen(*np.asarray(X, float).T, *np.asarray(V, float).reshape(q, -1).T)
+    return table_columns(values, q).reshape(q, *tables.shape)
+
+
 def walk_gradient(tables, u) -> np.ndarray:
     """The jet gradient d entry / d x^k_g at the jet u, of shape
     tables.shape + (n, p), walked on floats."""

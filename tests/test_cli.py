@@ -171,15 +171,22 @@ def test_geodesic_requires_matching_lengths(tmp_path):
     assert r.returncode == 2 and "length n=2" in r.stderr
 
 
-@pytest.mark.parametrize("field,text", [
-    ("x0", "[Infinity, 0]"),
-    ("v0", "[0, NaN]"),
-    ("t_span", "[0, 1e999]"),
-    ("t_span", "[-1e308, 1e308]"),             # the span's length overflows
-])
+BIG = "1" + "0" * 400          # an integer beyond the float range
+# (field, text) -> the error
+GEODESIC_BAD = {
+    ("x0", "[Infinity, 0]"): "scenario error at '/geodesic/x0/0': inf is not a finite float",
+    ("v0", "[0, NaN]"): "scenario error at '/geodesic/v0/1': nan is not a finite float",
+    ("t_span", "[0, 1e999]"): "scenario error at '/geodesic/t_span/1': inf is not a finite float",
+    ("t_span", "[-1e308, 1e308]"): "the length of t_span must be finite",   # it overflows
+    ("x0", f"[{BIG}, 0]"): f"scenario error at '/geodesic/x0/0': {BIG} is not a finite float",
+}
+
+
+@pytest.mark.parametrize("field,text", list(GEODESIC_BAD))
 def test_geodesic_non_finite_input_exits_two(tmp_path, field, text):
-    # JSON readers take Infinity, NaN and 1e999 as numbers; a bad input is a
-    # scenario error, not a numerical failure of the solver
+    # JSON readers take Infinity, NaN, 1e999 and an integer beyond the float
+    # range as numbers; a bad input is a scenario error, not a numerical
+    # failure of the solver
     geodesic = {"x0": "[0.5, 0]", "v0": "[0, 1]", "t_span": "[0, 1]", field: text}
     path = tmp_path / "scenario.json"
     path.write_text('{"dimensions": {"p": 1, "n": 2}, "metrics": '
@@ -189,17 +196,27 @@ def test_geodesic_non_finite_input_exits_two(tmp_path, field, text):
     r = run_cli("geodesic", str(path))
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
-    assert r.stderr == "error: x0, v0, t_span and the span's length must be finite\n"
+    assert r.stderr == f"error: {GEODESIC_BAD[field, text]}\n"
 
 
-@pytest.mark.parametrize("field,text", [
-    ("domain", "[[1, 1], [-1, 1]]"),                       # a side of zero length
-    ("domain", "[[0, Infinity], [-1, 1]]"),
-    ("domain", "[[-1, 1], [NaN, 1]]"),
-    ("domain", "[[-1e308, 1e308], [-1, 1]]"),              # the side's length overflows
-    ("damping", "Infinity"),
-    ("tolerance", "NaN"),
-])
+SIDES = "each side of the domain must have a finite, nonzero length"
+HARMONIC_BAD = {
+    ("domain", "[[1, 1], [-1, 1]]"): SIDES,                        # a side of zero length
+    ("domain", "[[0, Infinity], [-1, 1]]"):
+        "scenario error at '/harmonic/domain/0/1': inf is not a finite float",
+    ("domain", "[[-1, 1], [NaN, 1]]"):
+        "scenario error at '/harmonic/domain/1/0': nan is not a finite float",
+    ("domain", "[[-1e308, 1e308], [-1, 1]]"): SIDES,               # the length overflows
+    ("damping", "Infinity"): "scenario error at '/harmonic/damping': inf is not a finite float",
+    ("tolerance", "NaN"): "scenario error at '/harmonic/tolerance': nan is not a finite float",
+    ("domain", f"[[-1, 1], [-1, {BIG}]]"):
+        f"scenario error at '/harmonic/domain/1/1': {BIG} is not a finite float",
+    ("damping", BIG): f"scenario error at '/harmonic/damping': {BIG} is not a finite float",
+    ("tolerance", BIG): f"scenario error at '/harmonic/tolerance': {BIG} is not a finite float",
+}
+
+
+@pytest.mark.parametrize("field,text", list(HARMONIC_BAD))
 def test_harmonic_non_finite_input_exits_two(tmp_path, field, text):
     # like the geodesic's inputs: a bad input is a scenario error, and no
     # report is written
@@ -212,11 +229,10 @@ def test_harmonic_non_finite_input_exits_two(tmp_path, field, text):
     r = run_cli("harmonic", str(path), "--output", str(out))
     assert r.returncode == 2, r.stderr
     assert r.stdout == "" and not out.exists()
-    assert r.stderr == ("error: tolerance, damping, the domain sides and their lengths must be "
-                        "finite, and no side may have zero length\n")
+    assert r.stderr == f"error: {HARMONIC_BAD[field, text]}\n"
 
 
-@pytest.mark.parametrize("text", ["Infinity", "NaN", "1e999", "1" + "0" * 400])
+@pytest.mark.parametrize("text", ["Infinity", "NaN", "1e999", BIG])
 @pytest.mark.parametrize("section,key", [
     ("verify", "tolerance"),                # inf passed, and NaN failed, every check
     ("jets", "v_scale"),
@@ -239,6 +255,65 @@ def test_non_finite_tolerance_scale_or_step_exits_two(tmp_path, section, key, te
     value = json.loads(text)
     assert r.stderr == (f"error: scenario error at '/{section}/{key}': "
                         f"{value!r} is not a finite float\n")
+
+
+# per integer site of the schema: a scenario with an int there, and the
+# command whose report reads it
+_PROLONG_SMALL = {"seed": 3, "dimensions": {"p": 1, "n": 1},
+                  "metrics": {"temporal": "exp1d", "spatial": "euclidean:1"},
+                  "changes": {"count": 1}, "jets": {"count": 2}, "prolong": {"substeps": 4}}
+_GEODESIC_SMALL = {"dimensions": {"p": 1, "n": 2},
+                   "metrics": {"temporal": "euclidean:1", "spatial": "sphere:2"},
+                   "geodesic": {"x0": [1.5, 0.0], "v0": [0.0, 1.0], "t_span": [0.0, 1.0],
+                                "steps": 20}}
+_HARMONIC_SMALL = {"dimensions": {"p": 2, "n": 1},
+                   "metrics": {"temporal": "conformal2d:0.3*t1 - 0.2*t2",
+                               "spatial": "euclidean:1"},
+                   "harmonic": {"boundary": ["t1^2 - t2^2"], "grid": 9, "max_iters": 50}}
+INTEGER_SITES = {
+    ("seed",): ("prolong", _PROLONG_SMALL),
+    ("dimensions", "p"): ("prolong", _PROLONG_SMALL),
+    ("dimensions", "n"): ("prolong", _PROLONG_SMALL),
+    ("changes", "count"): ("prolong", _PROLONG_SMALL),
+    ("jets", "count"): ("prolong", _PROLONG_SMALL),
+    ("geodesic", "steps"): ("geodesic", _GEODESIC_SMALL),
+    ("harmonic", "grid"): ("harmonic", _HARMONIC_SMALL),
+    ("harmonic", "max_iters"): ("harmonic", _HARMONIC_SMALL),
+    ("prolong", "substeps"): ("prolong", _PROLONG_SMALL),
+}
+
+
+def _integer_sites(schema, path=()):
+    for key, sub in schema.get("properties", {}).items():
+        if sub.get("type") == "integer":
+            yield path + (key,)
+        yield from _integer_sites(sub, path + (key,))
+
+
+def test_every_integer_site_of_the_schema_is_tested():
+    from jetflow.scenario import SCENARIO_SCHEMA
+    assert list(_integer_sites(SCENARIO_SCHEMA)) == list(INTEGER_SITES)
+
+
+@pytest.mark.parametrize("site", list(INTEGER_SITES), ids="/".join)
+def test_an_integer_written_as_a_float_gives_the_same_report(tmp_path, monkeypatch, site):
+    # JSON Schema's `integer` takes 2.0; the loader reads it as the int 2
+    from jetflow.cli import main
+    monkeypatch.delenv("JETFLOW_SEED", raising=False)
+    command, base = INTEGER_SITES[site]
+    runs = []
+    for k, convert in enumerate((int, float)):
+        payload = json.loads(json.dumps(base))
+        *parents, key = site
+        section = payload
+        for part in parents:
+            section = section[part]
+        section[key] = convert(section[key])
+        out = tmp_path / f"report-{k}.json"
+        status = main([command, write_scenario(tmp_path, payload, f"scenario-{k}.json"),
+                       "--output", str(out)])
+        runs.append((status, out.read_bytes()))
+    assert runs[0] == runs[1] and runs[0][0] in (0, 1)
 
 
 def test_harmonic_converges_and_writes_csv(tmp_path):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from jetflow.connection import canonical_connection, sprays_from_connection
-from jetflow.geometry import GeometryError, metric_from_name, pullback_metric
+from jetflow.exprlang import parse
+from jetflow.geometry import GeometryError, Metric, metric_from_name, pullback_metric
 from jetflow.jetspace import JetPoint
 from jetflow.maps import (
     MapError,
@@ -492,21 +493,25 @@ def test_single_level_grids_run_jacobi(m):
 
 def test_grid_solver_runs_connection_sprays_frozen(monkeypatch):
     """Sprays induced by a connection are tables like the canonical pair's:
-    each level freezes them on its nodes, and the solve agrees with the
-    canonical pair's to 1e-10."""
+    a solve builds one residual table from their entries, each level
+    freezes it once on its nodes, and the solve agrees with the canonical
+    pair's to 1e-10."""
     h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
     phi = metric_from_name("conformal2d:0.2*x1 - 0.1*x1*x2", kind="spatial")
     induced = sprays_from_connection(canonical_connection(h, phi))
-    frozen = []
-    real_batch_at = JetTable.batch_at
-    monkeypatch.setattr(JetTable, "batch_at",
-                        lambda self, T: frozen.append(self) or real_batch_at(self, T))
+    built, frozen = [], []
+    real_table, real_freeze = maps._residual_table, exprlang.Table.freeze
+    monkeypatch.setattr(maps, "_residual_table",
+                        lambda *a: built.append(real_table(*a)) or built[-1])
+    monkeypatch.setattr(exprlang.Table, "freeze",
+                        lambda self, *a: frozen.append(self) or real_freeze(self, *a))
     f = SmoothMap(2, ["0.4*t1 + 0.3*t2^2", "0.5*t1*t2 - 0.2*t2"])
     for m in (9, 17):
+        built.clear()
         frozen.clear()
         a = solve_harmonic_grid(induced, h, f, m=m, tol=1e-10, domain=SQUARE)
-        levels = len(maps._grid_sizes(m))
-        assert frozen == [induced.spatial.tables, induced.temporal.tables] * levels
+        assert len(built) == 1 and frozen == built * len(maps._grid_sizes(m))
+        assert built[0].exprs == real_table(induced, h).exprs
         b = solve_harmonic_grid(canonical_pair(h, phi), h, f, m=m, tol=1e-10, domain=SQUARE)
         assert a.status == b.status == "converged"
         assert np.max(np.abs(a.values - b.values)) <= 1e-10
@@ -586,7 +591,7 @@ def test_level_residual_matches_reference_bit_for_bit(m, target, rhs):
     h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
     pair = canonical_pair(h, metric_from_name(target, kind="spatial"))
     t1, t2 = np.linspace(-0.9, 1.0, m), np.linspace(-0.5, 0.7, m)
-    level = maps._Level(pair, h, t1, t2)
+    level = maps._Level(maps._residual_table(pair, h), h, t1, t2)
     rng = np.random.default_rng(m)
     for _ in range(2):
         vals = rng.uniform(0.4, 1.4, (m, m, pair.temporal.n))
@@ -595,6 +600,33 @@ def test_level_residual_matches_reference_bit_for_bit(m, target, rhs):
                                        t2[1] - t2[0], vals) - b
         got = level.residual(vals, b)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# a temporal metric with h_12 = h_21 != 0, positive definite on [-1, 1]^2
+SHEARED = Metric("sheared", "temporal",
+                 [[parse("exp(0.4*t1)"), parse("0.3*sin(t1 + t2)")],
+                  [parse("0.3*sin(t1 + t2)"), parse("1 + 0.2*t2^2")]])
+
+
+@pytest.mark.parametrize("target", ["euclidean:2", "sphere:2", "hyperbolic:2",
+                                    "conformal2d:0.2*(x1^2 + x2^2)"])
+@pytest.mark.parametrize("m", [3, 5, 9, 17])
+def test_level_residual_with_off_diagonal_metric_matches_reference(m, target):
+    """With h^12 != 0 a level computes the mixed second difference and the
+    residual sums four terms per component, in the table's order; einsum's
+    order is unspecified, so the reference is matched to 1e-14 relative,
+    not bit for bit."""
+    pair = canonical_pair(SHEARED, metric_from_name(target, kind="spatial"))
+    t1, t2 = np.linspace(-0.9, 1.0, m), np.linspace(-0.5, 0.7, m)
+    level = maps._Level(maps._residual_table(pair, SHEARED), SHEARED, t1, t2)
+    assert {"1", "2", "11", "12", "22"} <= level.stencils
+    rng = np.random.default_rng(m)
+    for _ in range(2):
+        vals = rng.uniform(0.4, 1.4, (m, m, pair.temporal.n))
+        want = reference_grid_residual(pair, level.T, level.hinv, t1[1] - t1[0],
+                                       t2[1] - t2[0], vals)
+        got = level.residual(vals, 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_v_cycle_computes_no_residual_it_discards(monkeypatch):

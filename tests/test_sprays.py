@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jetflow import numdiff as nd, sprays
+from jetflow import maps, numdiff as nd, sprays
 from jetflow.dtensor import is_dtensor
-from jetflow.exprlang import Num, compile_table, num, parse
+from jetflow.exprlang import Add, Num, Var, compile_table, num, parse
 from jetflow.geometry import GeometryError, Metric, metric_from_name
 from jetflow.jetspace import JetPoint, random_jet, transform_jet
 from jetflow.sprays import (
@@ -28,8 +28,8 @@ from jetflow.sprays import (
     zero_spray,
 )
 
-from helpers import (catalog, fd_spray_gradient, jets_in, metric_and_points, standard_metrics,
-                     walk_batch, walk_gradient)
+from helpers import (catalog, fd_spray_gradient, frozen_batch, jets_in, metric_and_points,
+                     standard_metrics, walk_batch, walk_gradient)
 
 
 # --- frozen coefficient values ---------------------------------------------------
@@ -384,15 +384,23 @@ def test_flat_sprays_fold_to_constant_zero(monkeypatch):
         return compile_table(exprs, names, guards)
 
     monkeypatch.setattr(sprays, "compile_table", recording)
-    flat_t = canonical_temporal(metric_from_name("euclidean:2", "temporal"), 3)
+    flat = metric_from_name("euclidean:2", "temporal")
+    flat_t = canonical_temporal(flat, 3)
     flat_s = canonical_spatial(metric_from_name("euclidean:3"), 2)
     T, X, V = np.zeros((4, 2)), np.ones((4, 3)), np.ones((4, 3, 2))
-    assert np.array_equal(flat_t.tables.batch_at(T)(X, V), np.zeros((4, 3, 2, 2)))
-    assert np.array_equal(flat_s.tables.batch_at(T)(X, V), np.zeros((4, 3, 2, 2)))
+    assert np.array_equal(frozen_batch(flat_t.tables, T, X, V), np.zeros((4, 3, 2, 2)))
+    assert np.array_equal(frozen_batch(flat_s.tables, T, X, V), np.zeros((4, 3, 2, 2)))
     assert len(tables) == 2
     for exprs, guards in tables:
         assert [det for det, _ in guards] == [num(1.0)]     # det g
         assert len(exprs) == 3 * 2 * 2 and all(e == Num(0.0) for e in exprs)
+    # the harmonic residual table folds both sprays and h^12 away: it is
+    # x^i_11 + x^i_22, and its one literal det is never tested
+    residual = maps._residual_table(SprayPair(flat_t, flat_s), flat)
+    assert residual.exprs == [Add(Var(f"x{i}_11"), Var(f"x{i}_22")) for i in (1, 2, 3)]
+    assert [det for det, _ in residual.guards] == [num(1.0)] * 2
+    values = residual.freeze(["t1", "t2"], list(T.T))(*[None] * 9, *np.ones((9, 4)))
+    assert [v.tolist() for v in values] == [[2.0] * 4] * 3
 
 
 def test_degenerate_metric_raises_from_both_spray_paths():
@@ -413,7 +421,14 @@ def test_degenerate_metric_raises_from_both_spray_paths():
             T = np.stack([other, t])
             X = np.stack([other + 1.0, x])
             with pytest.raises(GeometryError, match="degenerate"):
-                s.tables.batch_at(T)(X, np.ones((2, 2, 2)))
+                frozen_batch(s.tables, T, X, np.ones((2, 2, 2)))
+            # the harmonic residual table frozen on T: det h raises when it
+            # is frozen, det g when it is called
+            pair = (SprayPair(s, zero_spray("spatial", 2, 2)) if kind == "temporal"
+                    else SprayPair(zero_spray("temporal", 2, 2), s))
+            residual = maps._residual_table(pair, metric_from_name("euclidean:2", "temporal"))
+            with pytest.raises(GeometryError, match="degenerate"):
+                residual.freeze(["t1", "t2"], list(T.T))(*X.T, *np.ones((10, 2)))
 
 
 def test_each_spray_compiles_its_table_once(monkeypatch):
@@ -436,8 +451,8 @@ def test_each_spray_compiles_its_table_once(monkeypatch):
             for u in jets:
                 s.coefficients(u)
                 copy.coefficients(u)
-            s.tables.batch_at(T)(X, V)
-            copy.tables.batch_at(T)(X, V)
+            frozen_batch(s.tables, T, X, V)
+            frozen_batch(copy.tables, T, X, V)
         assert len(built) == before + 1
         for _ in range(2):
             s.tables.gradient_entries                    # symbolic: no table
@@ -507,7 +522,8 @@ def test_derived_sprays_on_a_degenerate_metric_raise_geometry_error():
     """A combination whose second metric is degenerate (hyperbolic, det g =
     x2^-4 < 1e-12 at x2 = 2000) and the spray of an h-trace over a
     degenerate temporal metric (det h = t1) raise GeometryError from `at`,
-    `batch`, `batch_at` and the geodesic RK4 that writes their table in."""
+    the walk, the frozen kernel and the geodesic RK4 that writes their
+    table in."""
     from jetflow.maps import solve_affine_ode
 
     sphere, hyper = metric_from_name("sphere:2"), metric_from_name("hyperbolic:2")
@@ -526,7 +542,7 @@ def test_derived_sprays_on_a_degenerate_metric_raise_geometry_error():
         with pytest.raises(GeometryError, match="degenerate"):
             walk_batch(s.tables, T, X, V)
         with pytest.raises(GeometryError, match="degenerate"):
-            s.tables.batch_at(T)(X, V)
+            frozen_batch(s.tables, T, X, V)
     temporal = canonical_temporal(metric_from_name("euclidean:1", "temporal"), 2)
     with pytest.raises(GeometryError, match="metric 'hyperbolic:2' is degenerate"):
         solve_affine_ode(SprayPair(temporal, mixed), [0.3, 1.0], [0.0, 40.0], (0.0, 20.0), 40)
@@ -536,4 +552,5 @@ def test_derived_sprays_on_a_degenerate_metric_raise_geometry_error():
                          (-0.5, 0.5), 40)
     # the h-trace itself, frozen on nodes where det h = 0
     with pytest.raises(GeometryError, match="metric 'deg' is degenerate"):
-        h_trace(canonical_spatial(sphere, 1), deg).tables.batch_at(np.array([[0.5], [0.0]]))
+        frozen_batch(h_trace(canonical_spatial(sphere, 1), deg).tables, np.array([[0.5], [0.0]]),
+                     np.ones((2, 2)), np.ones((2, 2, 1)))

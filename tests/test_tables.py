@@ -16,7 +16,7 @@ import pytest
 
 from jetflow import exprlang, maps, numdiff as nd, sprays
 from jetflow.exprlang import (DET_TOL, WALK_CALLS, ExprError, Num, compile_floats, compile_rk4,
-                              compile_table, diff, free_vars, parse)
+                              compile_table, diff, free_vars, parse, table_columns)
 from jetflow.geometry import GeometryError, Metric, metric_from_name
 from jetflow.maps import solve_affine_ode
 from jetflow.numdiff import spatial_names, temporal_names
@@ -28,7 +28,7 @@ from jetflow.connection import (canonical_connection, connection_from_sprays,
 from jetflow.sprays import (SprayPair, canonical_pair, canonical_spatial, canonical_temporal,
                             combine_sprays)
 
-from helpers import metric_and_points, walk_batch
+from helpers import frozen_batch, metric_and_points, reference_grid_residual, walk_batch
 from test_exprlang import DOMAIN_ERRORS
 from test_geometry import CATALOG
 
@@ -393,11 +393,12 @@ def test_degenerate_temporal_metric_raises_when_frozen():
     g = Metric("deg", "temporal", [[parse("t1"), parse("0")], [parse("0"), parse("1")]])
     T = np.array([[0.5, 0.5], [0.0, 0.5]])
     with pytest.raises(GeometryError, match="degenerate"):
-        canonical_temporal(g, 2).tables.batch_at(T)
+        canonical_temporal(g, 2).tables.kernel.freeze(["t1", "t2"], list(T.T))
     h = metric_from_name("euclidean:2", kind="temporal")
     pair = SprayPair(canonical_temporal(g, 2), canonical_spatial(metric_from_name("euclidean:2"), 2))
     with pytest.raises(GeometryError, match="degenerate"):
-        maps._Level(pair, h, np.linspace(0.0, 1.0, 3) - 0.5, np.linspace(0.0, 1.0, 3))
+        maps._Level(maps._residual_table(pair, h), h, np.linspace(0.0, 1.0, 3) - 0.5,
+                    np.linspace(0.0, 1.0, 3))
 
 
 def _level_problem():
@@ -420,46 +421,70 @@ def _derived_pairs(pair, h):
                       combine_sprays([pair.spatial, flat.spatial], [1.5, -0.5]))]
 
 
-def test_batch_at_matches_the_walk():
+def _walk_residual(residual, T, columns):
+    """The residual table's entries walked (`exprlang.evaluate_table`) at
+    the nodes T (q, 2) and one column per other name, as (q, n)."""
+    env = dict(zip(residual.names, [*T.T, *columns]))
+    return table_columns(exprlang.evaluate_table(residual.exprs, env, residual.guards), len(T))
+
+
+def test_frozen_residual_table_matches_the_walk():
+    """The residual table of the canonical pair and of each derived pair,
+    frozen on nodes laid out as 11 rows or as a 3 x 3 grid, gives the DAG
+    walk's values bit for bit, and so does each spray's kernel frozen on
+    the same nodes."""
     pair, h = _level_problem()[:2]
     rng = np.random.default_rng(42)
     T = rng.uniform(-1.0, 1.0, (11, 2))
     X, V = rng.uniform(-1.0, 1.0, (11, 2)), rng.normal(0.0, 1.5, (11, 2, 2))
-    for s in [s for pr in [pair, *_derived_pairs(pair, h)] for s in (pr.temporal, pr.spatial)]:
-        got = s.tables.batch_at(T)(X, V)
-        assert got.tobytes() == walk_batch(s.tables, T, X, V).tobytes()
-        assert got.shape == (11, 2, 2, 2) and got.flags.writeable
-    # nodes laid out as a 3 x 3 grid, the entries written into a given array
-    T, X, V = T[:-2].reshape(3, 3, 2), X[:-2].reshape(3, 3, 2), V[:-2].reshape(3, 3, 2, 2)
-    for s in [s for pr in [pair, *_derived_pairs(pair, h)] for s in (pr.temporal, pr.spatial)]:
-        out = np.empty((3, 3, 2, 2, 2))
-        assert s.tables.batch_at(T)(X, V, out) is out
-        want = walk_batch(s.tables, T.reshape(9, 2), X.reshape(9, 2), V.reshape(9, 2, 2))
-        assert out.tobytes() == want.tobytes()
+    D = rng.normal(0.0, 2.0, (11, 6))                 # x^i_ab, a <= b
+    columns = [*X.T, *V.reshape(11, 4).T, *D.T]
+    for each in [pair, *_derived_pairs(pair, h)]:
+        residual = maps._residual_table(each, h)
+        assert residual.names[8:] == ["x1_11", "x1_12", "x1_22", "x2_11", "x2_12", "x2_22"]
+        want = _walk_residual(residual, T, columns)
+        got = residual.freeze(["t1", "t2"], list(T.T))(*columns)
+        assert table_columns(got, 11).tobytes() == want.tobytes()
+        grid = residual.freeze(["t1", "t2"], [c[:9].reshape(3, 3) for c in T.T])(
+            *(c[:9].reshape(3, 3) for c in columns))
+        assert np.stack(grid, axis=-1).reshape(9, 2).tobytes() == want[:9].tobytes()
+        for s in (each.temporal, each.spatial):
+            want = walk_batch(s.tables, T, X, V)
+            assert frozen_batch(s.tables, T, X, V).tobytes() == want.tobytes()
 
 
-def test_flat_metric_spray_is_one_constant_array():
-    T = np.random.default_rng(43).uniform(-1.0, 1.0, (5, 2))
-    X, V = np.ones((5, 2)), np.ones((5, 2, 2))
-    for s in (canonical_temporal(metric_from_name("euclidean:2", kind="temporal"), 2),
-              canonical_spatial(metric_from_name("euclidean:2"), 2)):
-        batch = s.tables.batch_at(T)
-        first = batch(X, V)
-        assert batch(2 * X, 3 * V) is first and not first.flags.writeable
-        assert first.tobytes() == walk_batch(s.tables, T, X, V).tobytes()
+def test_flat_pair_residual_reads_only_the_diagonal_second_differences():
+    """With both metrics flat the sprays fold to zero and h^12 to the
+    literal 0, so a level computes the second differences x^i_11 and x^i_22
+    alone, and its residual is the reference's bit for bit."""
+    h = metric_from_name("euclidean:2", kind="temporal")
+    pair = canonical_pair(h, metric_from_name("euclidean:2"))
+    t = np.linspace(-1.0, 1.0, 5)
+    level = maps._Level(maps._residual_table(pair, h), h, t, t)
+    assert level.stencils == {"11", "22"}
+    vals = np.random.default_rng(43).uniform(-1.0, 1.0, (5, 5, 2))
+    want = reference_grid_residual(pair, level.T, level.hinv, t[1] - t[0], t[1] - t[0], vals)
+    assert level.residual(vals, 0.0).tobytes() == want.tobytes()
 
 
 def test_constant_entries_over_a_det_that_reads_x_keep_their_guard():
-    """`batch_at`'s constant short-cut also reads the guards: entries that
-    read no x or jet variable, over a metric whose det g = x1 + 1 does,
-    still test det g at every call, and raise where it vanishes."""
+    """Spray entries that read no x or jet variable, over a metric whose
+    det g = x1 + 1 does: the level computes the x column for the guard
+    alone, tests det g at every call, and raises where it vanishes."""
     g = Metric("shifted", "spatial", [[parse("x1 + 1")]])
-    batch = sprays.JetTable(1, 1, (1, 1, 1), [g], lambda: [Num(0.0)]).batch_at(np.zeros((2, 1)))
-    V = np.ones((2, 1, 1))
-    got = batch(np.array([[0.5], [1.0]]), V)
-    assert got.flags.writeable and got.shape == (2, 1, 1, 1) and not got.any()
-    with pytest.raises(GeometryError, match="'shifted' is degenerate"):
-        batch(np.array([[0.5], [-1.0]]), V)
+    h = metric_from_name("euclidean:2", kind="temporal")
+    spatial = sprays.Spray("spatial", sprays.JetTable(2, 1, (1, 2, 2), [g], lambda: [Num(0.0)] * 4))
+    pair = SprayPair(sprays.zero_spray("temporal", 2, 1), spatial)
+    t = np.linspace(-1.0, 1.0, 4)
+    level = maps._Level(maps._residual_table(pair, h), h, t, t)
+    assert level.stencils == {"x", "11", "22"}
+    vals = np.random.default_rng(44).uniform(0.0, 1.0, (4, 4, 1))
+    want = reference_grid_residual(pair, level.T, level.hinv, t[1] - t[0], t[1] - t[0], vals)
+    assert level.residual(vals, 0.0).tobytes() == want.tobytes()
+    vals[2, 1, 0] = -1.0
+    for _ in range(2):
+        with pytest.raises(GeometryError, match="'shifted' is degenerate"):
+            level.residual(vals, 0.0)
 
 
 def _wrapped(pair, calls):
@@ -470,18 +495,22 @@ def _wrapped(pair, calls):
     return SprayPair(wrap(pair.temporal), wrap(pair.spatial))
 
 
-def test_level_runs_each_sprays_frozen_tables(monkeypatch):
-    """A level freezes each spray's tables on its nodes, whatever the
-    spray's `coefficients`."""
+def test_level_runs_the_solves_frozen_residual_table(monkeypatch):
+    """A level freezes the residual table it is given, once, on its nodes;
+    a pair whose sprays' `coefficients` are wrapped builds the same table,
+    from the same spray tables."""
     pair, h, t, _ = _level_problem()
     frozen = []
-    real_batch_at = sprays.JetTable.batch_at
-    monkeypatch.setattr(sprays.JetTable, "batch_at",
-                        lambda self, T: frozen.append(self) or real_batch_at(self, T))
+    real_freeze = exprlang.Table.freeze
+    monkeypatch.setattr(exprlang.Table, "freeze",
+                        lambda self, *a: frozen.append(self) or real_freeze(self, *a))
+    want = maps._residual_table(pair, h)
     for each in (pair, _wrapped(pair, [])):
         frozen.clear()
-        maps._Level(each, h, t, t)
-        assert frozen == [pair.spatial.tables, pair.temporal.tables]
+        residual = maps._residual_table(each, h)
+        assert residual.exprs == want.exprs and residual.guards == want.guards
+        maps._Level(residual, h, t, t)
+        assert frozen == [residual]
 
 
 def test_wrapped_pair_solves_a_harmonic_grid_bit_for_bit():
