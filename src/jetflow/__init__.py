@@ -12,14 +12,14 @@ from .numdiff import (ChangeMap, ChartError, change_catalog, identity_change,
                       temporal_names)
 from .geometry import (GeometryError, Metric, energy_density, metric_from_name,
                        pullback_metric)
-from .jetspace import (JetPoint, frame_size, jet_pullback, natural_coframe_change,
-                       natural_frame_change, random_jet, transform_jet,
-                       vert_index)
+from .jetspace import (JetPoint, JetTable, frame_size, jet_pullback,
+                       natural_coframe_change, natural_frame_change, random_jet,
+                       transform_jet, vert_index)
 from .dtensor import (DTensorField, IndexSignature, SignatureError, Verdict,
                       is_dtensor, lagrangian_metric_field, law_check,
                       liouville_c_field, liouville_l_field,
                       normalization_j_field, transform_components)
-from .sprays import (HSpray, JetTable, Spray, SprayError, SprayPair, canonical_pair,
+from .sprays import (Spray, SprayError, SprayPair, canonical_pair,
                      canonical_spatial, canonical_temporal, combine_sprays,
                      decompose_spray, h_trace, spray_coefficient_field,
                      spray_difference_field, spray_from_hspray,
@@ -50,7 +50,7 @@ __all__ = [
     "Metric", "GeometryError", "metric_from_name", "pullback_metric",
     "energy_density",
     # jet space
-    "JetPoint", "transform_jet", "natural_frame_change", "natural_coframe_change",
+    "JetPoint", "JetTable", "transform_jet", "natural_frame_change", "natural_coframe_change",
     "jet_pullback", "random_jet", "frame_size", "vert_index",
     # d-tensors
     "DTensorField", "IndexSignature", "SignatureError", "Verdict", "law_check",
@@ -58,7 +58,7 @@ __all__ = [
     "transform_components", "liouville_c_field", "liouville_l_field",
     "normalization_j_field", "lagrangian_metric_field",
     # sprays
-    "JetTable", "Spray", "HSpray", "SprayPair", "SprayError",
+    "Spray", "SprayPair", "SprayError",
     "canonical_temporal", "canonical_spatial", "canonical_pair", "zero_spray",
     "transform_spray", "spray_law_error", "h_trace", "spray_from_hspray",
     "combine_sprays", "spray_difference_field", "spray_coefficient_field",

@@ -22,7 +22,7 @@ the h-trace of the spatial spray) and a connection induces sprays
 (H = M/2, 2 G^{(i)}_{(a)b} = N^{(i)}_{(a)j} x^j_b); on canonical sprays the
 round trip is exact.
 
-M and N are two `sprays.JetTable`s, symbolic entries over the jet
+M and N are two `jetspace.JetTable`s, symbolic entries over the jet
 variables, so every connection, and every spray it induces, is
 evaluated, and enters the solvers' tables, as a canonical spray does.  Both
 directions build entries from entries: the jet gradient of the h-trace is
@@ -41,8 +41,9 @@ from .dtensor import Verdict, law_check
 from .exprlang import Expr, mul, neg, num, total, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jet_name
-from .jetspace import JetPoint, adapted_frame_blocks, frame_size, mixed_jet_derivatives
-from .sprays import JetTable, Spray, SprayPair, _shared, h_trace
+from .jetspace import (JetPoint, JetTable, adapted_frame_blocks, frame_size,
+                       mixed_jet_derivatives)
+from .sprays import Spray, SprayPair, _shared, h_trace
 
 __all__ = [
     "ConnectionError_", "NonlinearConnection", "canonical_connection",
@@ -177,7 +178,7 @@ def connection_from_sprays(pair: SprayPair, h: Metric) -> NonlinearConnection:
     if h.kind != "temporal" or h.dim != H.p:
         raise ConnectionError_("h must be a temporal metric of matching dimension")
     p, n = H.p, H.n
-    trace = h_trace(G, h).tables
+    trace = h_trace(G, h)
 
     def m_entries() -> list[Expr]:
         return [mul(num(2.0), e) for e in H.tables.entries]
@@ -188,8 +189,8 @@ def connection_from_sprays(pair: SprayPair, h: Metric) -> NonlinearConnection:
                 for i in range(n) for a in range(p) for j in range(n)]
 
     return NonlinearConnection(
-        JetTable(p, n, (n, p, p), H.tables.metrics, m_entries),
-        JetTable(p, n, (n, p, n), trace.metrics, n_entries),
+        JetTable(p, n, (n, p, p), H.tables.guards, m_entries),
+        JetTable(p, n, (n, p, n), trace.guards, n_entries),
         rebuild=lambda c: connection_from_sprays(SprayPair(H.in_chart(c), G.in_chart(c)),
                                                  pullback_metric(h, c)),
         name=f"from-sprays[{H.name},{G.name}]")
@@ -209,9 +210,9 @@ def sprays_from_connection(conn: NonlinearConnection) -> SprayPair:
                 for i in range(n) for a in range(p) for b in range(p)]
 
     return SprayPair(
-        Spray("temporal", JetTable(p, n, (n, p, p), conn.M.metrics, h_entries),
+        Spray("temporal", JetTable(p, n, (n, p, p), conn.M.guards, h_entries),
               rebuild=lambda c: sprays_from_connection(conn.in_chart(c)).temporal,
               name=f"temporal[{conn.name}]"),
-        Spray("spatial", JetTable(p, n, (n, p, p), conn.N.metrics, g_entries),
+        Spray("spatial", JetTable(p, n, (n, p, p), conn.N.guards, g_entries),
               rebuild=lambda c: sprays_from_connection(conn.in_chart(c)).spatial,
               name=f"spatial[{conn.name}]"))

@@ -21,10 +21,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import Expr, compile_table, partials
+from .exprlang import Expr, partials
 from .geometry import Metric, pullback_metric
-from .numdiff import ChangeMap, jacobian_blocks, jet_names, spatial_names, temporal_names
-from .jetspace import JetPoint, jet_env, jet_pullback, transform_jet
+from .numdiff import ChangeMap, jacobian_blocks, jet_names
+from .jetspace import JetPoint, JetTable, jet_pullback, transform_jet
 
 __all__ = [
     "SignatureError", "IndexSignature", "DTensorField", "Verdict",
@@ -248,14 +248,14 @@ def _hessian_exprs(L: Expr, p: int, n: int) -> list[list[Expr]]:
 def lagrangian_metric_field(L: Expr, p: int, n: int) -> DTensorField:
     """Vertical metric G_{(i)(j)}^{(a)(b)} = (1/2) d^2 L / dx^i_a dx^j_b.
 
-    The Hessian is built once per chart by the memoised `diff` and
-    evaluated as one `compile_table` table over the jet variables."""
-    names = temporal_names(p) + spatial_names(n) + jet_names(n, p)
-    table = compile_table([e for row in _hessian_exprs(L, p, n) for e in row], names)
+    The Hessian is built once per chart, on first use, by the memoised
+    `diff` and evaluated as one `JetTable`."""
     size = n * p
+    table = JetTable(p, n, (size, size), [],
+                     lambda: [e for row in _hessian_exprs(L, p, n) for e in row])
 
     def comps(u: JetPoint) -> np.ndarray:
-        return 0.5 * np.array(table(*jet_env(u).values()), dtype=float).reshape(size, size)
+        return 0.5 * table.at(u)
 
     return DTensorField(
         "lagrangian-metric", IndexSignature.parse("L(i,a);L(j,b)"), p, n, comps,

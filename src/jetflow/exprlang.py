@@ -16,12 +16,12 @@ the package is t1..tp, x1..xn and jet variables x{i}_{a} such as ``x2_1``.
 
 Evaluation accepts float or numpy-array bindings and is exact about domain
 errors (division by zero, log of a nonpositive value, sqrt of a negative
-value, 0 raised to a negative power).  Differentiation and substitution are
-symbolic and apply only conservative simplifications (constant folding,
-0*e -> 0, 1*e -> e, e+0 -> e and the like), so results stay exact; each
-visits a distinct node object once, so shared subtrees stay shared.  Every
-plain symbolic sum elsewhere in the package is `total`, the left-to-right
-fold of `add` onto zero.
+value, 0 raised to a negative power, sin, cos or tan of an infinite float).
+Differentiation and substitution are symbolic and apply only conservative
+simplifications (constant folding, 0*e -> 0, 1*e -> e, e+0 -> e and the
+like), so results stay exact; each visits a distinct node object once, so
+shared subtrees stay shared.  Every plain symbolic sum elsewhere in the
+package is `total`, the left-to-right fold of `add` onto zero.
 
 `evaluate_table` evaluates a table of expressions with each distinct node
 object evaluated once, and `compile_table` turns a table into a function
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import sys
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cache, reduce
 from types import CodeType
@@ -66,6 +67,7 @@ MAX_EXPONENT = 1000
 DET_TOL = 1e-12
 _DIV0 = "domain error: division by zero"
 _NEG_POW0 = "domain error: 0 raised to a negative power"
+_TRIG_INF = "domain error: sin, cos or tan of an infinite value"
 
 
 class ExprError(ValueError):
@@ -105,11 +107,23 @@ def _checked_power(b: Value, k: int) -> Value:
     return _power(b, k)
 
 
+def _math_domain() -> None:
+    """In an ``except ValueError`` block, raise `math`'s plain ValueError (sin,
+    cos or tan of an infinite float) as an ExprError; the block re-raises any other."""
+    err = sys.exc_info()[1]
+    if type(err) is ValueError and str(err) == "math domain error":
+        raise ExprError(_TRIG_INF) from None
+
+
 def _apply(fn: str, x: Value) -> Value:
     scalar_fn, array_fn, guard = FUNCTIONS[fn]
     if guard is not None:
         guard(x)
-    return array_fn(x) if isinstance(x, np.ndarray) else scalar_fn(x)
+    try:
+        return array_fn(x) if isinstance(x, np.ndarray) else scalar_fn(x)
+    except ValueError:
+        _math_domain()
+        raise
 
 
 @cache
@@ -862,16 +876,14 @@ def _on_values(scalar_fn: Callable, array_fn: Callable) -> Callable[[Value], Val
 # names the generated functions use, besides the guards' checks `check0`, `check1`, ...
 _TABLE_NAMESPACE: dict[str, object] = {
     "ExprError": ExprError, "DET_TOL": DET_TOL, "_any": _any, "_power": _power,
+    "_math_domain": _math_domain,
     **{f"_f_{fn}": _on_values(scalar_fn, array_fn)
        for fn, (scalar_fn, array_fn, _) in FUNCTIONS.items()},
     **{f"_g_{fn}": domain for fn, (_, _, domain) in FUNCTIONS.items() if domain is not None},
 }
-# the same names in float-only code (`compile_floats`)
+# the same names in float-only code (`compile_floats`), whose functions are math's
 _FLOAT_NAMESPACE: dict[str, object] = {
-    "ExprError": ExprError, "DET_TOL": DET_TOL,
-    **{f"_f_{fn}": scalar_fn for fn, (scalar_fn, _, _) in FUNCTIONS.items()},
-    **{f"_g_{fn}": domain for fn, (_, _, domain) in FUNCTIONS.items() if domain is not None},
-}
+    **_TABLE_NAMESPACE, **{f"_f_{fn}": scalar_fn for fn, (scalar_fn, _, _) in FUNCTIONS.items()}}
 _BINARY = {Add: "+", Sub: "-", Mul: "*"}
 
 
@@ -1103,11 +1115,17 @@ class _Emitter:
         return got
 
 
+def _caught(lines: Sequence[str]) -> list[str]:
+    """`lines` in a try block, free until it raises, whose handler is `_math_domain`."""
+    return ["try:", *(f"    {x}" for x in lines),
+            "except ValueError:", "    _math_domain()", "    raise"]
+
+
 def _compile(exprs: Sequence[Expr], names: Sequence[str], guards: Sequence[Guard],
              fixed: Collection[str] | None = None, floats: bool = False) -> Callable:
     """One straight-line function for a table (`_Emitter`): one assignment
-    per distinct node, the det-g guards first.  With `floats` it runs on
-    Python floats only.
+    per distinct node, the det-g guards first, in a try block (`_caught`).
+    With `floats` it runs on Python floats only.
 
     With `fixed`, the result is ``make(<fixed args>)`` instead, fixed
     arguments in `names` order.  A node is frozen when all its operands are
@@ -1122,10 +1140,10 @@ def _compile(exprs: Sequence[Expr], names: Sequence[str], guards: Sequence[Guard
     outs = [em.emit(e) for e in exprs]
     lines = [*em.lines, f"return ({''.join(o + ', ' for o in outs)})"]
     inner = [a for name, a in args.items() if fixed is None or name not in fixed]
-    src = [f"def table({', '.join(inner)}):", *(f"    {x}" for x in lines)]
+    src = [f"def table({', '.join(inner)}):", *(f"    {x}" for x in _caught(lines))]
     if fixed is not None:
         src = [f"def make({', '.join(a for name, a in args.items() if name in fixed)}):",
-               *(f"    {x}" for x in [*em.outer, *src, "return table"])]
+               *(f"    {x}" for x in [*_caught(em.outer or ["pass"]), *src, "return table"])]
     named = {f"check{k}": check for k, (_, check) in enumerate(guards)}
     return _define(src, dict(_FLOAT_NAMESPACE if floats else _TABLE_NAMESPACE, **named),
                    "<compiled table>", "table" if fixed is None else "make")

@@ -61,7 +61,7 @@ class Metric:
     batch that runs on floats.  The symbolic det g, inverse and Christoffel
     symbols are cached.  `guard` is the metric's det-g guard: every table
     that divides by det g, the metric's own and those built elsewhere
-    (`sprays.JetTable`), takes it, tests |det g| < DET_TOL inline before
+    (`jetspace.JetTable`), takes it, tests |det g| < DET_TOL inline before
     any entry and calls `check_det` only there.
 
     `check_det` is an attribute, a function of the det value that raises

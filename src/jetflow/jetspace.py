@@ -7,22 +7,25 @@ spatial index, column = temporal index).  Product chart changes act by
 
 and the natural frame / coframe of the jet space transforms by block
 matrices of size (p + n + n*p)^2 whose vertical axis is fused with index
-i*p + a.
+i*p + a.  Every table of functions on the jet space, from sprays to the
+harmonic residual, is one `JetTable`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .exprlang import Expr, mul, subst, total, var
+from .exprlang import Expr, Guard, Table, compile_table, mul, partials, subst, total, var
 from .numdiff import (
-    ChangeMap, _uniform, jacobian_blocks, jet_name, spatial_names, temporal_names,
+    ChangeMap, _uniform, jacobian_blocks, jet_name, jet_names, spatial_names, temporal_names,
 )
 
 __all__ = [
-    "JetPoint", "vert_index", "frame_size", "transform_jet",
+    "JetPoint", "JetTable", "vert_index", "frame_size", "transform_jet",
     "natural_frame_change", "natural_coframe_change", "jet_pullback",
     "mixed_jet_derivatives", "adapted_frame_blocks",
     "jet_env", "random_jet",
@@ -66,6 +69,47 @@ class JetPoint:
     @property
     def n(self) -> int:
         return self.x.size
+
+
+class JetTable:
+    """Symbolic entries over the jet variables t1..tp, x1..xn, x1_1..xn_p
+    and then the names `extra`, read as one row-major array of `shape`.
+
+    The compiled table `kernel` tests the det-g guards `guards`, one per
+    check (a metric's `check_det`), in order, before any entry.  A guard
+    refers only to its metric's det and name, so a table holds no metric,
+    and a metric may keep the tables of its canonical objects.  Entries,
+    kernel and jet gradient are built on first use.  `at` runs a point on
+    Python floats; the solvers compile the entries into their own tables
+    (`maps._geodesic_loop`, `maps._Level`)."""
+
+    def __init__(self, p: int, n: int, shape: Sequence[int], guards: Iterable[Guard],
+                 entries: Callable[[], list[Expr]], extra: Sequence[str] = ()):
+        self.p, self.n, self.shape = p, n, tuple(shape)
+        self.guards: tuple[Guard, ...] = tuple({check: (det, check)
+                                                for det, check in guards}.values())
+        self._build_entries = entries
+        self.names = temporal_names(p) + spatial_names(n) + jet_names(n, p) + list(extra)
+        # generated geodesic loops (maps.solve_affine_ode) whose right-hand
+        # side holds this spatial spray's kernel, by the temporal spray's table
+        self.loops: dict[JetTable, Callable] = {}
+
+    @cached_property
+    def entries(self) -> list[Expr]:
+        return self._build_entries()
+
+    @cached_property
+    def gradient_entries(self) -> list[Expr]:
+        """d entry / d x^k_g, entry by entry and then (k, g) row-major."""
+        return [d for row in partials(self.entries, jet_names(self.n, self.p)) for d in row]
+
+    @cached_property
+    def kernel(self) -> Table:
+        return compile_table(self.entries, self.names, self.guards)
+
+    def at(self, u: JetPoint, *extra: float) -> np.ndarray:
+        values = self.kernel(*u.t.tolist(), *u.x.tolist(), *u.v.ravel().tolist(), *extra)
+        return np.array(values).reshape(self.shape)
 
 
 def jet_env(u: JetPoint) -> dict[str, float]:

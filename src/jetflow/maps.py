@@ -10,7 +10,9 @@ and the second-order PDE residuals attached to a spray pair (H, G):
                      + (1/2) h^{ab} H^g_{ab} x^i_g.
 
 The harmonic and Poisson forms agree identically: the Christoffel trace
-added inside Delta_h is subtracted back inside the source.
+added inside Delta_h is subtracted back inside the source.  The harmonic
+form is one table (`_residual_table`), which `harmonic_residual` and the
+grid solver both run; the Poisson form is computed apart, on numpy arrays.
 
 Two solvers are provided: a fixed-step RK4 integrator for the p = 1 affine
 equation (geodesics of a spray pair), generated as one loop on Python
@@ -19,7 +21,7 @@ stage (`exprlang.compile_rk4`), and nonlinear full-approximation-scheme (FAS)
 multigrid V-cycles, smoothed by damped Jacobi, for the p = 2 harmonic
 equation on a rectangular grid with Dirichlet boundary data, whose
 residual is one table per solve (`_residual_table`).  Both take every
-spray pair the same way, through its `sprays.JetTable`s' entries.
+spray pair the same way, through its `jetspace.JetTable`s' entries.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import (Add, Expr, Mul, Num, Table, Var, add, compile_floats, compile_rk4,
-                       compile_table, evaluate, foreign_vars, free_vars, mul, num, parse,
-                       partials, total, var)
+from .exprlang import (Add, Expr, Mul, Num, Var, add, compile_floats, compile_rk4, evaluate,
+                       foreign_vars, free_vars, mul, num, parse, partials, total, var)
 from .geometry import GeometryError, Metric
 from .numdiff import jet_names, temporal_names
-from .jetspace import JetPoint
+from .jetspace import JetPoint, JetTable
 from .sprays import SprayPair
 
 __all__ = [
@@ -96,31 +97,23 @@ class SmoothMap:
                          for mat in self._hess])
 
 
-def _symmetrized(pair: SprayPair, u: JetPoint) -> np.ndarray:
-    G = pair.spatial.coefficients(u)
-    H = pair.temporal.coefficients(u)
-    S = G + H
-    return S + S.transpose(0, 2, 1)
-
-
 def affine_residual(f: SmoothMap, pair: SprayPair, t: np.ndarray) -> np.ndarray:
     """(n, p, p) array; zero exactly when f solves the affine map equation."""
     u = f.jet_lift(t)
-    return f.second_derivatives(t) + _symmetrized(pair, u)
+    S = pair.spatial.coefficients(u) + pair.temporal.coefficients(u)
+    return f.second_derivatives(t) + (S + S.transpose(0, 2, 1))
 
 
 def harmonic_residual(f: SmoothMap, pair: SprayPair, h: Metric,
                       t: np.ndarray) -> np.ndarray:
-    """(n,) array: the h-trace of the affine residual."""
-    if h.kind != "temporal":
-        raise MapError("harmonic residual needs a temporal metric")
+    """(n,) array: the h-trace of the affine residual, the grid solver's
+    table (`_residual_table`) at the jet and second derivatives of f at t."""
+    if h.kind != "temporal" or h.dim != f.p:
+        raise MapError(f"harmonic residual needs a temporal metric of dimension p = {f.p}")
     t = np.asarray(t, dtype=float)
-    u = f.jet_lift(t)
-    hinv = h.inverse_batch(t)[0]
-    coeffs = (f.second_derivatives(t)
-              + 2.0 * pair.spatial.coefficients(u)
-              + 2.0 * pair.temporal.coefficients(u))
-    return np.einsum("ab,iab->i", hinv, coeffs)
+    a, b = np.triu_indices(f.p)
+    second = f.second_derivatives(t)[:, a, b]          # x^i_{ab}, a <= b, row-major
+    return _residual_table(pair, h).at(f.jet_lift(t), *second.ravel().tolist())
 
 
 def metric_laplacian(f: SmoothMap, h: Metric, t: np.ndarray) -> np.ndarray:
@@ -263,25 +256,35 @@ def _coarsest_sweeps(m: int) -> int:
     return max(2, (m - 1) ** 2 // 3)
 
 
-def _residual_table(pair: SprayPair, h: Metric) -> Table:
-    """The harmonic residual at one node as one table of n entries,
-    R^i = h^{ab} (x^i_{ab} + 2 (G + H)^{(i)}_{(a)b}), summed over (a, b) by
-    `total`.  Its names are the sprays' (t1, t2, x^i, x^i_a) and then the
-    second derivatives x^i_{ab}, a <= b (x1_11, x1_12, x1_22, x2_11, ...);
-    its guards are the det-g guards of G, H and h, each metric's once.
-    A literal zero of h^{ab} or of a spray entry folds its terms away, so
-    the table reads only the jet columns the residual needs."""
+def _twice(e: Expr) -> Expr:
+    """2 e, with a literal factor doubled in place: 2 (c X) is (2c) X."""
+    c, x = (e.a.value, e.b) if isinstance(e, Mul) and isinstance(e.a, Num) else (1.0, e)
+    return mul(num(2.0 * c), x)
+
+
+def _residual_table(pair: SprayPair, h: Metric) -> JetTable:
+    """The harmonic residual at one point as one table of n entries,
+    R^i = h^{ab} (x^i_{ab} + 2 G^{(i)}_{(a)b} + 2 H^{(i)}_{(a)b}), summed
+    over a, b < p by `total`, each doubled entry by `_twice`.  Its names are
+    the jet variables (t^a, x^i, x^i_a) and then the second derivatives
+    x^i_{ab}, a <= b (x1_11, x1_12, x1_22, x2_11, ... at p = 2); its guards
+    are the det-g guards of G, H and h.  A literal zero of h^{ab} or of a
+    spray entry folds its terms away, so the table reads only the jet
+    columns the residual needs."""
     G, H = pair.spatial.tables, pair.temporal.tables
-    hinv = h.inverse_components()
-    second = [[f"x{i + 1}_{min(a, b) + 1}{max(a, b) + 1}" for a in range(2) for b in range(2)]
-              for i in range(G.n)]
-    entries = [total(mul(hinv[a][b], add(var(second[i][2 * a + b]),
-                                         mul(num(2.0), add(G.entries[k], H.entries[k]))))
-                     for a in range(2) for b in range(2) for k in [(2 * i + a) * 2 + b])
-               for i in range(G.n)]
-    guards = {check: (det, check) for det, check in (*G.guards, *H.guards, h.guard)}
-    return compile_table(entries, [*G.names, *dict.fromkeys(x for row in second for x in row)],
-                         list(guards.values()))
+    p, n = G.p, G.n
+    second = [f"x{i + 1}_{min(a, b) + 1}{max(a, b) + 1}"
+              for i in range(n) for a in range(p) for b in range(p)]
+
+    def entries() -> list[Expr]:
+        hinv = h.inverse_components()
+        return [total(mul(hinv[a][b], add(var(second[k]),
+                                          add(_twice(G.entries[k]), _twice(H.entries[k]))))
+                      for a in range(p) for b in range(p) for k in [(i * p + a) * p + b])
+                for i in range(n)]
+
+    return JetTable(p, n, (n,), [*G.guards, *H.guards, h.guard], entries,
+                    list(dict.fromkeys(second)))
 
 
 class _Level:
@@ -295,8 +298,8 @@ class _Level:
     (`residual`) and a damped-Jacobi step (`relax`) are separate calls, so
     a V-cycle computes only the residuals it reads."""
 
-    def __init__(self, residual: Table, h: Metric, t1: np.ndarray, t2: np.ndarray):
-        m, n = len(t1), len(residual.exprs)
+    def __init__(self, residual: JetTable, h: Metric, t1: np.ndarray, t2: np.ndarray):
+        m, n = len(t1), residual.n
         self.m, self.n = m, n
         d1, d2 = t1[1] - t1[0], t2[1] - t2[0]
         TT1, TT2 = np.meshgrid(t1[1:-1], t2[1:-1], indexing="ij")
@@ -306,13 +309,13 @@ class _Level:
                             + self.hinv[:, 1, 1] / d2 ** 2)          # (q,)
         if np.any(self.kappa <= 0):
             raise GeometryError("metric inverse is not positive on the grid diagonal")
-        self.table = residual.freeze(["t1", "t2"], [TT1, TT2])
+        self.table = residual.kernel.freeze(["t1", "t2"], [TT1, TT2])
         # the table's other arguments as (stencil, i): x1 is ("x", 0),
         # x1_2 is ("2", 0), x2_12 is ("12", 1); a residual computes only
         # the differences some entry or guard reads
         self.args = [(name.partition("_")[2] or "x", int(name[1:].partition("_")[0]) - 1)
                      for name in residual.names[2:]]
-        reads = free_vars(*residual.exprs, *(det for det, _ in residual.guards))
+        reads = free_vars(*residual.entries, *(det for det, _ in residual.guards))
         self.stencils = {s for (s, _), name in zip(self.args, residual.names[2:])
                          if name in reads}
         self.d1sq, self.d2sq = float(d1 ** 2), float(d2 ** 2)

@@ -28,7 +28,7 @@ from .exprlang import (Expr, compile_floats, compile_rk4, compile_table, foreign
 from .dtensor import DTensorField, IndexSignature
 from .connection import NonlinearConnection
 from .numdiff import ChangeMap, jet_names, spatial_names, temporal_names
-from .jetspace import JetPoint, frame_size, jet_env
+from .jetspace import JetPoint, JetTable, frame_size
 
 __all__ = [
     "ProlongError", "BaseVectorField", "JetVectorField",
@@ -119,10 +119,8 @@ class BaseVectorField:
 def total_derivative(f: Expr | str, u: JetPoint) -> np.ndarray:
     """D_a f = @f/@t^a + x^j_a @f/@x^j for f a function of (t, x), as a (p,)
     array at the jet point u."""
-    e = parse(f) if isinstance(f, str) else f
-    names = temporal_names(u.p) + spatial_names(u.n)
-    rows = _partials([e], names, names)(*u.t.tolist(), *u.x.tolist())
-    return _total_derivatives(rows, u)[0]
+    base, _ = _jet_partials(f, temporal_names(u.p) + spatial_names(u.n), u)
+    return _total_derivatives([base], u)[0]
 
 
 @dataclass(frozen=True)
@@ -288,10 +286,9 @@ def _jet_partials(f: Expr | str, base: Sequence[str],
     """Partials of a jet-space function at u: in the base names, as a vector,
     and in the jet coordinates, as an (n, p) matrix."""
     e = parse(f) if isinstance(f, str) else f
-    env = jet_env(u)
-    (row,) = _partials([e], list(env), list(base) + jet_names(u.n, u.p))(*env.values())
-    k = len(base)
-    return np.array(row[:k]), np.array(row[k:]).reshape(u.n, u.p)
+    wrt = [*base, *jet_names(u.n, u.p)]
+    row = JetTable(u.p, u.n, (len(wrt),), [], lambda: partials([e], wrt)[0]).at(u)
+    return row[:len(base)], row[len(base):].reshape(u.n, u.p)
 
 
 def adapted_t_derivative(f: Expr | str, conn: NonlinearConnection,

@@ -18,33 +18,32 @@ metric Christoffel symbols:
 The difference of two sprays of the same kind is a d-tensor; a spray is
 canonical part plus d-tensor remainder.
 
-Every spray, h-spray and nonlinear connection (connection.py) is one
-`JetTable`: symbolic entries over the jet variables whose pointwise
-values run one compiled table, and which the solvers compile into their
-own tables.  A canonical spray's entries come from the metric's symbolic Christoffel
-symbols, shared by every canonical spray of one metric and other
-dimension (a flat metric's fold to zeros); a derived object (an affine
-combination, an h-trace, the spray of an h-spray, a connection's sprays)
-builds its entries from its parts' entries.
+Every spray, h-trace and nonlinear connection (connection.py) is one
+`jetspace.JetTable`: symbolic entries over the jet variables whose
+pointwise values run one compiled table, and which the solvers compile
+into their own tables.  A canonical spray's entries come from the
+metric's symbolic Christoffel symbols, shared by every canonical spray of
+one metric and other dimension (a flat metric's fold to zeros); a derived
+object (an affine combination, an h-trace, the spray of an h-trace, a
+connection's sprays) builds its entries from its parts' entries, and its
+table takes its parts' det-g guards.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dtensor import DTensorField, IndexSignature, Verdict, law_check
-from .exprlang import Expr, Guard, Table, compile_table, mul, num, partials, total, var
+from .exprlang import Expr, mul, num, total, var
 from .geometry import Metric, pullback_metric
-from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
-from .jetspace import JetPoint, mixed_jet_derivatives
+from .numdiff import ChangeMap, jet_name
+from .jetspace import JetPoint, JetTable, mixed_jet_derivatives
 
 __all__ = [
-    "SprayError", "JetTable", "Spray", "HSpray", "SprayPair",
+    "SprayError", "Spray", "SprayPair",
     "canonical_temporal", "canonical_spatial", "canonical_pair", "zero_spray",
     "transform_spray", "spray_law_error", "h_trace", "spray_from_hspray",
     "combine_sprays", "spray_difference_field", "spray_coefficient_field",
@@ -58,73 +57,19 @@ class SprayError(ValueError):
     pass
 
 
-class JetTable:
-    """Symbolic entries over the jet variables t1..tp, x1..xn, x1_1..xn_p,
-    read as one row-major array of `shape`, and their compiled table.
-
-    The table `kernel` (`compile_table`) takes the det-g guard (`guards`)
-    of every metric the entries read (`metrics`, in order) and tests each
-    before any entry: where |det g| < DET_TOL it calls the metric's
-    `check_det`, so a degenerate metric stops any evaluation with
-    GeometryError before an entry divides by its det g.  The entries, the
-    kernel and the symbolic jet gradient (`gradient_entries`) are built on
-    first use.  Points run on Python floats (`at`); the solvers build their
-    own tables from the entries: the geodesic solver compiles them into the
-    right-hand side of its loop (`maps._geodesic_loop`), and the harmonic
-    grid solver into its residual table (`maps._residual_table`).
-
-    A metric keeps the tables of its canonical objects (`_shared`), so a
-    table must not keep the metric: it holds its metrics' guards, which do
-    not refer to them, and refers to the metrics weakly (`metrics` reads
-    None for one that has been freed)."""
-
-    def __init__(self, p: int, n: int, shape: Sequence[int], metrics: Iterable[Metric],
-                 entries: Callable[[], list[Expr]]):
-        self.p, self.n, self.shape = p, n, tuple(shape)
-        metrics = list(dict.fromkeys(metrics))
-        self._metrics = [weakref.ref(m) for m in metrics]
-        self.guards: tuple[Guard, ...] = tuple(m.guard for m in metrics)
-        self._build_entries = entries
-        self.names = temporal_names(p) + spatial_names(n) + jet_names(n, p)
-        # generated geodesic loops (maps.solve_affine_ode) whose right-hand
-        # side holds this spatial spray's kernel, by the temporal spray's table
-        self.loops: dict[JetTable, Callable] = {}
-
-    @cached_property
-    def entries(self) -> list[Expr]:
-        return self._build_entries()
-
-    @cached_property
-    def gradient_entries(self) -> list[Expr]:
-        """d entry / d x^k_g, entry by entry and then (k, g) row-major."""
-        return [d for row in partials(self.entries, jet_names(self.n, self.p)) for d in row]
-
-    @property
-    def metrics(self) -> list[Metric | None]:
-        return [ref() for ref in self._metrics]
-
-    @cached_property
-    def kernel(self) -> Table:
-        return compile_table(self.entries, self.names, self.guards)
-
-    def at(self, u: JetPoint) -> np.ndarray:
-        values = self.kernel(*u.t.tolist(), *u.x.tolist(), *u.v.ravel().tolist())
-        return np.array(values).reshape(self.shape)
-
-
 def _shared(metric: Metric, role: str, other: int, shape: Sequence[int],
             entries: Callable[[list[list[list[Expr]]]], list[Expr]]) -> JetTable:
     """The table of a canonical object of `metric` (role "spray", or
     "connection" for its half of a canonical connection) with the other
     factor of dimension `other`, built once: every such object shares it,
     and its compiled tables.  Its entries are ``entries(gamma)`` for the
-    metric's symbolic Christoffel symbols, which the table holds in place
-    of the metric (`JetTable`)."""
+    metric's symbolic Christoffel symbols and its det-g guard, which the
+    table holds in place of the metric (`JetTable`)."""
     key = (role, other)
     if key not in metric._jet_tables:
         gamma = metric.christoffel_exprs
         p, n = (metric.dim, other) if metric.kind == "temporal" else (other, metric.dim)
-        metric._jet_tables[key] = JetTable(p, n, shape, [metric], lambda: entries(gamma))
+        metric._jet_tables[key] = JetTable(p, n, shape, [metric.guard], lambda: entries(gamma))
     return metric._jet_tables[key]
 
 
@@ -159,15 +104,6 @@ class Spray:
         if self.rebuild is None:
             raise SprayError(f"spray '{self.name}' has no chart-native form")
         return self.rebuild(change)
-
-
-@dataclass(frozen=True)
-class HSpray:
-    """h-trace of a spray: components G^i = h^{ab} S^{(i)}_{(a)b}, the (n,)
-    entries of `tables`."""
-
-    tables: JetTable
-    name: str = "h-spray"
 
 
 @dataclass(frozen=True)
@@ -256,8 +192,8 @@ _law_error = spray_law_error
 # h-trace and the one-dimensional correspondence
 
 
-def h_trace(s: Spray, h: Metric) -> HSpray:
-    """G^i = h^{ab} S^{(i)}_{(a)b}."""
+def h_trace(s: Spray, h: Metric) -> JetTable:
+    """The h-trace (h-spray) of s, the (n,) table G^i = h^{ab} S^{(i)}_{(a)b}."""
     if h.kind != "temporal" or h.dim != s.p:
         raise SprayError(f"h_trace contracts with a temporal metric of dimension p = {s.p}")
     p, n = s.p, s.n
@@ -268,23 +204,22 @@ def h_trace(s: Spray, h: Metric) -> HSpray:
                       for a in range(p) for b in range(p))
                 for i in range(n)]
 
-    return HSpray(JetTable(p, n, (n,), [*s.tables.metrics, h], entries),
-                  name=f"h-trace[{s.name}]")
+    return JetTable(p, n, (n,), [*s.tables.guards, h.guard], entries)
 
 
-def spray_from_hspray(hs: HSpray, h: Metric) -> Spray:
-    """Inverse of h_trace; only one temporal dimension admits it."""
-    if hs.tables.p != 1 or h.dim != 1 or h.kind != "temporal":
+def spray_from_hspray(trace: JetTable, h: Metric) -> Spray:
+    """Inverse of h_trace on its table; only one temporal dimension admits it."""
+    if trace.p != 1 or h.dim != 1 or h.kind != "temporal":
         raise SprayError("the spray <-> h-spray correspondence holds only for "
                          "one temporal dimension")
-    n = hs.tables.n
+    n = trace.n
 
     def entries() -> list[Expr]:
         h11 = h.components[0][0]
-        return [mul(h11, e) for e in hs.tables.entries]
+        return [mul(h11, e) for e in trace.entries]
 
-    return Spray("spatial", JetTable(1, n, (n, 1, 1), [*hs.tables.metrics, h], entries),
-                 name=f"from-h-spray[{hs.name}]")
+    return Spray("spatial", JetTable(1, n, (n, 1, 1), [*trace.guards, h.guard], entries),
+                 name=f"from-h-trace[{h.name}]")
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +254,8 @@ def combine_sprays(sprays: Sequence[Spray], weights: Sequence[float]) -> Spray:
         return [total(mul(num(c), e) for c, e in zip(w, column))
                 for column in zip(*(s.tables.entries for s in sprays))]
 
-    metrics = [m for s in sprays for m in s.tables.metrics]
-    return Spray(kind, JetTable(p, n, (n, p, p), metrics, entries),
+    guards = [g for s in sprays for g in s.tables.guards]
+    return Spray(kind, JetTable(p, n, (n, p, p), guards, entries),
                  rebuild=lambda c: combine_sprays([s.in_chart(c) for s in sprays], w),
                  name="affine-combination")
 

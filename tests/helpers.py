@@ -231,6 +231,21 @@ def reference_affine_ode(pair, x0, v0, t_span, steps):
     return ts, xs, vs
 
 
+def reference_harmonic_residual(f, pair, h, t) -> np.ndarray:
+    """(n,) array h^{ab} (x^i_{ab} + 2 G^{(i)}_{(a)b} + 2 H^{(i)}_{(a)b}) of
+    the map f at t, from the sprays' `coefficients` and the metric's numpy
+    inverse, contracted by one einsum: the reference for
+    `maps.harmonic_residual`, which evaluates the grid solver's symbolic
+    residual table."""
+    t = np.asarray(t, dtype=float)
+    u = f.jet_lift(t)
+    hinv = h.inverse_batch(t)[0]
+    coeffs = (f.second_derivatives(t)
+              + 2.0 * pair.spatial.coefficients(u)
+              + 2.0 * pair.temporal.coefficients(u))
+    return np.einsum("ab,iab->i", hinv, coeffs)
+
+
 def reference_grid_residual(pair, T, hinv, d1, d2, vals):
     """The harmonic residual of the m x m grid values `vals` (m, m, n) at the
     interior nodes T ((m-2)^2, 2, row-major), as (q, n): second differences

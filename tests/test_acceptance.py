@@ -192,8 +192,9 @@ def test_criterion_05_adapted_basis_laws():
 
 
 def test_criterion_06_poisson_identity():
-    """harmonic_residual == metric_laplacian + 2 * spray_source on 50 seeded
-    (map, point) tuples, to 1e-12."""
+    """harmonic_residual, the grid solver's residual table at the map's jet
+    and second derivatives, == metric_laplacian + 2 * spray_source, the
+    independent Poisson form, on 50 seeded (map, point) tuples, to 1e-12."""
     rng = np.random.default_rng(2031)
     h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
     phi = metric_from_name("sphere:2")

@@ -479,6 +479,26 @@ def test_overflow_during_a_solve_exits_one(tmp_path):
     assert "Traceback" not in r.stderr and "error: math range error" in r.stderr
 
 
+def test_trig_of_an_overflowed_value_exits_one(tmp_path):
+    """sin of a product that overflows to inf: math's ValueError is the
+    ExprError of a domain error while evaluating, a numerical failure (exit
+    1 with an error report) in the prolong field and in the temporal metric
+    alike, not a scenario error."""
+    error = "domain error: sin, cos or tan of an infinite value"
+    field = {"name": "big", "temporal": ["1"], "spatial": ["sin(x1*1e300*1e300)"]}
+    prolong = {"dimensions": {"p": 1, "n": 1},
+               "metrics": {"temporal": "euclidean:1", "spatial": "euclidean:1"},
+               "prolong": {"fields": [field]}}
+    with open(os.path.join(ROOT, "demos", "verify_scenario.json")) as fh:
+        verify = json.load(fh)
+    verify["metrics"]["temporal"] = "conformal2d:sin(t1*1e300*1e300)"
+    for command, payload in (("prolong", prolong), ("verify", verify)):
+        r = run_cli(command, write_scenario(tmp_path, payload))
+        assert r.returncode == 1, r.stderr
+        assert json.loads(r.stdout) == {"command": command, "status": "error", "error": error}
+        assert "Traceback" not in r.stderr and f"error: {error}" in r.stderr
+
+
 HARMONIC_DIVERGES = {
     "dimensions": {"p": 2, "n": 2},
     "metrics": {"temporal": "conformal2d:0.3*t1 - 0.2*t2",

@@ -187,7 +187,7 @@ def test_spray_induced_n_matches_differences_of_the_h_trace():
     rng = np.random.default_rng(71)
     h, phi = standard_metrics(2, 2)
     pair = canonical_pair(h, phi)
-    trace = h_trace(pair.spatial, h).tables
+    trace = h_trace(pair.spatial, h)
     conn = connection_from_sprays(pair, h)
     eps = 1e-6
     for u in jets_in(rng, 2, 2, h=h, phi=phi, count=3):

@@ -38,7 +38,7 @@ from jetflow.sprays import (
 )
 
 from helpers import (golden_writer, jacobi_harmonic_reference, reference_affine_ode,
-                     reference_grid_residual, standard_metrics)
+                     reference_grid_residual, reference_harmonic_residual, standard_metrics)
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -114,6 +114,40 @@ def test_harmonic_residual_is_trace_of_affine_residual():
     # affine form traces to the harmonic one
     got = np.einsum("ab,iab->i", hinv, affine_residual(f, pair, t))
     assert np.max(np.abs(got - harmonic_residual(f, pair, h, t))) < 1e-12
+
+
+# maps into the boxes of sphere:2 (0.2 < x1 < 2.94) and hyperbolic:2
+# (x2 > 0.1) for t in [-0.8, 0.8]^p
+MAPS_BY_P = {
+    1: ["1.2 + 0.3*sin(t1)", "1.0 + 0.2*t1^2"],
+    2: ["1.2 + 0.2*t1 - 0.1*t2^2", "1.0 + 0.15*t1*t2"],
+    3: ["1.2 + 0.2*t1*t3 - 0.1*t2^2", "1.0 + 0.15*t1*t2 + 0.1*sin(t3)"],
+}
+
+
+@pytest.mark.parametrize("target", ["sphere:2", "hyperbolic:2"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_harmonic_residual_matches_the_einsum_reference(p, target):
+    """The solver's symbolic table, summed over a, b < p, against the
+    einsum of the sprays' coefficients (exp1d, conformal2d and euclidean:3
+    temporal metrics)."""
+    h = standard_metrics(p, 2)[0]
+    pair = canonical_pair(h, metric_from_name(target))
+    f = SmoothMap(p, MAPS_BY_P[p])
+    rng = np.random.default_rng(83 + p)
+    for _ in range(5):
+        t = rng.uniform(-0.8, 0.8, size=p)
+        want = reference_harmonic_residual(f, pair, h, t)
+        assert np.max(np.abs(harmonic_residual(f, pair, h, t) - want)) <= 1e-13
+
+
+def test_harmonic_residual_needs_h_of_the_maps_dimension():
+    h1, phi = metric_from_name("exp1d"), metric_from_name("sphere:2")
+    h2 = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
+    with pytest.raises(MapError, match="temporal metric of dimension p = 1"):
+        harmonic_residual(SmoothMap(1, MAPS_BY_P[1]), canonical_pair(h1, phi), h2, np.zeros(1))
+    with pytest.raises(MapError, match="temporal metric of dimension p = 2"):
+        harmonic_residual(SmoothMap(2, MAPS_BY_P[2]), canonical_pair(h2, phi), h1, np.zeros(2))
 
 
 def test_straight_lines_solve_the_flat_equations():
@@ -510,8 +544,8 @@ def test_grid_solver_runs_connection_sprays_frozen(monkeypatch):
         built.clear()
         frozen.clear()
         a = solve_harmonic_grid(induced, h, f, m=m, tol=1e-10, domain=SQUARE)
-        assert len(built) == 1 and frozen == built * len(maps._grid_sizes(m))
-        assert built[0].exprs == real_table(induced, h).exprs
+        assert len(built) == 1 and frozen == [built[0].kernel] * len(maps._grid_sizes(m))
+        assert built[0].entries == real_table(induced, h).entries
         b = solve_harmonic_grid(canonical_pair(h, phi), h, f, m=m, tol=1e-10, domain=SQUARE)
         assert a.status == b.status == "converged"
         assert np.max(np.abs(a.values - b.values)) <= 1e-10

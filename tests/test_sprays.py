@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jetflow import maps, numdiff as nd, sprays
+from jetflow import jetspace, maps, numdiff as nd
 from jetflow.dtensor import is_dtensor
 from jetflow.exprlang import Add, Num, Var, compile_table, num, parse
 from jetflow.geometry import GeometryError, Metric, metric_from_name
@@ -152,13 +152,13 @@ def test_h_trace_and_round_trip_p1():
     h = metric_from_name("exp1d")
     phi = metric_from_name("sphere:2")
     s = canonical_spatial(phi, 1)
-    hs = h_trace(s, h)
+    trace = h_trace(s, h)
     u = JetPoint(np.array([0.2]), np.array([np.pi / 3, 0.4]),
                  np.array([[0.7], [(-1.1)]]))
     hinv = h.inverse_batch(u.t)[0]
     want = hinv[0, 0] * s.coefficients(u)[:, 0, 0]
-    assert np.max(np.abs(hs.tables.at(u) - want)) < 1e-13
-    back = spray_from_hspray(hs, h)
+    assert np.max(np.abs(trace.at(u) - want)) < 1e-13
+    back = spray_from_hspray(trace, h)
     assert np.max(np.abs(back.coefficients(u) - s.coefficients(u))) < 1e-13
     assert np.max(np.abs(walk_gradient(back.tables, u) - walk_gradient(s.tables, u))) < 1e-13
 
@@ -383,7 +383,7 @@ def test_flat_sprays_fold_to_constant_zero(monkeypatch):
         tables.append((exprs, guards))
         return compile_table(exprs, names, guards)
 
-    monkeypatch.setattr(sprays, "compile_table", recording)
+    monkeypatch.setattr(jetspace, "compile_table", recording)
     flat = metric_from_name("euclidean:2", "temporal")
     flat_t = canonical_temporal(flat, 3)
     flat_s = canonical_spatial(metric_from_name("euclidean:3"), 2)
@@ -397,9 +397,9 @@ def test_flat_sprays_fold_to_constant_zero(monkeypatch):
     # the harmonic residual table folds both sprays and h^12 away: it is
     # x^i_11 + x^i_22, and its one literal det is never tested
     residual = maps._residual_table(SprayPair(flat_t, flat_s), flat)
-    assert residual.exprs == [Add(Var(f"x{i}_11"), Var(f"x{i}_22")) for i in (1, 2, 3)]
+    assert residual.entries == [Add(Var(f"x{i}_11"), Var(f"x{i}_22")) for i in (1, 2, 3)]
     assert [det for det, _ in residual.guards] == [num(1.0)] * 2
-    values = residual.freeze(["t1", "t2"], list(T.T))(*[None] * 9, *np.ones((9, 4)))
+    values = residual.kernel.freeze(["t1", "t2"], list(T.T))(*[None] * 9, *np.ones((9, 4)))
     assert [v.tolist() for v in values] == [[2.0] * 4] * 3
 
 
@@ -428,7 +428,7 @@ def test_degenerate_metric_raises_from_both_spray_paths():
                     else SprayPair(zero_spray("temporal", 2, 2), s))
             residual = maps._residual_table(pair, metric_from_name("euclidean:2", "temporal"))
             with pytest.raises(GeometryError, match="degenerate"):
-                residual.freeze(["t1", "t2"], list(T.T))(*X.T, *np.ones((10, 2)))
+                residual.kernel.freeze(["t1", "t2"], list(T.T))(*X.T, *np.ones((10, 2)))
 
 
 def test_each_spray_compiles_its_table_once(monkeypatch):
@@ -438,7 +438,7 @@ def test_each_spray_compiles_its_table_once(monkeypatch):
         built.append(args[0])
         return compile_table(*args, **kwargs)
 
-    monkeypatch.setattr(sprays, "compile_table", counting)
+    monkeypatch.setattr(jetspace, "compile_table", counting)
     rng = np.random.default_rng(48)
     h, phi = standard_metrics(2, 2)
     jets = jets_in(rng, 2, 2, h=h, phi=phi, count=3)
@@ -509,11 +509,16 @@ def test_derived_tables_guard_each_metric_once():
     h, phi = standard_metrics(2, 2)
     flat = metric_from_name("euclidean:2", "temporal")
     s = canonical_spatial(phi, 2)
-    assert combine_sprays([canonical_temporal(h, 2), canonical_temporal(flat, 2),
-                           canonical_temporal(h, 2)], [0.5, 0.3, 0.2]).tables.metrics == [h, flat]
-    assert h_trace(s, h).tables.metrics == [phi, h]
-    assert zero_spray("spatial", 2, 2).tables.metrics == []
-    tables = h_trace(s, h).tables
+
+    def checks(tables):
+        return [check for _, check in tables.guards]
+
+    assert checks(combine_sprays([canonical_temporal(h, 2), canonical_temporal(flat, 2),
+                                  canonical_temporal(h, 2)], [0.5, 0.3, 0.2]).tables) \
+        == [h.check_det, flat.check_det]
+    assert checks(h_trace(s, h)) == [phi.check_det, h.check_det]
+    assert checks(zero_spray("spatial", 2, 2).tables) == []
+    tables = h_trace(s, h)
     assert tables.kernel.guards == (phi.guard, h.guard)
     assert tables.kernel.exprs == tables.entries
 
@@ -552,5 +557,5 @@ def test_derived_sprays_on_a_degenerate_metric_raise_geometry_error():
                          (-0.5, 0.5), 40)
     # the h-trace itself, frozen on nodes where det h = 0
     with pytest.raises(GeometryError, match="metric 'deg' is degenerate"):
-        frozen_batch(h_trace(canonical_spatial(sphere, 1), deg).tables, np.array([[0.5], [0.0]]),
+        frozen_batch(h_trace(canonical_spatial(sphere, 1), deg), np.array([[0.5], [0.0]]),
                      np.ones((2, 2)), np.ones((2, 2, 1)))

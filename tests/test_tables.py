@@ -29,7 +29,7 @@ from jetflow.sprays import (SprayPair, canonical_pair, canonical_spatial, canoni
                             combine_sprays)
 
 from helpers import frozen_batch, metric_and_points, reference_grid_residual, walk_batch
-from test_exprlang import DOMAIN_ERRORS
+from test_exprlang import DOMAIN_ERRORS, TRIG_AT_INFINITY
 from test_geometry import CATALOG
 
 CHANGE_KINDS = [None, "affine", "shear", "mixed"]
@@ -180,6 +180,28 @@ def test_both_tiers_raise_the_interpreters_domain_error(text, env, arrays):
     assert str(first.value) == str(compiled.value) == str(want.value)
 
 
+@pytest.mark.parametrize("text,env", TRIG_AT_INFINITY)
+def test_every_float_tier_raises_the_interpreters_error_for_trig_at_infinity(text, env):
+    """math's plain ValueError at sin, cos or tan of an infinite float is
+    the interpreter's ExprError in every tier: the DAG walk, a table's walk
+    and compiled tiers, a frozen table (from `freeze` when the argument is
+    fixed, from the call otherwise) and a float table."""
+    with pytest.raises(ExprError) as want:
+        parse(text).eval(env)
+    assert str(want.value) == "domain error: sin, cos or tan of an infinite value"
+    x = env["x"]
+    exprs = [parse("x + 1"), parse(text)]
+    table = compile_table(exprs, ["x"])
+    tiers = [lambda: exprlang.evaluate_table(exprs, env), lambda: table(x),
+             lambda: table.compiled()(x), lambda: table.freeze([], [])(x),
+             lambda: table.freeze(["x"], [x]), lambda: compile_floats(exprs, ["x"])(x)]
+    for k, tier in enumerate(tiers):
+        with pytest.raises(ExprError) as got:
+            tier()
+        assert str(got.value) == str(want.value), k
+        assert k != 1 or table._fn is None            # the walk tier ran
+
+
 @pytest.mark.parametrize("kind", ["spatial", "temporal"])
 def test_degenerate_metric_raises_from_both_tiers(kind):
     v = "x1" if kind == "spatial" else "t1"
@@ -235,7 +257,7 @@ def test_kept_values_tell_zero_from_minus_zero():
     assert table._walks == 2
 
 
-@pytest.mark.parametrize("text,env", [c for c in DOMAIN_ERRORS if c[1]])
+@pytest.mark.parametrize("text,env", [c for c in DOMAIN_ERRORS + TRIG_AT_INFINITY if c[1]])
 def test_a_failed_walk_is_not_kept(text, env):
     names = sorted(env)
     table = compile_table([parse("x + 1"), parse(text)], names)
@@ -406,15 +428,14 @@ def _level_problem():
     phi = metric_from_name("conformal2d:0.2*x1 - 0.1*x1*x2", kind="spatial")
     t = np.linspace(-1.0, 1.0, 9)
     vals = np.random.default_rng(41).uniform(-1.0, 1.0, (9, 9, 2))
-    return canonical_pair(h, phi), h, t, vals
+    return canonical_pair(h, phi), h, t, vals, phi
 
 
-def _derived_pairs(pair, h):
-    """Sprays built from the canonical pair's entries: the pair induced by
+def _derived_pairs(pair, h, phi):
+    """Sprays built from the canonical pair of h and phi: the pair induced by
     the canonical connection, and a combination with the flat sprays."""
     flat = canonical_pair(metric_from_name("euclidean:2", kind="temporal"),
                           metric_from_name("euclidean:2"))
-    phi = pair.spatial.tables.metrics[0]
     return [sprays_from_connection(canonical_connection(h, phi)),
             sprays_from_connection(connection_from_sprays(pair, h)),
             SprayPair(combine_sprays([pair.temporal, flat.temporal], [0.6, 0.4]),
@@ -425,7 +446,7 @@ def _walk_residual(residual, T, columns):
     """The residual table's entries walked (`exprlang.evaluate_table`) at
     the nodes T (q, 2) and one column per other name, as (q, n)."""
     env = dict(zip(residual.names, [*T.T, *columns]))
-    return table_columns(exprlang.evaluate_table(residual.exprs, env, residual.guards), len(T))
+    return table_columns(exprlang.evaluate_table(residual.entries, env, residual.guards), len(T))
 
 
 def test_frozen_residual_table_matches_the_walk():
@@ -433,19 +454,19 @@ def test_frozen_residual_table_matches_the_walk():
     frozen on nodes laid out as 11 rows or as a 3 x 3 grid, gives the DAG
     walk's values bit for bit, and so does each spray's kernel frozen on
     the same nodes."""
-    pair, h = _level_problem()[:2]
+    pair, h, _, _, phi = _level_problem()
     rng = np.random.default_rng(42)
     T = rng.uniform(-1.0, 1.0, (11, 2))
     X, V = rng.uniform(-1.0, 1.0, (11, 2)), rng.normal(0.0, 1.5, (11, 2, 2))
     D = rng.normal(0.0, 2.0, (11, 6))                 # x^i_ab, a <= b
     columns = [*X.T, *V.reshape(11, 4).T, *D.T]
-    for each in [pair, *_derived_pairs(pair, h)]:
+    for each in [pair, *_derived_pairs(pair, h, phi)]:
         residual = maps._residual_table(each, h)
         assert residual.names[8:] == ["x1_11", "x1_12", "x1_22", "x2_11", "x2_12", "x2_22"]
         want = _walk_residual(residual, T, columns)
-        got = residual.freeze(["t1", "t2"], list(T.T))(*columns)
+        got = residual.kernel.freeze(["t1", "t2"], list(T.T))(*columns)
         assert table_columns(got, 11).tobytes() == want.tobytes()
-        grid = residual.freeze(["t1", "t2"], [c[:9].reshape(3, 3) for c in T.T])(
+        grid = residual.kernel.freeze(["t1", "t2"], [c[:9].reshape(3, 3) for c in T.T])(
             *(c[:9].reshape(3, 3) for c in columns))
         assert np.stack(grid, axis=-1).reshape(9, 2).tobytes() == want[:9].tobytes()
         for s in (each.temporal, each.spatial):
@@ -473,7 +494,8 @@ def test_constant_entries_over_a_det_that_reads_x_keep_their_guard():
     alone, tests det g at every call, and raises where it vanishes."""
     g = Metric("shifted", "spatial", [[parse("x1 + 1")]])
     h = metric_from_name("euclidean:2", kind="temporal")
-    spatial = sprays.Spray("spatial", sprays.JetTable(2, 1, (1, 2, 2), [g], lambda: [Num(0.0)] * 4))
+    spatial = sprays.Spray("spatial",
+                           sprays.JetTable(2, 1, (1, 2, 2), [g.guard], lambda: [Num(0.0)] * 4))
     pair = SprayPair(sprays.zero_spray("temporal", 2, 1), spatial)
     t = np.linspace(-1.0, 1.0, 4)
     level = maps._Level(maps._residual_table(pair, h), h, t, t)
@@ -499,7 +521,7 @@ def test_level_runs_the_solves_frozen_residual_table(monkeypatch):
     """A level freezes the residual table it is given, once, on its nodes;
     a pair whose sprays' `coefficients` are wrapped builds the same table,
     from the same spray tables."""
-    pair, h, t, _ = _level_problem()
+    pair, h, t = _level_problem()[:3]
     frozen = []
     real_freeze = exprlang.Table.freeze
     monkeypatch.setattr(exprlang.Table, "freeze",
@@ -508,9 +530,9 @@ def test_level_runs_the_solves_frozen_residual_table(monkeypatch):
     for each in (pair, _wrapped(pair, [])):
         frozen.clear()
         residual = maps._residual_table(each, h)
-        assert residual.exprs == want.exprs and residual.guards == want.guards
+        assert residual.entries == want.entries and residual.guards == want.guards
         maps._Level(residual, h, t, t)
-        assert frozen == [residual]
+        assert frozen == [residual.kernel]
 
 
 def test_wrapped_pair_solves_a_harmonic_grid_bit_for_bit():
