@@ -104,12 +104,30 @@ def affine_residual(f: SmoothMap, pair: SprayPair, t: np.ndarray) -> np.ndarray:
     return f.second_derivatives(t) + (S + S.transpose(0, 2, 1))
 
 
+def _pair_shape(pair: SprayPair) -> tuple[int, int]:
+    """The (p, n) of both sprays of `pair`; MapError when they differ."""
+    shape = pair.temporal.p, pair.temporal.n
+    if (pair.spatial.p, pair.spatial.n) != shape:
+        raise MapError(f"spray pair mixes jet spaces: temporal spray at (p, n) = {shape},"
+                       f" spatial spray at {(pair.spatial.p, pair.spatial.n)}")
+    return shape
+
+
+def _check_pair(pair: SprayPair, f: SmoothMap, what: str) -> None:
+    """MapError unless both sprays of `pair` live on the jet space of f."""
+    shape = _pair_shape(pair)
+    if shape != (f.p, f.n):
+        raise MapError(f"spray pair at (p, n) = {shape} does not match the {what}"
+                       f" at (p, n) = {(f.p, f.n)}")
+
+
 def harmonic_residual(f: SmoothMap, pair: SprayPair, h: Metric,
                       t: np.ndarray) -> np.ndarray:
     """(n,) array: the h-trace of the affine residual, the grid solver's
     table (`_residual_table`) at the jet and second derivatives of f at t."""
     if h.kind != "temporal" or h.dim != f.p:
         raise MapError(f"harmonic residual needs a temporal metric of dimension p = {f.p}")
+    _check_pair(pair, f, "map")
     t = np.asarray(t, dtype=float)
     a, b = np.triu_indices(f.p)
     second = f.second_derivatives(t)[:, a, b]          # x^i_{ab}, a <= b, row-major
@@ -446,23 +464,32 @@ def solve_harmonic_grid(pair: SprayPair, h: Metric,
     initial value or is not finite.  `history` holds the fine max|R| after
     each V-cycle.
     """
-    if pair.temporal.p != 2:
+    p, n = _pair_shape(pair)
+    if p != 2:
         raise MapError("the grid solver handles two temporal dimensions")
     if h.kind != "temporal" or h.dim != 2:
         raise MapError("the grid solver needs a 2-dimensional temporal metric")
     if m < 3:
         raise MapError("grid needs at least 3 points per side")
-    n = pair.temporal.n
+    if isinstance(boundary, SmoothMap):
+        _check_pair(pair, boundary, "boundary map")
     box = list(domain) if domain is not None else (h.box or [(-1.0, 1.0), (-1.0, 1.0)])
     t1 = np.linspace(box[0][0], box[0][1], m)
     t2 = np.linspace(box[1][0], box[1][1], m)
 
-    bmap = boundary                    # SmoothMap instances are callable too
+    def bmap(a: float, b: float) -> np.ndarray:
+        # SmoothMap instances are callable too; a value of another shape
+        # would broadcast into the grid's n components
+        x = np.asarray(boundary(np.array([a, b])), dtype=float)
+        if x.shape != (n,):
+            raise MapError(f"boundary values need shape ({n},), not {x.shape}")
+        return x
+
     values = np.zeros((m, m, n))
     for i in (0, m - 1):
         for j in range(m):
-            values[i, j] = bmap(np.array([t1[i], t2[j]]))
-            values[j, i] = bmap(np.array([t1[j], t2[i]]))
+            values[i, j] = bmap(t1[i], t2[j])
+            values[j, i] = bmap(t1[j], t2[i])
 
     residual = _residual_table(pair, h)
     levels = [_Level(residual, h, t1[::1 << k], t2[::1 << k])

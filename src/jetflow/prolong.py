@@ -8,9 +8,12 @@ first jet space with vertical components
     D_a f = @f/@t^a + x^j_a @f/@x^j,
 
 so that the prolongation is the infinitesimal generator of the jet lift of
-the flow of X.  The module also provides the flow-transport oracle used to
-verify that statement numerically (the flow of X runs as one generated RK4
-loop per field, `exprlang.compile_rk4`), the horizontal lift through a
+the flow of X.  The module also provides the flow transport used to verify
+that statement numerically: the flow of X and its variational equations
+(the flow's Jacobian applied to the jet's p tangent directions) run as one
+generated RK4 loop of p + n + (p + n)p states per field
+(`exprlang.compile_rk4`); the tests keep central differences of the flow
+as its reference.  It also provides the horizontal lift through a
 nonlinear connection, and the vertical gap between prolongation and
 horizontal lift (a d-tensor field).
 """
@@ -24,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exprlang import (Expr, compile_floats, compile_rk4, compile_table, foreign_vars, mul,
-                       parse, partials, subst, total)
+                       parse, partials, subst, total, var)
 from .dtensor import DTensorField, IndexSignature
 from .connection import NonlinearConnection
 from .numdiff import ChangeMap, jet_names, spatial_names, temporal_names
@@ -33,7 +36,7 @@ from .jetspace import JetPoint, JetTable, frame_size
 __all__ = [
     "ProlongError", "BaseVectorField", "JetVectorField",
     "total_derivative", "olver_prolong", "pushforward",
-    "flow_point", "flow_transport", "prolongation_flow_error",
+    "flow_transport", "prolongation_flow_error",
     "horizontal_lift", "vertical_gap_field",
     "adapted_t_derivative", "adapted_x_derivative",
 ]
@@ -41,21 +44,6 @@ __all__ = [
 
 class ProlongError(ValueError):
     pass
-
-
-def _partials(exprs: Sequence[Expr], args: Sequence[str],
-              wrt: Sequence[str]) -> Callable[..., list[tuple]]:
-    """Compiled first partials of each expression in each name of `wrt`:
-    a function of the values of `args` that returns one tuple of floats
-    per expression."""
-    kernel = compile_table([d for row in partials(exprs, wrt) for d in row], args)
-    m = len(wrt)
-
-    def at(*values: float) -> list[tuple]:
-        out = kernel(*values)
-        return [out[k:k + m] for k in range(0, len(out), m)]
-
-    return at
 
 
 def _total_derivatives(rows: Sequence[tuple], u: JetPoint) -> np.ndarray:
@@ -71,10 +59,11 @@ class BaseVectorField:
 
     Numeric values come from two compiled tables (`compile_table`), each
     built on first use: the p + n components, and their first partials.
-    Its flow runs as one generated RK4 loop that calls the components, as
-    one compiled float table, once per stage (`compile_rk4`), also built on
-    first use.  All run on Python floats, so they agree bit for bit with
-    `Expr.eval`.
+    Its flow, with the variational equations of the p directions that a
+    jet transports, runs as one generated RK4 loop (`compile_rk4`), also
+    built on first use, that calls one compiled float table once per
+    stage.  All run on Python floats, so the components, and the flowed
+    (t, x), agree bit for bit with `Expr.eval`.
     """
 
     def __init__(self, p: int, n: int, temporal: Sequence[Expr | str],
@@ -100,16 +89,37 @@ class BaseVectorField:
         return compile_table(self.temporal + self.spatial, self.variables)
 
     @cached_property
-    def _flow(self) -> Callable[..., tuple]:
-        """RK4 for the flow y' = X(y), y = (t, x), in the parameter s."""
-        rhs = compile_floats(self.temporal + self.spatial, ["s", *self.variables])
-        return compile_rk4(self.p + self.n, rhs)
+    def _jacobian(self) -> list[list[Expr]]:
+        """DX: per component, its partials in t1..tp, x1..xn."""
+        return partials(self.temporal + self.spatial, self.variables)
+
+    @cached_property
+    def _tangent_flow(self) -> Callable[..., tuple]:
+        """RK4 in the parameter s for the flow y' = X(y), y = (t, x), and
+        its variational equations W' = DX(y) W, W an (m, p) matrix kept
+        row by row as w{l}_{a} (m = p + n): the state is (y, W).  The
+        slopes of y come first and read y alone, so y's values are those
+        of the flow without W."""
+        m, p = len(self.variables), self.p
+        w = [[f"w{l}_{a}" for a in range(p)] for l in range(m)]
+        tangent = [total(mul(d, var(w[l][a])) for l, d in enumerate(row))
+                   for row in self._jacobian for a in range(p)]
+        rhs = compile_floats(self.temporal + self.spatial + tangent,
+                             ["s", *self.variables, *(name for row in w for name in row)])
+        return compile_rk4(m + m * p, rhs)
 
     @cached_property
     def _gradients(self) -> Callable[..., list[tuple]]:
-        """Per component, its partials in t1..tp, x1..xn."""
-        names = self.variables
-        return _partials(self.temporal + self.spatial, names, names)
+        """The values of `_jacobian`, one tuple of floats per component, as a
+        function of t1..tp, x1..xn."""
+        m = len(self.variables)
+        kernel = compile_table([d for row in self._jacobian for d in row], self.variables)
+
+        def at(*values: float) -> list[tuple]:
+            out = kernel(*values)
+            return [out[k:k + m] for k in range(0, len(out), m)]
+
+        return at
 
     def __call__(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = self._values(*np.asarray(t, float).tolist(), *np.asarray(x, float).tolist())
@@ -192,37 +202,21 @@ def pushforward(X: BaseVectorField, change: ChangeMap) -> BaseVectorField:
 # flow-transport oracle
 
 
-def flow_point(X: BaseVectorField, t: np.ndarray, x: np.ndarray,
-               eps: float, substeps: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 integration of the flow of X from (t, x) for parameter eps, in
-    `substeps` steps on Python floats: the field's generated loop."""
-    y = np.asarray(t, float).tolist() + np.asarray(x, float).tolist()
-    end = X._flow(0.0, *y, eps / substeps, substeps, None)
-    return np.array(end[1:1 + X.p]), np.array(end[1 + X.p:])
-
-
 def flow_transport(X: BaseVectorField, u: JetPoint, eps: float,
                    substeps: int = 16) -> JetPoint:
     """Transport of the jet u by the time-eps flow (PhiT, PhiM) of X: the
     base point flows, and the jet matrix transports through the flow's
     Jacobian as  v~ = (dPhiM/dt + dPhiM/dx v)(dPhiT/dt + dPhiT/dx v)^-1.
-    Column k of the Jacobian is a central difference of the flow with step
-    1e-6 in base coordinate k of (t, x), the others held."""
-    p, step = u.p, 1e-6
-    t_new, x_new = flow_point(X, u.t, u.x, eps, substeps)
-    y = np.concatenate([u.t, u.x])
-    J = np.empty((y.size, y.size))      # [component of (PhiT, PhiM), coordinate k]
-    for k in range(y.size):
-        plus, minus = y.copy(), y.copy()
-        plus[k] += step
-        minus[k] -= step
-        tp, xp = flow_point(X, plus[:p], plus[p:], eps, substeps)
-        tm, xm = flow_point(X, minus[:p], minus[p:], eps, substeps)
-        J[:p, k] = (tp - tm) / (2 * step)
-        J[p:, k] = (xp - xm) / (2 * step)
-    denom = J[:p, :p] + J[:p, p:] @ u.v
-    v_new = (J[p:, :p] + J[p:, p:] @ u.v) @ np.linalg.inv(denom)
-    return JetPoint(t_new, x_new, v_new)
+    One RK4 loop of `substeps` steps (`BaseVectorField._tangent_flow`)
+    carries (t, x) and W = d(PhiT, PhiM)/d(t, x) [I_p; v] from W(0) = [I_p; v],
+    so v~ = W_x W_t^-1."""
+    p, m = X.p, X.p + X.n
+    w0 = np.vstack([np.eye(p), u.v])
+    end = X._tangent_flow(0.0, *u.t.tolist(), *u.x.tolist(), *w0.ravel().tolist(),
+                          eps / substeps, substeps, None)
+    W = np.array(end[1 + m:]).reshape(m, p)
+    v_new = W[p:] @ np.linalg.inv(W[:p])
+    return JetPoint(np.array(end[1:1 + p]), np.array(end[1 + p:1 + m]), v_new)
 
 
 def prolongation_flow_error(X: BaseVectorField, jets: Sequence[JetPoint],

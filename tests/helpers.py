@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import platform
 import random
@@ -10,9 +11,9 @@ import random
 import numpy as np
 
 from jetflow import numdiff as nd
-from jetflow.exprlang import evaluate_table, table_columns
+from jetflow.exprlang import compile_floats, compile_rk4, evaluate_table, table_columns
 from jetflow.geometry import metric_from_name, pullback_metric
-from jetflow.jetspace import random_jet
+from jetflow.jetspace import JetPoint, random_jet
 
 TOL_LAW = 1e-8          # transformation-law agreement
 TOL_EXACT = 1e-12       # identities that hold to rounding
@@ -123,37 +124,48 @@ def roundtrip_error(change, t: np.ndarray, x: np.ndarray) -> float:
     return err
 
 
+@functools.cache
+def _flow_loop(X):
+    """RK4 for the flow y' = X(y), y = (t, x), alone: one generated loop
+    per field over its components as one compiled float table."""
+    rhs = compile_floats(X.temporal + X.spatial, ["s", *X.variables])
+    return compile_rk4(X.p + X.n, rhs)
+
+
+def flow_point(X, t, x, eps: float, substeps: int = 16):
+    """RK4 integration of the flow of X from (t, x) for parameter eps, in
+    `substeps` steps on Python floats, without the variational equations
+    that `prolong.flow_transport` carries beside it."""
+    y = np.asarray(t, float).tolist() + np.asarray(x, float).tolist()
+    end = _flow_loop(X)(0.0, *y, eps / substeps, substeps, None)
+    return np.array(end[1:1 + X.p]), np.array(end[1 + X.p:])
+
+
 def reference_flow_transport(X, u, eps: float, substeps: int = 16):
-    """`prolong.flow_transport` built block by block: the flow's Jacobian
-    as its four blocks d(t~, x~)/d(t, x), each filled by central
-    differences with step 1e-6; the reference for its one loop over the
-    base coordinates."""
-    from jetflow.jetspace import JetPoint
-    from jetflow.prolong import flow_point
-    p, n, fd_step = u.p, u.n, 1e-6
+    """`prolong.flow_transport` by central differences: column k of the
+    flow's Jacobian is a central difference of `flow_point` with step 1e-6
+    in base coordinate k of (t, x), the others held, and
+    v~ = (dPhiM/dt + dPhiM/dx v)(dPhiT/dt + dPhiT/dx v)^-1.  The reference
+    for the variational equations."""
+    p, step = u.p, 1e-6
     t_new, x_new = flow_point(X, u.t, u.x, eps, substeps)
-    Jtt = np.empty((p, p)); Jtx = np.empty((p, n))
-    Jxt = np.empty((n, p)); Jxx = np.empty((n, n))
-    for a in range(p):
-        dt = np.zeros(p); dt[a] = fd_step
-        tp_, xp_ = flow_point(X, u.t + dt, u.x, eps, substeps)
-        tm_, xm_ = flow_point(X, u.t - dt, u.x, eps, substeps)
-        Jtt[:, a] = (tp_ - tm_) / (2 * fd_step)
-        Jxt[:, a] = (xp_ - xm_) / (2 * fd_step)
-    for i in range(n):
-        dx = np.zeros(n); dx[i] = fd_step
-        tp_, xp_ = flow_point(X, u.t, u.x + dx, eps, substeps)
-        tm_, xm_ = flow_point(X, u.t, u.x - dx, eps, substeps)
-        Jtx[:, i] = (tp_ - tm_) / (2 * fd_step)
-        Jxx[:, i] = (xp_ - xm_) / (2 * fd_step)
-    denom = Jtt + Jtx @ u.v
-    v_new = (Jxt + Jxx @ u.v) @ np.linalg.inv(denom)
+    y = np.concatenate([u.t, u.x])
+    J = np.empty((y.size, y.size))      # [component of (PhiT, PhiM), coordinate k]
+    for k in range(y.size):
+        plus, minus = y.copy(), y.copy()
+        plus[k] += step
+        minus[k] -= step
+        tp, xp = flow_point(X, plus[:p], plus[p:], eps, substeps)
+        tm, xm = flow_point(X, minus[:p], minus[p:], eps, substeps)
+        J[:p, k] = (tp - tm) / (2 * step)
+        J[p:, k] = (xp - xm) / (2 * step)
+    denom = J[:p, :p] + J[:p, p:] @ u.v
+    v_new = (J[p:, :p] + J[p:, p:] @ u.v) @ np.linalg.inv(denom)
     return JetPoint(t_new, x_new, v_new)
 
 
 def fd_spray_gradient(s, u, eps: float = 1e-6) -> np.ndarray:
     """Centered differences of spray coefficients in the jet coordinates."""
-    from jetflow.jetspace import JetPoint
     out = np.zeros((s.n, s.p, s.p, s.n, s.p))
     for k in range(s.n):
         for g in range(s.p):
@@ -204,7 +216,6 @@ def reference_affine_ode(pair, x0, v0, t_span, steps):
     """(ts, xs, vs) of classic RK4 for x'' = -2 (G + H)^{(i)}_{(1)1} on numpy
     vectors, each right-hand side a JetPoint through the sprays'
     `coefficients`; the reference for the float loop of `solve_affine_ode`."""
-    from jetflow.jetspace import JetPoint
     n = pair.temporal.n
     t0, t1 = float(t_span[0]), float(t_span[1])
     dt = (t1 - t0) / steps

@@ -499,6 +499,21 @@ def test_trig_of_an_overflowed_value_exits_one(tmp_path):
         assert "Traceback" not in r.stderr and f"error: {error}" in r.stderr
 
 
+def test_domain_error_of_the_flow_transport_alone_exits_one(tmp_path):
+    """sqrt(exp(-1000 - x1^2)) is sqrt(0.0) = 0 at every jet, but its
+    x1-derivative divides by 2 sqrt(0.0): the transport's variational
+    equations raise the domain error, a numerical failure (exit 1)."""
+    error = "domain error: division by zero"
+    payload = {"dimensions": {"p": 1, "n": 1},
+               "metrics": {"temporal": "euclidean:1", "spatial": "euclidean:1"},
+               "prolong": {"fields": [{"name": "flat", "temporal": ["1"],
+                                       "spatial": ["sqrt(exp(-1000 - x1^2))"]}]}}
+    r = run_cli("prolong", write_scenario(tmp_path, payload))
+    assert r.returncode == 1, r.stderr
+    assert json.loads(r.stdout) == {"command": "prolong", "status": "error", "error": error}
+    assert "Traceback" not in r.stderr and f"error: {error}" in r.stderr
+
+
 HARMONIC_DIVERGES = {
     "dimensions": {"p": 2, "n": 2},
     "metrics": {"temporal": "conformal2d:0.3*t1 - 0.2*t2",

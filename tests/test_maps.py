@@ -31,6 +31,7 @@ from jetflow.sprays import (
     SprayPair,
     canonical_pair,
     canonical_spatial,
+    canonical_temporal,
     combine_sprays,
     h_trace,
     spray_from_hspray,
@@ -148,6 +149,23 @@ def test_harmonic_residual_needs_h_of_the_maps_dimension():
         harmonic_residual(SmoothMap(1, MAPS_BY_P[1]), canonical_pair(h1, phi), h2, np.zeros(1))
     with pytest.raises(MapError, match="temporal metric of dimension p = 2"):
         harmonic_residual(SmoothMap(2, MAPS_BY_P[2]), canonical_pair(h2, phi), h1, np.zeros(2))
+
+
+def test_harmonic_residual_needs_a_pair_on_the_maps_jet_space():
+    """A pair of the wrong (p, n) would feed its table the map's jet; a pair
+    whose two sprays live on different jet spaces has no one (p, n)."""
+    h1, phi = metric_from_name("exp1d"), metric_from_name("sphere:2")
+    h2 = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
+    with pytest.raises(MapError, match=r"pair at \(p, n\) = \(1, 2\) does not match "
+                                       r"the map at \(p, n\) = \(2, 2\)"):
+        harmonic_residual(SmoothMap(2, MAPS_BY_P[2]), canonical_pair(h1, phi), h2, np.zeros(2))
+    with pytest.raises(MapError, match=r"pair at \(p, n\) = \(2, 2\) does not match "
+                                       r"the map at \(p, n\) = \(2, 1\)"):
+        harmonic_residual(SmoothMap(2, ["t1*t2"]), canonical_pair(h2, phi), h2, np.zeros(2))
+    mixed = SprayPair(canonical_temporal(h1, 2), canonical_spatial(phi, 2))
+    with pytest.raises(MapError, match=r"mixes jet spaces: temporal spray at \(p, n\) = "
+                                       r"\(1, 2\), spatial spray at \(2, 2\)"):
+        harmonic_residual(SmoothMap(2, MAPS_BY_P[2]), mixed, h2, np.zeros(2))
 
 
 def test_straight_lines_solve_the_flat_equations():
@@ -466,6 +484,15 @@ def test_grid_solver_validates_inputs():
         solve_harmonic_grid(pair2, phi2, f)
     with pytest.raises(MapError, match="at least 3"):
         solve_harmonic_grid(pair2, h2, f, m=2)
+    with pytest.raises(MapError, match=r"does not match the boundary map at \(p, n\) = \(2, 2\)"):
+        solve_harmonic_grid(pair2, h2, SmoothMap(2, ["0", "t1"]))
+    mixed = SprayPair(canonical_temporal(h2, 2), canonical_spatial(phi2, 2))
+    with pytest.raises(MapError, match="mixes jet spaces"):
+        solve_harmonic_grid(mixed, h2, f)
+    # one value per point would broadcast over both components of a 2-d target
+    pair22, h22, _ = _flat_pair(2, 2)
+    with pytest.raises(MapError, match=r"boundary values need shape \(2,\), not \(1,\)"):
+        solve_harmonic_grid(pair22, h22, lambda t: np.array([t[0]]), m=5)
 
 
 def test_grid_solver_with_callable_boundary():

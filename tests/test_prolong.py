@@ -14,7 +14,6 @@ from jetflow.prolong import (
     ProlongError,
     adapted_t_derivative,
     adapted_x_derivative,
-    flow_point,
     flow_transport,
     horizontal_lift,
     olver_prolong,
@@ -26,7 +25,8 @@ from jetflow.prolong import (
 from jetflow.sprays import zero_spray
 from jetflow.verify import default_prolong_fields
 
-from helpers import catalog, jets_in, reference_flow_transport, standard_metrics
+from helpers import (catalog, flow_point, jets_in, reference_flow_transport,
+                     standard_metrics)
 
 
 # --- total derivative ----------------------------------------------------------
@@ -89,9 +89,17 @@ def test_packed_layout():
 
 
 def test_constant_field_flow_transport_is_exact():
+    """A constant field translates (t, x) and leaves the jet matrix as it
+    was: its variational equations have zero slope."""
     X = BaseVectorField(2, 2, ["0.3", "-0.1"], ["0.7", "0.2"])
     jets = jets_in(np.random.default_rng(92), 2, 2, count=4)
     assert prolongation_flow_error(X, jets, eps=0.05) < 1e-8
+    for u in jets:
+        w = flow_transport(X, u, 0.05)
+        t, x = flow_point(X, u.t, u.x, 0.05)
+        assert np.array_equal(w.t, t) and np.array_equal(w.x, x)
+        assert np.array_equal(w.v, u.v)
+        assert np.max(np.abs(w.x - (u.x + 0.05 * np.array([0.7, 0.2])))) < 1e-14
 
 
 def test_flow_difference_converges_at_second_order():
@@ -128,19 +136,35 @@ def test_flow_transport_matches_jet_lift_of_flowed_graph():
     assert np.max(np.abs(w.v - q.v)) < 1e-3
 
 
-@pytest.mark.parametrize("p,n", [(1, 2), (2, 1), (2, 2)])
-def test_flow_transport_equals_the_block_by_block_reference(p, n):
-    """One loop over the p + n base coordinates fills the flow's Jacobian
-    as its four blocks d(t~, x~)/d(t, x) would, bit for bit, at p != n too,
-    where the two off-diagonal blocks differ in shape."""
+@pytest.mark.parametrize("p,n", [(2, 2), (1, 2), (2, 1), (1, 1)])
+def test_flow_transport_matches_the_difference_reference(p, n):
+    """The variational equations give the flow's Jacobian on the jet's
+    directions that central differences of the flow approximate, at
+    p != n too, where d(t~, x~)/d(t, x) has blocks of different shapes;
+    the flowed base point is the plain flow's, bit for bit."""
     h, phi = standard_metrics(p, n)
     jets = jets_in(np.random.default_rng(94 + 3 * p + n), p, n, h, phi, count=3)
     for X in default_prolong_fields(p, n):
         for u in jets:
             for eps in (0.02, -0.01):
                 got, want = flow_transport(X, u, eps), reference_flow_transport(X, u, eps)
-                for a, b in ((got.t, want.t), (got.x, want.x), (got.v, want.v)):
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), X.name
+                assert got.t.tobytes() == want.t.tobytes(), X.name
+                assert got.x.tobytes() == want.x.tobytes(), X.name
+                assert got.v.shape == want.v.shape
+                assert np.max(np.abs(got.v - want.v)) < 1e-8, X.name
+
+
+def test_tangent_only_domain_error_raises():
+    """sqrt(x1) is finite at x1 = 0, where its derivative divides by zero:
+    the plain flow runs, the transport raises the derivative's error."""
+    X = BaseVectorField(1, 1, ["1"], ["sqrt(x1)"])
+    u = JetPoint(np.array([0.0]), np.array([0.0]), np.array([[0.5]]))
+    assert np.array_equal(flow_point(X, u.t, u.x, 0.01)[1], u.x)
+    with pytest.raises(ExprError) as want:
+        diff(parse("sqrt(x1)"), "x1").eval({"t1": 0.0, "x1": 0.0})
+    with pytest.raises(ExprError) as got:
+        flow_transport(X, u, 0.01)
+    assert str(got.value) == str(want.value)
 
 
 # --- compiled fields against the tree interpreter --------------------------------
@@ -155,7 +179,8 @@ def _interpreted(X, t, x):
 
 
 def _interpreted_flow(X, t, x, eps, substeps=16):
-    """RK4 on numpy arrays over Expr.eval, in the operation order of flow_point."""
+    """RK4 on numpy arrays over Expr.eval, in the operation order of the
+    generated flow loop."""
     y = np.concatenate([np.asarray(t, float), np.asarray(x, float)])
     p = X.p
     ds = eps / substeps
@@ -177,7 +202,7 @@ ORACLE_FIELDS = default_prolong_fields(2, 2) + [
                     ["sqrt(1 + x2^2)*t2", "0.2*exp(t1)*x1/(2 + sin(x2))"],
                     name="exp-log-sqrt"),
 ]
-# the generated flow loop unrolls over the p + n state entries
+# the generated flow loop unrolls over the p + n + (p + n)p state entries
 SHAPED_FIELDS = [
     *default_prolong_fields(1, 3), *default_prolong_fields(3, 1),
     BaseVectorField(1, 3, ["0.2*x1*x3 + sin(t1)"],
@@ -199,9 +224,9 @@ def test_compiled_field_and_flow_match_interpreter_bit_for_bit(X):
         for got, want in zip(X(u.t, u.x), _interpreted(X, u.t, u.x)):
             assert np.array_equal(got, want)
         for eps in (0.02, -0.01):
-            got = flow_point(X, u.t, u.x, eps)
+            got = flow_transport(X, u, eps)
             want = _interpreted_flow(X, u.t, u.x, eps)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(got.t, want[0]) and np.array_equal(got.x, want[1])
 
 
 @pytest.mark.parametrize("comp,x1", [("log(x1)", -1.0), ("sqrt(x1)", -0.5),
@@ -214,7 +239,7 @@ def test_compiled_field_raises_the_interpreters_domain_error(comp, x1):
         X(np.array([0.0]), np.array([x1]))
     assert str(got.value) == str(want.value)
     with pytest.raises(ExprError) as flowed:
-        flow_point(X, np.array([0.0]), np.array([x1]), 0.01)
+        flow_transport(X, JetPoint(np.array([0.0]), np.array([x1]), np.array([[0.5]])), 0.01)
     assert str(flowed.value) == str(want.value)
 
 

@@ -18,9 +18,10 @@ from jetflow import exprlang, maps, numdiff as nd, sprays
 from jetflow.exprlang import (DET_TOL, WALK_CALLS, ExprError, Num, compile_floats, compile_rk4,
                               compile_table, diff, free_vars, parse, table_columns)
 from jetflow.geometry import GeometryError, Metric, metric_from_name
+from jetflow.jetspace import JetPoint
 from jetflow.maps import solve_affine_ode
 from jetflow.numdiff import spatial_names, temporal_names
-from jetflow.prolong import BaseVectorField, flow_point, pushforward
+from jetflow.prolong import BaseVectorField, flow_transport, pushforward
 from jetflow.scenario import load_scenario
 from jetflow.verify import run_verify
 from jetflow.connection import (canonical_connection, connection_from_sprays,
@@ -224,8 +225,8 @@ def test_degenerate_metric_raises_from_both_tiers(kind):
 def test_solver_loops_compile_once_and_never_walk(monkeypatch):
     """Both RK4 solvers run one generated loop that calls one float table:
     two geodesic solves on one spray pair build one table and one loop, two
-    flows of one field build one table and one loop, and neither compiles
-    or walks any other table."""
+    flow transports of one field build one table and one loop, and neither
+    compiles or walks any other table."""
     walks, built = [], []
     real_walk, real_define = exprlang.evaluate_table, exprlang._define
     monkeypatch.setattr(exprlang, "evaluate_table",
@@ -240,7 +241,8 @@ def test_solver_loops_compile_once_and_never_walk(monkeypatch):
     assert built == loop and not walks                   # one loop per spray pair
     X = BaseVectorField(2, 2, *FIELDS["exp-log-sqrt"])
     for eps in (0.01, -0.02):
-        flow_point(X, np.array([0.1, 0.2]), np.array([0.3, 0.4]), eps)
+        flow_transport(X, JetPoint(np.array([0.1, 0.2]), np.array([0.3, 0.4]),
+                                   np.array([[0.5, -0.2], [0.1, 0.3]])), eps)
     assert built == loop * 2 and not walks
 
 
