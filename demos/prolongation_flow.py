@@ -36,7 +36,7 @@ u = jets[0]
 pr = olver_prolong(X)
 print("== first-order prolongation at one jet ==")
 print(f"  jet: t={u.t}, x={u.x}, v={u.v.ravel()}")
-print(f"  packed pr X = {np.round(pr.packed(u), 6)}")
+print(f"  packed pr X = {np.round(pr.at(u), 6)}")
 
 print("\n== flow-transport convergence (ratio should be near 4) ==")
 for eps in (0.04, 0.02, 0.01):

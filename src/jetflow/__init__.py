@@ -32,7 +32,7 @@ from .maps import (GridSolution, MapError, OdeSolution, SmoothMap,
                    affine_residual, harmonic_residual, metric_laplacian,
                    poisson_residual, solve_affine_ode, solve_harmonic_grid,
                    spray_source)
-from .prolong import (BaseVectorField, JetVectorField, ProlongError,
+from .prolong import (BaseVectorField, ProlongError,
                       flow_transport, horizontal_lift, olver_prolong,
                       prolongation_flow_error, pushforward, total_derivative,
                       vertical_gap_field)
@@ -72,7 +72,7 @@ __all__ = [
     "metric_laplacian", "spray_source", "poisson_residual",
     "OdeSolution", "solve_affine_ode", "GridSolution", "solve_harmonic_grid",
     # prolongation
-    "BaseVectorField", "JetVectorField", "ProlongError", "total_derivative",
+    "BaseVectorField", "ProlongError", "total_derivative",
     "olver_prolong", "pushforward", "flow_transport", "prolongation_flow_error",
     "horizontal_lift", "vertical_gap_field",
     # scenarios and verification

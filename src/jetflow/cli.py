@@ -81,9 +81,11 @@ def _cmd_geodesic(sc: Scenario, args) -> int:
     pair = canonical_pair(sc.temporal_metric, sc.spatial_metric)
     sol = solve_affine_ode(pair, x0, v0, tuple(section["t_span"]), section["steps"])
 
+    # the conserved energy density h^11 g(v, v); euclidean:1's h^11 is the literal 1
     phi = sc.spatial_metric
     g = phi.components_batch(sol.xs)
-    energies = np.einsum("kij,ki,kj->k", g, sol.vs, sol.vs)
+    h11 = sc.temporal_metric.inverse_batch(sol.ts[:, None])[:, 0, 0]
+    energies = h11 * np.einsum("kij,ki,kj->k", g, sol.vs, sol.vs)
     report = {
         "command": "geodesic",
         "metrics": {"temporal": sc.temporal_metric.name, "spatial": phi.name},

@@ -12,6 +12,10 @@ or spatial according to its first letter (a..h temporal, i..z spatial, the
 usual alphabet conventions).  For a vertical pair the variance letter
 refers to the spatial member: "U(i,a)" is the kind with upper spatial and
 lower temporal index (the Liouville field's slot), "L(i,a)" the dual kind.
+
+A field's components are one `jetspace.JetTable` of the signature's
+shape; a derived field (a spray difference, the vertical gap of a
+prolongation) builds its entries from its parts' entries.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import Expr, partials
+from .exprlang import Expr, mul, num, partials, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jacobian_blocks, jet_names
 from .jetspace import JetPoint, JetTable, jet_pullback, transform_jet
@@ -29,8 +33,7 @@ from .jetspace import JetPoint, JetTable, jet_pullback, transform_jet
 __all__ = [
     "SignatureError", "IndexSignature", "DTensorField", "Verdict",
     "transform_components", "law_check", "is_dtensor",
-    "liouville_c", "liouville_c_field", "liouville_l", "liouville_l_field",
-    "normalization_j", "normalization_j_field",
+    "liouville_c_field", "liouville_l_field", "normalization_j_field",
     "lagrangian_metric_field",
 ]
 
@@ -107,20 +110,26 @@ def _slot_factors(sig: IndexSignature, blocks) -> list[np.ndarray]:
 class DTensorField:
     """Component field of a candidate d-tensor.
 
-    `components` evaluates the chart-native components at a jet point.  When
-    the defining formula involves chart-dependent ingredients (a metric, a
-    Lagrangian, a spray), `rebuild` produces the native field of the target
-    chart of a change (`in_chart`); a None `rebuild` means the same formula in
-    every chart.  A derived field's native form is its constructor on its
-    parts' native forms, so a part with none raises its own error.
+    `table` holds the chart-native components as symbolic entries over the
+    jet variables (`jetspace.JetTable`), with the signature's shape, which
+    is checked here, once.  When the defining formula involves
+    chart-dependent ingredients (a metric, a Lagrangian, a spray),
+    `rebuild` produces the native field of the target chart of a change
+    (`in_chart`); a None `rebuild` means the same formula in every chart.
+    A derived field's native form is its constructor on its parts' native
+    forms, so a part with none raises its own error.
     """
 
     name: str
     signature: IndexSignature
-    p: int
-    n: int
-    components: Callable[[JetPoint], np.ndarray]
+    table: JetTable
     rebuild: Callable[[ChangeMap], "DTensorField"] | None = None
+
+    def __post_init__(self):
+        want = self.signature.shape(self.table.p, self.table.n)
+        if self.table.shape != want:
+            raise SignatureError(f"field '{self.name}' has a table of shape "
+                                 f"{self.table.shape}, signature wants {want}")
 
     def in_chart(self, change: ChangeMap) -> "DTensorField":
         if self.rebuild is None:
@@ -128,12 +137,7 @@ class DTensorField:
         return self.rebuild(change)
 
     def __call__(self, u: JetPoint) -> np.ndarray:
-        arr = np.asarray(self.components(u), dtype=float)
-        want = self.signature.shape(self.p, self.n)
-        if arr.shape != want:
-            raise SignatureError(
-                f"field '{self.name}' produced shape {arr.shape}, signature wants {want}")
-        return arr
+        return self.table.at(u)
 
 
 def transform_components(f: DTensorField, change: ChangeMap, u: JetPoint) -> np.ndarray:
@@ -199,44 +203,41 @@ def is_dtensor(f: DTensorField, changes: Sequence[ChangeMap], jets: Sequence[Jet
 # canonical d-tensors
 
 
-def liouville_c(u: JetPoint) -> np.ndarray:
-    """Components C^{(i)}_{(a)} = x^i_a, fused vertical axis."""
-    return u.v.reshape(u.n * u.p).copy()
-
-
 def liouville_c_field(p: int, n: int) -> DTensorField:
-    return DTensorField("liouville-c", IndexSignature.parse("U(i,a)"), p, n,
-                        liouville_c)
-
-
-def liouville_l(h: Metric, u: JetPoint) -> np.ndarray:
-    """Components L^{(i)}_{(a)bc} = h_bc x^i_a."""
-    hm = h.components_batch(u.t)[0]
-    return np.einsum("ia,bc->iabc", u.v, hm).reshape(u.n * u.p, u.p, u.p)
+    """Components C^{(i)}_{(a)} = x^i_a, fused vertical axis."""
+    return DTensorField("liouville-c", IndexSignature.parse("U(i,a)"),
+                        JetTable(p, n, (n * p,), [], lambda: [var(v) for v in jet_names(n, p)]))
 
 
 def liouville_l_field(h: Metric, n: int) -> DTensorField:
+    """Components L^{(i)}_{(a)bc} = h_bc x^i_a."""
     if h.kind != "temporal":
         raise SignatureError("liouville_l expects a temporal metric")
+    p, hc = h.dim, h.components
+
+    def entries() -> list[Expr]:
+        return [mul(var(v), hc[b][c]) for v in jet_names(n, p)
+                for b in range(p) for c in range(p)]
+
     return DTensorField(
-        "liouville-l", IndexSignature.parse("U(i,a);L(b);L(c)"), h.dim, n,
-        lambda u: liouville_l(h, u),
+        "liouville-l", IndexSignature.parse("U(i,a);L(b);L(c)"),
+        JetTable(p, n, (n * p, p, p), [], entries),
         rebuild=lambda c: liouville_l_field(pullback_metric(h, c), n))
 
 
-def normalization_j(h: Metric, n: int, u: JetPoint) -> np.ndarray:
-    """Components J^{(i)}_{(a)bj} = h_ab delta^i_j."""
-    hm = h.components_batch(u.t)[0]
-    p = h.dim
-    return np.einsum("ab,ij->iabj", hm, np.eye(n)).reshape(n * p, p, n)
-
-
 def normalization_j_field(h: Metric, n: int) -> DTensorField:
+    """Components J^{(i)}_{(a)bj} = h_ab delta^i_j."""
     if h.kind != "temporal":
         raise SignatureError("normalization_j expects a temporal metric")
+    p, hc = h.dim, h.components
+
+    def entries() -> list[Expr]:
+        return [hc[a][b] if i == j else num(0.0) for i in range(n) for a in range(p)
+                for b in range(p) for j in range(n)]
+
     return DTensorField(
-        "h-normalization-j", IndexSignature.parse("U(i,a);L(b);L(j)"), h.dim, n,
-        lambda u: normalization_j(h, n, u),
+        "h-normalization-j", IndexSignature.parse("U(i,a);L(b);L(j)"),
+        JetTable(p, n, (n * p, p, n), [], entries),
         rebuild=lambda c: normalization_j_field(pullback_metric(h, c), n))
 
 
@@ -249,14 +250,9 @@ def lagrangian_metric_field(L: Expr, p: int, n: int) -> DTensorField:
     """Vertical metric G_{(i)(j)}^{(a)(b)} = (1/2) d^2 L / dx^i_a dx^j_b.
 
     The Hessian is built once per chart, on first use, by the memoised
-    `diff` and evaluated as one `JetTable`."""
-    size = n * p
-    table = JetTable(p, n, (size, size), [],
-                     lambda: [e for row in _hessian_exprs(L, p, n) for e in row])
-
-    def comps(u: JetPoint) -> np.ndarray:
-        return 0.5 * table.at(u)
-
+    `diff`, and the factor 1/2 is part of each entry."""
     return DTensorField(
-        "lagrangian-metric", IndexSignature.parse("L(i,a);L(j,b)"), p, n, comps,
+        "lagrangian-metric", IndexSignature.parse("L(i,a);L(j,b)"),
+        JetTable(p, n, (n * p, n * p), [],
+                 lambda: [mul(num(0.5), e) for row in _hessian_exprs(L, p, n) for e in row]),
         rebuild=lambda c: lagrangian_metric_field(jet_pullback(L, c, p, n), p, n))

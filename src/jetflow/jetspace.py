@@ -7,8 +7,9 @@ spatial index, column = temporal index).  Product chart changes act by
 
 and the natural frame / coframe of the jet space transforms by block
 matrices of size (p + n + n*p)^2 whose vertical axis is fused with index
-i*p + a.  Every table of functions on the jet space, from sprays to the
-harmonic residual, is one `JetTable`.
+i*p + a.  Every table of functions on the jet space, from sprays, d-tensor
+fields and prolonged vector fields to the harmonic residual, is one
+`JetTable`.
 """
 
 from __future__ import annotations

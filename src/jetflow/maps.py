@@ -99,6 +99,7 @@ class SmoothMap:
 
 def affine_residual(f: SmoothMap, pair: SprayPair, t: np.ndarray) -> np.ndarray:
     """(n, p, p) array; zero exactly when f solves the affine map equation."""
+    _check_pair(pair, f, "map")
     u = f.jet_lift(t)
     S = pair.spatial.coefficients(u) + pair.temporal.coefficients(u)
     return f.second_derivatives(t) + (S + S.transpose(0, 2, 1))
@@ -222,9 +223,9 @@ def solve_affine_ode(pair: SprayPair, x0: np.ndarray, v0: np.ndarray,
     that calls one compiled right-hand side per stage (`_geodesic_loop`).  A
     non-finite stage input stops the solve with MapError before the sprays
     see it, and so does a non-finite final state."""
-    if pair.temporal.p != 1:
+    p, n = _pair_shape(pair)
+    if p != 1:
         raise MapError("the ODE solver handles one temporal dimension")
-    n = pair.temporal.n
     x = np.asarray(x0, dtype=float).tolist()
     v = np.asarray(v0, dtype=float).tolist()
     t0, t1 = float(t_span[0]), float(t_span[1])

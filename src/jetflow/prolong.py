@@ -8,33 +8,34 @@ first jet space with vertical components
     D_a f = @f/@t^a + x^j_a @f/@x^j,
 
 so that the prolongation is the infinitesimal generator of the jet lift of
-the flow of X.  The module also provides the flow transport used to verify
-that statement numerically: the flow of X and its variational equations
-(the flow's Jacobian applied to the jet's p tangent directions) run as one
-generated RK4 loop of p + n + (p + n)p states per field
+the flow of X.  The prolongation, the horizontal lift through a nonlinear
+connection and the vertical gap between them (a d-tensor field) are each
+one `jetspace.JetTable` of symbolic entries, built from the field's
+Jacobian by one total derivative (`_total`) and from the connection's
+entries; the total and adapted derivatives of a function evaluate one
+table too.  The flow transport that verifies the prolongation runs the
+flow of X and its variational equations (the flow's Jacobian on the jet's
+p tangent directions) as one generated RK4 loop per field
 (`exprlang.compile_rk4`); the tests keep central differences of the flow
-as its reference.  It also provides the horizontal lift through a
-nonlinear connection, and the vertical gap between prolongation and
-horizontal lift (a d-tensor field).
+as its reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import (Expr, compile_floats, compile_rk4, compile_table, foreign_vars, mul,
-                       parse, partials, subst, total, var)
+from .exprlang import (Expr, add, compile_floats, compile_rk4, compile_table, foreign_vars,
+                       mul, neg, parse, partials, sub, subst, total, var)
 from .dtensor import DTensorField, IndexSignature
 from .connection import NonlinearConnection
-from .numdiff import ChangeMap, jet_names, spatial_names, temporal_names
+from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
 from .jetspace import JetPoint, JetTable, frame_size
 
 __all__ = [
-    "ProlongError", "BaseVectorField", "JetVectorField",
+    "ProlongError", "BaseVectorField",
     "total_derivative", "olver_prolong", "pushforward",
     "flow_transport", "prolongation_flow_error",
     "horizontal_lift", "vertical_gap_field",
@@ -46,24 +47,25 @@ class ProlongError(ValueError):
     pass
 
 
-def _total_derivatives(rows: Sequence[tuple], u: JetPoint) -> np.ndarray:
-    """D_a f = @f/@t^a + x^j_a @f/@x^j for each row of partials
-    (@f/@t^1..@f/@t^p, @f/@x^1..@f/@x^n); shape (rows, p)."""
-    p = u.p
-    return np.array([np.array(row[:p]) + u.v.T @ np.array(row[p:]) for row in rows])
+def _total(row: Sequence[Expr], p: int, n: int) -> list[Expr]:
+    """D_a f = @f/@t^a + x^j_a @f/@x^j for a = 1..p, from the partials row
+    (@f/@t^1..@f/@t^p, @f/@x^1..@f/@x^n), summed left to right."""
+    return [total([row[a], *(mul(var(jet_name(j + 1, a + 1)), row[p + j]) for j in range(n))])
+            for a in range(p)]
 
 
 class BaseVectorField:
     """Vector field on the product manifold: p temporal and n spatial
     component expressions, each in the variables t1..tp, x1..xn.
 
-    Numeric values come from two compiled tables (`compile_table`), each
-    built on first use: the p + n components, and their first partials.
-    Its flow, with the variational equations of the p directions that a
-    jet transports, runs as one generated RK4 loop (`compile_rk4`), also
-    built on first use, that calls one compiled float table once per
-    stage.  All run on Python floats, so the components, and the flowed
-    (t, x), agree bit for bit with `Expr.eval`.
+    Its components are one compiled table (`compile_table`), built on first
+    use.  Its flow, with the variational equations of the p directions
+    that a jet transports, runs as one generated RK4 loop (`compile_rk4`),
+    also built on first use, that calls one compiled float table once per
+    stage.  Both run on Python floats, so the components, and the flowed
+    (t, x), agree bit for bit with `Expr.eval`.  The symbolic Jacobian
+    (`_jacobian`) is shared by the loop and the prolongation
+    (`olver_prolong`), which is built once per field.
     """
 
     def __init__(self, p: int, n: int, temporal: Sequence[Expr | str],
@@ -78,6 +80,7 @@ class BaseVectorField:
         if found:
             raise ProlongError(f"component references foreign variables {found[1]}")
         self._pushed: dict[ChangeMap, BaseVectorField] = {}   # see pushforward
+        self._prolongation: JetTable | None = None            # see olver_prolong
 
     @property
     def variables(self) -> list[str]:
@@ -108,19 +111,6 @@ class BaseVectorField:
                              ["s", *self.variables, *(name for row in w for name in row)])
         return compile_rk4(m + m * p, rhs)
 
-    @cached_property
-    def _gradients(self) -> Callable[..., list[tuple]]:
-        """The values of `_jacobian`, one tuple of floats per component, as a
-        function of t1..tp, x1..xn."""
-        m = len(self.variables)
-        kernel = compile_table([d for row in self._jacobian for d in row], self.variables)
-
-        def at(*values: float) -> list[tuple]:
-            out = kernel(*values)
-            return [out[k:k + m] for k in range(0, len(out), m)]
-
-        return at
-
     def __call__(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = self._values(*np.asarray(t, float).tolist(), *np.asarray(x, float).tolist())
         return np.array(out[:self.p]), np.array(out[self.p:])
@@ -128,51 +118,30 @@ class BaseVectorField:
 
 def total_derivative(f: Expr | str, u: JetPoint) -> np.ndarray:
     """D_a f = @f/@t^a + x^j_a @f/@x^j for f a function of (t, x), as a (p,)
-    array at the jet point u."""
-    base, _ = _jet_partials(f, temporal_names(u.p) + spatial_names(u.n), u)
-    return _total_derivatives([base], u)[0]
+    array at the jet point u.  A jet variable in f is an error: its D_a
+    would need the second-order jet."""
+    e = parse(f) if isinstance(f, str) else f
+    base = temporal_names(u.p) + spatial_names(u.n)
+    found = foreign_vars([e], base)
+    if found:
+        raise ProlongError(f"total_derivative takes a function of (t, x); f references "
+                           f"foreign variables {found[1]}")
+    return JetTable(u.p, u.n, (u.p,), [], lambda: _total(partials([e], base)[0], u.p, u.n)).at(u)
 
 
-@dataclass(frozen=True)
-class JetVectorField:
-    """Vector field on the jet space in natural components: callables for the
-    temporal (p,), spatial (n,) and vertical (n, p) parts."""
-
-    p: int
-    n: int
-    temporal: Callable[[JetPoint], np.ndarray]
-    spatial: Callable[[JetPoint], np.ndarray]
-    vertical: Callable[[JetPoint], np.ndarray]
-    name: str = "jet-vector-field"
-
-    def packed(self, u: JetPoint) -> np.ndarray:
-        """Natural-frame components ordered [t, x, fused vertical i*p+a]."""
-        out = np.empty(frame_size(self.p, self.n))
-        out[:self.p] = self.temporal(u)
-        out[self.p:self.p + self.n] = self.spatial(u)
-        out[self.p + self.n:] = self.vertical(u).reshape(self.n * self.p)
-        return out
-
-
-def _over_base(X: BaseVectorField, vertical: Callable[[JetPoint], np.ndarray],
-               name: str) -> JetVectorField:
-    """The jet field whose temporal and spatial parts are X at the base
-    point of the jet, with the given vertical part."""
-    return JetVectorField(X.p, X.n, lambda u: X(u.t, u.x)[0], lambda u: X(u.t, u.x)[1],
-                          vertical, name=name)
-
-
-def olver_prolong(X: BaseVectorField) -> JetVectorField:
-    """First prolongation: vertical part D_a X^i - (D_a X^b) x^i_b."""
-    p = X.p
-
-    def vertical(u: JetPoint) -> np.ndarray:
-        rows = X._gradients(*u.t.tolist(), *u.x.tolist())
-        Dt = _total_derivatives(rows[:p], u)    # (p, p) [b, a]
-        Dx = _total_derivatives(rows[p:], u)    # (n, p) [i, a]
-        return Dx - u.v @ Dt
-
-    return _over_base(X, vertical, f"pr1[{X.name}]")
+def olver_prolong(X: BaseVectorField) -> JetTable:
+    """First prolongation pr1(X), the table of its natural components
+    [X^a, X^i, X^{(i)}_{(a)}] (vertical index fused as i*p + a) with
+    X^{(i)}_{(a)} = D_a X^i - (D_a X^b) x^i_b.  Built once per field, with
+    its entries, which refer to the field's components, not to the field."""
+    if X._prolongation is None:
+        p, n = X.p, X.n
+        D = [_total(row, p, n) for row in X._jacobian]        # D[k][a] = D_a X^k
+        entries = X.temporal + X.spatial + [
+            sub(D[p + i][a], total(mul(var(jet_name(i + 1, b + 1)), D[b][a]) for b in range(p)))
+            for i in range(n) for a in range(p)]
+        X._prolongation = JetTable(p, n, (frame_size(p, n),), [], lambda: entries)
+    return X._prolongation
 
 
 def pushforward(X: BaseVectorField, change: ChangeMap) -> BaseVectorField:
@@ -223,17 +192,15 @@ def prolongation_flow_error(X: BaseVectorField, jets: Sequence[JetPoint],
                             eps: float, substeps: int = 16) -> float:
     """Max abs difference between the central flow difference
     (transport(+eps) - transport(-eps)) / (2 eps) and the prolongation."""
-    pr = olver_prolong(X)
+    pr, p, m = olver_prolong(X), X.p, X.p + X.n
     worst = 0.0
     for u in jets:
         up = flow_transport(X, u, +eps, substeps)
         um = flow_transport(X, u, -eps, substeps)
-        diff_t = (up.t - um.t) / (2 * eps)
-        diff_x = (up.x - um.x) / (2 * eps)
-        diff_v = (up.v - um.v) / (2 * eps)
-        worst = max(worst, float(np.max(np.abs(diff_t - pr.temporal(u)))))
-        worst = max(worst, float(np.max(np.abs(diff_x - pr.spatial(u)))))
-        worst = max(worst, float(np.max(np.abs(diff_v - pr.vertical(u)))))
+        z = pr.at(u)
+        for moved, want in ((up.t - um.t, z[:p]), (up.x - um.x, z[p:m]),
+                            ((up.v - um.v).ravel(), z[m:])):
+            worst = max(worst, float(np.max(np.abs(moved / (2 * eps) - want))))
     return worst
 
 
@@ -241,33 +208,30 @@ def prolongation_flow_error(X: BaseVectorField, jets: Sequence[JetPoint],
 # horizontal lift and vertical gap
 
 
-def horizontal_lift(X: BaseVectorField, conn: NonlinearConnection) -> JetVectorField:
-    """X^H = X^a d/dt^a + X^i d/dx^i in the adapted frame of conn; vertical
-    natural components -(M^{(j)}_{(b)a} X^a + N^{(j)}_{(b)i} X^i)."""
+def horizontal_lift(X: BaseVectorField, conn: NonlinearConnection) -> JetTable:
+    """X^H = X^a d/dt^a + X^i d/dx^i in the adapted frame of conn, as the
+    table of its natural components [X^a, X^i, vertical] with vertical
+    components -(M^{(j)}_{(b)a} X^a + N^{(j)}_{(b)i} X^i), fused as j*p + b."""
     if (X.p, X.n) != (conn.p, conn.n):
         raise ProlongError("field and connection live on different jet spaces")
+    p, n = X.p, X.n
 
-    def vertical(u: JetPoint) -> np.ndarray:
-        Xt, Xx = X(u.t, u.x)
-        return -(np.einsum("jba,a->jb", conn.M.at(u), Xt)
-                 + np.einsum("jbi,i->jb", conn.N.at(u), Xx))
+    def entries() -> list[Expr]:
+        M, N = conn.M.entries, conn.N.entries
+        return X.temporal + X.spatial + [
+            neg(add(total(mul(M[(j * p + b) * p + a], X.temporal[a]) for a in range(p)),
+                    total(mul(N[(j * p + b) * n + i], X.spatial[i]) for i in range(n))))
+            for j in range(n) for b in range(p)]
 
-    return _over_base(X, vertical, f"horizontal[{X.name}]")
-
-
-_GAP_SIG = IndexSignature.parse("U(i,a)")
+    return JetTable(p, n, (frame_size(p, n),), [*conn.M.guards, *conn.N.guards], entries)
 
 
 def vertical_gap_field(X: BaseVectorField, conn: NonlinearConnection) -> DTensorField:
     """pr1(X) - X^H: purely vertical, and a d-tensor field."""
-    pr = olver_prolong(X)
-    lift = horizontal_lift(X, conn)
-    p, n = X.p, X.n
-
-    def comps(u: JetPoint) -> np.ndarray:
-        return (pr.vertical(u) - lift.vertical(u)).reshape(n * p)
-
-    return DTensorField(f"vertical-gap[{X.name}]", _GAP_SIG, p, n, comps,
+    lift, m = horizontal_lift(X, conn), X.p + X.n
+    entries = lambda: [sub(a, b) for a, b in zip(olver_prolong(X).entries[m:], lift.entries[m:])]
+    return DTensorField(f"vertical-gap[{X.name}]", IndexSignature.parse("U(i,a)"),
+                        JetTable(X.p, X.n, (X.n * X.p,), lift.guards, entries),
                         rebuild=lambda c: vertical_gap_field(pushforward(X, c), conn.in_chart(c)))
 
 
@@ -275,26 +239,28 @@ def vertical_gap_field(X: BaseVectorField, conn: NonlinearConnection) -> DTensor
 # adapted derivatives of jet-space functions
 
 
-def _jet_partials(f: Expr | str, base: Sequence[str],
-                  u: JetPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Partials of a jet-space function at u: in the base names, as a vector,
-    and in the jet coordinates, as an (n, p) matrix."""
+def _adapted(f: Expr | str, base: list[str], coefficients: JetTable, u: JetPoint) -> np.ndarray:
+    """@f/@y^c - C^{(j)}_{(b)c} @f/@x^j_b at u for the base names y^c, C the
+    (n, p, len(base)) table of connection coefficients."""
     e = parse(f) if isinstance(f, str) else f
-    wrt = [*base, *jet_names(u.n, u.p)]
-    row = JetTable(u.p, u.n, (len(wrt),), [], lambda: partials([e], wrt)[0]).at(u)
-    return row[:len(base)], row[len(base):].reshape(u.n, u.p)
+    p, n, k = coefficients.p, coefficients.n, len(base)
+
+    def entries() -> list[Expr]:
+        row, C = partials([e], [*base, *jet_names(n, p)])[0], coefficients.entries
+        return [sub(row[c], total(mul(C[v * k + c], row[k + v]) for v in range(n * p)))
+                for c in range(k)]
+
+    return JetTable(p, n, (k,), coefficients.guards, entries).at(u)
 
 
 def adapted_t_derivative(f: Expr | str, conn: NonlinearConnection,
                          u: JetPoint) -> np.ndarray:
     """(d/dt^a) f = @f/@t^a - M^{(j)}_{(b)a} @f/@x^j_b for f a function of
     the jet coordinates, as a (p,) array."""
-    dt, dv = _jet_partials(f, temporal_names(conn.p), u)
-    return dt - np.einsum("jba,jb->a", conn.M.at(u), dv)
+    return _adapted(f, temporal_names(conn.p), conn.M, u)
 
 
 def adapted_x_derivative(f: Expr | str, conn: NonlinearConnection,
                          u: JetPoint) -> np.ndarray:
     """(d/dx^i) f = @f/@x^i - N^{(j)}_{(b)i} @f/@x^j_b, as an (n,) array."""
-    dx, dv = _jet_partials(f, spatial_names(conn.n), u)
-    return dx - np.einsum("jbi,jb->i", conn.N.at(u), dv)
+    return _adapted(f, spatial_names(conn.n), conn.N, u)

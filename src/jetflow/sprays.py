@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dtensor import DTensorField, IndexSignature, Verdict, law_check
-from .exprlang import Expr, mul, num, total, var
+from .exprlang import Expr, mul, num, sub, total, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jet_name
 from .jetspace import JetPoint, JetTable, mixed_jet_derivatives
@@ -264,19 +264,17 @@ def combine_sprays(sprays: Sequence[Spray], weights: Sequence[float]) -> Spray:
 # sprays vs d-tensors
 
 
-_SPRAY_SIG = IndexSignature.parse("U(j,b);L(a)")
-
-
 def spray_difference_field(s1: Spray, s2: Spray, name: str | None = None) -> DTensorField:
     """The difference of two sprays of the same kind, as a d-tensor field."""
     _same_space([s1, s2])
     p, n = s1.p, s1.n
 
-    def comps(u: JetPoint) -> np.ndarray:
-        return (s1.coefficients(u) - s2.coefficients(u)).reshape(n * p, p)
+    def entries() -> list[Expr]:
+        return [sub(a, b) for a, b in zip(s1.tables.entries, s2.tables.entries)]
 
     return DTensorField(
-        name or f"{s1.name}-minus-{s2.name}", _SPRAY_SIG, p, n, comps,
+        name or f"{s1.name}-minus-{s2.name}", IndexSignature.parse("U(j,b);L(a)"),
+        JetTable(p, n, (n * p, p), [*s1.tables.guards, *s2.tables.guards], entries),
         rebuild=lambda c: spray_difference_field(s1.in_chart(c), s2.in_chart(c), name))
 
 
@@ -284,11 +282,8 @@ def spray_coefficient_field(s: Spray) -> DTensorField:
     """Spray coefficients wrapped as a candidate d-tensor (a negative
     control: the inhomogeneous term makes is_dtensor fail)."""
     p, n = s.p, s.n
-
-    def comps(u: JetPoint) -> np.ndarray:
-        return s.coefficients(u).reshape(n * p, p)
-
-    return DTensorField(f"coefficients[{s.name}]", _SPRAY_SIG, p, n, comps,
+    return DTensorField(f"coefficients[{s.name}]", IndexSignature.parse("U(j,b);L(a)"),
+                        JetTable(p, n, (n * p, p), s.tables.guards, lambda: s.tables.entries),
                         rebuild=lambda c: spray_coefficient_field(s.in_chart(c)))
 
 

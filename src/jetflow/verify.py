@@ -222,8 +222,8 @@ def _suite_prolong(sc: Scenario, tol: float) -> list[dict]:
 
     pr = olver_prolong(fields[0])
     out.append(_verdict_check("prolongation-chart-equivariance", law_check(
-        lambda c, u: natural_frame_change(c, u).T @ pr.packed(u),
-        lambda c: olver_prolong(pushforward(fields[0], c)).packed, changes, jets, tol)))
+        lambda c, u: natural_frame_change(c, u).T @ pr.at(u),
+        lambda c: olver_prolong(pushforward(fields[0], c)).at, changes, jets, tol)))
     return out
 
 

@@ -164,6 +164,24 @@ def reference_flow_transport(X, u, eps: float, substeps: int = 16):
     return JetPoint(t_new, x_new, v_new)
 
 
+def reference_prolongation(X, u) -> np.ndarray:
+    """pr1(X) at the jet u as its natural components [X^a, X^i, X^{(i)}_{(a)}]
+    (vertical fused as i*p + a) by the numeric formula: the components and
+    their partials by the tree interpreter, then D_a f = @f/@t^a +
+    x^j_a @f/@x^j and X^{(i)}_{(a)} = D_a X^i - (D_a X^b) x^i_b on numpy
+    arrays, as Dx - v @ Dt.  The reference for the symbolic
+    `prolong.olver_prolong`."""
+    from jetflow.exprlang import diff
+    from jetflow.jetspace import jet_env
+
+    env, p = jet_env(u), u.p
+    comps = X.temporal + X.spatial
+    values = np.array([e.eval(env) for e in comps])
+    J = np.array([[diff(e, v).eval(env) for v in X.variables] for e in comps])
+    D = J[:, :p] + J[:, p:] @ u.v                   # D[k, a] = D_a X^k
+    return np.concatenate([values, (D[p:] - u.v @ D[:p]).ravel()])
+
+
 def fd_spray_gradient(s, u, eps: float = 1e-6) -> np.ndarray:
     """Centered differences of spray coefficients in the jet coordinates."""
     out = np.zeros((s.n, s.p, s.p, s.n, s.p))

@@ -119,6 +119,27 @@ def test_verify_with_no_applicable_change_kind_exits_two(tmp_path):
     assert "error: scenario error at '/changes/kinds'" in r.stderr
 
 
+def test_geodesic_energy_on_a_curved_temporal_metric_drifts_at_fourth_order(tmp_path):
+    """With h = exp1d the conserved energy density is h^11 g(v, v): the
+    report's drift falls like the RK4 error, about 16x per halving of the
+    step (g(v, v) alone changes by O(1) along the same geodesic)."""
+    from jetflow.cli import main
+
+    drifts = []
+    for steps in (200, 400, 800):
+        payload = {"dimensions": {"p": 1, "n": 2},
+                   "metrics": {"temporal": "exp1d", "spatial": "hyperbolic:2"},
+                   "geodesic": {"x0": [0.3, 1.0], "v0": [0.5, 0.4], "t_span": [-0.5, 1.0],
+                                "steps": steps}}
+        report = tmp_path / f"report-{steps}.json"
+        assert main(["geodesic", write_scenario(tmp_path, payload, f"scenario-{steps}.json"),
+                     "--output", str(report)]) == 0
+        drifts.append(json.loads(report.read_text())["energy"]["max_drift"])
+    assert drifts[0] < 1e-8
+    for coarse, fine in zip(drifts, drifts[1:]):
+        assert 14.0 <= coarse / fine <= 18.0, drifts
+
+
 def test_missing_file_exits_two(tmp_path):
     r = run_cli("verify", str(tmp_path / "nope.json"))
     assert r.returncode == 2 and "cannot read scenario" in r.stderr

@@ -22,11 +22,19 @@ from jetflow.dtensor import (
     normalization_j_field,
     transform_components,
 )
-from jetflow.exprlang import mul, num
+from jetflow.exprlang import mul, num, var
 from jetflow.geometry import energy_density, metric_from_name
-from jetflow.jetspace import JetPoint, random_jet, transform_jet
+from jetflow.jetspace import JetPoint, JetTable, random_jet
 
 from helpers import catalog, jets_in, standard_metrics
+
+
+def _constant(name, text, p, n, arr):
+    """A field of signature `text` whose table holds the entries of `arr`
+    as literals, the same at every jet."""
+    entries = [num(float(c)) for c in np.ravel(arr)]
+    return DTensorField(name, IndexSignature.parse(text),
+                        JetTable(p, n, np.shape(arr), [], lambda: entries))
 
 
 # --- signatures -----------------------------------------------------------------
@@ -70,8 +78,7 @@ def test_transform_components_matches_manual_contraction():
     u = random_jet(rng, 2, 2)
     blocks = nd.jacobian_blocks(c, u.t, u.x)
     arr = rng.normal(size=(4, 2, 2))  # signature U(i,a);L(b);L(c)
-    f = DTensorField("probe", IndexSignature.parse("U(i,a);L(b);L(c)"), 2, 2,
-                     lambda q: arr)
+    f = _constant("probe", "U(i,a);L(b);L(c)", 2, 2, arr)
     got = transform_components(f, c, u)
     V = np.kron(blocks.B, blocks.A_inv.T)
     want = np.einsum("IJ,bB,cC,JBC->Ibc", V, blocks.A_inv.T, blocks.A_inv.T, arr)
@@ -84,7 +91,7 @@ def test_transform_components_spatial_slots():
     u = random_jet(rng, 1, 3)
     blocks = nd.jacobian_blocks(c, u.t, u.x)
     arr = rng.normal(size=(3, 3))  # U(i);L(j)
-    f = DTensorField("probe", IndexSignature.parse("U(i);L(j)"), 1, 3, lambda q: arr)
+    f = _constant("probe", "U(i);L(j)", 1, 3, arr)
     got = transform_components(f, c, u)
     want = blocks.B @ arr @ blocks.B_inv
     assert np.max(np.abs(got - want)) < 1e-12
@@ -106,7 +113,7 @@ def test_each_used_slot_kind_is_built_once_per_call(monkeypatch, text, krons):
     u = random_jet(rng, 2, 2)
     sig = IndexSignature.parse(text)
     arr = rng.normal(size=sig.shape(2, 2))
-    f = DTensorField("probe", sig, 2, 2, lambda q: arr)
+    f = _constant("probe", text, 2, 2, arr)
     want = transform_components(f, c, u)
     monkeypatch.setattr(np, "kron", counted)
     assert np.array_equal(transform_components(f, c, u), want)
@@ -139,8 +146,8 @@ def test_raw_jet_matrix_is_a_dtensor_under_product_changes():
     """Under product changes v transforms as B v A^-1 — exactly the (S+, T-)
     law — so the unfused jet matrix itself passes."""
     rng = np.random.default_rng(40)
-    f = DTensorField("jet-matrix", IndexSignature.parse("U(i);L(a)"), 2, 2,
-                     lambda u: u.v.copy())
+    f = DTensorField("jet-matrix", IndexSignature.parse("U(i);L(a)"),
+                     JetTable(2, 2, (2, 2), [], lambda: [var(v) for v in nd.jet_names(2, 2)]))
     v = is_dtensor(f, catalog(rng, 2, 2, count=2), jets_in(rng, 2, 2, count=5))
     assert v.passed
 
@@ -148,8 +155,7 @@ def test_raw_jet_matrix_is_a_dtensor_under_product_changes():
 def test_failing_field_yields_witness():
     """A constant-ones spatial vector has no compensating factor: B @ 1 != 1."""
     rng = np.random.default_rng(34)
-    f = DTensorField("broken", IndexSignature.parse("U(i)"), 2, 2,
-                     lambda u: np.ones(2))
+    f = _constant("broken", "U(i)", 2, 2, np.ones(2))
     changes = catalog(rng, 2, 2, kinds=("mixed",), count=2)
     jets = jets_in(rng, 2, 2, count=5)
     v = is_dtensor(f, changes, jets)
@@ -215,11 +221,11 @@ def test_law_check_fails_on_a_nan_error_at_any_pair(nan_at):
 
 
 def test_shape_mismatch_raises():
-    f = DTensorField("bad-shape", IndexSignature.parse("U(i,a)"), 2, 2,
-                     lambda u: np.zeros(3))
-    u = JetPoint(np.zeros(2), np.zeros(2), np.zeros((2, 2)))
-    with pytest.raises(SignatureError):
-        f(u)
+    """A table whose shape is not the signature's is refused when the field
+    is built, before any jet is evaluated."""
+    with pytest.raises(SignatureError, match=r"'bad-shape' has a table of shape \(3,\), "
+                                             r"signature wants \(4,\)"):
+        _constant("bad-shape", "U(i,a)", 2, 2, np.zeros(3))
 
 
 # --- component identities -------------------------------------------------------------

@@ -168,6 +168,28 @@ def test_harmonic_residual_needs_a_pair_on_the_maps_jet_space():
         harmonic_residual(SmoothMap(2, MAPS_BY_P[2]), mixed, h2, np.zeros(2))
 
 
+def test_affine_solver_and_residual_need_a_pair_on_one_jet_space():
+    """`solve_affine_ode` and `affine_residual` check the pair as
+    `harmonic_residual` does: a pair whose sprays differ in n (3 against 2
+    either way) or a pair at another p than the map's is a MapError, not a
+    TypeError or an unbound variable from the pair's tables."""
+    exp1d, sphere = metric_from_name("exp1d"), metric_from_name("sphere:2")
+    h2 = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
+    e3 = metric_from_name("euclidean:3")
+    n2_n3 = SprayPair(canonical_temporal(exp1d, 2), canonical_spatial(e3, 1))
+    n3_n2 = SprayPair(canonical_temporal(exp1d, 3), canonical_spatial(sphere, 1))
+    for pair, shapes in ((n2_n3, r"\(1, 2\), spatial spray at \(1, 3\)"),
+                         (n3_n2, r"\(1, 3\), spatial spray at \(1, 2\)")):
+        match = r"mixes jet spaces: temporal spray at \(p, n\) = " + shapes
+        with pytest.raises(MapError, match=match):
+            solve_affine_ode(pair, [1.0, 0.5], [0.3, 0.2], (0.0, 1.0), 10)
+        with pytest.raises(MapError, match=match):
+            affine_residual(SmoothMap(1, MAPS_BY_P[1]), pair, np.zeros(1))
+    with pytest.raises(MapError, match=r"pair at \(p, n\) = \(2, 2\) does not match "
+                                       r"the map at \(p, n\) = \(1, 2\)"):
+        affine_residual(SmoothMap(1, MAPS_BY_P[1]), canonical_pair(h2, sphere), np.zeros(1))
+
+
 def test_straight_lines_solve_the_flat_equations():
     pair, h, _ = _flat_pair(2, 2)
     f = SmoothMap(2, ["1.0 + 0.5*t1 - 0.2*t2", "2.0*t2"])

@@ -1,5 +1,8 @@
 """Prolongation of vector fields, flow transport, horizontal lift."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,13 @@ from jetflow.sprays import zero_spray
 from jetflow.verify import default_prolong_fields
 
 from helpers import (catalog, flow_point, jets_in, reference_flow_transport,
-                     standard_metrics)
+                     reference_prolongation, standard_metrics)
+
+
+def _vertical(table, u):
+    """The vertical part, as an (n, p) matrix, of a jet field's natural
+    components [t, x, vertical i*p + a] (`olver_prolong`, `horizontal_lift`)."""
+    return table.at(u)[u.p + u.n:].reshape(u.n, u.p)
 
 
 # --- total derivative ----------------------------------------------------------
@@ -49,6 +58,16 @@ def test_total_derivative_of_base_function_is_plain_gradient():
     assert abs(total_derivative("t1^2", u)[0] - 0.8) < 1e-15
 
 
+def test_total_derivative_rejects_jet_variables():
+    """D_a of a function of the jet coordinates needs second-order jets:
+    x1_1 is not read as a constant."""
+    u = JetPoint(np.array([0.4]), np.array([1.0]), np.array([[0.5]]))
+    with pytest.raises(ProlongError, match=r"foreign variables \['x1_1'\]"):
+        total_derivative("x1_1*t1", u)
+    with pytest.raises(ProlongError, match=r"foreign variables \['x2', 'x2_1'\]"):
+        total_derivative(parse("x2 + x2_1 + x1"), u)
+
+
 # --- prolongation components -----------------------------------------------------
 
 
@@ -57,7 +76,7 @@ def test_prolongation_of_purely_vertical_quantities():
     X = BaseVectorField(2, 2, ["0", "0"], ["sin(t1)*x2", "0"])
     pr = olver_prolong(X)
     u = random_jet(np.random.default_rng(91), 2, 2)
-    vert = pr.vertical(u)
+    vert = _vertical(pr, u)
     want_row0 = total_derivative("sin(t1)*x2", u)
     assert np.max(np.abs(vert[0] - want_row0)) < 1e-13
     assert np.max(np.abs(vert[1])) < 1e-15
@@ -69,20 +88,25 @@ def test_prolongation_of_temporal_field_drags_jets():
     pr = olver_prolong(X)
     u = JetPoint(np.array([0.5]), np.array([1.0, -1.0]),
                  np.array([[0.7], [-0.2]]))
-    vert = pr.vertical(u)
+    vert = _vertical(pr, u)
     want = -u.v * (2 * 0.5)
     assert np.max(np.abs(vert - want)) < 1e-14
 
 
 def test_packed_layout():
+    """[X^t, X^x, vertical i*p + a]: here D_1 x^i = x^i_1 and D_1 1 = 0."""
     X = BaseVectorField(1, 2, ["1"], ["x1", "x2"])
     pr = olver_prolong(X)
     u = JetPoint(np.array([0.0]), np.array([2.0, 3.0]),
                  np.array([[0.1], [0.2]]))
-    z = pr.packed(u)
-    assert z.shape == (1 + 2 + 2,)
-    assert z[0] == 1.0 and z[1] == 2.0 and z[2] == 3.0
-    assert np.max(np.abs(z[3:] - pr.vertical(u).reshape(-1))) < 1e-15
+    assert pr.shape == (1 + 2 + 2,)
+    assert np.array_equal(pr.at(u), np.array([1.0, 2.0, 3.0, 0.1, 0.2]))
+
+
+def test_prolongation_is_built_once_per_field():
+    X = BaseVectorField(1, 2, ["1"], ["x1", "x2"])
+    assert olver_prolong(X) is olver_prolong(X)
+    assert olver_prolong(BaseVectorField(1, 2, ["1"], ["x1", "x2"])) is not olver_prolong(X)
 
 
 # --- flow-transport oracle ---------------------------------------------------------
@@ -127,7 +151,7 @@ def test_flow_transport_matches_jet_lift_of_flowed_graph():
     pr = olver_prolong(X)
     q = u
     for _ in range(steps):
-        z = pr.packed(q)
+        z = pr.at(q)
         q = JetPoint(q.t + (0.3 / steps) * z[:1],
                      q.x + (0.3 / steps) * z[1:2],
                      q.v + (0.3 / steps) * z[2:].reshape(1, 1))
@@ -243,7 +267,15 @@ def test_compiled_field_raises_the_interpreters_domain_error(comp, x1):
     assert str(flowed.value) == str(want.value)
 
 
+def _left_to_right(first, terms):
+    """first + terms[0] + terms[1] + ..., added in that order, as
+    `exprlang.total` adds the terms of a sum."""
+    return functools.reduce(operator.add, terms, first)
+
+
 def test_partials_match_interpreted_derivatives_bit_for_bit():
+    """The adapted and total derivatives equal the interpreter's partials
+    and connection coefficients combined in the order of their formulas."""
     rng = np.random.default_rng(100)
     h, phi = standard_metrics(2, 2)
     conn = canonical_connection(h, phi)
@@ -254,16 +286,20 @@ def test_partials_match_interpreted_derivatives_bit_for_bit():
     for u in jets_in(rng, 2, 2, h=h, phi=phi, count=3):
         env = jet_env(u)
         d = {v: diff(e, v).eval(env) for v in tn + xn + vn}
-        dt = np.array([d[v] for v in tn])
-        dx = np.array([d[v] for v in xn])
-        dv = np.array([[d[v] for v in vn[j * 2:(j + 1) * 2]] for j in range(2)])
-        assert np.array_equal(adapted_t_derivative(f, conn, u),
-                              dt - np.einsum("jba,jb->a", conn.M.at(u), dv))
-        assert np.array_equal(adapted_x_derivative(f, conn, u),
-                              dx - np.einsum("jbi,jb->i", conn.N.at(u), dv))
-        g = "sin(x1)*t2 + x2^2*t1"
-        base = {v: diff(parse(g), v).eval(env) for v in tn + xn}
-        want = np.array([base[v] for v in tn]) + u.v.T @ np.array([base[v] for v in xn])
+        M = np.array([c.eval(env) for c in conn.M.entries]).reshape(2, 2, 2)
+        N = np.array([c.eval(env) for c in conn.N.entries]).reshape(2, 2, 2)
+        want_t = [d[tn[a]] - _left_to_right(0.0, [M[j, b, a] * d[vn[j * 2 + b]]
+                                                  for j in range(2) for b in range(2)])
+                  for a in range(2)]
+        want_x = [d[xn[i]] - _left_to_right(0.0, [N[j, b, i] * d[vn[j * 2 + b]]
+                                                  for j in range(2) for b in range(2)])
+                  for i in range(2)]
+        assert np.array_equal(adapted_t_derivative(f, conn, u), want_t)
+        assert np.array_equal(adapted_x_derivative(f, conn, u), want_x)
+        g = parse("sin(x1)*t2 + x2^2*t1")
+        base = {v: diff(g, v).eval(env) for v in tn + xn}
+        want = [_left_to_right(base[tn[a]], [u.v[j, a] * base[xn[j]] for j in range(2)])
+                for a in range(2)]
         assert np.array_equal(total_derivative(g, u), want)
 
 
@@ -273,7 +309,36 @@ def test_olver_prolong_matches_total_derivative(X):
     for u in jets_in(np.random.default_rng(101), 2, 2, count=4):
         Dt = np.array([total_derivative(e, u) for e in X.temporal])
         Dx = np.array([total_derivative(e, u) for e in X.spatial])
-        assert np.max(np.abs(pr.vertical(u) - (Dx - u.v @ Dt))) <= 1e-15
+        assert np.max(np.abs(_vertical(pr, u) - (Dx - u.v @ Dt))) <= 1e-15
+
+
+# the oracle and shaped fields, and fields at (p, n) = (1, 2) and (2, 1)
+PROLONG_FIELDS = ORACLE_FIELDS + SHAPED_FIELDS + [
+    *default_prolong_fields(1, 2), *default_prolong_fields(2, 1),
+    BaseVectorField(1, 2, ["exp(0.3*x1) - 1"],
+                    ["sqrt(1 + x2^2)*t1", "0.2*exp(t1)*x1/(2 + sin(x2))"], name="exp-sqrt-div"),
+    BaseVectorField(2, 1, ["log(2 + t1^2)", "0.1*x1*t2"],
+                    ["x1/(2 + cos(t2)) + sin(t1*x1)"], name="log-div-trig"),
+]
+
+
+@pytest.mark.parametrize("X", PROLONG_FIELDS, ids=_field_id)
+def test_prolongation_lift_and_gap_match_the_numeric_reference(X):
+    """pr1(X), the horizontal lift and the vertical gap against the numeric
+    formula of `reference_prolongation` and the lift's numpy contraction
+    -(M X^t + N X^x), relative to max(1, |reference|)."""
+    h, phi = standard_metrics(X.p, X.n)
+    conn = canonical_connection(h, phi)
+    pr, lift, gap = olver_prolong(X), horizontal_lift(X, conn), vertical_gap_field(X, conn)
+    m = X.p + X.n
+    for u in jets_in(np.random.default_rng(sum(map(ord, X.name))), X.p, X.n, h, phi, count=5):
+        want = reference_prolongation(X, u)
+        lifted = -(np.einsum("jba,a->jb", conn.M.at(u), want[:X.p])
+                   + np.einsum("jbi,i->jb", conn.N.at(u), want[X.p:m])).ravel()
+        for got, ref in ((pr.at(u), want), (lift.at(u), np.concatenate([want[:m], lifted])),
+                         (gap(u), want[m:] - lifted)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
 
 
 # --- equivariance ---------------------------------------------------------------------
@@ -290,8 +355,8 @@ def test_prolongation_commutes_with_chart_changes():
         pr_target = olver_prolong(pushed)
         for u in jets_in(rng, 2, 2, count=3):
             S = natural_frame_change(c, u)
-            want = S.T @ pr_source.packed(u)
-            got = pr_target.packed(transform_jet(c, u))
+            want = S.T @ pr_source.at(u)
+            got = pr_target.at(transform_jet(c, u))
             assert np.max(np.abs(got - want)) < 1e-9, c.name
 
 
@@ -331,8 +396,8 @@ def test_horizontal_lift_vertical_components():
     lift = horizontal_lift(X, conn)
     u = jets_in(np.random.default_rng(96), 2, 2, h=h, phi=phi, count=1)[0]
     want = -(conn.M.at(u)[:, :, 0] + conn.N.at(u)[:, :, 1])
-    assert np.max(np.abs(lift.vertical(u) - want)) < 1e-13
-    assert np.array_equal(lift.temporal(u), np.array([1.0, 0.0]))
+    assert np.max(np.abs(_vertical(lift, u) - want)) < 1e-13
+    assert np.array_equal(lift.at(u)[:4], np.array([1.0, 0.0, 0.0, 1.0]))
 
 
 def test_vertical_gap_is_a_dtensor():

@@ -21,7 +21,7 @@ from jetflow.geometry import GeometryError, Metric, metric_from_name
 from jetflow.jetspace import JetPoint
 from jetflow.maps import solve_affine_ode
 from jetflow.numdiff import spatial_names, temporal_names
-from jetflow.prolong import BaseVectorField, flow_transport, pushforward
+from jetflow.prolong import BaseVectorField, flow_transport, olver_prolong, pushforward
 from jetflow.scenario import load_scenario
 from jetflow.verify import run_verify
 from jetflow.connection import (canonical_connection, connection_from_sprays,
@@ -133,9 +133,12 @@ def test_vector_field_tables_tiers_match_interpreter(name, change_kind):
     pts = rng.uniform(-0.8, 0.8, (CALLS, X.p + X.n))
     comps = X.temporal + X.spatial
     assert_tiers_match_interpreter(X._values, comps, X.variables, pts, X._values)
-    partials = [diff(e, v) for e in comps for v in X.variables]
-    assert_tiers_match_interpreter(lambda *a: [d for row in X._gradients(*a) for d in row],
-                                   partials, X.variables, pts)
+    # the prolongation's table: components, then the vertical entries
+    # built from the symbolic partials of every component
+    pr = olver_prolong(X)
+    jets = np.hstack([pts, rng.uniform(-1.5, 1.5, (CALLS, X.n * X.p))])
+    assert pr.kernel._fn is None
+    assert_tiers_match_interpreter(pr.kernel, pr.entries, pr.names, jets, pr.kernel)
 
 
 # a change's two tables in order (`ChangeMap._tables`): the symbolic lists
