@@ -130,23 +130,22 @@ def _cmd_harmonic(sc: Scenario, args) -> int:
         boundary = SmoothMap(2, section["boundary"])
     except ValueError as exc:
         raise ScenarioError(f"scenario error at '/harmonic/boundary': {exc}") from exc
-    tol, damping = section.get("tolerance", 1e-9), section.get("damping", 0.8)
     sides = [(float(lo), float(hi)) for lo, hi in section.get("domain") or ()]
     if not all(np.isfinite(hi - lo) and lo != hi for lo, hi in sides):
         raise ScenarioError("each side of the domain must have a finite, nonzero length")
     pair = canonical_pair(sc.temporal_metric, sc.spatial_metric)
     sol = solve_harmonic_grid(
         pair, sc.temporal_metric, boundary,
-        m=section.get("grid", 33),
-        tol=tol,
-        max_iters=section.get("max_iters", 20000),
-        damping=damping,
+        m=section["grid"],
+        tol=section["tolerance"],
+        max_iters=section["max_iters"],
+        damping=section["damping"],
         domain=section.get("domain"))
     report = {
         "command": "harmonic",
         "metrics": {"temporal": sc.temporal_metric.name,
                     "spatial": sc.spatial_metric.name},
-        "grid": int(section.get("grid", 33)),
+        "grid": section["grid"],
         "status": sol.status,
         "iterations": int(sol.iterations),
         "max_residual": float(sol.max_residual),
@@ -163,8 +162,7 @@ def _cmd_harmonic(sc: Scenario, args) -> int:
 
 
 def _cmd_prolong(sc: Scenario, args) -> int:
-    suite = run_suite("prolong", sc,
-                      tol=sc.raw.get("verify", {}).get("tolerance", 1e-8))
+    suite = run_suite("prolong", sc)
     report = {
         "command": "prolong",
         "seed": sc.seed,

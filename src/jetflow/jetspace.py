@@ -29,7 +29,7 @@ __all__ = [
     "JetPoint", "JetTable", "vert_index", "frame_size", "transform_jet",
     "natural_frame_change", "natural_coframe_change", "jet_pullback",
     "mixed_jet_derivatives", "adapted_frame_blocks",
-    "jet_env", "random_jet",
+    "random_jet",
 ]
 
 
@@ -111,16 +111,6 @@ class JetTable:
     def at(self, u: JetPoint, *extra: float) -> np.ndarray:
         values = self.kernel(*u.t.tolist(), *u.x.tolist(), *u.v.ravel().tolist(), *extra)
         return np.array(values).reshape(self.shape)
-
-
-def jet_env(u: JetPoint) -> dict[str, float]:
-    """Variable bindings t1.., x1.., x{i}_{a} for evaluating jet-space Exprs."""
-    env = dict(zip(temporal_names(u.p), (float(c) for c in u.t)))
-    env.update(zip(spatial_names(u.n), (float(c) for c in u.x)))
-    for i in range(u.n):
-        for a in range(u.p):
-            env[jet_name(i + 1, a + 1)] = float(u.v[i, a])
-    return env
 
 
 def transform_jet(change: ChangeMap, u: JetPoint) -> JetPoint:

@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprlang import (Expr, add, compile_floats, compile_rk4, compile_table, foreign_vars,
-                       mul, neg, parse, partials, sub, subst, total, var)
+from .exprlang import (Expr, add, compile_floats, compile_rk4, foreign_vars, mul, neg, parse,
+                       partials, sub, subst, total, var)
 from .dtensor import DTensorField, IndexSignature
 from .connection import NonlinearConnection
 from .numdiff import ChangeMap, jet_name, jet_names, spatial_names, temporal_names
@@ -58,13 +58,13 @@ class BaseVectorField:
     """Vector field on the product manifold: p temporal and n spatial
     component expressions, each in the variables t1..tp, x1..xn.
 
-    Its components are one compiled table (`compile_table`), built on first
-    use.  Its flow, with the variational equations of the p directions
-    that a jet transports, runs as one generated RK4 loop (`compile_rk4`),
-    also built on first use, that calls one compiled float table once per
-    stage.  Both run on Python floats, so the components, and the flowed
-    (t, x), agree bit for bit with `Expr.eval`.  The symbolic Jacobian
-    (`_jacobian`) is shared by the loop and the prolongation
+    Its components are the first p + n entries of its prolongation's table
+    (`olver_prolong(X).at(u)[:p + n]`).  Its flow, with the variational
+    equations of the p directions that a jet transports, runs as one
+    generated RK4 loop (`compile_rk4`), built on first use, that calls one
+    compiled float table once per stage.  It runs on Python floats, so the
+    flowed (t, x) agree bit for bit with `Expr.eval`.  The symbolic
+    Jacobian (`_jacobian`) is shared by the loop and the prolongation
     (`olver_prolong`), which is built once per field.
     """
 
@@ -87,11 +87,6 @@ class BaseVectorField:
         return temporal_names(self.p) + spatial_names(self.n)
 
     @cached_property
-    def _values(self) -> Callable[..., tuple]:
-        """The p + n components as a function of t1..tp, x1..xn."""
-        return compile_table(self.temporal + self.spatial, self.variables)
-
-    @cached_property
     def _jacobian(self) -> list[list[Expr]]:
         """DX: per component, its partials in t1..tp, x1..xn."""
         return partials(self.temporal + self.spatial, self.variables)
@@ -110,10 +105,6 @@ class BaseVectorField:
         rhs = compile_floats(self.temporal + self.spatial + tangent,
                              ["s", *self.variables, *(name for row in w for name in row)])
         return compile_rk4(m + m * p, rhs)
-
-    def __call__(self, t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = self._values(*np.asarray(t, float).tolist(), *np.asarray(x, float).tolist())
-        return np.array(out[:self.p]), np.array(out[self.p:])
 
 
 def total_derivative(f: Expr | str, u: JetPoint) -> np.ndarray:

@@ -15,6 +15,15 @@ jsonschema and its ~70 modules, and the loader accepts and words exactly
 what jsonschema alone would.  Past the schema, 2.0 as an integer is the
 int 2, and a number that is not a finite float is a scenario error.
 
+Each static default lives in `SCENARIO_SCHEMA` alone, as the `default` of
+its property (an annotation to jsonschema), and the loader writes it into
+the file's dict where the key is missing: `changes`, `jets`, `verify` and
+`prolong` default to `{}` and so get their members, while `geodesic` and
+`harmonic` stay absent unless given.  Commands and suites read the settled
+values.  Two defaults depend on the scenario and stay with their readers:
+`prolong.fields` (`verify.default_prolong_fields`) and `harmonic.domain`
+(the temporal metric's box, else [-1, 1]²).
+
 A suite draws its changes and jets from `random.Random(f"{seed}/{suite}/changes")`
 and `.../jets`, through `random()` alone: Python fixes that sequence for a
 seed across versions (numpy's Generators promise no such thing), and no run
@@ -23,21 +32,26 @@ loads `numpy.random`.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import Metric, metric_from_name
 from .numdiff import ChangeMap, change_catalog
 from .jetspace import JetPoint, random_jet
 
 __all__ = ["ScenarioError", "Scenario", "SCENARIO_SCHEMA", "load_scenario",
-           "DEFAULT_SEED", "SUITE_NAMES"]
+           "DEFAULT_SEED", "SUITE_NAMES", "DTENSOR_CANDIDATES", "DEFAULT_CANDIDATES"]
 
 DEFAULT_SEED = 2026
 SUITE_NAMES = ("dtensors", "sprays", "connection", "adapted", "prolong")
+# the d-tensor suite's fields; the last is a negative control, left out by default
+DTENSOR_CANDIDATES = ("liouville-c", "liouville-l", "normalization-j",
+                      "lagrangian-metric", "spray-difference", "spray-coefficients")
+DEFAULT_CANDIDATES = DTENSOR_CANDIDATES[:5]
 
 _CHANGE_KINDS = ["affine", "shear", "monotone", "mixed"]
 
@@ -47,7 +61,7 @@ SCENARIO_SCHEMA = {
     "required": ["dimensions", "metrics"],
     "additionalProperties": False,
     "properties": {
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "default": DEFAULT_SEED},
         "dimensions": {
             "type": "object",
             "required": ["p", "n"],
@@ -67,40 +81,43 @@ SCENARIO_SCHEMA = {
             },
         },
         "changes": {
-            "type": "object",
+            "type": "object", "default": {},
             "additionalProperties": False,
             "properties": {
                 "kinds": {
                     "type": "array",
                     "items": {"enum": _CHANGE_KINDS},
                     "minItems": 1,
+                    "default": ["affine", "shear", "mixed"],
                 },
-                "count": {"type": "integer", "minimum": 1, "maximum": 100},
+                "count": {"type": "integer", "minimum": 1, "maximum": 100, "default": 3},
             },
         },
         "jets": {
-            "type": "object",
+            "type": "object", "default": {},
             "additionalProperties": False,
             "properties": {
-                "count": {"type": "integer", "minimum": 1, "maximum": 10000},
-                "v_scale": {"type": "number", "exclusiveMinimum": 0},
+                "count": {"type": "integer", "minimum": 1, "maximum": 10000, "default": 20},
+                "v_scale": {"type": "number", "exclusiveMinimum": 0, "default": 2.0},
             },
         },
         "verify": {
-            "type": "object",
+            "type": "object", "default": {},
             "additionalProperties": False,
             "properties": {
                 "suites": {
                     "type": "array",
                     "items": {"enum": list(SUITE_NAMES) + ["all"]},
                     "minItems": 1,
+                    "default": ["all"],
                 },
                 "dtensor_candidates": {
                     "type": "array",
                     "items": {"type": "string"},
                     "minItems": 1,
+                    "default": list(DEFAULT_CANDIDATES),
                 },
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
+                "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": 1e-8},
             },
         },
         "geodesic": {
@@ -121,10 +138,10 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "boundary": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-                "grid": {"type": "integer", "minimum": 3, "maximum": 513},
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
-                "max_iters": {"type": "integer", "minimum": 1},
-                "damping": {"type": "number", "exclusiveMinimum": 0},
+                "grid": {"type": "integer", "minimum": 3, "maximum": 513, "default": 33},
+                "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": 1e-9},
+                "max_iters": {"type": "integer", "minimum": 1, "default": 20000},
+                "damping": {"type": "number", "exclusiveMinimum": 0, "default": 0.8},
                 "domain": {
                     "type": "array",
                     "items": {"type": "array", "items": {"type": "number"},
@@ -134,7 +151,7 @@ SCENARIO_SCHEMA = {
             },
         },
         "prolong": {
-            "type": "object",
+            "type": "object", "default": {},
             "additionalProperties": False,
             "properties": {
                 "fields": {
@@ -151,8 +168,8 @@ SCENARIO_SCHEMA = {
                         },
                     },
                 },
-                "eps": {"type": "number", "exclusiveMinimum": 0},
-                "substeps": {"type": "integer", "minimum": 1, "maximum": 1000},
+                "eps": {"type": "number", "exclusiveMinimum": 0, "default": 0.02},
+                "substeps": {"type": "integer", "minimum": 1, "maximum": 1000, "default": 16},
             },
         },
     },
@@ -165,16 +182,19 @@ class ScenarioError(ValueError):
 
 @dataclass
 class Scenario:
+    """A loaded scenario: `raw` is the settled file, every default filled
+    in, and the seed, dimensions and metrics are resolved from it."""
     raw: dict
     seed: int
     p: int
     n: int
     temporal_metric: Metric
     spatial_metric: Metric
-    change_kinds: list[str] = field(default_factory=lambda: ["affine", "shear", "mixed"])
-    change_count: int = 3
-    jet_count: int = 20
-    v_scale: float = 2.0
+
+    change_kinds = property(lambda self: self.raw["changes"]["kinds"])
+    change_count = property(lambda self: self.raw["changes"]["count"])
+    jet_count = property(lambda self: self.raw["jets"]["count"])
+    v_scale = property(lambda self: self.raw["jets"]["v_scale"])
 
     def suite_rng(self, suite: str) -> random.Random:
         """Independent deterministic stream per suite, `random.Random(f"{seed}/{suite}")`,
@@ -224,6 +244,7 @@ _TYPES = {
 # keyword on other types, so it can only answer False too often
 _KEYWORDS = {
     "$schema": lambda x, v, s: True,
+    "default": lambda x, v, s: True,
     "type": lambda x, v, s: v in _TYPES and _TYPES[v](x),
     "enum": lambda x, v, s: isinstance(x, str) and x in v,
     "required": lambda x, v, s: isinstance(x, dict) and all(k in x for k in v),
@@ -256,22 +277,26 @@ def _json_path(error) -> str:
     return "/" + "/".join(str(part) for part in error.absolute_path)
 
 
-def _settle_numbers(x, schema: dict, path: str = "") -> None:
-    """In a scenario `x` that meets `schema`, make each integer written as
-    a float (2.0) an int, in place, and raise ScenarioError at the first
-    number that is not a finite float: the schema takes inf, NaN and an
-    integer beyond the float range wherever it sets a number no maximum."""
+def _settle(x, schema: dict, path: str = "") -> None:
+    """In a scenario `x` that meets `schema`, in place: give each missing
+    property that has a `default` a deep copy of it (and settle that too),
+    make each integer written as a float (2.0) an int, and raise
+    ScenarioError at the first number that is not a finite float: the
+    schema takes inf, NaN and an integer beyond the float range wherever it
+    sets a number no maximum."""
     if schema.get("type") == "number" and not abs(x) <= sys.float_info.max:
         raise ScenarioError(f"scenario error at '{path}': {x!r} is not a finite float")
     if isinstance(x, dict):
         for key, sub in schema.get("properties", {}).items():
+            if key not in x and "default" in sub:
+                x[key] = copy.deepcopy(sub["default"])
             if key in x:
                 if sub.get("type") == "integer":
                     x[key] = int(x[key])
-                _settle_numbers(x[key], sub, f"{path}/{key}")
+                _settle(x[key], sub, f"{path}/{key}")
     elif isinstance(x, list):
         for k, item in enumerate(x):
-            _settle_numbers(item, schema.get("items", {}), f"{path}/{k}")
+            _settle(item, schema.get("items", {}), f"{path}/{k}")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -281,8 +306,9 @@ def load_scenario(path: str) -> Scenario:
     `SCENARIO_SCHEMA` without importing jsonschema; only a scenario it
     rejects goes to jsonschema, whose first error, in path order, becomes
     the ScenarioError (and which may accept what the walk could not
-    decide).  Then `_settle_numbers` reads 2.0 as an integer 2 and makes a
-    number that is not a finite float a ScenarioError too."""
+    decide).  Then `_settle` fills in every default the schema gives, reads
+    2.0 as an integer 2 and makes a number that is not a finite float a
+    ScenarioError too."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -299,7 +325,7 @@ def load_scenario(path: str) -> Scenario:
         if errors:
             first = errors[0]
             raise ScenarioError(f"scenario error at '{_json_path(first)}': {first.message}")
-    _settle_numbers(raw, SCENARIO_SCHEMA)
+    _settle(raw, SCENARIO_SCHEMA)
 
     p = raw["dimensions"]["p"]
     n = raw["dimensions"]["n"]
@@ -312,7 +338,7 @@ def load_scenario(path: str) -> Scenario:
         if seed < 0:
             raise ScenarioError("JETFLOW_SEED must be non-negative")
     else:
-        seed = raw.get("seed", DEFAULT_SEED)
+        seed = raw["seed"]
 
     try:
         h = metric_from_name(raw["metrics"]["temporal"], kind="temporal")
@@ -325,17 +351,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"spatial metric '{phi.name}' has dimension {phi.dim}, scenario says n={n}")
 
     sc = Scenario(raw=raw, seed=seed, p=p, n=n, temporal_metric=h, spatial_metric=phi)
-    changes = raw.get("changes", {})
-    if "kinds" in changes:
-        sc.change_kinds = list(changes["kinds"])
-        if not sc.catalog_kinds():
-            raise ScenarioError(f"scenario error at '/changes/kinds': no kind of {sc.change_kinds} "
-                                f"applies at p={p}, n={n} (monotone needs p = n = 1)")
-    if "count" in changes:
-        sc.change_count = changes["count"]
-    jets = raw.get("jets", {})
-    if "count" in jets:
-        sc.jet_count = jets["count"]
-    if "v_scale" in jets:
-        sc.v_scale = jets["v_scale"]
+    if not sc.catalog_kinds():
+        raise ScenarioError(f"scenario error at '/changes/kinds': no kind of {sc.change_kinds} "
+                            f"applies at p={p}, n={n} (monotone needs p = n = 1)")
     return sc

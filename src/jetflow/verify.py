@@ -11,6 +11,10 @@ the worst error occurs; the flow-transport checks have none.  Deliberate
 negative controls (for example the candidate 'spray-coefficients', whose
 transformation has an inhomogeneous term) report pass=false, which callers
 use to confirm the harness can fail.
+
+A suite reads its settings from the scenario's `verify` and `prolong`
+sections, which the loader has settled: each default comes from
+`scenario.SCENARIO_SCHEMA`, none is written here.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from .connection import (adapted_coframe, adapted_frame, adapted_frame_blocks,
                          connection_law_error, sprays_from_connection)
 from .prolong import (BaseVectorField, olver_prolong, prolongation_flow_error,
                       pushforward, vertical_gap_field)
-from .scenario import Scenario, ScenarioError, SUITE_NAMES
+from .scenario import (DEFAULT_CANDIDATES, DTENSOR_CANDIDATES, Scenario, ScenarioError,
+                       SUITE_NAMES)
 from .sprays import (canonical_pair, canonical_spatial, canonical_temporal,
                      combine_sprays, decompose_spray, h_trace,
                      spray_coefficient_field, spray_difference_field,
@@ -37,10 +42,6 @@ from .sprays import (canonical_pair, canonical_spatial, canonical_temporal,
 
 __all__ = ["run_suite", "run_verify", "DTENSOR_CANDIDATES",
            "DEFAULT_CANDIDATES", "default_prolong_fields"]
-
-DTENSOR_CANDIDATES = ("liouville-c", "liouville-l", "normalization-j",
-                      "lagrangian-metric", "spray-difference", "spray-coefficients")
-DEFAULT_CANDIDATES = DTENSOR_CANDIDATES[:5]
 
 
 def _check(name: str, pairs: int, err: float, ok: bool, witness: dict | None) -> dict:
@@ -86,11 +87,11 @@ def _candidate_field(name: str, sc: Scenario) -> DTensorField:
                         f"{', '.join(DTENSOR_CANDIDATES)}")
 
 
-def _suite_dtensors(sc: Scenario, tol: float, candidates) -> list[dict]:
+def _suite_dtensors(sc: Scenario, tol: float) -> list[dict]:
     changes = sc.changes_for("dtensors")
     jets = sc.jets_for("dtensors")
     out = []
-    for cand in candidates:
+    for cand in sc.section("verify")["dtensor_candidates"]:
         f = _candidate_field(cand, sc)
         out.append(_verdict_check(cand, is_dtensor(f, changes, jets, tol=tol)))
     return out
@@ -195,9 +196,8 @@ def _suite_prolong(sc: Scenario, tol: float) -> list[dict]:
     h, phi = sc.temporal_metric, sc.spatial_metric
     changes = sc.changes_for("prolong")
     jets = sc.jets_for("prolong", count=min(sc.jet_count, 10))
-    section = sc.raw.get("prolong", {})
-    eps = section.get("eps", 0.02)
-    substeps = section.get("substeps", 16)
+    section = sc.section("prolong")
+    eps, substeps = section["eps"], section["substeps"]
     if "fields" in section:
         fields = [BaseVectorField(sc.p, sc.n, f["temporal"], f["spatial"], name=f["name"])
                   for f in section["fields"]]
@@ -236,37 +236,33 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, sc: Scenario, tol: float = 1e-8,
-              candidates=None) -> dict:
-    """Run one suite; returns {suite, checks, pass}."""
+def run_suite(name: str, sc: Scenario) -> dict:
+    """Run one suite on the scenario's settled sections; returns {suite,
+    checks, pass}.  Every chart law holds to the verify section's
+    `tolerance`; the d-tensor suite checks its `dtensor_candidates`, and the
+    prolong suite reads the prolong section."""
     if name not in _SUITES:
         raise ScenarioError(f"unknown suite '{name}'; known: {', '.join(SUITE_NAMES)}")
-    if name == "dtensors":
-        checks = _SUITES[name](sc, tol, candidates or DEFAULT_CANDIDATES)
-    else:
-        checks = _SUITES[name](sc, tol)
+    checks = _SUITES[name](sc, sc.section("verify")["tolerance"])
     return {"suite": name, "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 
 
 def run_verify(sc: Scenario) -> dict:
-    """Run the suites requested by the scenario's verify section (default:
-    all of them)."""
-    section = sc.raw.get("verify", {})
-    tol = section.get("tolerance", 1e-8)
-    wanted = section.get("suites", ["all"])
+    """Run the suites the scenario's verify section names, `all` standing
+    for every suite in order."""
+    section = sc.section("verify")
+    wanted = section["suites"]
     if "all" in wanted:
         wanted = list(SUITE_NAMES)
-    candidates = section.get("dtensor_candidates")
-    suites = [run_suite(name, sc, tol=tol, candidates=candidates)
-              for name in wanted]
+    suites = [run_suite(name, sc) for name in wanted]
     return {
         "command": "verify",
         "seed": sc.seed,
         "dimensions": {"p": sc.p, "n": sc.n},
         "metrics": {"temporal": sc.temporal_metric.name,
                     "spatial": sc.spatial_metric.name},
-        "tolerance": tol,
+        "tolerance": section["tolerance"],
         "suites": suites,
         "all_pass": all(s["pass"] for s in suites),
     }

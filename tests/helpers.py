@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import gc
+import json
+import os
 import platform
 import random
+import tempfile
 
 import numpy as np
 
@@ -14,6 +18,7 @@ from jetflow import numdiff as nd
 from jetflow.exprlang import compile_floats, compile_rk4, evaluate_table, table_columns
 from jetflow.geometry import metric_from_name, pullback_metric
 from jetflow.jetspace import JetPoint, random_jet
+from jetflow.scenario import load_scenario
 
 TOL_LAW = 1e-8          # transformation-law agreement
 TOL_EXACT = 1e-12       # identities that hold to rounding
@@ -26,6 +31,42 @@ def golden_writer() -> dict:
     Python, the machine and its C library (libm)."""
     return {"numpy": np.__version__, "python": platform.python_version(),
             "machine": platform.machine(), "libc": list(platform.libc_ver())}
+
+
+# every default of the scenario schema, written out as a scenario file would
+EVERY_DEFAULT = {
+    "seed": 2026,
+    "changes": {"kinds": ["affine", "shear", "mixed"], "count": 3},
+    "jets": {"count": 20, "v_scale": 2.0},
+    "verify": {"suites": ["all"],
+               "dtensor_candidates": ["liouville-c", "liouville-l", "normalization-j",
+                                      "lagrangian-metric", "spray-difference"],
+               "tolerance": 1e-8},
+    "prolong": {"eps": 0.02, "substeps": 16},
+    "harmonic": {"grid": 33, "tolerance": 1e-9, "max_iters": 20000, "damping": 0.8},
+}
+
+
+def with_every_default(payload: dict) -> dict:
+    """A copy of the scenario `payload` with each default it omits written
+    out: every section of `EVERY_DEFAULT` is added, but `harmonic`, which
+    a scenario may leave out, only gets its members filled."""
+    out = copy.deepcopy(payload)
+    for key, default in EVERY_DEFAULT.items():
+        if not isinstance(default, dict):
+            out.setdefault(key, default)
+        elif key in out or key != "harmonic":
+            out[key] = {**copy.deepcopy(default), **out.get(key, {})}
+    return out
+
+
+def scenario_of(payload: dict):
+    """`payload` loaded from a scenario file by `load_scenario`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        return load_scenario(path)
 
 
 class RandomOnly:
@@ -42,6 +83,17 @@ class RandomOnly:
     def random(self) -> float:
         self.calls += 1
         return self._draw()
+
+
+def jet_env(u: JetPoint) -> dict[str, float]:
+    """Variable bindings t1.., x1.., x{i}_{a} for evaluating jet-space Exprs
+    with the tree interpreter."""
+    env = dict(zip(nd.temporal_names(u.p), (float(c) for c in u.t)))
+    env.update(zip(nd.spatial_names(u.n), (float(c) for c in u.x)))
+    for i in range(u.n):
+        for a in range(u.p):
+            env[nd.jet_name(i + 1, a + 1)] = float(u.v[i, a])
+    return env
 
 
 def catalog(rng: np.random.Generator, p: int, n: int, kinds=("affine", "shear", "mixed"),
@@ -172,7 +224,6 @@ def reference_prolongation(X, u) -> np.ndarray:
     arrays, as Dx - v @ Dt.  The reference for the symbolic
     `prolong.olver_prolong`."""
     from jetflow.exprlang import diff
-    from jetflow.jetspace import jet_env
 
     env, p = jet_env(u), u.p
     comps = X.temporal + X.spatial
@@ -225,7 +276,6 @@ def frozen_batch(tables, T, X, V) -> np.ndarray:
 def walk_gradient(tables, u) -> np.ndarray:
     """The jet gradient d entry / d x^k_g at the jet u, of shape
     tables.shape + (n, p), walked on floats."""
-    from jetflow.jetspace import jet_env
     values = walk_entries(tables, tables.gradient_entries, jet_env(u))
     return np.array(values).reshape(*tables.shape, tables.n, tables.p)
 

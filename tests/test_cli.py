@@ -12,7 +12,7 @@ import types
 
 import pytest
 
-from helpers import collector_paused
+from helpers import collector_paused, with_every_default
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -743,3 +743,59 @@ def test_a_command_leaves_no_cyclic_garbage(tmp_path, command):
             gc.set_debug(0)
             gc.garbage.clear()
     assert not found, found.most_common(10)
+
+
+# ---------------------------------------------------------------------------
+# settled scenarios: each default lives in the schema, and the loader fills it
+
+def _demo(name):
+    with open(os.path.join(ROOT, "demos", f"{name}_scenario.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _outputs(tmp_path, command, payload, tag):
+    """The exit status and the bytes of the report (and CSV) that `command`
+    writes, run in-process on `payload`."""
+    from jetflow.cli import main
+
+    files = [tmp_path / f"{tag}.json"]
+    args = [command, write_scenario(tmp_path, payload, f"{tag}-scenario.json"),
+            "--output", str(files[0])]
+    if command in ("geodesic", "harmonic"):
+        files.append(tmp_path / f"{tag}.csv")
+        args += ["--csv", str(files[1])]
+    return main(args), [f.read_bytes() for f in files]
+
+
+DEMO_RUNS = [("verify", "verify"), ("prolong", "verify"), ("geodesic", "geodesic"),
+             ("harmonic", "harmonic")]
+
+
+@pytest.mark.parametrize("command,demo", DEMO_RUNS)
+def test_every_default_written_out_changes_no_byte(tmp_path, monkeypatch, command, demo):
+    monkeypatch.delenv("JETFLOW_SEED", raising=False)
+    payload = _demo(demo)
+    assert with_every_default(payload) != payload
+    assert (_outputs(tmp_path, command, with_every_default(payload), "written")
+            == _outputs(tmp_path, command, payload, "omitted"))
+
+
+@pytest.mark.parametrize("section,key,value", [("verify", "tolerance", 1e-3),
+                                               ("harmonic", "grid", 9)])
+def test_a_changed_schema_default_changes_the_report(tmp_path, monkeypatch, section, key,
+                                                     value):
+    """Negative control: the commands read the schema's default through the
+    loader, so moving it moves the report of a scenario that omits the
+    setting, and only of that one."""
+    from jetflow.scenario import SCENARIO_SCHEMA
+
+    monkeypatch.delenv("JETFLOW_SEED", raising=False)
+    payload = _demo(section)
+    del payload[section][key]
+    before = _outputs(tmp_path, section, payload, "before")
+    monkeypatch.setitem(SCENARIO_SCHEMA["properties"][section]["properties"][key],
+                        "default", value)
+    _, files = _outputs(tmp_path, section, payload, "after")
+    assert files[0] != before[1][0]
+    assert json.loads(files[0])[key] == value
+    assert _outputs(tmp_path, section, with_every_default(payload), "written") == before

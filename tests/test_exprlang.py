@@ -14,9 +14,9 @@ from jetflow.exprlang import (DET_TOL, Add, Call, Div, Expr, ExprError, Mul, Neg
 from jetflow import numdiff as nd
 from jetflow.dtensor import _hessian_exprs
 from jetflow.geometry import energy_density, metric_from_name, pullback_metric
-from jetflow.jetspace import jet_env, jet_pullback, random_jet
+from jetflow.jetspace import jet_pullback, random_jet
 
-from helpers import distinct_nodes, naive_diff, naive_subst, standard_metrics
+from helpers import distinct_nodes, jet_env, naive_diff, naive_subst, standard_metrics
 
 
 # ---------------------------------------------------------------------------

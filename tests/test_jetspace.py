@@ -12,7 +12,6 @@ from jetflow.geometry import energy_density, metric_from_name
 from jetflow.jetspace import (
     JetPoint,
     frame_size,
-    jet_env,
     jet_pullback,
     mixed_jet_derivatives,
     natural_coframe_change,
@@ -22,7 +21,8 @@ from jetflow.jetspace import (
     vert_index,
 )
 
-from helpers import RandomOnly, catalog, collector_paused, jets_in, node_objects, roundtrip_error
+from helpers import (RandomOnly, catalog, collector_paused, jet_env, jets_in, node_objects,
+                     roundtrip_error)
 
 
 # --- JetPoint -----------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Scenario loading: schema validation, seeding, derived catalogs."""
 
 import copy
+import inspect
 import json
 import math
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from jetflow.scenario import (
     _conforms,
     load_scenario,
 )
+
+from helpers import with_every_default
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -165,6 +169,92 @@ def test_jets_respect_metric_boxes(tmp_path):
         assert np.max(np.abs(u.v)) <= 1.5
 
 
+def test_loading_fills_every_default(tmp_path):
+    """The settled file is the file with every default of the schema
+    written out, each a copy of the schema's; `geodesic` and `harmonic`
+    stay absent unless given."""
+    bare = {"dimensions": {"p": 2, "n": 1},
+            "metrics": {"temporal": "conformal2d:0.3*t1 - 0.2*t2", "spatial": "euclidean:1"}}
+    sc = load_scenario(_write(tmp_path, bare))
+    assert sc.raw == with_every_default(bare)
+    assert "geodesic" not in sc.raw and "harmonic" not in sc.raw
+    assert (sc.change_kinds, sc.change_count, sc.jet_count, sc.v_scale) == (
+        ["affine", "shear", "mixed"], 3, 20, 2.0)
+    sc.raw["verify"]["suites"].append("prolong")
+    assert SCENARIO_SCHEMA["properties"]["verify"]["properties"]["suites"]["default"] == ["all"]
+
+    with_harmonic = dict(bare, harmonic={"boundary": ["t1^2 - t2^2"], "grid": 9.0})
+    sc = load_scenario(_write(tmp_path, with_harmonic))
+    assert sc.raw == with_every_default(dict(with_harmonic, harmonic={
+        "boundary": ["t1^2 - t2^2"], "grid": 9}))
+    assert type(sc.raw["harmonic"]["grid"]) is int
+
+
+def _defaults(schema=SCENARIO_SCHEMA, path=""):
+    """(dotted path, property schema) of every property with a default."""
+    for key, sub in schema.get("properties", {}).items():
+        here = f"{path}.{key}" if path else key
+        if "default" in sub:
+            yield here, sub
+        yield from _defaults(sub, here)
+
+
+def test_every_default_meets_its_own_schema():
+    found = dict(_defaults())
+    assert {"seed", "changes", "verify.tolerance", "harmonic.grid"} <= set(found)
+    for path, sub in found.items():
+        assert Draft202012Validator(sub).is_valid(sub["default"]), path
+        assert _conforms(sub["default"], sub), path
+
+
+def _schema_default(path):
+    sub = SCENARIO_SCHEMA
+    for key in path.split("."):
+        sub = sub["properties"][key]
+    return sub["default"]
+
+
+def _library_defaults():
+    """(function, keyword, schema path): keyword defaults of the library
+    that serve callers without a scenario and must agree with the schema."""
+    from jetflow.connection import connection_law_error
+    from jetflow.dtensor import is_dtensor, law_check
+    from jetflow.jetspace import random_jet
+    from jetflow.maps import solve_harmonic_grid
+    from jetflow.prolong import flow_transport, prolongation_flow_error
+    from jetflow.sprays import spray_law_error
+
+    return [
+        (solve_harmonic_grid, "m", "harmonic.grid"),
+        (solve_harmonic_grid, "tol", "harmonic.tolerance"),
+        (solve_harmonic_grid, "max_iters", "harmonic.max_iters"),
+        (solve_harmonic_grid, "damping", "harmonic.damping"),
+        (flow_transport, "substeps", "prolong.substeps"),
+        (prolongation_flow_error, "substeps", "prolong.substeps"),
+        (random_jet, "v_scale", "jets.v_scale"),
+        *((check, "tol", "verify.tolerance")
+          for check in (law_check, is_dtensor, spray_law_error, connection_law_error)),
+    ]
+
+
+def test_library_keyword_defaults_match_the_schema():
+    drift = [(f"{fn.__name__}({keyword}=...)", path)
+             for fn, keyword, path in _library_defaults()
+             if inspect.signature(fn).parameters[keyword].default != _schema_default(path)]
+    assert not drift, drift
+
+
+def test_readme_lists_every_default():
+    """README's table of scenario settings gives each schema default as
+    JSON, and names no other setting with a JSON default."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `([a-z_.]+)` \| `([^`]+)` \|", fh.read(), re.MULTILINE)
+    listed = {path: json.loads(text) for path, text in rows}
+    want = {path: sub["default"] for path, sub in _defaults()
+            if not isinstance(sub["default"], dict)}
+    assert listed == want
+
+
 def test_section_lookup(tmp_path):
     payload = json.loads(json.dumps(BASE))
     payload["verify"] = {"suites": ["all"], "tolerance": 1e-8}
@@ -247,7 +337,7 @@ DROP = object()
 
 def _bases():
     return ([_demo(name) for name in ("verify", "geodesic", "harmonic")]
-            + SMOKE + BENCHMARK_SHAPED + [EVERY_PROPERTY])
+            + SMOKE + BENCHMARK_SHAPED + [EVERY_PROPERTY, with_every_default(_demo("harmonic"))])
 
 
 def _nodes(instance, schema, path=()):

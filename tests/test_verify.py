@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from jetflow import verify
-from jetflow.geometry import metric_from_name
-from jetflow.scenario import Scenario, ScenarioError, load_scenario
+from jetflow.scenario import ScenarioError, load_scenario
 from jetflow.verify import (
     DEFAULT_CANDIDATES,
     DTENSOR_CANDIDATES,
@@ -18,7 +17,7 @@ from jetflow.verify import (
     run_verify,
 )
 
-from helpers import golden_writer
+from helpers import golden_writer, scenario_of
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,15 +27,17 @@ GOLDEN_WRITER = ROOT / "tests" / "data" / "verify_demo_report.writer.json"
 
 
 def _scenario(p=2, n=2, raw=None, jets=5, changes=2):
-    if p == 1:
-        h = metric_from_name("exp1d")
-    else:
-        h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
-    phi = metric_from_name("sphere:2") if n == 2 else metric_from_name(f"euclidean:{n}")
-    return Scenario(raw=raw or {}, seed=11, p=p, n=n,
-                    temporal_metric=h, spatial_metric=phi,
-                    change_kinds=["affine", "shear"], change_count=changes,
-                    jet_count=jets)
+    """A loaded scenario with two change kinds; `raw` adds sections."""
+    return scenario_of({
+        "seed": 11, "dimensions": {"p": p, "n": n},
+        "metrics": {"temporal": "exp1d" if p == 1 else "conformal2d:0.3*t1 - 0.2*t2",
+                    "spatial": "sphere:2" if n == 2 else f"euclidean:{n}"},
+        "changes": {"kinds": ["affine", "shear"], "count": changes},
+        "jets": {"count": jets}, **(raw or {})})
+
+
+def _candidates(*names):
+    return {"verify": {"dtensor_candidates": list(names)}}
 
 
 def _names(suite):
@@ -44,7 +45,7 @@ def _names(suite):
 
 
 def test_check_record_shape():
-    suite = run_suite("dtensors", _scenario(), candidates=["liouville-c"])
+    suite = run_suite("dtensors", _scenario(raw=_candidates("liouville-c")))
     assert suite["suite"] == "dtensors" and suite["pass"] is True
     (check,) = suite["checks"]
     assert set(check) == {"name", "pairs", "max_rel_err", "pass", "witness"}
@@ -105,8 +106,7 @@ def test_dtensors_suite_passes_with_default_candidates():
 
 
 def test_negative_control_fails_the_suite():
-    suite = run_suite("dtensors", _scenario(),
-                      candidates=["liouville-c", "spray-coefficients"])
+    suite = run_suite("dtensors", _scenario(raw=_candidates("liouville-c", "spray-coefficients")))
     by_name = {c["name"]: c for c in suite["checks"]}
     assert by_name["liouville-c"]["pass"]
     assert not by_name["spray-coefficients"]["pass"]
@@ -116,7 +116,7 @@ def test_negative_control_fails_the_suite():
 
 def test_unknown_candidate_raises():
     with pytest.raises(ScenarioError, match="unknown d-tensor candidate"):
-        run_suite("dtensors", _scenario(), candidates=["bogus"])
+        run_suite("dtensors", _scenario(raw=_candidates("bogus")))
 
 
 def test_unknown_suite_raises():
