@@ -28,7 +28,7 @@ import numpy as np
 from .exprlang import Expr, mul, num, partials, var
 from .geometry import Metric, pullback_metric
 from .numdiff import ChangeMap, jacobian_blocks, jet_names
-from .jetspace import JetPoint, JetTable, jet_pullback, transform_jet
+from .jetspace import JetPoint, JetTable, jet_pullback, kron, transform_jet
 
 __all__ = [
     "SignatureError", "IndexSignature", "DTensorField", "Verdict",
@@ -101,7 +101,7 @@ def _slot_factors(sig: IndexSignature, blocks) -> list[np.ndarray]:
     each slot kind of the signature is built once, and no other kind."""
     A, B, A_inv, B_inv = blocks.A, blocks.B, blocks.A_inv, blocks.B_inv
     make = {T_UP: lambda: A, T_LO: lambda: A_inv.T, S_UP: lambda: B, S_LO: lambda: B_inv.T,
-            V_UP: lambda: np.kron(B, A_inv.T), V_LO: lambda: np.kron(B_inv.T, A)}
+            V_UP: lambda: kron(B, A_inv.T), V_LO: lambda: kron(B_inv.T, A)}
     built = {s: make[s]() for s in set(sig.slots)}
     return [built[s] for s in sig.slots]
 

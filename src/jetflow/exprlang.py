@@ -153,16 +153,18 @@ def _refuse_del(self, name: str) -> None:
 def _node(cls: type) -> type:
     """``dataclass(frozen=True, slots=True)`` of a node class, with an
     ``__init__`` that stores each field through its slot's member descriptor
-    at about two thirds of the generated one's cost.  Assigning or deleting
-    any attribute raises FrozenInstanceError (the dataclass's own guard
-    refers to the class it replaced, so it would raise TypeError for a
-    name that is not a field); only `diff` writes `_dmemo`, through
-    ``object.__setattr__``."""
+    at about two thirds of the generated one's cost, and sets `_dmemo` to
+    None.  Assigning or deleting any attribute raises FrozenInstanceError
+    (the dataclass's own guard refers to the class it replaced, so it would
+    raise TypeError for a name that is not a field); only `diff` writes
+    `_dmemo`, through its member descriptor (`_set_dmemo`)."""
     cls = dataclass(frozen=True, slots=True)(cls)
     names = [f.name for f in fields(cls)]
     ns = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    ns["_set_dmemo"] = _set_dmemo
     cls.__init__ = _define([f"def __init__(self, {', '.join(names)}):",
-                            *(f"    _set_{name}(self, {name})" for name in names)],
+                            *(f"    _set_{name}(self, {name})" for name in names),
+                            "    _set_dmemo(self, None)"],
                            ns, f"<{cls.__name__}.__init__>", "__init__")
     cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
     return cls
@@ -170,9 +172,10 @@ def _node(cls: type) -> type:
 
 class Expr:
     """Base class for expression nodes.  Nodes are immutable and comparable;
-    `_dmemo` (not a field) holds the derivatives `diff` has built.  The
-    smart constructors and the leaves' derivatives share one node for 0.0
-    and one for 1.0 (a -0.0 literal keeps a node of its own)."""
+    `_dmemo` (not a field) holds the derivatives `diff` has built, or None
+    before the first.  The smart constructors and the leaves' derivatives
+    share one node for 0.0 and one for 1.0 (a -0.0 literal keeps a node of
+    its own)."""
 
     __slots__ = ("_dmemo",)
 
@@ -182,18 +185,19 @@ class Expr:
         raise NotImplementedError
 
     def diff(self, name: str) -> "Expr":
-        """Partial derivative.  Each non-leaf node keeps its derivatives, by
-        variable name, for as long as it lives: a node object is
-        differentiated once per variable, so shared subtrees give shared
-        results, across calls too."""
+        """Partial derivative.  A leaf (`Num`, `Var`) is answered by its own
+        rule and keeps nothing; each composite node keeps its derivatives,
+        by variable name, for as long as it lives, and takes one probe of
+        them per visit: a node object is differentiated once per variable,
+        so shared subtrees give shared results, across calls too."""
 
         def d(e: Expr) -> Expr:
-            if isinstance(e, (Num, Var)):
+            if type(e) in _LEAVES:
                 return e._diff(name, d)
-            memo = getattr(e, "_dmemo", None)
+            memo = e._dmemo
             if memo is None:
                 memo = {}
-                object.__setattr__(e, "_dmemo", memo)
+                _set_dmemo(e, memo)
             got = memo.get(name)
             if got is None:
                 got = memo[name] = e._diff(name, d)
@@ -205,14 +209,18 @@ class Expr:
             del d           # `d` reaches itself through its cell: empty it
 
     def subst(self, mapping: Mapping[str, "Expr"]) -> "Expr":
-        """Substitution; each distinct node object is rebuilt once, so shared
-        subtrees stay shared."""
+        """Substitution.  A leaf is answered by its own rule, and each
+        distinct composite node object is rebuilt once (one memo probe per
+        visit), so shared subtrees stay shared."""
         memo: dict[int, Expr] = {}
 
         def s(e: Expr) -> Expr:
-            got = memo.get(id(e))
+            if type(e) in _LEAVES:
+                return e._subst(mapping, s)
+            key = id(e)
+            got = memo.get(key)
             if got is None:
-                got = memo[id(e)] = e._subst(mapping, s)
+                got = memo[key] = e._subst(mapping, s)
             return got
 
         try:
@@ -243,6 +251,10 @@ class Expr:
 
     def __str__(self) -> str:
         return self._fmt()
+
+
+# stores a node's `_dmemo` past the frozen guard
+_set_dmemo = Expr.__dict__["_dmemo"].__set__
 
 
 @_node
@@ -288,6 +300,10 @@ class Var(Expr):
 
     def _fmt(self):
         return self.name
+
+
+# the leaf classes: a traversal answers these by their own rule, with no memo entry
+_LEAVES = frozenset((Num, Var))
 
 
 def _child(e: Expr, min_level: int) -> str:
@@ -416,7 +432,7 @@ class Div(Expr):
         # (a/b)' = a'/b - a*b'/b^2; a'/b where b' is the literal zero, which
         # keeps the guard on b (also 0/b) and has no b^2 that can underflow
         da, db = d(self.a), d(self.b)
-        if _is_const(db, 0.0):
+        if type(db) is Num and db.value == 0.0:
             return div(da, self.b)
         return sub(div(da, self.b), div(mul(self.a, db), pow_(self.b, 2)))
 
@@ -483,6 +499,10 @@ FUNCTIONS: dict[str, tuple[Callable, Callable, Callable | None]] = {
 }
 
 
+# the nodes with two operands, `a` and `b`
+_BINARY_NODES = frozenset((Add, Sub, Mul, Div))
+
+
 def _fn_derivative(name: str, u: Expr) -> Expr:
     if name == "sin":
         return call("cos", u)
@@ -542,55 +562,74 @@ def var(name: str) -> Var:
     return Var(name)
 
 
-def _is_const(e: Expr, v: float) -> bool:
-    return isinstance(e, Num) and e.value == v
-
+# each constructor tests `type(x) is Num` once per operand and reads each
+# literal once; a -0.0 literal folds as 0.0 does (-0.0 == 0.0)
 
 def neg(a: Expr) -> Expr:
-    if isinstance(a, Num):
+    cls = type(a)
+    if cls is Num:
         return Num(-a.value)
-    if isinstance(a, Neg):
+    if cls is Neg:
         return a.a
     return Neg(a)
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if type(a) is Num:
+        x = a.value
+        if x == 0.0:
+            return b
+        if type(b) is Num:
+            y = b.value
+            return a if y == 0.0 else Num(x + y)
+    elif type(b) is Num and b.value == 0.0:
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
     return Add(a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
+    if type(b) is Num:
+        y = b.value
+        if y == 0.0:
+            return a
+        if type(a) is Num:
+            x = a.value
+            return neg(b) if x == 0.0 else Num(x - y)
+    elif type(a) is Num and a.value == 0.0:
         return neg(b)
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
     return Sub(a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
+    if type(a) is Num:
+        x = a.value
+        if x == 0.0:
+            return _ZERO
+        if type(b) is Num:
+            y = b.value
+            if y == 0.0:
+                return _ZERO
+            if x == 1.0:
+                return b
+            return a if y == 1.0 else Num(x * y)
+        if x == 1.0:
+            return b
+    elif type(b) is Num:
+        y = b.value
+        if y == 0.0:
+            return _ZERO
+        if y == 1.0:
+            return a
     return Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1.0):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num) and b.value != 0:
-        return Num(a.value / b.value)
+    if type(b) is Num:
+        y = b.value
+        if y == 1.0:
+            return a
+        if y != 0 and type(a) is Num:
+            return Num(a.value / y)
     return Div(a, b)
 
 
@@ -784,24 +823,34 @@ def evaluate(e: Expr, env: Mapping[str, Value]) -> Value:
     return e.eval(env)
 
 
+_UNSET = object()      # a memo miss in `evaluate_table`
+
+
 def evaluate_table(exprs: Sequence[Expr], env: Mapping[str, Value],
                    guards: Sequence[Guard] = ()) -> list[Value]:
-    """Values of a table of expressions, evaluating each distinct node object
-    once across the whole table (a DAG walk).  The values, and the first
-    ExprError raised, are those of evaluating the guards' expressions and
-    then the entries one by one with `Expr.eval`: nodes are visited in the
-    interpreter's order, and a node is skipped only when it has already
-    been evaluated without error.  Each det-g guard (`compile_table`) is
-    tested as soon as its expression is evaluated, before any entry.  The
-    memo of node values is freed when the call returns or raises; a
-    `Table` keeps its points."""
+    """Values of a table of expressions, evaluating each distinct composite
+    node object once across the whole table (a DAG walk).  A leaf is
+    answered at each visit, a literal by its value and a variable by its
+    binding, with no memo entry; a composite node takes one memo probe per
+    visit.  The values, and the first ExprError raised, are those of
+    evaluating the guards' expressions and then the entries one by one
+    with `Expr.eval`: nodes are visited in the interpreter's order, and a
+    node is skipped only when it has already been evaluated without error.
+    Each det-g guard (`compile_table`) is tested as soon as its expression
+    is evaluated, before any entry.  The memo of node values is freed when
+    the call returns or raises; a `Table` keeps its points."""
     memo: dict[int, Value] = {}
 
     def ev(e: Expr) -> Value:
+        cls = type(e)
+        if cls is Num:
+            return e.value
+        if cls is Var:
+            return _lookup(env, e.name)
         key = id(e)
-        if key in memo:
-            return memo[key]
-        value = memo[key] = e._eval(env, ev)
+        value = memo.get(key, _UNSET)
+        if value is _UNSET:
+            value = memo[key] = e._eval(env, ev)
         return value
 
     try:
@@ -831,17 +880,23 @@ def partials(exprs: Sequence[Expr], names: Sequence[str]) -> list[list[Expr]]:
 
 
 def free_vars(*exprs: Expr) -> set[str]:
-    """Names of the variables the expressions read; each distinct node
-    object is visited once."""
+    """Names of the variables the expressions read.  A leaf is answered at
+    each visit, with no entry in the set of nodes seen; each distinct
+    composite node object is expanded once, and a binary node pushes its
+    two operands directly."""
     acc: set[str] = set()
     seen: set[int] = set()
     todo = list(exprs)
     while todo:
         e = todo.pop()
-        if id(e) not in seen:
+        cls = type(e)
+        if cls is Var:
+            acc.add(e.name)
+        elif cls is not Num and id(e) not in seen:
             seen.add(id(e))
-            if isinstance(e, Var):
-                acc.add(e.name)
+            if cls in _BINARY_NODES:
+                todo.append(e.a)
+                todo.append(e.b)
             else:
                 todo.extend(e._children())
     return acc
@@ -983,7 +1038,11 @@ def compile_table(exprs: Sequence[Expr], names: Sequence[str],
     interpreter is kept, in the interpreter's order, so a table raises the
     ExprError that evaluating its entries one by one would raise first; a
     variable outside `names` raises its "unbound variable" ExprError at the
-    first evaluation, compile or freeze, not here.
+    first evaluation, compile or freeze, not here.  One exception holds on
+    columns: sin, cos or tan of an infinite element is NaN there, as numpy
+    computes it (with numpy's invalid-value RuntimeWarning unless the
+    caller's ``np.errstate`` silences it), where a float raises the domain
+    ExprError; the grid solver relies on that NaN to report a diverged solve.
 
     ``guards`` holds the det-g guards, ``(det, check)`` pairs such as
     `geometry.Metric.guard`, which every tier computes and tests first, in

@@ -306,18 +306,28 @@ def _residual_table(pair: SprayPair, h: Metric) -> JetTable:
                     list(dict.fromkeys(second)))
 
 
+def _stencils(residual: JetTable) -> set[str]:
+    """The stencils whose differences some entry or guard of the residual
+    table reads: "x" for the values, "1", "2", "11", "12", "22" for the
+    jet columns (x1_2 is stencil "2", x2_12 is "12")."""
+    reads = free_vars(*residual.entries, *(det for det, _ in residual.guards))
+    return {name.partition("_")[2] or "x" for name in residual.names[2:] if name in reads}
+
+
 class _Level:
     """One grid of the multigrid hierarchy: its interior nodes T, the metric
     inverse there, kappa, the diagonal of the linearised residual that
     scales the damped-Jacobi step, the solve's residual table frozen on
     the (m-2) x (m-2) interior nodes (`Table.freeze`, so its `t`-only terms,
     h^{ab}, det h and its test and the temporal Christoffel symbols, are
-    computed once, here), the stencil columns that table reads, and the
-    stencil's spacing constants as floats.  A residual evaluation
-    (`residual`) and a damped-Jacobi step (`relax`) are separate calls, so
-    a V-cycle computes only the residuals it reads."""
+    computed once, here), the stencil columns that table reads (`stencils`,
+    from `_stencils`, found once per solve), and the stencil's spacing
+    constants as floats.  A residual evaluation (`residual`) and a
+    damped-Jacobi step (`relax`) are separate calls, so a V-cycle computes
+    only the residuals it reads."""
 
-    def __init__(self, residual: JetTable, h: Metric, t1: np.ndarray, t2: np.ndarray):
+    def __init__(self, residual: JetTable, h: Metric, t1: np.ndarray, t2: np.ndarray,
+                 stencils: set[str]):
         m, n = len(t1), residual.n
         self.m, self.n = m, n
         d1, d2 = t1[1] - t1[0], t2[1] - t2[0]
@@ -334,9 +344,7 @@ class _Level:
         # the differences some entry or guard reads
         self.args = [(name.partition("_")[2] or "x", int(name[1:].partition("_")[0]) - 1)
                      for name in residual.names[2:]]
-        reads = free_vars(*residual.entries, *(det for det, _ in residual.guards))
-        self.stencils = {s for (s, _), name in zip(self.args, residual.names[2:])
-                         if name in reads}
+        self.stencils = stencils
         self.d1sq, self.d2sq = float(d1 ** 2), float(d2 ** 2)
         self.d12x4, self.d1x2, self.d2x2 = float(4 * d1 * d2), float(2 * d1), float(2 * d2)
 
@@ -493,7 +501,8 @@ def solve_harmonic_grid(pair: SprayPair, h: Metric,
             values[j, i] = bmap(t1[j], t2[i])
 
     residual = _residual_table(pair, h)
-    levels = [_Level(residual, h, t1[::1 << k], t2[::1 << k])
+    stencils = _stencils(residual)
+    levels = [_Level(residual, h, t1[::1 << k], t2[::1 << k], stencils)
               for k in range(len(_grid_sizes(m)))]
 
     # a diverging iterate overflows silently: the finiteness test below classifies it

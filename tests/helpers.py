@@ -325,6 +325,14 @@ def reference_harmonic_residual(f, pair, h, t) -> np.ndarray:
     return np.einsum("ab,iab->i", hinv, coeffs)
 
 
+def grid_level(residual, h, t1, t2):
+    """The multigrid level on the nodes t1 x t2 that `solve_harmonic_grid`
+    builds from the residual table `residual`."""
+    from jetflow import maps
+
+    return maps._Level(residual, h, t1, t2, maps._stencils(residual))
+
+
 def reference_grid_residual(pair, T, hinv, d1, d2, vals):
     """The harmonic residual of the m x m grid values `vals` (m, m, n) at the
     interior nodes T ((m-2)^2, 2, row-major), as (q, n): second differences

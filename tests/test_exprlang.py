@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from jetflow.exprlang import (DET_TOL, Add, Call, Div, Expr, ExprError, Mul, Neg
                               Var, add, call, compile_floats, compile_rk4, compile_table, diff, div,
                               evaluate,
                               evaluate_table,
-                              free_vars, mul, neg, num, parse, pow_, subst, to_str, total, var)
+                              free_vars, mul, neg, num, parse, pow_, sub, subst, to_str, total,
+                              var)
 from jetflow import numdiff as nd
 from jetflow.dtensor import _hessian_exprs
 from jetflow.geometry import energy_density, metric_from_name, pullback_metric
@@ -692,3 +694,182 @@ def test_minus_zero_keeps_its_sign():
         assert e.value == 0.0 and math.copysign(1.0, e.value) == -1.0
         assert e is not num(0.0)
     assert math.copysign(1.0, num(0.0).value) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# what the traversals' and smart constructors' fast paths keep
+
+
+# operands: the shared zero, a -0.0 literal, the shared one, another literal,
+# a variable and a composite node
+OPERANDS = {"Z": num(0.0), "M": Num(-0.0), "O": num(1.0), "T": num(2.5), "X": var("x"),
+            "P": Mul(var("x"), var("y"))}
+
+# result of op(a, b), one row per a and one column per b in OPERANDS order:
+# "a" or "b" is that operand itself, "0" the shared zero leaf, a number a
+# Num of exactly those bits, a class name a new node of that class on (a, b)
+FOLDS = {
+    add: {"Z": "b b b b b b",
+          "M": "b b b b b b",
+          "O": "a a 2.0 3.5 Add Add",
+          "T": "a a 3.5 5.0 Add Add",
+          "X": "a a Add Add Add Add",
+          "P": "a a Add Add Add Add"},
+    sub: {"Z": "a a -1.0 -2.5 -b -b",
+          "M": "a a -1.0 -2.5 -b -b",
+          "O": "a a 0.0 -1.5 Sub Sub",
+          "T": "a a 1.5 0.0 Sub Sub",
+          "X": "a a Sub Sub Sub Sub",
+          "P": "a a Sub Sub Sub Sub"},
+    mul: {"Z": "0 0 0 0 0 0",
+          "M": "0 0 0 0 0 0",
+          "O": "0 0 b b b b",
+          "T": "0 0 a 6.25 Mul Mul",
+          "X": "0 0 a Mul Mul Mul",
+          "P": "0 0 a Mul Mul Mul"},
+    div: {"Z": "Div Div a 0.0 Div Div",
+          "M": "Div Div a -0.0 Div Div",
+          "O": "Div Div a 0.4 Div Div",
+          "T": "Div Div a 1.0 Div Div",
+          "X": "Div Div a Div Div Div",
+          "P": "Div Div a Div Div Div"},
+}
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+def _assert_folded(got, want: str, a, b):
+    if want == "a":
+        assert got is a
+    elif want == "b":
+        assert got is b
+    elif want == "0":
+        assert got is num(0.0)
+    elif want == "-b":                  # 0 - b: the negation of a non-literal
+        assert type(got) is Neg and got.a is b
+    elif want[0].isupper():
+        assert type(got).__name__ == want and got.a is a and got.b is b
+    else:
+        assert type(got) is Num and _bits(got.value) == _bits(float(want))
+
+
+@pytest.mark.parametrize("op", list(FOLDS), ids=lambda op: op.__name__)
+def test_smart_constructors_fold_each_pair_of_operands(op):
+    for ka, row in FOLDS[op].items():
+        for kb, want in zip(OPERANDS, row.split()):
+            a, b = OPERANDS[ka], OPERANDS[kb]
+            _assert_folded(op(a, b), want, a, b)
+
+
+def test_neg_folds_literals_and_double_negation():
+    x, p = OPERANDS["X"], OPERANDS["P"]
+    for e, want in [(num(0.0), -0.0), (Num(-0.0), 0.0), (num(1.0), -1.0), (num(2.5), -2.5)]:
+        got = neg(e)
+        assert type(got) is Num and _bits(got.value) == _bits(want)
+    for e in (x, p):
+        assert type(neg(e)) is Neg and neg(e).a is e
+        assert neg(Neg(e)) is e
+
+
+def _counting(monkeypatch, method: str, classes) -> list:
+    """The nodes whose `method` runs, in call order, once `method` of each
+    class in `classes` is wrapped to record them."""
+    calls = []
+    for cls in classes:
+        def counted(self, *args, _orig=getattr(cls, method)):
+            calls.append(self)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, method, counted)
+    return calls
+
+
+COMPOSITES = (Neg, Add, Sub, Mul, Div, Pow, Call)
+
+
+def _shared_table():
+    """Entries that share composite nodes and leaf objects (x, y, two)."""
+    x, y, two = var("x"), var("y"), Num(2.0)
+    s = call("sin", mul(two, x))
+    e = mul(s, add(s, y))
+    return [e, add(e, Neg(s)), s, div(y, sub(s, two)), pow_(add(e, x), 3), x, two]
+
+
+def _composites(exprs) -> list:
+    return [e for e in _distinct(*exprs) if type(e) in COMPOSITES]
+
+
+def test_walk_runs_each_composite_rule_once_per_point(monkeypatch):
+    exprs = _shared_table()
+    points = [{"x": 0.3, "y": 1.5}, {"x": -2.0, "y": 0.25}]
+    want = [[e.eval(env) for e in exprs] for env in points]
+    inner = _counting(monkeypatch, "_eval", COMPOSITES)
+    leaves = _counting(monkeypatch, "_eval", (Num, Var))
+    for env, values in zip(points, want):
+        inner.clear()
+        leaves.clear()
+        assert evaluate_table(exprs, env) == values
+        assert sorted(map(id, inner)) == sorted(map(id, _composites(exprs)))
+        # a leaf's rule never runs twice on one leaf
+        assert len(leaves) == len({id(e) for e in leaves})
+
+
+def test_walk_raises_at_the_first_visit_of_an_unbound_variable(monkeypatch):
+    s = call("sin", var("x"))
+    cases = [
+        # a shared subtree evaluated without error, then a variable it lacks
+        ([s, mul(s, var("u"))], "u"),
+        # a quotient reads its denominator first, as the interpreter does
+        ([add(s, num(1.0)), div(var("u"), var("v"))], "v"),
+        # a zero denominator raises before the numerator's variable is read
+        ([div(var("u"), sub(var("x"), var("x")))], None),
+    ]
+    for exprs, name in cases:
+        env = {"x": 0.5}
+        with pytest.raises(ExprError) as want:
+            for e in exprs:
+                e.eval(env)
+        calls = _counting(monkeypatch, "_eval", COMPOSITES)
+        with pytest.raises(ExprError) as got:
+            evaluate_table(exprs, env)
+        monkeypatch.undo()
+        assert str(got.value) == str(want.value)
+        if name is not None:
+            assert str(got.value) == f"unbound variable '{name}'"
+        else:
+            assert "division by zero" in str(got.value)
+        # every composite entered before the raise was entered once
+        assert len(calls) == len({id(e) for e in calls})
+
+
+def test_diff_runs_each_composite_rule_once_per_variable_across_calls(monkeypatch):
+    fresh = parse("sin(2*x)*(sin(2*x) + y) + x/(y - 3) + cos(x*y)^2 - exp(-x)")
+    calls = _counting(monkeypatch, "_diff", COMPOSITES)
+    composites = sorted(map(id, _composites([fresh])))
+    dx = diff(fresh, "x")
+    assert sorted(map(id, calls)) == composites
+    calls.clear()
+    assert diff(fresh, "x") is dx and calls == []           # kept on the node
+    dy = diff(fresh, "y")
+    assert sorted(map(id, calls)) == composites
+    calls.clear()
+    # a new root over the same nodes: only the new root's rule runs
+    root = add(fresh, var("z"))
+    assert diff(root, "x") is dx and [id(e) for e in calls] == [id(root)]
+    calls.clear()
+    assert diff(fresh, "y") is dy and calls == []
+
+
+def test_subst_rebuilds_each_composite_once(monkeypatch):
+    s = call("sin", mul(num(2.0), var("x")))
+    e = add(mul(s, add(s, var("y"))), div(s, Neg(var("y"))))
+    calls = _counting(monkeypatch, "_subst", COMPOSITES)
+    mapping = {"x": var("t"), "y": add(var("t"), num(1.0))}
+    for _ in range(2):                  # each call has a memo of its own
+        calls.clear()
+        out = subst(e, mapping)
+        assert out == naive_subst(e, mapping)
+        assert sorted(map(id, calls)) == sorted(map(id, _composites([e])))
+    assert out.a.a is out.b.a           # the shared sin node stays shared

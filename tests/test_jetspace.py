@@ -13,6 +13,7 @@ from jetflow.jetspace import (
     JetPoint,
     frame_size,
     jet_pullback,
+    kron,
     mixed_jet_derivatives,
     natural_coframe_change,
     natural_frame_change,
@@ -170,6 +171,20 @@ def test_natural_frame_change_matches_fd_oracle():
         S = natural_frame_change(c, u)
         S_fd = _fd_frame_oracle(c, u)
         assert np.max(np.abs(S - S_fd)) < 1e-7, kind
+
+
+@pytest.mark.parametrize("ashape,bshape", [((2, 2), (2, 2)), ((3, 3), (2, 2)),
+                                           ((2, 2), (1, 1)), ((1, 1), (3, 3)), ((2, 3), (3, 1))])
+def test_kron_is_numpys_bit_for_bit(ashape, bshape):
+    rng = np.random.default_rng(sum(ashape) * 10 + sum(bshape))
+    for scale in (1.0, 1e-200, 1e200):
+        a, b = rng.normal(size=ashape) * scale, rng.normal(size=bshape)
+        want = np.kron(a, b)
+        got = kron(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+        got_t = kron(a.T, b.T)                  # transposed (strided) operands
+        assert got_t.tobytes() == np.kron(a.T, b.T).tobytes()
 
 
 def test_natural_frame_change_block_structure():

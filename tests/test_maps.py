@@ -38,7 +38,7 @@ from jetflow.sprays import (
     zero_spray,
 )
 
-from helpers import (golden_writer, jacobi_harmonic_reference, reference_affine_ode,
+from helpers import (golden_writer, grid_level, jacobi_harmonic_reference, reference_affine_ode,
                      reference_grid_residual, reference_harmonic_residual, standard_metrics)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -470,6 +470,17 @@ def test_grid_solver_reproduces_flat_harmonic_polynomial():
     assert sol.max_residual < 1e-11
 
 
+def test_grid_solver_finds_the_residual_stencils_once(monkeypatch):
+    """The solve reads which stencils its residual table needs in one
+    `free_vars` pass and hands the set to each of its levels, four on 17 x 17."""
+    passes, real = [], maps.free_vars
+    monkeypatch.setattr(maps, "free_vars", lambda *exprs: passes.append(1) or real(*exprs))
+    pair, h, _ = _flat_pair(2, 1)
+    sol = solve_harmonic_grid(pair, h, SmoothMap(2, ["t1^2 - t2^2"]), m=17, tol=1e-9,
+                              domain=[(-1.0, 1.0), (-1.0, 1.0)])
+    assert sol.converged and len(maps._grid_sizes(17)) == 4 and len(passes) == 1
+
+
 def test_grid_solver_zero_boundary_exits_immediately():
     pair, h, _ = _flat_pair(2, 1)
     sol = solve_harmonic_grid(pair, h, SmoothMap(2, ["0"]), m=9, tol=1e-9,
@@ -674,7 +685,7 @@ def test_level_residual_matches_reference_bit_for_bit(m, target, rhs):
     h = metric_from_name("conformal2d:0.3*t1 - 0.2*t2")
     pair = canonical_pair(h, metric_from_name(target, kind="spatial"))
     t1, t2 = np.linspace(-0.9, 1.0, m), np.linspace(-0.5, 0.7, m)
-    level = maps._Level(maps._residual_table(pair, h), h, t1, t2)
+    level = grid_level(maps._residual_table(pair, h), h, t1, t2)
     rng = np.random.default_rng(m)
     for _ in range(2):
         vals = rng.uniform(0.4, 1.4, (m, m, pair.temporal.n))
@@ -701,7 +712,7 @@ def test_level_residual_with_off_diagonal_metric_matches_reference(m, target):
     not bit for bit."""
     pair = canonical_pair(SHEARED, metric_from_name(target, kind="spatial"))
     t1, t2 = np.linspace(-0.9, 1.0, m), np.linspace(-0.5, 0.7, m)
-    level = maps._Level(maps._residual_table(pair, SHEARED), SHEARED, t1, t2)
+    level = grid_level(maps._residual_table(pair, SHEARED), SHEARED, t1, t2)
     assert {"1", "2", "11", "12", "22"} <= level.stencils
     rng = np.random.default_rng(m)
     for _ in range(2):

@@ -29,7 +29,8 @@ from jetflow.connection import (canonical_connection, connection_from_sprays,
 from jetflow.sprays import (SprayPair, canonical_pair, canonical_spatial, canonical_temporal,
                             combine_sprays)
 
-from helpers import frozen_batch, metric_and_points, reference_grid_residual, walk_batch
+from helpers import (frozen_batch, grid_level, metric_and_points, reference_grid_residual,
+                     walk_batch)
 from test_exprlang import DOMAIN_ERRORS, TRIG_AT_INFINITY
 from test_geometry import CATALOG
 
@@ -204,6 +205,28 @@ def test_every_float_tier_raises_the_interpreters_error_for_trig_at_infinity(tex
             tier()
         assert str(got.value) == str(want.value), k
         assert k != 1 or table._fn is None            # the walk tier ran
+
+
+@pytest.mark.parametrize("text,env", TRIG_AT_INFINITY)
+def test_trig_at_infinity_on_columns_is_nan(text, env):
+    """On numpy columns sin, cos or tan of an infinite element is NaN, as
+    numpy gives it: silent under ``np.errstate(invalid="ignore")`` (the grid
+    solver's, which classifies the solve as diverged) and numpy's
+    invalid-value RuntimeWarning without it.  On floats the same table
+    raises the domain ExprError."""
+    x = env["x"]
+    table = compile_table([parse(text)], ["x"])
+    col = np.array([1.0, x])
+    with np.errstate(invalid="ignore"):
+        (got,) = table(col)
+    assert math.isnan(got[1]) and got[0] == getattr(np, text[:3])(1.0)
+    with np.errstate(invalid="warn"), pytest.warns(RuntimeWarning, match="invalid value"):
+        (again,) = table(col)
+    assert again.tobytes() == got.tobytes()
+    with pytest.raises(ExprError, match="sin, cos or tan of an infinite value"):
+        table(x)
+    with pytest.raises(ExprError, match="sin, cos or tan of an infinite value"):
+        table.compiled()(x)
 
 
 @pytest.mark.parametrize("kind", ["spatial", "temporal"])
@@ -424,8 +447,8 @@ def test_degenerate_temporal_metric_raises_when_frozen():
     h = metric_from_name("euclidean:2", kind="temporal")
     pair = SprayPair(canonical_temporal(g, 2), canonical_spatial(metric_from_name("euclidean:2"), 2))
     with pytest.raises(GeometryError, match="degenerate"):
-        maps._Level(maps._residual_table(pair, h), h, np.linspace(0.0, 1.0, 3) - 0.5,
-                    np.linspace(0.0, 1.0, 3))
+        grid_level(maps._residual_table(pair, h), h, np.linspace(0.0, 1.0, 3) - 0.5,
+                   np.linspace(0.0, 1.0, 3))
 
 
 def _level_problem():
@@ -486,7 +509,7 @@ def test_flat_pair_residual_reads_only_the_diagonal_second_differences():
     h = metric_from_name("euclidean:2", kind="temporal")
     pair = canonical_pair(h, metric_from_name("euclidean:2"))
     t = np.linspace(-1.0, 1.0, 5)
-    level = maps._Level(maps._residual_table(pair, h), h, t, t)
+    level = grid_level(maps._residual_table(pair, h), h, t, t)
     assert level.stencils == {"11", "22"}
     vals = np.random.default_rng(43).uniform(-1.0, 1.0, (5, 5, 2))
     want = reference_grid_residual(pair, level.T, level.hinv, t[1] - t[0], t[1] - t[0], vals)
@@ -503,7 +526,7 @@ def test_constant_entries_over_a_det_that_reads_x_keep_their_guard():
                            sprays.JetTable(2, 1, (1, 2, 2), [g.guard], lambda: [Num(0.0)] * 4))
     pair = SprayPair(sprays.zero_spray("temporal", 2, 1), spatial)
     t = np.linspace(-1.0, 1.0, 4)
-    level = maps._Level(maps._residual_table(pair, h), h, t, t)
+    level = grid_level(maps._residual_table(pair, h), h, t, t)
     assert level.stencils == {"x", "11", "22"}
     vals = np.random.default_rng(44).uniform(0.0, 1.0, (4, 4, 1))
     want = reference_grid_residual(pair, level.T, level.hinv, t[1] - t[0], t[1] - t[0], vals)
@@ -536,7 +559,7 @@ def test_level_runs_the_solves_frozen_residual_table(monkeypatch):
         frozen.clear()
         residual = maps._residual_table(each, h)
         assert residual.entries == want.entries and residual.guards == want.guards
-        maps._Level(residual, h, t, t)
+        grid_level(residual, h, t, t)
         assert frozen == [residual.kernel]
 
 
